@@ -343,21 +343,66 @@ func BenchmarkRecoverySpeculation(b *testing.B) {
 
 // --- Real-mode benchmarks: actual computation on this machine ---
 
-// BenchmarkKernelIterative measures the loop kernels per update. Sizes
-// 512 and 1024 are the cache-blocking regime: the tile no longer fits L2
-// and the k-blocked fast path's reuse shows up directly in MB/s.
+// BenchmarkKernelIterative measures the min-plus loop kernels per update:
+// the unaliased kind D (sizes 512 and 1024 are the cache-blocking regime:
+// the tile no longer fits L2 and the k-blocked fast path's reuse shows up
+// directly in MB/s) and the aliased kinds A, B, C, which run the ordered
+// loop over the vectorised row primitive and are 7 of the 16 tile updates
+// of an r=4 iteration.
 func BenchmarkKernelIterative(b *testing.B) {
+	rule := semiring.NewFloydWarshall()
 	for _, size := range []int{128, 256, 512, 1024} {
-		b.Run("D/"+itoa(size), func(b *testing.B) {
-			rule := semiring.NewFloydWarshall()
-			x, u, v, w := randomTiles(size)
-			exec := kernels.NewIterative(rule)
-			b.SetBytes(int64(size) * int64(size) * int64(size) * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				exec.Apply(semiring.KindD, x, u, v, w)
+		b.Run("D/"+itoa(size), func(b *testing.B) { benchKernel(b, rule, semiring.KindD, size) })
+	}
+	for _, kind := range []semiring.Kind{semiring.KindA, semiring.KindB, semiring.KindC} {
+		for _, size := range []int{64, 128, 256, 512} {
+			b.Run(kind.String()+"/"+itoa(size), func(b *testing.B) { benchKernel(b, rule, kind, size) })
+		}
+	}
+}
+
+// BenchmarkKernelIterativeGE is the same family for Gaussian elimination,
+// whose aliased kinds update a triangle (MB/s counts kernels.Updates, not
+// the full cube).
+func BenchmarkKernelIterativeGE(b *testing.B) {
+	rule := semiring.NewGaussian()
+	for _, kind := range []semiring.Kind{semiring.KindA, semiring.KindB, semiring.KindC, semiring.KindD} {
+		for _, size := range []int{64, 128, 256, 512} {
+			b.Run(kind.String()+"/"+itoa(size), func(b *testing.B) { benchKernel(b, rule, kind, size) })
+		}
+	}
+}
+
+// benchKernel times one iterative kernel kind with the operand wiring of
+// kernels.RunLocal. x is restored before every call (b² against the
+// kernel's b³): repeated in-place updates converge (FW) or blow up (GE)
+// and would time different data.
+func benchKernel(b *testing.B, rule semiring.Rule, kind semiring.Kind, size int) {
+	x0, u, v, w := randomTiles(size)
+	if _, ge := rule.(semiring.GaussianRule); ge {
+		// Well-conditioned pivots: the diagonal dominates its row.
+		for _, t := range []*matrix.Tile{x0, w} {
+			for i := 0; i < size; i++ {
+				t.Set(i, i, 10*float64(size))
 			}
-		})
+		}
+	}
+	x := x0.Clone()
+	exec := kernels.NewIterative(rule)
+	b.SetBytes(kernels.Updates(rule, kind, size) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x.Data, x0.Data)
+		switch kind {
+		case semiring.KindA:
+			exec.Apply(kind, x, nil, nil, nil)
+		case semiring.KindB:
+			exec.Apply(kind, x, w, nil, w)
+		case semiring.KindC:
+			exec.Apply(kind, x, nil, w, w)
+		default:
+			exec.Apply(kind, x, u, v, w)
+		}
 	}
 }
 

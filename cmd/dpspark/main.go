@@ -484,8 +484,9 @@ func main() {
 		case "kernels":
 			// Measured single-tile scaling of the iterative kernels on THIS
 			// machine (real time, not the cluster model): the scaling curve
-			// per tile size, the serial↔parallel crossover and the
-			// suggested cores×threads split for -kernel-threads tuning.
+			// and the serial cost per update of each kernel kind per tile
+			// size, the serial↔parallel crossover and the suggested
+			// cores×threads split for -kernel-threads tuning.
 			cores := runtime.NumCPU()
 			target := *kernelThreads
 			if target <= 1 {
@@ -510,6 +511,7 @@ func main() {
 					prof := autotune.MeasureKernelScaling(rule, b, widths, reps)
 					fmt.Printf("  %-40s best t%d (speedup %.2f× at t%d)\n",
 						prof.String(), prof.BestThreads(), prof.Speedup(target), target)
+					fmt.Printf("    per kind, serial: %s\n", autotune.MeasureKernelKinds(rule, b, reps))
 					if b == sizes[len(sizes)-1] {
 						p := prof
 						atSize = &p

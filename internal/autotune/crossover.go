@@ -42,6 +42,57 @@ type KernelProfile struct {
 // destination is reset between reps, so every sample executes the exact
 // same instruction stream.
 func MeasureKernelScaling(rule semiring.Rule, b int, threads []int, reps int) KernelProfile {
+	m := newKernelMeasure(rule, b, reps)
+	prof := KernelProfile{B: b}
+	for _, t := range threads {
+		if t < 1 {
+			t = 1
+		}
+		best := m.bestOf(kernels.NewPool(t), semiring.KindD)
+		fb := float64(b)
+		prof.Points = append(prof.Points, ScalingPoint{
+			Threads:    t,
+			Time:       best,
+			Throughput: fb * fb * fb / best.Seconds(),
+		})
+	}
+	return prof
+}
+
+// KindCosts is the measured serial cost of one element update, in
+// nanoseconds, per kernel kind (indexed by semiring.Kind).
+type KindCosts [4]float64
+
+// MeasureKernelKinds times one serial update of a b×b tile for each
+// kernel kind with the operand aliasing of the drivers — A, B and C run
+// the ordered in-place loop, D the blocked one — and returns best-of-reps
+// nanoseconds per element update (kernels.Updates counts them: GE's
+// pivot-row and pivot-column kinds update a triangle). The per-kind gap
+// is what decides how much of a solve the 7-of-16 aliased tile updates
+// of an iteration cost.
+func MeasureKernelKinds(rule semiring.Rule, b, reps int) KindCosts {
+	m := newKernelMeasure(rule, b, reps)
+	var costs KindCosts
+	for kind := semiring.KindA; kind <= semiring.KindD; kind++ {
+		costs[kind] = float64(m.bestOf(nil, kind).Nanoseconds()) / float64(kernels.Updates(rule, kind, b))
+	}
+	return costs
+}
+
+// String renders the costs as "A=… B=… C=… D=… ns/update".
+func (c KindCosts) String() string {
+	return fmt.Sprintf("A=%.3f B=%.3f C=%.3f D=%.3f ns/update",
+		c[semiring.KindA], c[semiring.KindB], c[semiring.KindC], c[semiring.KindD])
+}
+
+// kernelMeasure holds the deterministic operands of one measurement.
+type kernelMeasure struct {
+	exec              kernels.Iterative
+	reps              int
+	x0, u, v, w, work *matrix.Tile
+}
+
+func newKernelMeasure(rule semiring.Rule, b, reps int) *kernelMeasure {
 	if reps < 1 {
 		reps = 1
 	}
@@ -54,32 +105,41 @@ func MeasureKernelScaling(rule semiring.Rule, b int, threads []int, reps int) Ke
 		}
 		return t
 	}
-	x0, u, v, w := fill(), fill(), fill(), fill()
-	work := matrix.NewTile(b)
-
-	prof := KernelProfile{B: b}
-	for _, t := range threads {
-		if t < 1 {
-			t = 1
-		}
-		pool := kernels.NewPool(t)
-		var best time.Duration
-		for rep := 0; rep < reps; rep++ {
-			x0.View().CopyTo(work.View())
-			start := time.Now()
-			kernels.LoopPool(pool, rule, semiring.KindD, work.View(), u.View(), v.View(), w.View())
-			if el := time.Since(start); best == 0 || el < best {
-				best = el
-			}
-		}
-		fb := float64(b)
-		prof.Points = append(prof.Points, ScalingPoint{
-			Threads:    t,
-			Time:       best,
-			Throughput: fb * fb * fb / best.Seconds(),
-		})
+	m := &kernelMeasure{exec: kernels.NewIterative(rule), reps: reps,
+		x0: fill(), u: fill(), v: fill(), w: fill(), work: matrix.NewTile(b)}
+	// A dominant diagonal on the destination and the pivot tile keeps the
+	// in-place eliminations of kinds A, B, C finite.
+	for i := 0; i < b; i++ {
+		m.x0.Set(i, i, 2*float64(b))
+		m.w.Set(i, i, 2*float64(b))
 	}
-	return prof
+	return m
+}
+
+// bestOf returns the best-of-reps wall time of one kernel call of the
+// given kind on a fresh copy of the destination, with the operands the
+// drivers pass (kernels.RunLocal): the pivot tile for B's u and C's v,
+// the destination itself where Fig. 4's signature omits an operand.
+func (m *kernelMeasure) bestOf(pool *kernels.Pool, kind semiring.Kind) time.Duration {
+	u, v, w := m.u, m.v, m.w
+	switch kind {
+	case semiring.KindA:
+		u, v, w = nil, nil, nil
+	case semiring.KindB:
+		u, v = m.w, nil
+	case semiring.KindC:
+		u, v = nil, m.w
+	}
+	var best time.Duration
+	for rep := 0; rep < m.reps; rep++ {
+		m.x0.View().CopyTo(m.work.View())
+		start := time.Now()
+		m.exec.ApplyWith(pool, kind, m.work, u, v, w)
+		if el := time.Since(start); best == 0 || el < best {
+			best = el
+		}
+	}
+	return best
 }
 
 // point returns the sample at the given width, if measured.

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -35,6 +36,20 @@ func TestMeasureKernelScaling(t *testing.T) {
 			t.Fatalf("Speedup of an unmeasured width = %v, want neutral 1", sp)
 		}
 		if s := prof.String(); !strings.HasPrefix(s, "b=64:") || !strings.Contains(s, "t1=") {
+			t.Fatalf("String() = %q", s)
+		}
+	}
+}
+
+func TestMeasureKernelKinds(t *testing.T) {
+	for _, rule := range []semiring.Rule{semiring.NewFloydWarshall(), semiring.NewGaussian()} {
+		costs := MeasureKernelKinds(rule, 48, 2)
+		for kind, ns := range costs {
+			if !(ns > 0) || math.IsInf(ns, 0) {
+				t.Fatalf("%s kind %v: cost %v ns/update", rule.Name(), semiring.Kind(kind), ns)
+			}
+		}
+		if s := costs.String(); !strings.HasPrefix(s, "A=") || !strings.HasSuffix(s, "ns/update") {
 			t.Fatalf("String() = %q", s)
 		}
 	}

@@ -2,24 +2,29 @@ package kernels
 
 import "dpspark/internal/matrix"
 
-// Cache-blocked fast paths for the unaliased kernel shapes.
+// Cache-blocked fast paths for the unaliased kernel shapes, and the row
+// primitives they share with the ordered loops of loop.go.
 //
 // The straight kij loops stream the whole x tile through the cache once
 // per k — at b = 1024 that is 8 MB of x traffic per pivot row, far beyond
 // L2. Blocking k in chunks of kBlock keeps a small set of x rows resident
 // across kBlock consecutive pivots; rows are processed in groups of four
 // whose per-(row,k) scalar operands are gathered into a brick buffer and
-// handed to the AVX2 bodies in simd_amd64.s (which hold a 4×8 x block in
-// registers across the whole k block), with 8×-unrolled scalar code
-// covering machines without AVX2 and the row/column remainders. Column
-// tiling (jBlock) bounds the working set further for very large tiles.
+// handed to the AVX2 bricks in simd_amd64.s (which hold a 4×8 x block in
+// registers across the whole k block). Column tails, row remainders and
+// machines without AVX2 go through minPlusPanel / gaussPanel — one pivot,
+// a run of rows — which is also the whole body of the ordered loops.
+// Column tiling (jBlock) bounds the working set further for very large
+// tiles.
 //
-// These paths apply only when x does not alias u or v. For kinds A, B and
-// C, Fig. 4 wires x into the operand list (u = v = w = x for A, v = x for
-// B, u = x for C), making the kernel a true in-place DP whose later pivots
-// must observe earlier updates — those stay on the ordered kij loops. The
-// D update reads only u, v and w, so the k loop is a pure reduction over
-// an unchanging operand set and any evaluation order is valid:
+// The blocked paths apply only when x does not alias u or v. For kinds A,
+// B and C, Fig. 4 wires x into the operand list (u = v = w = x for A,
+// v = x for B, u = x for C), making the kernel a true in-place DP whose
+// later pivots must observe earlier updates — those keep the ordered kij
+// sequence (k ascending, rows ascending, one vectorised panel per pivot;
+// see loop.go). The D update reads only u, v and w, so the k loop is a
+// pure reduction over an unchanging operand set and any evaluation order
+// is valid:
 //
 //   - min-plus: x[i,j] = min over k of u[i,k]+v[k,j] (and the original
 //     x[i,j]). min is exact in floating point, so every order produces
@@ -65,11 +70,52 @@ func loopGaussianBlocked(x, u, v, w matrix.View) {
 	gaussianBand(x, u, v, w, 0, x.N)
 }
 
-// minPlusRow8 applies x[j] = min(x[j], s + v[j]) over [j0,j1) with an
-// 8×-unrolled straight-line body (hoisted bounds, no aliasing).
-func minPlusRow8(xrow, vrow []float64, s float64, j0, j1 int) {
-	j := j0
-	for ; j+8 <= j1; j += 8 {
+// minPlusPanel is the min-plus row primitive: for one pivot it applies
+// x[r,j] = min(x[r,j], u[r*ustride] + v[j]) to rows r in [0,rows) in
+// ascending order, j in [0,jlen). x, u and v point at the first element
+// touched. It is correct under the aliasing the ordered loops have: a
+// lane reads and writes only its own column, so x's row r may BE v (the
+// pivot row) and u[r*ustride] may lie in x's row r — the scalar is read
+// before the row's first store, and v is re-read for every row.
+func minPlusPanel(x, u, v []float64, xstride, ustride, rows, jlen int) {
+	if rows <= 0 || jlen <= 0 {
+		return
+	}
+	// The assembly does no bounds checks; these are its last accesses.
+	_, _, _ = x[(rows-1)*xstride+jlen-1], u[(rows-1)*ustride], v[jlen-1]
+	if useAVX2 {
+		minplusPanelAVX2(x, u, v, xstride, ustride, rows, jlen)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		minPlusRow8(x[r*xstride:], v, u[r*ustride], jlen)
+	}
+}
+
+// gaussPanel is the elimination row primitive: x[r,j] -= f·v[j] with the
+// row multiplier f = u[r*ustride]/w hoisted out of the j loop (one
+// division per row — the classic GE formulation of Fig. 2), rows
+// ascending. Same aliasing contract as minPlusPanel.
+func gaussPanel(x, u, v []float64, w float64, xstride, ustride, rows, jlen int) {
+	if rows <= 0 || jlen <= 0 {
+		return
+	}
+	_, _, _ = x[(rows-1)*xstride+jlen-1], u[(rows-1)*ustride], v[jlen-1]
+	if useAVX2 {
+		gaussPanelAVX2(x, u, v, w, xstride, ustride, rows, jlen)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		gaussRow8(x[r*xstride:], v, u[r*ustride]/w, jlen)
+	}
+}
+
+// minPlusRow8 applies x[j] = min(x[j], s + v[j]) over [0,n) with an
+// 8×-unrolled straight-line body. Each j is independent of the others, so
+// xrow may be the same row as vrow; the two must not overlap otherwise.
+func minPlusRow8(xrow, vrow []float64, s float64, n int) {
+	j := 0
+	for ; j+8 <= n; j += 8 {
 		xs := xrow[j : j+8 : j+8]
 		vs := vrow[j : j+8 : j+8]
 		if t := s + vs[0]; t < xs[0] {
@@ -97,19 +143,19 @@ func minPlusRow8(xrow, vrow []float64, s float64, j0, j1 int) {
 			xs[7] = t
 		}
 	}
-	for ; j < j1; j++ {
+	for ; j < n; j++ {
 		if t := s + vrow[j]; t < xrow[j] {
 			xrow[j] = t
 		}
 	}
 }
 
-// gaussRow8 applies x[j] -= f * v[j] over [j0,j1), 8×-unrolled. The body
-// is the exact expression of the ordered loop (unfused multiply-subtract),
+// gaussRow8 applies x[j] -= f * v[j] over [0,n), 8×-unrolled. The body is
+// the exact expression of the ordered loop (unfused multiply-subtract),
 // so results stay bit-identical.
-func gaussRow8(xrow, vrow []float64, f float64, j0, j1 int) {
-	j := j0
-	for ; j+8 <= j1; j += 8 {
+func gaussRow8(xrow, vrow []float64, f float64, n int) {
+	j := 0
+	for ; j+8 <= n; j += 8 {
 		xs := xrow[j : j+8 : j+8]
 		vs := vrow[j : j+8 : j+8]
 		xs[0] -= f * vs[0]
@@ -121,7 +167,7 @@ func gaussRow8(xrow, vrow []float64, f float64, j0, j1 int) {
 		xs[6] -= f * vs[6]
 		xs[7] -= f * vs[7]
 	}
-	for ; j < j1; j++ {
+	for ; j < n; j++ {
 		xrow[j] -= f * vrow[j]
 	}
 }
@@ -153,21 +199,17 @@ func minPlusBand(x, u, v matrix.View, i0, i1 int) {
 					}
 					minplusBrickAVX2(x.Data[i*x.Stride+j0:], b[:4*klen],
 						v.Data[k0*v.Stride+j0:], x.Stride, v.Stride, klen, jv-j0)
-					for r := 0; jv < jHi && r < 4; r++ {
-						xrow := x.Data[(i+r)*x.Stride : (i+r)*x.Stride+n]
-						for kk := 0; kk < klen; kk++ {
-							vrow := v.Data[(k0+kk)*v.Stride : (k0+kk)*v.Stride+n]
-							minPlusRow8(xrow, vrow, b[r*klen+kk], jv, jHi)
-						}
+					for k := k0; jv < jHi && k < kHi; k++ {
+						minPlusPanel(x.Data[i*x.Stride+jv:], u.Data[i*u.Stride+k:],
+							v.Data[k*v.Stride+jv:], x.Stride, u.Stride, 4, jHi-jv)
 					}
 				}
 			}
+			// Row-outer so a remainder row stays in L1 across the k block.
 			for ; i < i1; i++ {
-				xrow := x.Data[i*x.Stride : i*x.Stride+n]
-				urow := u.Data[i*u.Stride:]
 				for k := k0; k < kHi; k++ {
-					vrow := v.Data[k*v.Stride : k*v.Stride+n]
-					minPlusRow8(xrow, vrow, urow[k], j0, jHi)
+					minPlusPanel(x.Data[i*x.Stride+j0:], u.Data[i*u.Stride+k:],
+						v.Data[k*v.Stride+j0:], x.Stride, u.Stride, 1, jHi-j0)
 				}
 			}
 		}
@@ -200,22 +242,16 @@ func gaussianBand(x, u, v, w matrix.View, i0, i1 int) {
 				}
 				gaussBrickAVX2(x.Data[i*x.Stride:], b[:4*klen],
 					v.Data[k0*v.Stride:], x.Stride, v.Stride, klen, jv)
-				for r := 0; jv < n && r < 4; r++ {
-					xrow := x.Data[(i+r)*x.Stride : (i+r)*x.Stride+n]
-					for kk := 0; kk < klen; kk++ {
-						vrow := v.Data[(k0+kk)*v.Stride : (k0+kk)*v.Stride+n]
-						gaussRow8(xrow, vrow, b[r*klen+kk], jv, n)
-					}
+				for k := k0; jv < n && k < kHi; k++ {
+					gaussPanel(x.Data[i*x.Stride+jv:], u.Data[i*u.Stride+k:],
+						v.Data[k*v.Stride+jv:], w.At(k, k), x.Stride, u.Stride, 4, n-jv)
 				}
 			}
 		}
 		for ; i < i1; i++ {
-			xrow := x.Data[i*x.Stride : i*x.Stride+n]
-			urow := u.Data[i*u.Stride:]
 			for k := k0; k < kHi; k++ {
-				f := urow[k] / w.At(k, k)
-				vrow := v.Data[k*v.Stride : k*v.Stride+n]
-				gaussRow8(xrow, vrow, f, 0, n)
+				gaussPanel(x.Data[i*x.Stride:], u.Data[i*u.Stride+k:],
+					v.Data[k*v.Stride:], w.At(k, k), x.Stride, u.Stride, 1, n)
 			}
 		}
 	}

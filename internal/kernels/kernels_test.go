@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -180,50 +181,66 @@ func TestRecursiveFallbackNonDividing(t *testing.T) {
 type genericRule struct{ semiring.Rule }
 
 // TestLoopFastPathsMatchGeneric: the specialized min-plus and GE inner
-// loops must agree with the generic interface-dispatch path (up to the
-// GE multiplier hoist's rounding).
+// loops — blocked bricks for kind D, the ordered row primitive for the
+// aliased kinds A, B, C, with the assembly on and off — must agree with
+// the generic interface-dispatch path on whole tiles and on the strided
+// quadrant views the recursive kernels pass: bit for bit for min-plus,
+// up to the GE multiplier hoist's rounding for elimination.
 func TestLoopFastPathsMatchGeneric(t *testing.T) {
+	prev := setSIMDForTest(true)
+	defer setSIMDForTest(prev)
+	simdModes := []bool{false}
+	if useAVX2 {
+		simdModes = append(simdModes, true)
+	}
 	rng := rand.New(rand.NewSource(106))
 	for _, rule := range []semiring.Rule{semiring.NewFloydWarshall(), semiring.NewGaussian()} {
-		for _, kind := range []semiring.Kind{semiring.KindA, semiring.KindB, semiring.KindC, semiring.KindD} {
-			n := 24
-			in := randomInput(rule, n, rng)
-			bl := matrix.Block(in, n, rule.Pad(), rule.PadDiag())
-			x1 := bl.Tile(matrix.Coord{I: 0, J: 0})
-			mk := func() *matrix.Tile {
-				tl := matrix.NewTile(n)
-				for i := range tl.Data {
-					tl.Data[i] = 1 + math.Floor(rng.Float64()*5)
-				}
-				for i := 0; i < n; i++ {
-					tl.Set(i, i, rule.PadDiag())
-				}
-				return tl
+		_, ge := rule.(semiring.GaussianRule)
+		for _, n := range edgeSizes {
+			if (testing.Short() || raceEnabled) && n > 64 {
+				continue
 			}
-			u, v, w := mk(), mk(), mk()
-			wire := func(tile *matrix.Tile) (a, b, c matrix.View) {
-				switch kind {
-				case semiring.KindA:
-					return tile.View(), tile.View(), tile.View()
-				case semiring.KindB:
-					return u.View(), tile.View(), w.View()
-				case semiring.KindC:
-					return tile.View(), v.View(), w.View()
-				default:
-					return u.View(), v.View(), w.View()
+			for _, quadrants := range []bool{false, true} {
+				base := make([]float64, 4*n*n)
+				for i := range base {
+					base[i] = 1 + math.Floor(rng.Float64()*5)
+					if !ge && rng.Float64() < 0.2 {
+						base[i] = math.Inf(1)
+					}
 				}
-			}
-			fast := x1.Clone()
-			fu, fv, fw := wire(fast)
-			Loop(rule, kind, fast.View(), fu, fv, fw)
-			slow := x1.Clone()
-			su, sv, sw := wire(slow)
-			Loop(genericRule{rule}, kind, slow.View(), su, sv, sw)
-			for i := range fast.Data {
-				if math.Abs(fast.Data[i]-slow.Data[i]) > 1e-9 &&
-					!(math.IsInf(fast.Data[i], 1) && math.IsInf(slow.Data[i], 1)) {
-					t.Fatalf("%s %v: fast path diverges at %d: %v vs %v",
-						rule.Name(), kind, i, fast.Data[i], slow.Data[i])
+				// Kind D's wiring names all four pieces; each gets the
+				// rule's diagonal identity.
+				p3, p2, p1, p0 := kernelOperands(semiring.KindD, n, quadrants, base)
+				for _, piece := range []matrix.View{p0, p1, p2, p3} {
+					for i := 0; i < n; i++ {
+						piece.Set(i, i, rule.PadDiag())
+					}
+				}
+				for _, kind := range allKinds {
+					slow := append([]float64(nil), base...)
+					sx, su, sv, sw := kernelOperands(kind, n, quadrants, slow)
+					Loop(genericRule{rule}, kind, sx, su, sv, sw)
+					for _, simd := range simdModes {
+						setSIMDForTest(simd)
+						fast := append([]float64(nil), base...)
+						fx, fu, fv, fw := kernelOperands(kind, n, quadrants, fast)
+						Loop(rule, kind, fx, fu, fv, fw)
+						what := fmt.Sprintf("%s %v n=%d quadrants=%v simd=%v", rule.Name(), kind, n, quadrants, simd)
+						if !ge {
+							requireSameBits(t, what, fast, slow)
+							continue
+						}
+						// The hoist's reassociation error is relative and
+						// grows with n and with the magnitude elimination
+						// pumps into the trailing entries.
+						tol := 1e-10 * float64(n)
+						for i := range fast {
+							rel := math.Abs(fast[i]-slow[i]) / math.Max(1, math.Abs(slow[i]))
+							if rel > tol {
+								t.Fatalf("%s: fast path diverges at %d: %v vs %v", what, i, fast[i], slow[i])
+							}
+						}
+					}
 				}
 			}
 		}

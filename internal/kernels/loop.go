@@ -68,6 +68,12 @@ func Loop(rule semiring.Rule, kind semiring.Kind, x, u, v, w matrix.View) {
 // and the recursive kernels' interior sub-updates) the k loop is a pure
 // min-reduction over fixed operands and runs cache-blocked; min is exact,
 // so the result is bit-identical to the ordered loop.
+//
+// The aliased shapes (kinds A, B, C) keep the ordered kij sequence — k
+// ascending, rows ascending — with each pivot's rows handed to the
+// vectorised row primitive in one call. Inside a row every j is
+// independent, which is all the vector lanes need, so this is the scalar
+// triple loop bit for bit (see minPlusPanel for the aliasing argument).
 func loopMinPlus(x, u, v matrix.View) {
 	if !sameView(x, u) && !sameView(x, v) {
 		loopMinPlusBlocked(x, u, v)
@@ -75,22 +81,12 @@ func loopMinPlus(x, u, v matrix.View) {
 	}
 	n := x.N
 	for k := 0; k < n; k++ {
-		vrow := v.Data[k*v.Stride:]
-		for i := 0; i < n; i++ {
-			uik := u.At(i, k)
-			xrow := x.Data[i*x.Stride:]
-			for j := 0; j < n; j++ {
-				if t := uik + vrow[j]; t < xrow[j] {
-					xrow[j] = t
-				}
-			}
-		}
+		minPlusPanel(x.Data, u.Data[k:], v.Data[k*v.Stride:], x.Stride, u.Stride, n, n)
 	}
 }
 
 // loopGaussian is the elimination inner loop with the row multiplier
-// u[i,k]/w[k,k] hoisted out of the j loop (one division per row instead
-// of per element — the classic GE formulation of Fig. 2).
+// u[i,k]/w[k,k] hoisted out of the j loop (gaussPanel).
 func loopGaussian(rule semiring.GaussianRule, kind semiring.Kind, x, u, v, w matrix.View) {
 	// Kind D has full-range loop bounds (i > k, j > k constrain only
 	// pivot-row/column kernels) and never aliases x with an operand, so
@@ -100,18 +96,16 @@ func loopGaussian(rule semiring.GaussianRule, kind semiring.Kind, x, u, v, w mat
 		loopGaussianBlocked(x, u, v, w)
 		return
 	}
+	// Ordered kij over the kind's triangle: rows [ILow,n) × columns
+	// [JLow,n) of pivot k, one panel call per pivot.
 	n := x.N
 	for k := 0; k < n; k++ {
-		wkk := w.At(k, k)
-		vrow := v.Data[k*v.Stride:]
-		jLow := rule.JLow(kind, k)
-		for i := rule.ILow(kind, k); i < n; i++ {
-			f := u.At(i, k) / wkk
-			xrow := x.Data[i*x.Stride:]
-			for j := jLow; j < n; j++ {
-				xrow[j] -= f * vrow[j]
-			}
+		i0, j0 := rule.ILow(kind, k), rule.JLow(kind, k)
+		if i0 >= n || j0 >= n {
+			continue
 		}
+		gaussPanel(x.Data[i0*x.Stride+j0:], u.Data[i0*u.Stride+k:], v.Data[k*v.Stride+j0:],
+			w.At(k, k), x.Stride, u.Stride, n-i0, n-j0)
 	}
 }
 

@@ -63,8 +63,9 @@ func TestParallelBlockedMatchesGeneric(t *testing.T) {
 }
 
 // TestLoopPoolAliasedStaysSerial: shapes whose operands alias x (kinds A,
-// B, C as the engine wires them) must produce the serial result even when
-// a wide pool is supplied.
+// B, C as the engine wires them) keep the ordered kernel — vectorised
+// along rows, but never split across workers: a wide pool must leave the
+// result bit-identical to Loop's and must not be asked for a worker.
 func TestLoopPoolAliasedStaysSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
 	for _, rule := range []semiring.Rule{semiring.NewFloydWarshall(), semiring.NewGaussian()} {
@@ -146,79 +147,6 @@ func TestAliasedPivotParallel(t *testing.T) {
 		if spawned, inlined, _ := pool.Stats(); spawned+inlined == 0 {
 			t.Fatalf("n=%d: aliased-pivot band split never consulted the pool", n)
 		}
-	}
-}
-
-// specialValues mixes NaN, infinities, signed zeros, denormals and
-// ordinary magnitudes — the operand classes where a SIMD min or
-// multiply-subtract could legally diverge from the scalar expression if
-// the instruction selection were wrong.
-func specialValues(rng *rand.Rand) float64 {
-	switch rng.Intn(8) {
-	case 0:
-		return math.NaN()
-	case 1:
-		return math.Inf(1)
-	case 2:
-		return math.Inf(-1)
-	case 3:
-		return math.Copysign(0, -1)
-	case 4:
-		return 0
-	case 5:
-		return 5e-324 // smallest denormal
-	default:
-		return (rng.Float64() - 0.5) * 1e3
-	}
-}
-
-// TestSIMDBricksMatchScalar pins the assembly bodies to the scalar ones
-// bit for bit on adversarial inputs: VMINPD must keep x on ties and NaN
-// sums exactly like `if t < x`, and the GE brick must stay an unfused
-// multiply-subtract.
-func TestSIMDBricksMatchScalar(t *testing.T) {
-	if !setSIMDForTest(true) {
-		t.Skip("no AVX2 on this machine")
-	}
-	rng := rand.New(rand.NewSource(303))
-	for _, n := range []int{8, 13, 16, 37, 64} {
-		mk := func() *matrix.Tile {
-			tl := matrix.NewTile(n)
-			for i := range tl.Data {
-				tl.Data[i] = specialValues(rng)
-			}
-			return tl
-		}
-		x0, u, v := mk(), mk(), mk()
-		// A well-conditioned diagonal for the GE divisors, everything else
-		// adversarial.
-		w := mk()
-		for i := 0; i < n; i++ {
-			w.Set(i, i, 1+rng.Float64())
-		}
-
-		check := func(name string, run func(x *matrix.Tile)) {
-			t.Helper()
-			setSIMDForTest(true)
-			vec := x0.Clone()
-			run(vec)
-			setSIMDForTest(false)
-			scalar := x0.Clone()
-			run(scalar)
-			setSIMDForTest(true)
-			for i := range vec.Data {
-				if math.Float64bits(vec.Data[i]) != math.Float64bits(scalar.Data[i]) {
-					t.Fatalf("%s n=%d: SIMD diverges from scalar at %d: %x vs %x",
-						name, n, i, math.Float64bits(vec.Data[i]), math.Float64bits(scalar.Data[i]))
-				}
-			}
-		}
-		check("min-plus", func(x *matrix.Tile) {
-			loopMinPlusBlocked(x.View(), u.View(), v.View())
-		})
-		check("gauss", func(x *matrix.Tile) {
-			loopGaussianBlocked(x.View(), u.View(), v.View(), w.View())
-		})
 	}
 }
 
