@@ -350,6 +350,7 @@ func main() {
 				KernelThreads: *kernelThreads,
 				Observer:      observer,
 			})
+			defer ctx.Close()
 			in := durableInput(rule, *size, *seed)
 			bl := matrix.Block(in, *block, rule.Pad(), rule.PadDiag())
 			out, st, err := core.Run(ctx, bl, core.Config{
@@ -408,6 +409,7 @@ func main() {
 					KernelThreads: *kernelThreads,
 					Observer:      observer,
 				})
+				defer ctx.Close()
 				bl := matrix.Block(in, *block, rule.Pad(), rule.PadDiag())
 				out, st, err := core.Run(ctx, bl, core.Config{
 					Rule: rule, BlockSize: *block, Driver: drv,
@@ -464,6 +466,7 @@ func main() {
 				KernelThreads: *kernelThreads,
 				Observer:      observer,
 			})
+			defer ctx.Close()
 			out, st, err := core.Resume(ctx, meta, bl, core.Config{
 				Rule: rule, BlockSize: meta.B, Driver: drv,
 				Partitions: meta.Partitions, CheckpointEvery: meta.CheckpointEvery,

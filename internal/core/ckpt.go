@@ -86,7 +86,12 @@ func (run *runner) persist(parts [][]Block, k int) error {
 	for _, b := range blocks {
 		size += 8 + b.Value.EncodedTileLen()
 	}
-	buf := make([]byte, 0, size)
+	// The grid has the same encoded size at every boundary, so after the
+	// first checkpoint this reuses one buffer for the whole run.
+	if cap(run.ckptBuf) < size {
+		run.ckptBuf = make([]byte, 0, size)
+	}
+	buf := run.ckptBuf[:0]
 	for _, b := range blocks {
 		buf = appendCoord(buf, b.Key)
 		buf = matrix.AppendTile(buf, b.Value)

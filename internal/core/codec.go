@@ -26,6 +26,27 @@ const (
 	recMsg   = 1 // Pair[Coord, Msg]
 )
 
+// recHeaderLen is the record framing ahead of the tile: kind tag plus
+// coordinate; a message record adds one role byte.
+const recHeaderLen = 1 + 8
+
+// EncodedLen implements rdd.Codec.
+func (TileCodec) EncodedLen(rec rdd.Record) (int, bool) {
+	switch r := rec.(type) {
+	case Block:
+		if r.Value == nil {
+			return 0, false
+		}
+		return recHeaderLen + r.Value.EncodedTileLen(), true
+	case rdd.Pair[matrix.Coord, Msg]:
+		if r.Value.Tile == nil {
+			return 0, false
+		}
+		return recHeaderLen + 1 + r.Value.Tile.EncodedTileLen(), true
+	}
+	return 0, false
+}
+
 // Append implements rdd.Codec.
 func (TileCodec) Append(dst []byte, rec rdd.Record) ([]byte, bool) {
 	switch r := rec.(type) {
@@ -50,7 +71,7 @@ func (TileCodec) Append(dst []byte, rec rdd.Record) ([]byte, bool) {
 
 // Decode implements rdd.Codec.
 func (TileCodec) Decode(b []byte) (rdd.Record, []byte, error) {
-	if len(b) < 1+8 {
+	if len(b) < recHeaderLen {
 		return nil, nil, fmt.Errorf("core: tile codec: truncated record header")
 	}
 	kind := b[0]

@@ -336,6 +336,9 @@ type runner struct {
 	// startK is the first iteration the driver loop runs: 0 for Run,
 	// the checkpoint's iteration cursor for Resume.
 	startK int
+	// ckptBuf is the durable checkpoints' encode buffer, reused across the
+	// run's boundaries (persist).
+	ckptBuf []byte
 }
 
 // kernelConfig builds the cost-model description of the configured kernel.

@@ -27,7 +27,7 @@ import (
 // context, for counter assertions.
 func detectorRun(t *testing.T, rule semiring.Rule, driver DriverKind, in *matrix.Dense, conf rdd.Conf) (chaosOut, *rdd.Context) {
 	t.Helper()
-	ctx := rdd.NewContext(conf)
+	ctx := newDurableCtx(t, conf)
 	cfg := Config{Rule: rule, BlockSize: 8, Driver: driver, Partitions: 8}
 	bl := matrix.Block(in, cfg.BlockSize, rule.Pad(), rule.PadDiag())
 	out, stats, err := Run(ctx, bl, cfg)

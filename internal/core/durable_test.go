@@ -34,11 +34,20 @@ func durableConf(dir string, budget int64, plan *rdd.FaultPlan, restore *rdd.Eng
 	}
 }
 
+// newDurableCtx is rdd.NewContext plus a Close when the test ends, so the
+// store's background writers have stopped before t.TempDir is removed.
+func newDurableCtx(t *testing.T, conf rdd.Conf) *rdd.Context {
+	t.Helper()
+	ctx := rdd.NewContext(conf)
+	t.Cleanup(ctx.Close)
+	return ctx
+}
+
 // durableChaosRun mirrors chaosRun with a durable context.
 func durableChaosRun(t *testing.T, rule semiring.Rule, driver DriverKind, in *matrix.Dense,
 	conf rdd.Conf, dir string) (chaosOut, *rdd.Context) {
 	t.Helper()
-	ctx := rdd.NewContext(conf)
+	ctx := newDurableCtx(t, conf)
 	cfg := Config{Rule: rule, BlockSize: 8, Driver: driver, Partitions: 8, DurableDir: dir}
 	bl := matrix.Block(in, cfg.BlockSize, rule.Pad(), rule.PadDiag())
 	out, stats, err := Run(ctx, bl, cfg)
@@ -76,7 +85,7 @@ func TestDurableKillResumeSweep(t *testing.T) {
 				if meta.Iteration != id {
 					t.Fatalf("%s %v: checkpoint %d has cursor %d", rule.Name(), driver, id, meta.Iteration)
 				}
-				ctx := rdd.NewContext(durableConf(dir, 0, nil, &meta.Engine))
+				ctx := newDurableCtx(t, durableConf(dir, 0, nil, &meta.Engine))
 				cfg := Config{Rule: rule, BlockSize: meta.B, Driver: driver,
 					Partitions: meta.Partitions, CheckpointEvery: meta.CheckpointEvery, DurableDir: dir}
 				out, _, err := Resume(ctx, meta, bl, cfg)
@@ -120,7 +129,7 @@ func TestDurableResumeUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load checkpoint %d: %v", id, err)
 		}
-		rctx := rdd.NewContext(durableConf(dir, 0, chaosPlanWithCorruption(), &meta.Engine))
+		rctx := newDurableCtx(t, durableConf(dir, 0, chaosPlanWithCorruption(), &meta.Engine))
 		cfg := Config{Rule: rule, BlockSize: meta.B, Driver: IM,
 			Partitions: meta.Partitions, CheckpointEvery: meta.CheckpointEvery, DurableDir: dir}
 		out, _, err := Resume(rctx, meta, bl, cfg)
@@ -220,7 +229,7 @@ func TestDurableStopAfter(t *testing.T) {
 	full := chaosRun(t, rule, CB, in, nil)
 
 	dir := t.TempDir()
-	ctx := rdd.NewContext(durableConf(dir, 0, nil, nil))
+	ctx := newDurableCtx(t, durableConf(dir, 0, nil, nil))
 	cfg := Config{Rule: rule, BlockSize: 8, Driver: CB, Partitions: 8, DurableDir: dir, StopAfter: 2}
 	bl := matrix.Block(in, cfg.BlockSize, rule.Pad(), rule.PadDiag())
 	if _, _, err := Run(ctx, bl, cfg); err != nil {
@@ -233,7 +242,7 @@ func TestDurableStopAfter(t *testing.T) {
 	if meta.Iteration != 2 {
 		t.Fatalf("newest checkpoint cursor = %d, want 2", meta.Iteration)
 	}
-	rctx := rdd.NewContext(durableConf(dir, 0, nil, &meta.Engine))
+	rctx := newDurableCtx(t, durableConf(dir, 0, nil, &meta.Engine))
 	rcfg := Config{Rule: rule, BlockSize: meta.B, Driver: CB,
 		Partitions: meta.Partitions, CheckpointEvery: meta.CheckpointEvery, DurableDir: dir}
 	out, _, err := Resume(rctx, meta, tbl, rcfg)
@@ -256,7 +265,7 @@ func TestDurableStopRequested(t *testing.T) {
 	full := chaosRun(t, rule, CB, in, nil)
 
 	dir := t.TempDir()
-	ctx := rdd.NewContext(durableConf(dir, 0, nil, nil))
+	ctx := newDurableCtx(t, durableConf(dir, 0, nil, nil))
 	// The flag flips after the first boundary poll: the run stops at
 	// iteration 2 — off the every-3 cadence, so the checkpoint there
 	// exists only because the stop forced it.
@@ -275,7 +284,7 @@ func TestDurableStopRequested(t *testing.T) {
 	if meta.Iteration != 2 {
 		t.Fatalf("stop boundary checkpoint cursor = %d, want the forced off-cadence 2", meta.Iteration)
 	}
-	rctx := rdd.NewContext(durableConf(dir, 0, nil, &meta.Engine))
+	rctx := newDurableCtx(t, durableConf(dir, 0, nil, &meta.Engine))
 	rcfg := Config{Rule: rule, BlockSize: meta.B, Driver: CB,
 		Partitions: meta.Partitions, CheckpointEvery: meta.CheckpointEvery, DurableDir: dir}
 	out, _, err := Resume(rctx, meta, tbl, rcfg)
@@ -297,7 +306,7 @@ func TestCheckpointGCRetention(t *testing.T) {
 	clean := chaosRun(t, rule, IM, in, nil)
 
 	dir := t.TempDir()
-	ctx := rdd.NewContext(durableConf(dir, 0, nil, nil))
+	ctx := newDurableCtx(t, durableConf(dir, 0, nil, nil))
 	cfg := Config{Rule: rule, BlockSize: 8, Driver: IM, Partitions: 8,
 		DurableDir: dir, KeepCheckpoints: 2}
 	bl := matrix.Block(in, cfg.BlockSize, rule.Pad(), rule.PadDiag())
@@ -318,7 +327,7 @@ func TestCheckpointGCRetention(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load pruned checkpoint: %v", err)
 	}
-	rctx := rdd.NewContext(durableConf(dir, 0, nil, &meta.Engine))
+	rctx := newDurableCtx(t, durableConf(dir, 0, nil, &meta.Engine))
 	rcfg := Config{Rule: rule, BlockSize: meta.B, Driver: IM, Partitions: meta.Partitions,
 		CheckpointEvery: meta.CheckpointEvery, DurableDir: dir, KeepCheckpoints: 2}
 	resumed, _, err := Resume(rctx, meta, tbl, rcfg)
@@ -351,7 +360,7 @@ func TestCheckpointGCCrashWindowResume(t *testing.T) {
 	clean := chaosRun(t, rule, IM, in, nil)
 
 	runInto := func(dir string, keep int) {
-		ctx := rdd.NewContext(durableConf(dir, 0, nil, nil))
+		ctx := newDurableCtx(t, durableConf(dir, 0, nil, nil))
 		cfg := Config{Rule: rule, BlockSize: 8, Driver: IM, Partitions: 8,
 			DurableDir: dir, KeepCheckpoints: keep}
 		bl := matrix.Block(in, cfg.BlockSize, rule.Pad(), rule.PadDiag())
@@ -388,7 +397,7 @@ func TestCheckpointGCCrashWindowResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rctx := rdd.NewContext(durableConf(pruned, 0, nil, &meta.Engine))
+	rctx := newDurableCtx(t, durableConf(pruned, 0, nil, &meta.Engine))
 	rcfg := Config{Rule: rule, BlockSize: meta.B, Driver: IM, Partitions: meta.Partitions,
 		CheckpointEvery: meta.CheckpointEvery, DurableDir: pruned, KeepCheckpoints: 2}
 	out, _, err := Resume(rctx, meta, tbl, rcfg)
@@ -418,7 +427,7 @@ func TestResumeValidation(t *testing.T) {
 	}
 
 	try := func(name string, mutate func(*Config)) {
-		ctx := rdd.NewContext(durableConf(t.TempDir(), 0, nil, &meta.Engine))
+		ctx := newDurableCtx(t, durableConf(t.TempDir(), 0, nil, &meta.Engine))
 		cfg := Config{Rule: rule, BlockSize: meta.B, Driver: IM,
 			Partitions: meta.Partitions, CheckpointEvery: meta.CheckpointEvery}
 		mutate(&cfg)

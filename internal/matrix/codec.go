@@ -119,8 +119,13 @@ func DecodeTile(b []byte) (*Tile, []byte, error) {
 			return nil, nil, fmt.Errorf("matrix: tile payload %d bytes, want %d for b=%d", len(payload), want, dim)
 		}
 		t := NewTile(dim)
-		for i := range t.Data {
-			t.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+		// One reslice to the exact length, then walking data and payload
+		// in step, leaves the loop body free of bounds checks.
+		data := t.Data
+		p := payload[:8*len(data)]
+		for i := 0; i < len(data) && len(p) >= 8; i++ {
+			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(p))
+			p = p[8:]
 		}
 		t.gen = gen
 		return t, rest[body:], nil

@@ -32,7 +32,7 @@ func TestRemoteRestoreAfterCrash(t *testing.T) {
 
 	conf := remoteConf(t, 0)
 	conf.FaultPlan = &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 0}}}
-	ctx := NewContext(conf)
+	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("restore changed results: %v vs %v", got, want)
@@ -78,7 +78,7 @@ func TestRemoteOutageDegradesToRecompute(t *testing.T) {
 		Crashes:       []ExecutorCrash{{Stage: 1, Node: 0}},
 		RemoteOutages: []RemoteOutage{{From: 0, Dur: 2}},
 	}
-	ctx := NewContext(conf)
+	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if len(got) != 20 || got[7] != 14 {
 		t.Fatalf("collect = %v", got)
@@ -125,7 +125,7 @@ func TestRemoteSlowTimeoutFallsBack(t *testing.T) {
 		Crashes:     []ExecutorCrash{{Stage: 1, Node: 0}},
 		RemoteSlows: []RemoteSlow{{From: 0, Dur: 4, Factor: 1e12}},
 	}
-	ctx := NewContext(conf)
+	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if len(got) != 20 {
 		t.Fatalf("collect = %v", got)
@@ -160,7 +160,7 @@ func TestRemoteCorruptReplicaForcesRecompute(t *testing.T) {
 		Corruptions:       []Corruption{{Stage: 1, Block: 1}},
 		RemoteCorruptions: []RemoteCorruption{{Stage: 1, Block: 1}},
 	}
-	ctx := NewContext(conf)
+	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("corrupt replica changed results: %v vs %v", got, want)
@@ -188,7 +188,7 @@ func TestRemoteFaultPlanRunsAreDeterministic(t *testing.T) {
 	run := func() (simtime.Duration, RecoveryStats, []StageEvent) {
 		conf := remoteConf(t, 0)
 		conf.FaultPlan = plan
-		ctx := NewContext(conf)
+		ctx := newContext(t, conf)
 		collectPairs(t, shuffledDoubles(ctx, 4))
 		return ctx.Clock(), ctx.RecoveryStats(), ctx.Events()
 	}
@@ -221,7 +221,7 @@ func TestSpillStragglerFeedsSpeculation(t *testing.T) {
 		conf.Cluster = cluster.LocalN(4, 2)
 		conf.SpillStraggler = factor
 		conf.Speculation = factor > 1
-		ctx := NewContext(conf)
+		ctx := newContext(t, conf)
 		r := Map(shuffledDoubles(ctx, 8), func(tc *TaskContext, p Pair[int, int]) Pair[int, int] {
 			tc.ChargeCompute(10*simtime.Second, 1)
 			return p
@@ -322,7 +322,7 @@ func TestEngineStateRemoteCorruptFired(t *testing.T) {
 	plan := &FaultPlan{RemoteCorruptions: []RemoteCorruption{{Stage: 1, Block: 0}}}
 	conf := remoteConf(t, 0)
 	conf.FaultPlan = plan
-	ctx := NewContext(conf)
+	ctx := newContext(t, conf)
 	collectPairs(t, shuffledDoubles(ctx, 4))
 	if rs := ctx.RecoveryStats(); rs.RemoteCorruptions != 1 {
 		t.Fatalf("corruption must fire: %+v", rs)

@@ -14,10 +14,20 @@ import (
 // the slices when their shuffle generation is retired.
 var (
 	bucketMapPool = sync.Pool{New: func() any {
-		return make(map[int][]keyedRecord)
+		return make(map[int]taskBucket)
 	}}
 	recSlicePool sync.Pool // stores *[]keyedRecord
 )
+
+// taskBucket is one map task's output for one reduce partition, as the
+// task hands it to the map stage's merge: the records, their sizer-priced
+// payload (summed as the task emits them) and, when the context stages
+// durably and the codec took every record, the bucket's encoding.
+type taskBucket struct {
+	recs  []keyedRecord
+	bytes int64
+	blob  []byte
+}
 
 // getRecSlice returns an empty pooled record slice, or one presized to
 // hint when the pool is empty.
@@ -132,9 +142,12 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 	st.commitLease = attempt
 	st.mu.Unlock()
 
-	perTask := make([]map[int][]keyedRecord, n)
+	// One value per task, reset at the start of every attempt, so a failed
+	// attempt's buckets and encodings are simply dropped.
+	perTask := make([]map[int]taskBucket, n)
 	spillByTask := make([]int64, n)
 	nodeByTask := make([]int, n)
+	durable := c.store != nil && c.conf.SpillCodec != nil && !sd.combining()
 
 	c.execStage(stageSpec{
 		kind:      StageShuffleMap,
@@ -152,7 +165,7 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 		if len(recs) == 0 {
 			return
 		}
-		buckets := bucketMapPool.Get().(map[int][]keyedRecord)
+		buckets := bucketMapPool.Get().(map[int]taskBucket)
 		var spill int64
 
 		// Presize fresh bucket slices for this task's expected share: the
@@ -161,11 +174,13 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 		hint := 1 + len(recs)/sd.part.NumPartitions()
 		emit := func(kr keyedRecord, bytes int64) {
 			b := sd.part.Partition(kr.key)
-			s, ok := buckets[b]
+			tb, ok := buckets[b]
 			if !ok {
-				s = getRecSlice(hint)
+				tb.recs = getRecSlice(hint)
 			}
-			buckets[b] = append(s, kr)
+			tb.recs = append(tb.recs, kr)
+			tb.bytes += bytes
+			buckets[b] = tb
 			spill += bytes
 		}
 		if sd.combining() {
@@ -201,6 +216,19 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 				// unchanged (see keyedRecord).
 				k, v := pr.pairKey(), pr.pairValue()
 				emit(keyedRecord{key: k, val: v, rec: r}, c.sizer(k)+c.sizer(v))
+			}
+		}
+
+		if durable {
+			// Encode where the data was produced: in this task's goroutine,
+			// next to its siblings', with no lock held. Whether a bucket is
+			// staged is all-or-nothing and purely data-dependent (see
+			// spill.go's determinism note); the Put waits for the merge.
+			for b, tb := range buckets {
+				if blob, ok := c.encodeBucket(tb.recs); ok {
+					tb.blob = blob
+					buckets[b] = tb
+				}
 			}
 		}
 
@@ -279,21 +307,13 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 		if buckets == nil {
 			continue
 		}
-		for b, recs := range buckets {
-			var bytes int64
-			for _, kr := range recs {
-				bytes += c.sizer(kr.key) + c.sizer(kr.val)
-			}
-			ref := bucketRef{mapPart: split, recs: recs, bytes: bytes}
-			if c.store != nil && c.conf.SpillCodec != nil && !sd.combining() {
-				// Stage the bucket durably (all-or-nothing per bucket, and
-				// purely data-dependent — see spill.go's determinism note).
-				if blob, ok := c.encodeBucket(recs); ok {
-					key := shuffleBlockKey(sd.id, split, b)
-					if err := c.store.Put(key, blob); err == nil {
-						putRecSlice(recs)
-						ref = bucketRef{mapPart: split, bytes: bytes, stored: true, key: key, n: len(recs)}
-					}
+		for b, tb := range buckets {
+			ref := bucketRef{mapPart: split, recs: tb.recs, bytes: tb.bytes}
+			if tb.blob != nil {
+				key := shuffleBlockKey(sd.id, split, b)
+				if err := c.store.Put(key, tb.blob); err == nil {
+					putRecSlice(tb.recs)
+					ref = bucketRef{mapPart: split, bytes: tb.bytes, stored: true, key: key, n: len(tb.recs)}
 				}
 			}
 			st.byReduce[b] = append(st.byReduce[b], ref)

@@ -23,13 +23,32 @@ import (
 // codec preserves the tiles' ownership generation tags, so the clone-
 // elision replay semantics (and therefore the bits) are identical to the
 // pointer-sharing in-memory path.
+//
+// Staging is split in two: the map task that produced a bucket encodes
+// it (encodeBucket — in parallel across the stage's task workers, off the
+// driver goroutine and outside the shuffle's lock), and the map stage's
+// merge, which runs serially in map-partition order, does the store.Put.
+// Everything order-sensitive — LRU order and so the eviction counts,
+// commit fencing, replacing a recomputed partition's blocks — therefore
+// still happens in one deterministic sequence; the encode has no
+// observable order.
 
 // Codec serializes records for the durable block store. The engine is
 // type-agnostic, so the consumer supplies the codec (core's TileCodec
 // covers the DP drivers' pair-of-tile records).
+//
+// EncodedLen and Append must agree: for every record EncodedLen accepts,
+// Append accepts it too and appends exactly that many bytes. The engine
+// sizes a whole bucket with EncodedLen first, allocates once and panics
+// if Append's output disagrees — a codec bug, not a data condition. Both
+// may be called from many task goroutines at once.
 type Codec interface {
+	// EncodedLen returns the exact number of bytes Append writes for rec;
+	// ok=false means the codec does not handle this record, which leaves
+	// the whole bucket (or broadcast) memory-resident.
+	EncodedLen(rec Record) (n int, ok bool)
 	// Append encodes rec onto dst and reports whether the codec handles
-	// this record type; ok=false leaves the bucket memory-resident.
+	// this record type.
 	Append(dst []byte, rec Record) ([]byte, bool)
 	// Decode decodes one record from the front of b, returning the rest.
 	// Corrupted input must error, never panic.
@@ -40,6 +59,16 @@ type Codec interface {
 // Conf.DurableDir is unset). Drivers use it for their own staging (the
 // CB driver's collect/redistribute files).
 func (c *Context) Store() *store.Store { return c.store }
+
+// Close releases what the context runs in the background: it drains and
+// stops the durable store's spill and replication writers (store.Close),
+// so a caller may remove DurableDir afterwards. A no-op without a store;
+// idempotent. Call it once no stage is running.
+func (c *Context) Close() {
+	if c.store != nil {
+		c.store.Close()
+	}
+}
 
 // StoreStats returns the block store's tier sizes and spill/eviction/
 // corruption counters; the zero value when no store is configured.
@@ -61,23 +90,42 @@ func shufflePrefix(shuffleID int) string {
 	return fmt.Sprintf("shuffle/%d/", shuffleID)
 }
 
-// encodeBucket serializes a bucket's records through the spill codec;
-// ok=false (bucket stays memory-resident) if any record lacks the
-// passthrough original or the codec declines it.
-func (c *Context) encodeBucket(recs []keyedRecord) ([]byte, bool) {
-	codec := c.conf.SpillCodec
-	dst := make([]byte, 0, 64*len(recs))
-	for _, kr := range recs {
-		if kr.rec == nil {
+// encodeExact serializes n records (rec(i) yields the i-th) into one
+// exactly sized buffer. A first pass over EncodedLen sizes it and makes
+// the all-or-nothing decision — ok=false if any record is nil or the
+// codec declines it — before a byte is written.
+func encodeExact(codec Codec, n int, rec func(i int) Record) ([]byte, bool) {
+	size := 0
+	for i := 0; i < n; i++ {
+		r := rec(i)
+		if r == nil {
 			return nil, false
 		}
-		var ok bool
-		dst, ok = codec.Append(dst, kr.rec)
+		m, ok := codec.EncodedLen(r)
 		if !ok {
 			return nil, false
 		}
+		size += m
+	}
+	dst := make([]byte, 0, size)
+	for i := 0; i < n; i++ {
+		var ok bool
+		if dst, ok = codec.Append(dst, rec(i)); !ok {
+			panic(fmt.Sprintf("rdd: codec %T sized record %d of %d but declined to encode it", codec, i, n))
+		}
+	}
+	if len(dst) != size {
+		panic(fmt.Sprintf("rdd: codec %T wrote %d bytes, EncodedLen promised %d", codec, len(dst), size))
 	}
 	return dst, true
+}
+
+// encodeBucket serializes a bucket's records through the spill codec;
+// ok=false (bucket stays memory-resident) if any record lacks the
+// passthrough original or the codec declines it. Called by the map task
+// that built the bucket.
+func (c *Context) encodeBucket(recs []keyedRecord) ([]byte, bool) {
+	return encodeExact(c.conf.SpillCodec, len(recs), func(i int) Record { return recs[i].rec })
 }
 
 // readStoredBucket fetches and decodes one staged bucket into out. Any
@@ -120,16 +168,7 @@ func (c *Context) readStoredBucket(sd *shuffleDep, st *shuffleState, ref bucketR
 // encodeRecords serializes a broadcast's items; ok=false if the codec
 // declines any of them (the broadcast then simply isn't staged durably).
 func encodeRecords[T any](c *Context, items []T) ([]byte, bool) {
-	codec := c.conf.SpillCodec
-	var dst []byte
-	for _, it := range items {
-		var ok bool
-		dst, ok = codec.Append(dst, it)
-		if !ok {
-			return nil, false
-		}
-	}
-	return dst, true
+	return encodeExact(c.conf.SpillCodec, len(items), func(i int) Record { return items[i] })
 }
 
 // corruptStagedBlock fires one Corruption event: among the newest

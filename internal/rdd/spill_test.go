@@ -21,6 +21,11 @@ import (
 // engine-level stand-in for core's tile codec (rdd cannot import core).
 type intPairCodec struct{}
 
+func (intPairCodec) EncodedLen(rec Record) (int, bool) {
+	_, ok := rec.(Pair[int, int])
+	return 16, ok
+}
+
 func (intPairCodec) Append(dst []byte, rec Record) ([]byte, bool) {
 	p, ok := rec.(Pair[int, int])
 	if !ok {
@@ -49,11 +54,21 @@ func durableConf(t *testing.T, budget int64) Conf {
 	}
 }
 
+// newContext is NewContext plus a Close when the test ends — registered
+// after durableConf's TempDir, so the store's background writers are
+// stopped before the directory is removed.
+func newContext(t *testing.T, conf Conf) *Context {
+	t.Helper()
+	ctx := NewContext(conf)
+	t.Cleanup(ctx.Close)
+	return ctx
+}
+
 // TestShuffleDurableStaging: with a store configured, non-combining
 // shuffle buckets are staged as blocks and the job's results are
 // unchanged; retiring the shuffle cleans its blocks up.
 func TestShuffleDurableStaging(t *testing.T) {
-	ctx := NewContext(durableConf(t, 0))
+	ctx := newContext(t, durableConf(t, 0))
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if len(got) != 20 || got[7] != 14 {
 		t.Fatalf("collect = %v", got)
@@ -75,10 +90,10 @@ func TestShuffleDurableStaging(t *testing.T) {
 // disk mid-run; results must equal the unbounded run's and the eviction
 // counters must show the pressure was real.
 func TestShuffleEvictionBitIdentical(t *testing.T) {
-	free := NewContext(durableConf(t, 0))
+	free := newContext(t, durableConf(t, 0))
 	want := collectPairs(t, shuffledDoubles(free, 4))
 
-	tight := NewContext(durableConf(t, 64)) // a handful of pairs per block
+	tight := newContext(t, durableConf(t, 64)) // a handful of pairs per block
 	got := collectPairs(t, shuffledDoubles(tight, 4))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("eviction changed results: %v vs %v", got, want)
@@ -104,7 +119,7 @@ func TestCorruptionRecoversViaRecompute(t *testing.T) {
 			// collecting stage 1 starts, so the damaged block is read (and
 			// repaired) within that very stage.
 			conf.FaultPlan = &FaultPlan{Corruptions: []Corruption{{Stage: 1, Block: 2, Torn: torn}}}
-			ctx := NewContext(conf)
+			ctx := newContext(t, conf)
 			got := collectPairs(t, shuffledDoubles(ctx, 4))
 			if len(got) != 20 || got[7] != 14 {
 				t.Fatalf("collect = %v", got)
@@ -146,7 +161,7 @@ func TestCorruptionPlusCrashSameRun(t *testing.T) {
 		Crashes:     []ExecutorCrash{{Stage: 1, Node: 0}},
 		Corruptions: []Corruption{{Stage: 1, Block: 1}},
 	}
-	ctx := NewContext(conf)
+	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("corruption+crash changed results: %v vs %v", got, want)
@@ -161,7 +176,7 @@ func TestCorruptionPlusCrashSameRun(t *testing.T) {
 // verification is re-written from the driver-held items on the next
 // first-per-(node,stage) fetch.
 func TestBroadcastDurableSelfHeal(t *testing.T) {
-	ctx := NewContext(durableConf(t, 0))
+	ctx := newContext(t, durableConf(t, 0))
 	bc := NewBroadcast(ctx, []Pair[int, int]{KV(1, 10), KV(2, 20)})
 	if !ctx.Store().Has("bc/0") {
 		t.Fatal("broadcast not staged durably")

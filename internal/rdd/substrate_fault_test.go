@@ -68,7 +68,7 @@ func TestSpillDilationFeedsSpeculation(t *testing.T) {
 		conf.Cluster = cluster.LocalN(4, 2)
 		conf.SpillDilation = factor
 		conf.Speculation = factor > 0
-		ctx := NewContext(conf)
+		ctx := newContext(t, conf)
 		// Shuffle 1 funnels every pair onto partition 0, so one node ends
 		// up holding all the data. Re-shuffling from there makes that
 		// node the map side staging nearly all of shuffle 2's bytes — a

@@ -729,6 +729,7 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 		conf.Restore = &meta.Engine
 	}
 	ctx := rdd.NewContext(conf)
+	defer ctx.Close()
 
 	// Publish the context so Cancel reaches the engine, honouring a
 	// cancel that raced the start.

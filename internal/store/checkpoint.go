@@ -45,24 +45,28 @@ func WriteCheckpoint(dir string, id int, meta, blocks []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: checkpoint dir %s: %w", dir, err)
 	}
-	buf := make([]byte, 0, 4+4+len(meta)+4+8+len(blocks)+4)
-	buf = binary.LittleEndian.AppendUint32(buf, ckptMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
-	buf = append(buf, meta...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(meta, crcTable))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(blocks)))
-	buf = append(buf, blocks...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(blocks, crcTable))
+	// Header + meta section + blocks length, the blocks themselves, and the
+	// blocks CRC go out as three writes: the (large) blocks section is the
+	// caller's buffer, never copied into a second one.
+	head := make([]byte, 0, 4+4+len(meta)+4+8)
+	head = binary.LittleEndian.AppendUint32(head, ckptMagic)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(meta)))
+	head = append(head, meta...)
+	head = binary.LittleEndian.AppendUint32(head, crc32.Checksum(meta, crcTable))
+	head = binary.LittleEndian.AppendUint64(head, uint64(len(blocks)))
+	tail := binary.LittleEndian.AppendUint32(nil, crc32.Checksum(blocks, crcTable))
 
 	final := ckptFile(dir, id)
 	tmp, err := os.CreateTemp(dir, ".tmp-ckpt-*")
 	if err != nil {
 		return fmt.Errorf("store: checkpoint temp: %w", err)
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: checkpoint write: %w", err)
+	for _, part := range [][]byte{head, blocks, tail} {
+		if _, err := tmp.Write(part); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return fmt.Errorf("store: checkpoint write: %w", err)
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())

@@ -29,6 +29,7 @@ package store
 import (
 	"container/list"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -150,6 +151,9 @@ type Store struct {
 	disk    int64 // bytes on disk (dirty blocks counted here already)
 	diskN   int64 // blocks on disk
 	stats   Stats
+	// closed refuses new blocks and keeps the background writers from
+	// being (re)started; set by Close.
+	closed bool
 
 	// Async spill: FIFO of dirty entries awaiting the single background
 	// writer (lazily started, exits when drained).
@@ -238,7 +242,25 @@ func (s *Store) recordFlight(typ, key string) {
 func (s *Store) Put(key string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.insertLocked(key, data); err != nil {
+		return err
+	}
+	if s.remote != nil && s.repPolicy(key) {
+		s.enqueueReplicationLocked(key)
+	}
+	return s.evictLocked()
+}
+
+// insertLocked installs data as key's block in the memory tier, dropping
+// whatever local state the key had; it fails once the store is closed.
+// Called with s.mu held; the caller runs evictLocked afterwards.
+func (s *Store) insertLocked(key string, data []byte) error {
 	for {
+		// Checked on every pass: dropLocked releases the lock while it
+		// waits, and a Close in that window must still refuse this block.
+		if s.closed {
+			return errClosed
+		}
 		old, ok := s.blocks[key]
 		if !ok {
 			break
@@ -251,10 +273,7 @@ func (s *Store) Put(key string, data []byte) error {
 	e.elem = s.lru.PushFront(e)
 	s.blocks[key] = e
 	s.memUsed += e.size
-	if s.remote != nil && s.repPolicy(key) {
-		s.enqueueReplicationLocked(key)
-	}
-	return s.evictLocked()
+	return nil
 }
 
 // Get returns the block's bytes. Memory hits refresh the block's LRU
@@ -422,6 +441,24 @@ func (s *Store) Flush() {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
+}
+
+// errClosed is what Put and RestoreFromRemote return after Close.
+var errClosed = errors.New("store: closed")
+
+// Close drains the background spill and replication writers and waits for
+// them to exit, so no goroutine of the store touches its directories
+// afterwards (a caller may remove them). Later Puts and remote restores
+// fail; blocks already stored stay readable. A replication backlog parked
+// by a remote outage stays parked. Idempotent, and safe to call while
+// other goroutines still use the store.
+func (s *Store) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	for s.spillWorker || s.repWorker {
+		s.cond.Wait()
+	}
 }
 
 // Stats returns a snapshot of the store's tier sizes and counters.

@@ -17,6 +17,9 @@ func open(t *testing.T, budget int64, reg *obs.Registry) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registered after TempDir, so the background spill and replication
+	// writers have exited before the directory is removed.
+	t.Cleanup(s.Close)
 	return s
 }
 
@@ -222,6 +225,69 @@ func TestStoreConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestStoreClose: Close drains the background writers (every evicted
+// block's file is on disk when it returns, every queued replica landed),
+// refuses later Puts and restores, leaves stored blocks readable, and may
+// be called again — also while other goroutines are still putting.
+func TestStoreClose(t *testing.T) {
+	s := open(t, 128, nil)
+	tier, err := NewFSTier(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachRemote(tier, nil)
+	for i := 0; i < 32; i++ {
+		if err := s.Put(fmt.Sprintf("c/%d", i), bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	st := s.Stats()
+	if st.Spilled == 0 || st.ReplicatedBlocks != 32 || st.RemoteQueue != 0 {
+		t.Fatalf("Close left work undone: %+v", st)
+	}
+	for i := 0; i < 32; i++ {
+		key := fmt.Sprintf("c/%d", i)
+		if !s.InMemory(key) {
+			if _, err := os.Stat(s.fileFor(key)); err != nil {
+				t.Fatalf("evicted block %q not on disk after Close: %v", key, err)
+			}
+		}
+		mustGet(t, s, key, bytes.Repeat([]byte{byte(i)}, 100))
+	}
+	if err := s.Put("late", []byte("x")); err == nil {
+		t.Fatal("Put after Close must fail")
+	}
+	if _, err := s.RestoreFromRemote("c/0"); err == nil {
+		t.Fatal("RestoreFromRemote after Close must fail")
+	}
+	s.Close() // idempotent
+
+	// Close racing writers: every Put either lands or is refused, and no
+	// background writer is left running afterwards.
+	r := open(t, 64, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if err := r.Put(fmt.Sprintf("g%d/%d", g, i%8), bytes.Repeat([]byte{byte(g)}, 48)); err != nil {
+					return // closed under us
+				}
+			}
+		}(g)
+	}
+	r.Close()
+	wg.Wait()
+	r.mu.Lock()
+	running := r.spillWorker || r.repWorker || len(r.spillQ) > 0
+	r.mu.Unlock()
+	if running {
+		t.Fatal("a background writer outlived Close")
+	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {

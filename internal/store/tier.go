@@ -232,10 +232,7 @@ func (s *Store) SetRemoteAvailable(up bool) {
 		return
 	}
 	s.remoteUp = up
-	if up && len(s.repQ) > 0 && !s.repWorker {
-		s.repWorker = true
-		go s.repWorkerLoop()
-	}
+	s.startReplicationLocked()
 }
 
 // FlushReplication blocks until the replication queue has drained and no
@@ -248,10 +245,7 @@ func (s *Store) FlushReplication() {
 	if s.remote == nil {
 		return
 	}
-	if s.remoteUp && len(s.repQ) > 0 && !s.repWorker {
-		s.repWorker = true
-		go s.repWorkerLoop()
-	}
+	s.startReplicationLocked()
 	for s.repWorker {
 		s.cond.Wait()
 	}
@@ -288,22 +282,14 @@ func (s *Store) RestoreFromRemote(key string) (int64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		old, ok := s.blocks[key]
-		if !ok {
-			break
-		}
-		s.dropLocked(old)
+	if err := s.insertLocked(key, data); err != nil {
+		return 0, err
 	}
-	e := &entry{key: key, size: int64(len(data)), data: data}
-	e.elem = s.lru.PushFront(e)
-	s.blocks[key] = e
-	s.memUsed += e.size
 	s.stats.RemoteRestored++
 	if s.restored != nil {
 		s.restored.Inc()
 	}
-	return e.size, s.evictLocked()
+	return int64(len(data)), s.evictLocked()
 }
 
 // RemoteHas reports whether a replica exists under key (no
@@ -348,7 +334,14 @@ func (s *Store) enqueueReplicationLocked(key string) {
 	}
 	s.repPending[key] = struct{}{}
 	s.repQ = append(s.repQ, key)
-	if s.remoteUp && !s.repWorker {
+	s.startReplicationLocked()
+}
+
+// startReplicationLocked starts the drain worker if there is a backlog,
+// the tier is up, none is running and the store is not closed. Called
+// with s.mu held.
+func (s *Store) startReplicationLocked() {
+	if s.remoteUp && len(s.repQ) > 0 && !s.repWorker && !s.closed {
 		s.repWorker = true
 		go s.repWorkerLoop()
 	}

@@ -8,7 +8,8 @@
 #                         seeded fault plan (crash-rate sweep, IM vs CB,
 #                         speculation saving)
 #   BENCH_store.json    — durable block store: checksummed spill + driver
-#                         checkpoint round trips, real-run durability
+#                         checkpoint round trips, the tile codec and one
+#                         durable shuffle stage, real-run durability
 #                         overhead and checkpoint–restart cost
 #   BENCH_remote.json   — remote replica tier: replication overhead
 #                         (off vs on) and restore-vs-recompute recovery
@@ -35,7 +36,7 @@ go test -run '^$' -bench 'BenchmarkEngine|BenchmarkBaseline|BenchmarkTable|Bench
 go test -run '^$' -bench 'BenchmarkRecovery' -benchtime 1x -benchmem . \
   | tee /dev/stderr | /tmp/benchjson -o BENCH_recovery.json
 
-go test -run '^$' -bench 'BenchmarkStore|BenchmarkDurable' -benchtime "$BENCHTIME" -benchmem . \
+go test -run '^$' -bench 'BenchmarkStore|BenchmarkDurable|BenchmarkTileCodec' -benchtime "$BENCHTIME" -benchmem . \
   | tee /dev/stderr | /tmp/benchjson -o BENCH_store.json
 
 # Remote-tier recovery is modelled time on a seeded fault plan: one
