@@ -466,6 +466,21 @@ func BenchmarkEngineAPSPReal(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineAPSPFine is the engine-bound regime: 8×8 tiles, so a
+// 256-vertex solve is 32 iterations over 1024 records and the kernels are
+// a small share of it. Its allocs/op is the record path's own footprint —
+// machine-independent, so CI gates it tightly.
+func BenchmarkEngineAPSPFine(b *testing.B) {
+	g := RandomGraph(256, 0.05, 1, 10, 3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSession(Local(4))
+		if _, _, err := s.APSP(g, Config{BlockSize: 8, Driver: core.IM}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineGEReal runs a real distributed elimination.
 func BenchmarkEngineGEReal(b *testing.B) {
 	a, rhs := RandomSystem(256, 4)

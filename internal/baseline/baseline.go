@@ -83,9 +83,13 @@ func run(ctx *rdd.Context, bl *matrix.Blocked, cfg Config) (*matrix.Blocked, *co
 	dp := rdd.ParallelizePairs(ctx, blocks, part)
 
 	pool := matrix.DefaultPool
+	var cost [4]simtime.Duration
+	for kind := range cost {
+		cost[kind] = ctx.Model().KernelTime(rule, semiring.Kind(kind), bl.B, kc)
+	}
 	apply := func(tc *rdd.TaskContext, kind semiring.Kind, x, u, v, w *matrix.Tile) *matrix.Tile {
 		out := pool.Clone(x)
-		tc.ChargeCompute(ctx.Model().KernelTime(rule, kind, x.B, kc), 1)
+		tc.ChargeCompute(cost[kind], 1)
 		if !out.Symbolic() {
 			exec.Apply(kind, out, u, v, w)
 		}

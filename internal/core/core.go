@@ -41,6 +41,7 @@ import (
 	"dpspark/internal/obs"
 	"dpspark/internal/rdd"
 	"dpspark/internal/semiring"
+	"dpspark/internal/simtime"
 )
 
 // Block is one DP-table tile record: the pair RDD element of §IV-C.
@@ -356,10 +357,10 @@ func (run *runner) kernelConfig() costmodel.KernelConfig {
 	}
 }
 
-// newKernelRunner builds the run's kernel applicator: the configured exec
-// (instrumented for wall-time metrics), the cost-model kernel description
-// and the per-(exec, kind) metric handles, resolved once here instead of a
-// map-build-plus-registry-lookup per kernel call.
+// newKernelRunner builds the run's kernel applicator: the configured
+// exec, and everything about a kernel call that is the same for every
+// call of the run, resolved once here — the per-kind metric handles and
+// the cost model's price of each kind on the run's tile size.
 func (run *runner) newKernelRunner() *kernelRunner {
 	var e kernels.Exec
 	if run.cfg.RecursiveKernel {
@@ -368,40 +369,42 @@ func (run *runner) newKernelRunner() *kernelRunner {
 		e = kernels.NewIterativePool(run.cfg.Rule, run.cfg.KernelThreads)
 	}
 	reg := run.ctx.Observer().Metrics()
-	var sink metricsSink
 	kr := &kernelRunner{
-		kc:   run.kernelConfig(),
-		pool: matrix.DefaultPool,
+		exec:  e,
+		kc:    run.kernelConfig(),
+		model: run.ctx.Model(),
+		b:     run.cfg.BlockSize,
+		pool:  matrix.DefaultPool,
 	}
+	kr.pexec, _ = e.(kernels.PoolExec)
 	for kind := semiring.KindA; kind <= semiring.KindD; kind++ {
 		l := obs.Labels{"exec": e.Name(), "kind": kind.String()}
 		kr.m[kind] = kindMetrics{
 			calls: reg.Counter("dpspark_kernel_calls_total", l),
 			cost:  reg.Histogram("dpspark_kernel_seconds", l, kernelSecondsBuckets),
 			occ:   reg.Gauge("dpspark_kernel_occupancy", l),
+			wall:  reg.Histogram("dpspark_kernel_wall_seconds", l, kernelSecondsBuckets),
 		}
-		sink.wall[kind] = reg.Histogram("dpspark_kernel_wall_seconds", l, kernelSecondsBuckets)
+		kr.price[kind] = kr.priceOf(kind, kr.b)
 	}
-	kr.exec = kernels.Instrument(e, sink)
-	kr.pexec, _ = kr.exec.(kernels.PoolExec)
 	return kr
 }
 
-// metricsSink routes measured kernel wall times into pre-resolved
-// histograms — one per kernel kind for the run's single exec.
-type metricsSink struct{ wall [4]*obs.Histogram }
-
-// ObserveKernel implements kernels.Sink.
-func (s metricsSink) ObserveKernel(name string, kind semiring.Kind, b int, wall time.Duration) {
-	s.wall[kind].Observe(wall.Seconds())
-}
-
-// kindMetrics holds the resolved modelled-cost metric handles for one
-// kernel kind.
+// kindMetrics holds the resolved metric handles for one kernel kind:
+// call count, modelled cost, occupancy high-water mark and the measured
+// wall time of real executions (symbolic runs execute nothing and report
+// no wall time).
 type kindMetrics struct {
 	calls *obs.Counter
 	cost  *obs.Histogram
 	occ   *obs.Gauge
+	wall  *obs.Histogram
+}
+
+// kernelPrice is what the cost model charges one call of one kind.
+type kernelPrice struct {
+	cost      simtime.Duration
+	occ, idle int
 }
 
 // kernelRunner applies kernels for one driver run.
@@ -412,8 +415,80 @@ type kernelRunner struct {
 	// task node's shared kernel pool.
 	pexec kernels.PoolExec
 	kc    costmodel.KernelConfig
+	model *costmodel.Model
+	// price memoises the model's answer per kind for b×b tiles, the only
+	// size a run's grid holds.
+	b     int
+	price [4]kernelPrice
 	pool  *matrix.TilePool
 	m     [4]kindMetrics
+}
+
+func (kr *kernelRunner) priceOf(kind semiring.Kind, b int) kernelPrice {
+	return kernelPrice{
+		cost: kr.model.KernelTime(kr.exec.Rule(), kind, b, kr.kc),
+		occ:  kr.model.Occupancy(kind, kr.kc),
+		idle: kr.model.IdleThreads(kind, kr.kc),
+	}
+}
+
+// kernelTally accumulates one task attempt's kernel metrics so that the
+// shared registry — a mutex per histogram, per gauge — is touched once
+// per attempt instead of three times per kernel call. The engine flushes
+// it when the attempt ends, however it ends (rdd.AttemptLocal).
+type kernelTally struct {
+	kr    *kernelRunner
+	kinds [4]kindTally
+}
+
+// kindTally is one kind's share of a kernelTally: the calls made at one
+// price, and the measured wall times not yet handed to the histogram.
+type kindTally struct {
+	calls int64
+	price kernelPrice
+	wall  []float64
+}
+
+// wallChunk bounds how many wall times an attempt buffers per kind.
+const wallChunk = 128
+
+// observeWall buffers one measured wall time, handing full chunks to h.
+func (k *kindTally) observeWall(seconds float64, h *obs.Histogram) {
+	if k.wall == nil {
+		k.wall = make([]float64, 0, wallChunk)
+	}
+	if k.wall = append(k.wall, seconds); len(k.wall) == wallChunk {
+		h.ObserveAll(k.wall)
+		k.wall = k.wall[:0]
+	}
+}
+
+// tally returns the attempt's accumulator for this runner.
+func (kr *kernelRunner) tally(tc *rdd.TaskContext) *kernelTally {
+	if t, ok := tc.Local().(*kernelTally); ok && t.kr == kr {
+		return t
+	}
+	t := &kernelTally{kr: kr}
+	tc.SetLocal(t)
+	return t
+}
+
+// Flush implements rdd.AttemptLocal. ObserveN adds the cost the way n
+// Observe calls would, so dpspark_kernel_seconds_sum keeps its bits.
+func (t *kernelTally) Flush() {
+	for kind := range t.kinds {
+		k, m := &t.kinds[kind], &t.kr.m[kind]
+		if k.calls > 0 {
+			m.calls.Add(k.calls)
+			m.cost.ObserveN(k.price.cost.Seconds(), k.calls)
+			m.occ.SetMax(float64(k.price.occ))
+			k.calls = 0
+		}
+		if len(k.wall) > 0 {
+			m.wall.ObserveAll(k.wall)
+			k.wall = k.wall[:0]
+		}
+	}
 }
 
 // apply prices and (for real tiles) executes one kernel call, returning
@@ -440,15 +515,19 @@ type kernelRunner struct {
 // not contend for the node's cores.
 func (kr *kernelRunner) apply(tc *rdd.TaskContext, gen uint32, kind semiring.Kind,
 	x, u, v, w *matrix.Tile) *matrix.Tile {
-	model := tc.Ctx().Model()
-	cost := model.KernelTime(kr.exec.Rule(), kind, x.B, kr.kc)
-	occ := model.Occupancy(kind, kr.kc)
-	tc.ChargeCompute(cost, occ)
-	tc.ChargeIdleThreads(model.IdleThreads(kind, kr.kc))
-	km := &kr.m[kind]
-	km.calls.Inc()
-	km.cost.Observe(cost.Seconds())
-	km.occ.SetMax(float64(occ))
+	price := kr.price[kind]
+	if x.B != kr.b {
+		price = kr.priceOf(kind, x.B)
+	}
+	tc.ChargeCompute(price.cost, price.occ)
+	tc.ChargeIdleThreads(price.idle)
+	t := kr.tally(tc)
+	k := &t.kinds[kind]
+	if k.calls > 0 && k.price != price {
+		t.Flush()
+	}
+	k.calls++
+	k.price = price
 
 	tag := x.Gen()
 	if tag != 0 && tag >= gen {
@@ -459,11 +538,13 @@ func (kr *kernelRunner) apply(tc *rdd.TaskContext, gen uint32, kind semiring.Kin
 		out = kr.pool.Clone(x)
 	}
 	if !out.Symbolic() {
+		start := time.Now()
 		if kr.pexec != nil {
 			kr.pexec.ApplyWith(tc.KernelPool(), kind, out, u, v, w)
 		} else {
 			kr.exec.Apply(kind, out, u, v, w)
 		}
+		k.observeWall(time.Since(start).Seconds(), kr.m[kind].wall)
 	}
 	out.SetGen(gen)
 	return out

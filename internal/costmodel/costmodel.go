@@ -27,7 +27,6 @@ package costmodel
 
 import (
 	"math"
-	"sync"
 
 	"dpspark/internal/cluster"
 	"dpspark/internal/kernels"
@@ -154,40 +153,11 @@ func DefaultParams() Params {
 type Model struct {
 	C *cluster.Cluster
 	P Params
-
-	mu        sync.Mutex
-	workCache map[workKey]float64
-}
-
-type workKey struct {
-	rule string
-	kind semiring.Kind
-	n    int
 }
 
 // New returns a model for the cluster with default calibration.
 func New(c *cluster.Cluster) *Model {
-	return &Model{C: c, P: DefaultParams(), workCache: make(map[workKey]float64)}
-}
-
-// work memoizes kernels.Updates — kernel pricing is on the engine's per-
-// record hot path and the update count depends only on (rule, kind, n).
-func (m *Model) work(rule semiring.Rule, kind semiring.Kind, n int) float64 {
-	key := workKey{rule: rule.Name(), kind: kind, n: n}
-	m.mu.Lock()
-	if w, ok := m.workCache[key]; ok {
-		m.mu.Unlock()
-		return w
-	}
-	m.mu.Unlock()
-	w := float64(kernels.Updates(rule, kind, n))
-	m.mu.Lock()
-	if m.workCache == nil {
-		m.workCache = make(map[workKey]float64)
-	}
-	m.workCache[key] = w
-	m.mu.Unlock()
-	return w
+	return &Model{C: c, P: DefaultParams()}
 }
 
 // clockScale converts nominal nanosecond constants (quoted at 1 GHz) to
@@ -310,8 +280,11 @@ func (m *Model) IdleThreads(kind semiring.Kind, kc KernelConfig) int {
 }
 
 // KernelTime prices one kernel invocation of the given kind on a b×b tile.
+// It walks the rule's b loop bounds to count updates; callers that price
+// every kernel call of a run memoise the answer per kind, as the tile size
+// is fixed for the run.
 func (m *Model) KernelTime(rule semiring.Rule, kind semiring.Kind, b int, kc KernelConfig) simtime.Duration {
-	work := m.work(rule, kind, b)
+	work := float64(kernels.Updates(rule, kind, b))
 	scale := m.clockScale()
 	if !kc.Recursive {
 		occ := m.Occupancy(kind, kc)

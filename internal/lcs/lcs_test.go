@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dpspark/internal/cluster"
+	"dpspark/internal/matrix"
 	"dpspark/internal/rdd"
 )
 
@@ -136,5 +137,24 @@ func TestWavefrontMovesOnlyBoundaries(t *testing.T) {
 	tiles := int64(16)
 	if spilled > tiles*3*600 {
 		t.Fatalf("moved %d bytes — boundaries only should be ≤ %d", spilled, tiles*3*600)
+	}
+}
+
+// TestRecordPricing is lcs's share of the engine's pricing parity table
+// (see rdd.TestDefaultSizer): a boundary message prices through its
+// SizeBytes hook, keyed by coordinate; the grouped []msg value has no
+// hook and prices at the 64-byte default, as it always did.
+func TestRecordPricing(t *testing.T) {
+	ctx := newCtx()
+	m := msg{FromRow: true, B: boundary{Row: make([]int32, 5), Col: make([]int32, 3)}}
+	c := matrix.Coord{I: 1, J: 2}
+	if got := rdd.NewBroadcast(ctx, []msg{m}).Bytes(); got != 8*4+4+2 {
+		t.Errorf("msg priced %d, want %d", got, 8*4+4+2)
+	}
+	if got := rdd.NewBroadcast(ctx, []rdd.Pair[matrix.Coord, msg]{rdd.KV(c, m)}).Bytes(); got != 16+8*4+4+2 {
+		t.Errorf("coord→msg priced %d, want %d", got, 16+8*4+4+2)
+	}
+	if got := rdd.NewBroadcast(ctx, []rdd.Pair[matrix.Coord, []msg]{rdd.KV(c, []msg{m, m})}).Bytes(); got != 16+64 {
+		t.Errorf("coord→[]msg priced %d, want %d", got, 16+64)
 	}
 }

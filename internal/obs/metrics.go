@@ -120,12 +120,31 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the same value v under one lock
+// acquisition. The sum takes n separate additions, exactly as n Observe
+// calls would make them, so batching a per-task tally does not move a
+// bit of the exported _sum.
+func (h *Histogram) ObserveN(v float64, n int64) {
 	h.mu.Lock()
-	i := sort.SearchFloat64s(h.buckets, v)
-	h.counts[i]++
-	h.sum += v
-	h.count++
+	h.counts[sort.SearchFloat64s(h.buckets, v)] += n
+	for i := int64(0); i < n; i++ {
+		h.sum += v
+	}
+	h.count += n
+	h.mu.Unlock()
+}
+
+// ObserveAll records every sample of vs, in order, under one lock
+// acquisition.
+func (h *Histogram) ObserveAll(vs []float64) {
+	h.mu.Lock()
+	for _, v := range vs {
+		h.counts[sort.SearchFloat64s(h.buckets, v)]++
+		h.sum += v
+	}
+	h.count += int64(len(vs))
 	h.mu.Unlock()
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -229,5 +231,32 @@ func TestHistogramBuckets(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("missing %q in:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestHistogramBatchedObserveKeepsBits: ObserveN(v, n) and ObserveAll
+// leave the histogram exactly where the same samples observed one at a
+// time leave it — including the last bit of the sum, which a v*n shortcut
+// would move.
+func TestHistogramBatchedObserveKeepsBits(t *testing.T) {
+	const v = 0.1 // not representable: 0.1 added n times ≠ 0.1*n
+	one := &Histogram{buckets: ExpBuckets(1e-4, 2, 22), counts: make([]int64, 23)}
+	batched := &Histogram{buckets: ExpBuckets(1e-4, 2, 22), counts: make([]int64, 23)}
+	walls := []float64{3e-5, 0.25, 7, 1e9, 0.25}
+	for i := 0; i < 1000; i++ {
+		one.Observe(v)
+	}
+	for _, w := range walls {
+		one.Observe(w)
+	}
+	for _, n := range []int64{1, 0, 700, 299} {
+		batched.ObserveN(v, n)
+	}
+	batched.ObserveAll(walls)
+	if math.Float64bits(one.Sum()) != math.Float64bits(batched.Sum()) {
+		t.Errorf("sum %v (one at a time) vs %v (batched)", one.Sum(), batched.Sum())
+	}
+	if one.Count() != batched.Count() || !reflect.DeepEqual(one.counts, batched.counts) {
+		t.Errorf("counts %v/%d vs %v/%d", one.counts, one.Count(), batched.counts, batched.Count())
 	}
 }

@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"fmt"
+	"slices"
 
 	"dpspark/internal/obs"
 	"dpspark/internal/simtime"
@@ -13,15 +14,8 @@ import (
 // memory exceeded) alongside the data.
 func (r *RDD[T]) Collect() ([]T, error) {
 	ctx := r.ds.ctx
-	parts := ctx.runJob(r.ds)
-	var out []T
-	var bytes int64
-	for _, recs := range parts {
-		for _, rec := range recs {
-			out = append(out, rec.(T))
-			bytes += ctx.sizer(rec)
-		}
-	}
+	out := slices.Concat(unboxAll[T](ctx.runJob(r.ds))...)
+	bytes := sizeAll(out)
 	start := ctx.Clock()
 	ctx.AdvanceDriver(ctx.model.NetTime(bytes), simtime.Network)
 	ctx.AdvanceDriver(ctx.model.SerializeTime(bytes), simtime.Overhead)
@@ -39,8 +33,8 @@ func (r *RDD[T]) Count() (int, error) {
 	ctx := r.ds.ctx
 	parts := ctx.runJob(r.ds)
 	n := 0
-	for _, recs := range parts {
-		n += len(recs)
+	for _, p := range parts {
+		n += len(unbox[T](p))
 	}
 	ctx.AdvanceDriver(ctx.model.NetTime(int64(8*r.ds.parts)), simtime.Network)
 	return n, ctx.Err()

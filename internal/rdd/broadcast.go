@@ -35,10 +35,7 @@ type Broadcast[T any] struct {
 
 // NewBroadcast stages items on the shared filesystem.
 func NewBroadcast[T any](ctx *Context, items []T) *Broadcast[T] {
-	var bytes int64
-	for _, it := range items {
-		bytes += ctx.sizer(it)
-	}
+	bytes := sizeAll(items)
 	start := ctx.Clock()
 	ctx.AdvanceDriver(ctx.model.SharedWriteTime(bytes), simtime.SharedFS)
 	ctx.Ledger().AddBytes(simtime.SharedFS, bytes)
@@ -55,7 +52,7 @@ func NewBroadcast[T any](ctx *Context, items []T) *Broadcast[T] {
 		fetched: make(map[[2]int]bool),
 	}
 	if ctx.store != nil && ctx.conf.SpillCodec != nil {
-		if blob, ok := encodeRecords(ctx, items); ok {
+		if blob, ok := encodeExact(ctx.conf.SpillCodec, items); ok {
 			ctx.mu.Lock()
 			id := ctx.nextBroadcast
 			ctx.nextBroadcast++
@@ -85,7 +82,7 @@ func (b *Broadcast[T]) Get(tc *TaskContext) []T {
 		tc.ChargeSharedRead(b.bytes)
 		if b.staged {
 			if _, err := b.ctx.store.Get(b.key); err != nil {
-				if blob, ok := encodeRecords(b.ctx, b.items); ok {
+				if blob, ok := encodeExact(b.ctx.conf.SpillCodec, b.items); ok {
 					b.ctx.store.Put(b.key, blob)
 				}
 			}

@@ -132,8 +132,8 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		if conf.KernelThreads != 1 || conf.ExecutorCores != conf.Cluster.Node.Cores {
 			t.Fatalf("kernel defaults: threads %d cores %d", conf.KernelThreads, conf.ExecutorCores)
 		}
-		if conf.RealParallelism != runtime.NumCPU() || conf.Sizer == nil {
-			t.Fatalf("engine defaults: parallelism %d sizer %v", conf.RealParallelism, conf.Sizer)
+		if conf.RealParallelism != runtime.NumCPU() {
+			t.Fatalf("engine defaults: parallelism %d", conf.RealParallelism)
 		}
 	})
 

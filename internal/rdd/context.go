@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -53,8 +54,6 @@ type Conf struct {
 	// RealParallelism bounds the goroutines that actually execute tasks
 	// in this process. Default: runtime.NumCPU().
 	RealParallelism int
-	// Sizer prices records for traffic accounting. Default: DefaultSizer.
-	Sizer Sizer
 	// KeepShuffles is how many most-recent shuffles stay staged before
 	// the engine emulates Spark's shuffle cleanup (old generations are
 	// deleted from the local disks). Default: 8.
@@ -322,9 +321,6 @@ func (conf *Conf) normalize() error {
 	if conf.RealParallelism <= 0 {
 		conf.RealParallelism = runtime.NumCPU()
 	}
-	if conf.Sizer == nil {
-		conf.Sizer = DefaultSizer
-	}
 	if conf.KeepShuffles == 0 {
 		conf.KeepShuffles = 8
 	}
@@ -359,7 +355,6 @@ type Context struct {
 	conf  Conf
 	model *costmodel.Model
 	simul *sim.Sim
-	sizer Sizer
 	obsv  *obs.Observer
 	pid   int
 
@@ -569,7 +564,6 @@ func NewContext(conf Conf) *Context {
 		conf:      conf,
 		model:     m,
 		simul:     sim.New(m, conf.ExecutorCores),
-		sizer:     conf.Sizer,
 		obsv:      conf.Observer,
 		substrate: conf.Substrate,
 		cancel:    make(chan struct{}),
@@ -1033,7 +1027,9 @@ func (c *Context) execStage(spec stageSpec, work func(tc *TaskContext, idx, spli
 		Detail:  fmt.Sprintf("%s tasks=%d phase=%s", spec.kind, parts, spec.phase),
 	})
 
-	tcs := make([]*TaskContext, parts)
+	// One TaskContext slab per stage; an attempt resets its task's slot
+	// (a zero ctx marks a task abandoned before its first attempt).
+	tcs := make([]TaskContext, parts)
 	// runOne executes one task with Spark-style retries: an injected
 	// fault or a panic fails the attempt and the task restarts from its
 	// lineage on a freshly placed executor (charges of failed attempts
@@ -1071,15 +1067,13 @@ func (c *Context) execStage(spec stageSpec, work func(tc *TaskContext, idx, spli
 				// retry re-places them (the node is now blacklisted).
 				node = c.nodeOf(split)
 			}
-			tc := &TaskContext{
-				StageID:   stageID,
-				Partition: split,
-				Node:      node,
-				ctx:       c,
-			}
-			tcs[idx] = tc
+			tc := &tcs[idx]
+			*tc = TaskContext{StageID: stageID, Partition: split, Node: node, ctx: c}
 			err := func() (err error) {
 				defer func() {
+					// The attempt ends here however it ended: returned,
+					// panicked or killed.
+					tc.SetLocal(nil)
 					if p := recover(); p != nil {
 						if ff, ok := p.(*FetchFailedError); ok {
 							err = ff
@@ -1202,13 +1196,13 @@ func (c *Context) execStage(spec stageSpec, work func(tc *TaskContext, idx, spli
 
 	var spill, fetch, shared int64
 	tasks := make([]sim.Task, parts, parts+parts/4)
-	for i, tc := range tcs {
-		if tc == nil {
+	for i := range tcs {
+		tc := &tcs[i]
+		if tc.ctx == nil {
 			// The task was abandoned before its first attempt (cancelled
 			// mid-stage); model it as an empty task so the stage report
 			// stays well-formed while Err carries the cause.
-			tc = &TaskContext{StageID: stageID, Partition: spec.split(i), Node: c.nodeOf(spec.split(i)), ctx: c}
-			tcs[i] = tc
+			*tc = TaskContext{StageID: stageID, Partition: spec.split(i), Node: c.nodeOf(spec.split(i)), ctx: c}
 		}
 		spill += tc.spill
 		fetch += tc.fetchLocal + tc.fetchRemote
@@ -1247,8 +1241,8 @@ func (c *Context) execStage(spec stageSpec, work func(tc *TaskContext, idx, spli
 		// Per-node spill dilation, so the profiler can split the critical
 		// branch's compute into healthy compute vs spill backpressure.
 		spillSlow := make([]simtime.Duration, len(rep.NodeCompute))
-		for _, tc := range tcs {
-			if tc.spillSlow > 0 && tc.Node >= 0 && tc.Node < len(spillSlow) {
+		for i := range tcs {
+			if tc := &tcs[i]; tc.spillSlow > 0 && tc.Node >= 0 && tc.Node < len(spillSlow) {
 				spillSlow[tc.Node] += tc.spillSlow
 			}
 		}
@@ -1405,21 +1399,22 @@ func (c *Context) spillDilationFactors() []float64 {
 // wins, the loser is killed at that moment — so BOTH executors are
 // charged the winner's duration, exactly Spark's first-result-wins with
 // non-free losers.
-func (c *Context) speculate(tcs []*TaskContext, tasks []sim.Task, asOf simtime.Duration) []sim.Task {
+func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Duration) []sim.Task {
 	if len(tcs) < 2 {
 		return tasks
 	}
 	durs := make([]simtime.Duration, len(tcs))
-	for i, tc := range tcs {
-		durs[i] = tc.compute
+	for i := range tcs {
+		durs[i] = tcs[i].compute
 	}
-	sortDurations(durs)
+	slices.Sort(durs)
 	quantile := durs[int(c.conf.SpeculationQuantile*float64(len(durs)-1))]
 	threshold := simtime.Duration(quantile.Seconds() * c.conf.SpeculationMultiplier)
 	if threshold <= 0 {
 		return tasks
 	}
-	for i, tc := range tcs {
+	for i := range tcs {
+		tc := &tcs[i]
 		if tc.compute <= threshold {
 			continue
 		}
@@ -1477,16 +1472,6 @@ func (c *Context) speculate(tcs []*TaskContext, tasks []sim.Task, asOf simtime.D
 		})
 	}
 	return tasks
-}
-
-// sortDurations is an insertion sort (stage task counts are small and the
-// hot path stays allocation-free).
-func sortDurations(d []simtime.Duration) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 }
 
 // recordStageMetrics updates the always-on metric families for one
@@ -1605,11 +1590,11 @@ func (c *Context) ensureUpstream(ds *dataset, visited map[*dataset]bool) {
 	}
 }
 
-// runJob computes every partition of ds and returns the records.
-func (c *Context) runJob(ds *dataset) [][]Record {
+// runJob computes every partition of ds and returns them.
+func (c *Context) runJob(ds *dataset) []partition {
 	c.AdvanceDriver(c.model.JobOverhead(), simtime.Overhead)
 	c.ensureUpstream(ds, make(map[*dataset]bool))
-	out := make([][]Record, ds.parts)
+	out := make([]partition, ds.parts)
 	c.runStage(StageResult, -1, ds.parts, c.CurrentPhase(), func(tc *TaskContext, split int) {
 		out[split] = c.iterate(ds, split, tc)
 	})

@@ -5,18 +5,30 @@ import (
 	"sync"
 )
 
-// Record is the engine's untyped record; the generic RDD[T] layer wraps it.
+// Record is one record, boxed, as the spill Codec sees it. The engine
+// itself never boxes a record, only whole partitions.
 type Record = any
 
-// keyedRecord is a shuffled record: extracted key plus payload (the raw
-// value for PartitionBy, a combiner for CombineByKey). Non-combining
-// shuffles also set rec, the original typed record: the engine stages
-// pointers rather than serialized bytes, so the reduce side hands the
-// record straight through instead of re-boxing a rebuilt pair per record.
-type keyedRecord struct {
-	key any
-	val any
-	rec Record
+// partition is one materialised partition of an RDD[T]: a []T behind a
+// single interface value, nil when empty. The typed transformations box
+// their result once and unbox their input once; everything between —
+// lineage, cache, stages, shuffle state — only passes the value along.
+type partition = any
+
+// box wraps a result slice; empty results cost nothing.
+func box[T any](recs []T) partition {
+	if len(recs) == 0 {
+		return nil
+	}
+	return recs
+}
+
+// unbox recovers the typed records of a partition.
+func unbox[T any](p partition) []T {
+	if p == nil {
+		return nil
+	}
+	return p.([]T)
 }
 
 // dataset is the untyped lineage node behind every RDD[T]. Exactly one of
@@ -37,21 +49,24 @@ type dataset struct {
 	// mapValues, partitioner-aware union); map/flatMap clear it.
 	part Partitioner
 
-	source  [][]Record
-	narrow  func(tc *TaskContext, split int) []Record
+	source  []partition
+	narrow  func(tc *TaskContext, split int) partition
 	shuffle *shuffleDep
 
 	// deps are narrow parents (stage building walks through them).
 	deps []*dataset
 
-	cacheOn bool
-	mu      sync.Mutex
-	cached  map[int][]Record
+	// cacheSize prices a cached partition; set by RDD[T].Cache.
+	cacheSize func(p partition) int64
+	cacheOn   bool
+	mu        sync.Mutex
+	cached    map[int]partition
 }
 
 // shuffleDep is a wide dependency: the parent's records are keyed,
 // optionally map-side combined, partitioned by part and staged; the child
-// reads the reduce-side buckets.
+// reads the reduce-side buckets. The two halves that touch records are
+// typed functions instantiated by PartitionBy / CombineByKey.
 type shuffleDep struct {
 	id     int
 	parent *dataset
@@ -59,15 +74,17 @@ type shuffleDep struct {
 	// phase is the driver phase active when the dependency was created;
 	// the lazily-run map stage is attributed to it.
 	phase string
-	// rebuild turns (key, payload) back into a typed record.
-	rebuild func(key, val any) Record
-	// Combiner hooks; nil for plain PartitionBy.
-	create     func(v any) any
-	mergeValue func(c, v any) any
-	mergeComb  func(a, b any) any
+	// combining marks a CombineByKey shuffle: its buckets hold combiners
+	// and stay memory-resident (they never reach the spill codec).
+	combining bool
+	// bucket is the map side: compute one parent partition (combined,
+	// when combining) and split it by part (bucketPairs). Returns the
+	// buckets and their summed price.
+	bucket func(tc *TaskContext, split int, codec Codec) ([]taskBucket, int64)
+	// merge is the reduce side: concatenate (or, when combining, merge
+	// per key) the records of one reduce partition's buckets.
+	merge func(c *Context, st *shuffleState, refs []bucketRef) partition
 }
-
-func (sd *shuffleDep) combining() bool { return sd.create != nil }
 
 // newDataset registers a lineage node with the context.
 func (c *Context) newDataset(name string, parts int, part Partitioner) *dataset {
@@ -82,45 +99,41 @@ func (c *Context) newDataset(name string, parts int, part Partitioner) *dataset 
 }
 
 // iterate computes one partition of the dataset within a running task.
-func (c *Context) iterate(ds *dataset, split int, tc *TaskContext) []Record {
+func (c *Context) iterate(ds *dataset, split int, tc *TaskContext) partition {
 	if split < 0 || split >= ds.parts {
 		panic(fmt.Sprintf("rdd: partition %d outside dataset %q (%d partitions)", split, ds.name, ds.parts))
 	}
 	if ds.cacheOn {
 		ds.mu.Lock()
-		recs, ok := ds.cached[split]
+		p, ok := ds.cached[split]
 		ds.mu.Unlock()
 		if ok {
-			return recs
+			return p
 		}
 	}
-	var recs []Record
+	var p partition
 	switch {
 	case ds.source != nil:
-		recs = ds.source[split]
+		p = ds.source[split]
 	case ds.shuffle != nil:
-		recs = c.readShuffle(ds.shuffle, split, tc)
+		p = c.readShuffle(ds.shuffle, split, tc)
 	case ds.narrow != nil:
-		recs = ds.narrow(tc, split)
+		p = ds.narrow(tc, split)
 	default:
 		panic(fmt.Sprintf("rdd: dataset %q has no compute", ds.name))
 	}
 	if ds.cacheOn {
-		var bytes int64
-		for _, r := range recs {
-			bytes += c.sizer(r)
-		}
 		ds.mu.Lock()
 		_, dup := ds.cached[split]
 		if !dup {
-			ds.cached[split] = recs
+			ds.cached[split] = p
 		}
 		ds.mu.Unlock()
 		if !dup {
-			c.chargeCacheMemory(c.nodeOf(split), bytes)
+			c.chargeCacheMemory(c.nodeOf(split), ds.cacheSize(p))
 		}
 	}
-	return recs
+	return p
 }
 
 // fullyCached reports whether every partition is materialized in cache.

@@ -115,3 +115,34 @@ func TestFailedAttemptsChargeTime(t *testing.T) {
 		t.Fatalf("failed attempts must cost time: clean %v vs flaky %v", clean, flaky)
 	}
 }
+
+// countingLocal is an AttemptLocal that records its flushes.
+type countingLocal struct{ flushed *atomic.Int64 }
+
+func (l countingLocal) Flush() { l.flushed.Add(1) }
+
+// TestAttemptLocalFlushedHoweverTheAttemptEnds: state hung on the
+// TaskContext is flushed exactly once per attempt — for the attempt that
+// panics as for the one that returns — and replaced state is flushed when
+// it is replaced.
+func TestAttemptLocalFlushedHoweverTheAttemptEnds(t *testing.T) {
+	var attempts, flushed atomic.Int64
+	ctx := NewContext(Conf{Cluster: cluster.Local(1), RealParallelism: 1})
+	r := MapPartitions(Parallelize(ctx, ints(4), 1), func(tc *TaskContext, recs []int) []int {
+		if tc.Local() != nil {
+			t.Error("attempt started with the previous attempt's local state")
+		}
+		tc.SetLocal(countingLocal{&flushed})
+		tc.SetLocal(countingLocal{&flushed}) // flushes the first
+		if attempts.Add(1) == 1 {
+			panic("first attempt dies holding local state")
+		}
+		return recs
+	}, false)
+	if _, err := r.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if attempts.Load() != 2 || flushed.Load() != 4 {
+		t.Fatalf("%d attempts, %d flushes; want 2 and 4", attempts.Load(), flushed.Load())
+	}
+}

@@ -21,22 +21,19 @@ func Sample[T any](r *RDD[T], fraction float64, seed int64) *RDD[T] {
 	if fraction < 0 || fraction > 1 {
 		panic("rdd: Sample fraction must be in [0,1]")
 	}
-	parent := r.ds
-	ctx := r.ds.ctx
-	ds := ctx.newDataset("sample<-"+parent.name, parent.parts, nil)
-	ds.deps = []*dataset{parent}
-	ds.narrow = func(tc *TaskContext, split int) []Record {
+	return narrow[T, T](r, "sample", nil, func(_ *TaskContext, split int, in []T) partition {
+		if len(in) == 0 {
+			return nil
+		}
 		rng := rand.New(rand.NewSource(seed + int64(split)*0x9e3779b9))
-		in := ctx.iterate(parent, split, tc)
-		var out []Record
-		for _, rec := range in {
+		var out []T
+		for i := range in {
 			if rng.Float64() < fraction {
-				out = append(out, rec)
+				out = append(out, in[i])
 			}
 		}
-		return out
-	}
-	return &RDD[T]{ds: ds}
+		return box(out)
+	})
 }
 
 // Take returns up to n records (driver-side; computes the whole RDD, as

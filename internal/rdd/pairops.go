@@ -7,20 +7,11 @@ package rdd
 // MapValues transforms values while provably keeping keys, so the
 // partitioner is preserved (narrow, like Spark's mapValues).
 func MapValues[K comparable, V, W any](r *RDD[Pair[K, V]], f func(tc *TaskContext, key K, v V) W) *RDD[Pair[K, W]] {
-	parent := r.ds
-	ctx := r.ds.ctx
-	ds := ctx.newDataset("mapValues<-"+parent.name, parent.parts, parent.part)
-	ds.deps = []*dataset{parent}
-	ds.narrow = func(tc *TaskContext, split int) []Record {
-		in := ctx.iterate(parent, split, tc)
-		out := make([]Record, len(in))
-		for i, rec := range in {
-			p := rec.(Pair[K, V])
-			out[i] = Pair[K, W]{Key: p.Key, Value: f(tc, p.Key, p.Value)}
-		}
-		return out
-	}
-	return &RDD[Pair[K, W]]{ds: ds}
+	out := Map(r, func(tc *TaskContext, p Pair[K, V]) Pair[K, W] {
+		return Pair[K, W]{Key: p.Key, Value: f(tc, p.Key, p.Value)}
+	})
+	out.ds.part = r.ds.part
+	return out
 }
 
 // PartitionBy redistributes the records according to part. If the RDD is
@@ -31,10 +22,27 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], part Partitioner) *RDD
 		return r
 	}
 	ctx := r.ds.ctx
-	sd := ctx.newShuffleDep(r.ds, part,
-		func(key, val any) Record { return Pair[K, V]{Key: key.(K), Value: val.(V)} },
-		nil, nil, nil)
-	ds := ctx.newDataset("partitionBy<-"+r.ds.name, part.NumPartitions(), part)
+	parent := r.ds
+	sd := ctx.newShuffleDep(parent, part)
+	sd.bucket = func(tc *TaskContext, split int, codec Codec) ([]taskBucket, int64) {
+		return bucketPairs(unbox[Pair[K, V]](ctx.iterate(parent, split, tc)), part, codec)
+	}
+	sd.merge = func(c *Context, st *shuffleState, refs []bucketRef) partition {
+		total := 0
+		for _, ref := range refs {
+			total += ref.n
+		}
+		out := make([]Pair[K, V], 0, total)
+		for _, ref := range refs {
+			if ref.stored {
+				c.readStoredBucket(st, ref, func(rec Record) { out = append(out, rec.(Pair[K, V])) })
+			} else {
+				out = append(out, unbox[Pair[K, V]](ref.slab)[ref.lo:ref.lo+ref.n]...)
+			}
+		}
+		return box(out)
+	}
+	ds := ctx.newDataset("partitionBy<-"+parent.name, part.NumPartitions(), part)
 	ds.shuffle = sd
 	return &RDD[Pair[K, V]]{ds: ds}
 }
@@ -49,41 +57,72 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
 	part Partitioner) *RDD[Pair[K, C]] {
 
 	ctx := r.ds.ctx
-	if r.ds.part != nil && r.ds.part.Equal(part) {
+	parent := r.ds
+	if parent.part != nil && parent.part.Equal(part) {
 		// Co-partitioned: combine within each partition, no data movement.
-		parent := r.ds
-		ds := ctx.newDataset("combineByKey(narrow)<-"+parent.name, parent.parts, parent.part)
-		ds.deps = []*dataset{parent}
-		ds.narrow = func(tc *TaskContext, split int) []Record {
-			in := ctx.iterate(parent, split, tc)
-			combiners := make(map[K]C, len(in))
-			order := make([]K, 0, len(in))
-			for _, rec := range in {
-				p := rec.(Pair[K, V])
-				if comb, seen := combiners[p.Key]; seen {
-					combiners[p.Key] = mergeValue(comb, p.Value)
-				} else {
-					combiners[p.Key] = create(p.Value)
-					order = append(order, p.Key)
-				}
-			}
-			out := make([]Record, 0, len(order))
-			for _, k := range order {
-				out = append(out, Pair[K, C]{Key: k, Value: combiners[k]})
-			}
-			return out
-		}
-		return &RDD[Pair[K, C]]{ds: ds}
+		return narrow[Pair[K, V], Pair[K, C]](r, "combineByKey(narrow)", parent.part,
+			func(_ *TaskContext, _ int, in []Pair[K, V]) partition {
+				return box(combinePairs([][]Pair[K, V]{in}, create, mergeValue))
+			})
 	}
 
-	sd := ctx.newShuffleDep(r.ds, part,
-		func(key, val any) Record { return Pair[K, C]{Key: key.(K), Value: val.(C)} },
-		func(v any) any { return create(v.(V)) },
-		func(c, v any) any { return mergeValue(c.(C), v.(V)) },
-		func(a, b any) any { return mergeCombiners(a.(C), b.(C)) })
-	ds := ctx.newDataset("combineByKey<-"+r.ds.name, part.NumPartitions(), part)
+	sd := ctx.newShuffleDep(parent, part)
+	sd.combining = true
+	sd.bucket = func(tc *TaskContext, split int, _ Codec) ([]taskBucket, int64) {
+		in := unbox[Pair[K, V]](ctx.iterate(parent, split, tc))
+		return bucketPairs(combinePairs([][]Pair[K, V]{in}, create, mergeValue), part, nil)
+	}
+	sd.merge = func(_ *Context, _ *shuffleState, refs []bucketRef) partition {
+		chunks := make([][]Pair[K, C], len(refs))
+		for i, ref := range refs {
+			chunks[i] = unbox[Pair[K, C]](ref.slab)[ref.lo : ref.lo+ref.n]
+		}
+		return box(combinePairs(chunks, func(c C) C { return c }, mergeCombiners))
+	}
+	ds := ctx.newDataset("combineByKey<-"+parent.name, part.NumPartitions(), part)
 	ds.shuffle = sd
 	return &RDD[Pair[K, C]]{ds: ds}
+}
+
+// combinePairs folds the records of chunks, in order, into one combiner
+// per key, keys in first-seen order. The first pass numbers the keys as
+// they appear, which sizes the output exactly; the second fills the
+// slots — one equal to the count made so far is a key's first record.
+func combinePairs[K comparable, V, C any](chunks [][]Pair[K, V], create func(V) C, merge func(C, V) C) []Pair[K, C] {
+	n := 0
+	for _, ch := range chunks {
+		n += len(ch)
+	}
+	if n == 0 {
+		return nil
+	}
+	slots := make([]int32, 0, n)
+	index := make(map[K]int32, n)
+	for _, ch := range chunks {
+		for i := range ch {
+			s, seen := index[ch[i].Key]
+			if !seen {
+				s = int32(len(index))
+				index[ch[i].Key] = s
+			}
+			slots = append(slots, s)
+		}
+	}
+	out := make([]Pair[K, C], len(index))
+	made := 0
+	for _, ch := range chunks {
+		for i := range ch {
+			s := int(slots[0])
+			slots = slots[1:]
+			if s == made {
+				out[s] = Pair[K, C]{Key: ch[i].Key, Value: create(ch[i].Value)}
+				made++
+			} else {
+				out[s].Value = merge(out[s].Value, ch[i].Value)
+			}
+		}
+	}
+	return out
 }
 
 // GroupByKey gathers all values per key (combineByKey with slice

@@ -54,6 +54,10 @@ func (h HashPartitioner) Partition(key any) int {
 	return int(hashKey(key) % uint64(h.P))
 }
 
+func (h HashPartitioner) partitionCoord(c matrix.Coord) int {
+	return int(hashCoord(c) % uint64(h.P))
+}
+
 // Equal implements Partitioner.
 func (h HashPartitioner) Equal(other Partitioner) bool {
 	o, ok := other.(HashPartitioner)
@@ -90,6 +94,10 @@ func (g GridPartitioner) Partition(key any) int {
 	if !ok {
 		return int(hashKey(key) % uint64(g.P))
 	}
+	return g.partitionCoord(c)
+}
+
+func (g GridPartitioner) partitionCoord(c matrix.Coord) int {
 	// Linearize row-major, then spread contiguous runs of tiles across
 	// partitions evenly (round-robin over equal-size chunks).
 	idx := c.I*g.R + c.J
@@ -102,19 +110,41 @@ func (g GridPartitioner) Equal(other Partitioner) bool {
 	return ok && o == g
 }
 
+// coordPartitioner is the unboxed entry the built-in partitioners offer
+// for tile coordinates: Partition(key any) heap-boxes every 16-byte Coord.
+type coordPartitioner interface {
+	partitionCoord(c matrix.Coord) int
+}
+
+// partitionFunc resolves how part assigns keys of type K: the unboxed
+// entry when K is matrix.Coord and part has one, Partition(any) for user
+// partitioners and every other key type.
+func partitionFunc[K comparable](part Partitioner) func(K) int {
+	if cp, ok := part.(coordPartitioner); ok {
+		if f, ok := any(cp.partitionCoord).(func(K) int); ok {
+			return f
+		}
+	}
+	return func(k K) int { return part.Partition(k) }
+}
+
+// hashCoord is a SplitMix-style scramble of the packed coordinate.
+func hashCoord(c matrix.Coord) uint64 {
+	x := uint64(uint32(c.I))<<32 | uint64(uint32(c.J))
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // hashKey hashes the supported key types. Tile coordinates get a cheap
 // direct path; other comparable keys hash their printed form.
 func hashKey(key any) uint64 {
 	switch k := key.(type) {
 	case matrix.Coord:
-		// SplitMix-style scramble of the packed coordinate.
-		x := uint64(uint32(k.I))<<32 | uint64(uint32(k.J))
-		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		x ^= x >> 33
-		x *= 0xc4ceb9fe1a85ec53
-		x ^= x >> 33
-		return x
+		return hashCoord(k)
 	case int:
 		x := uint64(k) * 0x9e3779b97f4a7c15
 		return x ^ (x >> 29)

@@ -24,10 +24,11 @@ func (r *RDD[T]) Context() *Context { return r.ds.ctx }
 // computation (spark .cache()); cached bytes count against executor
 // memory. Returns the receiver for chaining.
 func (r *RDD[T]) Cache() *RDD[T] {
+	r.ds.cacheSize = func(p partition) int64 { return sizeAll(unbox[T](p)) }
 	r.ds.cacheOn = true
 	r.ds.mu.Lock()
 	if r.ds.cached == nil {
-		r.ds.cached = make(map[int][]Record)
+		r.ds.cached = make(map[int]partition)
 	}
 	r.ds.mu.Unlock()
 	return r
@@ -41,13 +42,8 @@ func (r *RDD[T]) Cache() *RDD[T] {
 // generations' shuffle files). The materialization stage is charged like
 // any other.
 func (r *RDD[T]) Checkpoint() error {
-	ctx := r.ds.ctx
-	data := ctx.runJob(r.ds)
-	r.ds.source = data
-	r.ds.narrow = nil
-	r.ds.shuffle = nil
-	r.ds.deps = nil
-	return ctx.Err()
+	_, err := r.CheckpointData()
+	return err
 }
 
 // CheckpointData checkpoints like Checkpoint and additionally returns
@@ -55,7 +51,8 @@ func (r *RDD[T]) Checkpoint() error {
 // checkpointer's hook: the driver persists exactly the materialization
 // the cadence checkpoint runs anyway, so writing to Config.DurableDir
 // adds no extra stage — stage numbering, fault-plan firing points and
-// the virtual clock are identical with and without a durable dir.
+// the virtual clock are identical with and without a durable dir. The
+// rows are the engine's own partitions: read-only.
 func (r *RDD[T]) CheckpointData() ([][]T, error) {
 	ctx := r.ds.ctx
 	data := ctx.runJob(r.ds)
@@ -63,15 +60,7 @@ func (r *RDD[T]) CheckpointData() ([][]T, error) {
 	r.ds.narrow = nil
 	r.ds.shuffle = nil
 	r.ds.deps = nil
-	out := make([][]T, len(data))
-	for i, part := range data {
-		typed := make([]T, len(part))
-		for j, rec := range part {
-			typed[j] = rec.(T)
-		}
-		out[i] = typed
-	}
-	return out, ctx.Err()
+	return unboxAll[T](data), ctx.Err()
 }
 
 // Unpersist drops cached partitions and returns their memory.
@@ -79,14 +68,10 @@ func (r *RDD[T]) Unpersist() {
 	ds := r.ds
 	ds.mu.Lock()
 	freed := make(map[int]int64)
-	for split, recs := range ds.cached {
-		var b int64
-		for _, rec := range recs {
-			b += ds.ctx.sizer(rec)
-		}
-		freed[split] = b
+	for split, p := range ds.cached {
+		freed[split] = ds.cacheSize(p)
 	}
-	ds.cached = make(map[int][]Record)
+	ds.cached = make(map[int]partition)
 	ds.cacheOn = false
 	ds.mu.Unlock()
 	for split, b := range freed {
@@ -101,12 +86,12 @@ func Parallelize[T any](c *Context, recs []T, parts int) *RDD[T] {
 		panic("rdd: Parallelize needs ≥1 partitions")
 	}
 	ds := c.newDataset(fmt.Sprintf("parallelize[%d]", len(recs)), parts, nil)
-	src := make([][]Record, parts)
+	src := make([][]T, parts)
 	for i, rec := range recs {
 		p := i % parts
 		src[p] = append(src[p], rec)
 	}
-	ds.source = src
+	ds.source = boxAll(src)
 	return &RDD[T]{ds: ds}
 }
 
@@ -116,31 +101,51 @@ func Parallelize[T any](c *Context, recs []T, parts int) *RDD[T] {
 func ParallelizePairs[K comparable, V any](c *Context, recs []Pair[K, V], part Partitioner) *RDD[Pair[K, V]] {
 	p := part.NumPartitions()
 	ds := c.newDataset(fmt.Sprintf("parallelizePairs[%d]", len(recs)), p, part)
-	src := make([][]Record, p)
+	src := make([][]Pair[K, V], p)
+	partOf := partitionFunc[K](part)
 	for _, rec := range recs {
-		b := part.Partition(rec.Key)
+		b := partOf(rec.Key)
 		src[b] = append(src[b], rec)
 	}
-	ds.source = src
+	ds.source = boxAll(src)
 	return &RDD[Pair[K, V]]{ds: ds}
+}
+
+// unboxAll recovers the typed rows of a job's partitions.
+func unboxAll[T any](parts []partition) [][]T {
+	out := make([][]T, len(parts))
+	for i, p := range parts {
+		out[i] = unbox[T](p)
+	}
+	return out
+}
+
+// boxAll boxes each partition of a driver-built source.
+func boxAll[T any](src [][]T) []partition {
+	out := make([]partition, len(src))
+	for i, recs := range src {
+		out[i] = box(recs)
+	}
+	return out
 }
 
 // Filter returns the records satisfying pred. Narrow; preserves the
 // partitioner (keys are untouched).
 func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 	parent := r.ds
-	ds := r.ds.ctx.newDataset("filter<-"+parent.name, parent.parts, parent.part)
+	ctx := r.ds.ctx
+	ds := ctx.newDataset("filter<-"+parent.name, parent.parts, parent.part)
 	ds.deps = []*dataset{parent}
-	ds.narrow = func(tc *TaskContext, split int) []Record {
-		in := r.ds.ctx.iterate(parent, split, tc)
+	ds.narrow = func(tc *TaskContext, split int) partition {
+		p := ctx.iterate(parent, split, tc)
+		in := unbox[T](p)
 		// Count first: a partition that passes entirely is handed through
-		// and one that matches nothing returns nil, so only partitions the
-		// predicate actually splits pay for a copy. The grid filters of the
-		// DP drivers (pivot row/column/interior selections) fall in the
-		// no-copy cases for almost every partition.
+		// (box and all) and one that matches nothing returns nil, so only
+		// partitions the predicate splits pay for a copy — the DP drivers'
+		// grid filters almost never do.
 		keep := 0
-		for _, rec := range in {
-			if pred(rec.(T)) {
+		for i := range in {
+			if pred(in[i]) {
 				keep++
 			}
 		}
@@ -148,12 +153,12 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 		case 0:
 			return nil
 		case len(in):
-			return in
+			return p
 		}
-		out := make([]Record, 0, keep)
-		for _, rec := range in {
-			if pred(rec.(T)) {
-				out = append(out, rec)
+		out := make([]T, 0, keep)
+		for i := range in {
+			if pred(in[i]) {
+				out = append(out, in[i])
 			}
 		}
 		return out
@@ -161,66 +166,81 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 	return &RDD[T]{ds: ds}
 }
 
+// narrow builds a one-parent narrow transformation: f maps partitions.
+func narrow[T, U any](r *RDD[T], op string, part Partitioner, f func(tc *TaskContext, split int, in []T) partition) *RDD[U] {
+	parent := r.ds
+	ds := parent.ctx.newDataset(op+"<-"+parent.name, parent.parts, part)
+	ds.deps = []*dataset{parent}
+	ds.narrow = func(tc *TaskContext, split int) partition {
+		return f(tc, split, unbox[T](parent.ctx.iterate(parent, split, tc)))
+	}
+	return &RDD[U]{ds: ds}
+}
+
 // Map applies f to every record. Narrow; clears the partitioner (keys may
 // change). f receives the TaskContext to charge modelled kernel time.
 func Map[T, U any](r *RDD[T], f func(tc *TaskContext, rec T) U) *RDD[U] {
-	parent := r.ds
-	ds := r.ds.ctx.newDataset("map<-"+parent.name, parent.parts, nil)
-	ds.deps = []*dataset{parent}
-	ds.narrow = func(tc *TaskContext, split int) []Record {
-		in := r.ds.ctx.iterate(parent, split, tc)
-		out := make([]Record, len(in))
-		for i, rec := range in {
-			out[i] = f(tc, rec.(T))
+	return narrow[T, U](r, "map", nil, func(tc *TaskContext, _ int, in []T) partition {
+		if len(in) == 0 {
+			return nil
+		}
+		out := make([]U, len(in))
+		for i := range in {
+			out[i] = f(tc, in[i])
 		}
 		return out
-	}
-	return &RDD[U]{ds: ds}
+	})
 }
 
 // FlatMap applies f to every record and concatenates the results.
-// Narrow; clears the partitioner.
+// Narrow; clears the partitioner. The engine keeps the slices f returns
+// until the partition is assembled (and adopts a lone one as the
+// partition), so f must return a fresh slice per call.
 func FlatMap[T, U any](r *RDD[T], f func(tc *TaskContext, rec T) []U) *RDD[U] {
-	parent := r.ds
-	ds := r.ds.ctx.newDataset("flatMap<-"+parent.name, parent.parts, nil)
-	ds.deps = []*dataset{parent}
-	ds.narrow = func(tc *TaskContext, split int) []Record {
-		in := r.ds.ctx.iterate(parent, split, tc)
-		var out []Record
-		for _, rec := range in {
-			for _, u := range f(tc, rec.(T)) {
-				out = append(out, u)
-			}
+	return narrow[T, U](r, "flatMap", nil, func(tc *TaskContext, _ int, in []T) partition {
+		if len(in) == 0 {
+			return nil
 		}
-		return out
+		// Gather the emits, then copy once into an exactly sized slice.
+		emits := make([][]U, len(in))
+		total := 0
+		for i := range in {
+			emits[i] = f(tc, in[i])
+			total += len(emits[i])
+		}
+		return box(concat(emits, total))
+	})
+}
+
+// concat joins chunks holding total records into one slice; when a single
+// chunk holds them all it is returned as is.
+func concat[T any](chunks [][]T, total int) []T {
+	if total == 0 {
+		return nil
 	}
-	return &RDD[U]{ds: ds}
+	for _, ch := range chunks {
+		if len(ch) == total {
+			return ch
+		}
+	}
+	out := make([]T, 0, total)
+	for _, ch := range chunks {
+		out = append(out, ch...)
+	}
+	return out
 }
 
 // MapPartitions applies f to each whole partition. preservesPartitioning
-// keeps the input partitioner (assert keys unchanged), as in Spark.
+// keeps the input partitioner (assert keys unchanged), as in Spark. recs
+// is the engine's own partition, not a copy: f must not modify it.
 func MapPartitions[T, U any](r *RDD[T], f func(tc *TaskContext, recs []T) []U, preservesPartitioning bool) *RDD[U] {
-	parent := r.ds
 	var part Partitioner
 	if preservesPartitioning {
-		part = parent.part
+		part = r.ds.part
 	}
-	ds := r.ds.ctx.newDataset("mapPartitions<-"+parent.name, parent.parts, part)
-	ds.deps = []*dataset{parent}
-	ds.narrow = func(tc *TaskContext, split int) []Record {
-		in := r.ds.ctx.iterate(parent, split, tc)
-		typed := make([]T, len(in))
-		for i, rec := range in {
-			typed[i] = rec.(T)
-		}
-		us := f(tc, typed)
-		out := make([]Record, len(us))
-		for i, u := range us {
-			out[i] = u
-		}
-		return out
-	}
-	return &RDD[U]{ds: ds}
+	return narrow[T, U](r, "mapPartitions", part, func(tc *TaskContext, _ int, in []T) partition {
+		return box(f(tc, in))
+	})
 }
 
 // Union concatenates RDDs of the same type. When every input shares one
@@ -249,30 +269,26 @@ func (r *RDD[T]) Union(others ...*RDD[T]) *RDD[T] {
 	if aware {
 		ds := ctx.newDataset(fmt.Sprintf("paUnion[%d]", len(all)), r.ds.parts, r.ds.part)
 		ds.deps = deps
-		ds.narrow = func(tc *TaskContext, split int) []Record {
-			// Compute every input once (iterate charges compute, so no
-			// second pass), then merge into an exactly-sized slice; if a
-			// single input holds all the records, hand it through.
-			ins := make([][]Record, len(deps))
-			total, nonEmpty := 0, -1
-			for i, p := range deps {
-				ins[i] = ctx.iterate(p, split, tc)
-				if len(ins[i]) > 0 {
-					nonEmpty = i
+		ds.narrow = func(tc *TaskContext, split int) partition {
+			// Compute every input once (iterate charges compute). Most
+			// partitions of the DP drivers' unions are empty or fed by one
+			// input: those return nil or hand the one box through.
+			var only partition
+			var buf [4][]T
+			ins, total := buf[:0], 0
+			for _, d := range deps {
+				p := ctx.iterate(d, split, tc)
+				if p == nil {
+					continue
 				}
-				total += len(ins[i])
+				only = p
+				ins = append(ins, unbox[T](p))
+				total += len(ins[len(ins)-1])
 			}
-			if total == 0 {
-				return nil
+			if len(ins) <= 1 {
+				return only
 			}
-			if len(ins[nonEmpty]) == total {
-				return ins[nonEmpty]
-			}
-			out := make([]Record, 0, total)
-			for _, in := range ins {
-				out = append(out, in...)
-			}
-			return out
+			return concat(ins, total)
 		}
 		return &RDD[T]{ds: ds}
 	}
@@ -283,7 +299,7 @@ func (r *RDD[T]) Union(others ...*RDD[T]) *RDD[T] {
 	}
 	ds := ctx.newDataset(fmt.Sprintf("union[%d]", len(all)), total, nil)
 	ds.deps = deps
-	ds.narrow = func(tc *TaskContext, split int) []Record {
+	ds.narrow = func(tc *TaskContext, split int) partition {
 		for _, p := range deps {
 			if split < p.parts {
 				return ctx.iterate(p, split, tc)

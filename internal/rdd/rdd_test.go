@@ -517,22 +517,88 @@ func TestUnionAcrossContextsPanics(t *testing.T) {
 	a.Union(b)
 }
 
+// oldDefaultSizer is the boxed-record pricing the engine used before the
+// typed record path (the default of Conf's Sizer knob), kept as the reference
+// the typed prices must match.
+func oldDefaultSizer(rec any) int64 {
+	switch v := rec.(type) {
+	case *matrix.Tile:
+		if v == nil {
+			return 0
+		}
+		return v.Bytes()
+	case matrix.Coord:
+		return 16
+	case nil:
+		return 0
+	case int, int64, float64, uint64:
+		return 8
+	case string:
+		return int64(len(v))
+	case sized:
+		return v.SizeBytes()
+	default:
+		return 64
+	}
+}
+
+// tagged is a value record with the SizeBytes hook, shaped like the
+// drivers' tagged tile messages; ptrSized carries the hook on a pointer.
+type tagged struct {
+	tag  uint8
+	tile *matrix.Tile
+}
+
+func (m tagged) SizeBytes() int64 { return oldDefaultSizer(m.tile) + 1 }
+
+type ptrSized struct{ n int64 }
+
+func (p *ptrSized) SizeBytes() int64 { return p.n }
+
+// priced checks sizerOf[T] against the boxed reference for one value.
+func priced[T any](t *testing.T, name string, v T, want int64) {
+	t.Helper()
+	if got := sizerOf[T]()(v); got != want {
+		t.Errorf("%s: typed price %d, boxed reference %d", name, got, want)
+	}
+	if got := sizeAll([]T{v, v}); got != 2*want {
+		t.Errorf("%s: sizeAll of two = %d, want %d", name, got, 2*want)
+	}
+}
+
+// pricedPair checks a pair prices as key plus value, as pairs always have.
+func pricedPair[K comparable, V any](t *testing.T, name string, k K, v V) {
+	t.Helper()
+	priced(t, name, KV(k, v), oldDefaultSizer(k)+oldDefaultSizer(v))
+}
+
+// TestDefaultSizer is the parity table for the typed pricing that
+// replaced Conf's Sizer knob: every record shape prices exactly as the boxed
+// DefaultSizer did. (core and lcs pin their own record types against the
+// same numbers in TestRecordPricing.)
 func TestDefaultSizer(t *testing.T) {
-	tile := matrix.NewTile(8)
-	if DefaultSizer(tile) != 8*8*8 {
-		t.Fatal("tile size")
-	}
-	if DefaultSizer(KV(matrix.Coord{I: 1, J: 2}, tile)) != 16+512 {
-		t.Fatal("pair size")
-	}
-	if DefaultSizer(nil) != 0 || DefaultSizer(3) != 8 || DefaultSizer("abcd") != 4 {
-		t.Fatal("scalar sizes")
-	}
+	real, sym := matrix.NewTile(8), matrix.NewSymbolicTile(1024)
 	var nilTile *matrix.Tile
-	if DefaultSizer(nilTile) != 0 {
-		t.Fatal("nil tile")
+	c := matrix.Coord{I: 1, J: 2}
+	for name, tile := range map[string]*matrix.Tile{"tile": real, "symbolic tile": sym, "nil tile": nilTile} {
+		priced(t, name, tile, oldDefaultSizer(tile))
+		pricedPair(t, "coord→"+name, c, tile)
+		priced(t, "tagged "+name, tagged{1, tile}, oldDefaultSizer(tagged{1, tile}))
+		pricedPair(t, "coord→tagged "+name, c, tagged{1, tile})
 	}
-	if DefaultSizer(struct{ X int }{1}) != 64 {
-		t.Fatal("default size")
+	if oldDefaultSizer(real) != 8*8*8 || oldDefaultSizer(sym) != 1024*1024*8 {
+		t.Fatal("reference tile sizes")
 	}
+	priced(t, "coord", c, 16)
+	priced(t, "int", 3, 8)
+	priced(t, "int64", int64(3), 8)
+	priced(t, "float64", 3.5, 8)
+	priced(t, "uint64", uint64(3), 8)
+	priced(t, "string", "abcd", 4)
+	priced(t, "unknown struct", struct{ X int }{1}, 64)
+	priced(t, "unknown slice", []tagged{{1, real}}, 64)
+	priced(t, "pointer with hook", &ptrSized{n: 7}, 7)
+	pricedPair(t, "string→int", "key", 9)
+	pricedPair(t, "int→unknown", 4, struct{ A, B float64 }{})
+	priced(t, "nested pair", KV(1, KV("ab", real)), 8+2+512)
 }

@@ -2,85 +2,117 @@ package rdd
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dpspark/internal/obs"
 )
 
-// Shuffle staging buffers churn fast: every map task builds a bucket map
-// and per-reduce record slices, and every retired shuffle generation
-// drops its slices for the GC to sweep. Both are recycled process-wide —
-// the maps as soon as their slices have been handed to the shuffle state,
-// the slices when their shuffle generation is retired.
-var (
-	bucketMapPool = sync.Pool{New: func() any {
-		return make(map[int]taskBucket)
-	}}
-	recSlicePool sync.Pool // stores *[]keyedRecord
-)
-
-// taskBucket is one map task's output for one reduce partition, as the
-// task hands it to the map stage's merge: the records, their sizer-priced
-// payload (summed as the task emits them) and, when the context stages
-// durably and the codec took every record, the bucket's encoding.
+// taskBucket is one map task's output for one reduce partition, as handed
+// to the map stage's merge: the in-memory bucketRef it becomes and, when
+// staging durably and the codec took every record, its encoding.
 type taskBucket struct {
-	recs  []keyedRecord
-	bytes int64
-	blob  []byte
+	reduce int
+	ref    bucketRef
+	blob   []byte
 }
 
-// getRecSlice returns an empty pooled record slice, or one presized to
-// hint when the pool is empty.
-func getRecSlice(hint int) []keyedRecord {
-	if p, _ := recSlicePool.Get().(*[]keyedRecord); p != nil {
-		return (*p)[:0]
+// scratchPool recycles bucketPairs' counters: one per target partition
+// plus one per record — a paper-scale grid has a thousand partitions and
+// map tasks that move three records.
+var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// bucketPairs is the typed back half of every shuffle's map side: it
+// splits one map task's records by the target partitioner into one bucket
+// per non-empty reduce partition, ascending. Two passes over the keys —
+// count, then place — lay all buckets out in one exactly sized slab. Keys
+// are partitioned and records priced unboxed; only a non-nil codec (the
+// durable path) sees boxed records.
+func bucketPairs[K comparable, V any](recs []Pair[K, V], part Partitioner, codec Codec) ([]taskBucket, int64) {
+	if len(recs) == 0 {
+		return nil, 0
 	}
-	return make([]keyedRecord, 0, hint)
-}
-
-// putRecSlice recycles a record slice, zeroing the elements first so the
-// pool does not pin the shuffled keys and values (tiles!) against GC.
-func putRecSlice(recs []keyedRecord) {
+	partOf := partitionFunc[K](part)
+	p := part.NumPartitions()
+	sp := scratchPool.Get().(*[]int32)
+	defer scratchPool.Put(sp)
+	if cap(*sp) < p+len(recs) {
+		*sp = make([]int32, p+len(recs))
+	}
+	ends, dest := (*sp)[:p], (*sp)[p:p+len(recs)]
+	clear(ends)
+	nonEmpty := 0
 	for i := range recs {
-		recs[i] = keyedRecord{}
+		b := partOf(recs[i].Key)
+		dest[i] = int32(b)
+		if ends[b] == 0 {
+			nonEmpty++
+		}
+		ends[b]++
 	}
-	recSlicePool.Put(&recs)
+	// Counts → start offsets; placing advances each to its bucket's end.
+	at := int32(0)
+	for b, n := range ends {
+		ends[b] = at
+		at += n
+	}
+	slab := make([]Pair[K, V], len(recs))
+	for i := range recs {
+		slab[ends[dest[i]]] = recs[i]
+		ends[dest[i]]++
+	}
+	boxed := partition(slab)
+
+	sizeKey, sizeVal := sizerOf[K](), sizerOf[V]()
+	buckets := make([]taskBucket, 0, nonEmpty)
+	var spill int64
+	lo := 0
+	for b, end := range ends {
+		hi := int(end)
+		if hi == lo {
+			continue
+		}
+		rs := slab[lo:hi]
+		tb := taskBucket{reduce: b, ref: bucketRef{slab: boxed, lo: lo, n: hi - lo}}
+		lo = hi
+		for i := range rs {
+			tb.ref.bytes += sizeKey(rs[i].Key) + sizeVal(rs[i].Value)
+		}
+		if codec != nil {
+			// Encoded here, in the task; the Put waits for the merge (see
+			// spill.go on why staging is all-or-nothing per bucket).
+			tb.blob, _ = encodeExact(codec, rs)
+		}
+		spill += tb.ref.bytes
+		buckets = append(buckets, tb)
+	}
+	return buckets, spill
 }
 
-// newShuffleDep registers a shuffle dependency.
-func (c *Context) newShuffleDep(parent *dataset, part Partitioner,
-	rebuild func(key, val any) Record,
-	create func(v any) any, mergeValue, mergeComb func(a, b any) any) *shuffleDep {
+// newShuffleDep registers a shuffle dependency; the caller sets its sides.
+func (c *Context) newShuffleDep(parent *dataset, part Partitioner) *shuffleDep {
 	c.mu.Lock()
 	id := c.nextShuffle
 	c.nextShuffle++
 	c.mu.Unlock()
-	return &shuffleDep{
-		id:         id,
-		parent:     parent,
-		part:       part,
-		phase:      c.CurrentPhase(),
-		rebuild:    rebuild,
-		create:     create,
-		mergeValue: mergeValue,
-		mergeComb:  mergeComb,
-	}
+	return &shuffleDep{id: id, parent: parent, part: part, phase: c.CurrentPhase()}
 }
 
 // bucketRef is one map task's contribution to one reduce partition —
-// either in-process records (recs) or, when the bucket was staged in the
-// durable block store, a block key plus record count (stored). Staged or
-// not, bytes carries the same sizer-priced payload, so virtual traffic
-// charges are identical either way.
+// either in-process records (n of them from offset lo of slab, the one
+// boxed []Pair[K,·] holding all of the task's buckets back to back) or,
+// when the bucket was staged in the durable block store, a block key.
+// Either way n counts the records and bytes carries the same priced
+// payload, so virtual traffic charges are identical.
 type bucketRef struct {
 	mapPart int
-	recs    []keyedRecord
+	slab    partition
+	lo, n   int
 	bytes   int64
-	// stored marks a bucket staged in the durable store under key with n
-	// encoded records; recs is nil for stored buckets.
+	// stored marks a bucket staged in the durable store under key; slab
+	// is nil for stored buckets.
 	stored bool
 	key    string
-	n      int
 }
 
 // runMapStage executes the map side of a shuffle: one task per parent
@@ -144,10 +176,16 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 
 	// One value per task, reset at the start of every attempt, so a failed
 	// attempt's buckets and encodings are simply dropped.
-	perTask := make([]map[int]taskBucket, n)
-	spillByTask := make([]int64, n)
-	nodeByTask := make([]int, n)
-	durable := c.store != nil && c.conf.SpillCodec != nil && !sd.combining()
+	type taskOut struct {
+		node    int
+		spill   int64
+		buckets []taskBucket
+	}
+	outs := make([]taskOut, n)
+	var codec Codec
+	if c.store != nil && !sd.combining {
+		codec = c.conf.SpillCodec
+	}
 
 	c.execStage(stageSpec{
 		kind:      StageShuffleMap,
@@ -158,83 +196,10 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 		attempt:   attempt,
 		splits:    splits,
 	}, func(tc *TaskContext, idx, split int) {
-		nodeByTask[idx] = tc.Node
-		perTask[idx] = nil
-		spillByTask[idx] = 0
-		recs := c.iterate(sd.parent, split, tc)
-		if len(recs) == 0 {
-			return
-		}
-		buckets := bucketMapPool.Get().(map[int]taskBucket)
-		var spill int64
-
-		// Presize fresh bucket slices for this task's expected share: the
-		// map side emits at most len(recs) records spread over the target
-		// partitions.
-		hint := 1 + len(recs)/sd.part.NumPartitions()
-		emit := func(kr keyedRecord, bytes int64) {
-			b := sd.part.Partition(kr.key)
-			tb, ok := buckets[b]
-			if !ok {
-				tb.recs = getRecSlice(hint)
-			}
-			tb.recs = append(tb.recs, kr)
-			tb.bytes += bytes
-			buckets[b] = tb
-			spill += bytes
-		}
-		if sd.combining() {
-			// Map-side combine: per-key combiners in input order.
-			combiners := make(map[any]any, len(recs))
-			var order []any
-			for _, r := range recs {
-				pr, ok := r.(pairLike)
-				if !ok {
-					panic(fmt.Sprintf("rdd: shuffle over non-pair record %T", r))
-				}
-				k, v := pr.pairKey(), pr.pairValue()
-				if comb, seen := combiners[k]; seen {
-					combiners[k] = sd.mergeValue(comb, v)
-				} else {
-					combiners[k] = sd.create(v)
-					order = append(order, k)
-				}
-			}
-			for _, k := range order {
-				v := combiners[k]
-				emit(keyedRecord{key: k, val: v}, c.sizer(k)+c.sizer(v))
-			}
-		} else {
-			for _, r := range recs {
-				pr, ok := r.(pairLike)
-				if !ok {
-					panic(fmt.Sprintf("rdd: shuffle over non-pair record %T", r))
-				}
-				// Stage the original record alongside the boxed key and
-				// value: the key buckets and partitions, key+value price
-				// the traffic, and the reduce side hands rec through
-				// unchanged (see keyedRecord).
-				k, v := pr.pairKey(), pr.pairValue()
-				emit(keyedRecord{key: k, val: v, rec: r}, c.sizer(k)+c.sizer(v))
-			}
-		}
-
-		if durable {
-			// Encode where the data was produced: in this task's goroutine,
-			// next to its siblings', with no lock held. Whether a bucket is
-			// staged is all-or-nothing and purely data-dependent (see
-			// spill.go's determinism note); the Put waits for the merge.
-			for b, tb := range buckets {
-				if blob, ok := c.encodeBucket(tb.recs); ok {
-					tb.blob = blob
-					buckets[b] = tb
-				}
-			}
-		}
-
+		outs[idx] = taskOut{node: tc.Node}
+		buckets, spill := sd.bucket(tc, split, codec)
 		tc.spill += spill
-		perTask[idx] = buckets
-		spillByTask[idx] = spill
+		outs[idx] = taskOut{node: tc.Node, spill: spill, buckets: buckets}
 	})
 
 	st.mu.Lock()
@@ -284,8 +249,6 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 						// deleting first covers a recompute that no longer
 						// produces this bucket (and drops a damaged file).
 						c.store.Delete(ref.key)
-					} else {
-						putRecSlice(ref.recs)
 					}
 				} else {
 					keep = append(keep, ref)
@@ -294,36 +257,44 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 			st.byReduce[b] = keep
 		}
 	}
+	if splits == nil {
+		// The initial materialization knows every bucket up front: carve
+		// each reduce partition's refs out of one exactly sized slab.
+		counts := make([]int, len(st.byReduce))
+		total := 0
+		for _, out := range outs {
+			for _, tb := range out.buckets {
+				counts[tb.reduce]++
+			}
+			total += len(out.buckets)
+		}
+		slab := make([]bucketRef, total)
+		for b, cnt := range counts {
+			st.byReduce[b], slab = slab[:0:cnt], slab[cnt:]
+		}
+	}
 	for idx := 0; idx < n; idx++ {
 		split := idx
 		if splits != nil {
 			split = splits[idx]
 		}
-		st.mapNode[split] = nodeByTask[idx]
-		st.spillByMap[split] = spillByTask[idx]
-		st.spillByNode[nodeByTask[idx]] += spillByTask[idx]
+		out := outs[idx]
+		st.mapNode[split] = out.node
+		st.spillByMap[split] = out.spill
+		st.spillByNode[out.node] += out.spill
 		st.refsByMap[split] = 0
-		buckets := perTask[idx]
-		if buckets == nil {
-			continue
-		}
-		for b, tb := range buckets {
-			ref := bucketRef{mapPart: split, recs: tb.recs, bytes: tb.bytes}
+		for _, tb := range out.buckets {
+			ref := tb.ref
+			ref.mapPart = split
 			if tb.blob != nil {
-				key := shuffleBlockKey(sd.id, split, b)
+				key := shuffleBlockKey(sd.id, split, tb.reduce)
 				if err := c.store.Put(key, tb.blob); err == nil {
-					putRecSlice(tb.recs)
-					ref = bucketRef{mapPart: split, bytes: tb.bytes, stored: true, key: key, n: len(tb.recs)}
+					ref.slab, ref.stored, ref.key = nil, true, key
 				}
 			}
-			st.byReduce[b] = append(st.byReduce[b], ref)
+			st.byReduce[tb.reduce] = append(st.byReduce[tb.reduce], ref)
 			st.refsByMap[split]++
 		}
-		// The slices now belong to the shuffle state (recycled when the
-		// generation retires); the map itself recycles immediately.
-		clear(buckets)
-		bucketMapPool.Put(buckets)
-		perTask[idx] = nil
 	}
 }
 
@@ -365,7 +336,7 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 		// staging overwrites the damaged file.
 		lost = append(lost, ff.MapPart)
 	}
-	sortInts(lost)
+	slices.Sort(lost)
 	st.mu.Unlock()
 	// The invalidated contributions stay visible in byReduce until the
 	// recompute's merge swaps them out atomically (see execMapTasks):
@@ -420,23 +391,9 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 	return c.Err()
 }
 
-// sortInts is an allocation-free insertion sort for small index lists.
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-// sortBucketRefs orders contributions by map partition (insertion is
-// already nearly sorted; simple insertion sort keeps it allocation-free).
+// sortBucketRefs orders contributions by map partition.
 func sortBucketRefs(refs []bucketRef) {
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && refs[j].mapPart < refs[j-1].mapPart; j-- {
-			refs[j], refs[j-1] = refs[j-1], refs[j]
-		}
-	}
+	slices.SortStableFunc(refs, func(a, b bucketRef) int { return a.mapPart - b.mapPart })
 }
 
 // readShuffle is the reduce side: fetch this partition's buckets from the
@@ -447,7 +404,7 @@ func sortBucketRefs(refs []bucketRef) {
 // and resubmits the map stage for the lost partitions. The read holds the
 // shuffle's read lock throughout, so a concurrent recovery can only
 // rewrite the buckets between whole reads.
-func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext) []Record {
+func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext) partition {
 	c.mu.Lock()
 	st := c.shuffles[sd.id]
 	c.mu.Unlock()
@@ -464,61 +421,23 @@ func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext) []Reco
 	}
 
 	refs := st.byReduce[split]
+	if len(refs) == 0 {
+		return nil
+	}
 	for _, ref := range refs {
 		if st.lost[ref.mapPart] {
-			panic(&FetchFailedError{
-				ShuffleID: sd.id,
-				MapPart:   ref.mapPart,
-				Node:      st.mapNode[ref.mapPart],
-				Epoch:     st.epoch,
-			})
+			panic(st.fetchFailed(ref, false))
 		}
+		c.chargeFetch(tc, st.mapNode[ref.mapPart], ref.bytes)
 	}
-	var recs []Record
-	if sd.combining() {
-		combiners := make(map[any]any)
-		var order []any
-		for _, ref := range refs {
-			c.chargeFetch(tc, st.mapNode[ref.mapPart], ref.bytes)
-			for _, kr := range ref.recs {
-				if comb, seen := combiners[kr.key]; seen {
-					combiners[kr.key] = sd.mergeComb(comb, kr.val)
-				} else {
-					combiners[kr.key] = kr.val
-					order = append(order, kr.key)
-				}
-			}
-		}
-		recs = make([]Record, 0, len(order))
-		for _, k := range order {
-			recs = append(recs, sd.rebuild(k, combiners[k]))
-		}
-	} else {
-		total := 0
-		for _, ref := range refs {
-			if ref.stored {
-				total += ref.n
-			} else {
-				total += len(ref.recs)
-			}
-		}
-		recs = make([]Record, 0, total)
-		for _, ref := range refs {
-			c.chargeFetch(tc, st.mapNode[ref.mapPart], ref.bytes)
-			if ref.stored {
-				recs = c.readStoredBucket(sd, st, ref, recs)
-				continue
-			}
-			for _, kr := range ref.recs {
-				if kr.rec != nil {
-					recs = append(recs, kr.rec)
-				} else {
-					recs = append(recs, sd.rebuild(kr.key, kr.val))
-				}
-			}
-		}
-	}
-	return recs
+	return sd.merge(c, st, refs)
+}
+
+// fetchFailed is the failure a reduce task raises over ref's map output
+// (lost with its executor, or corrupt in the block store).
+func (st *shuffleState) fetchFailed(ref bucketRef, corrupt bool) *FetchFailedError {
+	return &FetchFailedError{ShuffleID: st.dep.id, MapPart: ref.mapPart,
+		Node: st.mapNode[ref.mapPart], Epoch: st.epoch, Corrupt: corrupt}
 }
 
 // chargeFetch attributes a bucket read to local disk or the network,
@@ -548,7 +467,6 @@ func (c *Context) retireOldShuffles() {
 		}
 	}
 	c.mu.Unlock()
-	var retiredBuckets [][][]bucketRef
 	for _, st := range toRetire {
 		st.mu.Lock()
 		if st.retired {
@@ -556,7 +474,6 @@ func (c *Context) retireOldShuffles() {
 			continue
 		}
 		st.retired = true
-		retiredBuckets = append(retiredBuckets, st.byReduce)
 		st.byReduce = nil
 		spillByNode := st.spillByNode
 		st.mu.Unlock()
@@ -567,18 +484,6 @@ func (c *Context) retireOldShuffles() {
 			// Retired generations also leave the durable store (their
 			// staged blocks would otherwise pin disk forever).
 			c.store.DeletePrefix(shufflePrefix(st.dep.id))
-		}
-	}
-	// Recycle the retired staging slices (readShuffle panics on retired
-	// generations, so nothing can still be reading them).
-	for _, byReduce := range retiredBuckets {
-		for _, refs := range byReduce {
-			for i := range refs {
-				if refs[i].recs != nil {
-					putRecSlice(refs[i].recs)
-					refs[i].recs = nil
-				}
-			}
 		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 // pointer-sharing in-memory path.
 //
 // Staging is split in two: the map task that produced a bucket encodes
-// it (encodeBucket — in parallel across the stage's task workers, off the
+// it (bucketPairs — in parallel across the stage's task workers, off the
 // driver goroutine and outside the shuffle's lock), and the map stage's
 // merge, which runs serially in map-partition order, does the store.Put.
 // Everything order-sensitive — LRU order and so the eviction counts,
@@ -90,14 +90,14 @@ func shufflePrefix(shuffleID int) string {
 	return fmt.Sprintf("shuffle/%d/", shuffleID)
 }
 
-// encodeExact serializes n records (rec(i) yields the i-th) into one
-// exactly sized buffer. A first pass over EncodedLen sizes it and makes
-// the all-or-nothing decision — ok=false if any record is nil or the
-// codec declines it — before a byte is written.
-func encodeExact(codec Codec, n int, rec func(i int) Record) ([]byte, bool) {
+// encodeExact serializes recs into one exactly sized buffer — the only
+// place records are boxed, for the Codec. A first pass over EncodedLen
+// sizes it and makes the all-or-nothing decision — ok=false if any record
+// is nil or the codec declines it — before a byte is written.
+func encodeExact[T any](codec Codec, recs []T) ([]byte, bool) {
 	size := 0
-	for i := 0; i < n; i++ {
-		r := rec(i)
+	for i := range recs {
+		r := Record(recs[i])
 		if r == nil {
 			return nil, false
 		}
@@ -108,10 +108,10 @@ func encodeExact(codec Codec, n int, rec func(i int) Record) ([]byte, bool) {
 		size += m
 	}
 	dst := make([]byte, 0, size)
-	for i := 0; i < n; i++ {
+	for i := range recs {
 		var ok bool
-		if dst, ok = codec.Append(dst, rec(i)); !ok {
-			panic(fmt.Sprintf("rdd: codec %T sized record %d of %d but declined to encode it", codec, i, n))
+		if dst, ok = codec.Append(dst, recs[i]); !ok {
+			panic(fmt.Sprintf("rdd: codec %T sized record %d of %d but declined to encode it", codec, i, len(recs)))
 		}
 	}
 	if len(dst) != size {
@@ -120,55 +120,31 @@ func encodeExact(codec Codec, n int, rec func(i int) Record) ([]byte, bool) {
 	return dst, true
 }
 
-// encodeBucket serializes a bucket's records through the spill codec;
-// ok=false (bucket stays memory-resident) if any record lacks the
-// passthrough original or the codec declines it. Called by the map task
-// that built the bucket.
-func (c *Context) encodeBucket(recs []keyedRecord) ([]byte, bool) {
-	return encodeExact(c.conf.SpillCodec, len(recs), func(i int) Record { return recs[i].rec })
-}
-
-// readStoredBucket fetches and decodes one staged bucket into out. Any
-// verification or decode failure means the block is lost: the read
-// panics with a FetchFailedError indicting the bucket's map partition,
-// and the recovery path recomputes it (the recompute's Put overwrites
-// the damaged block). Called with st.mu read-held, like the in-memory
-// path.
-func (c *Context) readStoredBucket(sd *shuffleDep, st *shuffleState, ref bucketRef, out []Record) []Record {
-	fail := func() {
-		panic(&FetchFailedError{
-			ShuffleID: sd.id,
-			MapPart:   ref.mapPart,
-			Node:      st.mapNode[ref.mapPart],
-			Epoch:     st.epoch,
-			Corrupt:   true,
-		})
-	}
+// readStoredBucket fetches one staged bucket and hands its decoded
+// records to emit, in order. Any verification or decode failure means the
+// block is lost: the read panics with a FetchFailedError indicting the
+// bucket's map partition, and the recovery path recomputes it (the
+// recompute's Put overwrites the damaged block). Called with st.mu
+// read-held, like the in-memory path.
+func (c *Context) readStoredBucket(st *shuffleState, ref bucketRef, emit func(rec Record)) {
 	blob, err := c.store.Get(ref.key)
 	if err != nil {
-		fail()
+		panic(st.fetchFailed(ref, true))
 	}
 	codec := c.conf.SpillCodec
 	n := 0
 	for len(blob) > 0 {
 		rec, rest, err := codec.Decode(blob)
 		if err != nil {
-			fail()
+			panic(st.fetchFailed(ref, true))
 		}
-		out = append(out, rec)
+		emit(rec)
 		blob = rest
 		n++
 	}
 	if n != ref.n {
-		fail()
+		panic(st.fetchFailed(ref, true))
 	}
-	return out
-}
-
-// encodeRecords serializes a broadcast's items; ok=false if the codec
-// declines any of them (the broadcast then simply isn't staged durably).
-func encodeRecords[T any](c *Context, items []T) ([]byte, bool) {
-	return encodeExact(c.conf.SpillCodec, len(items), func(i int) Record { return items[i] })
 }
 
 // corruptStagedBlock fires one Corruption event: among the newest

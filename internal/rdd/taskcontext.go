@@ -36,6 +36,28 @@ type TaskContext struct {
 	fetchLocal  int64
 	fetchRemote int64
 	spill       int64
+
+	local AttemptLocal
+}
+
+// AttemptLocal is state user code hangs on a TaskContext for one task
+// attempt — an accumulator that would otherwise hit shared, locked state
+// once per record. Flush is called exactly once, on the attempt's
+// goroutine, when the attempt ends: returned, panicked or killed alike.
+type AttemptLocal interface {
+	Flush()
+}
+
+// Local returns the attempt's AttemptLocal (nil until SetLocal).
+func (tc *TaskContext) Local() AttemptLocal { return tc.local }
+
+// SetLocal installs l as the attempt's AttemptLocal, flushing the one it
+// replaces (the engine ends every attempt with SetLocal(nil)).
+func (tc *TaskContext) SetLocal(l AttemptLocal) {
+	if tc.local != nil {
+		tc.local.Flush()
+	}
+	tc.local = l
 }
 
 // Ctx returns the owning engine context (for model/cluster access inside
