@@ -45,7 +45,6 @@ func detectorConf(plan *rdd.FaultPlan) rdd.Conf {
 		FaultPlan:         plan,
 		Speculation:       true,
 		HeartbeatInterval: 2 * simtime.Second,
-		HeartbeatMisses:   2,
 	}
 }
 
@@ -107,7 +106,7 @@ func TestChaosFalseSuspicionFenced(t *testing.T) {
 
 // TestChaosDetectionLatencyCharged: with the detector on, a real crash
 // is learned only after the missed-heartbeat lease runs out — exactly
-// HeartbeatMisses × HeartbeatInterval of modelled clock, attributed to
+// two HeartbeatIntervals of modelled clock, attributed to
 // DetectionTime, overlapping (never inflating) the phase sum.
 func TestChaosDetectionLatencyCharged(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -157,7 +156,6 @@ func TestChaosRackFailureDomainAwareRestore(t *testing.T) {
 	conf.Cluster = cluster.LocalN(4, 2).WithRacks(2)
 	conf.RemoteDir = t.TempDir()
 	conf.HeartbeatInterval = 2 * simtime.Second
-	conf.HeartbeatMisses = 2
 	chaos, ctx := detectorRun(t, rule, IM, in, conf)
 
 	if !bitIdentical(clean.dense, chaos.dense) {

@@ -67,25 +67,82 @@ func TestRunOutputReusableAsInput(t *testing.T) {
 	}
 }
 
+// killingRule is its rule, except that while armed it kills the task
+// applying it between two kernels. A wrapped rule takes the kernels'
+// generic loop, which asks UsesPivot once as a kernel starts and stores a
+// cell only after Apply returned — so a panic in a kernel's first Apply
+// ends the attempt with that kernel untouched and every kernel before it
+// applied to live tiles. Every third kernel started while armed dies this
+// way. For one real worker only: which attempt dies must not depend on
+// interleaving.
+type killingRule struct {
+	semiring.Rule
+	armed, starting bool
+	started, kills  int
+}
+
+func (r *killingRule) UsesPivot() bool {
+	r.starting = true
+	return r.Rule.UsesPivot()
+}
+
+func (r *killingRule) Apply(x, u, v, w float64) float64 {
+	if r.starting {
+		r.starting = false
+		if r.started++; r.armed && r.started%3 == 0 {
+			r.kills++
+			panic("killingRule: the attempt dies between two kernels")
+		}
+	}
+	return r.Rule.Apply(x, u, v, w)
+}
+
 // TestRealModeFaultRetryMatchesReference: task retries replay kernels on
 // live data — with clone elision the replay must recognize
 // already-applied kernels (the gen tag) and still produce exact results.
-// Every stage's first attempt of partition 0 is killed, for both drivers.
+// For both drivers, attempts die with some of their kernels applied, and
+// the run must elide more kernel calls than the unkilled one: retries met
+// tiles their dead attempts had already updated.
 func TestRealModeFaultRetryMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for _, rule := range []semiring.Rule{semiring.NewFloydWarshall(), semiring.NewGaussian()} {
-		in := randomInput(rule, 24, rng)
+		in := randomInput(rule, 32, rng)
 		want := reference(rule, in)
 		for _, driver := range []DriverKind{IM, CB} {
-			ctx := rdd.NewContext(rdd.Conf{
-				Cluster: cluster.Local(4),
-				FaultInjector: func(stageID, partition, attempt int) bool {
-					return partition == 0 && attempt == 0
-				},
-			})
-			got := runOnce(t, ctx, in, Config{Rule: rule, BlockSize: 8, Driver: driver})
-			if diff := got.MaxAbsDiff(want); diff > tolFor(rule, 24) {
+			// run returns the result and how many kernel calls were elided
+			// as replays (calls that never reached the kernel loop).
+			run := func(kill bool) (*matrix.Dense, int64, *killingRule, rdd.RecoveryStats) {
+				kr := &killingRule{Rule: rule}
+				ctx := rdd.NewContext(rdd.Conf{Cluster: cluster.Local(4), RealParallelism: 1})
+				boundaries := 0
+				got := runOnce(t, ctx, in, Config{Rule: kr, BlockSize: 8, Driver: driver,
+					// Two partitions: a task holds several tiles, so an
+					// attempt can die with some of its kernels applied.
+					Partitions: 2,
+					// Polled at every iteration boundary, before the
+					// iteration's lazy stages run. The first iteration is
+					// left alone: its kernels clone the caller's tiles
+					// instead of updating them, so a retry there starts
+					// from fresh clones and replays nothing.
+					StopRequested: func() bool {
+						boundaries++
+						kr.armed = kill && boundaries >= 2
+						return false
+					}})
+				calls := ctx.Observer().Metrics().CounterTotal("dpspark_kernel_calls_total")
+				return got, calls - int64(kr.started), kr, ctx.RecoveryStats()
+			}
+			_, cleanElided, _, _ := run(false)
+			got, elided, kr, rs := run(true)
+			if diff := got.MaxAbsDiff(want); diff > tolFor(rule, 32) {
 				t.Fatalf("%s %v under retries: diff %v", rule.Name(), driver, diff)
+			}
+			if kr.kills == 0 || rs.TaskRetries != int64(kr.kills) {
+				t.Fatalf("%s %v: %d attempts killed, %d task retries", rule.Name(), driver, kr.kills, rs.TaskRetries)
+			}
+			if elided <= cleanElided {
+				t.Fatalf("%s %v: %d kernel calls elided with %d kills, %d without — no retry replayed an applied kernel",
+					rule.Name(), driver, elided, kr.kills, cleanElided)
 			}
 		}
 	}

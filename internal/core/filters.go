@@ -11,25 +11,21 @@ import (
 // the update rule (all non-pivot indices for semiring GEP, the trailing
 // submatrix for GE).
 
-// restrictedSet returns membership of the rule's Restricted(k, r) range.
-func restrictedSet(rule semiring.Rule, k, r int) map[int]bool {
-	idx := rule.Restricted(k, r)
-	set := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		set[i] = true
-	}
-	return set
-}
-
-// filters bundles the four predicates for iteration k.
+// filters bundles the four predicates for iteration k of an r×r grid.
 type filters struct {
-	k    int
-	rest map[int]bool
+	k int
+	// rest[i] reports whether tile index i is in the rule's
+	// Restricted(k, r) range.
+	rest []bool
 }
 
 // newFilters builds iteration k's predicates for an r×r grid.
 func newFilters(rule semiring.Rule, k, r int) filters {
-	return filters{k: k, rest: restrictedSet(rule, k, r)}
+	rest := make([]bool, r)
+	for _, i := range rule.Restricted(k, r) {
+		rest[i] = true
+	}
+	return filters{k: k, rest: rest}
 }
 
 // A selects the pivot block (k,k).

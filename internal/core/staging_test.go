@@ -54,7 +54,7 @@ func TestDurableStagingChaosBitIdentical(t *testing.T) {
 		}
 	}
 	detector := func(conf rdd.Conf) rdd.Conf {
-		conf.HeartbeatInterval, conf.HeartbeatMisses = 2*simtime.Second, 2
+		conf.HeartbeatInterval = 2 * simtime.Second
 		return conf
 	}
 	// Without a store the corruption event has nothing to damage.

@@ -77,7 +77,7 @@ type Stats struct {
 
 	// DetectionTime is the modelled clock spent waiting for the
 	// heartbeat failure detector to declare executors dead (latency =
-	// Config.HeartbeatMisses × Config.HeartbeatInterval per declaring
+	// two missed leases, 2 × rdd.Conf.HeartbeatInterval, per declaring
 	// stage boundary). Like RecoveryTime it overlaps the component sum
 	// (the wait is also attributed to OverheadTime); 0 with the detector
 	// off or no declarations.

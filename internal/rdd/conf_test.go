@@ -11,8 +11,8 @@ import (
 )
 
 // TestConfNormalizationAllKnobs: one table across every Conf knob family
-// — cluster, fault/retry, speculation, durable store, remote tier, spill
-// models, kernels, substrate mounting — so every validation lives (and
+// — cluster, fault/retry, durable store, remote tier, spill model,
+// kernels, substrate mounting — so every validation lives (and
 // stays) in the single normalize site.
 func TestConfNormalizationAllKnobs(t *testing.T) {
 	base := func() Conf { return Conf{Cluster: cluster.LocalN(2, 2)} }
@@ -28,10 +28,6 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		{"negative task attempts", func(c *Conf) { c.MaxTaskAttempts = -1 }, "MaxTaskAttempts"},
 		{"negative keep shuffles", func(c *Conf) { c.KeepShuffles = -1 }, "KeepShuffles"},
 		{"negative blacklist backoff", func(c *Conf) { c.BlacklistBackoff = -simtime.Second }, "BlacklistBackoff"},
-		{"speculation multiplier at 1", func(c *Conf) { c.SpeculationMultiplier = 1 }, "SpeculationMultiplier"},
-		{"negative speculation multiplier", func(c *Conf) { c.SpeculationMultiplier = -2 }, "SpeculationMultiplier"},
-		{"speculation quantile at 1", func(c *Conf) { c.SpeculationQuantile = 1 }, "SpeculationQuantile"},
-		{"negative speculation quantile", func(c *Conf) { c.SpeculationQuantile = -0.5 }, "SpeculationQuantile"},
 		{"fault plan names absent node", func(c *Conf) {
 			c.FaultPlan = &FaultPlan{Crashes: []ExecutorCrash{{Stage: 0, Node: 9}}}
 		}, "outside the 2-node cluster"},
@@ -45,17 +41,9 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 
 		// Remote-tier family.
 		{"remote without durable", func(c *Conf) { c.RemoteDir = "somewhere" }, "RemoteDir needs Conf.DurableDir"},
-		{"negative remote timeout", func(c *Conf) { c.RemoteOpTimeout = -simtime.Second }, "RemoteOpTimeout"},
-		{"negative remote retries", func(c *Conf) { c.RemoteMaxRetries = -1 }, "RemoteMaxRetries"},
-		{"negative remote backoff", func(c *Conf) { c.RemoteBackoff = -simtime.Second }, "RemoteBackoff"},
 
-		// Spill-model family.
-		{"spill straggler below 1", func(c *Conf) { c.SpillStraggler = 0.9 }, "SpillStraggler"},
+		// Spill model.
 		{"negative spill dilation", func(c *Conf) { c.SpillDilation = -1 }, "SpillDilation"},
-		{"both spill models", func(c *Conf) {
-			c.DurableDir, c.MemoryBudget = t.TempDir(), 64
-			c.SpillStraggler, c.SpillDilation = 8, 2
-		}, "mutually exclusive"},
 		{"dilation without budget", func(c *Conf) { c.SpillDilation = 2 }, "needs Conf.MemoryBudget"},
 
 		// Kernel family.
@@ -122,12 +110,6 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		}
 		if conf.MaxTaskAttempts != 4 || conf.KeepShuffles != 8 {
 			t.Fatalf("retry defaults: attempts %d keep %d", conf.MaxTaskAttempts, conf.KeepShuffles)
-		}
-		if conf.SpeculationMultiplier != 1.5 || conf.SpeculationQuantile != 0.75 {
-			t.Fatalf("speculation defaults: %g × quantile %g", conf.SpeculationMultiplier, conf.SpeculationQuantile)
-		}
-		if conf.RemoteOpTimeout != 2*simtime.Second || conf.RemoteMaxRetries != 3 || conf.RemoteBackoff != 500*simtime.Millisecond {
-			t.Fatalf("remote defaults: %v / %d / %v", conf.RemoteOpTimeout, conf.RemoteMaxRetries, conf.RemoteBackoff)
 		}
 		if conf.KernelThreads != 1 || conf.ExecutorCores != conf.Cluster.Node.Cores {
 			t.Fatalf("kernel defaults: threads %d cores %d", conf.KernelThreads, conf.ExecutorCores)

@@ -58,10 +58,6 @@ type Conf struct {
 	// the engine emulates Spark's shuffle cleanup (old generations are
 	// deleted from the local disks). Default: 8.
 	KeepShuffles int
-	// FaultInjector, when set, is consulted before each task attempt;
-	// returning true makes that attempt fail (for resilience testing).
-	// Failed tasks are retried like Spark's, up to MaxTaskAttempts.
-	FaultInjector func(stageID, partition, attempt int) bool
 	// FaultPlan, when set, schedules deterministic whole-executor
 	// failures: crashes (map outputs lost + blacklist), staging-disk
 	// losses and slow-task stragglers. See RandomFaultPlan. The plan is
@@ -75,18 +71,12 @@ type Conf struct {
 	// virtual seconds).
 	BlacklistBackoff simtime.Duration
 	// Speculation enables speculative execution: after a stage's tasks
-	// finish computing, tasks slower than SpeculationMultiplier × the
-	// SpeculationQuantile task duration get a copy launched on another
-	// executor; the first result wins and the loser is killed at the
-	// winner's finish time — its work is still charged to the cost model
-	// (spark.speculation).
+	// finish computing, tasks slower than 1.5 × the 0.75-quantile task
+	// duration (Spark's spark.speculation.multiplier and .quantile
+	// defaults) get a copy launched on another executor; the first result
+	// wins and the loser is killed at the winner's finish time — its work
+	// is still charged to the cost model (spark.speculation).
 	Speculation bool
-	// SpeculationMultiplier is the straggler threshold factor (default
-	// 1.5, spark.speculation.multiplier). Values in (0, 1] are rejected.
-	SpeculationMultiplier float64
-	// SpeculationQuantile is the task-duration quantile the threshold is
-	// relative to (default 0.75, spark.speculation.quantile).
-	SpeculationQuantile float64
 	// Observer receives the context's spans and metrics. Nil creates a
 	// private observer; pass a shared one to aggregate several contexts
 	// (e.g. a sweep) into one trace/metrics export.
@@ -114,55 +104,29 @@ type Conf struct {
 	// replicates the durable store). The directory is shared — several
 	// contexts (or a restarted driver) may point at the same one.
 	RemoteDir string
-	// RemoteOpTimeout is the per-operation deadline for simulated remote
-	// restore reads: a read whose (slowdown-dilated) cost exceeds it
-	// times out, is charged the timeout and retried. Default 2 virtual
-	// seconds; negative values are rejected.
-	RemoteOpTimeout simtime.Duration
-	// RemoteMaxRetries bounds restore-read retries after timeouts
-	// (exponential backoff, see RemoteBackoff). Default 3; negative
-	// values are rejected.
-	RemoteMaxRetries int
-	// RemoteBackoff is the base delay charged before a restore retry,
-	// doubling per attempt. Default 500 virtual milliseconds; negative
-	// values are rejected.
-	RemoteBackoff simtime.Duration
-	// SpillStraggler > 1 enables spill-aware scheduling: when the block
-	// store's cumulative spill wall time grew since the last stage, the
-	// node holding the most staged shuffle bytes is modelled as
-	// memory-starved — its tasks are dilated by this factor so the
-	// speculation path sees them as stragglers. 0 (the default)
-	// disables it; values in (0, 1] are rejected. Note the trigger reads
-	// real spill timing, so enabling this trades clock determinism for
-	// memory-pressure fidelity (results stay bit-identical either way).
-	SpillStraggler float64
-	// SpillDilation > 0 enables continuous spill-aware dilation: instead
-	// of SpillStraggler's single worst-node factor, EVERY node's tasks
-	// are dilated by 1 + SpillDilation × (staged shuffle bytes on the
-	// node / MemoryBudget) when the block store shows fresh spill
-	// pressure — a node with twice the backlog runs twice as degraded.
-	// Requires MemoryBudget > 0 (the backlog is measured against it) and
-	// is mutually exclusive with SpillStraggler. 0 (the default)
-	// disables it; negative values are rejected. Like SpillStraggler the
-	// trigger reads real spill timing, so clock determinism is traded
-	// for memory-pressure fidelity (result bits are unaffected).
+	// SpillDilation > 0 enables spill-aware scheduling: when the block
+	// store's cumulative spill wall time grew since the last stage, every
+	// node's tasks are dilated by 1 + SpillDilation × (staged shuffle
+	// bytes on the node / MemoryBudget) — a node with twice the backlog
+	// runs twice as degraded, and the speculation path sees its tasks as
+	// stragglers. Requires MemoryBudget > 0 (the backlog is measured
+	// against it). 0 (the default) disables it; negative values are
+	// rejected. The trigger reads real spill timing, so enabling this
+	// trades clock determinism for memory-pressure fidelity (result bits
+	// are unaffected).
 	SpillDilation float64
 	// HeartbeatInterval enables the heartbeat/lease failure detector:
 	// executors heartbeat the driver every HeartbeatInterval modelled
 	// seconds, the scheduler suspects a node after one missed lease and
-	// declares it dead after HeartbeatMisses consecutive misses — so every
-	// declared loss charges HeartbeatMisses × HeartbeatInterval of
-	// detection latency to the modelled clock (Breakdown.Detection,
-	// critical-path phase "detection") before recovery can begin. 0 (the
-	// default) keeps the legacy omniscient delivery: injected faults are
-	// scheduler-visible the instant they fire, with zero latency. Negative
-	// values are rejected. Required for FaultPlan GC pauses and network
-	// partitions — false suspicion only exists with a detector.
+	// declares it dead after two consecutive misses — so every declared
+	// loss charges 2 × HeartbeatInterval of detection latency to the
+	// modelled clock (Breakdown.Detection, critical-path phase
+	// "detection") before recovery can begin. 0 (the default) is the same
+	// delivery at latency 0: injected faults are scheduler-visible the
+	// instant they fire and nothing is charged. Negative values are
+	// rejected. Required for FaultPlan GC pauses and network partitions —
+	// false suspicion only exists with a detector.
 	HeartbeatInterval simtime.Duration
-	// HeartbeatMisses is how many consecutive missed heartbeats turn a
-	// suspect node into a declared-dead one (default 2 when the detector
-	// is on). Needs HeartbeatInterval; negative values are rejected.
-	HeartbeatMisses int
 	// RecoveryTokens enables recovery-storm throttling: a token bucket of
 	// this capacity gates stage resubmissions, so a mass failure (rack
 	// loss) drains in bounded waves instead of stampeding recompute. Each
@@ -223,23 +187,8 @@ func (conf *Conf) normalize() error {
 	if conf.BlacklistBackoff < 0 {
 		return fmt.Errorf("rdd: Conf.BlacklistBackoff must be ≥ 0, got %v", conf.BlacklistBackoff)
 	}
-	if conf.SpeculationMultiplier < 0 || (conf.SpeculationMultiplier > 0 && conf.SpeculationMultiplier <= 1) {
-		return fmt.Errorf("rdd: Conf.SpeculationMultiplier must be > 1 (0 means the default 1.5), got %g", conf.SpeculationMultiplier)
-	}
-	if conf.SpeculationQuantile < 0 || conf.SpeculationQuantile >= 1 {
-		return fmt.Errorf("rdd: Conf.SpeculationQuantile must be in [0, 1) (0 means the default 0.75), got %g", conf.SpeculationQuantile)
-	}
 	if conf.HeartbeatInterval < 0 {
 		return fmt.Errorf("rdd: Conf.HeartbeatInterval must be ≥ 0 (0 disables the failure detector), got %v", conf.HeartbeatInterval)
-	}
-	if conf.HeartbeatMisses < 0 {
-		return fmt.Errorf("rdd: Conf.HeartbeatMisses must be ≥ 0 (0 means the default 2), got %d", conf.HeartbeatMisses)
-	}
-	if conf.HeartbeatMisses > 0 && conf.HeartbeatInterval == 0 {
-		return fmt.Errorf("rdd: Conf.HeartbeatMisses needs Conf.HeartbeatInterval — the lease count is meaningless without a heartbeat period")
-	}
-	if conf.HeartbeatInterval > 0 && conf.HeartbeatMisses == 0 {
-		conf.HeartbeatMisses = 2
 	}
 	if conf.RecoveryTokens < 0 {
 		return fmt.Errorf("rdd: Conf.RecoveryTokens must be ≥ 0 (0 disables recovery-storm throttling), got %d", conf.RecoveryTokens)
@@ -275,23 +224,8 @@ func (conf *Conf) normalize() error {
 	if conf.RemoteDir != "" && conf.DurableDir == "" {
 		return fmt.Errorf("rdd: Conf.RemoteDir needs Conf.DurableDir — the remote tier replicates the durable store")
 	}
-	if conf.RemoteOpTimeout < 0 {
-		return fmt.Errorf("rdd: Conf.RemoteOpTimeout must be ≥ 0 (0 means the default 2s), got %v", conf.RemoteOpTimeout)
-	}
-	if conf.RemoteMaxRetries < 0 {
-		return fmt.Errorf("rdd: Conf.RemoteMaxRetries must be ≥ 0 (0 means the default 3), got %d", conf.RemoteMaxRetries)
-	}
-	if conf.RemoteBackoff < 0 {
-		return fmt.Errorf("rdd: Conf.RemoteBackoff must be ≥ 0 (0 means the default 500ms), got %v", conf.RemoteBackoff)
-	}
-	if conf.SpillStraggler < 0 || (conf.SpillStraggler > 0 && conf.SpillStraggler <= 1) {
-		return fmt.Errorf("rdd: Conf.SpillStraggler must be > 1 (0 disables spill-aware scheduling), got %g", conf.SpillStraggler)
-	}
 	if conf.SpillDilation < 0 {
 		return fmt.Errorf("rdd: Conf.SpillDilation must be ≥ 0 (0 disables continuous spill dilation), got %g", conf.SpillDilation)
-	}
-	if conf.SpillDilation > 0 && conf.SpillStraggler > 0 {
-		return fmt.Errorf("rdd: Conf.SpillDilation and Conf.SpillStraggler are mutually exclusive — pick the continuous or the worst-node model")
 	}
 	if conf.SpillDilation > 0 && conf.MemoryBudget <= 0 {
 		return fmt.Errorf("rdd: Conf.SpillDilation %g needs Conf.MemoryBudget > 0 — the backlog is measured against the budget", conf.SpillDilation)
@@ -330,21 +264,6 @@ func (conf *Conf) normalize() error {
 	if conf.BlacklistBackoff == 0 {
 		conf.BlacklistBackoff = defaultBlacklistBackoff
 	}
-	if conf.SpeculationMultiplier == 0 {
-		conf.SpeculationMultiplier = 1.5
-	}
-	if conf.SpeculationQuantile == 0 {
-		conf.SpeculationQuantile = 0.75
-	}
-	if conf.RemoteOpTimeout == 0 {
-		conf.RemoteOpTimeout = 2 * simtime.Second
-	}
-	if conf.RemoteMaxRetries == 0 {
-		conf.RemoteMaxRetries = 3
-	}
-	if conf.RemoteBackoff == 0 {
-		conf.RemoteBackoff = 500 * simtime.Millisecond
-	}
 	return nil
 }
 
@@ -382,11 +301,9 @@ type Context struct {
 	cancelErr  error
 
 	// faults is the fired-event/blacklist state for Conf.FaultPlan (nil
-	// without a plan); rec are the recovery counters, recm their
-	// pre-resolved registry mirrors.
+	// without a plan); ledger holds the recovery counters.
 	faults *faultState
-	rec    recovery
-	recm   recoveryMetrics
+	ledger ledger
 
 	laneNames sync.Once
 
@@ -458,11 +375,11 @@ type Breakdown struct {
 	// "how much of the run was failure recovery".
 	Recovery simtime.Duration
 	// Detection is the clock time spent waiting for the heartbeat failure
-	// detector to declare losses (Conf.HeartbeatInterval ×
-	// Conf.HeartbeatMisses per declaration wave). Like Recovery it is an
-	// overlapping attribution (the wait also lands in Overhead) and NOT
-	// part of Total(); it answers "how much of the run was failure
-	// detection latency". Always 0 with the detector off.
+	// detector to declare losses (2 × Conf.HeartbeatInterval per
+	// declaration wave). Like Recovery it is an overlapping attribution
+	// (the wait also lands in Overhead) and NOT part of Total(); it answers
+	// "how much of the run was failure detection latency". Always 0 with
+	// the detector off.
 	Detection simtime.Duration
 	// ShuffleWriteBytes and ShuffleFetchBytes count shuffle traffic.
 	ShuffleWriteBytes, ShuffleFetchBytes int64
@@ -547,8 +464,8 @@ func (st *shuffleState) isDone() bool {
 
 // NewContext creates an engine context. The Conf is validated and
 // defaulted by Conf.normalize; invalid settings (negative
-// MaxTaskAttempts, out-of-range speculation parameters, a fault plan
-// naming nodes outside the cluster) panic with a clear error.
+// MaxTaskAttempts, a fault plan naming nodes outside the cluster) panic
+// with a clear error.
 func NewContext(conf Conf) *Context {
 	if err := conf.normalize(); err != nil {
 		panic(err)
@@ -622,7 +539,7 @@ func NewContext(conf Conf) *Context {
 	if conf.Restore != nil {
 		c.restoreEngineState(conf.Restore)
 	}
-	c.recm = newRecoveryMetrics(conf.Observer.Metrics())
+	c.ledger.resolve(conf.Observer.Metrics())
 	// Flight-recorder events without an explicit timestamp stamp the
 	// virtual clock; with several sequential contexts on one observer the
 	// latest context's clock wins, matching the events being recorded.
@@ -761,8 +678,14 @@ func (c *Context) CancelCause() error {
 
 // acquireSlot takes one substrate-wide real-execution slot (highest
 // Conf.Priority first), or reports false if the context is cancelled
-// while waiting. Always true without a mounted substrate.
+// before or while waiting. Without a mounted substrate there is nothing
+// to wait for.
 func (c *Context) acquireSlot() bool {
+	select {
+	case <-c.cancel:
+		return false
+	default:
+	}
 	if c.substrate == nil {
 		return true
 	}
@@ -810,39 +733,38 @@ func (c *Context) recordTaskErr(err error) {
 // movement, local-disk charges are shuffle I/O, the rest splits between
 // compute and overhead.
 func (c *Context) AdvanceDriver(d simtime.Duration, cat simtime.Category) {
-	c.advanceDriver(d, cat, critPhaseOf(cat))
+	c.advanceDriver(d, cat, "")
 }
 
-// critPhaseOf maps a ledger category to the critical-path phase driver
-// advances under it belong to — mirroring the breakdown attribution.
-func critPhaseOf(cat simtime.Category) string {
-	switch cat {
-	case simtime.Network, simtime.SharedFS:
-		return obs.PhaseBroadcast
-	case simtime.LocalDisk:
-		return obs.PhaseShuffle
-	case simtime.Compute:
-		return obs.PhaseCompute
-	default:
-		return obs.PhaseOverhead
-	}
-}
-
-// advanceDriver is AdvanceDriver with an explicit critical-path phase,
-// so recovery paths can charge standard breakdown categories while the
-// profiler attributes the advance to recovery.
+// advanceDriver is AdvanceDriver with an explicit critical-path phase
+// ("": the one the category is attributed to), so recovery paths can
+// charge standard breakdown categories while the profiler attributes the
+// advance to recovery or detection — phases that also feed the breakdown's
+// overlapping Recovery / Detection totals.
 func (c *Context) advanceDriver(d simtime.Duration, cat simtime.Category, critPhase string) {
 	start, end := c.simul.Advance(d, cat)
+	phase := obs.PhaseOverhead
 	c.mu.Lock()
 	switch cat {
 	case simtime.Network, simtime.SharedFS:
 		c.bd.Broadcast += d
+		phase = obs.PhaseBroadcast
 	case simtime.LocalDisk:
 		c.bd.Shuffle += d
+		phase = obs.PhaseShuffle
 	case simtime.Compute:
 		c.bd.Compute += d
+		phase = obs.PhaseCompute
 	default:
 		c.bd.Overhead += d
+	}
+	switch critPhase {
+	case "":
+		critPhase = phase
+	case obs.PhaseRecovery:
+		c.bd.Recovery += d
+	case obs.PhaseDetection:
+		c.bd.Detection += d
 	}
 	c.mu.Unlock()
 	if cp := c.obsv.CritPath(); cp.Enabled() {
@@ -896,8 +818,7 @@ func (c *Context) takeRecoveryToken() {
 		wait = 0
 	}
 	c.stormLast += c.conf.RecoveryRefill
-	c.rec.stormThrottled.Add(1)
-	c.recm.detStormThrottled.Inc()
+	c.count(recStormThrottled, 1)
 	c.recordEvent(obs.Event{
 		Clock: now.Seconds(), Type: obs.EvThrottle,
 		Stage: -1, Part: -1, Node: -1, Shuffle: -1,
@@ -905,9 +826,6 @@ func (c *Context) takeRecoveryToken() {
 	})
 	if wait > 0 {
 		c.advanceDriver(wait, simtime.Overhead, obs.PhaseRecovery)
-		c.mu.Lock()
-		c.bd.Recovery += wait
-		c.mu.Unlock()
 	}
 }
 
@@ -966,391 +884,19 @@ func (c *Context) nameTraceLanes() {
 	}
 }
 
-// stageSpec describes one stage execution for execStage.
-type stageSpec struct {
-	kind      StageKind
-	shuffleID int
-	parts     int
-	phase     string
-	// stageID < 0 allocates a fresh global stage ID; resubmitted recovery
-	// stages pass their original map stage's ID instead (attempt > 0), so
-	// planned stage numbering never shifts under faults.
-	stageID int
-	attempt int
-	// splits maps task index → partition; nil means the identity (task i
-	// computes partition i). Recovery stages pass only the lost
-	// partitions.
-	splits []int
-}
-
-// split returns the partition task index idx computes.
-func (sp *stageSpec) split(idx int) int {
-	if sp.splits != nil {
-		return sp.splits[idx]
-	}
-	return idx
-}
-
-// runStage executes one full stage: `parts` tasks running `work`, really
-// (in parallel goroutines) and virtually (through the cluster simulator).
-// phase labels the stage for observability (the driver phase that built
-// the stage's lineage).
-func (c *Context) runStage(kind StageKind, shuffleID, parts int, phase string, work func(tc *TaskContext, split int)) {
-	c.execStage(stageSpec{kind: kind, shuffleID: shuffleID, parts: parts, phase: phase, stageID: -1},
-		func(tc *TaskContext, _, split int) { work(tc, split) })
-}
-
-// execStage is the stage driver behind runStage and the shuffle map /
-// recovery paths. Before tasks launch it fires the fault plan's events
-// scheduled for this stage; each task then runs with Spark-style retry
-// semantics (placement off blacklisted executors, FetchFailed triggering
-// parent-stage resubmission without consuming a task attempt); and after
-// the real execution, straggler dilation and speculative execution shape
-// the virtual tasks handed to the cluster simulator.
-func (c *Context) execStage(spec stageSpec, work func(tc *TaskContext, idx, split int)) {
-	stageID := spec.stageID
-	if stageID < 0 {
-		c.mu.Lock()
-		stageID = c.nextStage
-		c.nextStage++
-		c.mu.Unlock()
-	}
-	crashed := c.fireStageFaults(stageID)
-	asOf := c.Clock()
-	spillNode := c.spillStragglerNode()
-	spillFactors := c.spillDilationFactors()
-	parts := spec.parts
-	c.recordEvent(obs.Event{
-		Clock: asOf.Seconds(), Type: obs.EvStageSubmit,
-		Stage: stageID, Attempt: spec.attempt, Part: -1, Node: -1,
-		Shuffle: spec.shuffleID,
-		Detail:  fmt.Sprintf("%s tasks=%d phase=%s", spec.kind, parts, spec.phase),
-	})
-
-	// One TaskContext slab per stage; an attempt resets its task's slot
-	// (a zero ctx marks a task abandoned before its first attempt).
-	tcs := make([]TaskContext, parts)
-	// runOne executes one task with Spark-style retries: an injected
-	// fault or a panic fails the attempt and the task restarts from its
-	// lineage on a freshly placed executor (charges of failed attempts
-	// still cost virtual time, accumulated via lost). A FetchFailedError
-	// indicts the parent map stage instead: the shuffle is recovered and
-	// the fetch retried without consuming one of this task's attempts.
-	runOne := func(idx int) {
-		split := spec.split(idx)
-		var lost simtime.Duration
-		failures := 0
-		for {
-			select {
-			case <-c.cancel:
-				// Cooperative cancellation: abandon the task between
-				// attempts; the recorded cause makes the next action (and
-				// the driver loop's Err check) surface the cancellation.
-				c.recordTaskErr(c.CancelCause())
-				return
-			default:
-			}
-			// On a shared Substrate each attempt holds one substrate-wide
-			// task slot for its real execution only. Recovery and retry run
-			// slot-free: recoverShuffle resubmits the parent map stage,
-			// whose tasks need slots of their own, so holding one across it
-			// would self-deadlock on a narrow substrate (one slot suffices
-			// for any recovery depth this way). A cancelled wait abandons
-			// the task; the cause surfaces through Err like a task failure.
-			if !c.acquireSlot() {
-				c.recordTaskErr(c.CancelCause())
-				return
-			}
-			node := c.placeNode(split, asOf)
-			if failures == 0 && crashed[c.nodeOf(split)] {
-				// The executor dies under its running first attempts; the
-				// retry re-places them (the node is now blacklisted).
-				node = c.nodeOf(split)
-			}
-			tc := &tcs[idx]
-			*tc = TaskContext{StageID: stageID, Partition: split, Node: node, ctx: c}
-			err := func() (err error) {
-				defer func() {
-					// The attempt ends here however it ended: returned,
-					// panicked or killed.
-					tc.SetLocal(nil)
-					if p := recover(); p != nil {
-						if ff, ok := p.(*FetchFailedError); ok {
-							err = ff
-							return
-						}
-						err = fmt.Errorf("rdd: task %d of stage %d failed (attempt %d): %v",
-							split, stageID, failures+1, p)
-					}
-				}()
-				if failures == 0 && crashed[node] {
-					return fmt.Errorf("rdd: task %d of stage %d lost with executor %d",
-						split, stageID, node)
-				}
-				if c.conf.FaultInjector != nil && c.conf.FaultInjector(stageID, split, failures) {
-					c.rec.faultKills.Add(1)
-					c.recm.injectTask.Inc()
-					return fmt.Errorf("rdd: task %d of stage %d killed by fault injector (attempt %d)",
-						split, stageID, failures+1)
-				}
-				work(tc, idx, split)
-				return nil
-			}()
-			if err == nil {
-				if factor := c.stragglerFactor(stageID, split); factor > 1 {
-					extra := simtime.Duration(tc.compute.Seconds() * (factor - 1))
-					tc.slowed = extra
-					tc.compute += extra
-					c.rec.stragglers.Add(1)
-					c.recm.injectStraggler.Inc()
-				}
-				if spillNode >= 0 && tc.Node == spillNode && tc.compute > 0 {
-					// Spill-aware scheduling: the memory-starved node's
-					// tasks run dilated; the slowdown is recorded in
-					// slowed, so speculation prices their healthy
-					// duration and fires copies elsewhere.
-					extra := simtime.Duration(tc.compute.Seconds() * (c.conf.SpillStraggler - 1))
-					tc.slowed += extra
-					tc.spillSlow = extra
-					tc.compute += extra
-					c.rec.spillStragglers.Add(1)
-					c.recm.spillStragglers.Inc()
-				}
-				if tc.Node >= 0 && tc.Node < len(spillFactors) && spillFactors[tc.Node] > 1 && tc.compute > 0 {
-					// Continuous spill-aware dilation: every node degrades
-					// in proportion to its own staged backlog. Recorded in
-					// slowed like the worst-node model, so speculation
-					// still prices the healthy duration and fires copies.
-					extra := simtime.Duration(tc.compute.Seconds() * (spillFactors[tc.Node] - 1))
-					tc.slowed += extra
-					tc.spillSlow += extra
-					tc.compute += extra
-					c.rec.spillStragglers.Add(1)
-					c.recm.spillStragglers.Inc()
-				}
-				tc.compute += lost // failed attempts' work is not free
-				c.releaseSlot()
-				return
-			}
-			c.releaseSlot()
-			lost += tc.compute
-			var ff *FetchFailedError
-			if ffe, ok := err.(*FetchFailedError); ok {
-				ff = ffe
-			}
-			if ff != nil {
-				c.rec.fetchFailures.Add(1)
-				c.recm.fetchFailures.Inc()
-				c.recordEvent(obs.Event{
-					Clock: -1, Type: obs.EvFetchFailure,
-					Stage: stageID, Attempt: spec.attempt, Part: split,
-					Node: ff.Node, Shuffle: ff.ShuffleID,
-				})
-				if rerr := c.recoverShuffle(ff); rerr != nil {
-					c.recordTaskErr(rerr)
-					return
-				}
-				continue
-			}
-			failures++
-			if failures >= c.conf.MaxTaskAttempts {
-				c.recordTaskErr(err)
-				return
-			}
-			c.rec.taskRetries.Add(1)
-			c.recm.taskRetries.Inc()
-			c.recordEvent(obs.Event{
-				Clock: -1, Type: obs.EvTaskRetry,
-				Stage: stageID, Attempt: spec.attempt, Part: split,
-				Node: tc.Node, Shuffle: -1, Detail: err.Error(),
-			})
-		}
-	}
-
-	workers := c.conf.RealParallelism
-	if workers > parts {
-		workers = parts
-	}
-	if workers <= 1 {
-		for idx := 0; idx < parts; idx++ {
-			runOne(idx)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idxs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range idxs {
-					runOne(idx)
-				}
-			}()
-		}
-		for idx := 0; idx < parts; idx++ {
-			idxs <- idx
-		}
-		close(idxs)
-		wg.Wait()
-	}
-
-	var spill, fetch, shared int64
-	tasks := make([]sim.Task, parts, parts+parts/4)
-	for i := range tcs {
-		tc := &tcs[i]
-		if tc.ctx == nil {
-			// The task was abandoned before its first attempt (cancelled
-			// mid-stage); model it as an empty task so the stage report
-			// stays well-formed while Err carries the cause.
-			*tc = TaskContext{StageID: stageID, Partition: spec.split(i), Node: c.nodeOf(spec.split(i)), ctx: c}
-		}
-		spill += tc.spill
-		fetch += tc.fetchLocal + tc.fetchRemote
-		shared += tc.sharedRead + tc.sharedWrite
-		tasks[i] = sim.Task{
-			Node:        tc.Node,
-			Compute:     tc.compute,
-			Threads:     tc.Threads(),
-			IdleThreads: tc.idleThreads,
-			FetchLocal:  tc.fetchLocal,
-			FetchRemote: tc.fetchRemote,
-			Spill:       tc.spill,
-			SharedRead:  tc.sharedRead,
-			SharedWrite: tc.sharedWrite,
-		}
-	}
-	if c.conf.Speculation {
-		tasks = c.speculate(tcs, tasks, asOf)
-	}
-	rep := c.simul.RunStageReport(tasks)
-
-	c.mu.Lock()
-	c.bd.Compute += rep.Compute
-	c.bd.Shuffle += rep.ShuffleIO
-	c.bd.Broadcast += rep.SharedIO
-	c.bd.Overhead += rep.Overhead
-	if spec.attempt > 0 {
-		c.bd.Recovery += rep.Total
-	}
-	c.bd.ShuffleWriteBytes += spill
-	c.bd.ShuffleFetchBytes += fetch
-	c.bd.BroadcastBytes += shared
-	c.mu.Unlock()
-
-	if cp := c.obsv.CritPath(); cp.Enabled() {
-		// Per-node spill dilation, so the profiler can split the critical
-		// branch's compute into healthy compute vs spill backpressure.
-		spillSlow := make([]simtime.Duration, len(rep.NodeCompute))
-		for i := range tcs {
-			if tc := &tcs[i]; tc.spillSlow > 0 && tc.Node >= 0 && tc.Node < len(spillSlow) {
-				spillSlow[tc.Node] += tc.spillSlow
-			}
-		}
-		branches := make([]obs.CritBranch, 0, 4)
-		for n := range rep.NodeCompute {
-			comp, sh, sf := rep.NodeCompute[n], rep.NodeShuffleIO[n], rep.NodeSharedIO[n]
-			if comp == 0 && sh == 0 && sf == 0 {
-				continue
-			}
-			branches = append(branches, obs.CritBranch{
-				Node: n, ShuffleIO: sh, SharedIO: sf, Compute: comp, Spill: spillSlow[n],
-			})
-		}
-		cp.RecordStage(c.pid, obs.CritStage{
-			Start: rep.Start, End: rep.Start + rep.Total,
-			StageID: stageID, Attempt: spec.attempt,
-			Kind: spec.kind.String(), Phase: spec.phase,
-			Tasks: parts, Speculative: len(tasks) - parts,
-			Branches: branches,
-		})
-	}
-	c.recordEvent(obs.Event{
-		Clock: (rep.Start + rep.Total).Seconds(), Type: obs.EvStageComplete,
-		Stage: stageID, Attempt: spec.attempt, Part: -1, Node: -1,
-		Shuffle: spec.shuffleID,
-		Detail:  fmt.Sprintf("%s dur=%s tasks=%d", spec.kind, rep.Total, len(tasks)),
-	})
-
-	skew := 0.0
-	if rep.MeanTask > 0 {
-		skew = rep.MaxTask.Seconds() / rep.MeanTask.Seconds()
-	}
-	c.recordStageMetrics(spec.kind, spec.phase, parts, spill, fetch, skew, rep)
-	if c.obsv.TraceEnabled() {
-		c.emitStageSpans(spec.kind, spec.phase, stageID, spill, fetch, rep)
-	}
-
-	c.appendEvent(StageEvent{
-		StageID:    stageID,
-		Kind:       spec.kind,
-		Attempt:    spec.attempt,
-		Tasks:      parts,
-		ShuffleID:  spec.shuffleID,
-		Phase:      spec.phase,
-		Start:      rep.Start,
-		Duration:   rep.Total,
-		SpillBytes: spill,
-		FetchBytes: fetch,
-		MaxTask:    rep.MaxTask,
-		MeanTask:   rep.MeanTask,
-	})
-}
-
-// spillStragglerNode implements spill-aware scheduling
-// (Conf.SpillStraggler): before a stage launches, if the block store's
+// spillDilationFactors implements spill-aware scheduling
+// (Conf.SpillDilation): before a stage launches, if the block store's
 // cumulative spill wall time grew since the last check — real evidence
-// the memory budget is forcing blocks to disk — the node holding the
-// most staged shuffle bytes (newest materialized shuffle, ties to the
-// lowest node) is modelled as memory-starved for this stage. Returns -1
-// when the feature is off or no pressure was seen.
-func (c *Context) spillStragglerNode() int {
-	if c.conf.SpillStraggler <= 1 || c.store == nil {
-		return -1
-	}
-	// Settle pending async spill writes so the pressure signal covers
-	// everything the previous stages queued.
-	c.store.Flush()
-	sw := c.store.Stats().SpillWall
-	c.mu.Lock()
-	grew := sw > c.spillWallSeen
-	if grew {
-		c.spillWallSeen = sw
-	}
-	var st *shuffleState
-	if grew {
-		for i := len(c.shuffleLog) - 1; i >= 0 && st == nil; i-- {
-			st = c.shuffles[c.shuffleLog[i]]
-		}
-	}
-	c.mu.Unlock()
-	if st == nil {
-		return -1
-	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if !st.done || st.retired {
-		return -1
-	}
-	node, best := -1, int64(0)
-	for n, b := range st.spillByNode {
-		if b > best {
-			node, best = n, b
-		}
-	}
-	return node
-}
-
-// spillDilationFactors implements continuous spill-aware dilation
-// (Conf.SpillDilation): under the same fresh-spill-pressure trigger as
-// spillStragglerNode, every node's dilation factor is
-// 1 + SpillDilation × (its staged shuffle bytes across live shuffles /
-// MemoryBudget) — proportional degradation instead of a single
-// worst-node penalty. Returns nil when the feature is off or no new
+// the memory budget is forcing blocks to disk — every node's dilation
+// factor is 1 + SpillDilation × (its staged shuffle bytes across live
+// shuffles / MemoryBudget). Returns nil when the feature is off or no new
 // pressure was seen; entries ≤ 1 mean no dilation for that node.
 func (c *Context) spillDilationFactors() []float64 {
 	if c.conf.SpillDilation <= 0 || c.store == nil {
 		return nil
 	}
+	// Settle pending async spill writes so the pressure signal covers
+	// everything the previous stages queued.
 	c.store.Flush()
 	sw := c.store.Stats().SpillWall
 	c.mu.Lock()
@@ -1391,8 +937,16 @@ func (c *Context) spillDilationFactors() []float64 {
 	return factors
 }
 
+// Speculation thresholds: a task is a straggler when it runs longer than
+// speculationMultiplier × the speculationQuantile task duration of its
+// stage (Spark's spark.speculation.multiplier / .quantile defaults).
+const (
+	speculationMultiplier = 1.5
+	speculationQuantile   = 0.75
+)
+
 // speculate applies speculative execution to a stage's virtual tasks:
-// tasks slower than SpeculationMultiplier × the SpeculationQuantile task
+// tasks slower than speculationMultiplier × the speculationQuantile task
 // duration get a copy on the next alive executor. The copy's healthy
 // duration is the task's compute minus any injected straggler dilation
 // (plus a task launch); whichever of original and copy finishes first
@@ -1408,8 +962,8 @@ func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Du
 		durs[i] = tcs[i].compute
 	}
 	slices.Sort(durs)
-	quantile := durs[int(c.conf.SpeculationQuantile*float64(len(durs)-1))]
-	threshold := simtime.Duration(quantile.Seconds() * c.conf.SpeculationMultiplier)
+	quantile := durs[int(speculationQuantile*float64(len(durs)-1))]
+	threshold := simtime.Duration(quantile.Seconds() * speculationMultiplier)
 	if threshold <= 0 {
 		return tasks
 	}
@@ -1425,35 +979,21 @@ func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Du
 		// domain — slowness indicts the domain (shared ToR/PDU, a rack-wide
 		// GC of a noisy neighbour), so the copy must not share it — and
 		// falls back to the plain ring scan when no such node is alive.
-		nodes := c.conf.Cluster.Nodes
 		copyNode := -1
 		if cl := c.conf.Cluster; cl.Racks > 1 {
-			home := cl.RackOf(tc.Node)
-			for j := 1; j < nodes; j++ {
-				if n := (tc.Node + j) % nodes; !c.nodeDown(n, asOf) && cl.RackOf(n) != home {
-					copyNode = n
-					break
-				}
-			}
+			copyNode = c.nextAlive(tc.Node, asOf, cl.RackOf(tc.Node))
 		}
 		if copyNode < 0 {
-			for j := 1; j < nodes; j++ {
-				if n := (tc.Node + j) % nodes; !c.nodeDown(n, asOf) {
-					copyNode = n
-					break
-				}
-			}
+			copyNode = c.nextAlive(tc.Node, asOf, -1)
 		}
 		if copyNode < 0 {
 			continue
 		}
 		healthy := tc.compute - tc.slowed + c.model.TaskOverhead()
 		winner := simtime.Min(tc.compute, healthy)
-		c.rec.specLaunched.Add(1)
-		c.recm.specLaunched.Inc()
+		c.count(recSpecLaunched, 1)
 		if healthy < tc.compute {
-			c.rec.specWins.Add(1)
-			c.recm.specWins.Inc()
+			c.count(recSpecWins, 1)
 		}
 		c.recordEvent(obs.Event{
 			Clock: asOf.Seconds(), Type: obs.EvSpeculation,
@@ -1476,16 +1016,17 @@ func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Du
 
 // recordStageMetrics updates the always-on metric families for one
 // executed stage.
-func (c *Context) recordStageMetrics(kind StageKind, phase string, parts int, spill, fetch int64, skew float64, rep sim.StageReport) {
-	m := c.stageMetricHandles(kind, phase)
+func (c *Context) recordStageMetrics(ev StageEvent, rep sim.StageReport) {
+	m := c.stageMetricHandles(ev.Kind, ev.Phase)
 	m.stages.Inc()
-	m.tasks.Add(int64(parts))
-	m.write.Add(spill)
-	m.fetch.Add(fetch)
+	m.tasks.Add(int64(ev.Tasks))
+	m.write.Add(ev.SpillBytes)
+	m.fetch.Add(ev.FetchBytes)
 	for _, ts := range rep.Tasks {
 		m.taskSeconds.Observe(ts.Raw.Seconds())
 	}
-	if skew > 0 {
+	if ev.MeanTask > 0 {
+		skew := ev.MaxTask.Seconds() / ev.MeanTask.Seconds()
 		m.skewHist.Observe(skew)
 		m.skewGauge.SetMax(skew)
 	}
@@ -1524,26 +1065,26 @@ var (
 // emitStageSpans renders one stage into trace spans: a stage span on the
 // driver lane, an I/O span per active node, and one span per task on its
 // executor-core lane.
-func (c *Context) emitStageSpans(kind StageKind, phase string, stageID int, spill, fetch int64, rep sim.StageReport) {
+func (c *Context) emitStageSpans(ev StageEvent, rep sim.StageReport) {
 	c.laneNames.Do(c.nameTraceLanes)
 	cat := "stage"
-	if phase != "" {
-		cat = "stage," + phase
+	if ev.Phase != "" {
+		cat = "stage," + ev.Phase
 	}
 	c.obsv.Add(obs.Span{
-		Name: fmt.Sprintf("stage %d %s", stageID, kind), Cat: cat,
+		Name: fmt.Sprintf("stage %d %s", ev.StageID, ev.Kind), Cat: cat,
 		Pid: c.pid, Tid: 0, Start: rep.Start, Dur: rep.Total,
 		Args: map[string]string{
-			"phase": phase,
+			"phase": ev.Phase,
 			"tasks": fmt.Sprint(len(rep.Tasks)),
-			"spill": fmt.Sprintf("%dB", spill),
-			"fetch": fmt.Sprintf("%dB", fetch),
+			"spill": fmt.Sprintf("%dB", ev.SpillBytes),
+			"fetch": fmt.Sprintf("%dB", ev.FetchBytes),
 		},
 	})
 	for n, io := range rep.NodeIO {
 		if io > 0 {
 			c.obsv.Add(obs.Span{
-				Name: fmt.Sprintf("io stage %d", stageID), Cat: "io",
+				Name: fmt.Sprintf("io stage %d", ev.StageID), Cat: "io",
 				Pid: c.pid, Tid: c.laneTid(n, c.conf.ExecutorCores),
 				Start: rep.Start, Dur: io,
 			})
@@ -1554,7 +1095,7 @@ func (c *Context) emitStageSpans(kind StageKind, phase string, stageID int, spil
 			continue
 		}
 		c.obsv.Add(obs.Span{
-			Name: fmt.Sprintf("task %d.%d", stageID, ts.Index), Cat: "task",
+			Name: fmt.Sprintf("task %d.%d", ev.StageID, ts.Index), Cat: "task",
 			Pid: c.pid, Tid: c.laneTid(ts.Node, ts.Lane),
 			Start: rep.Start + ts.Start, Dur: ts.Dur,
 			Args: map[string]string{"raw": ts.Raw.String()},
@@ -1595,8 +1136,7 @@ func (c *Context) runJob(ds *dataset) []partition {
 	c.AdvanceDriver(c.model.JobOverhead(), simtime.Overhead)
 	c.ensureUpstream(ds, make(map[*dataset]bool))
 	out := make([]partition, ds.parts)
-	c.runStage(StageResult, -1, ds.parts, c.CurrentPhase(), func(tc *TaskContext, split int) {
-		out[split] = c.iterate(ds, split, tc)
-	})
+	c.execStage(&stageRun{kind: StageResult, shuffleID: -1, parts: ds.parts, phase: c.CurrentPhase(), stageID: -1,
+		work: func(tc *TaskContext, _, split int) { out[split] = c.iterate(ds, split, tc) }})
 	return out
 }

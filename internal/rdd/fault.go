@@ -94,8 +94,8 @@ type RemoteOutage struct {
 
 // RemoteSlow dilates simulated remote-tier operations by Factor for a
 // window of stages ([From, From+Dur), same semantics as RemoteOutage).
-// A dilated restore read that exceeds Conf.RemoteOpTimeout times out
-// and is retried with exponential backoff up to Conf.RemoteMaxRetries;
+// A dilated restore read that exceeds remoteOpTimeout times out and is
+// retried with exponential backoff up to remoteMaxRetries times;
 // exhausting the retries falls back to recompute.
 type RemoteSlow struct {
 	// From is the global stage ID at whose start the slowdown begins.
@@ -126,7 +126,7 @@ type RemoteCorruption struct {
 // WITHOUT dying — its staged outputs and cached data survive. With a
 // heartbeat failure detector (Conf.HeartbeatInterval > 0) a pause of at
 // least one interval makes the scheduler suspect the node; a pause of at
-// least HeartbeatMisses intervals makes it falsely declare the node dead,
+// least two intervals (heartbeatMisses) makes it falsely declare it dead,
 // invalidate its map outputs and resubmit — and when the pause ends, the
 // original "zombie" attempt's commit is rejected by the map-output commit
 // lease (attempt-epoch fencing). Requires the detector: plans carrying GC
@@ -557,7 +557,7 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 		ev := &fs.plan.RemoteSlows[i]
 		if !fs.slowFired[i] && fs.maxStage >= ev.From && fs.maxStage < ev.From+ev.Dur {
 			fs.slowFired[i] = true
-			c.recm.injectRemoteSlow.Inc()
+			c.count(recRemoteSlows, 1)
 		}
 	}
 	var toCorruptRemote []RemoteCorruption
@@ -569,15 +569,14 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 		fs.remoteCorruptFired[i] = true
 		toCorruptRemote = append(toCorruptRemote, *ev)
 	}
-	// det is the heartbeat detector's declaration latency: with the
-	// detector on, a dead (or silent) executor becomes scheduler-visible
-	// only after HeartbeatMisses consecutive missed leases. 0 keeps the
-	// legacy omniscient delivery (faults known the instant they fire).
-	det := c.detectionLatency()
+	// det is the heartbeat detector's declaration latency: a dead (or
+	// silent) executor becomes scheduler-visible heartbeatMisses missed
+	// leases after it stops. With the detector off det is 0 and the same
+	// delivery below declares a loss the instant it fires.
+	det := heartbeatMisses * c.conf.HeartbeatInterval
 	declared := false
 	suspect := func(node int, detail string) {
-		c.rec.suspicions.Add(1)
-		c.recm.detSuspicions.Inc()
+		c.count(recSuspicions, 1)
 		c.recordEvent(obs.Event{
 			Clock: now.Seconds(), Type: obs.EvSuspicion,
 			Stage: stageID, Part: -1, Node: node, Shuffle: -1,
@@ -615,8 +614,7 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 		}
 		fs.crashFired[i] = true
 		declareDead(ev.Node, ev.Down)
-		c.rec.execCrashes.Add(1)
-		c.recm.injectCrash.Inc()
+		c.count(recExecCrashes, 1)
 		if det > 0 {
 			declared = true
 			suspect(ev.Node, "heartbeats stopped: executor dead")
@@ -642,8 +640,7 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 				suspect(node, fmt.Sprintf("heartbeats stopped with rack %d", ev.Rack))
 			}
 		}
-		c.rec.rackFailures.Add(1)
-		c.recm.injectRack.Inc()
+		c.count(recRackFailures, 1)
 		c.recordEvent(obs.Event{
 			Clock: now.Seconds(), Type: obs.EvFault,
 			Stage: stageID, Part: -1, Node: -1, Shuffle: -1,
@@ -665,8 +662,7 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 			return // recovers before the lease count runs out: suspicion only
 		}
 		declared = true
-		c.rec.falseSuspicions.Add(1)
-		c.recm.detFalseSuspicions.Inc()
+		c.count(recFalseSuspicions, 1)
 		if until := now + dur; until > fs.downUntil[node] {
 			fs.downUntil[node] = until
 		}
@@ -678,7 +674,7 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 			continue
 		}
 		fs.gcFired[i] = true
-		c.recm.injectGCPause.Inc()
+		c.count(recGCPauses, 1)
 		c.recordEvent(obs.Event{
 			Clock: now.Seconds(), Type: obs.EvFault,
 			Stage: stageID, Part: -1, Node: ev.Node, Shuffle: -1,
@@ -692,7 +688,7 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 			continue
 		}
 		fs.partFired[i] = true
-		c.recm.injectPartition.Inc()
+		c.count(recPartitions, 1)
 		c.recordEvent(obs.Event{
 			Clock: now.Seconds(), Type: obs.EvFault,
 			Stage: stageID, Part: -1, Node: -1, Shuffle: -1,
@@ -709,8 +705,7 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 		}
 		fs.diskFired[i] = true
 		toLose = append(toLose, ev.Node)
-		c.rec.diskLosses.Add(1)
-		c.recm.injectDisk.Inc()
+		c.count(recDiskLosses, 1)
 		c.recordEvent(obs.Event{
 			Clock: now.Seconds(), Type: obs.EvFault,
 			Stage: stageID, Part: -1, Node: ev.Node, Shuffle: -1,
@@ -735,18 +730,14 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 		// expire in parallel). The charge lands before the stage reads the
 		// clock, so placements already see the post-declaration blacklist.
 		c.advanceDriver(det, simtime.Overhead, obs.PhaseDetection)
-		c.mu.Lock()
-		c.bd.Detection += det
-		c.mu.Unlock()
 	}
 	if c.store != nil && c.store.RemoteAttached() {
 		if remoteDown && !remoteWasDown {
 			// Entering an outage window: one degraded-mode episode begins —
 			// the replication queue parks and recovery falls back to
 			// recompute until the window closes.
-			c.rec.degradedWindows.Add(1)
-			c.recm.degradedWindows.Inc()
-			c.recm.injectRemoteOutage.Inc()
+			c.count(recDegradedWindows, 1)
+			c.count(recRemoteOutages, 1)
 			c.recordEvent(obs.Event{
 				Clock: now.Seconds(), Type: obs.EvFault,
 				Stage: stageID, Part: -1, Node: -1, Shuffle: -1,
@@ -791,11 +782,9 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 	return crashed
 }
 
-// detectionLatency returns the heartbeat detector's declaration latency
-// (HeartbeatMisses × HeartbeatInterval), or 0 with the detector off.
-func (c *Context) detectionLatency() simtime.Duration {
-	return simtime.Duration(c.conf.HeartbeatMisses) * c.conf.HeartbeatInterval
-}
+// heartbeatMisses is how many consecutive missed heartbeats turn a suspect
+// node into a declared-dead one.
+const heartbeatMisses = 2
 
 // remoteSlowFactor returns the active remote-slowdown dilation (≥ 1) at
 // the run's current high-water stage.
@@ -826,6 +815,18 @@ func (c *Context) nodeDown(node int, asOf simtime.Duration) bool {
 	return asOf < fs.downUntil[node]
 }
 
+// nextAlive returns the first node after from, in ring order, that is not
+// blacklisted at asOf nor in rack avoidRack (< 0: any rack); -1 if none.
+func (c *Context) nextAlive(from int, asOf simtime.Duration, avoidRack int) int {
+	cl := c.conf.Cluster
+	for i := 1; i < cl.Nodes; i++ {
+		if n := (from + i) % cl.Nodes; !c.nodeDown(n, asOf) && (avoidRack < 0 || cl.RackOf(n) != avoidRack) {
+			return n
+		}
+	}
+	return -1
+}
+
 // placeNode assigns a task its executor: the partition's home node unless
 // that node is blacklisted, in which case the next alive node in ring
 // order takes it (deterministic re-placement off a flapping executor).
@@ -834,21 +835,17 @@ func (c *Context) placeNode(split int, asOf simtime.Duration) int {
 	if !c.nodeDown(home, asOf) {
 		return home
 	}
-	nodes := c.conf.Cluster.Nodes
-	for i := 1; i < nodes; i++ {
-		n := (home + i) % nodes
-		if !c.nodeDown(n, asOf) {
-			c.rec.blacklisted.Add(1)
-			c.recm.blacklisted.Inc()
-			c.recordEvent(obs.Event{
-				Clock: asOf.Seconds(), Type: obs.EvBlacklist,
-				Stage: -1, Part: split, Node: n, Shuffle: -1,
-				Detail: fmt.Sprintf("home node %d blacklisted", home),
-			})
-			return n
-		}
+	n := c.nextAlive(home, asOf, -1)
+	if n < 0 {
+		return home // every node down: schedule home and let it run
 	}
-	return home // every node down: schedule home and let it run
+	c.count(recBlacklisted, 1)
+	c.recordEvent(obs.Event{
+		Clock: asOf.Seconds(), Type: obs.EvBlacklist,
+		Stage: -1, Part: split, Node: n, Shuffle: -1,
+		Detail: fmt.Sprintf("home node %d blacklisted", home),
+	})
+	return n
 }
 
 // stragglerFactor returns the injected slowdown for a task, or 1, and
@@ -921,110 +918,114 @@ func (c *Context) loseNodeOutputs(node int, zombie bool) {
 	}
 }
 
-// recovery holds a context's recovery counters (atomics: tasks update
-// them concurrently). The same increments are mirrored into the metrics
-// registry via recoveryMetrics; these fields power RecoveryStats for
-// tests without scraping.
-type recovery struct {
-	taskRetries      atomic.Int64
-	fetchFailures    atomic.Int64
-	stageResubmits   atomic.Int64
-	recomputedParts  atomic.Int64
-	specLaunched     atomic.Int64
-	specWins         atomic.Int64
-	blacklisted      atomic.Int64
-	execCrashes      atomic.Int64
-	diskLosses       atomic.Int64
-	stragglers       atomic.Int64
-	faultKills       atomic.Int64
-	corruptions      atomic.Int64
-	restoredBlocks   atomic.Int64
-	recomputedBlocks atomic.Int64
-	remoteRetries    atomic.Int64
-	degradedWindows  atomic.Int64
-	remoteCorrupts   atomic.Int64
-	spillStragglers  atomic.Int64
-	suspicions       atomic.Int64
-	falseSuspicions  atomic.Int64
-	fencedCommits    atomic.Int64
-	stormThrottled   atomic.Int64
-	rackFailures     atomic.Int64
+// recKind indexes the recovery ledger: one row per thing the failure path
+// counts. A site counts with c.count(kind, n) and nothing else.
+type recKind int
+
+const (
+	recTaskRetries recKind = iota
+	recFetchFailures
+	recStageResubmits
+	recRecomputedParts
+	recSpecLaunched
+	recSpecWins
+	recBlacklisted
+	recExecCrashes
+	recDiskLosses
+	recStragglers
+	recCorruptions
+	recRestoredBlocks
+	recRecomputedBlocks
+	recRemoteRetries
+	recDegradedWindows
+	recRemoteCorrupts
+	recSpillStragglers
+	recSuspicions
+	recFalseSuspicions
+	recFencedCommits
+	recStormThrottled
+	recRackFailures
+	// Fired plan events that only the injection family reports.
+	recRemoteOutages
+	recRemoteSlows
+	recGCPauses
+	recPartitions
+	numRecKinds
+)
+
+// ledgerRows says where each kind shows: its metric family (inject names
+// the kind label of dpspark_fault_injections_total instead) and its
+// RecoveryStats field (nil for the injection-only kinds).
+var ledgerRows = [numRecKinds]struct {
+	metric, inject string
+	field          func(*RecoveryStats) *int64
+}{
+	recTaskRetries:     {metric: "dpspark_task_retries_total", field: func(s *RecoveryStats) *int64 { return &s.TaskRetries }},
+	recFetchFailures:   {metric: "dpspark_fetch_failures_total", field: func(s *RecoveryStats) *int64 { return &s.FetchFailures }},
+	recStageResubmits:  {metric: "dpspark_stage_resubmits_total", field: func(s *RecoveryStats) *int64 { return &s.StageResubmits }},
+	recRecomputedParts: {metric: "dpspark_recomputed_map_partitions_total", field: func(s *RecoveryStats) *int64 { return &s.RecomputedMapPartitions }},
+	recSpecLaunched:    {metric: "dpspark_speculative_tasks_total", field: func(s *RecoveryStats) *int64 { return &s.SpeculativeTasks }},
+	recSpecWins:        {metric: "dpspark_speculation_wins_total", field: func(s *RecoveryStats) *int64 { return &s.SpeculationWins }},
+	recBlacklisted:     {metric: "dpspark_blacklist_placements_total", field: func(s *RecoveryStats) *int64 { return &s.BlacklistPlacements }},
+	recExecCrashes:     {inject: "executor-crash", field: func(s *RecoveryStats) *int64 { return &s.ExecutorCrashes }},
+	recDiskLosses:      {inject: "disk-loss", field: func(s *RecoveryStats) *int64 { return &s.DiskLosses }},
+	recStragglers:      {inject: "straggler", field: func(s *RecoveryStats) *int64 { return &s.Stragglers }},
+	recCorruptions:     {inject: "corruption", field: func(s *RecoveryStats) *int64 { return &s.Corruptions }},
+	// dpspark_remote_restored_blocks_total belongs to the store's
+	// RestoreFromRemote, which counts it; a series here would double it.
+	recRestoredBlocks:   {field: func(s *RecoveryStats) *int64 { return &s.RestoredBlocks }},
+	recRecomputedBlocks: {metric: "dpspark_remote_recomputed_blocks_total", field: func(s *RecoveryStats) *int64 { return &s.RecomputedBlocks }},
+	recRemoteRetries:    {metric: "dpspark_remote_retries_total", field: func(s *RecoveryStats) *int64 { return &s.RemoteRetries }},
+	recDegradedWindows:  {metric: "dpspark_remote_degraded_windows_total", field: func(s *RecoveryStats) *int64 { return &s.DegradedWindows }},
+	recRemoteCorrupts:   {inject: "remote-corruption", field: func(s *RecoveryStats) *int64 { return &s.RemoteCorruptions }},
+	recSpillStragglers:  {metric: "dpspark_spill_stragglers_total", field: func(s *RecoveryStats) *int64 { return &s.SpillStragglers }},
+	recSuspicions:       {metric: "dpspark_detector_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.Suspicions }},
+	recFalseSuspicions:  {metric: "dpspark_detector_false_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.FalseSuspicions }},
+	recFencedCommits:    {metric: "dpspark_detector_fenced_commits_total", field: func(s *RecoveryStats) *int64 { return &s.FencedCommits }},
+	recStormThrottled:   {metric: "dpspark_detector_storm_throttled_resubmits_total", field: func(s *RecoveryStats) *int64 { return &s.StormThrottledResubmits }},
+	recRackFailures:     {inject: "rack-failure", field: func(s *RecoveryStats) *int64 { return &s.RackFailures }},
+	recRemoteOutages:    {inject: "remote-outage"},
+	recRemoteSlows:      {inject: "remote-slow"},
+	recGCPauses:         {inject: "gc-pause"},
+	recPartitions:       {inject: "network-partition"},
 }
 
-// recoveryMetrics are the pre-resolved registry handles for the recovery
-// counter families (resolved once in NewContext; hot paths only Inc).
-type recoveryMetrics struct {
-	taskRetries         *obs.Counter
-	fetchFailures       *obs.Counter
-	stageResubmits      *obs.Counter
-	recomputedParts     *obs.Counter
-	specLaunched        *obs.Counter
-	specWins            *obs.Counter
-	blacklisted         *obs.Counter
-	recomputedBlocks    *obs.Counter
-	remoteRetries       *obs.Counter
-	degradedWindows     *obs.Counter
-	spillStragglers     *obs.Counter
-	detSuspicions       *obs.Counter
-	detFalseSuspicions  *obs.Counter
-	detFencedCommits    *obs.Counter
-	detStormThrottled   *obs.Counter
-	injectTask          *obs.Counter
-	injectCrash         *obs.Counter
-	injectDisk          *obs.Counter
-	injectStraggler     *obs.Counter
-	injectCorrupt       *obs.Counter
-	injectRemoteOutage  *obs.Counter
-	injectRemoteSlow    *obs.Counter
-	injectRemoteCorrupt *obs.Counter
-	injectGCPause       *obs.Counter
-	injectPartition     *obs.Counter
-	injectRack          *obs.Counter
+// ledger is a context's recovery accounting: per kind, the count that
+// RecoveryStats reads and the registry series that mirrors it (resolved
+// once, in NewContext; nil where the kind has none).
+type ledger struct {
+	n      [numRecKinds]atomic.Int64
+	series [numRecKinds]*obs.Counter
 }
 
-// newRecoveryMetrics resolves the recovery counter families against a
-// registry. fault_injections_total is labelled by fault kind; the other
-// families are single-series.
-func newRecoveryMetrics(reg *obs.Registry) recoveryMetrics {
-	return recoveryMetrics{
-		taskRetries:     reg.Counter("dpspark_task_retries_total", nil),
-		fetchFailures:   reg.Counter("dpspark_fetch_failures_total", nil),
-		stageResubmits:  reg.Counter("dpspark_stage_resubmits_total", nil),
-		recomputedParts: reg.Counter("dpspark_recomputed_map_partitions_total", nil),
-		specLaunched:    reg.Counter("dpspark_speculative_tasks_total", nil),
-		specWins:        reg.Counter("dpspark_speculation_wins_total", nil),
-		blacklisted:     reg.Counter("dpspark_blacklist_placements_total", nil),
-		// dpspark_remote_restored_blocks_total is owned (and incremented)
-		// by the store's RestoreFromRemote — no rdd-side handle, so the
-		// family is never double-counted.
-		recomputedBlocks:    reg.Counter("dpspark_remote_recomputed_blocks_total", nil),
-		remoteRetries:       reg.Counter("dpspark_remote_retries_total", nil),
-		degradedWindows:     reg.Counter("dpspark_remote_degraded_windows_total", nil),
-		spillStragglers:     reg.Counter("dpspark_spill_stragglers_total", nil),
-		detSuspicions:       reg.Counter("dpspark_detector_suspicions_total", nil),
-		detFalseSuspicions:  reg.Counter("dpspark_detector_false_suspicions_total", nil),
-		detFencedCommits:    reg.Counter("dpspark_detector_fenced_commits_total", nil),
-		detStormThrottled:   reg.Counter("dpspark_detector_storm_throttled_resubmits_total", nil),
-		injectTask:          reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "task"}),
-		injectCrash:         reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "executor-crash"}),
-		injectDisk:          reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "disk-loss"}),
-		injectStraggler:     reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "straggler"}),
-		injectCorrupt:       reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "corruption"}),
-		injectRemoteOutage:  reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "remote-outage"}),
-		injectRemoteSlow:    reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "remote-slow"}),
-		injectRemoteCorrupt: reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "remote-corruption"}),
-		injectGCPause:       reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "gc-pause"}),
-		injectPartition:     reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "network-partition"}),
-		injectRack:          reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": "rack-failure"}),
+// resolve binds the ledger's series to a registry.
+func (l *ledger) resolve(reg *obs.Registry) {
+	for k, row := range ledgerRows {
+		switch {
+		case row.inject != "":
+			l.series[k] = reg.Counter("dpspark_fault_injections_total", obs.Labels{"kind": row.inject})
+		case row.metric != "":
+			l.series[k] = reg.Counter(row.metric, nil)
+		}
+	}
+}
+
+// count adds n to one ledger row — the only way the engine counts a
+// recovery event (tasks call it concurrently).
+func (c *Context) count(k recKind, n int64) {
+	c.ledger.n[k].Add(n)
+	if s := c.ledger.series[k]; s != nil {
+		s.Add(n)
 	}
 }
 
 // RecoveryStats is a snapshot of the context's failure/recovery counters.
 type RecoveryStats struct {
-	// TaskRetries counts task attempts beyond the first (panics, injected
-	// task kills, executor-loss kills).
+	// TaskRetries counts task attempts beyond the first (panics and
+	// executor-loss kills).
 	TaskRetries int64
-	// FetchFailures counts reduce-side fetches that hit a lost map output.
+	// FetchFailures counts recovery rounds: lost or corrupt map outputs a
+	// reduce-side fetch hit, once however many concurrent tasks saw them.
 	FetchFailures int64
 	// StageResubmits counts map-stage resubmissions triggered by fetch
 	// failures.
@@ -1035,12 +1036,11 @@ type RecoveryStats struct {
 	// SpeculativeTasks and SpeculationWins count speculative copies
 	// launched and copies that beat the original.
 	SpeculativeTasks, SpeculationWins int64
-	// BlacklistPlacements counts tasks placed off their home node because
-	// it was blacklisted.
+	// BlacklistPlacements counts task attempts (and restored map outputs)
+	// placed off their home node because it was blacklisted.
 	BlacklistPlacements int64
-	// ExecutorCrashes, DiskLosses and Stragglers count fired plan events;
-	// FaultKills counts task attempts killed by Conf.FaultInjector.
-	ExecutorCrashes, DiskLosses, Stragglers, FaultKills int64
+	// ExecutorCrashes, DiskLosses and Stragglers count fired plan events.
+	ExecutorCrashes, DiskLosses, Stragglers int64
 	// Corruptions counts fired plan corruption events that actually
 	// damaged a staged block (a corruption with nothing staged is a no-op
 	// and not counted).
@@ -1053,7 +1053,7 @@ type RecoveryStats struct {
 	// tier down, or the restore retries exhausted).
 	RecomputedBlocks int64
 	// RemoteRetries counts remote restore reads retried after a simulated
-	// timeout (exponential backoff; see Conf.RemoteOpTimeout).
+	// timeout (exponential backoff; see remoteOpTimeout).
 	RemoteRetries int64
 	// DegradedWindows counts entries into degraded (recompute-only) mode
 	// — one per remote-outage window the run passed through.
@@ -1062,10 +1062,12 @@ type RecoveryStats struct {
 	// actually damaged a replica.
 	RemoteCorruptions int64
 	// SpillStragglers counts tasks dilated by spill-aware scheduling
-	// (Conf.SpillStraggler) because their node was memory-starved.
+	// (Conf.SpillDilation) because their node carried a staged backlog.
+	// The one observational counter: its trigger reads real spill timing.
 	SpillStragglers int64
 	// Suspicions counts executors the heartbeat detector suspected after a
-	// missed lease (0 with the detector off — faults deliver omnisciently).
+	// missed lease (0 with the detector off: at latency 0 a loss is
+	// declared the instant it fires, nothing is ever merely suspected).
 	Suspicions int64
 	// FalseSuspicions counts alive-but-silent executors (GC pause, network
 	// partition) the detector falsely declared dead.
@@ -1084,29 +1086,11 @@ type RecoveryStats struct {
 
 // RecoveryStats returns the context's failure/recovery counters so far.
 func (c *Context) RecoveryStats() RecoveryStats {
-	return RecoveryStats{
-		TaskRetries:             c.rec.taskRetries.Load(),
-		FetchFailures:           c.rec.fetchFailures.Load(),
-		StageResubmits:          c.rec.stageResubmits.Load(),
-		RecomputedMapPartitions: c.rec.recomputedParts.Load(),
-		SpeculativeTasks:        c.rec.specLaunched.Load(),
-		SpeculationWins:         c.rec.specWins.Load(),
-		BlacklistPlacements:     c.rec.blacklisted.Load(),
-		ExecutorCrashes:         c.rec.execCrashes.Load(),
-		DiskLosses:              c.rec.diskLosses.Load(),
-		Stragglers:              c.rec.stragglers.Load(),
-		FaultKills:              c.rec.faultKills.Load(),
-		Corruptions:             c.rec.corruptions.Load(),
-		RestoredBlocks:          c.rec.restoredBlocks.Load(),
-		RecomputedBlocks:        c.rec.recomputedBlocks.Load(),
-		RemoteRetries:           c.rec.remoteRetries.Load(),
-		DegradedWindows:         c.rec.degradedWindows.Load(),
-		RemoteCorruptions:       c.rec.remoteCorrupts.Load(),
-		SpillStragglers:         c.rec.spillStragglers.Load(),
-		Suspicions:              c.rec.suspicions.Load(),
-		FalseSuspicions:         c.rec.falseSuspicions.Load(),
-		FencedCommits:           c.rec.fencedCommits.Load(),
-		StormThrottledResubmits: c.rec.stormThrottled.Load(),
-		RackFailures:            c.rec.rackFailures.Load(),
+	var s RecoveryStats
+	for k, row := range ledgerRows {
+		if row.field != nil {
+			*row.field(&s) = c.ledger.n[k].Load()
+		}
 	}
+	return s
 }

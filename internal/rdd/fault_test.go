@@ -13,19 +13,14 @@ import (
 // lineage and the job must still produce the right answer, charging the
 // failed attempts' work.
 func TestTaskRetryRecovers(t *testing.T) {
-	var injected atomic.Int64
-	ctx := NewContext(Conf{
-		Cluster: cluster.Local(2),
-		FaultInjector: func(stageID, partition, attempt int) bool {
-			if partition == 1 && attempt < 2 {
-				injected.Add(1)
-				return true
-			}
-			return false
-		},
-	})
+	var died atomic.Int64
+	ctx := NewContext(Conf{Cluster: cluster.Local(2)})
 	r := Map(Parallelize(ctx, ints(10), 2), func(tc *TaskContext, x int) int {
 		tc.ChargeCompute(simtime.Second, 1)
+		if tc.Partition == 1 && died.Load() < 2 {
+			died.Add(1)
+			panic("partition 1 dies mid-work")
+		}
 		return x * 2
 	})
 	got, err := r.Collect()
@@ -35,8 +30,8 @@ func TestTaskRetryRecovers(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("collect = %d records", len(got))
 	}
-	if injected.Load() != 2 {
-		t.Fatalf("injector fired %d times, want 2", injected.Load())
+	if rs := ctx.RecoveryStats(); died.Load() != 2 || rs.TaskRetries != 2 {
+		t.Fatalf("%d attempts died, %d retries; want 2 and 2", died.Load(), rs.TaskRetries)
 	}
 }
 
@@ -86,15 +81,7 @@ func TestTransientPanicRecovered(t *testing.T) {
 // to failed attempts.
 func TestFailedAttemptsChargeTime(t *testing.T) {
 	run := func(failures int) simtime.Duration {
-		ctx := NewContext(Conf{
-			Cluster: cluster.Local(1),
-			FaultInjector: func(_, _, attempt int) bool {
-				// The injector fires before work, so charge-bearing
-				// failures need a mid-work panic instead; emulate lost
-				// work by failing after the charge via panic below.
-				return false
-			},
-		})
+		ctx := NewContext(Conf{Cluster: cluster.Local(1)})
 		remaining := failures
 		r := Map(Parallelize(ctx, ints(1), 1), func(tc *TaskContext, x int) int {
 			tc.ChargeCompute(10*simtime.Second, 1)

@@ -1,11 +1,15 @@
 package rdd
 
 import (
+	"math"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dpspark/internal/cluster"
+	"dpspark/internal/obs"
 	"dpspark/internal/simtime"
 )
 
@@ -230,34 +234,154 @@ func TestStragglerDilatesAndSpeculationRecovers(t *testing.T) {
 	}
 }
 
-// TestRecoveryMetricsExported: the recovery counters are mirrored into
-// the metrics registry (task_retries_total, fault_injections_total and
-// the resubmission families).
+// TestRecoveryMetricsExported: after a chaos run every exported recovery
+// series, looked up by its published name and labels, equals the
+// RecoveryStats field it mirrors — one row per ledger row that has both.
+// Three jobs on one context (durable store, remote tier, detector, storm
+// bucket) walk the plan through a straggler, a crash, a remote outage, a
+// GC pause long enough to be falsely declared, a disk loss and a corrupt
+// block with a corrupt replica.
 func TestRecoveryMetricsExported(t *testing.T) {
-	ctx := NewContext(Conf{
-		Cluster: cluster.LocalN(2, 2),
-		FaultPlan: &FaultPlan{
-			Crashes:    []ExecutorCrash{{Stage: 1, Node: 0}},
-			Stragglers: []Straggler{{Stage: 0, Partition: 1, Factor: 2}},
-		},
-		FaultInjector: func(stageID, partition, attempt int) bool {
-			return stageID == 0 && partition == 3 && attempt == 0
-		},
-	})
-	collectPairs(t, shuffledDoubles(ctx, 4))
-
-	reg := ctx.Observer().Metrics()
-	rs := ctx.RecoveryStats()
-	for name, want := range map[string]int64{
-		"dpspark_task_retries_total":              rs.TaskRetries,
-		"dpspark_fetch_failures_total":            rs.FetchFailures,
-		"dpspark_stage_resubmits_total":           rs.StageResubmits,
-		"dpspark_recomputed_map_partitions_total": rs.RecomputedMapPartitions,
-		"dpspark_fault_injections_total":          rs.ExecutorCrashes + rs.DiskLosses + rs.Stragglers + rs.FaultKills,
-	} {
-		if got := reg.CounterTotal(name); got != want || want == 0 {
-			t.Fatalf("%s = %d, want %d (nonzero)", name, got, want)
+	conf := remoteConf(t, 0)
+	conf.Speculation = true
+	conf.HeartbeatInterval = simtime.Second
+	conf.RecoveryTokens, conf.RecoveryRefill = 1, 1000*simtime.Second
+	conf.FaultPlan = &FaultPlan{
+		Stragglers:    []Straggler{{Stage: 0, Partition: 1, Factor: 8}},
+		Crashes:       []ExecutorCrash{{Stage: 1, Node: 0}},
+		RemoteOutages: []RemoteOutage{{From: 2, Dur: 2}},
+		// Node 0 is still blacklisted when job 1 maps: node 1 stages it all.
+		GCPauses:          []GCPause{{Node: 1, From: 3, Dur: 4 * simtime.Second}},
+		DiskLosses:        []DiskLoss{{Stage: 5, Node: 0}},
+		Corruptions:       []Corruption{{Stage: 5, Block: 1}},
+		RemoteCorruptions: []RemoteCorruption{{Stage: 5, Block: 1}},
+	}
+	ctx := newContext(t, conf)
+	for job := 0; job < 3; job++ {
+		in := Map(Parallelize(ctx, ints(20), 4), func(tc *TaskContext, x int) Pair[int, int] {
+			tc.ChargeCompute(10*simtime.Second, 1)
+			return KV(x, 2*x)
+		})
+		if got := collectPairs(t, PartitionBy(in, NewHashPartitioner(4))); len(got) != 20 || got[7] != 14 {
+			t.Fatalf("job %d: collect = %v", job, got)
 		}
+	}
+
+	rs := ctx.RecoveryStats()
+	rows := []struct {
+		name, kind string // kind: the fault_injections_total label
+		want       int64
+		moved      bool // the run above must have counted it
+	}{
+		{"dpspark_task_retries_total", "", rs.TaskRetries, true},
+		{"dpspark_fetch_failures_total", "", rs.FetchFailures, true},
+		{"dpspark_stage_resubmits_total", "", rs.StageResubmits, true},
+		{"dpspark_recomputed_map_partitions_total", "", rs.RecomputedMapPartitions, true},
+		{"dpspark_speculative_tasks_total", "", rs.SpeculativeTasks, true},
+		{"dpspark_speculation_wins_total", "", rs.SpeculationWins, true},
+		{"dpspark_blacklist_placements_total", "", rs.BlacklistPlacements, true},
+		{"dpspark_remote_recomputed_blocks_total", "", rs.RecomputedBlocks, true},
+		{"dpspark_remote_retries_total", "", rs.RemoteRetries, false},
+		{"dpspark_remote_degraded_windows_total", "", rs.DegradedWindows, true},
+		{"dpspark_spill_stragglers_total", "", rs.SpillStragglers, false},
+		{"dpspark_detector_suspicions_total", "", rs.Suspicions, true},
+		{"dpspark_detector_false_suspicions_total", "", rs.FalseSuspicions, true},
+		{"dpspark_detector_fenced_commits_total", "", rs.FencedCommits, true},
+		{"dpspark_detector_storm_throttled_resubmits_total", "", rs.StormThrottledResubmits, true},
+		{"dpspark_fault_injections_total", "executor-crash", rs.ExecutorCrashes, true},
+		{"dpspark_fault_injections_total", "disk-loss", rs.DiskLosses, true},
+		{"dpspark_fault_injections_total", "straggler", rs.Stragglers, true},
+		{"dpspark_fault_injections_total", "corruption", rs.Corruptions, true},
+		{"dpspark_fault_injections_total", "remote-corruption", rs.RemoteCorruptions, true},
+		{"dpspark_fault_injections_total", "rack-failure", rs.RackFailures, false},
+	}
+	reg := ctx.Observer().Metrics()
+	for _, row := range rows {
+		var labels obs.Labels
+		if row.kind != "" {
+			labels = obs.Labels{"kind": row.kind}
+		}
+		got := reg.Counter(row.name, labels).Value()
+		if got != row.want || (row.moved && got == 0) {
+			t.Errorf("%s%v = %d, RecoveryStats has %d (must move: %v)", row.name, labels, got, row.want, row.moved)
+		}
+	}
+	mirrored := 0
+	for _, row := range ledgerRows {
+		if row.field != nil && row.metric+row.inject != "" {
+			mirrored++
+		}
+	}
+	if mirrored != len(rows) {
+		t.Fatalf("the ledger mirrors %d RecoveryStats fields into series, this table checks %d", mirrored, len(rows))
+	}
+	// RestoredBlocks is the one field without an rdd-side series: the store
+	// owns dpspark_remote_restored_blocks_total and counts every block it
+	// fetched back, also those of a partition whose restore then failed.
+	if rs.RestoredBlocks == 0 {
+		t.Errorf("the crash's lost outputs must restore from replicas: %+v", rs)
+	}
+}
+
+// TestFetchFailureCountedOncePerRecovery: one lost map output, eight
+// reduce tasks released onto it together. However many of them see the
+// loss before it is repaired, it is one recovery round: FetchFailures is
+// 1, and the counters and the modelled clock are the serial run's, bit
+// for bit. Each reducer charges compute before it reaches the lost
+// shuffle, so a clock that charged fetch-failed attempts for the part
+// they ran would differ with the number of observers.
+func TestFetchFailureCountedOncePerRecovery(t *testing.T) {
+	const reducers = 8
+	run := func(par int) (simtime.Duration, RecoveryStats) {
+		ctx := NewContext(Conf{
+			Cluster:         cluster.LocalN(2, 2),
+			RealParallelism: par,
+			// The crash fires as the result stage starts: map partition 0,
+			// staged on node 0, is lost, and the reducers homed there die
+			// with it once before they are re-placed.
+			FaultPlan: &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 0}}},
+		})
+		part := NewHashPartitioner(reducers)
+		lostSide := PartitionBy(Map(Parallelize(ctx, ints(64), 2), func(_ *TaskContext, x int) Pair[int, int] {
+			return KV(x, 2*x)
+		}), part)
+		// The other side of the union gates the reducers: each charges its
+		// compute, then waits until all of them are running (a task waits
+		// at most once, so retries pass; one worker cannot wait at all).
+		var arrived sync.WaitGroup
+		arrived.Add(reducers)
+		var waited [reducers]atomic.Bool
+		keys := make([]Pair[int, int], reducers)
+		for i := range keys {
+			keys[i] = KV(1000+i, 0)
+		}
+		gate := MapValues(ParallelizePairs(ctx, keys, part), func(tc *TaskContext, _ int, v int) int {
+			tc.ChargeCompute(10*simtime.Second, 1)
+			if par >= reducers && waited[tc.Partition].CompareAndSwap(false, true) {
+				arrived.Done()
+				arrived.Wait()
+			}
+			return v
+		})
+		got := collectPairs(t, gate.Union(lostSide))
+		if len(got) != 64+reducers || got[7] != 14 {
+			t.Fatalf("parallelism %d: collect = %v", par, got)
+		}
+		return ctx.Clock(), ctx.RecoveryStats()
+	}
+	serialClock, serial := run(1)
+	if serial.FetchFailures != 1 || serial.BlacklistPlacements == 0 {
+		t.Fatalf("serial run: %+v", serial)
+	}
+	clock, rs := run(reducers)
+	if rs.FetchFailures != 1 {
+		t.Errorf("FetchFailures = %d with %d concurrent reducers, want 1 (one recovery round)", rs.FetchFailures, reducers)
+	}
+	if rs != serial {
+		t.Errorf("recovery stats depend on interleaving:\n  serial   %+v\n  parallel %+v", serial, rs)
+	}
+	if math.Float64bits(clock.Seconds()) != math.Float64bits(serialClock.Seconds()) {
+		t.Errorf("modelled clock depends on interleaving: serial %v, parallel %v", serialClock, clock)
 	}
 }
 
@@ -312,15 +436,12 @@ func TestConfNormalization(t *testing.T) {
 		{"negative attempts", Conf{Cluster: cluster.Local(2), MaxTaskAttempts: -1}, "MaxTaskAttempts"},
 		{"negative keep", Conf{Cluster: cluster.Local(2), KeepShuffles: -2}, "KeepShuffles"},
 		{"negative backoff", Conf{Cluster: cluster.Local(2), BlacklistBackoff: -simtime.Second}, "BlacklistBackoff"},
-		{"multiplier below 1", Conf{Cluster: cluster.Local(2), SpeculationMultiplier: 0.5}, "SpeculationMultiplier"},
-		{"quantile at 1", Conf{Cluster: cluster.Local(2), SpeculationQuantile: 1}, "SpeculationQuantile"},
 		{"plan outside cluster", Conf{Cluster: cluster.Local(2),
 			FaultPlan: &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 7}}}}, "node 7"},
 		{"straggler factor", Conf{Cluster: cluster.Local(2),
 			FaultPlan: &FaultPlan{Stragglers: []Straggler{{Stage: 1, Partition: 0, Factor: 0.5}}}}, "factor"},
 		{"no cluster", Conf{}, "Cluster"},
 		{"negative heartbeat", Conf{Cluster: cluster.Local(2), HeartbeatInterval: -simtime.Second}, "HeartbeatInterval"},
-		{"misses without interval", Conf{Cluster: cluster.Local(2), HeartbeatMisses: 3}, "HeartbeatMisses"},
 		{"negative tokens", Conf{Cluster: cluster.Local(2), RecoveryTokens: -1}, "RecoveryTokens"},
 		{"refill without tokens", Conf{Cluster: cluster.Local(2), RecoveryRefill: simtime.Second}, "RecoveryRefill"},
 		{"gc pause without detector", Conf{Cluster: cluster.Local(2),
@@ -350,21 +471,20 @@ func TestConfNormalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	if conf.MaxTaskAttempts != 4 || conf.KeepShuffles != 8 ||
-		conf.BlacklistBackoff != 30*simtime.Second ||
-		conf.SpeculationMultiplier != 1.5 || conf.SpeculationQuantile != 0.75 {
+		conf.BlacklistBackoff != 30*simtime.Second {
 		t.Fatalf("defaults = %+v", conf)
 	}
-	// Detector defaults: off entirely at interval 0; 2 missed leases and
-	// a 1s refill once their gate knob is set.
-	if conf.HeartbeatMisses != 0 || conf.RecoveryRefill != 0 {
-		t.Fatalf("detector knobs must stay zero while off: %+v", conf)
+	// The storm bucket's refill: zero while the bucket is off, 1s once
+	// RecoveryTokens is set.
+	if conf.RecoveryRefill != 0 {
+		t.Fatalf("the refill must stay zero while the bucket is off: %+v", conf)
 	}
-	det := Conf{Cluster: cluster.Local(2), HeartbeatInterval: simtime.Second, RecoveryTokens: 2}
-	if err := det.normalize(); err != nil {
+	storm := Conf{Cluster: cluster.Local(2), RecoveryTokens: 2}
+	if err := storm.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if det.HeartbeatMisses != 2 || det.RecoveryRefill != simtime.Second {
-		t.Fatalf("detector defaults = %+v", det)
+	if storm.RecoveryRefill != simtime.Second {
+		t.Fatalf("storm defaults = %+v", storm)
 	}
 }
 

@@ -41,8 +41,7 @@ func (c *Context) corruptRemoteReplica(ev RemoteCorruption) {
 			continue
 		}
 		if c.store.CorruptRemote(keys[ev.Block%len(keys)], ev.Torn) {
-			c.rec.remoteCorrupts.Add(1)
-			c.recm.injectRemoteCorrupt.Inc()
+			c.count(recRemoteCorrupts, 1)
 		}
 		return
 	}
@@ -122,7 +121,7 @@ func (c *Context) tryRemoteRestore(st *shuffleState, lost []int) []int {
 			c.simul.AcquireShuffle(node, spillByPart[p])
 		}
 		restored = append(restored, p)
-		c.rec.restoredBlocks.Add(int64(len(blocks)))
+		c.count(recRestoredBlocks, int64(len(blocks)))
 		c.recordEvent(obs.Event{
 			Clock: -1, Type: obs.EvRestore,
 			Stage: -1, Part: p, Node: -1, Shuffle: st.dep.id,
@@ -132,6 +131,16 @@ func (c *Context) tryRemoteRestore(st *shuffleState, lost []int) []int {
 	return restored
 }
 
+// The simulated restore read's failure policy, in virtual time: a read
+// whose (slowdown-dilated) cost exceeds remoteOpTimeout times out, is
+// charged the timeout and retried up to remoteMaxRetries times, waiting
+// remoteBackoff (doubling per retry) before each.
+const (
+	remoteOpTimeout  = 2 * simtime.Second
+	remoteMaxRetries = 3
+	remoteBackoff    = 500 * simtime.Millisecond
+)
+
 // restoreBlock fetches one replica back into the local store, charging
 // the simulated shared-storage read (dilated by any active RemoteSlow
 // window) with per-operation timeout and exponentially backed-off
@@ -140,19 +149,18 @@ func (c *Context) tryRemoteRestore(st *shuffleState, lost []int) []int {
 // budget ran out against a persistent slowdown.
 func (c *Context) restoreBlock(key string, bytes int64) bool {
 	factor := c.remoteSlowFactor()
-	backoff := c.conf.RemoteBackoff
-	for attempt := 0; attempt <= c.conf.RemoteMaxRetries; attempt++ {
+	backoff := remoteBackoff
+	for attempt := 0; attempt <= remoteMaxRetries; attempt++ {
 		if attempt > 0 {
 			c.chargeRestore(backoff)
 			backoff *= 2
-			c.rec.remoteRetries.Add(1)
-			c.recm.remoteRetries.Inc()
+			c.count(recRemoteRetries, 1)
 		}
 		cost := simtime.Duration(c.model.SharedReadTime(bytes).Seconds() * factor)
-		if cost > c.conf.RemoteOpTimeout {
+		if cost > remoteOpTimeout {
 			// The dilated read would blow the per-op deadline: the run
 			// pays the timeout, not the full read, and retries.
-			c.chargeRestore(c.conf.RemoteOpTimeout)
+			c.chargeRestore(remoteOpTimeout)
 			continue
 		}
 		c.chargeRestore(cost)
@@ -168,13 +176,10 @@ func (c *Context) restoreBlock(key string, bytes int64) bool {
 }
 
 // chargeRestore advances the driver clock for a simulated remote
-// operation, attributed as shared-storage traffic and mirrored into the
-// Recovery overlap (restore time IS failure-repair time).
+// operation: shared-storage traffic in the recovery phase (restore time
+// IS failure-repair time).
 func (c *Context) chargeRestore(d simtime.Duration) {
 	c.advanceDriver(d, simtime.SharedFS, obs.PhaseRecovery)
-	c.mu.Lock()
-	c.bd.Recovery += d
-	c.mu.Unlock()
 }
 
 // subtractSorted returns the elements of sorted a not present in sorted b.

@@ -187,7 +187,7 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 		codec = c.conf.SpillCodec
 	}
 
-	c.execStage(stageSpec{
+	c.execStage(&stageRun{
 		kind:      StageShuffleMap,
 		shuffleID: sd.id,
 		parts:     n,
@@ -195,11 +195,12 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 		stageID:   st.mapStage,
 		attempt:   attempt,
 		splits:    splits,
-	}, func(tc *TaskContext, idx, split int) {
-		outs[idx] = taskOut{node: tc.Node}
-		buckets, spill := sd.bucket(tc, split, codec)
-		tc.spill += spill
-		outs[idx] = taskOut{node: tc.Node, spill: spill, buckets: buckets}
+		work: func(tc *TaskContext, idx, split int) {
+			outs[idx] = taskOut{node: tc.Node}
+			buckets, spill := sd.bucket(tc, split, codec)
+			tc.spill += spill
+			outs[idx] = taskOut{node: tc.Node, spill: spill, buckets: buckets}
+		},
 	})
 
 	st.mu.Lock()
@@ -229,8 +230,7 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 			// Without the fence both attempts' buckets would be live at
 			// once and results could double-count.
 			if staleLease != st.commitLease {
-				c.rec.fencedCommits.Add(1)
-				c.recm.detFencedCommits.Inc()
+				c.count(recFencedCommits, 1)
 				c.recordEvent(obs.Event{
 					Clock: -1, Type: obs.EvFencedCommit,
 					Stage: st.mapStage, Attempt: attempt, Part: s,
@@ -338,6 +338,15 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 	}
 	slices.Sort(lost)
 	st.mu.Unlock()
+	// The serial accounting point: past the epoch guard, under recMu, this
+	// is the one caller that repairs the loss — however many reduce tasks
+	// hit it, the round is counted and evented here, once.
+	c.count(recFetchFailures, 1)
+	c.recordEvent(obs.Event{
+		Clock: -1, Type: obs.EvFetchFailure,
+		Stage: -1, Part: -1, Node: -1, Shuffle: ff.ShuffleID,
+		Detail: fmt.Sprintf("epoch %d: %d map partitions lost", ff.Epoch, len(lost)),
+	})
 	// The invalidated contributions stay visible in byReduce until the
 	// recompute's merge swaps them out atomically (see execMapTasks):
 	// concurrent reads in the interim still find the lost refs, raise
@@ -352,8 +361,7 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 		// Recovery-storm throttling: a resubmission may first have to wait
 		// for a token, so a mass failure drains in bounded waves.
 		c.takeRecoveryToken()
-		c.rec.stageResubmits.Add(1)
-		c.recm.stageResubmits.Inc()
+		c.count(recStageResubmits, 1)
 		c.recordEvent(obs.Event{
 			Clock: -1, Type: obs.EvStageResubmit,
 			Stage: -1, Part: -1, Node: -1, Shuffle: ff.ShuffleID,
@@ -371,8 +379,7 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 				blocks += int64(st.refsByMap[p])
 			}
 			st.mu.Unlock()
-			c.rec.recomputedBlocks.Add(blocks)
-			c.recm.recomputedBlocks.Add(blocks)
+			c.count(recRecomputedBlocks, blocks)
 		}
 	}
 
@@ -386,8 +393,7 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 	st.epoch++
 	st.mu.Unlock()
 
-	c.rec.recomputedParts.Add(int64(len(toRecompute)))
-	c.recm.recomputedParts.Add(int64(len(toRecompute)))
+	c.count(recRecomputedParts, int64(len(toRecompute)))
 	return c.Err()
 }
 

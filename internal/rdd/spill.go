@@ -165,8 +165,7 @@ func (c *Context) corruptStagedBlock(ev Corruption) {
 			continue
 		}
 		if c.store.Corrupt(keys[ev.Block%len(keys)], ev.Torn) {
-			c.rec.corruptions.Add(1)
-			c.recm.injectCorrupt.Inc()
+			c.count(recCorruptions, 1)
 		}
 		return
 	}

@@ -1,0 +1,335 @@
+package rdd
+
+import (
+	"fmt"
+	"sync"
+
+	"dpspark/internal/obs"
+	"dpspark/internal/sim"
+	"dpspark/internal/simtime"
+)
+
+// stageRun is one execution of one stage. The caller fills the first group
+// of fields; the plan step fills the rest.
+type stageRun struct {
+	kind      StageKind
+	shuffleID int
+	parts     int
+	phase     string
+	// stageID < 0 allocates a fresh global stage ID; resubmitted recovery
+	// stages pass their original map stage's ID instead (attempt > 0), so
+	// planned stage numbering never shifts under faults.
+	stageID int
+	attempt int
+	// splits maps task index → partition; nil means the identity (task i
+	// computes partition i). Recovery stages pass only the lost
+	// partitions.
+	splits []int
+	work   func(tc *TaskContext, idx, split int)
+
+	c *Context
+	// asOf is the virtual time placements and speculation are decided at:
+	// after the stage's faults fired (and their detection was charged).
+	asOf simtime.Duration
+	// crashed are the nodes that died as the stage started: first attempts
+	// homed on them die with the executor.
+	crashed map[int]bool
+	// spill holds the per-node spill dilation factors (nil: no pressure).
+	spill []float64
+	// tcs is the one TaskContext slab per stage; an attempt resets its
+	// task's slot (a zero ctx marks a task abandoned before its first
+	// attempt).
+	tcs []TaskContext
+}
+
+// split returns the partition task index idx computes.
+func (sr *stageRun) split(idx int) int {
+	if sr.splits != nil {
+		return sr.splits[idx]
+	}
+	return idx
+}
+
+// execStage executes one stage — sr.parts tasks running sr.work, really
+// (on parallel goroutines) and virtually (through the cluster simulator)
+// — in three steps: plan fires the fault plan's events scheduled for the
+// stage and fixes what every task of it sees; the attempt runner executes
+// each task with Spark-style retries; settle turns what the tasks charged
+// into the virtual stage. sr.phase labels the stage for observability
+// (the driver phase that built its lineage).
+func (c *Context) execStage(sr *stageRun) {
+	sr.plan(c)
+	sr.runTasks()
+	sr.settle()
+}
+
+// plan allocates the stage ID, fires the fault plan's events for it and
+// reads the inputs every task shares.
+func (sr *stageRun) plan(c *Context) {
+	sr.c = c
+	if sr.stageID < 0 {
+		c.mu.Lock()
+		sr.stageID = c.nextStage
+		c.nextStage++
+		c.mu.Unlock()
+	}
+	sr.crashed = c.fireStageFaults(sr.stageID)
+	sr.asOf = c.Clock()
+	sr.spill = c.spillDilationFactors()
+	c.recordEvent(obs.Event{
+		Clock: sr.asOf.Seconds(), Type: obs.EvStageSubmit,
+		Stage: sr.stageID, Attempt: sr.attempt, Part: -1, Node: -1,
+		Shuffle: sr.shuffleID,
+		Detail:  fmt.Sprintf("%s tasks=%d phase=%s", sr.kind, sr.parts, sr.phase),
+	})
+	sr.tcs = make([]TaskContext, sr.parts)
+}
+
+// runTasks hands the stage's tasks to at most Conf.RealParallelism
+// workers and waits for all of them.
+func (sr *stageRun) runTasks() {
+	workers := min(sr.c.conf.RealParallelism, sr.parts)
+	if workers <= 1 {
+		for idx := 0; idx < sr.parts; idx++ {
+			sr.runTask(idx)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	idxs := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := range idxs {
+				sr.runTask(idx)
+			}
+		}()
+	}
+	for idx := 0; idx < sr.parts; idx++ {
+		idxs <- idx
+	}
+	close(idxs)
+	wg.Wait()
+}
+
+// runTask is the attempt runner: it drives one task to success or to a
+// recorded error. A panic fails the attempt and the task restarts from its
+// lineage on a freshly placed executor, up to Conf.MaxTaskAttempts; the
+// compute a failed attempt charged still costs virtual time. A
+// FetchFailedError indicts the parent map stage instead: the shuffle is
+// recovered and the SAME attempt fetches again — no attempt consumed, no
+// new placement, nothing charged for the part it ran (which reduce tasks
+// see a loss before it is repaired is a scheduling accident, so what they
+// did until then must not reach the modelled clock).
+func (sr *stageRun) runTask(idx int) {
+	c, split := sr.c, sr.split(idx)
+	tc := &sr.tcs[idx]
+	var lost simtime.Duration
+	failures, node := 0, -1 // node < 0: the coming attempt is not placed yet
+	for {
+		// On a shared Substrate each attempt holds one substrate-wide
+		// task slot for its real execution only. Recovery and retry run
+		// slot-free: recoverShuffle resubmits the parent map stage,
+		// whose tasks need slots of their own, so holding one across it
+		// would self-deadlock on a narrow substrate (one slot suffices
+		// for any recovery depth this way). Cancellation abandons the
+		// task between attempts; the recorded cause makes the next action
+		// (and the driver loop's Err check) surface it.
+		if !c.acquireSlot() {
+			c.recordTaskErr(c.CancelCause())
+			return
+		}
+		if node < 0 {
+			node = c.placeNode(split, sr.asOf)
+			if home := c.nodeOf(split); failures == 0 && sr.crashed[home] {
+				// The executor dies under its running first attempts; the
+				// retry re-places them (the node is blacklisted by then).
+				node = home
+			}
+		}
+		*tc = TaskContext{StageID: sr.stageID, Partition: split, Node: node, ctx: c}
+		err := sr.runAttempt(tc, idx, failures)
+		c.releaseSlot()
+		if err == nil {
+			sr.dilate(tc)
+			tc.compute += lost // failed attempts' work is not free
+			return
+		}
+		if ff, ok := err.(*FetchFailedError); ok {
+			if rerr := c.recoverShuffle(ff); rerr != nil {
+				c.recordTaskErr(rerr)
+				return
+			}
+			continue
+		}
+		lost += tc.compute
+		failures++
+		if failures >= c.conf.MaxTaskAttempts {
+			c.recordTaskErr(err)
+			return
+		}
+		c.count(recTaskRetries, 1)
+		c.recordEvent(obs.Event{
+			Clock: -1, Type: obs.EvTaskRetry,
+			Stage: sr.stageID, Attempt: sr.attempt, Part: split,
+			Node: node, Shuffle: -1, Detail: err.Error(),
+		})
+		node = -1
+	}
+}
+
+// runAttempt runs one attempt of one task and reports how it ended: nil, a
+// *FetchFailedError raised by a shuffle read, or the attempt's failure.
+func (sr *stageRun) runAttempt(tc *TaskContext, idx, failures int) (err error) {
+	defer func() {
+		// The attempt ends here however it ended: returned, panicked or
+		// killed.
+		tc.SetLocal(nil)
+		if p := recover(); p != nil {
+			if ff, ok := p.(*FetchFailedError); ok {
+				err = ff
+				return
+			}
+			err = fmt.Errorf("rdd: task %d of stage %d failed (attempt %d): %v",
+				tc.Partition, sr.stageID, failures+1, p)
+		}
+	}()
+	if failures == 0 && sr.crashed[tc.Node] {
+		return fmt.Errorf("rdd: task %d of stage %d lost with executor %d",
+			tc.Partition, sr.stageID, tc.Node)
+	}
+	sr.work(tc, idx, tc.Partition)
+	return nil
+}
+
+// dilate applies the slowdown models to a task whose attempt succeeded: a
+// FaultPlan straggler aimed at it, then the spill backlog of its node.
+// Both record what they added in slowed, so speculation prices the task's
+// healthy duration and fires copies elsewhere.
+func (sr *stageRun) dilate(tc *TaskContext) {
+	c := sr.c
+	if factor := c.stragglerFactor(sr.stageID, tc.Partition); factor > 1 {
+		extra := simtime.Duration(tc.compute.Seconds() * (factor - 1))
+		tc.slowed = extra
+		tc.compute += extra
+		c.count(recStragglers, 1)
+	}
+	if n := tc.Node; n >= 0 && n < len(sr.spill) && sr.spill[n] > 1 && tc.compute > 0 {
+		extra := simtime.Duration(tc.compute.Seconds() * (sr.spill[n] - 1))
+		tc.slowed += extra
+		tc.spillSlow = extra
+		tc.compute += extra
+		c.count(recSpillStragglers, 1)
+	}
+}
+
+// settle is the stage's virtual half: the tasks' charges become simulated
+// tasks (plus speculative copies), the simulator runs them, and the report
+// lands in the breakdown, the critical path, the flight recorder, the
+// metrics, the trace and the stage event log.
+func (sr *stageRun) settle() {
+	c := sr.c
+	var spill, fetch, shared int64
+	tasks := make([]sim.Task, sr.parts, sr.parts+sr.parts/4)
+	for i := range sr.tcs {
+		tc := &sr.tcs[i]
+		if tc.ctx == nil {
+			// The task was abandoned before its first attempt (cancelled
+			// mid-stage); model it as an empty task so the stage report
+			// stays well-formed while Err carries the cause.
+			*tc = TaskContext{StageID: sr.stageID, Partition: sr.split(i), Node: c.nodeOf(sr.split(i)), ctx: c}
+		}
+		spill += tc.spill
+		fetch += tc.fetchLocal + tc.fetchRemote
+		shared += tc.sharedRead + tc.sharedWrite
+		tasks[i] = sim.Task{
+			Node:        tc.Node,
+			Compute:     tc.compute,
+			Threads:     tc.Threads(),
+			IdleThreads: tc.idleThreads,
+			FetchLocal:  tc.fetchLocal,
+			FetchRemote: tc.fetchRemote,
+			Spill:       tc.spill,
+			SharedRead:  tc.sharedRead,
+			SharedWrite: tc.sharedWrite,
+		}
+	}
+	if c.conf.Speculation {
+		tasks = c.speculate(sr.tcs, tasks, sr.asOf)
+	}
+	rep := c.simul.RunStageReport(tasks)
+
+	c.mu.Lock()
+	c.bd.Compute += rep.Compute
+	c.bd.Shuffle += rep.ShuffleIO
+	c.bd.Broadcast += rep.SharedIO
+	c.bd.Overhead += rep.Overhead
+	if sr.attempt > 0 {
+		c.bd.Recovery += rep.Total
+	}
+	c.bd.ShuffleWriteBytes += spill
+	c.bd.ShuffleFetchBytes += fetch
+	c.bd.BroadcastBytes += shared
+	c.mu.Unlock()
+
+	if cp := c.obsv.CritPath(); cp.Enabled() {
+		cp.RecordStage(c.pid, sr.critStage(rep, len(tasks)-sr.parts))
+	}
+	c.recordEvent(obs.Event{
+		Clock: (rep.Start + rep.Total).Seconds(), Type: obs.EvStageComplete,
+		Stage: sr.stageID, Attempt: sr.attempt, Part: -1, Node: -1,
+		Shuffle: sr.shuffleID,
+		Detail:  fmt.Sprintf("%s dur=%s tasks=%d", sr.kind, rep.Total, len(tasks)),
+	})
+
+	ev := StageEvent{
+		StageID:    sr.stageID,
+		Kind:       sr.kind,
+		Attempt:    sr.attempt,
+		Tasks:      sr.parts,
+		ShuffleID:  sr.shuffleID,
+		Phase:      sr.phase,
+		Start:      rep.Start,
+		Duration:   rep.Total,
+		SpillBytes: spill,
+		FetchBytes: fetch,
+		MaxTask:    rep.MaxTask,
+		MeanTask:   rep.MeanTask,
+	}
+	c.recordStageMetrics(ev, rep)
+	if c.obsv.TraceEnabled() {
+		c.emitStageSpans(ev, rep)
+	}
+	c.appendEvent(ev)
+}
+
+// critStage is the stage as the critical-path profiler sees it: one
+// branch per active node, with the node's spill dilation split out so the
+// critical branch's compute divides into healthy compute vs spill
+// backpressure.
+func (sr *stageRun) critStage(rep sim.StageReport, speculative int) obs.CritStage {
+	spillSlow := make([]simtime.Duration, len(rep.NodeCompute))
+	for i := range sr.tcs {
+		if tc := &sr.tcs[i]; tc.spillSlow > 0 && tc.Node >= 0 && tc.Node < len(spillSlow) {
+			spillSlow[tc.Node] += tc.spillSlow
+		}
+	}
+	branches := make([]obs.CritBranch, 0, 4)
+	for n := range rep.NodeCompute {
+		comp, sh, sf := rep.NodeCompute[n], rep.NodeShuffleIO[n], rep.NodeSharedIO[n]
+		if comp == 0 && sh == 0 && sf == 0 {
+			continue
+		}
+		branches = append(branches, obs.CritBranch{
+			Node: n, ShuffleIO: sh, SharedIO: sf, Compute: comp, Spill: spillSlow[n],
+		})
+	}
+	return obs.CritStage{
+		Start: rep.Start, End: rep.Start + rep.Total,
+		StageID: sr.stageID, Attempt: sr.attempt,
+		Kind: sr.kind.String(), Phase: sr.phase,
+		Tasks: sr.parts, Speculative: speculative,
+		Branches: branches,
+	}
+}

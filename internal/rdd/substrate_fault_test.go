@@ -57,11 +57,11 @@ func TestSubstrateNarrowSlotFaultRecovery(t *testing.T) {
 	}
 }
 
-// TestSpillDilationFeedsSpeculation: the continuous spill model dilates
-// every node in proportion to its own staged backlog, and the dilation
-// is recorded as slowdown so speculation still prices the healthy
-// duration and fires copies — the scheduling loop closes exactly as it
-// does for the single-worst-node SpillStraggler model.
+// TestSpillDilationFeedsSpeculation: the spill model dilates every node
+// in proportion to its own staged backlog (real spill wall observed
+// between stages), and the dilation is recorded as slowdown so
+// speculation still prices the healthy duration and fires copies on
+// healthier nodes.
 func TestSpillDilationFeedsSpeculation(t *testing.T) {
 	run := func(factor float64) (RecoveryStats, map[int]int) {
 		conf := durableConf(t, 64) // a handful of pairs per block: every stage spills

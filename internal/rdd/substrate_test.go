@@ -234,12 +234,13 @@ func TestContextCancelStopsStage(t *testing.T) {
 	ctx := NewContext(Conf{Cluster: cluster.LocalN(2, 2), RealParallelism: 1})
 	cause := fmt.Errorf("deadline exceeded: %w", ErrJobCanceled)
 	ran := 0
-	ctx.runStage(StageResult, -1, 8, "", func(tc *TaskContext, split int) {
-		ran++
-		if ran == 2 {
-			ctx.Cancel(cause)
-		}
-	})
+	ctx.execStage(&stageRun{kind: StageResult, shuffleID: -1, parts: 8, stageID: -1,
+		work: func(*TaskContext, int, int) {
+			ran++
+			if ran == 2 {
+				ctx.Cancel(cause)
+			}
+		}})
 	if ran >= 8 {
 		t.Fatalf("all %d tasks ran despite mid-stage cancel", ran)
 	}
