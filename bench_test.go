@@ -316,9 +316,9 @@ func BenchmarkRecoverySpeculation(b *testing.B) {
 		ctx := rdd.NewContext(rdd.Conf{
 			Cluster:     cluster.Skylake16(),
 			Speculation: speculate,
-			FaultPlan: &rdd.FaultPlan{Stragglers: []rdd.Straggler{
-				{Stage: 2, Partition: 3, Factor: 6},
-				{Stage: 6, Partition: 9, Factor: 6},
+			FaultPlan: &rdd.FaultPlan{Events: []rdd.FaultEvent{
+				rdd.Straggler{Stage: 2, Partition: 3, Factor: 6},
+				rdd.Straggler{Stage: 6, Partition: 9, Factor: 6},
 			}},
 		})
 		bl := matrix.NewSymbolicBlocked(benchN, 512)
@@ -766,9 +766,9 @@ func BenchmarkRemoteRestoreVsRecompute(b *testing.B) {
 	rule := semiring.NewFloydWarshall()
 	run := func(b *testing.B, healthy bool) {
 		for i := 0; i < b.N; i++ {
-			plan := &rdd.FaultPlan{Crashes: []rdd.ExecutorCrash{{Stage: 7, Node: 1}}}
+			plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{rdd.ExecutorCrash{Stage: 7, Node: 1}}}
 			if !healthy {
-				plan.RemoteOutages = []rdd.RemoteOutage{{From: 0, Dur: 1 << 20}}
+				plan.Events = append(plan.Events, rdd.RemoteOutage{From: 0, Dur: 1 << 20})
 			}
 			conf := rdd.Conf{
 				Cluster:     cluster.LocalN(4, 2),

@@ -253,15 +253,10 @@ func main() {
 			detector := *gcpauses > 0 || *rackfails > 0
 			const blk = 1024
 			r := (*n + blk - 1) / blk
-			plan := rdd.RandomFaultPlan(*seed, 4*r, cl.Nodes, *crashes, 2, 1)
-			if *gcpauses > 0 {
-				plan = plan.WithRandomGCPauses(*seed+1, 4*r, cl.Nodes, *gcpauses)
-			}
-			if *rackfails > 0 {
-				plan = plan.WithRandomRackFailures(*seed+2, 4*r, chaosRacks, *rackfails)
-			}
+			plan := rdd.ChaosPlan(*seed, 4*r, cl.Nodes, *crashes, *gcpauses, chaosRacks, *rackfails)
 			fmt.Printf("chaos plan (seed %d): %d executor crashes, %d stragglers, %d disk losses, %d gc pauses, %d rack failures over %d planned stages\n",
-				*seed, len(plan.Crashes), len(plan.Stragglers), len(plan.DiskLosses), len(plan.GCPauses), len(plan.RackFailures), 4*r)
+				*seed, rdd.CountEvents[rdd.ExecutorCrash](plan), rdd.CountEvents[rdd.Straggler](plan), rdd.CountEvents[rdd.DiskLoss](plan),
+				rdd.CountEvents[rdd.GCPause](plan), rdd.CountEvents[rdd.RackFailure](plan), 4*r)
 			if detector {
 				fmt.Printf("heartbeat failure detector: 2s lease, dead after 2 missed leases (4s detection latency)\n")
 			}
@@ -394,9 +389,9 @@ func main() {
 			// outputs are lost exactly when the reduce side fetches them.
 			crash := rdd.ExecutorCrash{Stage: 7, Node: 1}
 			runOnce := func(name string, outage bool) (uint64, error) {
-				plan := &rdd.FaultPlan{Crashes: []rdd.ExecutorCrash{crash}}
+				plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{crash}}
 				if outage {
-					plan.RemoteOutages = []rdd.RemoteOutage{{From: 0, Dur: 4 * r}}
+					plan.Events = append(plan.Events, rdd.RemoteOutage{From: 0, Dur: 4 * r})
 				}
 				ctx := rdd.NewContext(rdd.Conf{
 					Cluster:       cluster.LocalN(4, 2),

@@ -27,10 +27,12 @@ import (
 // of the iteration-1 update stage.
 func chaosPlan() *rdd.FaultPlan {
 	return &rdd.FaultPlan{
-		Seed:       1,
-		Crashes:    []rdd.ExecutorCrash{{Stage: 7, Node: 1}},
-		DiskLosses: []rdd.DiskLoss{{Stage: 11, Node: 2}},
-		Stragglers: []rdd.Straggler{{Stage: 6, Partition: 0, Factor: 3}},
+		Seed: 1,
+		Events: []rdd.FaultEvent{
+			rdd.ExecutorCrash{Stage: 7, Node: 1},
+			rdd.DiskLoss{Stage: 11, Node: 2},
+			rdd.Straggler{Stage: 6, Partition: 0, Factor: 3},
+		},
 	}
 }
 
@@ -205,7 +207,7 @@ func TestCheckpointCadence(t *testing.T) {
 
 	// With K=2 the stage period is 3,3,4 per checkpoint window; crash at
 	// a mid-window stage so recompute crosses an iteration boundary.
-	plan := &rdd.FaultPlan{Crashes: []rdd.ExecutorCrash{{Stage: 5, Node: 1}}}
+	plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{rdd.ExecutorCrash{Stage: 5, Node: 1}}}
 	clean := run(nil)
 	chaos := run(plan)
 	if chaos.rs.ExecutorCrashes != 1 {
@@ -317,7 +319,7 @@ func TestRemoteOutageMidRunFallsBack(t *testing.T) {
 	in := randomInput(rule, 32, rng)
 	clean := chaosRun(t, rule, IM, in, nil)
 	plan := chaosPlan()
-	plan.RemoteOutages = []rdd.RemoteOutage{{From: 6, Dur: 4}} // covers the stage-7 crash
+	plan.Events = append(plan.Events, rdd.RemoteOutage{From: 6, Dur: 4}) // covers the stage-7 crash
 	out, ctx := durableChaosRun(t, rule, IM, in, remoteChaosConf(t, plan), "")
 	if !bitIdentical(clean.dense, out.dense) {
 		t.Fatal("degraded-mode recovery differs from fault-free bits")
@@ -349,10 +351,10 @@ func TestRemoteCorruptReplicaFallsBack(t *testing.T) {
 	rule := semiring.NewGaussian()
 	in := randomInput(rule, 32, rng)
 	clean := chaosRun(t, rule, IM, in, nil)
-	plan := &rdd.FaultPlan{
-		Corruptions:       []rdd.Corruption{{Stage: 7, Block: 1}},
-		RemoteCorruptions: []rdd.RemoteCorruption{{Stage: 7, Block: 1}},
-	}
+	plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{
+		rdd.Corruption{Stage: 7, Block: 1},
+		rdd.RemoteCorruption{Stage: 7, Block: 1},
+	}}
 	out, ctx := durableChaosRun(t, rule, IM, in, remoteChaosConf(t, plan), "")
 	if !bitIdentical(clean.dense, out.dense) {
 		t.Fatal("corrupt-replica recovery differs from fault-free bits")

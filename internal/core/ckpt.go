@@ -125,9 +125,6 @@ func (run *runner) persist(parts [][]Block, k int) error {
 		// intact files on disk.
 		store.GCCheckpoints(run.cfg.DurableDir, run.cfg.KeepCheckpoints)
 	}
-	if run.cfg.OnCheckpoint != nil {
-		run.cfg.OnCheckpoint(k + 1)
-	}
 	return nil
 }
 

@@ -138,13 +138,6 @@ type Config struct {
 	// bit-identical. The function must be safe for concurrent use (it is
 	// typically an atomic flag set from a signal handler).
 	StopRequested func() bool
-	// OnCheckpoint, when set with DurableDir, is called after each durable
-	// checkpoint file has been atomically written (and after retention
-	// GC), with the boundary's iteration cursor. The serve layer journals
-	// these transitions so a restarted server knows a resumable boundary
-	// exists without scanning directories. Called from the driver
-	// goroutine; it must not call back into the run.
-	OnCheckpoint func(iteration int)
 }
 
 // normalize fills Config defaults and validates.

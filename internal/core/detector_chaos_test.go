@@ -62,7 +62,7 @@ func TestChaosFalseSuspicionFenced(t *testing.T) {
 			// The pause fires at result stage 7, which fetches the shuffle
 			// staged at stage 6 — node 1's freshly staged outputs are
 			// invalidated exactly when the reduce side needs them.
-			plan := &rdd.FaultPlan{GCPauses: []rdd.GCPause{{Node: 1, From: 7, Dur: 6 * simtime.Second}}}
+			plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{rdd.GCPause{Node: 1, From: 7, Dur: 6 * simtime.Second}}}
 			chaos, ctx := detectorRun(t, rule, driver, in, detectorConf(plan))
 
 			if !bitIdentical(clean.dense, chaos.dense) {
@@ -112,7 +112,7 @@ func TestChaosDetectionLatencyCharged(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rule := semiring.NewFloydWarshall()
 	in := randomInput(rule, 32, rng)
-	plan := &rdd.FaultPlan{Crashes: []rdd.ExecutorCrash{{Stage: 7, Node: 1}}}
+	plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{rdd.ExecutorCrash{Stage: 7, Node: 1}}}
 
 	instant := chaosRun(t, rule, IM, in, plan)
 	detected, _ := detectorRun(t, rule, IM, in, detectorConf(plan))
@@ -151,7 +151,7 @@ func TestChaosRackFailureDomainAwareRestore(t *testing.T) {
 	in := randomInput(rule, 32, rng)
 	clean := chaosRun(t, rule, IM, in, nil)
 
-	plan := &rdd.FaultPlan{RackFailures: []rdd.RackFailure{{Rack: 1, Stage: 7}}}
+	plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{rdd.RackFailure{Rack: 1, Stage: 7}}}
 	conf := durableConf(t.TempDir(), 0, plan, nil)
 	conf.Cluster = cluster.LocalN(4, 2).WithRacks(2)
 	conf.RemoteDir = t.TempDir()
@@ -204,10 +204,10 @@ func TestChaosDetectorDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	rule := semiring.NewFloydWarshall()
 	in := randomInput(rule, 32, rng)
-	plan := &rdd.FaultPlan{
-		GCPauses:   []rdd.GCPause{{Node: 1, From: 7, Dur: 6 * simtime.Second}},
-		Partitions: []rdd.Partition{{Nodes: []int{2}, From: 11, Dur: 5 * simtime.Second}},
-	}
+	plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{
+		rdd.GCPause{Node: 1, From: 7, Dur: 6 * simtime.Second},
+		rdd.Partition{Nodes: []int{2}, From: 11, Dur: 5 * simtime.Second},
+	}}
 	conf := detectorConf(plan)
 	conf.RecoveryTokens = 1
 	conf.RecoveryRefill = 10 * simtime.Second

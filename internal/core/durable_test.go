@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dpspark/internal/cluster"
@@ -109,7 +110,7 @@ func TestDurableResumeUnderFaults(t *testing.T) {
 	rule := semiring.NewFloydWarshall()
 	in := randomInput(rule, 32, rng)
 	plan := chaosPlan()
-	plan.Corruptions = []rdd.Corruption{{Stage: 7, Block: 0}}
+	plan.Events = append(plan.Events, rdd.Corruption{Stage: 7, Block: 0})
 
 	clean := chaosRun(t, rule, IM, in, nil)
 	dir := t.TempDir()
@@ -146,7 +147,7 @@ func TestDurableResumeUnderFaults(t *testing.T) {
 // needs its own copy: fired flags are validated against plan lengths).
 func chaosPlanWithCorruption() *rdd.FaultPlan {
 	p := chaosPlan()
-	p.Corruptions = []rdd.Corruption{{Stage: 7, Block: 0}}
+	p.Events = append(p.Events, rdd.Corruption{Stage: 7, Block: 0})
 	return p
 }
 
@@ -160,10 +161,10 @@ func TestDurableCorruptionPlusCrash(t *testing.T) {
 		in := randomInput(rule, 32, rng)
 		clean := chaosRun(t, rule, IM, in, nil)
 		dir := t.TempDir()
-		plan := &rdd.FaultPlan{
-			Crashes:     []rdd.ExecutorCrash{{Stage: 7, Node: 1}},
-			Corruptions: []rdd.Corruption{{Stage: 11, Block: 1, Torn: true}},
-		}
+		plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{
+			rdd.ExecutorCrash{Stage: 7, Node: 1},
+			rdd.Corruption{Stage: 11, Block: 1, Torn: true},
+		}}
 		chaos, ctx := durableChaosRun(t, rule, IM, in, durableConf(dir, 0, plan, nil), dir)
 		if !bitIdentical(clean.dense, chaos.dense) {
 			t.Fatalf("%s: corruption+crash run differs from fault-free bits", rule.Name())
@@ -444,5 +445,34 @@ func TestResumeValidation(t *testing.T) {
 	blk := matrix.Block(in, 8, rule.Pad(), rule.PadDiag())
 	if _, _, err := Run(ctx, blk, Config{Rule: rule, BlockSize: 8, StopAfter: -1}); err == nil {
 		t.Fatal("negative StopAfter must be rejected")
+	}
+}
+
+// TestEngineStateParentFormatRefused: a checkpoint whose engine section
+// carries the per-kind fired arrays older binaries wrote must fail to load,
+// naming the key — silently dropping it would re-fire events that already
+// fired. (The serve layer answers any load error with a clean re-run.)
+func TestEngineStateParentFormatRefused(t *testing.T) {
+	rule := semiring.NewFloydWarshall()
+	in := randomInput(rule, 32, rand.New(rand.NewSource(27)))
+	dir := t.TempDir()
+	durableChaosRun(t, rule, IM, in, durableConf(dir, 0, nil, nil), dir)
+	id, meta, blocks, ok := store.LatestCheckpoint(dir)
+	if !ok {
+		t.Fatal("no checkpoint written")
+	}
+	old := strings.Replace(string(meta), `"engine":{`, `"engine":{"crash_fired":[true],`, 1)
+	if old == string(meta) {
+		t.Fatalf("meta has no engine section: %s", meta)
+	}
+	parent := t.TempDir()
+	if err := store.WriteCheckpoint(parent, id, []byte(old), blocks); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCheckpoint(parent); err == nil || !strings.Contains(err.Error(), "crash_fired") {
+		t.Fatalf("LoadCheckpoint = %v, want a refusal naming crash_fired", err)
+	}
+	if _, _, err := LoadCheckpoint(dir); err != nil {
+		t.Fatalf("the checkpoint as written must load: %v", err)
 	}
 }

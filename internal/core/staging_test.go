@@ -48,10 +48,10 @@ func TestDurableStagingChaosBitIdentical(t *testing.T) {
 	clean := chaosRun(t, rule, IM, in, nil)
 
 	plan := func() *rdd.FaultPlan {
-		return &rdd.FaultPlan{
-			GCPauses:    []rdd.GCPause{{Node: 1, From: 7, Dur: 6 * simtime.Second}},
-			Corruptions: []rdd.Corruption{{Stage: 11, Block: 1}},
-		}
+		return &rdd.FaultPlan{Events: []rdd.FaultEvent{
+			rdd.GCPause{Node: 1, From: 7, Dur: 6 * simtime.Second},
+			rdd.Corruption{Stage: 11, Block: 1},
+		}}
 	}
 	detector := func(conf rdd.Conf) rdd.Conf {
 		conf.HeartbeatInterval = 2 * simtime.Second

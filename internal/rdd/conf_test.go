@@ -16,6 +16,12 @@ import (
 // stays) in the single normalize site.
 func TestConfNormalizationAllKnobs(t *testing.T) {
 	base := func() Conf { return Conf{Cluster: cluster.LocalN(2, 2)} }
+	plan := func(evs ...FaultEvent) func(*Conf) {
+		return func(c *Conf) { c.FaultPlan = &FaultPlan{Events: evs} }
+	}
+	detector := func(evs ...FaultEvent) func(*Conf) {
+		return func(c *Conf) { c.HeartbeatInterval = simtime.Second; plan(evs...)(c) }
+	}
 	cases := []struct {
 		name string
 		mut  func(*Conf)
@@ -28,12 +34,30 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		{"negative task attempts", func(c *Conf) { c.MaxTaskAttempts = -1 }, "MaxTaskAttempts"},
 		{"negative keep shuffles", func(c *Conf) { c.KeepShuffles = -1 }, "KeepShuffles"},
 		{"negative blacklist backoff", func(c *Conf) { c.BlacklistBackoff = -simtime.Second }, "BlacklistBackoff"},
-		{"fault plan names absent node", func(c *Conf) {
-			c.FaultPlan = &FaultPlan{Crashes: []ExecutorCrash{{Stage: 0, Node: 9}}}
-		}, "outside the 2-node cluster"},
-		{"fault plan straggler below 1", func(c *Conf) {
-			c.FaultPlan = &FaultPlan{Stragglers: []Straggler{{Stage: 0, Partition: 0, Factor: 0.5}}}
-		}, "factor 0.5 < 1"},
+
+		// Fault-plan family: a malformed event of every kind, each refused
+		// by its own check with the kind and stage named.
+		{"fault plan names absent node", plan(ExecutorCrash{Stage: 0, Node: 9}), "ExecutorCrash at stage 0 names node 9 outside the 2-node cluster"},
+		{"crash negative stage", plan(ExecutorCrash{Stage: -1}), "negative stage"},
+		{"crash negative down", plan(ExecutorCrash{Stage: 1, Down: -simtime.Second}), "negative Down"},
+		{"disk loss absent node", plan(DiskLoss{Stage: 1, Node: -1}), "DiskLoss at stage 1 names node -1"},
+		{"fault plan straggler below 1", plan(Straggler{Stage: 0, Partition: 0, Factor: 0.5}), "factor 0.5 < 1"},
+		{"straggler negative partition", plan(Straggler{Stage: 0, Partition: -1, Factor: 2}), "negative partition"},
+		{"corruption negative block", plan(Corruption{Stage: 1, Block: -2}), "rdd.Corruption at stage 1 names negative block"},
+		{"outage without window", plan(RemoteOutage{From: 0, Dur: 0}), "RemoteOutage at stage 0 has window length 0"},
+		{"slowdown that speeds up", plan(RemoteSlow{From: 0, Dur: 2, Factor: 0.5}), "RemoteSlow at stage 0 has factor 0.5 ≤ 1"},
+		{"remote corruption before stage 0", plan(RemoteCorruption{Stage: -1}), "RemoteCorruption at stage -1 names a negative stage"},
+		{"gc pause without detector", plan(GCPause{Node: 0, From: 1, Dur: simtime.Second}), "failure detector"},
+		{"gc pause zero dur", detector(GCPause{Node: 0, From: 1}), "GCPause at stage 1 has non-positive duration"},
+		{"partition without detector", plan(Partition{Nodes: []int{0}, From: 1, Dur: simtime.Second}), "failure detector"},
+		{"partition isolates nothing", detector(Partition{From: 1, Dur: simtime.Second}), "isolates no nodes"},
+		{"partition absent node", detector(Partition{Nodes: []int{0, 7}, From: 1, Dur: simtime.Second}), "node 7"},
+		{"rack failure without racks", detector(RackFailure{Rack: 0, Stage: 1}), "rack topology"},
+		{"rack failure absent rack", func(c *Conf) {
+			c.Cluster = cluster.LocalN(4, 2).WithRacks(2)
+			plan(RackFailure{Rack: 2, Stage: 1})(c)
+		}, "names rack 2 outside the 2-rack cluster"},
+		{"nil event", plan(nil), "event 0 is nil"},
 
 		// Durable-store family.
 		{"negative memory budget", func(c *Conf) { c.MemoryBudget = -1 }, "MemoryBudget"},
@@ -103,6 +127,17 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		}
 	})
 
+	t.Run("fault plan of every kind", func(t *testing.T) {
+		conf := Conf{Cluster: cluster.LocalN(4, 2).WithRacks(2)}
+		detector(everyKind()...)(&conf)
+		if err := conf.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if conf.FaultPlan.Empty() || !(&FaultPlan{}).Empty() {
+			t.Fatal("Empty must mean no events")
+		}
+	})
+
 	t.Run("defaults", func(t *testing.T) {
 		conf := base()
 		if err := conf.normalize(); err != nil {
@@ -128,4 +163,22 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 			t.Fatalf("ExecutorCores = %d, want 8 cores / 4 threads = 2", conf.ExecutorCores)
 		}
 	})
+}
+
+// everyKind is one well-formed event of each of the ten kinds, all due by
+// stage 1 of a two-stage job on a 4-node, 2-rack cluster with the detector
+// on — and mild enough (sub-lease silences) that the job still completes.
+func everyKind() []FaultEvent {
+	return []FaultEvent{
+		ExecutorCrash{Stage: 1, Node: 0},
+		DiskLoss{Stage: 1, Node: 1},
+		Straggler{Stage: 0, Partition: 1, Factor: 3},
+		Corruption{Stage: 1, Block: 1},
+		RemoteOutage{From: 0, Dur: 1},
+		RemoteSlow{From: 0, Dur: 8, Factor: 2},
+		RemoteCorruption{Stage: 1, Block: 2},
+		GCPause{Node: 1, From: 1, Dur: simtime.Second / 2},
+		Partition{Nodes: []int{1}, From: 1, Dur: simtime.Second / 2},
+		RackFailure{Rack: 1, Stage: 1},
+	}
 }

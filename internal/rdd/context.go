@@ -203,11 +203,8 @@ func (conf *Conf) normalize() error {
 		conf.RecoveryRefill = 1 * simtime.Second
 	}
 	if conf.FaultPlan != nil {
-		if err := conf.FaultPlan.validate(conf.Cluster.Nodes, conf.Cluster.Racks); err != nil {
+		if err := conf.FaultPlan.validate(conf.Cluster.Nodes, conf.Cluster.Racks, conf.HeartbeatInterval > 0); err != nil {
 			return err
-		}
-		if conf.HeartbeatInterval == 0 && (len(conf.FaultPlan.GCPauses) > 0 || len(conf.FaultPlan.Partitions) > 0) {
-			return fmt.Errorf("rdd: FaultPlan GC pauses / network partitions need Conf.HeartbeatInterval > 0 — false suspicion only exists with a heartbeat failure detector")
 		}
 	}
 	if conf.MemoryBudget < 0 {

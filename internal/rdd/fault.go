@@ -1,8 +1,10 @@
 package rdd
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -169,139 +171,169 @@ type RackFailure struct {
 	Down simtime.Duration
 }
 
+// FaultEvent is one scheduled failure: the ten event structs above are its
+// implementations (the methods are unexported, so the set is closed).
+type FaultEvent interface {
+	// span is where the event applies. A point event (n == 0) fires once,
+	// when stage `from` starts. A window event (n > 0) holds at every stage
+	// boundary while the run's high-water stage ID is in [from, from+n) —
+	// resubmitted recovery stages reuse old IDs, so they can never re-open
+	// a closed window.
+	span() (from, n int)
+	// check reports what is wrong with the event on a cluster of `nodes`
+	// executors in `racks` fault domains, with or without a heartbeat
+	// failure detector; validate prefixes the event's type and stage.
+	check(nodes, racks int, detector bool) error
+}
+
+// boundaryEvent is a FaultEvent delivered at stage boundaries — all but
+// Straggler, which dilates one task (see stragglerFactor).
+type boundaryEvent interface {
+	FaultEvent
+	// rank orders the kinds due at one boundary; ties fire in plan order.
+	rank() int
+	// fire applies the event under faultState.mu. first is false when a
+	// window event already fired at an earlier boundary.
+	fire(f *firing, first bool)
+}
+
 // FaultPlan is a deterministic schedule of injected cluster failures,
-// attached via Conf.FaultPlan. Each event fires at most once per context,
-// when the named stage starts. Stage IDs are the engine's global stage
-// counter (see StageEvent.StageID); resubmitted recovery stages reuse
+// attached via Conf.FaultPlan. A point event fires at most once per
+// context, when the named stage starts. Stage IDs are the engine's global
+// stage counter (see StageEvent.StageID); resubmitted recovery stages reuse
 // their original stage's ID, so planned numbering is identical with and
 // without faults.
 type FaultPlan struct {
 	// Seed records the generator seed for reports (informational).
 	Seed int64
-	// Crashes are the scheduled executor losses.
-	Crashes []ExecutorCrash
-	// DiskLosses are the scheduled staging-disk wipes.
-	DiskLosses []DiskLoss
-	// Stragglers are the scheduled slow tasks.
-	Stragglers []Straggler
-	// Corruptions are the scheduled durable-block damages.
-	Corruptions []Corruption
-	// RemoteOutages are the scheduled remote-tier unavailability windows.
-	RemoteOutages []RemoteOutage
-	// RemoteSlows are the scheduled remote-tier slowdown windows.
-	RemoteSlows []RemoteSlow
-	// RemoteCorruptions are the scheduled remote-replica damages.
-	RemoteCorruptions []RemoteCorruption
-	// GCPauses are the scheduled stop-the-world executor pauses
-	// (heartbeat stalls without death — false-suspicion fodder).
-	GCPauses []GCPause
-	// Partitions are the scheduled network partitions.
-	Partitions []Partition
-	// RackFailures are the scheduled correlated fault-domain losses.
-	RackFailures []RackFailure
+	// Events are the scheduled failures, of any mix of kinds.
+	Events []FaultEvent
 }
 
 // Empty reports whether the plan schedules nothing.
-func (p *FaultPlan) Empty() bool {
-	return p == nil || len(p.Crashes)+len(p.DiskLosses)+len(p.Stragglers)+len(p.Corruptions)+
-		len(p.RemoteOutages)+len(p.RemoteSlows)+len(p.RemoteCorruptions)+
-		len(p.GCPauses)+len(p.Partitions)+len(p.RackFailures) == 0
+func (p *FaultPlan) Empty() bool { return p == nil || len(p.Events) == 0 }
+
+// CountEvents returns how many of the plan's events are of kind T.
+func CountEvents[T FaultEvent](p *FaultPlan) (n int) {
+	for _, ev := range p.Events {
+		if _, ok := ev.(T); ok {
+			n++
+		}
+	}
+	return n
 }
 
-// validate checks the plan against a cluster size and rack count.
-func (p *FaultPlan) validate(nodes, racks int) error {
-	for _, ev := range p.Crashes {
-		if ev.Node < 0 || ev.Node >= nodes {
-			return fmt.Errorf("rdd: FaultPlan crash at stage %d names node %d outside the %d-node cluster", ev.Stage, ev.Node, nodes)
+// validate checks the plan against a cluster size, rack count and whether
+// the heartbeat failure detector is on.
+func (p *FaultPlan) validate(nodes, racks int, detector bool) error {
+	for i, ev := range p.Events {
+		if ev == nil {
+			return fmt.Errorf("rdd: FaultPlan event %d is nil", i)
 		}
-		if ev.Stage < 0 {
-			return fmt.Errorf("rdd: FaultPlan crash names negative stage %d", ev.Stage)
-		}
-		if ev.Down < 0 {
-			return fmt.Errorf("rdd: FaultPlan crash at stage %d has negative Down %v", ev.Stage, ev.Down)
-		}
-	}
-	for _, ev := range p.DiskLosses {
-		if ev.Node < 0 || ev.Node >= nodes {
-			return fmt.Errorf("rdd: FaultPlan disk loss at stage %d names node %d outside the %d-node cluster", ev.Stage, ev.Node, nodes)
-		}
-		if ev.Stage < 0 {
-			return fmt.Errorf("rdd: FaultPlan disk loss names negative stage %d", ev.Stage)
-		}
-	}
-	for _, ev := range p.Stragglers {
-		if ev.Factor < 1 {
-			return fmt.Errorf("rdd: FaultPlan straggler at stage %d task %d has factor %g < 1", ev.Stage, ev.Partition, ev.Factor)
-		}
-		if ev.Stage < 0 || ev.Partition < 0 {
-			return fmt.Errorf("rdd: FaultPlan straggler names negative stage %d / partition %d", ev.Stage, ev.Partition)
-		}
-	}
-	for _, ev := range p.Corruptions {
-		if ev.Stage < 0 || ev.Block < 0 {
-			return fmt.Errorf("rdd: FaultPlan corruption names negative stage %d / block %d", ev.Stage, ev.Block)
-		}
-	}
-	for _, ev := range p.RemoteOutages {
-		if ev.From < 0 || ev.Dur <= 0 {
-			return fmt.Errorf("rdd: FaultPlan remote outage window [%d, %d+%d) is invalid (From ≥ 0, Dur > 0)", ev.From, ev.From, ev.Dur)
-		}
-	}
-	for _, ev := range p.RemoteSlows {
-		if ev.From < 0 || ev.Dur <= 0 {
-			return fmt.Errorf("rdd: FaultPlan remote slowdown window [%d, %d+%d) is invalid (From ≥ 0, Dur > 0)", ev.From, ev.From, ev.Dur)
-		}
-		if ev.Factor <= 1 {
-			return fmt.Errorf("rdd: FaultPlan remote slowdown at stage %d has factor %g ≤ 1", ev.From, ev.Factor)
-		}
-	}
-	for _, ev := range p.RemoteCorruptions {
-		if ev.Stage < 0 || ev.Block < 0 {
-			return fmt.Errorf("rdd: FaultPlan remote corruption names negative stage %d / block %d", ev.Stage, ev.Block)
-		}
-	}
-	for _, ev := range p.GCPauses {
-		if ev.Node < 0 || ev.Node >= nodes {
-			return fmt.Errorf("rdd: FaultPlan GC pause at stage %d names node %d outside the %d-node cluster", ev.From, ev.Node, nodes)
-		}
-		if ev.From < 0 {
-			return fmt.Errorf("rdd: FaultPlan GC pause names negative stage %d", ev.From)
-		}
-		if ev.Dur <= 0 {
-			return fmt.Errorf("rdd: FaultPlan GC pause at stage %d has non-positive duration %v", ev.From, ev.Dur)
-		}
-	}
-	for _, ev := range p.Partitions {
-		if len(ev.Nodes) == 0 {
-			return fmt.Errorf("rdd: FaultPlan network partition at stage %d isolates no nodes", ev.From)
-		}
-		for _, n := range ev.Nodes {
-			if n < 0 || n >= nodes {
-				return fmt.Errorf("rdd: FaultPlan network partition at stage %d names node %d outside the %d-node cluster", ev.From, n, nodes)
-			}
-		}
-		if ev.From < 0 {
-			return fmt.Errorf("rdd: FaultPlan network partition names negative stage %d", ev.From)
-		}
-		if ev.Dur <= 0 {
-			return fmt.Errorf("rdd: FaultPlan network partition at stage %d has non-positive duration %v", ev.From, ev.Dur)
-		}
-	}
-	for _, ev := range p.RackFailures {
-		if racks <= 1 {
-			return fmt.Errorf("rdd: FaultPlan rack failure at stage %d needs a cluster with rack topology (cluster.WithRacks)", ev.Stage)
-		}
-		if ev.Rack < 0 || ev.Rack >= racks {
-			return fmt.Errorf("rdd: FaultPlan rack failure at stage %d names rack %d outside the %d-rack cluster", ev.Stage, ev.Rack, racks)
-		}
-		if ev.Stage < 0 {
-			return fmt.Errorf("rdd: FaultPlan rack failure names negative stage %d", ev.Stage)
-		}
-		if ev.Down < 0 {
-			return fmt.Errorf("rdd: FaultPlan rack failure at stage %d has negative Down %v", ev.Stage, ev.Down)
+		from, _ := ev.span()
+		if err := cmp.Or(ev.check(nodes, racks, detector), failIf(from < 0, "names a negative stage")); err != nil {
+			return fmt.Errorf("rdd: FaultPlan %T at stage %d %v", ev, from, err)
 		}
 	}
 	return nil
+}
+
+// failIf is one condition of an event's check.
+func failIf(bad bool, format string, a ...any) error {
+	if bad {
+		return fmt.Errorf(format, a...)
+	}
+	return nil
+}
+
+func failNode(node, nodes int) error {
+	return failIf(node < 0 || node >= nodes, "names node %d outside the %d-node cluster", node, nodes)
+}
+
+// failStall covers the two silent-but-alive kinds.
+func failStall(dur simtime.Duration, detector bool) error {
+	return cmp.Or(failIf(dur <= 0, "has non-positive duration %v", dur),
+		failIf(!detector, "needs Conf.HeartbeatInterval > 0 — false suspicion only exists with a heartbeat failure detector"))
+}
+
+func (ev ExecutorCrash) check(nodes, _ int, _ bool) error {
+	return cmp.Or(failNode(ev.Node, nodes), failIf(ev.Down < 0, "has negative Down %v", ev.Down))
+}
+
+func (ev DiskLoss) check(nodes, _ int, _ bool) error { return failNode(ev.Node, nodes) }
+
+func (ev Straggler) check(_, _ int, _ bool) error {
+	return cmp.Or(failIf(ev.Factor < 1, "task %d has factor %g < 1", ev.Partition, ev.Factor),
+		failIf(ev.Partition < 0, "names negative partition %d", ev.Partition))
+}
+
+func (ev Corruption) check(_, _ int, _ bool) error {
+	return failIf(ev.Block < 0, "names negative block %d", ev.Block)
+}
+
+func (ev RemoteOutage) check(_, _ int, _ bool) error {
+	return failIf(ev.Dur <= 0, "has window length %d (Dur must be > 0)", ev.Dur)
+}
+
+func (ev RemoteSlow) check(_, _ int, _ bool) error {
+	return cmp.Or(failIf(ev.Dur <= 0, "has window length %d (Dur must be > 0)", ev.Dur),
+		failIf(ev.Factor <= 1, "has factor %g ≤ 1", ev.Factor))
+}
+
+func (ev RemoteCorruption) check(_, _ int, _ bool) error {
+	return failIf(ev.Block < 0, "names negative block %d", ev.Block)
+}
+
+func (ev GCPause) check(nodes, _ int, detector bool) error {
+	return cmp.Or(failNode(ev.Node, nodes), failStall(ev.Dur, detector))
+}
+
+func (ev Partition) check(nodes, _ int, detector bool) error {
+	err := failIf(len(ev.Nodes) == 0, "isolates no nodes")
+	for _, n := range ev.Nodes {
+		err = cmp.Or(err, failNode(n, nodes))
+	}
+	return cmp.Or(err, failStall(ev.Dur, detector))
+}
+
+func (ev RackFailure) check(_, racks int, _ bool) error {
+	return cmp.Or(failIf(racks <= 1, "needs a cluster with rack topology (cluster.WithRacks)"),
+		failIf(ev.Rack < 0 || ev.Rack >= racks, "names rack %d outside the %d-rack cluster", ev.Rack, racks),
+		failIf(ev.Down < 0, "has negative Down %v", ev.Down))
+}
+
+func (ev ExecutorCrash) span() (int, int)    { return ev.Stage, 0 }
+func (ev DiskLoss) span() (int, int)         { return ev.Stage, 0 }
+func (ev Straggler) span() (int, int)        { return ev.Stage, 0 }
+func (ev Corruption) span() (int, int)       { return ev.Stage, 0 }
+func (ev RemoteOutage) span() (int, int)     { return ev.From, ev.Dur }
+func (ev RemoteSlow) span() (int, int)       { return ev.From, ev.Dur }
+func (ev RemoteCorruption) span() (int, int) { return ev.Stage, 0 }
+func (ev GCPause) span() (int, int)          { return ev.From, 0 }
+func (ev Partition) span() (int, int)        { return ev.From, 0 }
+func (ev RackFailure) span() (int, int)      { return ev.Stage, 0 }
+
+// randStage draws a stage in [1, stages). Stage 0 is skipped so every
+// fault hits a run with prior shuffle state to lose (a crash before any
+// map output exists recovers trivially).
+func randStage(rng *rand.Rand, stages int) int { return 1 + rng.Intn(max(stages, 2)-1) }
+
+// randIndex draws one of n nodes or racks.
+func randIndex(rng *rand.Rand, n int) int { return rng.Intn(max(n, 1)) }
+
+// randStall draws a 2–8 modelled-second silence: against typical heartbeat
+// settings some stay below the declaration threshold (suspicion only) and
+// some cross it (false declaration + zombie fencing).
+func randStall(rng *rand.Rand) simtime.Duration {
+	return simtime.Duration(2+6*rng.Float64()) * simtime.Second
+}
+
+// draw appends n events, each the next ev() yields.
+func (p *FaultPlan) draw(n int, ev func() FaultEvent) *FaultPlan {
+	for i := 0; i < n; i++ {
+		p.Events = append(p.Events, ev())
+	}
+	return p
 }
 
 // RandomFaultPlan draws a seeded schedule of crashes, stragglers and disk
@@ -310,132 +342,79 @@ func (p *FaultPlan) validate(nodes, racks int) error {
 // plan on the same job yields the same recovery trajectory — the chaos
 // harness's determinism rests on both.
 func RandomFaultPlan(seed int64, stages, nodes, crashes, stragglers, diskLosses int) *FaultPlan {
-	if stages < 2 {
-		stages = 2
-	}
-	if nodes < 1 {
-		nodes = 1
-	}
 	rng := rand.New(rand.NewSource(seed))
+	return (&FaultPlan{Seed: seed}).
+		draw(crashes, func() FaultEvent {
+			return ExecutorCrash{Stage: randStage(rng, stages), Node: randIndex(rng, nodes)}
+		}).
+		draw(stragglers, func() FaultEvent {
+			return Straggler{Stage: randStage(rng, stages), Partition: rng.Intn(2 * max(nodes, 1)), Factor: 2 + 4*rng.Float64()}
+		}).
+		draw(diskLosses, func() FaultEvent {
+			return DiskLoss{Stage: randStage(rng, stages), Node: randIndex(rng, nodes)}
+		})
+}
+
+// ChaosPlan is the chaos harness's standard mix over the first `stages`
+// stages, the one `dpspark chaos` and chaos-seeded serve jobs share:
+// `crashes` executor crashes with two stragglers and one staging-disk loss
+// (drawn only when crashes > 0), `gcPauses` stop-the-world pauses drawn at
+// seed+1, and `rackFailures` losses among `racks` fault domains drawn at
+// seed+2.
+func ChaosPlan(seed int64, stages, nodes, crashes, gcPauses, racks, rackFailures int) *FaultPlan {
 	p := &FaultPlan{Seed: seed}
-	// Skip stage 0 so every fault hits a run with prior shuffle state to
-	// lose (a crash before any map output exists recovers trivially).
-	for i := 0; i < crashes; i++ {
-		p.Crashes = append(p.Crashes, ExecutorCrash{
-			Stage: 1 + rng.Intn(stages-1),
-			Node:  rng.Intn(nodes),
-		})
+	if crashes > 0 {
+		p = RandomFaultPlan(seed, stages, nodes, crashes, 2, 1)
 	}
-	for i := 0; i < stragglers; i++ {
-		p.Stragglers = append(p.Stragglers, Straggler{
-			Stage:     1 + rng.Intn(stages-1),
-			Partition: rng.Intn(nodes * 2),
-			Factor:    2 + 4*rng.Float64(),
-		})
-	}
-	for i := 0; i < diskLosses; i++ {
-		p.DiskLosses = append(p.DiskLosses, DiskLoss{
-			Stage: 1 + rng.Intn(stages-1),
-			Node:  rng.Intn(nodes),
-		})
-	}
-	return p
+	return p.WithRandomGCPauses(seed+1, stages, nodes, gcPauses).
+		WithRandomRackFailures(seed+2, stages, racks, rackFailures)
+}
+
+// withRandom returns a copy of the plan with n more events, drawn from a
+// fresh generator seeded with seed — so the WithRandom* family chains
+// without one call perturbing another's draws (same seed, same events).
+func (p *FaultPlan) withRandom(seed int64, n int, ev func(*rand.Rand) FaultEvent) *FaultPlan {
+	rng := rand.New(rand.NewSource(seed))
+	q := &FaultPlan{Seed: p.Seed, Events: slices.Clone(p.Events)}
+	return q.draw(n, func() FaultEvent { return ev(rng) })
 }
 
 // WithRandomCorruptions returns a copy of the plan with n seeded
-// corruption events appended, drawn over the first `stages` stages —
-// the corruption analogue of RandomFaultPlan (same seed, same events).
+// corruption events appended, drawn over the first `stages` stages.
 func (p *FaultPlan) WithRandomCorruptions(seed int64, stages, n int) *FaultPlan {
-	if stages < 2 {
-		stages = 2
-	}
-	rng := rand.New(rand.NewSource(seed))
-	q := *p
-	q.Corruptions = append([]Corruption(nil), p.Corruptions...)
-	for i := 0; i < n; i++ {
-		q.Corruptions = append(q.Corruptions, Corruption{
-			Stage: 1 + rng.Intn(stages-1),
-			Block: rng.Intn(1 << 16),
-			Torn:  rng.Intn(2) == 1,
-		})
-	}
-	return &q
+	return p.withRandom(seed, n, func(rng *rand.Rand) FaultEvent {
+		return Corruption{Stage: randStage(rng, stages), Block: rng.Intn(1 << 16), Torn: rng.Intn(2) == 1}
+	})
 }
 
 // WithRandomGCPauses returns a copy of the plan with n seeded GC-pause
-// events appended, drawn over the first `stages` stages. Pause durations
-// span 2–8 modelled seconds, so against typical heartbeat settings some
-// pauses stay below the declaration threshold (suspicion only) and some
-// cross it (false declaration + zombie fencing). Fresh generator, same
-// chaining contract as WithRandomCorruptions.
+// events appended, drawn over the first `stages` stages.
 func (p *FaultPlan) WithRandomGCPauses(seed int64, stages, nodes, n int) *FaultPlan {
-	if stages < 2 {
-		stages = 2
-	}
-	if nodes < 1 {
-		nodes = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	q := *p
-	q.GCPauses = append([]GCPause(nil), p.GCPauses...)
-	for i := 0; i < n; i++ {
-		q.GCPauses = append(q.GCPauses, GCPause{
-			From: 1 + rng.Intn(stages-1),
-			Node: rng.Intn(nodes),
-			Dur:  simtime.Duration(2+6*rng.Float64()) * simtime.Second,
-		})
-	}
-	return &q
+	return p.withRandom(seed, n, func(rng *rand.Rand) FaultEvent {
+		return GCPause{From: randStage(rng, stages), Node: randIndex(rng, nodes), Dur: randStall(rng)}
+	})
 }
 
 // WithRandomPartitions returns a copy of the plan with n seeded network
-// partitions appended, each isolating one or two executors for 2–8
-// modelled seconds over the first `stages` stages.
+// partitions appended, each isolating one or two executors over the first
+// `stages` stages.
 func (p *FaultPlan) WithRandomPartitions(seed int64, stages, nodes, n int) *FaultPlan {
-	if stages < 2 {
-		stages = 2
-	}
-	if nodes < 1 {
-		nodes = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	q := *p
-	q.Partitions = append([]Partition(nil), p.Partitions...)
-	for i := 0; i < n; i++ {
-		a, b := rng.Intn(nodes), rng.Intn(nodes)
-		cut := []int{a}
-		if b != a {
+	return p.withRandom(seed, n, func(rng *rand.Rand) FaultEvent {
+		cut := []int{randIndex(rng, nodes)}
+		if b := randIndex(rng, nodes); b != cut[0] {
 			cut = append(cut, b)
 		}
-		q.Partitions = append(q.Partitions, Partition{
-			From:  1 + rng.Intn(stages-1),
-			Nodes: cut,
-			Dur:   simtime.Duration(2+6*rng.Float64()) * simtime.Second,
-		})
-	}
-	return &q
+		return Partition{From: randStage(rng, stages), Nodes: cut, Dur: randStall(rng)}
+	})
 }
 
 // WithRandomRackFailures returns a copy of the plan with n seeded rack
 // failures appended, drawn over the first `stages` stages of a
 // `racks`-domain cluster.
 func (p *FaultPlan) WithRandomRackFailures(seed int64, stages, racks, n int) *FaultPlan {
-	if stages < 2 {
-		stages = 2
-	}
-	if racks < 1 {
-		racks = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	q := *p
-	q.RackFailures = append([]RackFailure(nil), p.RackFailures...)
-	for i := 0; i < n; i++ {
-		q.RackFailures = append(q.RackFailures, RackFailure{
-			Stage: 1 + rng.Intn(stages-1),
-			Rack:  rng.Intn(racks),
-		})
-	}
-	return &q
+	return p.withRandom(seed, n, func(rng *rand.Rand) FaultEvent {
+		return RackFailure{Stage: randStage(rng, stages), Rack: randIndex(rng, racks)}
+	})
 }
 
 // FetchFailedError is a reduce-side fetch hitting an invalidated map
@@ -479,25 +458,20 @@ const defaultBlacklistBackoff = 30 * simtime.Second
 // events already fired and the per-executor blacklist. The Conf's plan is
 // never mutated, so one plan can drive many contexts.
 type faultState struct {
-	mu                 sync.Mutex
-	plan               FaultPlan
-	crashFired         []bool
-	diskFired          []bool
-	stragFired         []bool
-	corruptFired       []bool
-	slowFired          []bool
-	remoteCorruptFired []bool
-	gcFired            []bool
-	partFired          []bool
-	rackFired          []bool
+	mu   sync.Mutex
+	plan FaultPlan
+	// fired[i] is set once plan.Events[i] has fired.
+	fired []bool
+	// boundary indexes the plan's boundaryEvents in firing order: rank,
+	// then plan order.
+	boundary []int
 	// downUntil[n] is the virtual time node n's blacklist expires;
 	// strikes[n] counts its crashes (exponential backoff doubles per
 	// strike).
 	downUntil []simtime.Duration
 	strikes   []int
-	// maxStage is the high-water global stage ID seen by fireStageFaults;
-	// remote windows are evaluated against it, so resubmitted recovery
-	// stages (which reuse old IDs) can never re-open a closed window.
+	// maxStage is the high-water global stage ID seen by fireStageFaults,
+	// which window events are evaluated against.
 	maxStage int
 	// remoteDown is the outage-window state last applied to the store
 	// (transition edges count degraded windows).
@@ -509,243 +483,263 @@ func newFaultState(p *FaultPlan, nodes int) *faultState {
 	if p.Empty() {
 		return nil
 	}
-	return &faultState{
-		plan:               *p,
-		crashFired:         make([]bool, len(p.Crashes)),
-		diskFired:          make([]bool, len(p.DiskLosses)),
-		stragFired:         make([]bool, len(p.Stragglers)),
-		corruptFired:       make([]bool, len(p.Corruptions)),
-		slowFired:          make([]bool, len(p.RemoteSlows)),
-		remoteCorruptFired: make([]bool, len(p.RemoteCorruptions)),
-		gcFired:            make([]bool, len(p.GCPauses)),
-		partFired:          make([]bool, len(p.Partitions)),
-		rackFired:          make([]bool, len(p.RackFailures)),
-		downUntil:          make([]simtime.Duration, nodes),
-		strikes:            make([]int, nodes),
-		maxStage:           -1,
+	fs := &faultState{
+		plan:      *p,
+		fired:     make([]bool, len(p.Events)),
+		downUntil: make([]simtime.Duration, nodes),
+		strikes:   make([]int, nodes),
+		maxStage:  -1,
+	}
+	for i, ev := range p.Events {
+		if _, ok := ev.(boundaryEvent); ok {
+			fs.boundary = append(fs.boundary, i)
+		}
+	}
+	slices.SortStableFunc(fs.boundary, func(a, b int) int {
+		return p.Events[a].(boundaryEvent).rank() - p.Events[b].(boundaryEvent).rank()
+	})
+	return fs
+}
+
+// inWindow reports whether the run's high-water stage is in [from, from+n).
+func (fs *faultState) inWindow(from, n int) bool {
+	return fs.maxStage >= from && fs.maxStage < from+n
+}
+
+// firing is one stage boundary's delivery of the due events: the helpers
+// the per-kind fire methods share, and what they leave to be applied once
+// faultState.mu is released.
+type firing struct {
+	c     *Context
+	stage int
+	now   simtime.Duration
+	// det is the heartbeat detector's declaration latency: a dead (or
+	// silent) executor becomes scheduler-visible heartbeatMisses missed
+	// leases after it stops. With the detector off det is 0 and a loss is
+	// declared the instant it fires.
+	det simtime.Duration
+	// declared: some executor was declared dead through the detector.
+	declared bool
+	// remoteDown: an outage window holds at this boundary.
+	remoteDown bool
+	// crashed are the nodes that died at this stage.
+	crashed map[int]bool
+	// lose and zombies are the nodes whose staged outputs go (dead or
+	// wiped, falsely declared); racks the failed fault domains; damage the
+	// block corruptions.
+	lose, zombies, racks []int
+	damage               []func()
+}
+
+// record puts one event of this boundary in the flight recorder.
+func (f *firing) record(typ string, node int, detail string) {
+	f.c.recordEvent(obs.Event{
+		Clock: f.now.Seconds(), Type: typ,
+		Stage: f.stage, Part: -1, Node: node, Shuffle: -1,
+		Detail: detail,
+	})
+}
+
+func (f *firing) fault(node int, detail string) { f.record(obs.EvFault, node, detail) }
+
+// suspect counts and records one detector suspicion.
+func (f *firing) suspect(node int, detail string) {
+	f.c.count(recSuspicions, 1)
+	f.record(obs.EvSuspicion, node, detail)
+}
+
+// declareDead applies per-node crash semantics (strike, exponential
+// blacklist backoff — overridden by an explicit down — and staged output
+// loss) shared by solo crashes and rack failures. The blacklist starts at
+// declaration time: detection latency delays it.
+func (f *firing) declareDead(node int, down simtime.Duration, why string) {
+	fs := f.c.faults
+	fs.strikes[node]++
+	backoff := f.c.conf.BlacklistBackoff
+	for s := 1; s < fs.strikes[node] && s < 6; s++ {
+		backoff *= 2
+	}
+	if down <= 0 {
+		down = backoff
+	}
+	fs.downUntil[node] = max(fs.downUntil[node], f.now+f.det+down)
+	if f.crashed == nil {
+		f.crashed = make(map[int]bool)
+	}
+	f.crashed[node] = true
+	f.lose = append(f.lose, node)
+	if f.det > 0 {
+		f.declared = true
+		f.suspect(node, why)
 	}
 }
 
-// fireStageFaults fires the plan's crash and disk-loss events scheduled
-// for this stage (once each): crashed nodes are blacklisted with
-// exponential backoff and both event kinds invalidate the node's staged
-// map outputs. It returns the set of nodes that crashed at this stage —
-// their first-attempt tasks die with the executor.
+// stall models an alive executor going silent for dur (stop-the-world
+// GC, network partition): past one missed lease the scheduler suspects
+// it; past the full declaration latency it is falsely declared dead —
+// outputs invalidated, node blacklisted until its heartbeats resume,
+// and the still-running attempts remembered as zombies whose late
+// commits the map-output lease must fence.
+func (f *firing) stall(node int, dur simtime.Duration, kind string) {
+	if dur < f.c.conf.HeartbeatInterval {
+		return // resumes inside one lease: never even suspected
+	}
+	f.suspect(node, fmt.Sprintf("%s: heartbeats stalled %s", kind, dur))
+	if dur < f.det {
+		return // recovers before the lease count runs out: suspicion only
+	}
+	f.declared = true
+	f.c.count(recFalseSuspicions, 1)
+	fs := f.c.faults
+	fs.downUntil[node] = max(fs.downUntil[node], f.now+dur)
+	f.zombies = append(f.zombies, node)
+}
+
+// Firing order: the remote tier's windows, then executor deaths, then
+// silent executors, then lost and damaged data (a block before its replica).
+func (RemoteOutage) rank() int     { return 0 }
+func (RemoteSlow) rank() int       { return 1 }
+func (ExecutorCrash) rank() int    { return 2 }
+func (RackFailure) rank() int      { return 3 }
+func (GCPause) rank() int          { return 4 }
+func (Partition) rank() int        { return 5 }
+func (DiskLoss) rank() int         { return 6 }
+func (Corruption) rank() int       { return 7 }
+func (RemoteCorruption) rank() int { return 8 }
+
+func (ev RemoteOutage) fire(f *firing, _ bool) { f.remoteDown = true }
+
+func (ev RemoteSlow) fire(f *firing, first bool) {
+	if first {
+		f.c.count(recRemoteSlows, 1)
+	}
+}
+
+func (ev ExecutorCrash) fire(f *firing, _ bool) {
+	f.declareDead(ev.Node, ev.Down, "heartbeats stopped: executor dead")
+	f.c.count(recExecCrashes, 1)
+	f.fault(ev.Node, "executor-crash")
+}
+
+func (ev RackFailure) fire(f *firing, _ bool) {
+	members := f.c.conf.Cluster.RackNodes(ev.Rack)
+	for _, node := range members {
+		f.declareDead(node, ev.Down, fmt.Sprintf("heartbeats stopped with rack %d", ev.Rack))
+	}
+	f.racks = append(f.racks, ev.Rack)
+	f.c.count(recRackFailures, 1)
+	f.fault(-1, fmt.Sprintf("rack-failure rack=%d nodes=%d", ev.Rack, len(members)))
+}
+
+func (ev GCPause) fire(f *firing, _ bool) {
+	f.c.count(recGCPauses, 1)
+	f.fault(ev.Node, fmt.Sprintf("gc-pause dur=%s", ev.Dur))
+	f.stall(ev.Node, ev.Dur, "gc-pause")
+}
+
+func (ev Partition) fire(f *firing, _ bool) {
+	f.c.count(recPartitions, 1)
+	f.fault(-1, fmt.Sprintf("network-partition nodes=%d dur=%s", len(ev.Nodes), ev.Dur))
+	for _, node := range ev.Nodes {
+		f.stall(node, ev.Dur, "network-partition")
+	}
+}
+
+func (ev DiskLoss) fire(f *firing, _ bool) {
+	f.lose = append(f.lose, ev.Node)
+	f.c.count(recDiskLosses, 1)
+	f.fault(ev.Node, "disk-loss")
+}
+
+func (ev Corruption) fire(f *firing, _ bool) {
+	f.damage = append(f.damage, func() {
+		if st := f.c.store; st != nil {
+			f.c.damageNewest(ev.Block, st.Keys, func(key string) bool { return st.Corrupt(key, ev.Torn) }, recCorruptions)
+		}
+	})
+}
+
+// Pending replication is flushed first: the victim set must be the full
+// deterministic replica set.
+func (ev RemoteCorruption) fire(f *firing, _ bool) {
+	f.damage = append(f.damage, func() {
+		if st := f.c.store; st != nil && st.RemoteAttached() {
+			st.FlushReplication()
+			f.c.damageNewest(ev.Block, st.RemoteKeys, func(key string) bool { return st.CorruptRemote(key, ev.Torn) }, recRemoteCorrupts)
+		}
+	})
+}
+
+// damageNewest picks a corruption event's victim: among the blocks (or
+// replicas) keys lists for the newest shuffle that has any — sorted, and a
+// deterministic set, since staging depends only on the data — index block
+// modulo the count, which corrupt forces to disk and damages. rec counts a
+// victim actually damaged; with nothing staged the event is a no-op.
+func (c *Context) damageNewest(block int, keys func(prefix string) []string, corrupt func(key string) bool, rec recKind) {
+	c.mu.Lock()
+	log := slices.Clone(c.shuffleLog)
+	c.mu.Unlock()
+	for i := len(log) - 1; i >= 0; i-- {
+		if ks := keys(shufflePrefix(log[i])); len(ks) > 0 {
+			if corrupt(ks[block%len(ks)]) {
+				c.count(rec, 1)
+			}
+			return
+		}
+	}
+}
+
+// fireStageFaults delivers the plan's events due at this stage boundary:
+// point events scheduled for the stage (once each) and the window events
+// the run's high-water stage is inside. Dead nodes are blacklisted with
+// exponential backoff and lose their staged map outputs, as do wiped disks
+// and falsely declared executors. It returns the set of nodes that crashed
+// at this stage — their first-attempt tasks die with the executor.
 func (c *Context) fireStageFaults(stageID int) map[int]bool {
 	fs := c.faults
 	if fs == nil {
 		return nil
 	}
-	now := c.Clock()
+	f := &firing{c: c, stage: stageID, now: c.Clock(), det: heartbeatMisses * c.conf.HeartbeatInterval}
 	fs.mu.Lock()
-	// Remote-tier windows are driven by the high-water stage ID: update
-	// it, re-evaluate the outage state, and note (once) any slowdown
-	// window this stage enters.
-	if stageID > fs.maxStage {
-		fs.maxStage = stageID
+	fs.maxStage = max(fs.maxStage, stageID)
+	for _, i := range fs.boundary {
+		ev := fs.plan.Events[i].(boundaryEvent)
+		from, n := ev.span()
+		due := from == stageID && !fs.fired[i]
+		if n > 0 {
+			due = fs.inWindow(from, n)
+		}
+		if !due {
+			continue
+		}
+		first := !fs.fired[i]
+		fs.fired[i] = true
+		ev.fire(f, first)
 	}
 	remoteWasDown := fs.remoteDown
-	remoteDown := false
-	for _, ev := range fs.plan.RemoteOutages {
-		if fs.maxStage >= ev.From && fs.maxStage < ev.From+ev.Dur {
-			remoteDown = true
-			break
-		}
-	}
-	fs.remoteDown = remoteDown
-	for i := range fs.plan.RemoteSlows {
-		ev := &fs.plan.RemoteSlows[i]
-		if !fs.slowFired[i] && fs.maxStage >= ev.From && fs.maxStage < ev.From+ev.Dur {
-			fs.slowFired[i] = true
-			c.count(recRemoteSlows, 1)
-		}
-	}
-	var toCorruptRemote []RemoteCorruption
-	for i := range fs.plan.RemoteCorruptions {
-		ev := &fs.plan.RemoteCorruptions[i]
-		if ev.Stage != stageID || fs.remoteCorruptFired[i] {
-			continue
-		}
-		fs.remoteCorruptFired[i] = true
-		toCorruptRemote = append(toCorruptRemote, *ev)
-	}
-	// det is the heartbeat detector's declaration latency: a dead (or
-	// silent) executor becomes scheduler-visible heartbeatMisses missed
-	// leases after it stops. With the detector off det is 0 and the same
-	// delivery below declares a loss the instant it fires.
-	det := heartbeatMisses * c.conf.HeartbeatInterval
-	declared := false
-	suspect := func(node int, detail string) {
-		c.count(recSuspicions, 1)
-		c.recordEvent(obs.Event{
-			Clock: now.Seconds(), Type: obs.EvSuspicion,
-			Stage: stageID, Part: -1, Node: node, Shuffle: -1,
-			Detail: detail,
-		})
-	}
-	var crashed map[int]bool
-	var toLose, toZombie, failedRacks []int
-	// declareDead applies per-node crash semantics (strike, exponential
-	// blacklist backoff — overridden by an explicit down — and staged
-	// output loss) shared by solo crashes and rack failures. The blacklist
-	// starts at declaration time: detection latency delays it.
-	declareDead := func(node int, down simtime.Duration) {
-		fs.strikes[node]++
-		backoff := c.conf.BlacklistBackoff
-		for s := 1; s < fs.strikes[node] && s < 6; s++ {
-			backoff *= 2
-		}
-		if down <= 0 {
-			down = backoff
-		}
-		if until := now + det + down; until > fs.downUntil[node] {
-			fs.downUntil[node] = until
-		}
-		if crashed == nil {
-			crashed = make(map[int]bool)
-		}
-		crashed[node] = true
-		toLose = append(toLose, node)
-	}
-	for i := range fs.plan.Crashes {
-		ev := &fs.plan.Crashes[i]
-		if ev.Stage != stageID || fs.crashFired[i] {
-			continue
-		}
-		fs.crashFired[i] = true
-		declareDead(ev.Node, ev.Down)
-		c.count(recExecCrashes, 1)
-		if det > 0 {
-			declared = true
-			suspect(ev.Node, "heartbeats stopped: executor dead")
-		}
-		c.recordEvent(obs.Event{
-			Clock: now.Seconds(), Type: obs.EvFault,
-			Stage: stageID, Part: -1, Node: ev.Node, Shuffle: -1,
-			Detail: "executor-crash",
-		})
-	}
-	for i := range fs.plan.RackFailures {
-		ev := &fs.plan.RackFailures[i]
-		if ev.Stage != stageID || fs.rackFired[i] {
-			continue
-		}
-		fs.rackFired[i] = true
-		failedRacks = append(failedRacks, ev.Rack)
-		members := c.conf.Cluster.RackNodes(ev.Rack)
-		for _, node := range members {
-			declareDead(node, ev.Down)
-			if det > 0 {
-				declared = true
-				suspect(node, fmt.Sprintf("heartbeats stopped with rack %d", ev.Rack))
-			}
-		}
-		c.count(recRackFailures, 1)
-		c.recordEvent(obs.Event{
-			Clock: now.Seconds(), Type: obs.EvFault,
-			Stage: stageID, Part: -1, Node: -1, Shuffle: -1,
-			Detail: fmt.Sprintf("rack-failure rack=%d nodes=%d", ev.Rack, len(members)),
-		})
-	}
-	// stall models an alive executor going silent for dur (stop-the-world
-	// GC, network partition): past one missed lease the scheduler suspects
-	// it; past the full declaration latency it is falsely declared dead —
-	// outputs invalidated, node blacklisted until its heartbeats resume,
-	// and the still-running attempts remembered as zombies whose late
-	// commits the map-output lease must fence.
-	stall := func(node int, dur simtime.Duration, kind string) {
-		if dur < c.conf.HeartbeatInterval {
-			return // resumes inside one lease: never even suspected
-		}
-		suspect(node, fmt.Sprintf("%s: heartbeats stalled %s", kind, dur))
-		if dur < det {
-			return // recovers before the lease count runs out: suspicion only
-		}
-		declared = true
-		c.count(recFalseSuspicions, 1)
-		if until := now + dur; until > fs.downUntil[node] {
-			fs.downUntil[node] = until
-		}
-		toZombie = append(toZombie, node)
-	}
-	for i := range fs.plan.GCPauses {
-		ev := &fs.plan.GCPauses[i]
-		if ev.From != stageID || fs.gcFired[i] {
-			continue
-		}
-		fs.gcFired[i] = true
-		c.count(recGCPauses, 1)
-		c.recordEvent(obs.Event{
-			Clock: now.Seconds(), Type: obs.EvFault,
-			Stage: stageID, Part: -1, Node: ev.Node, Shuffle: -1,
-			Detail: fmt.Sprintf("gc-pause dur=%s", ev.Dur),
-		})
-		stall(ev.Node, ev.Dur, "gc-pause")
-	}
-	for i := range fs.plan.Partitions {
-		ev := &fs.plan.Partitions[i]
-		if ev.From != stageID || fs.partFired[i] {
-			continue
-		}
-		fs.partFired[i] = true
-		c.count(recPartitions, 1)
-		c.recordEvent(obs.Event{
-			Clock: now.Seconds(), Type: obs.EvFault,
-			Stage: stageID, Part: -1, Node: -1, Shuffle: -1,
-			Detail: fmt.Sprintf("network-partition nodes=%d dur=%s", len(ev.Nodes), ev.Dur),
-		})
-		for _, node := range ev.Nodes {
-			stall(node, ev.Dur, "network-partition")
-		}
-	}
-	for i := range fs.plan.DiskLosses {
-		ev := &fs.plan.DiskLosses[i]
-		if ev.Stage != stageID || fs.diskFired[i] {
-			continue
-		}
-		fs.diskFired[i] = true
-		toLose = append(toLose, ev.Node)
-		c.count(recDiskLosses, 1)
-		c.recordEvent(obs.Event{
-			Clock: now.Seconds(), Type: obs.EvFault,
-			Stage: stageID, Part: -1, Node: ev.Node, Shuffle: -1,
-			Detail: "disk-loss",
-		})
-	}
-	var toCorrupt []Corruption
-	for i := range fs.plan.Corruptions {
-		ev := &fs.plan.Corruptions[i]
-		if ev.Stage != stageID || fs.corruptFired[i] {
-			continue
-		}
-		fs.corruptFired[i] = true
-		toCorrupt = append(toCorrupt, *ev)
-	}
+	fs.remoteDown = f.remoteDown
 	fs.mu.Unlock()
-	if declared && det > 0 {
+	if f.declared && f.det > 0 {
 		// Detection latency: the scheduler learns of the losses only after
 		// the missed-heartbeat lease runs out, and that wait is modelled
 		// time on the critical path — charged once per stage boundary no
 		// matter how many executors were declared together (their leases
 		// expire in parallel). The charge lands before the stage reads the
 		// clock, so placements already see the post-declaration blacklist.
-		c.advanceDriver(det, simtime.Overhead, obs.PhaseDetection)
+		c.advanceDriver(f.det, simtime.Overhead, obs.PhaseDetection)
 	}
 	if c.store != nil && c.store.RemoteAttached() {
-		if remoteDown && !remoteWasDown {
+		if f.remoteDown && !remoteWasDown {
 			// Entering an outage window: one degraded-mode episode begins —
 			// the replication queue parks and recovery falls back to
 			// recompute until the window closes.
 			c.count(recDegradedWindows, 1)
 			c.count(recRemoteOutages, 1)
-			c.recordEvent(obs.Event{
-				Clock: now.Seconds(), Type: obs.EvFault,
-				Stage: stageID, Part: -1, Node: -1, Shuffle: -1,
-				Detail: "remote-outage-enter",
-			})
+			f.fault(-1, "remote-outage-enter")
 		}
-		c.store.SetRemoteAvailable(!remoteDown)
-		if !remoteDown {
+		c.store.SetRemoteAvailable(!f.remoteDown)
+		if !f.remoteDown {
 			// While the tier is up, every block staged before this stage
 			// boundary is replicated before any of the stage's faults can
 			// lose it — this is what makes restore-vs-recompute decisions
@@ -753,33 +747,26 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 			// tier drains the backlog parked during the outage here too.
 			c.store.FlushReplication()
 		}
-		for _, rack := range failedRacks {
+		for _, rack := range f.racks {
 			// A rack failure burns the rack's share of the remote tier too:
 			// replicas placed in the failed domain are gone, so restores of
 			// those keys fail over to recompute — domain-aware placement
 			// guarantees the surviving copy lives elsewhere.
 			if n := c.store.DropRemoteDomain(rack); n > 0 {
-				c.recordEvent(obs.Event{
-					Clock: now.Seconds(), Type: obs.EvFault,
-					Stage: stageID, Part: -1, Node: -1, Shuffle: -1,
-					Detail: fmt.Sprintf("rack-failure rack=%d dropped %d remote replicas", rack, n),
-				})
+				f.fault(-1, fmt.Sprintf("rack-failure rack=%d dropped %d remote replicas", rack, n))
 			}
 		}
 	}
-	for _, node := range toLose {
+	for _, node := range f.lose {
 		c.loseNodeOutputs(node, false)
 	}
-	for _, node := range toZombie {
+	for _, node := range f.zombies {
 		c.loseNodeOutputs(node, true)
 	}
-	for _, ev := range toCorrupt {
-		c.corruptStagedBlock(ev)
+	for _, damage := range f.damage {
+		damage()
 	}
-	for _, ev := range toCorruptRemote {
-		c.corruptRemoteReplica(ev)
-	}
-	return crashed
+	return f.crashed
 }
 
 // heartbeatMisses is how many consecutive missed heartbeats turn a suspect
@@ -796,9 +783,9 @@ func (c *Context) remoteSlowFactor() float64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f := 1.0
-	for _, ev := range fs.plan.RemoteSlows {
-		if fs.maxStage >= ev.From && fs.maxStage < ev.From+ev.Dur && ev.Factor > f {
-			f = ev.Factor
+	for _, ev := range fs.plan.Events {
+		if slow, ok := ev.(RemoteSlow); ok && fs.inWindow(slow.From, slow.Dur) {
+			f = max(f, slow.Factor)
 		}
 	}
 	return f
@@ -861,14 +848,10 @@ func (c *Context) stragglerFactor(stageID, split int) float64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	factor := 1.0
-	for i := range fs.plan.Stragglers {
-		ev := &fs.plan.Stragglers[i]
-		if ev.Stage != stageID || ev.Partition != split || fs.stragFired[i] {
-			continue
-		}
-		fs.stragFired[i] = true
-		if ev.Factor > factor {
-			factor = ev.Factor
+	for i, ev := range fs.plan.Events {
+		if slow, ok := ev.(Straggler); ok && slow.Stage == stageID && slow.Partition == split && !fs.fired[i] {
+			fs.fired[i] = true
+			factor = max(factor, slow.Factor)
 		}
 	}
 	return factor

@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -50,7 +51,7 @@ func TestFetchFailureResubmitsMapStage(t *testing.T) {
 	// were staged (partitions 0 and 2 live on node 0).
 	ctx := NewContext(Conf{
 		Cluster:   cluster.LocalN(2, 2),
-		FaultPlan: &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 0}}},
+		FaultPlan: &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 1, Node: 0}}},
 	})
 	got := collectPairs(t, shuffledDoubles(ctx, parts))
 	if len(got) != 20 || got[7] != 14 {
@@ -111,7 +112,7 @@ func TestConcurrentFetchDuringRecovery(t *testing.T) {
 		ctx := NewContext(Conf{
 			Cluster:         cluster.LocalN(2, 2),
 			RealParallelism: 8,
-			FaultPlan:       &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 0}}},
+			FaultPlan:       &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 1, Node: 0}}},
 		})
 		got := collectPairs(t, shuffledDoubles(ctx, 16))
 		if len(got) != 20 {
@@ -131,7 +132,7 @@ func TestConcurrentFetchDuringRecovery(t *testing.T) {
 func TestDiskLossRecoveredWithoutBlacklist(t *testing.T) {
 	ctx := NewContext(Conf{
 		Cluster:   cluster.LocalN(2, 2),
-		FaultPlan: &FaultPlan{DiskLosses: []DiskLoss{{Stage: 1, Node: 1}}},
+		FaultPlan: &FaultPlan{Events: []FaultEvent{DiskLoss{Stage: 1, Node: 1}}},
 	})
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if len(got) != 20 {
@@ -152,7 +153,7 @@ func TestDiskLossRecoveredWithoutBlacklist(t *testing.T) {
 func TestCrashedExecutorTasksRePlaced(t *testing.T) {
 	ctx := NewContext(Conf{
 		Cluster:   cluster.LocalN(2, 2),
-		FaultPlan: &FaultPlan{Crashes: []ExecutorCrash{{Stage: 0, Node: 1}}},
+		FaultPlan: &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 0, Node: 1}}},
 	})
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if len(got) != 20 {
@@ -173,9 +174,9 @@ func TestBlacklistBackoffDoubles(t *testing.T) {
 	ctx := NewContext(Conf{
 		Cluster:          cluster.LocalN(2, 2),
 		BlacklistBackoff: 10 * simtime.Second,
-		FaultPlan: &FaultPlan{Crashes: []ExecutorCrash{
-			{Stage: 0, Node: 1},
-			{Stage: 1, Node: 1},
+		FaultPlan: &FaultPlan{Events: []FaultEvent{
+			ExecutorCrash{Stage: 0, Node: 1},
+			ExecutorCrash{Stage: 1, Node: 1},
 		}},
 	})
 	start := ctx.Clock()
@@ -212,7 +213,7 @@ func TestStragglerDilatesAndSpeculationRecovers(t *testing.T) {
 		return ctx.Clock(), ctx.RecoveryStats()
 	}
 
-	plan := &FaultPlan{Stragglers: []Straggler{{Stage: 0, Partition: 1, Factor: 8}}}
+	plan := &FaultPlan{Events: []FaultEvent{Straggler{Stage: 0, Partition: 1, Factor: 8}}}
 	clean, _ := run(nil, false)
 	slow, srs := run(plan, false)
 	spec, prs := run(plan, true)
@@ -246,16 +247,16 @@ func TestRecoveryMetricsExported(t *testing.T) {
 	conf.Speculation = true
 	conf.HeartbeatInterval = simtime.Second
 	conf.RecoveryTokens, conf.RecoveryRefill = 1, 1000*simtime.Second
-	conf.FaultPlan = &FaultPlan{
-		Stragglers:    []Straggler{{Stage: 0, Partition: 1, Factor: 8}},
-		Crashes:       []ExecutorCrash{{Stage: 1, Node: 0}},
-		RemoteOutages: []RemoteOutage{{From: 2, Dur: 2}},
+	conf.FaultPlan = &FaultPlan{Events: []FaultEvent{
+		Straggler{Stage: 0, Partition: 1, Factor: 8},
+		ExecutorCrash{Stage: 1, Node: 0},
+		RemoteOutage{From: 2, Dur: 2},
 		// Node 0 is still blacklisted when job 1 maps: node 1 stages it all.
-		GCPauses:          []GCPause{{Node: 1, From: 3, Dur: 4 * simtime.Second}},
-		DiskLosses:        []DiskLoss{{Stage: 5, Node: 0}},
-		Corruptions:       []Corruption{{Stage: 5, Block: 1}},
-		RemoteCorruptions: []RemoteCorruption{{Stage: 5, Block: 1}},
-	}
+		GCPause{Node: 1, From: 3, Dur: 4 * simtime.Second},
+		DiskLoss{Stage: 5, Node: 0},
+		Corruption{Stage: 5, Block: 1},
+		RemoteCorruption{Stage: 5, Block: 1},
+	}}
 	ctx := newContext(t, conf)
 	for job := 0; job < 3; job++ {
 		in := Map(Parallelize(ctx, ints(20), 4), func(tc *TaskContext, x int) Pair[int, int] {
@@ -339,7 +340,7 @@ func TestFetchFailureCountedOncePerRecovery(t *testing.T) {
 			// The crash fires as the result stage starts: map partition 0,
 			// staged on node 0, is lost, and the reducers homed there die
 			// with it once before they are re-placed.
-			FaultPlan: &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 0}}},
+			FaultPlan: &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 1, Node: 0}}},
 		})
 		part := NewHashPartitioner(reducers)
 		lostSide := PartitionBy(Map(Parallelize(ctx, ints(64), 2), func(_ *TaskContext, x int) Pair[int, int] {
@@ -397,10 +398,10 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds should differ")
 	}
-	if err := a.validate(4, 1); err != nil {
+	if err := a.validate(4, 1, false); err != nil {
 		t.Fatalf("drawn plan invalid: %v", err)
 	}
-	if len(a.Crashes) != 2 || len(a.Stragglers) != 2 || len(a.DiskLosses) != 1 {
+	if CountEvents[ExecutorCrash](a) != 2 || CountEvents[Straggler](a) != 2 || CountEvents[DiskLoss](a) != 1 {
 		t.Fatalf("plan = %+v", a)
 	}
 
@@ -411,16 +412,16 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(d, e) {
 		t.Fatalf("same seeds, different chained plans:\n%+v\n%+v", d, e)
 	}
-	if len(d.GCPauses) != 2 || len(d.Partitions) != 1 || len(d.RackFailures) != 1 {
+	if CountEvents[GCPause](d) != 2 || CountEvents[Partition](d) != 1 || CountEvents[RackFailure](d) != 1 {
 		t.Fatalf("chained plan = %+v", d)
 	}
-	if len(a.GCPauses)+len(a.Partitions)+len(a.RackFailures) != 0 {
+	if CountEvents[GCPause](a)+CountEvents[Partition](a)+CountEvents[RackFailure](a) != 0 {
 		t.Fatalf("chaining must copy, not mutate: %+v", a)
 	}
-	if err := d.validate(4, 2); err != nil {
+	if err := d.validate(4, 2, true); err != nil {
 		t.Fatalf("chained plan invalid for a 2-rack cluster: %v", err)
 	}
-	if err := d.validate(4, 1); err == nil {
+	if err := d.validate(4, 1, true); err == nil {
 		t.Fatal("rack failures must be rejected without rack topology")
 	}
 }
@@ -436,19 +437,10 @@ func TestConfNormalization(t *testing.T) {
 		{"negative attempts", Conf{Cluster: cluster.Local(2), MaxTaskAttempts: -1}, "MaxTaskAttempts"},
 		{"negative keep", Conf{Cluster: cluster.Local(2), KeepShuffles: -2}, "KeepShuffles"},
 		{"negative backoff", Conf{Cluster: cluster.Local(2), BlacklistBackoff: -simtime.Second}, "BlacklistBackoff"},
-		{"plan outside cluster", Conf{Cluster: cluster.Local(2),
-			FaultPlan: &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 7}}}}, "node 7"},
-		{"straggler factor", Conf{Cluster: cluster.Local(2),
-			FaultPlan: &FaultPlan{Stragglers: []Straggler{{Stage: 1, Partition: 0, Factor: 0.5}}}}, "factor"},
 		{"no cluster", Conf{}, "Cluster"},
 		{"negative heartbeat", Conf{Cluster: cluster.Local(2), HeartbeatInterval: -simtime.Second}, "HeartbeatInterval"},
 		{"negative tokens", Conf{Cluster: cluster.Local(2), RecoveryTokens: -1}, "RecoveryTokens"},
 		{"refill without tokens", Conf{Cluster: cluster.Local(2), RecoveryRefill: simtime.Second}, "RecoveryRefill"},
-		{"gc pause without detector", Conf{Cluster: cluster.Local(2),
-			FaultPlan: &FaultPlan{GCPauses: []GCPause{{Node: 0, From: 1, Dur: simtime.Second}}}}, "failure detector"},
-		{"rack failure without racks", Conf{Cluster: cluster.Local(2),
-			HeartbeatInterval: simtime.Second,
-			FaultPlan:         &FaultPlan{RackFailures: []RackFailure{{Rack: 0, Stage: 1}}}}, "rack topology"},
 	}
 	for _, tc := range cases {
 		func() {
@@ -509,3 +501,36 @@ func TestFaultPlanRunsAreDeterministic(t *testing.T) {
 		t.Fatalf("event logs differ:\n%+v\n%+v", e1, e2)
 	}
 }
+
+// TestRandomFaultPlanGolden pins the generators' draws: the event list of
+// the record-path golden's plan chained through every WithRandom*, printed
+// in generation order. Captured before the per-kind plan slices became one
+// Events list; the recovery goldens and the chaos suites rest on it.
+func TestRandomFaultPlanGolden(t *testing.T) {
+	p := RandomFaultPlan(16, 30, 4, 2, 2, 1).
+		WithRandomCorruptions(17, 30, 2).
+		WithRandomGCPauses(18, 30, 4, 2).
+		WithRandomPartitions(19, 30, 4, 2).
+		WithRandomRackFailures(20, 30, 2, 1)
+	var got strings.Builder
+	for _, ev := range p.Events {
+		fmt.Fprintf(&got, "%#v\n", ev)
+	}
+	if got.String() != randomFaultPlanGolden {
+		t.Fatalf("generators drew a different plan:\n%swant:\n%s", got.String(), randomFaultPlanGolden)
+	}
+}
+
+const randomFaultPlanGolden = `rdd.ExecutorCrash{Stage:7, Node:3, Down:0}
+rdd.ExecutorCrash{Stage:15, Node:3, Down:0}
+rdd.Straggler{Stage:20, Partition:7, Factor:4.6117562132306125}
+rdd.Straggler{Stage:3, Partition:0, Factor:2.85705992262095}
+rdd.DiskLoss{Stage:19, Node:1}
+rdd.Corruption{Stage:15, Block:31863, Torn:true}
+rdd.Corruption{Stage:8, Block:29928, Torn:false}
+rdd.GCPause{Node:0, From:8, Dur:2.206549092681544}
+rdd.GCPause{Node:2, From:9, Dur:6.4621137238874}
+rdd.Partition{Nodes:[]int{1, 0}, From:10, Dur:7.414460852092496}
+rdd.Partition{Nodes:[]int{2}, From:3, Dur:4.641757663820156}
+rdd.RackFailure{Rack:0, Stage:8, Down:0}
+`

@@ -22,31 +22,6 @@ import (
 // the last up-tier stage boundary" — a function of the plan and the
 // data, never of background-writer timing.
 
-// corruptRemoteReplica fires one RemoteCorruption event: pending
-// replication is flushed (the victim set must be the full deterministic
-// replica set), then among the newest shuffle generation with replicas
-// the event's Block index (mod the sorted key count) selects the
-// victim. No-op without an attached remote tier or with no replicas.
-func (c *Context) corruptRemoteReplica(ev RemoteCorruption) {
-	if c.store == nil || !c.store.RemoteAttached() {
-		return
-	}
-	c.store.FlushReplication()
-	c.mu.Lock()
-	log := append([]int(nil), c.shuffleLog...)
-	c.mu.Unlock()
-	for i := len(log) - 1; i >= 0; i-- {
-		keys := c.store.RemoteKeys(shufflePrefix(log[i]))
-		if len(keys) == 0 {
-			continue
-		}
-		if c.store.CorruptRemote(keys[ev.Block%len(keys)], ev.Torn) {
-			c.count(recRemoteCorrupts, 1)
-		}
-		return
-	}
-}
-
 // restorableBlock is one staged block a lost map partition needs back,
 // with its sizer-priced payload (what the simulated restore read costs).
 type restorableBlock struct {

@@ -31,7 +31,7 @@ func TestRemoteRestoreAfterCrash(t *testing.T) {
 	want := collectPairs(t, shuffledDoubles(clean, 4))
 
 	conf := remoteConf(t, 0)
-	conf.FaultPlan = &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 0}}}
+	conf.FaultPlan = &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 1, Node: 0}}}
 	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if !reflect.DeepEqual(got, want) {
@@ -74,10 +74,10 @@ func TestRemoteRestoreAfterCrash(t *testing.T) {
 // brings the tier back and drains the parked queue.
 func TestRemoteOutageDegradesToRecompute(t *testing.T) {
 	conf := remoteConf(t, 0)
-	conf.FaultPlan = &FaultPlan{
-		Crashes:       []ExecutorCrash{{Stage: 1, Node: 0}},
-		RemoteOutages: []RemoteOutage{{From: 0, Dur: 2}},
-	}
+	conf.FaultPlan = &FaultPlan{Events: []FaultEvent{
+		ExecutorCrash{Stage: 1, Node: 0},
+		RemoteOutage{From: 0, Dur: 2},
+	}}
 	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if len(got) != 20 || got[7] != 14 {
@@ -121,10 +121,10 @@ func TestRemoteOutageDegradesToRecompute(t *testing.T) {
 // backoff) and recovery falls back to recompute.
 func TestRemoteSlowTimeoutFallsBack(t *testing.T) {
 	conf := remoteConf(t, 0)
-	conf.FaultPlan = &FaultPlan{
-		Crashes:     []ExecutorCrash{{Stage: 1, Node: 0}},
-		RemoteSlows: []RemoteSlow{{From: 0, Dur: 4, Factor: 1e12}},
-	}
+	conf.FaultPlan = &FaultPlan{Events: []FaultEvent{
+		ExecutorCrash{Stage: 1, Node: 0},
+		RemoteSlow{From: 0, Dur: 4, Factor: 1e12},
+	}}
 	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if len(got) != 20 {
@@ -156,10 +156,10 @@ func TestRemoteCorruptReplicaForcesRecompute(t *testing.T) {
 	want := collectPairs(t, shuffledDoubles(clean, 4))
 
 	conf := remoteConf(t, 0)
-	conf.FaultPlan = &FaultPlan{
-		Corruptions:       []Corruption{{Stage: 1, Block: 1}},
-		RemoteCorruptions: []RemoteCorruption{{Stage: 1, Block: 1}},
-	}
+	conf.FaultPlan = &FaultPlan{Events: []FaultEvent{
+		Corruption{Stage: 1, Block: 1},
+		RemoteCorruption{Stage: 1, Block: 1},
+	}}
 	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if !reflect.DeepEqual(got, want) {
@@ -181,10 +181,10 @@ func TestRemoteCorruptReplicaForcesRecompute(t *testing.T) {
 // TestRemoteFaultPlanRunsAreDeterministic: the remote events join the
 // determinism contract — same plan, same clock/counters/event log.
 func TestRemoteFaultPlanRunsAreDeterministic(t *testing.T) {
-	plan := &FaultPlan{
-		Crashes:     []ExecutorCrash{{Stage: 1, Node: 0}},
-		RemoteSlows: []RemoteSlow{{From: 0, Dur: 4, Factor: 2}},
-	}
+	plan := &FaultPlan{Events: []FaultEvent{
+		ExecutorCrash{Stage: 1, Node: 0},
+		RemoteSlow{From: 0, Dur: 4, Factor: 2},
+	}}
 	run := func() (simtime.Duration, RecoveryStats, []StageEvent) {
 		conf := remoteConf(t, 0)
 		conf.FaultPlan = plan
@@ -239,52 +239,22 @@ func TestFaultPlanValidateRemoteEvents(t *testing.T) {
 		plan FaultPlan
 		want string
 	}{
-		{"outage negative from", FaultPlan{RemoteOutages: []RemoteOutage{{From: -1, Dur: 1}}}, "remote outage"},
-		{"outage zero dur", FaultPlan{RemoteOutages: []RemoteOutage{{From: 0, Dur: 0}}}, "remote outage"},
-		{"slow zero dur", FaultPlan{RemoteSlows: []RemoteSlow{{From: 0, Dur: 0, Factor: 2}}}, "remote slowdown"},
-		{"slow factor at 1", FaultPlan{RemoteSlows: []RemoteSlow{{From: 0, Dur: 2, Factor: 1}}}, "factor"},
-		{"corruption negative stage", FaultPlan{RemoteCorruptions: []RemoteCorruption{{Stage: -1}}}, "remote corruption"},
-		{"corruption negative block", FaultPlan{RemoteCorruptions: []RemoteCorruption{{Stage: 1, Block: -2}}}, "remote corruption"},
+		{"outage negative from", FaultPlan{Events: []FaultEvent{RemoteOutage{From: -1, Dur: 1}}}, "RemoteOutage"},
+		{"outage zero dur", FaultPlan{Events: []FaultEvent{RemoteOutage{From: 0, Dur: 0}}}, "RemoteOutage"},
+		{"slow zero dur", FaultPlan{Events: []FaultEvent{RemoteSlow{From: 0, Dur: 0, Factor: 2}}}, "RemoteSlow"},
+		{"slow factor at 1", FaultPlan{Events: []FaultEvent{RemoteSlow{From: 0, Dur: 2, Factor: 1}}}, "factor"},
+		{"corruption negative stage", FaultPlan{Events: []FaultEvent{RemoteCorruption{Stage: -1}}}, "RemoteCorruption"},
+		{"corruption negative block", FaultPlan{Events: []FaultEvent{RemoteCorruption{Stage: 1, Block: -2}}}, "RemoteCorruption"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.plan.validate(4, 1)
+			err := tc.plan.validate(4, 1, false)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("validate = %v, want mention of %q", err, tc.want)
 			}
 		})
 	}
-	if (&FaultPlan{RemoteOutages: []RemoteOutage{{From: 0, Dur: 1}}}).Empty() {
+	if (&FaultPlan{Events: []FaultEvent{RemoteOutage{From: 0, Dur: 1}}}).Empty() {
 		t.Fatal("a remote-only plan is not empty")
-	}
-}
-
-// TestEngineStateRemoteCorruptFired: fired remote-corruption events
-// round-trip through EngineState — a resumed context does not re-fire
-// them — and a mismatched Restore vector is rejected.
-func TestEngineStateRemoteCorruptFired(t *testing.T) {
-	plan := &FaultPlan{RemoteCorruptions: []RemoteCorruption{{Stage: 1, Block: 0}}}
-	conf := remoteConf(t, 0)
-	conf.FaultPlan = plan
-	ctx := newContext(t, conf)
-	collectPairs(t, shuffledDoubles(ctx, 4))
-	if rs := ctx.RecoveryStats(); rs.RemoteCorruptions != 1 {
-		t.Fatalf("corruption must fire: %+v", rs)
-	}
-	es := ctx.EngineState()
-	if len(es.RemoteCorruptFired) != 1 || !es.RemoteCorruptFired[0] {
-		t.Fatalf("snapshot = %+v", es)
-	}
-
-	bad := Conf{Cluster: cluster.LocalN(2, 2), FaultPlan: plan,
-		Restore: &EngineState{RemoteCorruptFired: []bool{true, false}}}
-	if err := bad.normalize(); err == nil || !strings.Contains(err.Error(), "RemoteCorruptFired") {
-		t.Fatalf("normalize = %v, want RemoteCorruptFired mismatch", err)
-	}
-
-	resumed := NewContext(Conf{Cluster: cluster.LocalN(2, 2), FaultPlan: plan, Restore: &es})
-	collectPairs(t, shuffledDoubles(resumed, 4))
-	if rs := resumed.RecoveryStats(); rs.RemoteCorruptions != 0 {
-		t.Fatalf("restored context re-fired the corruption: %+v", rs)
 	}
 }

@@ -1,7 +1,11 @@
 package rdd
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"slices"
 
 	"dpspark/internal/store"
 )
@@ -147,30 +151,6 @@ func (c *Context) readStoredBucket(st *shuffleState, ref bucketRef, emit func(re
 	}
 }
 
-// corruptStagedBlock fires one Corruption event: among the newest
-// materialized shuffle that has staged blocks, the event's Block index
-// (mod the sorted key count — a deterministic set, since staging depends
-// only on the data) selects the victim, which is forced to disk and
-// damaged. No-op without a store or staged blocks.
-func (c *Context) corruptStagedBlock(ev Corruption) {
-	if c.store == nil {
-		return
-	}
-	c.mu.Lock()
-	log := append([]int(nil), c.shuffleLog...)
-	c.mu.Unlock()
-	for i := len(log) - 1; i >= 0; i-- {
-		keys := c.store.Keys(shufflePrefix(log[i]))
-		if len(keys) == 0 {
-			continue
-		}
-		if c.store.Corrupt(keys[ev.Block%len(keys)], ev.Torn) {
-			c.count(recCorruptions, 1)
-		}
-		return
-	}
-}
-
 // EngineState is the restartable slice of a context's scheduler state: a
 // driver checkpoint persists it alongside the data so a resumed run
 // continues the global stage/shuffle numbering (fault plans key on stage
@@ -179,17 +159,20 @@ func (c *Context) corruptStagedBlock(ev Corruption) {
 // restarted driver forgets them, as Spark's would — but crash strikes
 // are, so repeated crashes keep doubling the backoff.
 type EngineState struct {
-	NextStage          int    `json:"next_stage"`
-	NextShuffle        int    `json:"next_shuffle"`
-	CrashFired         []bool `json:"crash_fired,omitempty"`
-	DiskFired          []bool `json:"disk_fired,omitempty"`
-	StragFired         []bool `json:"strag_fired,omitempty"`
-	CorruptFired       []bool `json:"corrupt_fired,omitempty"`
-	RemoteCorruptFired []bool `json:"remote_corrupt_fired,omitempty"`
-	GCFired            []bool `json:"gc_fired,omitempty"`
-	PartFired          []bool `json:"part_fired,omitempty"`
-	RackFired          []bool `json:"rack_fired,omitempty"`
-	Strikes            []int  `json:"strikes,omitempty"`
+	NextStage   int `json:"next_stage"`
+	NextShuffle int `json:"next_shuffle"`
+	// Fired[i] is set once FaultPlan.Events[i] has fired.
+	Fired   []bool `json:"fired,omitempty"`
+	Strikes []int  `json:"strikes,omitempty"`
+}
+
+// UnmarshalJSON refuses keys EngineState does not have: dropping an older
+// format's per-kind fired arrays would re-fire events that already fired.
+func (es *EngineState) UnmarshalJSON(b []byte) error {
+	type plain EngineState
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode((*plain)(es))
 }
 
 // EngineState snapshots the context's restartable scheduler state for a
@@ -200,15 +183,8 @@ func (c *Context) EngineState() EngineState {
 	c.mu.Unlock()
 	if fs := c.faults; fs != nil {
 		fs.mu.Lock()
-		es.CrashFired = append([]bool(nil), fs.crashFired...)
-		es.DiskFired = append([]bool(nil), fs.diskFired...)
-		es.StragFired = append([]bool(nil), fs.stragFired...)
-		es.CorruptFired = append([]bool(nil), fs.corruptFired...)
-		es.RemoteCorruptFired = append([]bool(nil), fs.remoteCorruptFired...)
-		es.GCFired = append([]bool(nil), fs.gcFired...)
-		es.PartFired = append([]bool(nil), fs.partFired...)
-		es.RackFired = append([]bool(nil), fs.rackFired...)
-		es.Strikes = append([]int(nil), fs.strikes...)
+		es.Fired = slices.Clone(fs.fired)
+		es.Strikes = slices.Clone(fs.strikes)
 		fs.mu.Unlock()
 	}
 	return es
@@ -223,14 +199,7 @@ func (c *Context) restoreEngineState(es *EngineState) {
 	c.mu.Unlock()
 	if fs := c.faults; fs != nil {
 		fs.mu.Lock()
-		copy(fs.crashFired, es.CrashFired)
-		copy(fs.diskFired, es.DiskFired)
-		copy(fs.stragFired, es.StragFired)
-		copy(fs.corruptFired, es.CorruptFired)
-		copy(fs.remoteCorruptFired, es.RemoteCorruptFired)
-		copy(fs.gcFired, es.GCFired)
-		copy(fs.partFired, es.PartFired)
-		copy(fs.rackFired, es.RackFired)
+		copy(fs.fired, es.Fired)
 		copy(fs.strikes, es.Strikes)
 		fs.mu.Unlock()
 	}
@@ -248,35 +217,9 @@ func validateRestore(es *EngineState, plan *FaultPlan, nodes int) error {
 		}
 		return nil
 	}
-	var crashes, disks, strags, corrupts, remCorrupts, gcs, parts, racks int
+	events := 0
 	if plan != nil {
-		crashes, disks, strags, corrupts = len(plan.Crashes), len(plan.DiskLosses), len(plan.Stragglers), len(plan.Corruptions)
-		remCorrupts = len(plan.RemoteCorruptions)
-		gcs, parts, racks = len(plan.GCPauses), len(plan.Partitions), len(plan.RackFailures)
+		events = len(plan.Events)
 	}
-	if err := check("CrashFired", len(es.CrashFired), crashes); err != nil {
-		return err
-	}
-	if err := check("DiskFired", len(es.DiskFired), disks); err != nil {
-		return err
-	}
-	if err := check("StragFired", len(es.StragFired), strags); err != nil {
-		return err
-	}
-	if err := check("CorruptFired", len(es.CorruptFired), corrupts); err != nil {
-		return err
-	}
-	if err := check("RemoteCorruptFired", len(es.RemoteCorruptFired), remCorrupts); err != nil {
-		return err
-	}
-	if err := check("GCFired", len(es.GCFired), gcs); err != nil {
-		return err
-	}
-	if err := check("PartFired", len(es.PartFired), parts); err != nil {
-		return err
-	}
-	if err := check("RackFired", len(es.RackFired), racks); err != nil {
-		return err
-	}
-	return check("Strikes", len(es.Strikes), nodes)
+	return cmp.Or(check("Fired", len(es.Fired), events), check("Strikes", len(es.Strikes), nodes))
 }

@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"dpspark/internal/cluster"
+	"dpspark/internal/simtime"
 )
 
 // Durable-staging tests: shuffle buckets routed through the block store
@@ -118,7 +120,7 @@ func TestCorruptionRecoversViaRecompute(t *testing.T) {
 			// Stage 0 stages the map outputs; the corruption fires as the
 			// collecting stage 1 starts, so the damaged block is read (and
 			// repaired) within that very stage.
-			conf.FaultPlan = &FaultPlan{Corruptions: []Corruption{{Stage: 1, Block: 2, Torn: torn}}}
+			conf.FaultPlan = &FaultPlan{Events: []FaultEvent{Corruption{Stage: 1, Block: 2, Torn: torn}}}
 			ctx := newContext(t, conf)
 			got := collectPairs(t, shuffledDoubles(ctx, 4))
 			if len(got) != 20 || got[7] != 14 {
@@ -157,10 +159,10 @@ func TestCorruptionPlusCrashSameRun(t *testing.T) {
 	want := collectPairs(t, shuffledDoubles(clean, 4))
 
 	conf := durableConf(t, 0)
-	conf.FaultPlan = &FaultPlan{
-		Crashes:     []ExecutorCrash{{Stage: 1, Node: 0}},
-		Corruptions: []Corruption{{Stage: 1, Block: 1}},
-	}
+	conf.FaultPlan = &FaultPlan{Events: []FaultEvent{
+		ExecutorCrash{Stage: 1, Node: 0},
+		Corruption{Stage: 1, Block: 1},
+	}}
 	ctx := newContext(t, conf)
 	got := collectPairs(t, shuffledDoubles(ctx, 4))
 	if !reflect.DeepEqual(got, want) {
@@ -209,9 +211,9 @@ func TestConfNormalizeStoreKnobs(t *testing.T) {
 		{"budget without dir", func(c *Conf) { c.MemoryBudget = 1 << 20 }, "DurableDir"},
 		{"restore negative cursor", func(c *Conf) { c.Restore = &EngineState{NextStage: -1} }, "Restore"},
 		{"restore plan mismatch", func(c *Conf) {
-			c.FaultPlan = &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 0}}}
-			c.Restore = &EngineState{CrashFired: []bool{true, false}}
-		}, "CrashFired"},
+			c.FaultPlan = &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 1, Node: 0}}}
+			c.Restore = &EngineState{Fired: []bool{true, false}}
+		}, "Fired"},
 		{"restore strikes mismatch", func(c *Conf) {
 			c.Restore = &EngineState{Strikes: []int{0, 0, 0}}
 		}, "Strikes"},
@@ -253,14 +255,14 @@ func TestConfNormalizeStoreKnobs(t *testing.T) {
 // that continues the stage/shuffle numbering and does not re-fire
 // already-fired plan events.
 func TestEngineStateResume(t *testing.T) {
-	plan := &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 0}}}
+	plan := &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 1, Node: 0}}}
 	ctx := NewContext(Conf{Cluster: cluster.LocalN(2, 2), FaultPlan: plan})
 	collectPairs(t, shuffledDoubles(ctx, 4))
 	es := ctx.EngineState()
 	if es.NextStage < 2 || es.NextShuffle != 1 {
 		t.Fatalf("snapshot = %+v", es)
 	}
-	if len(es.CrashFired) != 1 || !es.CrashFired[0] {
+	if len(es.Fired) != 1 || !es.Fired[0] {
 		t.Fatalf("crash not marked fired: %+v", es)
 	}
 	if es.Strikes[0] != 1 {
@@ -288,17 +290,74 @@ func TestWithRandomCorruptionsDeterministic(t *testing.T) {
 	base := RandomFaultPlan(42, 12, 4, 1, 1, 1)
 	a := base.WithRandomCorruptions(99, 12, 3)
 	b := base.WithRandomCorruptions(99, 12, 3)
-	if !reflect.DeepEqual(a.Corruptions, b.Corruptions) {
-		t.Fatalf("same seed, different corruption schedule: %+v vs %+v", a.Corruptions, b.Corruptions)
+	drawn := func(p *FaultPlan) []FaultEvent { return p.Events[len(base.Events):] }
+	if !reflect.DeepEqual(drawn(a), drawn(b)) {
+		t.Fatalf("same seed, different corruption schedule: %+v vs %+v", drawn(a), drawn(b))
 	}
-	if len(a.Corruptions) != 3 || len(base.Corruptions) != 0 {
-		t.Fatalf("append went wrong: %+v / %+v", a.Corruptions, base.Corruptions)
+	if CountEvents[Corruption](a) != 3 || CountEvents[Corruption](base) != 0 {
+		t.Fatalf("append went wrong: %+v / %+v", a.Events, base.Events)
 	}
-	if err := a.validate(4, 1); err != nil {
+	if err := a.validate(4, 1, false); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
 	c := base.WithRandomCorruptions(100, 12, 3)
-	if reflect.DeepEqual(a.Corruptions, c.Corruptions) {
+	if reflect.DeepEqual(drawn(a), drawn(c)) {
 		t.Fatal("different seeds must differ")
+	}
+}
+
+// TestEngineStateRoundTrip: a plan holding every kind fires in full, each
+// event's bit rides the snapshot (one array, through JSON), and a context
+// restored from it replays the same stage IDs without re-firing — or
+// re-counting — any of them. A Restore vector of another plan's length is
+// refused.
+func TestEngineStateRoundTrip(t *testing.T) {
+	plan := &FaultPlan{Events: everyKind()}
+	// counted[i] is the ledger row that counts plan.Events[i] firing.
+	counted := []recKind{recExecCrashes, recDiskLosses, recStragglers, recCorruptions, recRemoteOutages,
+		recRemoteSlows, recRemoteCorrupts, recGCPauses, recPartitions, recRackFailures}
+	conf := func(restore *EngineState) Conf {
+		c := remoteConf(t, 0)
+		c.Cluster = cluster.LocalN(4, 2).WithRacks(2)
+		c.HeartbeatInterval = simtime.Second
+		c.FaultPlan, c.Restore = plan, restore
+		return c
+	}
+	ctx := newContext(t, conf(nil))
+	want := collectPairs(t, shuffledDoubles(ctx, 4))
+	es := ctx.EngineState()
+	for i, ev := range plan.Events {
+		if n := ctx.ledger.n[counted[i]].Load(); !es.Fired[i] || n != 1 {
+			t.Errorf("%T: fired %v, counted %d; want fired once", ev, es.Fired[i], n)
+		}
+	}
+	raw, err := json.Marshal(es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back EngineState
+	if err := json.Unmarshal(raw, &back); err != nil || !reflect.DeepEqual(back, es) {
+		t.Fatalf("JSON round trip: %v\n%s\n-> %+v, want %+v", err, raw, back, es)
+	}
+
+	// Rewind the cursors so the restored context meets every event's stage
+	// again: only the fired bits keep them from firing twice.
+	back.NextStage, back.NextShuffle = 0, 0
+	resumed := newContext(t, conf(&back))
+	if got := collectPairs(t, shuffledDoubles(resumed, 4)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored run = %v, want %v", got, want)
+	}
+	for i, ev := range plan.Events {
+		if _, ok := ev.(RemoteOutage); ok {
+			continue // counted per window entry (level state), not per fired bit
+		}
+		if n := resumed.ledger.n[counted[i]].Load(); n != 0 {
+			t.Errorf("%T fired again on the restored context (counted %d)", ev, n)
+		}
+	}
+
+	bad := conf(&EngineState{Fired: []bool{true, false}})
+	if err := bad.normalize(); err == nil || !strings.Contains(err.Error(), "Restore.Fired") {
+		t.Fatalf("normalize = %v, want a Restore.Fired length mismatch", err)
 	}
 }

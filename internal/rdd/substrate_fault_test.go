@@ -29,7 +29,7 @@ func TestSubstrateNarrowSlotFaultRecovery(t *testing.T) {
 		// The crash fires as the reduce stage starts: node 0's staged map
 		// outputs are lost, the reduce-side fetch fails, and the map
 		// stage is resubmitted mid-task.
-		FaultPlan: &FaultPlan{Crashes: []ExecutorCrash{{Stage: 1, Node: 0}}},
+		FaultPlan: &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 1, Node: 0}}},
 	})
 	type res struct {
 		got map[int]int

@@ -1,5 +1,5 @@
 // The job journal is the serve layer's write-ahead log: every job
-// lifecycle transition (admitted → dispatched → checkpointed → retry →
+// lifecycle transition (admitted → dispatched → retry →
 // terminal, plus crash-recovery re-dispatches) is appended to one
 // CRC32C-framed file before the transition takes effect, so a server
 // killed at ANY point — SIGKILL included — restarts knowing exactly
@@ -30,17 +30,16 @@ const ckptSubdir = "ckpt"
 
 // journalCompactThreshold is the record count past which the server
 // compacts the journal in place (terminal jobs collapse to two records,
-// dispatch/checkpoint chatter is dropped for live ones).
+// dispatch/retry chatter is dropped for live ones).
 const journalCompactThreshold = 4096
 
 // Journal record types, in lifecycle order.
 const (
-	recAdmitted     = "admitted"     // spec accepted; carries the full JobSpec
-	recDispatched   = "dispatched"   // an attempt started running
-	recCheckpointed = "checkpointed" // a durable engine checkpoint landed
-	recRetry        = "retry"        // an attempt failed on an engine error; another follows
-	recRecovered    = "recovered"    // a restart found the job mid-run and re-admitted it
-	recTerminal     = "terminal"     // done / failed / cancelled / quarantined
+	recAdmitted   = "admitted"   // spec accepted; carries the full JobSpec
+	recDispatched = "dispatched" // an attempt started running
+	recRetry      = "retry"      // an attempt failed on an engine error; another follows
+	recRecovered  = "recovered"  // a restart found the job mid-run and re-admitted it
+	recTerminal   = "terminal"   // done / failed / cancelled / quarantined
 )
 
 // journalRecord is one framed journal entry. Fields are sparse: each
@@ -55,8 +54,6 @@ type journalRecord struct {
 	Spec *JobSpec `json:"spec,omitempty"`
 	// Attempt numbers dispatched/retry records (1-based).
 	Attempt int `json:"attempt,omitempty"`
-	// Iteration is the durable boundary (checkpointed records).
-	Iteration int `json:"iteration,omitempty"`
 	// Crashes counts how many restarts found this job mid-run
 	// (recovered records) — the poison-job strike counter.
 	Crashes int `json:"crashes,omitempty"`

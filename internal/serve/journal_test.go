@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dpspark/internal/store"
@@ -37,10 +38,20 @@ func TestJournalAppendReplayRoundTrip(t *testing.T) {
 	in := []journalRecord{
 		{Type: recAdmitted, Job: "job-1", Seq: 1, Spec: &spec},
 		{Type: recDispatched, Job: "job-1", Attempt: 1},
-		{Type: recCheckpointed, Job: "job-1", Iteration: 1},
+		{Type: "checkpointed", Job: "job-1"},
 		{Type: recTerminal, Job: "job-1", State: StateDone, Checksum: "00ff00ff00ff00ff", Modelled: 1.25},
 	}
 	for _, rec := range in {
+		if rec.Type == "checkpointed" {
+			// A frame exactly as servers before the record audit wrote it:
+			// the type is retired, old journals still carry it.
+			legacy := []byte(`{"type":"checkpointed","job":"job-1","iteration":1}`)
+			if _, err := jl.f.Write(store.AppendFrame(nil, legacy)); err != nil {
+				t.Fatal(err)
+			}
+			jl.records++
+			continue
+		}
 		if err := jl.append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -62,6 +73,22 @@ func TestJournalAppendReplayRoundTrip(t *testing.T) {
 	}
 	if out[3].State != StateDone || out[3].Checksum != "00ff00ff00ff00ff" {
 		t.Fatalf("terminal record mangled: %+v", out[3])
+	}
+	if !reflect.DeepEqual(out[2], in[2]) {
+		t.Fatalf("retired record type must still decode: %+v", out[2])
+	}
+	// Recovery skips the retired type and lands the job where its
+	// terminal record says.
+	s, err := New(Config{JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := s.Status("job-1"); !ok || st.State != StateDone || st.Checksum != "00ff00ff00ff00ff" {
+		t.Fatalf("recovered job-1 = %+v", st)
 	}
 }
 

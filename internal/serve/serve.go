@@ -342,7 +342,7 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 
-	// ctx is the job's engine context, set once the job starts; cancel
+	// ctx is the job's engine context while an attempt runs; cancel
 	// requests arriving earlier are remembered in cancelCause.
 	ctx         *rdd.Context
 	cancelCause error
@@ -668,32 +668,22 @@ func (s *Server) attemptOnce(j *Job) (sum uint64, modelled float64, err error, p
 // path produced a result.
 func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 	spec := j.Spec
-	var plan *rdd.FaultPlan
+	// The chaos subcommand's mix, seeded per job: crashes (with two
+	// stragglers and one staging-disk loss) and stop-the-world pauses —
+	// those outliving the detection latency exercise false suspicion +
+	// zombie fencing in-service.
 	r := (spec.N + spec.Block - 1) / spec.Block
-	if spec.ChaosCrashes > 0 {
-		// The chaos subcommand's mix: crashes as requested, plus two
-		// stragglers and one staging-disk loss over the planned stages.
-		plan = rdd.RandomFaultPlan(spec.ChaosSeed, 4*r, s.cfg.Cluster.Nodes, spec.ChaosCrashes, 2, 1)
-	}
+	plan := rdd.ChaosPlan(spec.ChaosSeed, 4*r, s.cfg.Cluster.Nodes, spec.ChaosCrashes, spec.ChaosGCPauses, 0, 0)
 	var heartbeat simtime.Duration
 	if spec.HeartbeatMS > 0 {
 		heartbeat = simtime.Duration(spec.HeartbeatMS) * simtime.Millisecond
 	}
-	if spec.ChaosGCPauses > 0 {
-		if plan == nil {
-			plan = &rdd.FaultPlan{Seed: spec.ChaosSeed}
-		}
-		// Seeded stop-the-world pauses; those outliving the detection
-		// latency exercise false suspicion + zombie fencing in-service.
-		plan = plan.WithRandomGCPauses(spec.ChaosSeed+1, 4*r, s.cfg.Cluster.Nodes, spec.ChaosGCPauses)
-	}
 
 	rule := spec.rule()
 
-	// Resolve the resume-vs-clean decision from the disk, not the
-	// journal: checkpoints are written before their journal records, so
-	// after a crash the directory may be AHEAD of the journal, and a
-	// missing/torn directory simply falls back to a clean re-run from
+	// Resolve the resume-vs-clean decision from the disk: the journal
+	// does not record checkpoints, the directory is the only witness, and
+	// a missing/torn directory simply falls back to a clean re-run from
 	// the journaled spec. Bits are identical either way.
 	var meta *core.CheckpointMeta
 	var ckptBl *matrix.Blocked
@@ -732,13 +722,19 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 	defer ctx.Close()
 
 	// Publish the context so Cancel reaches the engine, honouring a
-	// cancel that raced the start.
+	// cancel that raced the start — and only for as long as the attempt
+	// runs: a finished job must not keep its engine state reachable.
 	s.mu.Lock()
 	j.ctx = ctx
 	if cause := j.cancelCause; cause != nil {
 		ctx.Cancel(cause)
 	}
 	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		j.ctx = nil
+		s.mu.Unlock()
+	}()
 
 	if spec.DeadlineMS > 0 {
 		// The deadline counts from admission — time spent queued behind
@@ -759,9 +755,6 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 	if ckptDir != "" {
 		ccfg.DurableDir = ckptDir
 		ccfg.KeepCheckpoints = 2
-		ccfg.OnCheckpoint = func(it int) {
-			s.journalAppend(journalRecord{Type: recCheckpointed, Job: j.ID, Iteration: it})
-		}
 	}
 	var out *matrix.Blocked
 	var st *core.Stats
@@ -788,7 +781,7 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 }
 
 // journalAppend appends a record, swallowing errors for log-only
-// transitions (a failed dispatch/checkpoint record degrades recovery
+// transitions (a failed dispatch/retry record degrades recovery
 // granularity, not correctness — the admission record is the one whose
 // failure must fail the operation, and Submit handles that itself).
 func (s *Server) journalAppend(rec journalRecord) {
@@ -907,7 +900,7 @@ func terminalRecord(j *Job) journalRecord {
 // maybeCompactLocked rewrites the journal as a compact snapshot once
 // enough records have accumulated: each job collapses to its admission
 // plus its current position (terminal outcome, crash count, or running
-// attempt), dropping per-checkpoint and per-retry chatter. Caller holds
+// attempt), dropping per-dispatch and per-retry chatter. Caller holds
 // mu.
 func (s *Server) maybeCompactLocked() {
 	if s.jl == nil || s.jl.len() < journalCompactThreshold {
@@ -1233,10 +1226,6 @@ func (s *Server) Recover() (RecoveryStats, error) {
 				j.state = StateQueued
 				j.crashes = rec.Crashes
 			}
-		case recCheckpointed:
-			// Informational: resume reads the checkpoint DIRECTORY, which
-			// can only be ahead of the journal (checkpoints are written
-			// before their records), never behind.
 		case recTerminal:
 			j := s.jobs[rec.Job]
 			if j == nil {
