@@ -78,7 +78,7 @@ func main() {
 	tenantRunning := fs.Int("tenant-running", 0, "per-tenant running-job cap, 0 = auto (serve command)")
 	tenantPending := fs.Int("tenant-pending", 0, "per-tenant queued-job cap, 0 = auto (serve command)")
 	drainGrace := fs.Duration("drain-grace", 30*time.Second, "graceful-drain window on SIGTERM before in-flight jobs are cancelled (serve command)")
-	journalDir := fs.String("journal", "", "crash-safe serving: write-ahead job journal + per-job durable checkpoints under this directory; on start the journal is replayed — terminal jobs keep their results, queued jobs re-enter the queue, mid-run jobs resume from their latest checkpoint (serve command)")
+	journalDir := fs.String("journal", "", "crash-safe serving: write-ahead job journal + running jobs' durable checkpoints (about one per 100 ms of run time) under this directory; on start the journal is replayed — terminal jobs keep their results, queued jobs re-enter the queue, mid-run jobs resume from their latest checkpoint, when one exists (serve command)")
 	maxAttempts := fs.Int("max-attempts", 1, "run attempts per job on engine errors, with exponential backoff (serve command)")
 	poison := fs.Int("poison-threshold", 3, "panics/crash-restarts before a job is quarantined instead of retried (serve command)")
 	if err := fs.Parse(os.Args[2:]); err != nil {

@@ -86,10 +86,11 @@ func (run *runner) collectBroadcast(dp *rdd.RDD[Block]) (*rdd.RDD[Block], error)
 		// checkpoints follow the CheckpointEvery cadence.
 		ctx.SetPhase("checkpoint")
 		stop := run.cfg.StopRequested != nil && run.cfg.StopRequested()
+		stopping := stop || (run.cfg.StopAfter > 0 && k+1 >= run.cfg.StopAfter)
 		// A requested stop makes the boundary durable even off-cadence,
 		// so the graceful-shutdown path never loses a finished iteration.
 		durable := (k+1)%run.cfg.CheckpointEvery == 0 || k == run.r-1 || stop
-		if err := run.checkpoint(dp, k, durable); err != nil {
+		if err := run.checkpoint(dp, k, durable, stopping); err != nil {
 			return dp, err
 		}
 		ctx.AdvanceDriver(ctx.Model().DriverIterOverhead(), simtime.Overhead)
@@ -97,10 +98,7 @@ func (run *runner) collectBroadcast(dp *rdd.RDD[Block]) (*rdd.RDD[Block], error)
 		if err := ctx.Err(); err != nil {
 			return dp, err
 		}
-		if stop {
-			break
-		}
-		if run.cfg.StopAfter > 0 && k+1 >= run.cfg.StopAfter {
+		if stopping {
 			break
 		}
 	}

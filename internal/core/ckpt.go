@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"time"
 
 	"dpspark/internal/matrix"
 	"dpspark/internal/obs"
@@ -52,16 +53,35 @@ type CheckpointMeta struct {
 // persists the materialized grid and engine state. CheckpointData
 // returns the rows the truncation stage computed, so the durable path
 // adds no stage: numbering, fault firing points and the virtual clock
-// are identical with and without DurableDir.
-func (run *runner) checkpoint(dp *rdd.RDD[Block], k int, durable bool) error {
+// are identical with and without DurableDir, and whether or not
+// DurableInterval defers this boundary's file. stopping marks the
+// boundary the run ends at early (StopRequested, StopAfter): what a later
+// Resume starts from, so the interval never defers it.
+func (run *runner) checkpoint(dp *rdd.RDD[Block], k int, durable, stopping bool) error {
 	if !durable || run.cfg.DurableDir == "" {
+		return dp.Checkpoint()
+	}
+	if !stopping && run.cfg.DurableInterval > 0 && time.Since(run.lastDurable) < run.cfg.DurableInterval {
+		run.durableCounter("deferred").Inc()
 		return dp.Checkpoint()
 	}
 	parts, err := dp.CheckpointData()
 	if err != nil {
 		return err
 	}
-	return run.persist(parts, k)
+	if err := run.persist(parts, k); err != nil {
+		return err
+	}
+	run.durableCounter("written").Inc()
+	run.lastDurable = time.Now()
+	return nil
+}
+
+// durableCounter counts the run's durable cadence boundaries by what
+// became of them: "written" to DurableDir, or "deferred" by
+// DurableInterval.
+func (run *runner) durableCounter(outcome string) *obs.Counter {
+	return run.ctx.Observer().Metrics().Counter("dpspark_durable_checkpoints_total", obs.Labels{"outcome": outcome})
 }
 
 // persist writes the checkpoint file for iteration k's boundary.

@@ -32,7 +32,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"dpspark/internal/costmodel"
@@ -123,6 +122,17 @@ type Config struct {
 	// store.GCCheckpoints). Requires DurableDir. Default 0: keep every
 	// checkpoint.
 	KeepCheckpoints int
+	// DurableInterval, when > 0, spaces durable checkpoints by wall time: a
+	// cadence boundary is persisted only once at least this long has
+	// passed since the run's last durable point (Run/Resume start, or the
+	// last boundary written) — the last boundary of the run included. A
+	// boundary the run stops at (StopRequested, StopAfter) is always
+	// persisted. A deferred boundary still truncates lineage, so stage
+	// numbering, fault firing points and the virtual clock do not depend
+	// on the interval, and a Resume from whichever boundary was written
+	// gives the uninterrupted bits. Default 0: every cadence boundary is
+	// persisted. Requires DurableDir.
+	DurableInterval time.Duration
 	// StopAfter, when >0, stops the driver loop cleanly after that many
 	// iterations and returns the partial table — the kill switch of
 	// checkpoint–restart demos and tests (`dpspark durable -stop`): a
@@ -198,10 +208,11 @@ func (cfg *Config) normalize(ctx *rdd.Context) error {
 	if cfg.KeepCheckpoints > 0 && cfg.DurableDir == "" {
 		return fmt.Errorf("core: KeepCheckpoints %d needs DurableDir — there are no checkpoint files to retire", cfg.KeepCheckpoints)
 	}
-	if cfg.DurableDir != "" {
-		if err := os.MkdirAll(cfg.DurableDir, 0o755); err != nil {
-			return fmt.Errorf("core: DurableDir %s not creatable: %w", cfg.DurableDir, err)
-		}
+	if cfg.DurableInterval < 0 {
+		return fmt.Errorf("core: DurableInterval must be ≥ 0 (0 persists every cadence boundary), got %v", cfg.DurableInterval)
+	}
+	if cfg.DurableInterval > 0 && cfg.DurableDir == "" {
+		return fmt.Errorf("core: DurableInterval %v needs DurableDir — there are no checkpoint files to space out", cfg.DurableInterval)
 	}
 	return nil
 }
@@ -246,7 +257,7 @@ func execute(ctx *rdd.Context, bl *matrix.Blocked, cfg Config, startK int, disow
 		blocks = blocksKeepingGen(bl)
 	}
 	dp := rdd.ParallelizePairs(ctx, blocks, cfg.Partitioner)
-	run := &runner{ctx: ctx, cfg: cfg, r: bl.R, n: bl.N, startK: startK}
+	run := &runner{ctx: ctx, cfg: cfg, r: bl.R, n: bl.N, startK: startK, lastDurable: time.Now()}
 
 	var err error
 	switch cfg.Driver {
@@ -333,6 +344,10 @@ type runner struct {
 	// ckptBuf is the durable checkpoints' encode buffer, reused across the
 	// run's boundaries (persist).
 	ckptBuf []byte
+	// lastDurable is the wall time of the run's last durable point — its
+	// start, then each boundary persisted — which Config.DurableInterval
+	// is measured from.
+	lastDurable time.Time
 }
 
 // kernelConfig builds the cost-model description of the configured kernel.

@@ -145,11 +145,12 @@ func (run *runner) inMemory(dp *rdd.RDD[Block]) (*rdd.RDD[Block], error) {
 		// With DurableDir set the same materialization is also persisted
 		// for checkpoint–restart.
 		stop := run.cfg.StopRequested != nil && run.cfg.StopRequested()
+		stopping := stop || (run.cfg.StopAfter > 0 && k+1 >= run.cfg.StopAfter)
 		if (k+1)%run.cfg.CheckpointEvery == 0 || k == run.r-1 || stop {
 			// A requested stop forces the checkpoint even off-cadence, so
 			// the graceful-shutdown path never loses a finished iteration.
 			ctx.SetPhase("checkpoint")
-			if err := run.checkpoint(dp, k, true); err != nil {
+			if err := run.checkpoint(dp, k, true, stopping); err != nil {
 				return dp, err
 			}
 		}
@@ -158,10 +159,7 @@ func (run *runner) inMemory(dp *rdd.RDD[Block]) (*rdd.RDD[Block], error) {
 		if err := ctx.Err(); err != nil {
 			return dp, err
 		}
-		if stop {
-			break
-		}
-		if run.cfg.StopAfter > 0 && k+1 >= run.cfg.StopAfter {
+		if stopping {
 			break
 		}
 	}

@@ -9,9 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"dpspark/internal/obs"
 	"dpspark/internal/store"
 )
 
@@ -52,7 +56,10 @@ func copyTree(t *testing.T, src, dst string) {
 // a checksum bit-identical to the uninterrupted run, and the job count
 // must prove zero duplicate executions. Each crash point is swept both
 // with the checkpoint directories intact (resume path) and deleted
-// (clean re-run path): bits must be identical either way.
+// (clean re-run path): bits must be identical either way. The reference
+// run writes a checkpoint at every boundary and keeps its directories, so
+// that its disk stands for what a crash can leave; the restarted servers
+// run as production does.
 func TestCrashRestartSweep(t *testing.T) {
 	specs := []JobSpec{
 		{Tenant: "alice", Bench: "fw", Driver: "im", N: 64, Block: 32, Seed: 1, Priority: 2, IdempotencyKey: "sweep-0"},
@@ -65,7 +72,8 @@ func TestCrashRestartSweep(t *testing.T) {
 
 	// Uninterrupted reference run, fully journaled.
 	dir := t.TempDir()
-	s1, err := New(Config{JournalDir: dir, MaxRunning: 2})
+	everyBoundary := time.Duration(0)
+	s1, err := New(Config{JournalDir: dir, MaxRunning: 2, ckptInterval: &everyBoundary, keepCkptDirs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +119,7 @@ func TestCrashRestartSweep(t *testing.T) {
 		t.Fatalf("reference journal only has %d frames — the sweep would be vacuous", len(offsets)-1)
 	}
 
+	var resumed atomic.Int64 // attempts that loaded a checkpoint, keepCkpt cases
 	for i, cut := range offsets {
 		cuts := []int{cut}
 		if i%3 == 1 && cut+3 < len(data) {
@@ -126,15 +135,18 @@ func TestCrashRestartSweep(t *testing.T) {
 				keeps = append(keeps, false)
 			}
 			for _, keepCkpt := range keeps {
-				runCrashCase(t, dir, data[:c], keepCkpt, specs, want)
+				runCrashCase(t, dir, data[:c], keepCkpt, specs, want, &resumed)
 			}
 		}
+	}
+	if resumed.Load() == 0 {
+		t.Fatal("no crash case resumed from a checkpoint — the resume path of the sweep is vacuous")
 	}
 }
 
 // runCrashCase restarts a server on one simulated post-crash state and
 // asserts the headline invariant.
-func runCrashCase(t *testing.T, refDir string, journalBytes []byte, keepCkpt bool, specs []JobSpec, want map[string]string) {
+func runCrashCase(t *testing.T, refDir string, journalBytes []byte, keepCkpt bool, specs []JobSpec, want map[string]string, resumed *atomic.Int64) {
 	t.Helper()
 	dst := t.TempDir()
 	if keepCkpt {
@@ -147,7 +159,14 @@ func runCrashCase(t *testing.T, refDir string, journalBytes []byte, keepCkpt boo
 		t.Fatal(err)
 	}
 
-	s, err := New(Config{JournalDir: dst, MaxRunning: 2})
+	cfg := Config{JournalDir: dst, MaxRunning: 2}
+	cfg.ckptLoaded = func(*Job) {
+		if !keepCkpt {
+			t.Errorf("cut=%d: an attempt resumed from a checkpoint although none was kept", len(journalBytes))
+		}
+		resumed.Add(1)
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +205,259 @@ func runCrashCase(t *testing.T, refDir string, journalBytes []byte, keepCkpt boo
 	}
 	if got := len(s.Jobs()); got != len(specs) {
 		t.Fatalf("cut=%d keepCkpt=%v: job count drifted to %d", len(journalBytes), keepCkpt, got)
+	}
+	if left := ckptDirs(t, dst); len(left) != 0 {
+		t.Errorf("cut=%d keepCkpt=%v: every job is terminal but ckpt/ still holds %v", len(journalBytes), keepCkpt, left)
+	}
+}
+
+// ckptDirs lists what is under a journal directory's ckpt/.
+func ckptDirs(t *testing.T, journalDir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(journalDir, ckptSubdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestCkptDirLifecycle: a job's checkpoint directory exists only while
+// the job can still need it. Finished jobs leave ckpt/ empty; a restart
+// sweeps the directories of terminal jobs (a crash between the terminal
+// record's fsync and the removal) and of jobs the journal does not know,
+// keeps the directory of a job caught mid-run until that job is
+// terminal, and leaves journal.log and an empty ckpt/ behind a drain.
+func TestCkptDirLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	everyBoundary := time.Duration(0) // every job writes files for the retirement to remove
+	sA, err := New(Config{JournalDir: dir, MaxRunning: 2, ckptInterval: &everyBoundary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sA.Drain)
+	if _, err := sA.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	specs := []JobSpec{
+		{Tenant: "alice", Bench: "fw", Driver: "im", N: 64, Block: 32, Seed: 1},
+		{Tenant: "bob", Bench: "ge", Driver: "cb", N: 64, Block: 32, Seed: 2},
+		{Tenant: "carol", Bench: "fw", Driver: "cb", N: 96, Block: 32, Seed: 3},
+		{Tenant: "dave", Bench: "ge", Driver: "im", N: 64, Block: 16, Seed: 4},
+	}
+	for i := range specs {
+		j, err := sA.Submit(specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, sA, j.ID); st.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", j.ID, st.State, st.Error)
+		}
+	}
+	if n := sA.Observer().Metrics().CounterTotal("dpspark_durable_checkpoints_total"); n == 0 {
+		t.Fatal("no job wrote a checkpoint — the retirement check would be vacuous")
+	}
+	if left := ckptDirs(t, dir); len(left) != 0 {
+		t.Fatalf("%d jobs finished but ckpt/ still holds %v", len(specs), left)
+	}
+
+	// The crash: sA is abandoned. It died after job-1's terminal fsync and
+	// before removing its directory, with job-5 mid-run over a checkpoint
+	// directory of its own; job-99's directory belongs to no journal.
+	live := specs[0]
+	live.Seed = 5
+	for _, rec := range []journalRecord{
+		{Type: recAdmitted, Job: "job-5", Seq: 5, Spec: &live},
+		{Type: recDispatched, Job: "job-5", Attempt: 1},
+	} {
+		if err := sA.jl.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, job := range []string{"job-1", "job-5", "job-99"} {
+		if err := os.MkdirAll(sA.jl.ckptDir(job), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(sA.jl.ckptDir(job), "ckpt-000001.ck"), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var atDispatch []string
+	cfgB := Config{JournalDir: dir, MaxRunning: 1}
+	cfgB.hook = func(*Job) { atDispatch = ckptDirs(t, dir) }
+	sB, err := New(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := sB.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Terminal != len(specs) || rs.Resumed != 1 {
+		t.Fatalf("recovery stats %+v, want %d terminal + 1 resumed", rs, len(specs))
+	}
+	if st := waitTerminal(t, sB, "job-5"); st.State != StateDone {
+		t.Fatalf("job-5 ended %s: %s", st.State, st.Error)
+	}
+	if fmt.Sprint(atDispatch) != "[job-5]" {
+		t.Fatalf("ckpt/ held %v when job-5 was dispatched, want only its own directory", atDispatch)
+	}
+	if left := ckptDirs(t, dir); len(left) != 0 {
+		t.Fatalf("after the restart's jobs finished ckpt/ still holds %v", left)
+	}
+	sB.Drain()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if fmt.Sprint(names) != fmt.Sprint([]string{ckptSubdir, journalName}) {
+		t.Fatalf("journal directory of a drained server holds %v, want %s and %s only", names, ckptSubdir, journalName)
+	}
+}
+
+// TestCheckpointIntervalKeepsResults: how often a journaled job's
+// checkpoints reach the disk — every boundary, the production interval,
+// never — moves neither its checksum nor its modelled seconds, and the
+// boundary counters say which of the three ran.
+func TestCheckpointIntervalKeepsResults(t *testing.T) {
+	specs := []JobSpec{
+		{Tenant: "alice", Bench: "fw", Driver: "im", N: 128, Block: 32, Seed: 1},
+		{Tenant: "bob", Bench: "ge", Driver: "cb", N: 128, Block: 32, Seed: 2},
+		{Tenant: "carol", Bench: "fw", Driver: "cb", N: 64, Block: 16, Seed: 3, ChaosSeed: 11, ChaosCrashes: 2},
+	}
+	type result struct {
+		checksum string
+		modelled float64
+	}
+	want := make([]result, len(specs))
+	for i := range specs {
+		want[i].checksum, want[i].modelled = soloChecksum(t, specs[i])
+	}
+	every, never := time.Duration(0), time.Hour
+	for _, tc := range []struct {
+		name     string
+		interval *time.Duration
+	}{{"every boundary", &every}, {"checkpointInterval", nil}, {"never", &never}} {
+		s, err := New(Config{JournalDir: t.TempDir(), MaxRunning: 2, ckptInterval: tc.interval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Drain)
+		if _, err := s.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		boundaries := 0
+		for i := range specs {
+			j, err := s.Submit(specs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := waitTerminal(t, s, j.ID)
+			if got := (result{st.Checksum, st.ModelledSeconds}); st.State != StateDone || got != want[i] {
+				t.Errorf("%s: job %d ended %s with %+v, want done with %+v", tc.name, i, st.State, got, want[i])
+			}
+			boundaries += specs[i].N / specs[i].Block
+		}
+		reg := s.Observer().Metrics()
+		count := func(outcome string) int {
+			return int(reg.Counter("dpspark_durable_checkpoints_total", obs.Labels{"outcome": outcome}).Value())
+		}
+		written, deferred := count("written"), count("deferred")
+		if written+deferred != boundaries {
+			t.Errorf("%s: %d written + %d deferred, want the jobs' %d boundaries", tc.name, written, deferred, boundaries)
+		}
+		if tc.interval == &every && deferred != 0 || tc.interval == &never && written != 0 {
+			t.Errorf("%s: %d written, %d deferred", tc.name, written, deferred)
+		}
+		// The durability series a journaled server exports on /metrics:
+		// one journal commit per lifecycle record, Recover's compaction.
+		var prom bytes.Buffer
+		if err := reg.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf(`dpspark_durable_checkpoints_total{outcome="written"} %d`, written),
+			fmt.Sprintf(`dpspark_durable_checkpoints_total{outcome="deferred"} %d`, deferred),
+			fmt.Sprintf(`dpspark_serve_journal_commit_seconds_count %d`, 3*len(specs)),
+			`dpspark_serve_journal_compactions_total 1`,
+		} {
+			if !strings.Contains(prom.String(), want) {
+				t.Errorf("%s: /metrics lacks %q", tc.name, want)
+			}
+		}
+	}
+}
+
+// TestCompactAmortised: the journal is compacted when it has doubled
+// since the last compaction, not whenever it is longer than a fixed
+// threshold — which a snapshot of enough finished jobs always is.
+func TestCompactAmortised(t *testing.T) {
+	const threshold = 16
+	const jobs = 8 * threshold
+	dir := t.TempDir()
+	finish := func(s *Server, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			j, err := s.Submit(JobSpec{N: 16, Block: 16, Seed: int64(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitTerminal(t, s, j.ID); st.State != StateDone {
+				t.Fatalf("job %s ended %s: %s", j.ID, st.State, st.Error)
+			}
+		}
+	}
+	compactions := func(s *Server) int64 {
+		return s.Observer().Metrics().CounterTotal("dpspark_serve_journal_compactions_total")
+	}
+
+	sA, err := New(Config{JournalDir: dir, MaxRunning: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sA.Drain)
+	if _, err := sA.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sA.jl.threshold = threshold
+	replay := compactions(sA) // Recover's own
+	finish(sA, jobs)
+	// A finished job appends three records and keeps two in a snapshot, so
+	// between two compactions the retained jobs grow by 5/3 at least: from
+	// the first compaction (threshold/3 jobs) to 8 × threshold jobs is a
+	// factor 24, ⌈log 24 / log 5/3⌉ = 7 compactions. A fixed threshold
+	// compacts at every finish past threshold/2 jobs: ~7.5 × threshold.
+	if n := compactions(sA) - replay; n < 1 || n > 7 {
+		t.Fatalf("%d compactions while %d jobs finished at threshold %d, want 1..7", n, jobs, threshold)
+	}
+
+	// A restart on a journal whose snapshot alone is past the threshold
+	// must not compact per finished job either.
+	sB, err := New(Config{JournalDir: dir, MaxRunning: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sB.Drain)
+	rs, err := sB.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Terminal != jobs {
+		t.Fatalf("recovery stats %+v, want %d terminal jobs", rs, jobs)
+	}
+	sB.jl.threshold = threshold
+	replay = compactions(sB)
+	finish(sB, 10)
+	if n := compactions(sB) - replay; n != 0 {
+		t.Fatalf("%d compactions while ten jobs finished on a replayed journal of %d jobs, want 0", n, jobs)
 	}
 }
 
@@ -409,7 +681,7 @@ func TestQuarantineAfterRepeatedCrashes(t *testing.T) {
 	if err := spec.validate(); err != nil {
 		t.Fatal(err)
 	}
-	jl, err := openJournal(dir)
+	jl, err := openJournal(dir, obs.New().Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +758,7 @@ func TestQuarantineAfterRepeatedCrashes(t *testing.T) {
 func TestReadinessGating(t *testing.T) {
 	dir := t.TempDir()
 	// Seed a journal so Recover has real replay work.
-	jl, err := openJournal(dir)
+	jl, err := openJournal(dir, obs.New().Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}

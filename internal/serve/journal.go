@@ -17,7 +17,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
+	"dpspark/internal/obs"
 	"dpspark/internal/store"
 )
 
@@ -28,10 +30,14 @@ const journalName = "journal.log"
 // journal directory (ckpt/<jobID>/ckpt-*.ck).
 const ckptSubdir = "ckpt"
 
-// journalCompactThreshold is the record count past which the server
+// journalCompactThreshold is the least record count at which the server
 // compacts the journal in place (terminal jobs collapse to two records,
-// dispatch/retry chatter is dropped for live ones).
+// dispatch/retry chatter is dropped for live ones); see journal.due.
 const journalCompactThreshold = 4096
+
+// journalCommitBuckets spans a page-cache write (tens of µs) to a stalled
+// disk (seconds).
+var journalCommitBuckets = obs.ExpBuckets(16e-6, 2, 18)
 
 // Journal record types, in lifecycle order.
 const (
@@ -73,9 +79,22 @@ type journalRecord struct {
 type journal struct {
 	dir string
 
-	mu      sync.Mutex
-	f       *os.File
-	records int // frames appended since open/compact
+	mu sync.Mutex
+	f  *os.File
+	// records is how many frames the log holds: those of the snapshot the
+	// last compaction (Recover's included) wrote, plus every append since.
+	records int
+	// base is what records was right after that compaction. A snapshot
+	// keeps two records per retained job, so it alone can exceed any fixed
+	// threshold; compacting again only once the log has doubled (due)
+	// makes the rewrite O(1) amortised per append instead of O(jobs) per
+	// finished job.
+	base int
+	// threshold is journalCompactThreshold; tests lower it.
+	threshold int
+
+	commit      *obs.Histogram // write+fsync seconds of one append
+	compactions *obs.Counter
 
 	// failAfter, when ≥ 0, silently drops every append once that many
 	// records have been written — the crash-sweep test seam simulating a
@@ -85,7 +104,7 @@ type journal struct {
 
 // openJournal creates dir (and its checkpoint root) and opens the log
 // for appending.
-func openJournal(dir string) (*journal, error) {
+func openJournal(dir string, reg *obs.Registry) (*journal, error) {
 	if err := os.MkdirAll(filepath.Join(dir, ckptSubdir), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: journal dir %s: %w", dir, err)
 	}
@@ -93,7 +112,11 @@ func openJournal(dir string) (*journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: journal open: %w", err)
 	}
-	return &journal{dir: dir, f: f, failAfter: -1}, nil
+	return &journal{
+		dir: dir, f: f, failAfter: -1, threshold: journalCompactThreshold,
+		commit:      reg.Histogram("dpspark_serve_journal_commit_seconds", nil, journalCommitBuckets),
+		compactions: reg.Counter("dpspark_serve_journal_compactions_total", nil),
+	}, nil
 }
 
 // ckptDir returns the per-job durable checkpoint directory.
@@ -115,22 +138,25 @@ func (jl *journal) append(rec journalRecord) error {
 		jl.records++ // the "process" thinks it logged; the disk never sees it
 		return nil
 	}
+	start := time.Now()
 	if _, err := jl.f.Write(store.AppendFrame(nil, payload)); err != nil {
 		return fmt.Errorf("serve: journal write: %w", err)
 	}
 	if err := jl.f.Sync(); err != nil {
 		return fmt.Errorf("serve: journal sync: %w", err)
 	}
+	jl.commit.Observe(time.Since(start).Seconds())
 	jl.records++
 	return nil
 }
 
-// len reports how many records this handle has appended since it was
-// opened or last compacted.
-func (jl *journal) len() int {
+// due reports whether the log has grown enough to be worth compacting:
+// past the threshold, and to at least twice what the last compaction
+// left.
+func (jl *journal) due() bool {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	return jl.records
+	return jl.records >= max(jl.threshold, 2*jl.base)
 }
 
 // compact atomically replaces the journal with the given snapshot
@@ -181,7 +207,8 @@ func (jl *journal) compact(recs []journalRecord) error {
 		return fmt.Errorf("serve: journal reopen: %w", err)
 	}
 	jl.f = f
-	jl.records = len(recs)
+	jl.records, jl.base = len(recs), len(recs)
+	jl.compactions.Inc()
 	old.Close()
 	return nil
 }

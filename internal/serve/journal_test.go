@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dpspark/internal/obs"
 	"dpspark/internal/store"
 )
 
@@ -27,7 +28,7 @@ func frameRecords(t testing.TB, recs ...journalRecord) []byte {
 
 func TestJournalAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	jl, err := openJournal(dir)
+	jl, err := openJournal(dir, obs.New().Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +57,8 @@ func TestJournalAppendReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if jl.len() != len(in) {
-		t.Fatalf("journal len %d, want %d", jl.len(), len(in))
+	if jl.records != len(in) {
+		t.Fatalf("journal len %d, want %d", jl.records, len(in))
 	}
 	jl.close()
 
@@ -94,7 +95,7 @@ func TestJournalAppendReplayRoundTrip(t *testing.T) {
 
 func TestJournalTornTailReplay(t *testing.T) {
 	dir := t.TempDir()
-	jl, err := openJournal(dir)
+	jl, err := openJournal(dir, obs.New().Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestJournalTornTailReplay(t *testing.T) {
 
 func TestJournalCompactAtomicAndAppendable(t *testing.T) {
 	dir := t.TempDir()
-	jl, err := openJournal(dir)
+	jl, err := openJournal(dir, obs.New().Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +147,8 @@ func TestJournalCompactAtomicAndAppendable(t *testing.T) {
 	if err := jl.compact(snap); err != nil {
 		t.Fatal(err)
 	}
-	if jl.len() != len(snap) {
-		t.Fatalf("post-compact len %d, want %d", jl.len(), len(snap))
+	if jl.records != len(snap) {
+		t.Fatalf("post-compact len %d, want %d", jl.records, len(snap))
 	}
 	// The handle must still be appendable after the rename swap.
 	if err := jl.append(journalRecord{Type: recDispatched, Job: "job-2", Attempt: 1}); err != nil {

@@ -23,18 +23,19 @@
 //     the flight recorder).
 //   - Crash safety: with Config.JournalDir set, every lifecycle
 //     transition is journaled (write-ahead, CRC32C-framed, fsynced —
-//     see journal.go) and every job checkpoints durably under the
-//     journal directory. A server killed at ANY point — SIGKILL
-//     included — restarts via Recover: terminal jobs serve their
-//     persisted results, queued jobs re-enter the queue in the original
-//     priority/FIFO order, and jobs caught mid-run resume from their
-//     latest durable checkpoint (or re-run cleanly from the journaled
-//     spec), bit-identical either way. Idempotency keys make retried
-//     submissions after an ambiguous failure return the original job
-//     instead of double-running; bounded per-job retries absorb engine
-//     errors; and a job that panics or crashes the server repeatedly is
-//     quarantined with a flight-recorder dump instead of wedging the
-//     service in a crash loop.
+//     see journal.go) and a running job checkpoints durably under the
+//     journal directory about every checkpointInterval. A server killed
+//     at ANY point — SIGKILL included — restarts via Recover: terminal
+//     jobs serve their persisted results, queued jobs re-enter the queue
+//     in the original priority/FIFO order, and jobs caught mid-run
+//     resume from their latest durable checkpoint, when one exists, or
+//     re-run cleanly from the journaled spec — bit-identical either
+//     way. Idempotency keys make retried submissions after an ambiguous
+//     failure return the original job instead of double-running; bounded
+//     per-job retries absorb engine errors; and a job that panics or
+//     crashes the server repeatedly is quarantined with a
+//     flight-recorder dump instead of wedging the service in a crash
+//     loop.
 package serve
 
 import (
@@ -59,6 +60,16 @@ import (
 	"dpspark/internal/semiring"
 	"dpspark/internal/simtime"
 )
+
+// checkpointInterval is the least wall time between two durable
+// checkpoints of one running job (core.Config.DurableInterval): a crash
+// costs a running job, on top of its restart, at most this much re-run
+// plus one iteration. The restart alone is tens of milliseconds and a
+// client retry, so 100 ms of re-work is the same order, while a file per
+// iteration cost the small jobs of a serving mix more than their compute
+// (DESIGN.md §7 has the numbers). Jobs whose iterations outlast the
+// interval checkpoint at every boundary.
+const checkpointInterval = 100 * time.Millisecond
 
 // Config configures the job service.
 type Config struct {
@@ -94,9 +105,10 @@ type Config struct {
 	Observer *obs.Observer
 
 	// JournalDir, when non-empty, turns on crash safety: the job journal
-	// lives at JournalDir/journal.log, per-job durable checkpoints under
-	// JournalDir/ckpt/<jobID>, and the server starts NOT ready — call
-	// Recover to replay the journal before serving. Empty: in-memory
+	// lives at JournalDir/journal.log, a running job's durable checkpoints
+	// under JournalDir/ckpt/<jobID> (created by its first checkpoint,
+	// removed once the job is terminal), and the server starts NOT ready —
+	// call Recover to replay the journal before serving. Empty: in-memory
 	// only (a crash loses all job state), ready immediately.
 	JournalDir string
 	// MaxAttempts bounds run attempts per job on engine errors (a
@@ -119,6 +131,17 @@ type Config struct {
 	// been replayed but before the server flips ready — the test seam
 	// for readiness gating.
 	replayHook func()
+	// ckptInterval, when set, replaces checkpointInterval (0: a file at
+	// every boundary) — the test seam for checkpoint spacing.
+	ckptInterval *time.Duration
+	// keepCkptDirs stops terminal jobs from retiring their checkpoint
+	// directories — the test seam that lets a finished reference run
+	// stand in for the disk state of a crash.
+	keepCkptDirs bool
+	// ckptLoaded, when set, runs each time an attempt resumes from a
+	// checkpoint it loaded — the test seam that tells the resume path
+	// from the clean re-run.
+	ckptLoaded func(j *Job)
 }
 
 // normalize validates and defaults the Config in place — the single
@@ -425,7 +448,7 @@ func New(cfg Config) (*Server, error) {
 		ready: cfg.JournalDir == "",
 	}
 	if cfg.JournalDir != "" {
-		jl, err := openJournal(cfg.JournalDir)
+		jl, err := openJournal(cfg.JournalDir, cfg.Observer.Metrics())
 		if err != nil {
 			return nil, err
 		}
@@ -661,11 +684,11 @@ func (s *Server) attemptOnce(j *Job) (sum uint64, modelled float64, err error, p
 }
 
 // runAttempt executes one engine run for j. With a journal, the run
-// checkpoints durably under the job's checkpoint directory, and — when
-// an intact checkpoint already exists (a crashed or retried run left
-// one) — resumes from it instead of starting over; resumed bits are
-// identical to an uninterrupted run's, so callers cannot tell which
-// path produced a result.
+// checkpoints durably under the job's checkpoint directory about every
+// checkpointInterval, and — when an intact checkpoint already exists (a
+// crashed or retried run left one) — resumes from it instead of starting
+// over; resumed bits are identical to an uninterrupted run's, so callers
+// cannot tell which path produced a result.
 func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 	spec := j.Spec
 	// The chaos subcommand's mix, seeded per job: crashes (with two
@@ -755,6 +778,10 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 	if ckptDir != "" {
 		ccfg.DurableDir = ckptDir
 		ccfg.KeepCheckpoints = 2
+		ccfg.DurableInterval = checkpointInterval
+		if s.cfg.ckptInterval != nil {
+			ccfg.DurableInterval = *s.cfg.ckptInterval
+		}
 	}
 	var out *matrix.Blocked
 	var st *core.Stats
@@ -763,6 +790,9 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 		// Resume pins the interrupted run's scheduling shape.
 		ccfg.Partitions = meta.Partitions
 		ccfg.CheckpointEvery = meta.CheckpointEvery
+		if s.cfg.ckptLoaded != nil {
+			s.cfg.ckptLoaded(j)
+		}
 		out, st, err = core.Resume(ctx, meta, ckptBl, ccfg)
 	} else {
 		in := inputFor(rule, spec.N, spec.Seed)
@@ -880,12 +910,17 @@ func (s *Server) dumpFlightRing(tag string) string {
 // journal directory.
 func (s *Server) DumpFlight(tag string) string { return s.dumpFlightRing(tag) }
 
-// journalTerminalLocked appends a job's terminal record. Caller holds mu.
+// journalTerminalLocked appends a job's terminal record and then retires
+// its checkpoint directory: only once the record's fsync has returned, so
+// a crash in between replays a terminal job and Recover sweeps what is
+// left. Caller holds mu.
 func (s *Server) journalTerminalLocked(j *Job) {
 	if s.jl == nil {
 		return
 	}
-	_ = s.jl.append(terminalRecord(j))
+	if err := s.jl.append(terminalRecord(j)); err == nil && !s.cfg.keepCkptDirs {
+		_ = os.RemoveAll(s.jl.ckptDir(j.ID)) // Recover sweeps a directory this leaves behind
+	}
 }
 
 // terminalRecord renders a terminal journal record from a finished job.
@@ -898,12 +933,12 @@ func terminalRecord(j *Job) journalRecord {
 }
 
 // maybeCompactLocked rewrites the journal as a compact snapshot once
-// enough records have accumulated: each job collapses to its admission
-// plus its current position (terminal outcome, crash count, or running
-// attempt), dropping per-dispatch and per-retry chatter. Caller holds
-// mu.
+// enough records have accumulated since the last one (journal.due): each
+// job collapses to its admission plus its current position (terminal
+// outcome, crash count, or running attempt), dropping per-dispatch and
+// per-retry chatter. Caller holds mu.
 func (s *Server) maybeCompactLocked() {
-	if s.jl == nil || s.jl.len() < journalCompactThreshold {
+	if s.jl == nil || !s.jl.due() {
 		return
 	}
 	_ = s.jl.compact(s.snapshotLocked())
@@ -1170,14 +1205,15 @@ type RecoveryStats struct {
 //     preserved;
 //   - jobs caught mid-run (a dispatched record with no terminal) gain a
 //     crash strike and are re-admitted to resume from their latest
-//     durable checkpoint — unless the strikes reach the poison
-//     threshold, in which case they are quarantined instead of
+//     durable checkpoint, when one exists — unless the strikes reach the
+//     poison threshold, in which case they are quarantined instead of
 //     crash-looping the server;
 //   - idempotency keys are rebuilt, so a client retrying a submission
 //     from before the crash still gets its original job back.
 //
-// The journal is then compacted to the recovered snapshot and dispatch
-// begins. Recover must be called exactly once, before serving traffic.
+// The journal is then compacted to the recovered snapshot, checkpoint
+// directories no live job owns are swept, and dispatch begins. Recover
+// must be called exactly once, before serving traffic.
 func (s *Server) Recover() (RecoveryStats, error) {
 	var stats RecoveryStats
 	if s.jl == nil {
@@ -1281,6 +1317,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if err := s.jl.compact(snap); err != nil {
 		return stats, err
 	}
+	s.sweepCkptDirs()
 	if s.cfg.replayHook != nil {
 		s.cfg.replayHook()
 	}
@@ -1290,6 +1327,30 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	s.updateGaugesLocked()
 	s.mu.Unlock()
 	return stats, nil
+}
+
+// sweepCkptDirs removes every checkpoint directory whose job is terminal
+// or unknown to the replayed journal: what a crash between a terminal
+// record's fsync and the directory's retirement leaves behind (and what
+// servers that never retired them accumulated). Called by Recover before
+// dispatch, so no job is writing under ckpt/.
+func (s *Server) sweepCkptDirs() {
+	root := filepath.Join(s.jl.dir, ckptSubdir)
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return // nothing to sweep; openJournal made the root
+	}
+	s.mu.Lock()
+	var stale []string
+	for _, e := range entries {
+		if j := s.jobs[e.Name()]; j == nil || j.state.terminal() {
+			stale = append(stale, e.Name())
+		}
+	}
+	s.mu.Unlock()
+	for _, name := range stale {
+		_ = os.RemoveAll(filepath.Join(root, name)) // the next Recover tries again
+	}
 }
 
 // inputFor deterministically generates a job's input matrix from its
