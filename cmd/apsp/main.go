@@ -61,6 +61,7 @@ func main() {
 	}
 
 	s := dpspark.NewSession(dpspark.Local(*cores))
+	defer s.Close()
 	dist, stats, err := s.APSP(g, cfg)
 	if err != nil {
 		fail(err)

@@ -55,6 +55,7 @@ func main() {
 	}
 
 	s := dpspark.NewSession(dpspark.Local(*cores))
+	defer s.Close()
 	x, stats, err := s.SolveLinear(a, b, cfg)
 	if err != nil {
 		fail(err)

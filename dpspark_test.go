@@ -10,6 +10,7 @@ import (
 
 func TestFacadeAPSP(t *testing.T) {
 	s := NewSession(Local(4))
+	t.Cleanup(s.Close)
 	g := RandomGraph(40, 0.2, 1, 9, 1)
 	dist, stats, err := s.APSP(g, Config{BlockSize: 16, Driver: IM})
 	if err != nil {
@@ -60,6 +61,7 @@ func TestFacadeKernelThreads(t *testing.T) {
 
 func TestFacadeLinearSolve(t *testing.T) {
 	s := NewSession(Local(4))
+	t.Cleanup(s.Close)
 	a, b := RandomSystem(30, 2)
 	x, _, err := s.SolveLinear(a, b, Config{BlockSize: 8, Driver: CB})
 	if err != nil {
@@ -72,6 +74,7 @@ func TestFacadeLinearSolve(t *testing.T) {
 
 func TestFacadeTransitiveClosure(t *testing.T) {
 	s := NewSession(Local(2))
+	t.Cleanup(s.Close)
 	g := GridGraph(2, 3, 1, 2, 3)
 	tc, _, err := s.TransitiveClosure(g, Config{BlockSize: 4})
 	if err != nil {
@@ -88,6 +91,7 @@ func TestFacadeTransitiveClosure(t *testing.T) {
 
 func TestFacadeWidestPaths(t *testing.T) {
 	s := NewSession(Local(2))
+	t.Cleanup(s.Close)
 	n := 3
 	d0 := &Matrix{N: n, Data: make([]float64, n*n)}
 	sr := MaxMin()
@@ -135,6 +139,7 @@ func TestFacadeLongestPathOnDAG(t *testing.T) {
 		}
 	}
 	s := NewSession(Local(2))
+	t.Cleanup(s.Close)
 	out, _, err := s.APSPSemiring(d0, sr, Config{BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +150,35 @@ func TestFacadeLongestPathOnDAG(t *testing.T) {
 	}
 }
 
+// TestFacadeSessionClose: solves on one reused session — whose context
+// recycles its stage and shuffle buffers from the second solve on — return
+// the bits a fresh session returns, and Close may be called twice.
+func TestFacadeSessionClose(t *testing.T) {
+	g := RandomGraph(60, 0.2, 1, 9, 3)
+	cfg := Config{BlockSize: 8, Driver: IM}
+	want, _, err := NewSession(Local(4)).APSP(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(Local(4))
+	for solve := 0; solve < 3; solve++ {
+		got, _, err := s.APSP(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("solve %d, element %d: reused session diverges from a fresh one", solve, i)
+			}
+		}
+	}
+	s.Close()
+	s.Close()
+}
+
 func TestFacadeSymbolicSession(t *testing.T) {
 	s := NewSessionExecutorCores(Skylake16(), 16)
+	t.Cleanup(s.Close)
 	if s.Context().ExecutorCores() != 16 {
 		t.Fatal("executor cores not applied")
 	}

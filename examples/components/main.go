@@ -20,6 +20,7 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges\n", g.N, g.Edges())
 
 	session := dpspark.NewSession(dpspark.Local(4))
+	defer session.Close()
 	cfg := dpspark.Config{BlockSize: 75, Driver: dpspark.IM}
 
 	labels, stats, err := session.StronglyConnectedComponents(g, cfg)
@@ -41,7 +42,9 @@ func main() {
 	fmt.Printf("solved in %v wall (modelled cluster time %v)\n", stats.Wall.Round(1e6), stats.Time)
 
 	// Reachability via the closure matrix directly.
-	tc, _, err := dpspark.NewSession(dpspark.Local(4)).TransitiveClosure(g, cfg)
+	closure := dpspark.NewSession(dpspark.Local(4))
+	defer closure.Close()
+	tc, _, err := closure.TransitiveClosure(g, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

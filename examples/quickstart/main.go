@@ -20,6 +20,7 @@ func main() {
 	// The engine simulates a small local "cluster"; the computation runs
 	// for real on goroutines.
 	session := dpspark.NewSession(dpspark.Local(4))
+	defer session.Close()
 
 	// Iterative kernels (the baseline configuration).
 	distIter, statsIter, err := session.APSP(g, dpspark.Config{
@@ -34,7 +35,9 @@ func main() {
 
 	// Recursive 4-way R-DP kernels with 4 worker threads — the paper's
 	// OpenMP-offload configuration.
-	distRec, statsRec, err := dpspark.NewSession(dpspark.Local(4)).APSP(g, dpspark.Config{
+	recursive := dpspark.NewSession(dpspark.Local(4))
+	defer recursive.Close()
+	distRec, statsRec, err := recursive.APSP(g, dpspark.Config{
 		BlockSize:       100,
 		Driver:          dpspark.IM,
 		RecursiveKernel: true,

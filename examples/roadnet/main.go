@@ -23,6 +23,7 @@ func main() {
 	fmt.Printf("road network: %d intersections, %d road segments\n", g.N, g.Edges())
 
 	session := dpspark.NewSession(dpspark.Local(4))
+	defer session.Close()
 	cfg := dpspark.Config{
 		BlockSize:       96,
 		Driver:          dpspark.IM,
@@ -57,7 +58,9 @@ func main() {
 			capMat.Set(e.From, e.To, 11-e.Weight) // fast roads are wide
 		}
 	}
-	widest, _, err := dpspark.NewSession(dpspark.Local(4)).APSPSemiring(capMat, sr, dpspark.Config{BlockSize: 96})
+	capacity := dpspark.NewSession(dpspark.Local(4))
+	defer capacity.Close()
+	widest, _, err := capacity.APSPSemiring(capMat, sr, dpspark.Config{BlockSize: 96})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -318,14 +318,24 @@ type Context struct {
 	nextShuffle   int
 	nextStage     int
 	nextBroadcast int
-	shuffles      map[int]*shuffleState
-	shuffleLog    []int
-	memUsed       []int64
-	memErr        error
-	taskErr       error
-	events        []StageEvent
-	phase         string
-	bd            Breakdown
+	// shuffles maps a shuffle ID to its materialized state. A retired
+	// shuffle keeps its key with a nil state — the tombstone: lineage walks
+	// must still skip it and a read of it must still say why it is gone.
+	// live lists the states that are not retired, oldest first, so nothing
+	// that walks shuffles pays for those a long-lived context has retired.
+	shuffles map[int]*shuffleState
+	live     []*shuffleState
+	// scratchFree and arraysFree keep what settled stages and retired
+	// shuffles no longer need, for the next stage and the next shuffle to
+	// take (stageScratch, shuffleArrays); Close drops them.
+	scratchFree []*stageScratch
+	arraysFree  []shuffleArrays
+	memUsed     []int64
+	memErr      error
+	taskErr     error
+	events      []StageEvent
+	phase       string
+	bd          Breakdown
 
 	// stageMetrics caches resolved stage-metric handles per (stage kind,
 	// phase): the registry lookup encodes and hashes a label map per
@@ -410,7 +420,8 @@ func (b Breakdown) Sub(other Breakdown) Breakdown {
 // The mutable fields are guarded by mu (an RWMutex: reduce-side reads
 // take the read lock so a concurrent recovery can rewrite the lost
 // buckets under the write lock); recMu serializes recoveries of this
-// shuffle so concurrent fetch failures trigger one resubmission.
+// shuffle so concurrent fetch failures trigger one resubmission, and
+// holds retirement off until a running recovery is done.
 type shuffleState struct {
 	dep *shuffleDep
 	// mapStage is the global stage ID of the shuffle's map stage;
@@ -418,15 +429,12 @@ type shuffleState struct {
 	// planned stage numbering is identical with and without faults.
 	mapStage int
 
-	mu          sync.RWMutex
-	byReduce    [][]bucketRef
+	mu sync.RWMutex
+	// The partition-indexed arrays; retirement hands them to the next
+	// shuffle, so they are only touched under recMu, or under mu after
+	// seeing retired false.
+	shuffleArrays
 	spillByNode []int64
-	// mapNode, spillByMap and refsByMap record where each map partition's
-	// output lives, its staged bytes and whether it produced any buckets —
-	// what executor-loss invalidation and fetch attribution key on.
-	mapNode    []int
-	spillByMap []int64
-	refsByMap  []int
 	// lost flags map partitions whose staged output is gone (executor
 	// crash / disk loss); fetches touching them raise FetchFailedError.
 	lost map[int]bool
@@ -450,6 +458,15 @@ type shuffleState struct {
 	retired     bool
 
 	recMu sync.Mutex
+}
+
+// shuffle looks a shuffle up: its state (nil before it materializes), or
+// retired when only the tombstone is left.
+func (c *Context) shuffle(id int) (st *shuffleState, retired bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, ok := c.shuffles[id]
+	return st, ok && st == nil
 }
 
 // isDone reports whether the shuffle's map side has materialized.
@@ -903,12 +920,7 @@ func (c *Context) spillDilationFactors() []float64 {
 	}
 	var live []*shuffleState
 	if grew {
-		live = make([]*shuffleState, 0, len(c.shuffleLog))
-		for _, id := range c.shuffleLog {
-			if st := c.shuffles[id]; st != nil {
-				live = append(live, st)
-			}
-		}
+		live = slices.Clone(c.live)
 	}
 	c.mu.Unlock()
 	if live == nil {
@@ -1013,15 +1025,19 @@ func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Du
 
 // recordStageMetrics updates the always-on metric families for one
 // executed stage.
-func (c *Context) recordStageMetrics(ev StageEvent, rep sim.StageReport) {
+func (c *Context) recordStageMetrics(ev StageEvent, rep sim.StageReport, sc *stageScratch) {
 	m := c.stageMetricHandles(ev.Kind, ev.Phase)
 	m.stages.Inc()
 	m.tasks.Add(int64(ev.Tasks))
 	m.write.Add(ev.SpillBytes)
 	m.fetch.Add(ev.FetchBytes)
+	// One locked batch, in the report's task order: the histogram's sum
+	// adds up the way a per-task Observe would.
+	sc.secs = sc.secs[:0]
 	for _, ts := range rep.Tasks {
-		m.taskSeconds.Observe(ts.Raw.Seconds())
+		sc.secs = append(sc.secs, ts.Raw.Seconds())
 	}
+	m.taskSeconds.ObserveAll(sc.secs)
 	if ev.MeanTask > 0 {
 		skew := ev.MaxTask.Seconds() / ev.MeanTask.Seconds()
 		m.skewHist.Observe(skew)
@@ -1113,10 +1129,7 @@ func (c *Context) ensureUpstream(ds *dataset, visited map[*dataset]bool) {
 	}
 	if ds.shuffle != nil {
 		sd := ds.shuffle
-		c.mu.Lock()
-		st := c.shuffles[sd.id]
-		c.mu.Unlock()
-		if st != nil && st.isDone() {
+		if st, retired := c.shuffle(sd.id); retired || (st != nil && st.isDone()) {
 			return
 		}
 		c.ensureUpstream(sd.parent, visited)

@@ -677,10 +677,10 @@ func (ev RemoteCorruption) fire(f *firing, _ bool) {
 // victim actually damaged; with nothing staged the event is a no-op.
 func (c *Context) damageNewest(block int, keys func(prefix string) []string, corrupt func(key string) bool, rec recKind) {
 	c.mu.Lock()
-	log := slices.Clone(c.shuffleLog)
+	live := slices.Clone(c.live)
 	c.mu.Unlock()
-	for i := len(log) - 1; i >= 0; i-- {
-		if ks := keys(shufflePrefix(log[i])); len(ks) > 0 {
+	for i := len(live) - 1; i >= 0; i-- {
+		if ks := keys(shufflePrefix(live[i].dep.id)); len(ks) > 0 {
 			if corrupt(ks[block%len(ks)]) {
 				c.count(rec, 1)
 			}
@@ -867,37 +867,39 @@ func (c *Context) stragglerFactor(stageID, split int) float64 {
 // commit when the resubmission takes a fresh lease.
 func (c *Context) loseNodeOutputs(node int, zombie bool) {
 	c.mu.Lock()
-	states := make([]*shuffleState, 0, len(c.shuffles))
-	for _, st := range c.shuffles {
-		states = append(states, st)
-	}
+	live := slices.Clone(c.live)
 	c.mu.Unlock()
-	for _, st := range states {
-		var lostBytes int64
-		st.mu.Lock()
-		if st.done && !st.retired {
-			for p, n := range st.mapNode {
-				if n != node || st.refsByMap[p] == 0 || st.lost[p] {
-					continue
-				}
-				if st.lost == nil {
-					st.lost = make(map[int]bool)
-				}
-				st.lost[p] = true
-				lostBytes += st.spillByMap[p]
-				if zombie {
-					if st.zombieParts == nil {
-						st.zombieParts = make(map[int]int)
-					}
-					st.zombieParts[p] = st.commitLease
-				}
+	for _, st := range live {
+		c.loseOutputsOf(st, node, zombie)
+	}
+}
+
+// loseOutputsOf is loseNodeOutputs for one shuffle.
+func (c *Context) loseOutputsOf(st *shuffleState, node int, zombie bool) {
+	var lostBytes int64
+	st.mu.Lock()
+	if st.done && !st.retired {
+		for p, n := range st.mapNode {
+			if n != node || st.refsByMap[p] == 0 || st.lost[p] {
+				continue
 			}
-			st.spillByNode[node] -= lostBytes
+			if st.lost == nil {
+				st.lost = make(map[int]bool)
+			}
+			st.lost[p] = true
+			lostBytes += st.spillByMap[p]
+			if zombie {
+				if st.zombieParts == nil {
+					st.zombieParts = make(map[int]int)
+				}
+				st.zombieParts[p] = st.commitLease
+			}
 		}
-		st.mu.Unlock()
-		if lostBytes > 0 {
-			c.simul.ReleaseShuffle(node, lostBytes)
-		}
+		st.spillByNode[node] -= lostBytes
+	}
+	st.mu.Unlock()
+	if lostBytes > 0 {
+		c.simul.ReleaseShuffle(node, lostBytes)
 	}
 }
 

@@ -115,6 +115,62 @@ type bucketRef struct {
 	key    string
 }
 
+// mapTaskOut is what one map task hands the stage's merge. Its slot is
+// reset at the start of every attempt, so a failed attempt's buckets and
+// encodings are simply dropped.
+type mapTaskOut struct {
+	node    int
+	spill   int64
+	buckets []taskBucket
+}
+
+// shuffleArrays are a shuffle's arrays indexed by partition: byReduce by
+// reduce partition, the rest by map partition. mapNode, spillByMap and
+// refsByMap record where each map partition's output lives, its staged
+// bytes and how many buckets it produced — what executor-loss invalidation
+// and fetch attribution key on; outs is where the map tasks of one
+// execution leave their results for the merge. A retired shuffle gives
+// them to the Context's free list for the next shuffle to take. Arrays on
+// the list are zero over their whole capacity: every holder clears what it
+// used before letting go.
+type shuffleArrays struct {
+	byReduce   [][]bucketRef
+	mapNode    []int
+	spillByMap []int64
+	refsByMap  []int
+	outs       []mapTaskOut
+}
+
+// takeShuffleArrays sizes a set of zeroed arrays for a shuffle: what the
+// free list kept is zero already, what has to grow is new.
+func (c *Context) takeShuffleArrays(mapParts, reduceParts int) shuffleArrays {
+	var a shuffleArrays
+	c.mu.Lock()
+	if n := len(c.arraysFree); n > 0 {
+		a, c.arraysFree = c.arraysFree[n-1], c.arraysFree[:n-1]
+	}
+	c.mu.Unlock()
+	a.byReduce = slices.Grow(a.byReduce[:0], reduceParts)[:reduceParts]
+	a.mapNode = slices.Grow(a.mapNode[:0], mapParts)[:mapParts]
+	a.spillByMap = slices.Grow(a.spillByMap[:0], mapParts)[:mapParts]
+	a.refsByMap = slices.Grow(a.refsByMap[:0], mapParts)[:mapParts]
+	a.outs = slices.Grow(a.outs[:0], mapParts)[:mapParts]
+	return a
+}
+
+// putShuffleArrays clears a retired shuffle's arrays — which also lets go
+// of the bucket slabs byReduce pointed into — and puts them on the free
+// list. outs is already clear: every execution clears it after its merge.
+func (c *Context) putShuffleArrays(a shuffleArrays) {
+	clear(a.byReduce)
+	clear(a.mapNode)
+	clear(a.spillByMap)
+	clear(a.refsByMap)
+	c.mu.Lock()
+	c.arraysFree = append(c.arraysFree, a)
+	c.mu.Unlock()
+}
+
 // runMapStage executes the map side of a shuffle: one task per parent
 // partition computes the parent's records, keys them, optionally combines
 // map-side, buckets them by the target partitioner and stages the buckets
@@ -125,12 +181,9 @@ type bucketRef struct {
 func (c *Context) runMapStage(sd *shuffleDep) {
 	mapParts := sd.parent.parts
 	st := &shuffleState{
-		dep:         sd,
-		byReduce:    make([][]bucketRef, sd.part.NumPartitions()),
-		spillByNode: make([]int64, c.conf.Cluster.Nodes),
-		mapNode:     make([]int, mapParts),
-		spillByMap:  make([]int64, mapParts),
-		refsByMap:   make([]int, mapParts),
+		dep:           sd,
+		shuffleArrays: c.takeShuffleArrays(mapParts, sd.part.NumPartitions()),
+		spillByNode:   make([]int64, c.conf.Cluster.Nodes),
 	}
 	c.mu.Lock()
 	st.mapStage = c.nextStage
@@ -148,7 +201,7 @@ func (c *Context) runMapStage(sd *shuffleDep) {
 	st.mu.Unlock()
 	c.mu.Lock()
 	c.shuffles[sd.id] = st
-	c.shuffleLog = append(c.shuffleLog, sd.id)
+	c.live = append(c.live, st)
 	c.mu.Unlock()
 	c.retireOldShuffles()
 }
@@ -174,14 +227,11 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 	st.commitLease = attempt
 	st.mu.Unlock()
 
-	// One value per task, reset at the start of every attempt, so a failed
-	// attempt's buckets and encodings are simply dropped.
-	type taskOut struct {
-		node    int
-		spill   int64
-		buckets []taskBucket
-	}
-	outs := make([]taskOut, n)
+	// Executions of one shuffle never overlap (the first runs before the
+	// state is published, recoveries hold recMu), so they share the slab;
+	// it is cleared on the way out to let go of the buckets and encodings.
+	outs := st.outs[:n]
+	defer clear(outs)
 	var codec Codec
 	if c.store != nil && !sd.combining {
 		codec = c.conf.SpillCodec
@@ -196,10 +246,10 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 		attempt:   attempt,
 		splits:    splits,
 		work: func(tc *TaskContext, idx, split int) {
-			outs[idx] = taskOut{node: tc.Node}
+			outs[idx] = mapTaskOut{node: tc.Node}
 			buckets, spill := sd.bucket(tc, split, codec)
 			tc.spill += spill
-			outs[idx] = taskOut{node: tc.Node, spill: spill, buckets: buckets}
+			outs[idx] = mapTaskOut{node: tc.Node, spill: spill, buckets: buckets}
 		},
 	})
 
@@ -307,9 +357,13 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 // completed recovery (the epoch advanced past the failure's) returns
 // immediately and simply retries its fetch.
 func (c *Context) recoverShuffle(ff *FetchFailedError) error {
-	c.mu.Lock()
-	st := c.shuffles[ff.ShuffleID]
-	c.mu.Unlock()
+	retiredErr := func() error {
+		return fmt.Errorf("rdd: shuffle %d was retired before its recovery ran; raise Conf.KeepShuffles", ff.ShuffleID)
+	}
+	st, retired := c.shuffle(ff.ShuffleID)
+	if retired {
+		return retiredErr()
+	}
 	if st == nil {
 		return fmt.Errorf("rdd: shuffle %d vanished during recovery", ff.ShuffleID)
 	}
@@ -317,6 +371,10 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 	defer st.recMu.Unlock()
 
 	st.mu.Lock()
+	if st.retired { // retired since the lookup
+		st.mu.Unlock()
+		return retiredErr()
+	}
 	if st.epoch != ff.Epoch {
 		st.mu.Unlock()
 		return nil // someone else already recovered past this failure
@@ -411,9 +469,10 @@ func sortBucketRefs(refs []bucketRef) {
 // shuffle's read lock throughout, so a concurrent recovery can only
 // rewrite the buckets between whole reads.
 func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext) partition {
-	c.mu.Lock()
-	st := c.shuffles[sd.id]
-	c.mu.Unlock()
+	st, retired := c.shuffle(sd.id)
+	if retired {
+		panic(fmt.Sprintf("rdd: shuffle %d was retired; raise Conf.KeepShuffles", sd.id))
+	}
 	if st == nil {
 		panic(fmt.Sprintf("rdd: shuffle %d read before materialization", sd.id))
 	}
@@ -422,7 +481,7 @@ func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext) partit
 	if !st.done {
 		panic(fmt.Sprintf("rdd: shuffle %d read before materialization", sd.id))
 	}
-	if st.retired {
+	if st.retired { // retired since the lookup
 		panic(fmt.Sprintf("rdd: shuffle %d was retired; raise Conf.KeepShuffles", sd.id))
 	}
 
@@ -461,28 +520,31 @@ func (c *Context) chargeFetch(tc *TaskContext, mapNode int, bytes int64) {
 }
 
 // retireOldShuffles drops staged data of all but the most recent
-// Conf.KeepShuffles shuffles, freeing simulated disk and real memory.
+// Conf.KeepShuffles shuffles, freeing simulated disk and real memory. A
+// retired shuffle leaves the live list, its map entry becomes the
+// tombstone and its arrays go to the free list; a recovery of it that is
+// still running finishes first (recMu).
 func (c *Context) retireOldShuffles() {
 	c.mu.Lock()
 	var toRetire []*shuffleState
-	if n := len(c.shuffleLog) - c.conf.KeepShuffles; n > 0 {
-		for _, id := range c.shuffleLog[:n] {
-			if st := c.shuffles[id]; st != nil {
-				toRetire = append(toRetire, st)
-			}
+	if n := len(c.live) - c.conf.KeepShuffles; n > 0 {
+		toRetire = slices.Clone(c.live[:n])
+		c.live = slices.Delete(c.live, 0, n)
+		for _, st := range toRetire {
+			c.shuffles[st.dep.id] = nil
 		}
 	}
 	c.mu.Unlock()
 	for _, st := range toRetire {
+		st.recMu.Lock()
 		st.mu.Lock()
-		if st.retired {
-			st.mu.Unlock()
-			continue
-		}
 		st.retired = true
-		st.byReduce = nil
+		arrays := st.shuffleArrays
+		st.shuffleArrays = shuffleArrays{}
 		spillByNode := st.spillByNode
 		st.mu.Unlock()
+		st.recMu.Unlock()
+		c.putShuffleArrays(arrays)
 		for node, bytes := range spillByNode {
 			c.simul.ReleaseShuffle(node, bytes)
 		}

@@ -64,11 +64,15 @@ type Codec interface {
 // CB driver's collect/redistribute files).
 func (c *Context) Store() *store.Store { return c.store }
 
-// Close releases what the context runs in the background: it drains and
-// stops the durable store's spill and replication writers (store.Close),
-// so a caller may remove DurableDir afterwards. A no-op without a store;
-// idempotent. Call it once no stage is running.
+// Close releases what the context holds on to between stages: it drops
+// the free lists of stage scratch and shuffle arrays, and drains and stops
+// the durable store's spill and replication writers (store.Close), so a
+// caller may remove DurableDir afterwards. Idempotent. Call it once no
+// stage is running.
 func (c *Context) Close() {
+	c.mu.Lock()
+	c.scratchFree, c.arraysFree = nil, nil
+	c.mu.Unlock()
 	if c.store != nil {
 		c.store.Close()
 	}

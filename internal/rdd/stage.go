@@ -2,7 +2,9 @@ package rdd
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dpspark/internal/obs"
 	"dpspark/internal/sim"
@@ -36,10 +38,54 @@ type stageRun struct {
 	crashed map[int]bool
 	// spill holds the per-node spill dilation factors (nil: no pressure).
 	spill []float64
-	// tcs is the one TaskContext slab per stage; an attempt resets its
-	// task's slot (a zero ctx marks a task abandoned before its first
-	// attempt).
-	tcs []TaskContext
+	// scratch is the stage's task-count-sized memory, held from plan to the
+	// end of settle (see stageScratch). Its tcs is the TaskContext slab, one
+	// slot per task: an attempt resets its task's slot (a zero ctx marks a
+	// task abandoned before its first attempt).
+	scratch *stageScratch
+}
+
+// stageScratch is everything a stage needs that is sized by its task
+// count: the TaskContext slab, the simulated tasks (with headroom for
+// speculative copies), the per-task seconds handed to the metrics and the
+// simulator's own scratch, into which the stage report's slices point.
+//
+// Ownership: plan takes one from the Context's free list (or makes one),
+// the stage owns it alone while it runs, and settle gives it back as its
+// last act — after the report's last reader. Nothing taken from it, the
+// report's Tasks and Node* slices included, may be kept past that point.
+// It belongs to the stage and not to the Sim or the Context because stages
+// overlap: concurrent jobs share a Context, and a recovery stage runs
+// nested inside the reduce stage that hit the loss.
+type stageScratch struct {
+	tcs   []TaskContext
+	tasks []sim.Task
+	secs  []float64
+	sim   sim.Scratch
+}
+
+// takeStageScratch hands out a scratch whose TaskContext slab has parts
+// zeroed slots.
+func (c *Context) takeStageScratch(parts int) *stageScratch {
+	var sc *stageScratch
+	c.mu.Lock()
+	if n := len(c.scratchFree); n > 0 {
+		sc, c.scratchFree = c.scratchFree[n-1], c.scratchFree[:n-1]
+	}
+	c.mu.Unlock()
+	if sc == nil {
+		sc = new(stageScratch)
+	}
+	sc.tcs = slices.Grow(sc.tcs[:0], parts)[:parts]
+	clear(sc.tcs)
+	return sc
+}
+
+// putStageScratch returns a settled stage's scratch to the free list.
+func (c *Context) putStageScratch(sc *stageScratch) {
+	c.mu.Lock()
+	c.scratchFree = append(c.scratchFree, sc)
+	c.mu.Unlock()
 }
 
 // split returns the partition task index idx computes.
@@ -82,11 +128,14 @@ func (sr *stageRun) plan(c *Context) {
 		Shuffle: sr.shuffleID,
 		Detail:  fmt.Sprintf("%s tasks=%d phase=%s", sr.kind, sr.parts, sr.phase),
 	})
-	sr.tcs = make([]TaskContext, sr.parts)
+	sr.scratch = c.takeStageScratch(sr.parts)
 }
 
-// runTasks hands the stage's tasks to at most Conf.RealParallelism
-// workers and waits for all of them.
+// runTasks runs the stage's tasks on at most Conf.RealParallelism workers
+// and waits for all of them. Workers claim task indices from one shared
+// cursor, a short run at a time: about eight claims per worker over the
+// stage, so the tail stays balanced, and a single task per claim once the
+// stage is small enough that every task matters.
 func (sr *stageRun) runTasks() {
 	workers := min(sr.c.conf.RealParallelism, sr.parts)
 	if workers <= 1 {
@@ -95,21 +144,25 @@ func (sr *stageRun) runTasks() {
 		}
 		return
 	}
+	run := max(1, sr.parts/(8*workers))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	idxs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range idxs {
-				sr.runTask(idx)
+			for {
+				hi := int(next.Add(int64(run)))
+				lo := hi - run
+				if lo >= sr.parts {
+					return
+				}
+				for idx := lo; idx < min(hi, sr.parts); idx++ {
+					sr.runTask(idx)
+				}
 			}
 		}()
 	}
-	for idx := 0; idx < sr.parts; idx++ {
-		idxs <- idx
-	}
-	close(idxs)
 	wg.Wait()
 }
 
@@ -124,7 +177,7 @@ func (sr *stageRun) runTasks() {
 // did until then must not reach the modelled clock).
 func (sr *stageRun) runTask(idx int) {
 	c, split := sr.c, sr.split(idx)
-	tc := &sr.tcs[idx]
+	tc := &sr.scratch.tcs[idx]
 	var lost simtime.Duration
 	failures, node := 0, -1 // node < 0: the coming attempt is not placed yet
 	for {
@@ -231,9 +284,12 @@ func (sr *stageRun) dilate(tc *TaskContext) {
 func (sr *stageRun) settle() {
 	c := sr.c
 	var spill, fetch, shared int64
-	tasks := make([]sim.Task, sr.parts, sr.parts+sr.parts/4)
-	for i := range sr.tcs {
-		tc := &sr.tcs[i]
+	// Every slot of tasks is written below, so what the scratch's last
+	// stage left in it does not matter.
+	tcs := sr.scratch.tcs
+	tasks := slices.Grow(sr.scratch.tasks[:0], sr.parts+sr.parts/4)[:sr.parts]
+	for i := range tcs {
+		tc := &tcs[i]
 		if tc.ctx == nil {
 			// The task was abandoned before its first attempt (cancelled
 			// mid-stage); model it as an empty task so the stage report
@@ -256,9 +312,10 @@ func (sr *stageRun) settle() {
 		}
 	}
 	if c.conf.Speculation {
-		tasks = c.speculate(sr.tcs, tasks, sr.asOf)
+		tasks = c.speculate(tcs, tasks, sr.asOf)
 	}
-	rep := c.simul.RunStageReport(tasks)
+	sr.scratch.tasks = tasks
+	rep := c.simul.RunStageReport(tasks, &sr.scratch.sim)
 
 	c.mu.Lock()
 	c.bd.Compute += rep.Compute
@@ -297,11 +354,14 @@ func (sr *stageRun) settle() {
 		MaxTask:    rep.MaxTask,
 		MeanTask:   rep.MeanTask,
 	}
-	c.recordStageMetrics(ev, rep)
+	c.recordStageMetrics(ev, rep, sr.scratch)
 	if c.obsv.TraceEnabled() {
 		c.emitStageSpans(ev, rep)
 	}
 	c.appendEvent(ev)
+	// rep dies here: its slices live in the scratch the next stage takes.
+	c.putStageScratch(sr.scratch)
+	sr.scratch = nil
 }
 
 // critStage is the stage as the critical-path profiler sees it: one
@@ -310,8 +370,8 @@ func (sr *stageRun) settle() {
 // backpressure.
 func (sr *stageRun) critStage(rep sim.StageReport, speculative int) obs.CritStage {
 	spillSlow := make([]simtime.Duration, len(rep.NodeCompute))
-	for i := range sr.tcs {
-		if tc := &sr.tcs[i]; tc.spillSlow > 0 && tc.Node >= 0 && tc.Node < len(spillSlow) {
+	for i := range sr.scratch.tcs {
+		if tc := &sr.scratch.tcs[i]; tc.spillSlow > 0 && tc.Node >= 0 && tc.Node < len(spillSlow) {
 			spillSlow[tc.Node] += tc.spillSlow
 		}
 	}

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dpspark/internal/costmodel"
@@ -223,62 +224,94 @@ func (s *Sim) DiskUsed(node int) int64 {
 // RunStage schedules one stage's tasks and advances the clock by the
 // stage's makespan (slowest node) plus the stage overhead.
 func (s *Sim) RunStage(tasks []Task) simtime.Duration {
-	return s.RunStageReport(tasks).Total
+	return s.RunStageReport(tasks, nil).Total
+}
+
+// Scratch holds what RunStageReport needs for one call, so a caller that
+// runs many stages pays for it once: the node-major task order, the raw
+// durations, the lane clocks, and the memory the returned StageReport's
+// slices (the Node* decompositions and Tasks) point into. A report built
+// on a Scratch is therefore valid only until that Scratch's next use. The
+// zero value is ready; what an earlier call left behind, and how much
+// capacity, does not matter.
+type Scratch struct {
+	// ends[n] is where node n's run of order stops (it starts where node
+	// n-1's stops); order lists the task indices node by node, ascending
+	// within a node; raw[k] is the standalone duration of task order[k].
+	ends    []int
+	order   []int
+	raw     []simtime.Duration
+	laneEnd []simtime.Duration
+	// perNode backs NodeIO, NodeCompute, NodeShuffleIO and NodeSharedIO,
+	// back to back; spans backs Tasks.
+	perNode []simtime.Duration
+	spans   []TaskSpan
 }
 
 // RunStageReport is RunStage plus the stage's observability report: the
 // critical-node time decomposition, the straggler-skew summary and the
-// per-task lane schedule the tracer renders.
-func (s *Sim) RunStageReport(tasks []Task) StageReport {
+// per-task lane schedule the tracer renders. A nil Scratch allocates the
+// report afresh; with one, the report aliases it (see Scratch).
+func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	nodes := s.Model.C.Nodes
 	cores := s.Model.C.Node.Cores
-	// Two passes so every per-node queue is allocated exactly once (the
-	// scheduler runs per stage, and append-growth here shows up in engine
-	// allocation counts).
-	counts := make([]int, nodes)
-	nodeOf := func(t Task) int {
+	nodeOf := func(t *Task) int {
 		n := t.Node % nodes
 		if n < 0 {
 			n += nodes
 		}
 		return n
 	}
-	for _, t := range tasks {
-		counts[nodeOf(t)]++
+	// Group the tasks by node without moving them: count, turn the counts
+	// into start offsets, then place each index — which advances every
+	// node's offset to the end of its run.
+	sc.ends = slices.Grow(sc.ends[:0], nodes)[:nodes]
+	sc.order = slices.Grow(sc.order[:0], len(tasks))[:len(tasks)]
+	sc.raw = slices.Grow(sc.raw[:0], len(tasks))[:len(tasks)]
+	ends := sc.ends
+	clear(ends)
+	for i := range tasks {
+		ends[nodeOf(&tasks[i])]++
 	}
-	perNode := make([][]Task, nodes)
-	perNodeIdx := make([][]int, nodes)
-	for n, c := range counts {
-		if c > 0 {
-			perNode[n] = make([]Task, 0, c)
-			perNodeIdx[n] = make([]int, 0, c)
-		}
+	at := 0
+	for n, c := range ends {
+		ends[n] = at
+		at += c
 	}
-	for i, t := range tasks {
-		n := nodeOf(t)
-		perNode[n] = append(perNode[n], t)
-		perNodeIdx[n] = append(perNodeIdx[n], i)
+	for i := range tasks {
+		n := nodeOf(&tasks[i])
+		sc.order[ends[n]] = i
+		ends[n]++
 	}
 
+	sc.perNode = slices.Grow(sc.perNode[:0], 4*nodes)[:4*nodes]
+	clear(sc.perNode)
 	rep := StageReport{
 		Start:         s.Clock,
-		NodeIO:        make([]simtime.Duration, nodes),
-		NodeCompute:   make([]simtime.Duration, nodes),
-		NodeShuffleIO: make([]simtime.Duration, nodes),
-		NodeSharedIO:  make([]simtime.Duration, nodes),
-		Tasks:         make([]TaskSpan, 0, len(tasks)),
+		NodeIO:        sc.perNode[0*nodes : 1*nodes : 1*nodes],
+		NodeCompute:   sc.perNode[1*nodes : 2*nodes : 2*nodes],
+		NodeShuffleIO: sc.perNode[2*nodes : 3*nodes : 3*nodes],
+		NodeSharedIO:  sc.perNode[3*nodes : 4*nodes : 4*nodes],
+		Tasks:         slices.Grow(sc.spans[:0], len(tasks)),
 	}
 	var rawSum simtime.Duration
 	var makespan simtime.Duration
-	for n, q := range perNode {
+	lo := 0
+	for n, hi := range ends {
+		q, raw := sc.order[lo:hi], sc.raw[lo:hi]
+		lo = hi
 		if len(q) == 0 {
 			continue
 		}
 		var fetchLocal, fetchRemote, spill, sharedR, sharedW int64
-		for _, t := range q {
+		for _, idx := range q {
+			t := &tasks[idx]
 			fetchLocal += t.FetchLocal
 			fetchRemote += t.FetchRemote
 			spill += t.Spill
@@ -314,8 +347,8 @@ func (s *Sim) RunStageReport(tasks []Task) StageReport {
 		var longest simtime.Duration
 		var busyTasks int
 		overhead := s.Model.TaskOverhead()
-		raw := make([]simtime.Duration, len(q))
-		for i, t := range q {
+		for i, idx := range q {
+			t := &tasks[idx]
 			th := t.Threads
 			if th < 1 {
 				th = 1
@@ -410,11 +443,12 @@ func (s *Sim) RunStageReport(tasks []Task) StageReport {
 		if sumCompute > 0 {
 			scale = fluid.Seconds() * float64(lanes) / sumCompute
 		}
-		laneEnd := make([]simtime.Duration, lanes)
+		sc.laneEnd = slices.Grow(sc.laneEnd[:0], lanes)[:lanes]
+		laneEnd := sc.laneEnd
 		for i := range laneEnd {
 			laneEnd[i] = io
 		}
-		for i := range q {
+		for i, idx := range q {
 			lane := 0
 			for l := 1; l < lanes; l++ {
 				if laneEnd[l] < laneEnd[lane] {
@@ -423,7 +457,7 @@ func (s *Sim) RunStageReport(tasks []Task) StageReport {
 			}
 			dur := simtime.Duration(raw[i].Seconds() * scale)
 			rep.Tasks = append(rep.Tasks, TaskSpan{
-				Index: perNodeIdx[n][i],
+				Index: idx,
 				Node:  n,
 				Lane:  lane,
 				Start: laneEnd[lane],
@@ -449,8 +483,7 @@ func (s *Sim) RunStageReport(tasks []Task) StageReport {
 	s.Clock += rep.Total
 	s.Ledger.Add(simtime.Overhead, rep.Overhead)
 	s.Ledger.CountStage()
-	for range tasks {
-		s.Ledger.CountTask()
-	}
+	s.Ledger.CountTasks(len(tasks))
+	sc.spans = rep.Tasks
 	return rep
 }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,5 +145,78 @@ func TestTaskCountLedger(t *testing.T) {
 	s.RunStage(make([]Task, 7))
 	if s.Ledger.Tasks() != 7 || s.Ledger.Stages() != 1 {
 		t.Fatalf("ledger tasks/stages = %d/%d", s.Ledger.Tasks(), s.Ledger.Stages())
+	}
+}
+
+// randomTasks draws a stage: mostly empty tasks (the symbolic runs' shape),
+// some with compute, threads and traffic, on nodes in and out of range.
+func randomTasks(rng *rand.Rand, n int) []Task {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		t := Task{Node: rng.Intn(40) - 4}
+		if rng.Intn(3) == 0 {
+			t.Compute = simtime.Duration(rng.Float64()) * simtime.Second
+			t.Threads = rng.Intn(5)
+			t.IdleThreads = rng.Intn(3)
+			t.FetchLocal, t.FetchRemote = rng.Int63n(1<<20), rng.Int63n(1<<20)
+			t.Spill = rng.Int63n(1 << 20)
+			t.SharedRead, t.SharedWrite = rng.Int63n(1<<16), rng.Int63n(1<<16)
+		}
+		tasks[i] = t
+	}
+	return tasks
+}
+
+// sameReport compares two reports field by field (an empty slice equals a
+// nil one).
+func sameReport(a, b StageReport) bool {
+	slicesEqual := slices.Equal(a.NodeIO, b.NodeIO) && slices.Equal(a.NodeCompute, b.NodeCompute) &&
+		slices.Equal(a.NodeShuffleIO, b.NodeShuffleIO) && slices.Equal(a.NodeSharedIO, b.NodeSharedIO) &&
+		slices.Equal(a.Tasks, b.Tasks)
+	a.NodeIO, a.NodeCompute, a.NodeShuffleIO, a.NodeSharedIO, a.Tasks = nil, nil, nil, nil, nil
+	b.NodeIO, b.NodeCompute, b.NodeShuffleIO, b.NodeSharedIO, b.Tasks = nil, nil, nil, nil, nil
+	return slicesEqual && reflect.DeepEqual(a, b)
+}
+
+// TestScratchReportEqualsFreshReport: a report built on a Scratch — new,
+// dirty from a larger stage, too small, or far too large — equals the one
+// RunStageReport(tasks, nil) allocates, field by field, and leaves the
+// simulator in the same state; Tasks lists the spans node by node, in
+// index order within a node.
+func TestScratchReportEqualsFreshReport(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	oversized := &Scratch{
+		ends: make([]int, 100), order: make([]int, 5000), raw: make([]simtime.Duration, 5000),
+		laneEnd: make([]simtime.Duration, 100), perNode: make([]simtime.Duration, 500), spans: make([]TaskSpan, 5000),
+	}
+	for i := range oversized.order {
+		oversized.order[i], oversized.raw[i], oversized.spans[i] = -1, -1, TaskSpan{Index: -1, Node: -1}
+	}
+	reused := new(Scratch)
+	fresh, scratched := newSim(4), newSim(4)
+	for round, n := range []int{700, 3, 0, 1, 64, 2000, 17, 700} {
+		tasks := randomTasks(rng, n)
+		sc := reused // dirty from the previous round; too small whenever n grew
+		if round%3 == 2 {
+			sc = oversized
+		}
+		want := fresh.RunStageReport(tasks, nil)
+		got := scratched.RunStageReport(tasks, sc)
+		if !sameReport(got, want) {
+			t.Fatalf("round %d (%d tasks): report on scratch\n%+v\nwant\n%+v", round, n, got, want)
+		}
+		if scratched.Clock != fresh.Clock || scratched.Ledger.String() != fresh.Ledger.String() || scratched.DiskUsed(3) != fresh.DiskUsed(3) {
+			t.Fatalf("round %d: simulator state diverged", round)
+		}
+		if len(got.Tasks) != n {
+			t.Fatalf("round %d: %d spans for %d tasks", round, len(got.Tasks), n)
+		}
+		for i := 1; i < n; i++ {
+			a, b := got.Tasks[i-1], got.Tasks[i]
+			if a.Node > b.Node || (a.Node == b.Node && a.Index >= b.Index) {
+				t.Fatalf("round %d: span %d (node %d, task %d) before span %d (node %d, task %d)",
+					round, i-1, a.Node, a.Index, i, b.Node, b.Index)
+			}
+		}
 	}
 }

@@ -119,10 +119,11 @@ func (l *Ledger) AddBytes(c Category, b int64) {
 	l.mu.Unlock()
 }
 
-// CountTask increments the executed-task counter.
-func (l *Ledger) CountTask() {
+// CountTasks adds n to the executed-task counter (a stage counts all of
+// its tasks at once).
+func (l *Ledger) CountTasks(n int) {
 	l.mu.Lock()
-	l.tasks++
+	l.tasks += n
 	l.mu.Unlock()
 }
 

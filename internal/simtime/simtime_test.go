@@ -41,8 +41,7 @@ func TestLedgerAccumulation(t *testing.T) {
 	l.Add(Compute, 3*Second)
 	l.Add(Network, 1*Second)
 	l.AddBytes(Network, 1000)
-	l.CountTask()
-	l.CountTask()
+	l.CountTasks(2)
 	l.CountStage()
 	l.ObserveDisk(500)
 	l.ObserveDisk(200)
@@ -72,7 +71,7 @@ func TestLedgerMerge(t *testing.T) {
 	b.Add(Compute, 2*Second)
 	b.Add(Overhead, Second)
 	b.AddBytes(SharedFS, 42)
-	b.CountTask()
+	b.CountTasks(1)
 	b.ObserveDisk(99)
 	a.Merge(b)
 	if a.Time(Compute) != 3*Second || a.Time(Overhead) != Second {
@@ -92,7 +91,7 @@ func TestLedgerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				l.Add(Compute, Millisecond)
-				l.CountTask()
+				l.CountTasks(1)
 			}
 		}()
 	}
