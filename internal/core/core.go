@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"dpspark/internal/costmodel"
@@ -450,25 +451,69 @@ type kernelTally struct {
 }
 
 // kindTally is one kind's share of a kernelTally: the calls made at one
-// price, and the measured wall times not yet handed to the histogram.
+// price, and the sampled wall times not yet handed to the histogram.
+//
+// Reading the clock costs about as much as a b=8 kernel, so not every
+// execution is timed. A timed call appends a sample — its wall time,
+// weighted by one — and the untimed executions after it add to that
+// sample's weight, so each sample stands for the calls it is followed by.
+// The histogram's count therefore stays the exact execution count and its
+// sum an unbiased estimate. A call at or above wallFloor is followed by a
+// timed call, so calls that long are each timed; below it the gap to the
+// next timed call doubles, up to wallStrideMax.
 type kindTally struct {
 	calls int64
 	price kernelPrice
-	wall  []float64
+	// stride is the current gap between timed calls, skip the untimed
+	// executions left before the next timed one.
+	stride, skip int32
+	wall         []obs.Weighted
 }
 
-// wallChunk bounds how many wall times an attempt buffers per kind.
-const wallChunk = 128
+const (
+	// wallChunk bounds how many samples an attempt buffers per kind.
+	wallChunk = 128
+	// wallFloor is the wall time (seconds) from which every call is
+	// timed: far above the ~60 ns a clock read costs.
+	wallFloor = 10e-6
+)
 
-// observeWall buffers one measured wall time, handing full chunks to h.
-func (k *kindTally) observeWall(seconds float64, h *obs.Histogram) {
-	if k.wall == nil {
-		k.wall = make([]float64, 0, wallChunk)
+// wallStrideMax caps the gap between timed calls. A variable only so the
+// tests can take an unsampled reference (1 times every call).
+var wallStrideMax int32 = 64
+
+// wallReads counts the clock reads made for kernel wall times — one per
+// sample handed to a histogram. A test seam, not a metric.
+var wallReads atomic.Int64
+
+// timed records the wall time of a timed call as a new sample and sets
+// how many executions go untimed after it.
+func (k *kindTally) timed(seconds float64, h *obs.Histogram) {
+	if len(k.wall) == wallChunk {
+		k.observe(h)
+	} else if k.wall == nil {
+		k.wall = make([]obs.Weighted, 0, wallChunk)
 	}
-	if k.wall = append(k.wall, seconds); len(k.wall) == wallChunk {
-		h.ObserveAll(k.wall)
-		k.wall = k.wall[:0]
+	k.wall = append(k.wall, obs.Weighted{V: seconds, N: 1})
+	if seconds >= wallFloor {
+		k.stride = 1
+	} else {
+		k.stride = min(max(2*k.stride, 2), wallStrideMax)
 	}
+	k.skip = k.stride - 1
+}
+
+// untimed adds an execution that was not timed to the last sample.
+func (k *kindTally) untimed() {
+	k.skip--
+	k.wall[len(k.wall)-1].N++
+}
+
+// observe hands the buffered samples to h.
+func (k *kindTally) observe(h *obs.Histogram) {
+	h.ObserveWeighted(k.wall)
+	wallReads.Add(int64(len(k.wall)))
+	k.wall = k.wall[:0]
 }
 
 // tally returns the attempt's accumulator for this runner.
@@ -493,9 +538,9 @@ func (t *kernelTally) Flush() {
 			k.calls = 0
 		}
 		if len(k.wall) > 0 {
-			m.wall.ObserveAll(k.wall)
-			k.wall = k.wall[:0]
+			k.observe(m.wall)
 		}
+		k.skip = 0
 	}
 }
 
@@ -546,16 +591,26 @@ func (kr *kernelRunner) apply(tc *rdd.TaskContext, gen uint32, kind semiring.Kin
 		out = kr.pool.Clone(x)
 	}
 	if !out.Symbolic() {
-		start := time.Now()
-		if kr.pexec != nil {
-			kr.pexec.ApplyWith(tc.KernelPool(), kind, out, u, v, w)
+		if k.skip > 0 {
+			kr.run(tc, kind, out, u, v, w)
+			k.untimed()
 		} else {
-			kr.exec.Apply(kind, out, u, v, w)
+			start := time.Now()
+			kr.run(tc, kind, out, u, v, w)
+			k.timed(time.Since(start).Seconds(), kr.m[kind].wall)
 		}
-		k.observeWall(time.Since(start).Seconds(), kr.m[kind].wall)
 	}
 	out.SetGen(gen)
 	return out
+}
+
+// run executes one kernel on real tiles.
+func (kr *kernelRunner) run(tc *rdd.TaskContext, kind semiring.Kind, x, u, v, w *matrix.Tile) {
+	if kr.pexec != nil {
+		kr.pexec.ApplyWith(tc.KernelPool(), kind, x, u, v, w)
+	} else {
+		kr.exec.Apply(kind, x, u, v, w)
+	}
 }
 
 // kernelSecondsBuckets spans sub-millisecond base cases to multi-minute

@@ -148,6 +148,25 @@ func (h *Histogram) ObserveAll(vs []float64) {
 	h.mu.Unlock()
 }
 
+// Weighted is one sample standing for N observations of the value V —
+// a sampled measurement carrying the count of events it represents.
+type Weighted struct {
+	V float64
+	N int64
+}
+
+// ObserveWeighted records every sample of ws, in order, under one lock
+// acquisition: each counts N times and adds V·N to the sum.
+func (h *Histogram) ObserveWeighted(ws []Weighted) {
+	h.mu.Lock()
+	for _, w := range ws {
+		h.counts[sort.SearchFloat64s(h.buckets, w.V)] += w.N
+		h.sum += w.V * float64(w.N)
+		h.count += w.N
+	}
+	h.mu.Unlock()
+}
+
 // Sum returns the total of all observed samples.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()

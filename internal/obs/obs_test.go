@@ -260,3 +260,16 @@ func TestHistogramBatchedObserveKeepsBits(t *testing.T) {
 		t.Errorf("counts %v/%d vs %v/%d", one.counts, one.Count(), batched.counts, batched.Count())
 	}
 }
+
+// TestHistogramObserveWeighted: a weighted sample lands N times in its
+// bucket and adds V·N to the sum.
+func TestHistogramObserveWeighted(t *testing.T) {
+	h := &Histogram{buckets: []float64{1, 2, 4}, counts: make([]int64, 4)}
+	h.ObserveWeighted([]Weighted{{V: 0.5, N: 3}, {V: 3, N: 1}, {V: 9, N: 0}, {V: 8, N: 2}})
+	if h.Count() != 6 || h.Sum() != 0.5*3+3+8*2 {
+		t.Fatalf("count %d sum %v, want 6 and 20.5", h.Count(), h.Sum())
+	}
+	if want := []int64{3, 0, 1, 2}; !reflect.DeepEqual(h.counts, want) {
+		t.Fatalf("bucket counts %v, want %v", h.counts, want)
+	}
+}

@@ -55,6 +55,10 @@ type dataset struct {
 
 	// deps are narrow parents (stage building walks through them).
 	deps []*dataset
+	// chunks, when set, is a chunkFunc of the dataset's record type: the
+	// partition as the pieces narrow or the shuffle read would copy into
+	// one slice, for readers that pass over them once (chunksOf).
+	chunks any
 
 	// cacheSize prices a cached partition; set by RDD[T].Cache.
 	cacheSize func(p partition) int64
@@ -116,7 +120,7 @@ func (c *Context) iterate(ds *dataset, split int, tc *TaskContext) partition {
 	case ds.source != nil:
 		p = ds.source[split]
 	case ds.shuffle != nil:
-		p = c.readShuffle(ds.shuffle, split, tc)
+		p = c.readShuffle(ds.shuffle, split, tc, ds.shuffle.merge)
 	case ds.narrow != nil:
 		p = ds.narrow(tc, split)
 	default:

@@ -1,6 +1,9 @@
 package rdd
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RDD is a typed, lazily evaluated, partitioned distributed dataset —
 // transformations build lineage; actions (Collect, Count) trigger jobs.
@@ -58,6 +61,7 @@ func (r *RDD[T]) CheckpointData() ([][]T, error) {
 	data := ctx.runJob(r.ds)
 	r.ds.source = data
 	r.ds.narrow = nil
+	r.ds.chunks = nil
 	r.ds.shuffle = nil
 	r.ds.deps = nil
 	return unboxAll[T](data), ctx.Err()
@@ -197,7 +201,7 @@ func Map[T, U any](r *RDD[T], f func(tc *TaskContext, rec T) U) *RDD[U] {
 // until the partition is assembled (and adopts a lone one as the
 // partition), so f must return a fresh slice per call.
 func FlatMap[T, U any](r *RDD[T], f func(tc *TaskContext, rec T) []U) *RDD[U] {
-	return narrow[T, U](r, "flatMap", nil, func(tc *TaskContext, _ int, in []T) partition {
+	out := narrow[T, U](r, "flatMap", nil, func(tc *TaskContext, _ int, in []T) partition {
 		if len(in) == 0 {
 			return nil
 		}
@@ -210,6 +214,19 @@ func FlatMap[T, U any](r *RDD[T], f func(tc *TaskContext, rec T) []U) *RDD[U] {
 		}
 		return box(concat(emits, total))
 	})
+	// Read as chunks, the emits are the chunks: no copy at all.
+	parent := r.ds
+	out.ds.chunks = chunkFunc[U](func(tc *TaskContext, split int, into [][]U) [][]U {
+		in := unbox[T](parent.ctx.iterate(parent, split, tc))
+		into = slices.Grow(into, len(in))
+		for i := range in {
+			if e := f(tc, in[i]); len(e) > 0 {
+				into = append(into, e)
+			}
+		}
+		return into
+	})
+	return out
 }
 
 // concat joins chunks holding total records into one slice; when a single
@@ -290,6 +307,12 @@ func (r *RDD[T]) Union(others ...*RDD[T]) *RDD[T] {
 			}
 			return concat(ins, total)
 		}
+		ds.chunks = chunkFunc[T](func(tc *TaskContext, split int, into [][]T) [][]T {
+			for _, d := range deps {
+				into = appendChunks(d, split, tc, into)
+			}
+			return into
+		})
 		return &RDD[T]{ds: ds}
 	}
 
@@ -309,4 +332,36 @@ func (r *RDD[T]) Union(others ...*RDD[T]) *RDD[T] {
 		panic("rdd: union split out of range")
 	}
 	return &RDD[T]{ds: ds}
+}
+
+// chunkFunc computes partition split of a dataset as the chunks whose
+// concatenation is the partition, appended to into in record order.
+type chunkFunc[T any] func(tc *TaskContext, split int, into [][]T) [][]T
+
+// chunksOf reads partition split of ds as chunks, for a reader that only
+// passes over the records — a combine, or a shuffle's map side. A dataset
+// with a chunk reader (a partitioner-aware union, a flatMap, a shuffle's
+// reduce side) that is not cached hands over its pieces as they are
+// instead of copying them into one partition; anything else is the one
+// chunk one holds, so the common case allocates nothing. The chunks may
+// alias an input or a shuffle's bucket slab, so the reader must neither
+// keep nor modify them.
+func chunksOf[T any](ds *dataset, split int, tc *TaskContext, one *[1][]T) [][]T {
+	if f, ok := ds.chunks.(chunkFunc[T]); ok && !ds.cacheOn {
+		return f(tc, split, nil)
+	}
+	one[0] = unbox[T](ds.ctx.iterate(ds, split, tc))
+	return one[:]
+}
+
+// appendChunks is chunksOf for a chunk reader reading its inputs in turn:
+// it appends ds's chunks to into, skipping an empty partition.
+func appendChunks[T any](ds *dataset, split int, tc *TaskContext, into [][]T) [][]T {
+	if f, ok := ds.chunks.(chunkFunc[T]); ok && !ds.cacheOn {
+		return f(tc, split, into)
+	}
+	if p := unbox[T](ds.ctx.iterate(ds, split, tc)); len(p) > 0 {
+		into = append(into, p)
+	}
+	return into
 }

@@ -166,6 +166,41 @@ func TestCombineKeepsFirstSeenKeyOrder(t *testing.T) {
 	if !reflect.DeepEqual(narrow, wantNarrow) {
 		t.Fatalf("narrow combine:\n got  %v\n want %v", narrow, wantNarrow)
 	}
+
+	// Coordinate keys take the dense table; the order is the same across
+	// chunks — the reduce side's buckets and a union's inputs.
+	c := func(i, j int) matrix.Coord { return matrix.Coord{I: i, J: j} }
+	coords := []matrix.Coord{c(3, 1), c(0, 2), c(1, 1), c(0, 0), c(3, 1), c(1, 1), c(2, 2), c(0, 2), c(1, 1), c(5, 0)}
+	crecs := make([]Pair[matrix.Coord, string], len(coords))
+	for i, k := range coords {
+		crecs[i] = KV(k, fmt.Sprint(i))
+	}
+	shuffled, err := CombineByKey(Parallelize(ctx, crecs, 2),
+		func(v string) string { return v }, cat, cat, NewHashPartitioner(1)).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Partition 0: (3,1)0 (1,1)2 (3,1)4 (2,2)6 (1,1)8 → (3,1),(1,1),(2,2);
+	// partition 1: (0,2)1 (0,0)3 (1,1)5 (0,2)7 (5,0)9 → (0,2),(0,0),(1,1),(5,0).
+	wantCoord := []Pair[matrix.Coord, string]{
+		{c(3, 1), "0,4"}, {c(1, 1), "2,8,5"}, {c(2, 2), "6"}, {c(0, 2), "1,7"}, {c(0, 0), "3"}, {c(5, 0), "9"},
+	}
+	if !reflect.DeepEqual(shuffled, wantCoord) {
+		t.Fatalf("shuffled coordinate combine:\n got  %v\n want %v", shuffled, wantCoord)
+	}
+	front := ParallelizePairs(ctx, crecs[:5], part)
+	back := ParallelizePairs(ctx, crecs[5:], part)
+	unioned, err := CombineByKey(front.Union(back),
+		func(v string) string { return v }, cat, cat, part).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantUnion := []Pair[matrix.Coord, string]{
+		{c(3, 1), "0,4"}, {c(0, 2), "1,7"}, {c(1, 1), "2,5,8"}, {c(0, 0), "3"}, {c(2, 2), "6"}, {c(5, 0), "9"},
+	}
+	if !reflect.DeepEqual(unioned, wantUnion) {
+		t.Fatalf("coordinate combine over a union:\n got  %v\n want %v", unioned, wantUnion)
+	}
 }
 
 // TestCombiningShuffleStaysMemoryResident: under DurableDir a PartitionBy

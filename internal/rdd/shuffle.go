@@ -23,32 +23,39 @@ type taskBucket struct {
 var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // bucketPairs is the typed back half of every shuffle's map side: it
-// splits one map task's records by the target partitioner into one bucket
+// splits one map task's records — chunks, in order — by the target partitioner into one bucket
 // per non-empty reduce partition, ascending. Two passes over the keys —
 // count, then place — lay all buckets out in one exactly sized slab. Keys
 // are partitioned and records priced unboxed; only a non-nil codec (the
 // durable path) sees boxed records.
-func bucketPairs[K comparable, V any](recs []Pair[K, V], part Partitioner, codec Codec) ([]taskBucket, int64) {
-	if len(recs) == 0 {
+func bucketPairs[K comparable, V any](chunks [][]Pair[K, V], part Partitioner, codec Codec) ([]taskBucket, int64) {
+	n := 0
+	for _, ch := range chunks {
+		n += len(ch)
+	}
+	if n == 0 {
 		return nil, 0
 	}
 	partOf := partitionFunc[K](part)
 	p := part.NumPartitions()
 	sp := scratchPool.Get().(*[]int32)
 	defer scratchPool.Put(sp)
-	if cap(*sp) < p+len(recs) {
-		*sp = make([]int32, p+len(recs))
+	if cap(*sp) < p+n {
+		*sp = make([]int32, p+n)
 	}
-	ends, dest := (*sp)[:p], (*sp)[p:p+len(recs)]
+	ends, dest := (*sp)[:p], (*sp)[p:p+n]
 	clear(ends)
-	nonEmpty := 0
-	for i := range recs {
-		b := partOf(recs[i].Key)
-		dest[i] = int32(b)
-		if ends[b] == 0 {
-			nonEmpty++
+	nonEmpty, i := 0, 0
+	for _, ch := range chunks {
+		for j := range ch {
+			b := partOf(ch[j].Key)
+			dest[i] = int32(b)
+			i++
+			if ends[b] == 0 {
+				nonEmpty++
+			}
+			ends[b]++
 		}
-		ends[b]++
 	}
 	// Counts → start offsets; placing advances each to its bucket's end.
 	at := int32(0)
@@ -56,10 +63,14 @@ func bucketPairs[K comparable, V any](recs []Pair[K, V], part Partitioner, codec
 		ends[b] = at
 		at += n
 	}
-	slab := make([]Pair[K, V], len(recs))
-	for i := range recs {
-		slab[ends[dest[i]]] = recs[i]
-		ends[dest[i]]++
+	slab := make([]Pair[K, V], n)
+	i = 0
+	for _, ch := range chunks {
+		for j := range ch {
+			slab[ends[dest[i]]] = ch[j]
+			ends[dest[i]]++
+			i++
+		}
 	}
 	boxed := partition(slab)
 
@@ -462,13 +473,16 @@ func sortBucketRefs(refs []bucketRef) {
 
 // readShuffle is the reduce side: fetch this partition's buckets from the
 // map tasks that produced any, charging local-disk vs network traffic by
-// locality, then concatenate (PartitionBy) or merge combiners
-// (CombineByKey). A bucket whose map output was invalidated (executor
+// locality, then hand them to read — the dependency's merge, which
+// concatenates (PartitionBy) or merges combiners (CombineByKey), or
+// PartitionBy's chunk reader — and return what it makes; nil when the
+// partition has no buckets. A bucket whose map output was invalidated (executor
 // crash, disk loss) raises FetchFailedError — the task layer catches it
 // and resubmits the map stage for the lost partitions. The read holds the
 // shuffle's read lock throughout, so a concurrent recovery can only
 // rewrite the buckets between whole reads.
-func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext) partition {
+func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext,
+	read func(c *Context, st *shuffleState, refs []bucketRef) partition) partition {
 	st, retired := c.shuffle(sd.id)
 	if retired {
 		panic(fmt.Sprintf("rdd: shuffle %d was retired; raise Conf.KeepShuffles", sd.id))
@@ -495,7 +509,7 @@ func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext) partit
 		}
 		c.chargeFetch(tc, st.mapNode[ref.mapPart], ref.bytes)
 	}
-	return sd.merge(c, st, refs)
+	return read(c, st, refs)
 }
 
 // fetchFailed is the failure a reduce task raises over ref's map output
