@@ -16,12 +16,8 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -346,7 +342,7 @@ func main() {
 				Observer:      observer,
 			})
 			defer ctx.Close()
-			in := durableInput(rule, *size, *seed)
+			in := core.SeededInput(rule, *size, *seed)
 			bl := matrix.Block(in, *block, rule.Pad(), rule.PadDiag())
 			out, st, err := core.Run(ctx, bl, core.Config{
 				Rule: rule, BlockSize: *block, Driver: drv,
@@ -367,7 +363,7 @@ func main() {
 				return nil
 			}
 			fmt.Printf("result checksum: %016x (n=%d b=%d %s %v)\n",
-				denseChecksum(out.ToDense()), *size, *block, *bench, drv)
+				out.ToDense().Checksum(), *size, *block, *bench, drv)
 			return nil
 		case "remote":
 			// Restore-vs-recompute demo: the same mid-run executor crash
@@ -383,7 +379,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			in := durableInput(rule, *size, *seed)
+			in := core.SeededInput(rule, *size, *seed)
 			r := (*size + *block - 1) / *block
 			// Iteration 1's result stage (4k+3, k=1): freshly staged map
 			// outputs are lost exactly when the reduce side fetches them.
@@ -417,7 +413,7 @@ func main() {
 					name+":", st.Time.Seconds(), st.RecoveryTime.Seconds(),
 					st.ReplicatedBlocks, st.RestoredBlocks, st.RecomputedBlocks,
 					rs.RemoteRetries, rs.DegradedWindows)
-				return denseChecksum(out.ToDense()), nil
+				return out.ToDense().Checksum(), nil
 			}
 			fmt.Printf("remote replica tier: %s %v n=%d b=%d, executor crash at stage %d\n\n",
 				*bench, drv, *size, *block, crash.Stage)
@@ -477,7 +473,7 @@ func main() {
 				return nil
 			}
 			fmt.Printf("result checksum: %016x (n=%d b=%d %s %v)\n",
-				denseChecksum(out.ToDense()), meta.N, meta.B, ruleFlagName(meta.Rule), drv)
+				out.ToDense().Checksum(), meta.N, meta.B, ruleFlagName(meta.Rule), drv)
 			return nil
 		case "kernels":
 			// Measured single-tile scaling of the iterative kernels on THIS
@@ -792,41 +788,6 @@ func ruleFlagName(ruleName string) string {
 		return "ge"
 	}
 	return "fw"
-}
-
-// durableInput deterministically generates the durable demo's input from
-// the seed — both the killed and the uninterrupted invocation see the
-// same matrix, so their checksums are comparable.
-func durableInput(rule semiring.Rule, n int, seed int64) *matrix.Dense {
-	rng := rand.New(rand.NewSource(seed))
-	d := matrix.NewDense(n)
-	if _, ok := rule.(semiring.GaussianRule); ok {
-		d.FillDiagonallyDominant(rng)
-		return d
-	}
-	d.Fill(func(i, j int) float64 {
-		switch {
-		case i == j:
-			return 0
-		case rng.Float64() < 0.3:
-			return math.Inf(1)
-		default:
-			return 1 + math.Floor(rng.Float64()*9)
-		}
-	})
-	return d
-}
-
-// denseChecksum fingerprints a result matrix bit-exactly (FNV-1a over
-// the raw float bits — NaN/Inf/signed-zero safe).
-func denseChecksum(d *matrix.Dense) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range d.Data {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
 
 // printDurableStats reports the run's modelled time and store activity.

@@ -32,6 +32,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -293,6 +295,31 @@ func execute(ctx *rdd.Context, bl *matrix.Blocked, cfg Config, startK int, disow
 	ctx.EmitDriverSpan(fmt.Sprintf("%s %s run r=%d", cfg.Driver, cfg.KernelName(), bl.R),
 		"run", jobStart, map[string]string{"driver": cfg.Driver.String(), "kernel": cfg.KernelName()})
 	return out, mark.StatsSince(ctx, bl.R), nil
+}
+
+// SeededInput deterministically generates a run's input from its seed:
+// a diagonally dominant matrix for Gaussian elimination, otherwise a
+// graph with 30 % missing edges and weights in 1..9. The same (rule, n,
+// seed) always yields the same matrix, so a served job, a durable CLI
+// run and its resumed half compare by checksum.
+func SeededInput(rule semiring.Rule, n int, seed int64) *matrix.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	d := matrix.NewDense(n)
+	if _, ok := rule.(semiring.GaussianRule); ok {
+		d.FillDiagonallyDominant(rng)
+		return d
+	}
+	d.Fill(func(i, j int) float64 {
+		switch {
+		case i == j:
+			return 0
+		case rng.Float64() < 0.3:
+			return math.Inf(1)
+		default:
+			return 1 + math.Floor(rng.Float64()*9)
+		}
+	})
+	return d
 }
 
 // BlocksFromMatrix flattens a blocked matrix into pair records. The tiles

@@ -5,7 +5,9 @@
 package matrix
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -118,6 +120,20 @@ func (d *Dense) MaxAbsDiff(other *Dense) float64 {
 		}
 	}
 	return m
+}
+
+// Checksum fingerprints the matrix bit-exactly: FNV-1a over the raw
+// float bits, so NaN, Inf and signed zeros are told apart. A served job
+// and a CLI run report this number, and it must match the same input's
+// solo run bit for bit.
+func (d *Dense) Checksum() uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range d.Data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }
 
 // Bytes returns the in-memory payload size of the matrix.

@@ -1,14 +1,19 @@
-// The job journal is the serve layer's write-ahead log: every job
-// lifecycle transition (admitted → dispatched → retry →
-// terminal, plus crash-recovery re-dispatches) is appended to one
-// CRC32C-framed file before the transition takes effect, so a server
-// killed at ANY point — SIGKILL included — restarts knowing exactly
-// which jobs it had accepted, which were running, and which results it
-// had already produced. Records ride the store package's journal frames
-// (store.AppendFrame / store.ReadFrames); replay keeps the longest
-// intact prefix and drops the torn tail, the expected after-crash state
-// of an append-only file. Compaction rewrites the journal as a fresh
-// snapshot via tmp+rename, so it too is crash-atomic.
+// The job journal is the serve layer's log of job lifecycle records
+// (admitted → dispatched → retry → terminal, plus recovered; lifecycle.go
+// applies them), appended to one CRC32C-framed file and fsynced. Admission
+// and terminal records are written ahead: fsynced before the transition
+// is visible, so a server killed at ANY point — SIGKILL included —
+// restarts knowing exactly which jobs it had accepted and which results
+// it had already produced. A dispatched record trails its transition: the
+// job's goroutine writes it after dispatch marked the job running, so a
+// crash in between replays the job queued (or running its previous
+// attempt) and re-runs it. A retry record follows its failed attempt;
+// recovered records are written only by compaction, which is how a
+// restart's crash strikes persist. Records ride the store package's
+// journal frames (store.AppendFrame / store.ReadFrames); replay keeps the
+// longest intact prefix and drops the torn tail, the expected
+// after-crash state of an append-only file. Compaction rewrites the
+// journal as a fresh snapshot via tmp+rename, so it too is crash-atomic.
 package serve
 
 import (

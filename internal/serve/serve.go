@@ -22,10 +22,11 @@
 //     finish within a grace window, then cancel what remains and dump
 //     the flight recorder).
 //   - Crash safety: with Config.JournalDir set, every lifecycle
-//     transition is journaled (write-ahead, CRC32C-framed, fsynced —
-//     see journal.go) and a running job checkpoints durably under the
-//     journal directory about every checkpointInterval. A server killed
-//     at ANY point — SIGKILL included — restarts via Recover: terminal
+//     transition is journaled (CRC32C-framed, fsynced; admission and
+//     outcome write-ahead — see journal.go) and a running job
+//     checkpoints durably under the journal directory about every
+//     checkpointInterval. A server killed at ANY point — SIGKILL
+//     included — restarts via Recover: terminal
 //     jobs serve their persisted results, queued jobs re-enter the queue
 //     in the original priority/FIFO order, and jobs caught mid-run
 //     resume from their latest durable checkpoint, when one exists, or
@@ -39,16 +40,11 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -354,7 +350,8 @@ func (st JobState) terminal() bool {
 }
 
 // Job is one admitted job. All mutable fields are guarded by the
-// server's mu.
+// server's mu; the lifecycle fields (state, attempts, crashes, outcome,
+// finished) are written only by applyLocked (lifecycle.go).
 type Job struct {
 	ID   string
 	Spec JobSpec
@@ -550,44 +547,28 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.rejectedCounter(spec.Tenant, "tenant_quota").Inc()
 		return nil, &errRejected{reason: "tenant_quota"}
 	}
-	j := &Job{
-		ID:        fmt.Sprintf("job-%d", s.seq+1),
-		Spec:      spec,
-		state:     StateQueued,
-		seq:       s.seq + 1,
-		submitted: time.Now(),
-	}
+	rec := journalRecord{Type: recAdmitted, Job: fmt.Sprintf("job-%d", s.seq+1), Seq: s.seq + 1, Spec: &spec}
 	if s.jl != nil {
 		// Write-ahead: the admission record (with the full spec) must be
 		// durable BEFORE the job becomes visible, so an admitted job can
 		// always be re-run from its journaled spec after a crash.
-		rec := journalRecord{Type: recAdmitted, Job: j.ID, Seq: j.seq, Spec: &j.Spec}
 		if err := s.jl.append(rec); err != nil {
 			return nil, &errInternal{err: err}
 		}
 	}
-	s.seq++
-	s.jobs[j.ID] = j
-	s.queue = append(s.queue, j)
-	s.tenantPending[spec.Tenant]++
-	if spec.IdempotencyKey != "" {
-		s.idem[spec.IdempotencyKey] = j
+	j := s.applyLocked(rec, true)
+	if j == nil { // a hand-edited journal reused this ID; replay ignores the record
+		return nil, &errInternal{err: fmt.Errorf("serve: job ID %s is already taken", rec.Job)}
 	}
-	s.jobCounter("admitted", spec.Tenant).Inc()
-	s.obsv.Flight().Record(obs.Event{
-		Type: obs.EvJobSubmit, Job: j.ID, Stage: -1, Part: -1, Node: -1, Shuffle: -1,
-		Detail: fmt.Sprintf("%s tenant=%s %s/%s n=%d prio=%d", j.ID, spec.Tenant, spec.Bench, spec.Driver, spec.N, spec.Priority),
-	})
-	s.dispatchLocked()
-	s.updateGaugesLocked()
 	return j, nil
 }
 
 // dispatchLocked starts queued jobs while run capacity allows: highest
 // priority first, FIFO within a priority, skipping tenants at their
-// running cap. Caller holds mu.
+// running cap. Nothing starts before Recover has finished or once Drain
+// has begun. Caller holds mu.
 func (s *Server) dispatchLocked() {
-	for s.running < s.cfg.MaxRunning {
+	for s.ready && !s.draining && s.running < s.cfg.MaxRunning {
 		best := -1
 		for i, j := range s.queue {
 			if s.tenantRunning[j.Spec.Tenant] >= s.cfg.TenantRunning {
@@ -602,69 +583,75 @@ func (s *Server) dispatchLocked() {
 			return
 		}
 		j := s.queue[best]
-		s.queue = append(s.queue[:best], s.queue[best+1:]...)
-		s.tenantPending[j.Spec.Tenant]--
-		s.tenantRunning[j.Spec.Tenant]++
-		s.running++
-		j.state = StateRunning
 		j.started = time.Now()
+		// The attempt is running from here; its goroutine journals the
+		// record before the engine starts (DESIGN.md §7).
+		rec := journalRecord{Type: recDispatched, Job: j.ID, Attempt: j.attempts + 1}
+		s.applyLocked(rec, true)
 		s.wg.Add(1)
-		go s.runJob(j)
+		go s.runJob(j, rec)
 	}
 }
 
-// updateGaugesLocked refreshes the queue/running gauges. Caller holds mu.
-func (s *Server) updateGaugesLocked() {
-	s.queuedGauge.Set(float64(len(s.queue)))
-	s.runningGauge.Set(float64(s.running))
+// runJob runs a dispatched job to its terminal record and frees its run
+// slot.
+func (s *Server) runJob(j *Job, dispatched journalRecord) {
+	defer s.wg.Done()
+	end := s.runAttempts(j, dispatched)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.terminateLocked(j, end)
 }
 
-// runJob executes one job on its own engine context mounted on the
+// runAttempts executes a job on its own engine context mounted on the
 // shared substrate, retrying bounded engine errors with exponential
-// backoff. Panics anywhere in an attempt (kernel bugs, bad configs) are
-// contained: below the poison threshold they retry like engine errors,
-// at it the job is quarantined — either way the server and sibling jobs
-// keep running.
-func (s *Server) runJob(j *Job) {
-	defer s.wg.Done()
+// backoff, and returns the job's terminal record. Panics anywhere in an
+// attempt (kernel bugs, bad configs) are contained: below the poison
+// threshold they retry like engine errors, at it the job is quarantined —
+// either way the server and sibling jobs keep running.
+func (s *Server) runAttempts(j *Job, dispatched journalRecord) journalRecord {
 	maxAttempts := j.Spec.MaxAttempts
 	if maxAttempts == 0 {
 		maxAttempts = s.cfg.MaxAttempts
 	}
 	backoff := s.cfg.RetryBackoff
-	for {
-		s.mu.Lock()
-		j.attempts++
-		attempt := j.attempts
-		s.mu.Unlock()
-		s.journalAppend(journalRecord{Type: recDispatched, Job: j.ID, Attempt: attempt})
+	for attempt := dispatched.Attempt; ; attempt++ {
+		s.journalAppend(dispatched)
 		sum, modelled, err, panicked := s.attemptOnce(j)
 		if panicked {
 			s.mu.Lock()
 			j.panics++
-			strikes := j.panics + j.crashes
+			poisoned := j.panics+j.crashes >= s.cfg.PoisonThreshold
+			msg := fmt.Sprintf("quarantined after %d panics and %d crash-restarts: %v", j.panics, j.crashes, err)
 			s.mu.Unlock()
-			if strikes >= s.cfg.PoisonThreshold {
-				s.quarantineJob(j, err, true)
-				return
+			if poisoned {
+				return terminalRecord(j.ID, StateQuarantined, 0, 0, msg, s.DumpFlight(j.ID))
 			}
 		}
-		if err == nil || errors.Is(err, rdd.ErrJobCanceled) {
-			s.finishJob(j, sum, modelled, err)
-			return
-		}
-		// An engine error (or a below-threshold panic): retry while the
+		// An engine error (or a below-threshold panic) retries while the
 		// budget allows and the server is not shutting down. Panics are
 		// budgeted by the poison threshold, engine errors by MaxAttempts.
-		if s.Draining() || (!panicked && attempt >= maxAttempts) {
-			s.finishJob(j, sum, modelled, err)
-			return
+		if err == nil || errors.Is(err, rdd.ErrJobCanceled) || s.Draining() || (!panicked && attempt >= maxAttempts) {
+			state, msg := StateDone, ""
+			if err != nil {
+				state, msg = StateFailed, err.Error()
+			}
+			if errors.Is(err, rdd.ErrJobCanceled) {
+				state = StateCancelled
+			}
+			return terminalRecord(j.ID, state, sum, modelled, msg, "")
 		}
-		s.journalAppend(journalRecord{Type: recRetry, Job: j.ID, Attempt: attempt, Error: err.Error()})
+		retry := journalRecord{Type: recRetry, Job: j.ID, Attempt: attempt, Error: err.Error()}
+		s.journalAppend(retry)
 		time.Sleep(backoff)
 		if backoff < time.Second {
 			backoff *= 2
 		}
+		dispatched = journalRecord{Type: recDispatched, Job: j.ID, Attempt: attempt + 1}
+		s.mu.Lock()
+		s.applyLocked(retry, true)
+		s.applyLocked(dispatched, true)
+		s.mu.Unlock()
 	}
 }
 
@@ -795,7 +782,7 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 		}
 		out, st, err = core.Resume(ctx, meta, ckptBl, ccfg)
 	} else {
-		in := inputFor(rule, spec.N, spec.Seed)
+		in := core.SeededInput(rule, spec.N, spec.Seed)
 		bl := matrix.Block(in, spec.Block, rule.Pad(), rule.PadDiag())
 		out, st, err = core.Run(ctx, bl, ccfg)
 	}
@@ -805,7 +792,7 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 		modelled = st.Time.Seconds()
 	}
 	if err == nil && out != nil {
-		sum = denseChecksum(out.ToDense())
+		sum = out.ToDense().Checksum()
 	}
 	return sum, modelled, err
 }
@@ -821,73 +808,12 @@ func (s *Server) journalAppend(rec journalRecord) {
 	_ = s.jl.append(rec)
 }
 
-// finishJob records a job's outcome and frees its run slot.
-func (s *Server) finishJob(j *Job, sum uint64, modelled float64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j.finished = time.Now()
-	j.checksum = sum
-	j.modelled = modelled
-	outcome := "completed"
-	switch {
-	case err == nil:
-		j.state = StateDone
-	case errors.Is(err, rdd.ErrJobCanceled):
-		j.state = StateCancelled
-		j.errMsg = err.Error()
-		outcome = "cancelled"
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		outcome = "failed"
-	}
-	s.running--
-	s.tenantRunning[j.Spec.Tenant]--
-	s.jobCounter(outcome, j.Spec.Tenant).Inc()
-	s.obsv.Flight().Record(obs.Event{
-		Type: obs.EvJobFinish, Job: j.ID, Stage: -1, Part: -1, Node: -1, Shuffle: -1,
-		Detail: fmt.Sprintf("%s tenant=%s state=%s checksum=%016x", j.ID, j.Spec.Tenant, j.state, sum),
-	})
-	s.journalTerminalLocked(j)
-	s.maybeCompactLocked()
-	s.dispatchLocked()
-	s.updateGaugesLocked()
-}
-
-// quarantineJob lands a poisoned job in the terminal quarantined state
-// with a flight-recorder dump attached, so a job that keeps panicking
-// (or keeps crashing the server) stops consuming run slots instead of
-// crash-looping the service. releaseSlot is true when the job holds a
-// run slot (the in-process path); Recover quarantines without one.
-func (s *Server) quarantineJob(j *Job, cause error, releaseSlot bool) {
-	dump := s.dumpFlightRing(j.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j.finished = time.Now()
-	j.state = StateQuarantined
-	j.errMsg = fmt.Sprintf("quarantined after %d panics and %d crash-restarts: %v", j.panics, j.crashes, cause)
-	j.flightDump = dump
-	if releaseSlot {
-		s.running--
-		s.tenantRunning[j.Spec.Tenant]--
-	}
-	s.jobCounter("quarantined", j.Spec.Tenant).Inc()
-	s.obsv.Flight().Record(obs.Event{
-		Type: obs.EvJobFinish, Job: j.ID, Stage: -1, Part: -1, Node: -1, Shuffle: -1,
-		Detail: fmt.Sprintf("%s tenant=%s state=%s %s", j.ID, j.Spec.Tenant, j.state, j.errMsg),
-	})
-	s.journalTerminalLocked(j)
-	if releaseSlot {
-		s.dispatchLocked()
-		s.updateGaugesLocked()
-	}
-}
-
-// dumpFlightRing writes the current flight-recorder ring to the journal
-// directory stamped with the triggering job's ID (or a caller-chosen
-// tag), returning the path ("" without a journal or on error). Exported
-// via DumpFlight for the serve binary's panic/fatal-exit path.
-func (s *Server) dumpFlightRing(tag string) string {
+// DumpFlight writes the flight-recorder ring to the journal directory as
+// flight-<tag>.jsonl and returns the path ("" without a journal or on
+// error). A quarantine tags it with the job's ID; the serve binary calls
+// it on a process-level panic or fatal exit, so the last moments before
+// death are kept next to the journal.
+func (s *Server) DumpFlight(tag string) string {
 	if s.jl == nil {
 		return ""
 	}
@@ -901,35 +827,6 @@ func (s *Server) dumpFlightRing(tag string) string {
 		return ""
 	}
 	return path
-}
-
-// DumpFlight dumps the flight-recorder ring to the journal directory
-// under the given tag — the serve binary calls this on a process-level
-// panic or fatal exit so the last moments before death are kept next to
-// the journal. Returns the written path, or "" when the server has no
-// journal directory.
-func (s *Server) DumpFlight(tag string) string { return s.dumpFlightRing(tag) }
-
-// journalTerminalLocked appends a job's terminal record and then retires
-// its checkpoint directory: only once the record's fsync has returned, so
-// a crash in between replays a terminal job and Recover sweeps what is
-// left. Caller holds mu.
-func (s *Server) journalTerminalLocked(j *Job) {
-	if s.jl == nil {
-		return
-	}
-	if err := s.jl.append(terminalRecord(j)); err == nil && !s.cfg.keepCkptDirs {
-		_ = os.RemoveAll(s.jl.ckptDir(j.ID)) // Recover sweeps a directory this leaves behind
-	}
-}
-
-// terminalRecord renders a terminal journal record from a finished job.
-func terminalRecord(j *Job) journalRecord {
-	return journalRecord{
-		Type: recTerminal, Job: j.ID, State: j.state,
-		Checksum: fmt.Sprintf("%016x", j.checksum), Modelled: j.modelled,
-		Error: j.errMsg, Flight: j.flightDump,
-	}
 }
 
 // maybeCompactLocked rewrites the journal as a compact snapshot once
@@ -947,11 +844,7 @@ func (s *Server) maybeCompactLocked() {
 // snapshotLocked renders the server's full job state as journal
 // records, in admission order. Caller holds mu.
 func (s *Server) snapshotLocked() []journalRecord {
-	all := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		all = append(all, j)
-	}
-	sort.Slice(all, func(i, k int) bool { return all[i].seq < all[k].seq })
+	all := s.jobsLocked()
 	recs := make([]journalRecord, 0, 2*len(all))
 	for _, j := range all {
 		recs = append(recs, journalRecord{Type: recAdmitted, Job: j.ID, Seq: j.seq, Spec: &j.Spec})
@@ -960,12 +853,22 @@ func (s *Server) snapshotLocked() []journalRecord {
 		}
 		switch {
 		case j.state.terminal():
-			recs = append(recs, terminalRecord(j))
+			recs = append(recs, terminalRecord(j.ID, j.state, j.checksum, j.modelled, j.errMsg, j.flightDump))
 		case j.state == StateRunning:
 			recs = append(recs, journalRecord{Type: recDispatched, Job: j.ID, Attempt: j.attempts})
 		}
 	}
 	return recs
+}
+
+// jobsLocked lists every job in admission order. Caller holds mu.
+func (s *Server) jobsLocked() []*Job {
+	all := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		all = append(all, j)
+	}
+	sort.Slice(all, func(i, k int) bool { return all[i].seq < all[k].seq })
+	return all
 }
 
 // Cancel cancels a job by ID: queued jobs leave the queue immediately,
@@ -982,32 +885,11 @@ func (s *Server) Cancel(id string, cause error) error {
 	if !ok {
 		return fmt.Errorf("serve: no such job %q", id)
 	}
-	switch j.state {
-	case StateQueued:
-		for i, q := range s.queue {
-			if q == j {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		s.tenantPending[j.Spec.Tenant]--
-		j.state = StateCancelled
-		j.errMsg = cause.Error()
-		j.finished = time.Now()
-		s.jobCounter("cancelled", j.Spec.Tenant).Inc()
-		s.journalTerminalLocked(j)
-		s.dispatchLocked()
-		s.updateGaugesLocked()
-		return nil
-	case StateRunning:
-		j.cancelCause = cause
-		if j.ctx != nil {
-			j.ctx.Cancel(cause)
-		}
-		return nil
-	default:
+	if j.state.terminal() {
 		return fmt.Errorf("serve: job %s already %s", id, j.state)
 	}
+	s.cancelLocked(j, cause)
+	return nil
 }
 
 // Drain gracefully shuts the service down: stop admitting, cancel the
@@ -1016,19 +898,14 @@ func (s *Server) Cancel(id string, cause error) error {
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
-	for _, j := range s.queue {
-		j.state = StateCancelled
-		j.errMsg = errServerDraining.Error()
-		j.finished = time.Now()
-		s.tenantPending[j.Spec.Tenant]--
-		s.jobCounter("cancelled", j.Spec.Tenant).Inc()
-		// A graceful drain is a decided outcome, not an ambiguous crash:
-		// journal the cancellation so a restart does not resurrect jobs
-		// whose callers were told "cancelled".
-		s.journalTerminalLocked(j)
+	// A graceful drain is a decided outcome, not an ambiguous crash: the
+	// queue is journaled cancelled, so a restart does not resurrect jobs
+	// whose callers were told "cancelled".
+	for _, j := range s.jobsLocked() {
+		if j.state == StateQueued {
+			s.cancelLocked(j, errServerDraining)
+		}
 	}
-	s.queue = nil
-	s.updateGaugesLocked()
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -1045,10 +922,7 @@ func (s *Server) Drain() {
 		s.mu.Lock()
 		for _, j := range s.jobs {
 			if j.state == StateRunning {
-				j.cancelCause = errServerDraining
-				if j.ctx != nil {
-					j.ctx.Cancel(errServerDraining)
-				}
+				s.cancelLocked(j, errServerDraining)
 			}
 		}
 		s.mu.Unlock()
@@ -1136,14 +1010,10 @@ func (s *Server) Status(id string) (JobStatus, bool) {
 func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	all := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		all = append(all, j)
-	}
-	sort.Slice(all, func(i, k int) bool { return all[i].seq > all[k].seq })
+	all := s.jobsLocked()
 	out := make([]JobStatus, len(all))
 	for i, j := range all {
-		out[i] = j.statusLocked()
+		out[len(all)-1-i] = j.statusLocked()
 	}
 	return out
 }
@@ -1178,214 +1048,4 @@ func (s *Server) Result(id string) (res JobResult, terminal, found bool) {
 		res.Checksum = fmt.Sprintf("%016x", j.checksum)
 	}
 	return res, true, true
-}
-
-// RecoveryStats summarizes what Recover replayed.
-type RecoveryStats struct {
-	// Terminal jobs now serving persisted results.
-	Terminal int
-	// Queued jobs re-admitted in their original priority/FIFO order.
-	Requeued int
-	// Jobs caught mid-run, re-admitted to resume from their latest
-	// durable checkpoint (or re-run cleanly from the journaled spec).
-	Resumed int
-	// Jobs quarantined because repeated crashes caught them mid-run.
-	Quarantined int
-	// Bytes of torn journal tail dropped by the replay.
-	DroppedBytes int
-}
-
-// Recover replays the journal and flips the server ready. Without a
-// journal it only flips readiness. With one:
-//
-//   - terminal jobs are rebuilt from their journaled outcome and serve
-//     their persisted results (same bytes as before the crash);
-//   - queued jobs re-enter the queue with their original sequence
-//     numbers, so dispatch order (priority desc, FIFO within) is
-//     preserved;
-//   - jobs caught mid-run (a dispatched record with no terminal) gain a
-//     crash strike and are re-admitted to resume from their latest
-//     durable checkpoint, when one exists — unless the strikes reach the
-//     poison threshold, in which case they are quarantined instead of
-//     crash-looping the server;
-//   - idempotency keys are rebuilt, so a client retrying a submission
-//     from before the crash still gets its original job back.
-//
-// The journal is then compacted to the recovered snapshot, checkpoint
-// directories no live job owns are swept, and dispatch begins. Recover
-// must be called exactly once, before serving traffic.
-func (s *Server) Recover() (RecoveryStats, error) {
-	var stats RecoveryStats
-	if s.jl == nil {
-		s.mu.Lock()
-		s.ready = true
-		s.mu.Unlock()
-		return stats, nil
-	}
-	recs, dropped, err := readJournal(s.jl.dir)
-	if err != nil {
-		return stats, err
-	}
-	stats.DroppedBytes = dropped
-
-	s.mu.Lock()
-	order := make([]*Job, 0, len(recs))
-	for _, rec := range recs {
-		switch rec.Type {
-		case recAdmitted:
-			if rec.Spec == nil || s.jobs[rec.Job] != nil {
-				continue // tolerate damaged or duplicated records
-			}
-			j := &Job{
-				ID: rec.Job, Spec: *rec.Spec, state: StateQueued,
-				seq: rec.Seq, submitted: time.Now(),
-			}
-			s.jobs[j.ID] = j
-			order = append(order, j)
-			if j.seq > s.seq {
-				s.seq = j.seq
-			}
-			if k := j.Spec.IdempotencyKey; k != "" {
-				s.idem[k] = j
-			}
-		case recDispatched:
-			if j := s.jobs[rec.Job]; j != nil && !j.state.terminal() {
-				j.state = StateRunning
-				j.attempts = rec.Attempt
-			}
-		case recRetry:
-			if j := s.jobs[rec.Job]; j != nil && !j.state.terminal() {
-				j.attempts = rec.Attempt
-			}
-		case recRecovered:
-			if j := s.jobs[rec.Job]; j != nil && !j.state.terminal() {
-				j.state = StateQueued
-				j.crashes = rec.Crashes
-			}
-		case recTerminal:
-			j := s.jobs[rec.Job]
-			if j == nil {
-				continue
-			}
-			j.state = rec.State
-			if sum, perr := strconv.ParseUint(rec.Checksum, 16, 64); perr == nil {
-				j.checksum = sum
-			}
-			j.modelled = rec.Modelled
-			j.errMsg = rec.Error
-			j.flightDump = rec.Flight
-			j.finished = time.Now()
-		}
-	}
-
-	// Classify, in admission order so the queue rebuilds FIFO-correct.
-	for _, j := range order {
-		switch {
-		case j.state.terminal():
-			stats.Terminal++
-		case j.state == StateRunning:
-			// The crash caught this job mid-run: one strike, then either
-			// quarantine or re-admit for checkpoint resume.
-			j.crashes++
-			if j.panics+j.crashes >= s.cfg.PoisonThreshold {
-				j.state = StateQuarantined
-				j.errMsg = fmt.Sprintf("quarantined after %d crash-restarts caught the job mid-run", j.crashes)
-				j.finished = time.Now()
-				j.flightDump = s.dumpFlightRing(j.ID)
-				s.jobCounter("quarantined", j.Spec.Tenant).Inc()
-				stats.Quarantined++
-				continue
-			}
-			j.state = StateQueued
-			s.queue = append(s.queue, j)
-			s.tenantPending[j.Spec.Tenant]++
-			s.jobCounter("recovered", j.Spec.Tenant).Inc()
-			stats.Resumed++
-		default: // queued
-			s.queue = append(s.queue, j)
-			s.tenantPending[j.Spec.Tenant]++
-			stats.Requeued++
-		}
-	}
-	snap := s.snapshotLocked()
-	s.mu.Unlock()
-
-	// Compacting to the recovered snapshot is what persists the replay's
-	// decisions (crash strikes, recovery-time quarantines): rename is
-	// atomic, so a crash mid-compaction replays the OLD journal and
-	// re-derives the same decisions.
-	if err := s.jl.compact(snap); err != nil {
-		return stats, err
-	}
-	s.sweepCkptDirs()
-	if s.cfg.replayHook != nil {
-		s.cfg.replayHook()
-	}
-	s.mu.Lock()
-	s.ready = true
-	s.dispatchLocked()
-	s.updateGaugesLocked()
-	s.mu.Unlock()
-	return stats, nil
-}
-
-// sweepCkptDirs removes every checkpoint directory whose job is terminal
-// or unknown to the replayed journal: what a crash between a terminal
-// record's fsync and the directory's retirement leaves behind (and what
-// servers that never retired them accumulated). Called by Recover before
-// dispatch, so no job is writing under ckpt/.
-func (s *Server) sweepCkptDirs() {
-	root := filepath.Join(s.jl.dir, ckptSubdir)
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return // nothing to sweep; openJournal made the root
-	}
-	s.mu.Lock()
-	var stale []string
-	for _, e := range entries {
-		if j := s.jobs[e.Name()]; j == nil || j.state.terminal() {
-			stale = append(stale, e.Name())
-		}
-	}
-	s.mu.Unlock()
-	for _, name := range stale {
-		_ = os.RemoveAll(filepath.Join(root, name)) // the next Recover tries again
-	}
-}
-
-// inputFor deterministically generates a job's input matrix from its
-// seed — the same (bench, n, seed) always yields the same matrix, so
-// checksums are comparable across runs and against solo invocations.
-func inputFor(rule semiring.Rule, n int, seed int64) *matrix.Dense {
-	rng := rand.New(rand.NewSource(seed))
-	d := matrix.NewDense(n)
-	if _, ok := rule.(semiring.GaussianRule); ok {
-		d.FillDiagonallyDominant(rng)
-		return d
-	}
-	d.Fill(func(i, j int) float64 {
-		switch {
-		case i == j:
-			return 0
-		case rng.Float64() < 0.3:
-			return math.Inf(1)
-		default:
-			return 1 + math.Floor(rng.Float64()*9)
-		}
-	})
-	return d
-}
-
-// denseChecksum fingerprints a result matrix bit-exactly (FNV-1a over
-// the raw float bits — NaN/Inf/signed-zero safe). This is the number
-// the isolation invariant compares: it must match the same job's solo
-// run bit for bit.
-func denseChecksum(d *matrix.Dense) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range d.Data {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
