@@ -10,6 +10,9 @@ package dpspark
 //
 // Model-mode benches report the regenerated headline metric via b.ReportMetric
 // (modelled seconds), so shape changes are visible in benchmark diffs.
+// These are tools for measuring while working, with no committed output:
+// the end-to-end benchmark (benchmark/), TestRecordPathGolden and
+// TestAllocBudget are the gates.
 
 import (
 	"math/rand"
@@ -24,7 +27,6 @@ import (
 	"dpspark/internal/matrix"
 	"dpspark/internal/rdd"
 	"dpspark/internal/semiring"
-	"dpspark/internal/simtime"
 	"dpspark/internal/store"
 )
 
@@ -224,121 +226,10 @@ func BenchmarkAblationUndirected(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(stats.Time.Seconds(), "model_s")
+				closeUntimed(b, ctx.Close)
 			}
 		})
 	}
-}
-
-// --- Recovery benchmarks: modelled overhead under the standard fault
-// plan (BENCH_recovery.json — the robustness trajectory) ---
-
-// recoveryBenchSeed fixes the fault schedule so reruns are comparable.
-const recoveryBenchSeed = 20260805
-
-// BenchmarkRecoveryOverhead prices failure recovery per driver and crash
-// rate: a symbolic FW-APSP run (n=8192, b=1024, r=8 → 32 planned stages)
-// under a seeded plan of c executor crashes plus 2 stragglers and 1
-// staging-disk loss, with speculation on. Reported metrics: modelled
-// seconds, recovery seconds and overhead_pct vs the fault-free run.
-func BenchmarkRecoveryOverhead(b *testing.B) {
-	const stages, blk = 32, 1024
-	run := func(driver core.DriverKind, crashes int) *core.Stats {
-		conf := rdd.Conf{Cluster: cluster.Skylake16(), Speculation: true}
-		if crashes > 0 {
-			conf.FaultPlan = rdd.RandomFaultPlan(recoveryBenchSeed, stages, conf.Cluster.Nodes, crashes, 2, 1)
-		}
-		ctx := rdd.NewContext(conf)
-		bl := matrix.NewSymbolicBlocked(benchN, blk)
-		_, stats, err := core.Run(ctx, bl, core.Config{
-			Rule: semiring.NewFloydWarshall(), BlockSize: blk, Driver: driver,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return stats
-	}
-	for _, driver := range []core.DriverKind{core.IM, core.CB} {
-		clean := run(driver, 0)
-		for _, crashes := range []int{1, 2, 4} {
-			b.Run(driver.String()+"/crashes"+itoa(crashes), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					stats := run(driver, crashes)
-					b.ReportMetric(stats.Time.Seconds(), "model_s")
-					b.ReportMetric(stats.RecoveryTime.Seconds(), "recovery_s")
-					b.ReportMetric((stats.Time.Seconds()/clean.Time.Seconds()-1)*100, "overhead_pct")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkRecoveryDetectionLatency sweeps the heartbeat failure
-// detector's lease interval under a fixed crash plan: interval 0 is the
-// legacy instant-detection baseline; longer leases delay every
-// declaration by misses × interval of modelled time. Reported metrics:
-// modelled seconds and the detection wait the run absorbed.
-func BenchmarkRecoveryDetectionLatency(b *testing.B) {
-	const stages, blk = 32, 1024
-	plan := rdd.RandomFaultPlan(recoveryBenchSeed, stages, cluster.Skylake16().Nodes, 2, 2, 1)
-	run := func(interval simtime.Duration) *core.Stats {
-		ctx := rdd.NewContext(rdd.Conf{
-			Cluster:           cluster.Skylake16(),
-			Speculation:       true,
-			FaultPlan:         plan,
-			HeartbeatInterval: interval,
-		})
-		bl := matrix.NewSymbolicBlocked(benchN, blk)
-		_, stats, err := core.Run(ctx, bl, core.Config{
-			Rule: semiring.NewFloydWarshall(), BlockSize: blk, Driver: core.IM,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return stats
-	}
-	for _, interval := range []simtime.Duration{0, simtime.Second, 2 * simtime.Second, 5 * simtime.Second} {
-		b.Run("interval"+itoa(int(interval.Seconds()))+"s", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				stats := run(interval)
-				b.ReportMetric(stats.Time.Seconds(), "model_s")
-				b.ReportMetric(stats.DetectionTime.Seconds(), "detection_s")
-			}
-		})
-	}
-}
-
-// BenchmarkRecoverySpeculation isolates the speculation win: heavy
-// stragglers on update-stage tasks, speculation off vs on (the on case
-// reports its saving). 32 partitions over a 16×16 tile grid keep every
-// partition populated, so the stragglers dilate real work.
-func BenchmarkRecoverySpeculation(b *testing.B) {
-	run := func(speculate bool) *core.Stats {
-		ctx := rdd.NewContext(rdd.Conf{
-			Cluster:     cluster.Skylake16(),
-			Speculation: speculate,
-			FaultPlan: &rdd.FaultPlan{Events: []rdd.FaultEvent{
-				rdd.Straggler{Stage: 2, Partition: 3, Factor: 6},
-				rdd.Straggler{Stage: 6, Partition: 9, Factor: 6},
-			}},
-		})
-		bl := matrix.NewSymbolicBlocked(benchN, 512)
-		_, stats, err := core.Run(ctx, bl, core.Config{
-			Rule: semiring.NewFloydWarshall(), BlockSize: 512, Driver: core.IM,
-			Partitions: 32,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return stats
-	}
-	off := run(false)
-	b.Run("on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			stats := run(true)
-			b.ReportMetric(stats.Time.Seconds(), "model_s")
-			b.ReportMetric((1-stats.Time.Seconds()/off.Time.Seconds())*100, "saved_pct")
-		}
-	})
 }
 
 // --- Real-mode benchmarks: actual computation on this machine ---
@@ -461,6 +352,7 @@ func BenchmarkEngineAPSPReal(b *testing.B) {
 				if _, _, err := s.APSP(g, Config{BlockSize: 64, Driver: driver}); err != nil {
 					b.Fatal(err)
 				}
+				closeUntimed(b, s.Close)
 			}
 		})
 	}
@@ -468,8 +360,7 @@ func BenchmarkEngineAPSPReal(b *testing.B) {
 
 // BenchmarkEngineAPSPFine is the engine-bound regime: 8×8 tiles, so a
 // 256-vertex solve is 32 iterations over 1024 records and the kernels are
-// a small share of it. Its allocs/op is the record path's own footprint —
-// machine-independent, so CI gates it tightly.
+// a small share of it. TestAllocBudget gates its allocations.
 func BenchmarkEngineAPSPFine(b *testing.B) {
 	g := RandomGraph(256, 0.05, 1, 10, 3)
 	b.ReportAllocs()
@@ -478,6 +369,7 @@ func BenchmarkEngineAPSPFine(b *testing.B) {
 		if _, _, err := s.APSP(g, Config{BlockSize: 8, Driver: core.IM}); err != nil {
 			b.Fatal(err)
 		}
+		closeUntimed(b, s.Close)
 	}
 }
 
@@ -489,6 +381,7 @@ func BenchmarkEngineGEReal(b *testing.B) {
 		if _, _, err := s.SolveLinear(a, rhs, Config{BlockSize: 64, Driver: CB}); err != nil {
 			b.Fatal(err)
 		}
+		closeUntimed(b, s.Close)
 	}
 }
 
@@ -501,7 +394,17 @@ func BenchmarkBaselineReal(b *testing.B) {
 		if _, _, err := baseline.Solve(ctx, d, baseline.Config{BlockSize: 64}); err != nil {
 			b.Fatal(err)
 		}
+		closeUntimed(b, ctx.Close)
 	}
+}
+
+// closeUntimed releases an iteration's engine context outside the timed
+// region: an unclosed context keeps the buffers it recycles, and releasing
+// them is not part of the solve being priced.
+func closeUntimed(b *testing.B, release func()) {
+	b.StopTimer()
+	release()
+	b.StartTimer()
 }
 
 func randomTiles(size int) (x, u, v, w *matrix.Tile) {
@@ -533,7 +436,7 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// --- Durable block store benchmarks (BENCH_store.json) ---
+// --- Durable block store benchmarks ---
 
 // BenchmarkStoreSpill prices the checksummed spill path per block: every
 // Put lands over budget and is immediately evicted to a CRC32C-framed
@@ -693,9 +596,7 @@ func BenchmarkDurableOverhead(b *testing.B) {
 			// Draining the background spill writer is not part of the run
 			// being priced (the timed region is core.Run, as before Close
 			// existed); it only has to finish before TempDir is removed.
-			b.StopTimer()
-			ctx.Close()
-			b.StartTimer()
+			closeUntimed(b, ctx.Close)
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, false, 0) })
@@ -703,27 +604,21 @@ func BenchmarkDurableOverhead(b *testing.B) {
 	b.Run("tight256KiB", func(b *testing.B) { run(b, true, 256<<10) })
 }
 
-// --- Remote replica tier benchmarks (BENCH_remote.json) ---
+// --- Remote replica tier benchmarks ---
 
-// remoteBenchInput builds the real-mode FW input the remote benchmarks
-// share (n=512, b=128 → r=4, the durable suite's shape).
-func remoteBenchInput() *matrix.Dense {
+// BenchmarkRemoteReplication prices the asynchronous replication path: a
+// real-mode durable FW run (n=512, b=128 → r=4, the durable suite's
+// shape) with the remote tier off vs on. Replication is off the staging
+// path (a parked queue drained at stage boundaries), so the modelled
+// clock is identical; the reported replicated count and wall milliseconds
+// show what the copies cost the host.
+func BenchmarkRemoteReplication(b *testing.B) {
 	rng := rand.New(rand.NewSource(35))
 	in := matrix.NewDense(512)
 	in.FillRandom(rng, 1, 9)
 	for i := 0; i < 512; i++ {
 		in.Set(i, i, 0)
 	}
-	return in
-}
-
-// BenchmarkRemoteReplication prices the asynchronous replication path: a
-// real-mode durable FW run with the remote tier off vs on. Replication
-// is off the staging path (a parked queue drained at stage boundaries),
-// so the modelled clock is identical; the reported replicated count and
-// wall milliseconds show what the copies cost the host.
-func BenchmarkRemoteReplication(b *testing.B) {
-	in := remoteBenchInput()
 	rule := semiring.NewFloydWarshall()
 	run := func(b *testing.B, remote bool) {
 		for i := 0; i < b.N; i++ {
@@ -753,48 +648,6 @@ func BenchmarkRemoteReplication(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkRemoteRestoreVsRecompute prices the two recovery paths for
-// the same loss: a mid-run executor crash with the remote tier healthy
-// (lost staged outputs restore from replicas) vs down for the whole run
-// (degraded mode falls back to partial map-recompute). Reported:
-// modelled seconds, recovery seconds, restored and recomputed block
-// counts — the EXPERIMENTS "restore vs recompute" row pair.
-func BenchmarkRemoteRestoreVsRecompute(b *testing.B) {
-	in := remoteBenchInput()
-	rule := semiring.NewFloydWarshall()
-	run := func(b *testing.B, healthy bool) {
-		for i := 0; i < b.N; i++ {
-			plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{rdd.ExecutorCrash{Stage: 7, Node: 1}}}
-			if !healthy {
-				plan.Events = append(plan.Events, rdd.RemoteOutage{From: 0, Dur: 1 << 20})
-			}
-			conf := rdd.Conf{
-				Cluster:     cluster.LocalN(4, 2),
-				DurableDir:  b.TempDir(),
-				RemoteDir:   b.TempDir(),
-				SpillCodec:  core.TileCodec{},
-				Speculation: true,
-				FaultPlan:   plan,
-			}
-			ctx := rdd.NewContext(conf)
-			bl := matrix.Block(in, 128, rule.Pad(), rule.PadDiag())
-			_, stats, err := core.Run(ctx, bl, core.Config{
-				Rule: rule, BlockSize: 128, Driver: core.IM,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(stats.Time.Seconds(), "model_s")
-			b.ReportMetric(stats.RecoveryTime.Seconds(), "recovery_s")
-			b.ReportMetric(float64(stats.RestoredBlocks), "restored")
-			b.ReportMetric(float64(stats.RecomputedBlocks), "recomputed")
-			ctx.Close()
-		}
-	}
-	b.Run("recompute", func(b *testing.B) { run(b, false) })
-	b.Run("restore", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkDurableResume measures checkpoint–restart: one durable FW
@@ -838,9 +691,7 @@ func BenchmarkDurableResume(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		rctx.Close() // see BenchmarkDurableOverhead
-		b.StartTimer()
+		closeUntimed(b, rctx.Close) // see BenchmarkDurableOverhead
 		if i == 0 {
 			got := out.ToDense()
 			for j := range got.Data {

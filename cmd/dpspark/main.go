@@ -1,18 +1,6 @@
-// Command dpspark regenerates the paper's evaluation on the cluster
-// model: Tables I–II, Figs. 6, 8 and 9, the headline iterative-vs-
-// recursive speedups, the design ablations and an autotuning sweep.
-//
-// Usage:
-//
-//	dpspark table1|table2|fig6|fig8|fig9|headline|ablations|sweep|all [flags]
-//
-// Flags:
-//
-//	-n N           problem size (default 32768, the paper's 32K)
-//	-csv DIR       also write each table as CSV into DIR
-//	-v             print per-cell cost breakdowns
-//	-trace FILE    write a Chrome trace-event JSON of every run
-//	-metrics FILE  write a Prometheus-style metrics dump of every run
+// Command dpspark regenerates the paper's evaluation on the cluster model
+// and drives the engine, its failure and durability paths and the job
+// service from the command line; usage() lists every command and flag.
 package main
 
 import (

@@ -17,6 +17,7 @@ import (
 	"dpspark/internal/matrix"
 	"dpspark/internal/rdd"
 	"dpspark/internal/semiring"
+	"dpspark/internal/simtime"
 )
 
 // The record-path golden table. The engine has one record path, so there
@@ -26,7 +27,9 @@ import (
 // shuffle/narrow/collect/broadcast/durable seam, everything that must be
 // a pure function of the job spec: result bits, the modelled clock, the
 // traffic counters, the stage/task structure, the recovery trajectory and
-// the bytes the durable path puts on disk.
+// the bytes the durable path puts on disk. The recovery rows at its end
+// (recoveryRows) carry the modelled-seconds results of the recovery
+// experiments in EXPERIMENTS.md.
 //
 // Regenerate (only when a change is MEANT to move one of these) with
 //
@@ -51,6 +54,12 @@ type goldenRow struct {
 	Stages         int               `json:"stages"`
 	Tasks          int               `json:"tasks"`
 	Recovery       rdd.RecoveryStats `json:"recovery"`
+	// RecoveryS and DetectionS are Stats.RecoveryTime and DetectionTime:
+	// the modelled seconds spent in resubmitted stages and waiting for the
+	// failure detector (recovery rows only — RecoveryStats counts events,
+	// it does not price them).
+	RecoveryS  float64 `json:"recovery_s,omitempty"`
+	DetectionS float64 `json:"detection_s,omitempty"`
 	// Files maps every staged block key (live at the end of the run) and
 	// every checkpoint file name to "<bytes>:<fnv>" — durable runs only.
 	Files map[string]string `json:"files,omitempty"`
@@ -188,6 +197,94 @@ func recordPathRows(t *testing.T) []goldenRow {
 			t.Fatalf("symbolic cell: %v", err)
 		}
 		rows = append(rows, goldenRowOf("tableI/fw/IM/n8192/b512/rec4x8", ctx, nil, st))
+	}
+	return append(rows, recoveryRows(t)...)
+}
+
+// recoverySeed fixes the recovery rows' random fault plans.
+const recoverySeed = 20260805
+
+// recoveryRows is the robustness trajectory, priced on the modelled clock:
+//   - per driver, a symbolic FW run (n=8192, b=1024, r=8 → 32 planned
+//     stages) clean and under a seeded plan of c executor crashes plus 2
+//     stragglers and 1 staging-disk loss, speculation on;
+//   - the c=2 plan under heartbeat leases of 0 (instant detection), 1, 2
+//     and 5 s, each declaration delayed by misses × interval;
+//   - heavy stragglers on update stages, speculation off vs on (32
+//     partitions over a 16×16 grid keep every partition populated);
+//   - a real run losing an executor mid-run with the remote tier healthy
+//     (lost staged outputs restore from replicas) vs down for the whole
+//     run (degraded mode recomputes their map partitions).
+func recoveryRows(t *testing.T) []goldenRow {
+	t.Helper()
+	var rows []goldenRow
+	fw := semiring.NewFloydWarshall()
+	// run adds one row from a fresh Context: FW over the symbolic n=8192
+	// grid, or for real over in when it is non-nil.
+	run := func(name string, conf rdd.Conf, in *matrix.Dense, cfg Config) {
+		ctx := rdd.NewContext(conf)
+		defer ctx.Close()
+		cfg.Rule = fw
+		var bl *matrix.Blocked
+		if in == nil {
+			bl = matrix.NewSymbolicBlocked(8192, cfg.BlockSize)
+		} else {
+			bl = matrix.Block(in, cfg.BlockSize, fw.Pad(), fw.PadDiag())
+		}
+		out, st, err := Run(ctx, bl, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if in == nil {
+			out = nil // payload-free tiles: no result to checksum
+		}
+		row := goldenRowOf(name, ctx, out, st)
+		row.RecoveryS, row.DetectionS = st.RecoveryTime.Seconds(), st.DetectionTime.Seconds()
+		rows = append(rows, row)
+	}
+
+	const stages, blk = 32, 1024
+	nodes := cluster.Skylake16().Nodes
+	for _, driver := range []DriverKind{IM, CB} {
+		for _, crashes := range []int{0, 1, 2, 4} {
+			conf := rdd.Conf{Cluster: cluster.Skylake16(), Speculation: true}
+			if crashes > 0 {
+				conf.FaultPlan = rdd.RandomFaultPlan(recoverySeed, stages, nodes, crashes, 2, 1)
+			}
+			run(fmt.Sprintf("recovery/%v/crashes%d", driver, crashes), conf, nil, Config{BlockSize: blk, Driver: driver})
+		}
+	}
+	for _, interval := range []int{0, 1, 2, 5} {
+		conf := rdd.Conf{
+			Cluster:           cluster.Skylake16(),
+			Speculation:       true,
+			FaultPlan:         rdd.RandomFaultPlan(recoverySeed, stages, nodes, 2, 2, 1),
+			HeartbeatInterval: simtime.Duration(interval) * simtime.Second,
+		}
+		run(fmt.Sprintf("detection/interval%ds", interval), conf, nil, Config{BlockSize: blk, Driver: IM})
+	}
+	for i, speculation := range []string{"off", "on"} {
+		conf := rdd.Conf{
+			Cluster:     cluster.Skylake16(),
+			Speculation: i == 1,
+			FaultPlan: &rdd.FaultPlan{Events: []rdd.FaultEvent{
+				rdd.Straggler{Stage: 2, Partition: 3, Factor: 6},
+				rdd.Straggler{Stage: 6, Partition: 9, Factor: 6},
+			}},
+		}
+		run("speculation/"+speculation, conf, nil, Config{BlockSize: 512, Driver: IM, Partitions: 32})
+	}
+
+	const n, b = 512, 128
+	in := randomInput(fw, n, rand.New(rand.NewSource(35)))
+	for i, path := range []string{"restore", "recompute"} {
+		plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{rdd.ExecutorCrash{Stage: 7, Node: 1}}}
+		if i == 1 {
+			plan.Events = append(plan.Events, rdd.RemoteOutage{From: 0, Dur: 1 << 20})
+		}
+		conf := durableConf(t.TempDir(), 0, plan, nil)
+		conf.RemoteDir = t.TempDir()
+		run("remote/"+path, conf, in, Config{BlockSize: b, Driver: IM})
 	}
 	return rows
 }
