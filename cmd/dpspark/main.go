@@ -10,6 +10,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -475,7 +476,7 @@ func main() {
 				target = 4
 			}
 			widths := []int{1, 2, 4, 8}
-			if !containsInt(widths, target) {
+			if !slices.Contains(widths, target) {
 				widths = append(widths, target)
 				sort.Ints(widths)
 			}
@@ -758,16 +759,6 @@ func durableSetup(bench, driver string) (semiring.Rule, core.DriverKind, error) 
 	default:
 		return nil, core.IM, fmt.Errorf("unknown -driver %q (want im or cb)", driver)
 	}
-}
-
-// containsInt reports whether xs contains v.
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // ruleFlagName maps a checkpoint's rule name back to the -bench flag.

@@ -21,8 +21,9 @@ var edgeSizes = []int{1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33, 64, 255, 256}
 // the pieces are contiguous tiles, wired as the drivers do (RunLocal:
 // B and C take the pivot tile as their other operand); with quadrants
 // true they are the strided quadrants of one 2n×2n slab, wired as the
-// recursive kernels' base cases are (Recursive.run). The aliasing is the
-// same either way: A is (x,x,x,x), B has v = x, C has u = x, D none.
+// recursive kernels' base cases are (the sub-calls of a Fig4 schedule,
+// which Recursive.run executes). The aliasing is the same either way:
+// A is (x,x,x,x), B has v = x, C has u = x, D none.
 func kernelOperands(kind semiring.Kind, n int, quadrants bool, data []float64) (x, u, v, w matrix.View) {
 	var p [4]matrix.View
 	if quadrants {

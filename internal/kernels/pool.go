@@ -2,6 +2,9 @@
 // the four GEP kernel functions A, B, C and D in both an iterative
 // (loop-based, the Schoeneman–Zola / Numba style) and a parametric r-way
 // recursive divide-&-conquer (R-DP) form, generic over the GEP update rule.
+// It holds Fig. 4 once, as data: Fig4 builds each kind's schedule of
+// sub-calls, the recursive kernels execute those schedules, and the
+// §IV-A derivation (Derive) is checked against the same schedules.
 //
 // Parallelism inside a kernel invocation — the paper's OpenMP environment
 // with OMP_NUM_THREADS — is provided by a Pool of worker tokens: the

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"dpspark/internal/matrix"
 	"dpspark/internal/semiring"
@@ -9,14 +10,15 @@ import (
 
 // Recursive executes the parametric r-way recursive divide-&-conquer
 // GEP kernels of Fig. 4. Each invocation subdivides its operands into
-// R×R sub-views and issues the A/B/C/D sub-calls of the figure, running
-// par_for groups in parallel on the Pool; once an operand reaches Base
-// (or stops dividing evenly by R) the iterative Loop kernel finishes it.
+// R×R sub-views and runs its kind's Fig4 schedule on them, one par_for
+// group on the Pool per stage; once an operand reaches Base (or stops
+// dividing evenly by R) the iterative Loop kernel finishes it.
 //
 // R is the paper's r_shared tunable: larger R means wider fan-out
 // (coarse-grained parallelism) and smaller sub-blocks sooner. The
 // algorithms are cache-oblivious in the 2-way case and remain I/O
-// efficient for any fixed R.
+// efficient for any fixed R. Build a Recursive with NewRecursive; the
+// schedules are derived from Rule and R.
 type Recursive struct {
 	Rule semiring.Rule
 	// R is the fan-out per recursion level (r_shared ≥ 2).
@@ -25,6 +27,26 @@ type Recursive struct {
 	Base int
 	// Pool bounds leaf parallelism; nil runs serially.
 	Pool *Pool
+
+	fig4 *fig4Schedules
+}
+
+// fig4Schedules holds Fig4(Rule, kind, R) by kind, built by the first
+// invocation that recurses: a model-mode run names its exec but never
+// executes it, and at r_shared 16 the four schedules are ~10⁴ calls.
+type fig4Schedules struct {
+	once   sync.Once
+	byKind [4]Schedule
+}
+
+// schedule returns the kind's Fig. 4 schedule at fan-out R.
+func (rc *Recursive) schedule(kind semiring.Kind) Schedule {
+	rc.fig4.once.Do(func() {
+		for k := range rc.fig4.byKind {
+			rc.fig4.byKind[k] = Fig4(rc.Rule, semiring.Kind(k), rc.R)
+		}
+	})
+	return rc.fig4.byKind[kind]
 }
 
 // NewRecursive returns a recursive kernel runner, validating parameters.
@@ -35,7 +57,7 @@ func NewRecursive(rule semiring.Rule, r, base int, pool *Pool) *Recursive {
 	if base < 1 {
 		panic(fmt.Sprintf("kernels: base size must be ≥ 1, got %d", base))
 	}
-	return &Recursive{Rule: rule, R: r, Base: base, Pool: pool}
+	return &Recursive{Rule: rule, R: r, Base: base, Pool: pool, fig4: new(fig4Schedules)}
 }
 
 // Run executes the kernel of the given kind on x (updating it in place)
@@ -49,108 +71,21 @@ func (rc *Recursive) Run(kind semiring.Kind, x, u, v, w matrix.View) {
 // threaded through, so nested par_for barriers can hand their token off
 // while waiting (see Pool.parallel).
 func (rc *Recursive) run(held bool, kind semiring.Kind, x, u, v, w matrix.View) {
-	n := x.N
-	if n <= rc.Base || n%rc.R != 0 {
+	if x.N <= rc.Base || x.N%rc.R != 0 {
 		Loop(rc.Rule, kind, x, u, v, w)
 		return
 	}
-	r := rc.R
-	q := func(view matrix.View, i, j int) matrix.View { return view.Quadrant(i, j, r) }
-
-	for k := 0; k < r; k++ {
-		rest := rc.Rule.Restricted(k, r)
-		switch kind {
-		case semiring.KindA:
-			// A(X_kk), then {B(X_kj), C(X_ik)} in parallel, then D(X_ij).
-			xkk := q(x, k, k)
-			rc.run(held, semiring.KindA, xkk, xkk, xkk, xkk)
-			var panel []func(bool)
-			for _, j := range rest {
-				j := j
-				panel = append(panel, func(h bool) {
-					rc.run(h, semiring.KindB, q(x, k, j), xkk, q(x, k, j), xkk)
-				})
-			}
-			for _, i := range rest {
-				i := i
-				panel = append(panel, func(h bool) {
-					rc.run(h, semiring.KindC, q(x, i, k), q(x, i, k), xkk, xkk)
-				})
-			}
-			rc.Pool.parallel(held, panel)
-			var interior []func(bool)
-			for _, i := range rest {
-				for _, j := range rest {
-					i, j := i, j
-					interior = append(interior, func(h bool) {
-						rc.run(h, semiring.KindD, q(x, i, j), q(x, i, k), q(x, k, j), xkk)
-					})
-				}
-			}
-			rc.Pool.parallel(held, interior)
-
-		case semiring.KindB:
-			// B(X_kj, U_kk, W_kk) ∀j, then D(X_ij, U_ik, X_kj, W_kk)
-			// for restricted i, ∀j.
-			ukk, wkk := q(u, k, k), q(w, k, k)
-			var row []func(bool)
-			for j := 0; j < r; j++ {
-				j := j
-				row = append(row, func(h bool) {
-					rc.run(h, semiring.KindB, q(x, k, j), ukk, q(x, k, j), wkk)
-				})
-			}
-			rc.Pool.parallel(held, row)
-			var interior []func(bool)
-			for _, i := range rest {
-				for j := 0; j < r; j++ {
-					i, j := i, j
-					interior = append(interior, func(h bool) {
-						rc.run(h, semiring.KindD, q(x, i, j), q(u, i, k), q(x, k, j), wkk)
-					})
-				}
-			}
-			rc.Pool.parallel(held, interior)
-
-		case semiring.KindC:
-			// C(X_ik, V_kk, W_kk) ∀i, then D(X_ij, X_ik, V_kj, W_kk)
-			// ∀i, restricted j.
-			vkk, wkk := q(v, k, k), q(w, k, k)
-			var col []func(bool)
-			for i := 0; i < r; i++ {
-				i := i
-				col = append(col, func(h bool) {
-					rc.run(h, semiring.KindC, q(x, i, k), q(x, i, k), vkk, wkk)
-				})
-			}
-			rc.Pool.parallel(held, col)
-			var interior []func(bool)
-			for i := 0; i < r; i++ {
-				for _, j := range rest {
-					i, j := i, j
-					interior = append(interior, func(h bool) {
-						rc.run(h, semiring.KindD, q(x, i, j), q(x, i, k), q(v, k, j), wkk)
-					})
-				}
-			}
-			rc.Pool.parallel(held, interior)
-
-		case semiring.KindD:
-			// D(X_ij, U_ik, V_kj, W_kk) ∀i,j. (Fig. 4 prints the second
-			// operand as X_ik; that is a typo for U_ik — with X_ik the
-			// update would read the output tile's own column, which is
-			// only correct for kind C.)
-			wkk := q(w, k, k)
-			var interior []func(bool)
-			for i := 0; i < r; i++ {
-				for j := 0; j < r; j++ {
-					i, j := i, j
-					interior = append(interior, func(h bool) {
-						rc.run(h, semiring.KindD, q(x, i, j), q(u, i, k), q(v, k, j), wkk)
-					})
-				}
-			}
-			rc.Pool.parallel(held, interior)
+	ops := [...]matrix.View{OpX: x, OpU: u, OpV: v, OpW: w}
+	sub := func(a Addr) matrix.View { return ops[a.Op].Quadrant(a.I, a.J, rc.R) }
+	var fns []func(bool)
+	for _, stage := range rc.schedule(kind) {
+		fns = fns[:0]
+		for i := range stage {
+			c := &stage[i]
+			fns = append(fns, func(h bool) {
+				rc.run(h, c.Kind, sub(c.X), sub(c.U), sub(c.V), sub(c.W))
+			})
 		}
+		rc.Pool.parallel(held, fns)
 	}
 }
