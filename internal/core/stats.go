@@ -5,6 +5,7 @@ import (
 
 	"dpspark/internal/obs"
 	"dpspark/internal/rdd"
+	"dpspark/internal/sim"
 	"dpspark/internal/simtime"
 	"dpspark/internal/store"
 )
@@ -150,7 +151,7 @@ func (m RunMark) StatsSince(ctx *rdd.Context, iterations int) *Stats {
 		Time:           elapsed,
 		Wall:           time.Since(m.wall),
 		Iterations:     iterations,
-		TimedOut:       elapsed > 8*simtime.Hour,
+		TimedOut:       elapsed > sim.Timeout,
 		ComputeTime:    bd.Compute,
 		ShuffleTime:    bd.Shuffle,
 		BroadcastTime:  bd.Broadcast,

@@ -15,7 +15,6 @@ const (
 	PhaseBroadcast = "broadcast"
 	PhaseOverhead  = "overhead"
 	PhaseRecovery  = "recovery"
-	PhaseSpill     = "spill"
 	// PhaseDetection is the failure-detector share: modelled time spent
 	// waiting for missed heartbeats before a crashed (or falsely
 	// suspected) executor becomes scheduler-visible.
@@ -25,7 +24,7 @@ const (
 // CritPhases lists every phase in the report's canonical display order.
 var CritPhases = []string{
 	PhaseCompute, PhaseShuffle, PhaseBroadcast,
-	PhaseRecovery, PhaseDetection, PhaseSpill, PhaseOverhead,
+	PhaseRecovery, PhaseDetection, PhaseOverhead,
 }
 
 // CritBranch is one executor node's serial io→compute chain inside a
@@ -38,9 +37,6 @@ type CritBranch struct {
 	ShuffleIO simtime.Duration `json:"shuffle_io_s"`
 	SharedIO  simtime.Duration `json:"shared_io_s"`
 	Compute   simtime.Duration `json:"compute_s"`
-	// Spill is the spill-dilation portion of Compute (async-spill
-	// backpressure charged into the node's slowest task).
-	Spill simtime.Duration `json:"spill_s"`
 }
 
 // CritStage is one executed stage on the virtual clock: Start and End
@@ -243,8 +239,8 @@ func (r *CritPathRecorder) ComputeAll(pid int) CritPathReport {
 // re-derives the scheduler's critical branch — first maximum of
 // (shuffle+shared)+compute in node order, matching sim.RunStageReport's
 // float-op grouping bit for bit — and charges its shuffle I/O, shared
-// I/O (the broadcast path), spill dilation, remaining compute, and the
-// residual (scheduling overhead plus idle wait) in that order.
+// I/O (the broadcast path), compute, and the residual (scheduling
+// overhead plus idle wait) in that order.
 func attributeStage(st *CritStage, add func(phase string, d simtime.Duration)) {
 	total := st.End - st.Start
 	if st.Attempt > 0 {
@@ -266,11 +262,6 @@ func attributeStage(st *CritStage, add func(phase string, d simtime.Duration)) {
 	}
 	add(PhaseShuffle, crit.ShuffleIO)
 	add(PhaseBroadcast, crit.SharedIO)
-	spill := crit.Spill
-	if spill > crit.Compute {
-		spill = crit.Compute
-	}
-	add(PhaseSpill, spill)
-	add(PhaseCompute, crit.Compute-spill)
+	add(PhaseCompute, crit.Compute)
 	add(PhaseOverhead, total-makespan)
 }

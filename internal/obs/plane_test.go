@@ -30,14 +30,14 @@ func TestCritPathSyntheticWalk(t *testing.T) {
 	// [0,2): broadcast segment.
 	r.RecordSegment(pid, CritSegment{Start: 0, End: 2 * simtime.Second, Phase: PhaseBroadcast})
 	// [2,12): stage, makespan branch is node 1 (3 shuffle + 1 shared + 5
-	// compute of which 2 spill = 9); residual overhead 1.
+	// compute = 9); residual overhead 1.
 	r.RecordStage(pid, CritStage{
 		Start: 2 * simtime.Second, End: 12 * simtime.Second,
 		StageID: 0, Tasks: 4, Speculative: 1,
 		Branches: []CritBranch{
 			{Node: 0, ShuffleIO: 1 * simtime.Second, Compute: 2 * simtime.Second},
 			{Node: 1, ShuffleIO: 3 * simtime.Second, SharedIO: 1 * simtime.Second,
-				Compute: 5 * simtime.Second, Spill: 2 * simtime.Second},
+				Compute: 5 * simtime.Second},
 		},
 	})
 	// Entry fully covered by the stage above: must be skipped.
@@ -53,8 +53,7 @@ func TestCritPathSyntheticWalk(t *testing.T) {
 	want := map[string]simtime.Duration{
 		PhaseBroadcast: 3 * simtime.Second, // 2 segment + 1 shared I/O
 		PhaseShuffle:   3 * simtime.Second,
-		PhaseSpill:     2 * simtime.Second,
-		PhaseCompute:   3 * simtime.Second, // 5 − 2 spill
+		PhaseCompute:   5 * simtime.Second,
 		PhaseOverhead:  1 * simtime.Second, // 10 − 9 makespan
 		PhaseRecovery:  3 * simtime.Second,
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // TestConfNormalizationAllKnobs: one table across every Conf knob family
-// — cluster, fault/retry, durable store, remote tier, spill model,
-// kernels, substrate mounting — so every validation lives (and
+// — cluster, fault/retry, durable store, remote tier, kernels,
+// substrate mounting — so every validation lives (and
 // stays) in the single normalize site.
 func TestConfNormalizationAllKnobs(t *testing.T) {
 	base := func() Conf { return Conf{Cluster: cluster.LocalN(2, 2)} }
@@ -65,10 +65,6 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 
 		// Remote-tier family.
 		{"remote without durable", func(c *Conf) { c.RemoteDir = "somewhere" }, "RemoteDir needs Conf.DurableDir"},
-
-		// Spill model.
-		{"negative spill dilation", func(c *Conf) { c.SpillDilation = -1 }, "SpillDilation"},
-		{"dilation without budget", func(c *Conf) { c.SpillDilation = 2 }, "needs Conf.MemoryBudget"},
 
 		// Kernel family.
 		{"negative kernel threads", func(c *Conf) { c.KernelThreads = -1 }, "KernelThreads"},

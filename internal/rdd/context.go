@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"dpspark/internal/cluster"
 	"dpspark/internal/costmodel"
@@ -104,17 +103,6 @@ type Conf struct {
 	// replicates the durable store). The directory is shared — several
 	// contexts (or a restarted driver) may point at the same one.
 	RemoteDir string
-	// SpillDilation > 0 enables spill-aware scheduling: when the block
-	// store's cumulative spill wall time grew since the last stage, every
-	// node's tasks are dilated by 1 + SpillDilation × (staged shuffle
-	// bytes on the node / MemoryBudget) — a node with twice the backlog
-	// runs twice as degraded, and the speculation path sees its tasks as
-	// stragglers. Requires MemoryBudget > 0 (the backlog is measured
-	// against it). 0 (the default) disables it; negative values are
-	// rejected. The trigger reads real spill timing, so enabling this
-	// trades clock determinism for memory-pressure fidelity (result bits
-	// are unaffected).
-	SpillDilation float64
 	// HeartbeatInterval enables the heartbeat/lease failure detector:
 	// executors heartbeat the driver every HeartbeatInterval modelled
 	// seconds, the scheduler suspects a node after one missed lease and
@@ -221,12 +209,6 @@ func (conf *Conf) normalize() error {
 	if conf.RemoteDir != "" && conf.DurableDir == "" {
 		return fmt.Errorf("rdd: Conf.RemoteDir needs Conf.DurableDir — the remote tier replicates the durable store")
 	}
-	if conf.SpillDilation < 0 {
-		return fmt.Errorf("rdd: Conf.SpillDilation must be ≥ 0 (0 disables continuous spill dilation), got %g", conf.SpillDilation)
-	}
-	if conf.SpillDilation > 0 && conf.MemoryBudget <= 0 {
-		return fmt.Errorf("rdd: Conf.SpillDilation %g needs Conf.MemoryBudget > 0 — the backlog is measured against the budget", conf.SpillDilation)
-	}
 	if conf.Restore != nil {
 		if err := validateRestore(conf.Restore, conf.FaultPlan, conf.Cluster.Nodes); err != nil {
 			return err
@@ -313,7 +295,6 @@ type Context struct {
 	stormLast   simtime.Duration
 
 	mu            sync.Mutex
-	spillWallSeen time.Duration
 	nextDataset   int
 	nextShuffle   int
 	nextStage     int
@@ -652,9 +633,6 @@ func (c *Context) Clock() simtime.Duration { return c.simul.Now() }
 // Ledger returns the virtual resource-time ledger.
 func (c *Context) Ledger() *simtime.Ledger { return c.simul.Ledger }
 
-// TimedOut reports whether the virtual clock passed the 8-hour bound.
-func (c *Context) TimedOut() bool { return c.simul.TimedOut() }
-
 // ErrJobCanceled is the default cancellation cause: Context.Err (and
 // action results) wrap or equal it after Cancel, so callers distinguish
 // a cancelled job from a failed one with errors.Is.
@@ -896,54 +874,6 @@ func (c *Context) nameTraceLanes() {
 		}
 		c.obsv.NameThread(c.pid, c.laneTid(n, cores), fmt.Sprintf("node%d io", n))
 	}
-}
-
-// spillDilationFactors implements spill-aware scheduling
-// (Conf.SpillDilation): before a stage launches, if the block store's
-// cumulative spill wall time grew since the last check — real evidence
-// the memory budget is forcing blocks to disk — every node's dilation
-// factor is 1 + SpillDilation × (its staged shuffle bytes across live
-// shuffles / MemoryBudget). Returns nil when the feature is off or no new
-// pressure was seen; entries ≤ 1 mean no dilation for that node.
-func (c *Context) spillDilationFactors() []float64 {
-	if c.conf.SpillDilation <= 0 || c.store == nil {
-		return nil
-	}
-	// Settle pending async spill writes so the pressure signal covers
-	// everything the previous stages queued.
-	c.store.Flush()
-	sw := c.store.Stats().SpillWall
-	c.mu.Lock()
-	grew := sw > c.spillWallSeen
-	if grew {
-		c.spillWallSeen = sw
-	}
-	var live []*shuffleState
-	if grew {
-		live = slices.Clone(c.live)
-	}
-	c.mu.Unlock()
-	if live == nil {
-		return nil
-	}
-	backlog := make([]int64, c.conf.Cluster.Nodes)
-	for _, st := range live {
-		st.mu.RLock()
-		if st.done && !st.retired {
-			for n, b := range st.spillByNode {
-				if n < len(backlog) {
-					backlog[n] += b
-				}
-			}
-		}
-		st.mu.RUnlock()
-	}
-	factors := make([]float64, len(backlog))
-	budget := float64(c.conf.MemoryBudget)
-	for n, b := range backlog {
-		factors[n] = 1 + c.conf.SpillDilation*float64(b)/budget
-	}
-	return factors
 }
 
 // Speculation thresholds: a task is a straggler when it runs longer than

@@ -924,7 +924,6 @@ const (
 	recRemoteRetries
 	recDegradedWindows
 	recRemoteCorrupts
-	recSpillStragglers
 	recSuspicions
 	recFalseSuspicions
 	recFencedCommits
@@ -963,7 +962,6 @@ var ledgerRows = [numRecKinds]struct {
 	recRemoteRetries:    {metric: "dpspark_remote_retries_total", field: func(s *RecoveryStats) *int64 { return &s.RemoteRetries }},
 	recDegradedWindows:  {metric: "dpspark_remote_degraded_windows_total", field: func(s *RecoveryStats) *int64 { return &s.DegradedWindows }},
 	recRemoteCorrupts:   {inject: "remote-corruption", field: func(s *RecoveryStats) *int64 { return &s.RemoteCorruptions }},
-	recSpillStragglers:  {metric: "dpspark_spill_stragglers_total", field: func(s *RecoveryStats) *int64 { return &s.SpillStragglers }},
 	recSuspicions:       {metric: "dpspark_detector_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.Suspicions }},
 	recFalseSuspicions:  {metric: "dpspark_detector_false_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.FalseSuspicions }},
 	recFencedCommits:    {metric: "dpspark_detector_fenced_commits_total", field: func(s *RecoveryStats) *int64 { return &s.FencedCommits }},
@@ -1046,10 +1044,6 @@ type RecoveryStats struct {
 	// RemoteCorruptions counts fired plan remote-corruption events that
 	// actually damaged a replica.
 	RemoteCorruptions int64
-	// SpillStragglers counts tasks dilated by spill-aware scheduling
-	// (Conf.SpillDilation) because their node carried a staged backlog.
-	// The one observational counter: its trigger reads real spill timing.
-	SpillStragglers int64
 	// Suspicions counts executors the heartbeat detector suspected after a
 	// missed lease (0 with the detector off: at latency 0 a loss is
 	// declared the instant it fires, nothing is ever merely suspected).

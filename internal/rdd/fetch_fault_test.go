@@ -284,7 +284,6 @@ func TestRecoveryMetricsExported(t *testing.T) {
 		{"dpspark_remote_recomputed_blocks_total", "", rs.RecomputedBlocks, true},
 		{"dpspark_remote_retries_total", "", rs.RemoteRetries, false},
 		{"dpspark_remote_degraded_windows_total", "", rs.DegradedWindows, true},
-		{"dpspark_spill_stragglers_total", "", rs.SpillStragglers, false},
 		{"dpspark_detector_suspicions_total", "", rs.Suspicions, true},
 		{"dpspark_detector_false_suspicions_total", "", rs.FalseSuspicions, true},
 		{"dpspark_detector_fenced_commits_total", "", rs.FencedCommits, true},

@@ -36,8 +36,6 @@ type stageRun struct {
 	// crashed are the nodes that died as the stage started: first attempts
 	// homed on them die with the executor.
 	crashed map[int]bool
-	// spill holds the per-node spill dilation factors (nil: no pressure).
-	spill []float64
 	// scratch is the stage's task-count-sized memory, held from plan to the
 	// end of settle (see stageScratch). Its tcs is the TaskContext slab, one
 	// slot per task: an attempt resets its task's slot (a zero ctx marks a
@@ -121,7 +119,6 @@ func (sr *stageRun) plan(c *Context) {
 	}
 	sr.crashed = c.fireStageFaults(sr.stageID)
 	sr.asOf = c.Clock()
-	sr.spill = c.spillDilationFactors()
 	c.recordEvent(obs.Event{
 		Clock: sr.asOf.Seconds(), Type: obs.EvStageSubmit,
 		Stage: sr.stageID, Attempt: sr.attempt, Part: -1, Node: -1,
@@ -256,10 +253,9 @@ func (sr *stageRun) runAttempt(tc *TaskContext, idx, failures int) (err error) {
 	return nil
 }
 
-// dilate applies the slowdown models to a task whose attempt succeeded: a
-// FaultPlan straggler aimed at it, then the spill backlog of its node.
-// Both record what they added in slowed, so speculation prices the task's
-// healthy duration and fires copies elsewhere.
+// dilate applies a FaultPlan straggler aimed at a task whose attempt
+// succeeded. It records what it added in slowed, so speculation prices the
+// task's healthy duration and fires copies elsewhere.
 func (sr *stageRun) dilate(tc *TaskContext) {
 	c := sr.c
 	if factor := c.stragglerFactor(sr.stageID, tc.Partition); factor > 1 {
@@ -267,13 +263,6 @@ func (sr *stageRun) dilate(tc *TaskContext) {
 		tc.slowed = extra
 		tc.compute += extra
 		c.count(recStragglers, 1)
-	}
-	if n := tc.Node; n >= 0 && n < len(sr.spill) && sr.spill[n] > 1 && tc.compute > 0 {
-		extra := simtime.Duration(tc.compute.Seconds() * (sr.spill[n] - 1))
-		tc.slowed += extra
-		tc.spillSlow = extra
-		tc.compute += extra
-		c.count(recSpillStragglers, 1)
 	}
 }
 
@@ -298,7 +287,7 @@ func (sr *stageRun) settle() {
 		}
 		spill += tc.spill
 		fetch += tc.fetchLocal + tc.fetchRemote
-		shared += tc.sharedRead + tc.sharedWrite
+		shared += tc.sharedRead
 		tasks[i] = sim.Task{
 			Node:        tc.Node,
 			Compute:     tc.compute,
@@ -308,7 +297,6 @@ func (sr *stageRun) settle() {
 			FetchRemote: tc.fetchRemote,
 			Spill:       tc.spill,
 			SharedRead:  tc.sharedRead,
-			SharedWrite: tc.sharedWrite,
 		}
 	}
 	if c.conf.Speculation {
@@ -365,16 +353,8 @@ func (sr *stageRun) settle() {
 }
 
 // critStage is the stage as the critical-path profiler sees it: one
-// branch per active node, with the node's spill dilation split out so the
-// critical branch's compute divides into healthy compute vs spill
-// backpressure.
+// branch per active node.
 func (sr *stageRun) critStage(rep sim.StageReport, speculative int) obs.CritStage {
-	spillSlow := make([]simtime.Duration, len(rep.NodeCompute))
-	for i := range sr.scratch.tcs {
-		if tc := &sr.scratch.tcs[i]; tc.spillSlow > 0 && tc.Node >= 0 && tc.Node < len(spillSlow) {
-			spillSlow[tc.Node] += tc.spillSlow
-		}
-	}
 	branches := make([]obs.CritBranch, 0, 4)
 	for n := range rep.NodeCompute {
 		comp, sh, sf := rep.NodeCompute[n], rep.NodeShuffleIO[n], rep.NodeSharedIO[n]
@@ -382,7 +362,7 @@ func (sr *stageRun) critStage(rep sim.StageReport, speculative int) obs.CritStag
 			continue
 		}
 		branches = append(branches, obs.CritBranch{
-			Node: n, ShuffleIO: sh, SharedIO: sf, Compute: comp, Spill: spillSlow[n],
+			Node: n, ShuffleIO: sh, SharedIO: sf, Compute: comp,
 		})
 	}
 	return obs.CritStage{

@@ -112,10 +112,6 @@ func (s *Substrate) KernelThreads() int { return s.kernelThreads }
 // RealParallelism returns the substrate-wide task-slot budget.
 func (s *Substrate) RealParallelism() int { return s.realPar }
 
-// Waiting reports how many tasks are currently queued for a slot —
-// the serve layer's backpressure signal.
-func (s *Substrate) Waiting() int { return s.sched.waiting() }
-
 // slotScheduler is a bounded pool of real task-execution slots with
 // priority admission: acquire blocks until a slot frees (or the caller
 // cancels), and freed slots go to the highest-priority waiter, FIFO

@@ -24,15 +24,10 @@ type TaskContext struct {
 	// slowed is the portion of compute injected by a FaultPlan straggler;
 	// speculative execution subtracts it to estimate the task's healthy
 	// duration on another executor.
-	slowed simtime.Duration
-	// spillSlow is the part of slowed injected by spill-aware scheduling
-	// (memory-starved node dilation); the critical-path profiler reports
-	// it as spill time rather than compute.
-	spillSlow   simtime.Duration
+	slowed      simtime.Duration
 	threads     int
 	idleThreads int
 	sharedRead  int64
-	sharedWrite int64
 	fetchLocal  int64
 	fetchRemote int64
 	spill       int64
@@ -96,16 +91,6 @@ func (tc *TaskContext) ChargeSharedRead(bytes int64) {
 		tc.sharedRead += bytes
 	}
 }
-
-// ChargeSharedWrite records bytes written to the shared filesystem.
-func (tc *TaskContext) ChargeSharedWrite(bytes int64) {
-	if bytes > 0 {
-		tc.sharedWrite += bytes
-	}
-}
-
-// Compute returns the modelled compute charged so far.
-func (tc *TaskContext) Compute() simtime.Duration { return tc.compute }
 
 // Threads returns the task's charged thread width (≥1).
 func (tc *TaskContext) Threads() int {

@@ -24,20 +24,19 @@ func NewCriticalPathTable(title string, rows []CriticalPathRow) *Table {
 		names[i] = r.Name
 	}
 	t := NewTable(title, "run", names,
-		[]string{"compute", "shuffle", "broadcast", "recovery", "spill", "overhead", "path", "gap", "stages", "resub", "spec"})
+		[]string{"compute", "shuffle", "broadcast", "recovery", "overhead", "path", "gap", "stages", "resub", "spec"})
 	for i, r := range rows {
 		p := r.Path
 		t.Set(i, 0, Seconds(p.Phase(obs.PhaseCompute), false))
 		t.Set(i, 1, Seconds(p.Phase(obs.PhaseShuffle), false))
 		t.Set(i, 2, Seconds(p.Phase(obs.PhaseBroadcast), false))
 		t.Set(i, 3, Seconds(p.Phase(obs.PhaseRecovery), false))
-		t.Set(i, 4, Seconds(p.Phase(obs.PhaseSpill), false))
-		t.Set(i, 5, Seconds(p.Phase(obs.PhaseOverhead), false))
-		t.Set(i, 6, Seconds(p.Len, false))
-		t.Set(i, 7, fmt.Sprintf("%.3g", p.Unattributed.Seconds()))
-		t.Set(i, 8, fmt.Sprintf("%d", p.Stages))
-		t.Set(i, 9, fmt.Sprintf("%d", p.RecoveryStages))
-		t.Set(i, 10, fmt.Sprintf("%d", p.Speculative))
+		t.Set(i, 4, Seconds(p.Phase(obs.PhaseOverhead), false))
+		t.Set(i, 5, Seconds(p.Len, false))
+		t.Set(i, 6, fmt.Sprintf("%.3g", p.Unattributed.Seconds()))
+		t.Set(i, 7, fmt.Sprintf("%d", p.Stages))
+		t.Set(i, 8, fmt.Sprintf("%d", p.RecoveryStages))
+		t.Set(i, 9, fmt.Sprintf("%d", p.Speculative))
 	}
 	return t
 }

@@ -37,8 +37,8 @@ type Task struct {
 	FetchLocal, FetchRemote int64
 	// Spill is the shuffle-write bytes staged on the local disk.
 	Spill int64
-	// SharedRead and SharedWrite are shared-filesystem bytes (CB driver).
-	SharedRead, SharedWrite int64
+	// SharedRead is the shared-filesystem bytes the task reads (CB driver).
+	SharedRead int64
 }
 
 // Timeout is the paper's experiment wall-clock bound: runs exceeding it
@@ -165,9 +165,6 @@ func (s *Sim) Now() simtime.Duration {
 	defer s.mu.Unlock()
 	return s.Clock
 }
-
-// TimedOut reports whether the virtual clock passed the 8-hour bound.
-func (s *Sim) TimedOut() bool { return s.Now() > Timeout }
 
 // AdvanceDriver charges driver-side time (collect/broadcast, scheduling).
 func (s *Sim) AdvanceDriver(d simtime.Duration, cat simtime.Category) {
@@ -309,14 +306,13 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 		if len(q) == 0 {
 			continue
 		}
-		var fetchLocal, fetchRemote, spill, sharedR, sharedW int64
+		var fetchLocal, fetchRemote, spill, sharedR int64
 		for _, idx := range q {
 			t := &tasks[idx]
 			fetchLocal += t.FetchLocal
 			fetchRemote += t.FetchRemote
 			spill += t.Spill
 			sharedR += t.SharedRead
-			sharedW += t.SharedWrite
 		}
 
 		// Node-level I/O: shuffle reads come off disks and (for remote
@@ -325,14 +321,14 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 		shuffleIO := s.Model.DiskReadTime(fetchLocal+fetchRemote) +
 			s.Model.NetTime(fetchRemote) +
 			s.Model.DiskWriteTime(spill)
-		sharedIO := s.Model.SharedReadTime(sharedR) + s.Model.SharedWriteTime(sharedW)
+		sharedIO := s.Model.SharedReadTime(sharedR)
 		io := shuffleIO + sharedIO
 		s.Ledger.Add(simtime.LocalDisk, s.Model.DiskReadTime(fetchLocal+fetchRemote)+s.Model.DiskWriteTime(spill))
 		s.Ledger.Add(simtime.Network, s.Model.NetTime(fetchRemote))
-		s.Ledger.Add(simtime.SharedFS, s.Model.SharedReadTime(sharedR)+s.Model.SharedWriteTime(sharedW))
+		s.Ledger.Add(simtime.SharedFS, sharedIO)
 		s.Ledger.AddBytes(simtime.Network, fetchRemote)
 		s.Ledger.AddBytes(simtime.LocalDisk, spill)
-		s.Ledger.AddBytes(simtime.SharedFS, sharedR+sharedW)
+		s.Ledger.AddBytes(simtime.SharedFS, sharedR)
 
 		// Compute via a fluid list-scheduling bound: the executor keeps
 		// ExecCores task slots busy (Spark dispatches a new task as soon

@@ -71,7 +71,7 @@ func TestSharedAndShuffleCharges(t *testing.T) {
 	s.RunStage([]Task{{
 		Node: 0, Compute: 0, Threads: 1,
 		FetchLocal: gb, FetchRemote: gb, Spill: gb,
-		SharedRead: gb, SharedWrite: gb,
+		SharedRead: gb,
 	}})
 	if s.Ledger.Bytes(simtime.Network) != gb {
 		t.Fatalf("network bytes = %d", s.Ledger.Bytes(simtime.Network))
@@ -79,7 +79,7 @@ func TestSharedAndShuffleCharges(t *testing.T) {
 	if s.Ledger.Bytes(simtime.LocalDisk) != gb {
 		t.Fatalf("disk bytes = %d", s.Ledger.Bytes(simtime.LocalDisk))
 	}
-	if s.Ledger.Bytes(simtime.SharedFS) != 2*gb {
+	if s.Ledger.Bytes(simtime.SharedFS) != gb {
 		t.Fatalf("shared bytes = %d", s.Ledger.Bytes(simtime.SharedFS))
 	}
 	// 1 GiB over GbE alone is ~8.6 s; clock must reflect I/O.
@@ -123,11 +123,11 @@ func TestReleaseShuffleFreesDisk(t *testing.T) {
 func TestAdvanceDriverAndTimeout(t *testing.T) {
 	s := newSim(32)
 	s.AdvanceDriver(2*simtime.Hour, simtime.Overhead)
-	if s.TimedOut() {
+	if s.Now() > Timeout {
 		t.Fatal("2h is within the 8h budget")
 	}
 	s.AdvanceDriver(7*simtime.Hour, simtime.Overhead)
-	if !s.TimedOut() {
+	if s.Now() <= Timeout {
 		t.Fatal("9h must time out")
 	}
 }
@@ -160,7 +160,7 @@ func randomTasks(rng *rand.Rand, n int) []Task {
 			t.IdleThreads = rng.Intn(3)
 			t.FetchLocal, t.FetchRemote = rng.Int63n(1<<20), rng.Int63n(1<<20)
 			t.Spill = rng.Int63n(1 << 20)
-			t.SharedRead, t.SharedWrite = rng.Int63n(1<<16), rng.Int63n(1<<16)
+			t.SharedRead = rng.Int63n(1 << 16)
 		}
 		tasks[i] = t
 	}

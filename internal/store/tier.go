@@ -292,15 +292,6 @@ func (s *Store) RestoreFromRemote(key string) (int64, error) {
 	return int64(len(data)), s.evictLocked()
 }
 
-// RemoteHas reports whether a replica exists under key (no
-// verification, no availability gate — existence checks are metadata).
-func (s *Store) RemoteHas(key string) bool {
-	s.mu.Lock()
-	remote := s.remote
-	s.mu.Unlock()
-	return remote != nil && remote.Has(key)
-}
-
 // RemoteKeys returns the sorted replica keys matching prefix, or nil
 // without an attached tier.
 func (s *Store) RemoteKeys(prefix string) []string {
