@@ -222,3 +222,96 @@ func TestRunLocalSIMDOnOff(t *testing.T) {
 		}
 	}
 }
+
+// TestRecursiveSpecialValuesMatchOrdered pins the recursive kernels to the
+// plain ordered loop bit for bit on the adversarial fills of
+// TestSIMDKernelsMatchScalar, over r_shared {2, 4}, base {8, 16}, serial
+// and on a width-2 pool, for every kind on contiguous operands and on
+// quadrants of one slab (whose row stride differs from the operand
+// dimension). n = 33 and 96 leave base cases that do not divide, or
+// tails below kBlock. GE must keep one IEEE division u[i,k]/w[k,k] per
+// multiplier, applied in ascending k, wherever the recursion computes it.
+//
+// FW kinds A, B and C run on the special and negative-diagonal fills only
+// as kind D. Those kinds update in place, and the recursion hands a
+// sub-call operands that later pivots have already relaxed, where the
+// kij loop reads them earlier. Both reach the same closure only when the
+// DP converges exactly. A negative cycle (negative diagonal, negative or
+// -Inf weights), a NaN cell that never relaxes or an inexact sum makes
+// the result depend on that order, and the two legitimately differ. So
+// does a B or C call whose pivot tile is not yet closed. The exact fill
+// (small integers, zeros and +Inf, with the pivot tile closed first for B
+// and C, as the drivers hand it to them) keeps those kinds covered. Kind
+// D reads no aliased operand, so its min over ascending k is order-free.
+func TestRecursiveSpecialValuesMatchOrdered(t *testing.T) {
+	ordinary := func(rng *rand.Rand) float64 { return 1 + math.Floor(rng.Float64()*9) }
+	exact := func(rng *rand.Rand) float64 {
+		if rng.Intn(4) == 0 {
+			return math.Inf(1)
+		}
+		return math.Floor(rng.Float64() * 10)
+	}
+	type fill struct {
+		rule         semiring.Rule
+		name         string
+		value, pivot func(rng *rand.Rand) float64
+		// onlyD keeps the fill to kind D; exact closes B's and C's pivot
+		// tile before the call (see above).
+		onlyD, exact bool
+	}
+	fw, ge := semiring.NewFloydWarshall(), semiring.NewGaussian()
+	fills := []fill{
+		{fw, "exact", exact, nil, false, true},
+		{fw, "special", specialValues, nil, true, false},
+		{fw, "negative-diagonal", ordinary, func(rng *rand.Rand) float64 { return -1 - rng.Float64() }, true, false},
+		{ge, "special", specialValues, func(rng *rand.Rand) float64 { return 1 + rng.Float64() }, false, false},
+		{ge, "special-pivots", specialValues, nil, false, false},
+		{ge, "tiny-pivots", ordinary, func(rng *rand.Rand) float64 { return 1e-300 * (rng.Float64() - 0.5) }, false, false},
+	}
+	pools := []*Pool{nil, NewPool(2)}
+	rng := rand.New(rand.NewSource(311))
+	for _, f := range fills {
+		for _, n := range []int{16, 33, 64, 96, 256} {
+			if (testing.Short() || raceEnabled) && n > 64 {
+				continue
+			}
+			base := make([]float64, 4*n*n)
+			for _, quadrants := range []bool{false, true} {
+				for i := range base {
+					base[i] = f.value(rng)
+				}
+				if f.pivot != nil {
+					_, _, _, w := kernelOperands(semiring.KindD, n, quadrants, base)
+					for i := 0; i < n; i++ {
+						w.Set(i, i, f.pivot(rng))
+					}
+				}
+				for _, kind := range allKinds {
+					if f.onlyD && kind != semiring.KindD {
+						continue
+					}
+					run := func(kernel func(x, u, v, w matrix.View)) []float64 {
+						data := append([]float64(nil), base...)
+						x, u, v, w := kernelOperands(kind, n, quadrants, data)
+						if f.exact && (kind == semiring.KindB || kind == semiring.KindC) {
+							orderedReference(f.rule, semiring.KindA, w, w, w, w)
+						}
+						kernel(x, u, v, w)
+						return data
+					}
+					want := run(func(x, u, v, w matrix.View) { orderedReference(f.rule, kind, x, u, v, w) })
+					for _, r := range []int{2, 4} {
+						for _, b := range []int{8, 16} {
+							for _, pool := range pools {
+								rec := NewRecursive(f.rule, r, b, pool)
+								name := fmt.Sprintf("%s/%s/%v/n=%d/quadrants=%v/r=%d/base=%d/threads=%d",
+									f.rule.Name(), f.name, kind, n, quadrants, r, b, pool.Threads())
+								requireSameBits(t, name, run(func(x, u, v, w matrix.View) { rec.Run(kind, x, u, v, w) }), want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
