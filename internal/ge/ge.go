@@ -97,11 +97,12 @@ func BackSubstitute(t *matrix.Dense) ([]float64, error) {
 	}
 	x := make([]float64, m)
 	for i := m - 1; i >= 0; i-- {
-		sum := t.At(i, m)
-		for j := i + 1; j < m; j++ {
-			sum -= t.At(i, j) * x[j]
+		row := t.Data[i*t.N : (i+1)*t.N]
+		sum := row[m]
+		for j, xj := range x[i+1:] {
+			sum -= row[i+1+j] * xj
 		}
-		piv := t.At(i, i)
+		piv := row[i]
 		if piv == 0 || math.IsNaN(piv) {
 			return nil, fmt.Errorf("ge: zero pivot at row %d (matrix not GE-safe without pivoting)", i)
 		}

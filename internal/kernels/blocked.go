@@ -9,9 +9,12 @@ import "dpspark/internal/matrix"
 // per k — at b = 1024 that is 8 MB of x traffic per pivot row, far beyond
 // L2. Blocking k in chunks of kBlock keeps a small set of x rows resident
 // across kBlock consecutive pivots; rows are processed in groups of four
-// whose per-(row,k) scalar operands are gathered into a brick buffer and
-// handed to the AVX2 bricks in simd_amd64.s (which hold a 4×8 x block in
-// registers across the whole k block). Column tails, row remainders and
+// by the AVX2 bricks in simd_amd64.s, which hold a 4×8 x block in
+// registers across the whole k block and read the rows' scalar operands
+// in place at their row stride: u itself for min-plus, and for GE the
+// multiplier panel f[i,k] = u[i,k]/w[k,k] that each kind-D call computes
+// once (gaussMultipliers) — recursive calls once at their outermost
+// kind-D level, for all their leaves. Column tails, row remainders and
 // machines without AVX2 go through minPlusPanel / gaussPanel — one pivot,
 // a run of rows — which is also the whole body of the ordered loops.
 // Column tiling (jBlock) bounds the working set further for very large
@@ -34,6 +37,9 @@ import "dpspark/internal/matrix"
 //     unblocked loop. The blocked loop keeps k ascending inside each
 //     block and visits blocks in ascending order, so each element sees
 //     the exact update sequence of loopGaussian — bit-identical again.
+//     The multiplier is the same IEEE division wherever it is computed,
+//     and nothing writes u or w during a kind-D call, so computing the
+//     panel once up front changes no bit.
 //
 // Because rows of x are mutually independent under the unaliased shapes,
 // the same band functions also carry the intra-tile parallel split: each
@@ -44,8 +50,8 @@ import "dpspark/internal/matrix"
 // views of one slab are either identical or fully disjoint, so comparing
 // the address of the first element decides aliasing exactly.
 const (
-	// kBlock is the pivot-block depth: 4 x rows × kBlock scalar operands
-	// fit the brick buffer while the v block stays cache-resident.
+	// kBlock is the pivot-block depth: the v block of kBlock rows stays
+	// cache-resident while a brick streams over it.
 	kBlock = 32
 	// jBlock is the column tile width for tiles wider than it.
 	jBlock = 512
@@ -65,9 +71,27 @@ func loopMinPlusBlocked(x, u, v matrix.View) {
 }
 
 // loopGaussianBlocked is the whole-tile serial entry for the unaliased
-// full-range shape (kind D: ILow = JLow = 0).
+// full-range shape (kind D: ILow = JLow = 0): one multiplier panel, one
+// band spanning every row.
 func loopGaussianBlocked(x, u, v, w matrix.View) {
-	gaussianBand(x, u, v, w, 0, x.N)
+	f := matrix.DefaultPool.Alloc(x.N)
+	gaussMultipliers(f.View(), u, w, 0, x.N)
+	gaussianBand(x, f.View(), v, 0, x.N)
+	matrix.DefaultPool.Release(f)
+}
+
+// gaussMultipliers writes rows [i0,i1) of a kind-D call's multiplier
+// panel f[i,k] = u[i,k]/w[k,k] — the IEEE division the ordered loop
+// performs, once per call instead of once per brick that reads it. f
+// must not alias u or w.
+func gaussMultipliers(f, u, w matrix.View, i0, i1 int) {
+	n := u.N
+	for i := i0; i < i1; i++ {
+		frow := f.Data[i*f.Stride : i*f.Stride+n]
+		for k, uik := range u.Data[i*u.Stride : i*u.Stride+n] {
+			frow[k] = uik / w.Data[k*w.Stride+k]
+		}
+	}
 }
 
 // minPlusPanel is the min-plus row primitive: for one pivot it applies
@@ -174,31 +198,20 @@ func gaussRow8(xrow, vrow []float64, f float64, n int) {
 
 // minPlusBand runs the k-blocked min-plus update on rows [i0,i1) of x.
 // Rows are independent (x aliases neither u nor v), so disjoint bands
-// compose to the full tile in any order or in parallel.
+// compose to the full tile in any order or in parallel. The bricks read
+// their scalars u[i,k] in place, at u's row stride.
 func minPlusBand(x, u, v matrix.View, i0, i1 int) {
 	n := x.N
-	var b [4 * kBlock]float64
 	for k0 := 0; k0 < n; k0 += kBlock {
-		kHi := k0 + kBlock
-		if kHi > n {
-			kHi = n
-		}
-		klen := kHi - k0
+		kHi := min(k0+kBlock, n)
 		for j0 := 0; j0 < n; j0 += jBlock {
-			jHi := j0 + jBlock
-			if jHi > n {
-				jHi = n
-			}
+			jHi := min(j0+jBlock, n)
 			i := i0
 			if useAVX2 && jHi-j0 >= 8 {
 				jv := j0 + (jHi-j0)&^7
 				for ; i+4 <= i1; i += 4 {
-					for r := 0; r < 4; r++ {
-						urow := u.Data[(i+r)*u.Stride:]
-						copy(b[r*klen:(r+1)*klen], urow[k0:kHi])
-					}
-					minplusBrickAVX2(x.Data[i*x.Stride+j0:], b[:4*klen],
-						v.Data[k0*v.Stride+j0:], x.Stride, v.Stride, klen, jv-j0)
+					minplusBrickAVX2(x.Data[i*x.Stride+j0:], u.Data[i*u.Stride+k0:],
+						v.Data[k0*v.Stride+j0:], x.Stride, u.Stride, v.Stride, kHi-k0, jv-j0)
 					for k := k0; jv < jHi && k < kHi; k++ {
 						minPlusPanel(x.Data[i*x.Stride+jv:], u.Data[i*u.Stride+k:],
 							v.Data[k*v.Stride+jv:], x.Stride, u.Stride, 4, jHi-jv)
@@ -216,42 +229,33 @@ func minPlusBand(x, u, v matrix.View, i0, i1 int) {
 	}
 }
 
-// gaussianBand runs the k-blocked elimination update on rows [i0,i1) of
-// x for the unaliased full-range shape. Each element receives its updates
-// in ascending k with the per-update expression f·v[k,j] for
-// f = u[i,k]/w[k,k], exactly as loopGaussian applies them — bit-identical
-// serially and across disjoint bands.
-func gaussianBand(x, u, v, w matrix.View, i0, i1 int) {
+// gaussianBand runs the k-blocked elimination update x[i,j] -= f[i,k]·v[k,j]
+// on rows [i0,i1) of x for the unaliased full-range shape, reading the
+// multiplier panel f of gaussMultipliers in place. Each element receives
+// its updates in ascending k with the multiplier loopGaussian computes
+// for it — bit-identical serially and across disjoint bands. gaussPanel
+// divides its scalar by w, so the column tails and remainder rows pass
+// w = 1: IEEE division by one returns f's bits, NaN payloads included.
+func gaussianBand(x, f, v matrix.View, i0, i1 int) {
 	n := x.N
-	var b [4 * kBlock]float64
 	for k0 := 0; k0 < n; k0 += kBlock {
-		kHi := k0 + kBlock
-		if kHi > n {
-			kHi = n
-		}
-		klen := kHi - k0
+		kHi := min(k0+kBlock, n)
 		i := i0
 		if useAVX2 && n >= 8 {
 			jv := n &^ 7
 			for ; i+4 <= i1; i += 4 {
-				for r := 0; r < 4; r++ {
-					urow := u.Data[(i+r)*u.Stride:]
-					for kk := 0; kk < klen; kk++ {
-						b[r*klen+kk] = urow[k0+kk] / w.At(k0+kk, k0+kk)
-					}
-				}
-				gaussBrickAVX2(x.Data[i*x.Stride:], b[:4*klen],
-					v.Data[k0*v.Stride:], x.Stride, v.Stride, klen, jv)
+				gaussBrickAVX2(x.Data[i*x.Stride:], f.Data[i*f.Stride+k0:],
+					v.Data[k0*v.Stride:], x.Stride, f.Stride, v.Stride, kHi-k0, jv)
 				for k := k0; jv < n && k < kHi; k++ {
-					gaussPanel(x.Data[i*x.Stride+jv:], u.Data[i*u.Stride+k:],
-						v.Data[k*v.Stride+jv:], w.At(k, k), x.Stride, u.Stride, 4, n-jv)
+					gaussPanel(x.Data[i*x.Stride+jv:], f.Data[i*f.Stride+k:],
+						v.Data[k*v.Stride+jv:], 1, x.Stride, f.Stride, 4, n-jv)
 				}
 			}
 		}
 		for ; i < i1; i++ {
 			for k := k0; k < kHi; k++ {
-				gaussPanel(x.Data[i*x.Stride:], u.Data[i*u.Stride+k:],
-					v.Data[k*v.Stride:], w.At(k, k), x.Stride, u.Stride, 1, n)
+				gaussPanel(x.Data[i*x.Stride:], f.Data[i*f.Stride+k:],
+					v.Data[k*v.Stride:], 1, x.Stride, f.Stride, 1, n)
 			}
 		}
 	}

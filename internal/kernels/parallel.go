@@ -71,9 +71,15 @@ func LoopPool(pool *Pool, rule semiring.Rule, kind semiring.Kind, x, u, v, w mat
 		// update would change the rounding reference. They are never the
 		// hot shape, so only the full-range kind D splits.
 		if kind == semiring.KindD && !sameView(x, u) && !sameView(x, v) && !sameView(x, w) {
+			// Each band writes its own rows of the multiplier panel, then
+			// reads only those.
+			f := matrix.DefaultPool.Alloc(n)
+			fv := f.View()
 			bandParallel(pool, n, func(i0, i1 int) {
-				gaussianBand(x, u, v, w, i0, i1)
+				gaussMultipliers(fv, u, w, i0, i1)
+				gaussianBand(x, fv, v, i0, i1)
 			})
+			matrix.DefaultPool.Release(f)
 			return
 		}
 	default:

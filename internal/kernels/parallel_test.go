@@ -3,6 +3,9 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,3 +307,73 @@ func TestLoopPoolMinPlusIgnoresW(t *testing.T) {
 		}
 	}
 }
+
+// TestHostParallelCeiling measures the host's parallel ceiling: the
+// aggregate throughput of two goroutines, each running FW kind D at
+// b=256 (and, for comparison, a plain integer loop), relative to one.
+// On dedicated cores the ratio is 2; shared vCPUs give less, and it
+// varies from run to run, so the test asserts only that the probe ran
+// and logs the ratios (go test -v -run HostParallelCeiling
+// ./internal/kernels). Slot and thread targets that assume two cores do
+// two cores' work are bounded by this ceiling. Skipped under -short and
+// -race.
+func TestHostParallelCeiling(t *testing.T) {
+	if testing.Short() || raceEnabled || runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("measures wall throughput on two free scheduler threads")
+	}
+	rule := semiring.NewFloydWarshall()
+	rng := rand.New(rand.NewSource(309))
+	kernel := func() func() {
+		x := randomOperandTile(rule, 256, rng)
+		u, v := randomOperandTile(rule, 256, rng), randomOperandTile(rule, 256, rng)
+		return func() { Loop(rule, semiring.KindD, x.View(), u.View(), v.View(), v.View()) }
+	}
+	integer := func() func() {
+		var s uint64 = 1
+		return func() {
+			for i := 0; i < 1<<20; i++ {
+				s ^= s << 13
+				s ^= s >> 7
+				s ^= s << 17
+			}
+			sink.Add(s)
+		}
+	}
+	// calls runs each worker for the window and returns the total calls.
+	const window = 100 * time.Millisecond
+	calls := func(workers []func()) int64 {
+		var total atomic.Int64
+		var wg sync.WaitGroup
+		for _, work := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n := int64(0)
+				for end := time.Now().Add(window); time.Now().Before(end); n++ {
+					work()
+				}
+				total.Add(n)
+			}()
+		}
+		wg.Wait()
+		return total.Load()
+	}
+	for _, probe := range []struct {
+		name string
+		make func() func()
+	}{{"fw-D-b256", kernel}, {"integer", integer}} {
+		a, b := probe.make(), probe.make()
+		for rep := 0; rep < 3; rep++ {
+			// One goroutine before and after two, so drift between the
+			// windows lands in the denominator's mean.
+			before, two, after := calls([]func(){a}), calls([]func(){a, b}), calls([]func(){a})
+			if before == 0 || two == 0 || after == 0 {
+				t.Fatalf("%s: no calls completed in %v", probe.name, window)
+			}
+			t.Logf("%s: one goroutine %d/%d calls, two %d calls: %.2f×",
+				probe.name, before, after, two, 2*float64(two)/float64(before+after))
+		}
+	}
+}
+
+var sink atomic.Uint64

@@ -64,15 +64,37 @@ func NewRecursive(rule semiring.Rule, r, base int, pool *Pool) *Recursive {
 // with panel/pivot operands u, v, w wired as in Fig. 4. As with Loop,
 // kind A expects u = v = w = x, kind B expects v = x, kind C expects u = x.
 func (rc *Recursive) Run(kind semiring.Kind, x, u, v, w matrix.View) {
-	rc.run(false, kind, x, u, v, w)
+	rc.run(false, kind, x, u, v, w, matrix.View{})
 }
 
 // run is Run with the pool-token state of the executing goroutine
 // threaded through, so nested par_for barriers can hand their token off
 // while waiting (see Pool.parallel).
-func (rc *Recursive) run(held bool, kind semiring.Kind, x, u, v, w matrix.View) {
+//
+// f is the multiplier panel u[i,k]/w[k,k] of the enclosing GE kind-D
+// call, or empty. The outermost unaliased GE kind-D call that recurses
+// computes it once and re-enters with it set. Its schedule's sub-calls
+// are all kind D, and the sub-call on (X_ij, U_ik, V_kj, W_kk) takes f's
+// (i,k) quadrant. Nothing writes u or w during the call, so every leaf
+// reads the multipliers it would have divided itself, and never touches
+// u or w. (Re-entering rather than assigning f keeps the parameter
+// unassigned, so the closures below capture it by value instead of
+// moving it to the heap on every call.)
+func (rc *Recursive) run(held bool, kind semiring.Kind, x, u, v, w, f matrix.View) {
 	if x.N <= rc.Base || x.N%rc.R != 0 {
-		Loop(rc.Rule, kind, x, u, v, w)
+		if f.Data != nil {
+			gaussianBand(x, f, v, 0, x.N)
+		} else {
+			Loop(rc.Rule, kind, x, u, v, w)
+		}
+		return
+	}
+	_, ge := rc.Rule.(semiring.GaussianRule)
+	if ge && kind == semiring.KindD && f.Data == nil && !sameView(x, u) && !sameView(x, v) && !sameView(x, w) {
+		t := matrix.DefaultPool.Alloc(x.N)
+		gaussMultipliers(t.View(), u, w, 0, x.N)
+		rc.run(held, kind, x, u, v, w, t.View())
+		matrix.DefaultPool.Release(t)
 		return
 	}
 	ops := [...]matrix.View{OpX: x, OpU: u, OpV: v, OpW: w}
@@ -83,7 +105,11 @@ func (rc *Recursive) run(held bool, kind semiring.Kind, x, u, v, w matrix.View) 
 		for i := range stage {
 			c := &stage[i]
 			fns = append(fns, func(h bool) {
-				rc.run(h, c.Kind, sub(c.X), sub(c.U), sub(c.V), sub(c.W))
+				var fc matrix.View
+				if f.Data != nil {
+					fc = f.Quadrant(c.U.I, c.U.J, rc.R)
+				}
+				rc.run(h, c.Kind, sub(c.X), sub(c.U), sub(c.V), sub(c.W), fc)
 			})
 		}
 		rc.Pool.parallel(held, fns)

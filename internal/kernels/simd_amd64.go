@@ -5,11 +5,12 @@ package kernels
 // Hand-written AVX2 bodies for the two hot inner loops (min-plus and GE
 // elimination), used when the CPU supports them (build with -tags purego
 // to leave them out). The bricks serve the unaliased blocked fast paths:
-// they operate on a 4-row × jlen-column × klen-pivot brick with the
-// per-(row,k) scalar operands pre-gathered into b (see blocked.go). The
-// panels serve the ordered (aliased) loops and the bricks' column tails:
-// one pivot, any number of rows, any number of columns. All four are
-// bit-identical to the scalar bodies they replace:
+// they operate on a 4-row × jlen-column × klen-pivot brick whose
+// per-(row,k) scalar operands they read in place from b, row r at
+// b[r·bstride] — u for min-plus, the multiplier panel for GE (see
+// blocked.go). The panels serve the ordered (aliased) loops and the
+// bricks' column tails: one pivot, any number of rows, any number of
+// columns. All four are bit-identical to the scalar bodies they replace:
 //
 //   - minplusBrickAVX2: x[r,j] = min(x[r,j], b[r,k] + v[k,j]). VADDPD is
 //     the IEEE double add, and VMINPD(t, x) returns x when the operands
@@ -31,9 +32,10 @@ package kernels
 // Per element the k updates apply in ascending order, preserving the
 // rounding sequence of the ordered loops. For the bricks jlen must be a
 // positive multiple of 8 (the caller hands column tails to the panels),
-// klen must be ≥ 1, b must hold 4·klen values laid out row-major, and x/v
-// are the top-left corners of the brick with the given strides (in
-// elements). The panels take any rows ≥ 1 and jlen ≥ 1.
+// klen must be ≥ 1, and x, b and v are the top-left corners of the
+// brick's x block, scalar block and v block with the given row strides
+// (in elements); b's rows must not be written during the call. The
+// panels take any rows ≥ 1 and jlen ≥ 1.
 
 // useAVX2 gates the assembly bodies; tests may flip it through
 // setSIMDForTest to compare both implementations on the same machine.
@@ -76,17 +78,17 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads XCR0 (requires OSXSAVE).
 func xgetbv() (eax, edx uint32)
 
-// minplusBrickAVX2 applies x[r,j] = min(x[r,j], b[r*klen+k] + v[k,j]) for
-// r in [0,4), j in [0,jlen), k in [0,klen), ascending k per element.
+// minplusBrickAVX2 applies x[r,j] = min(x[r,j], b[r*bstride+k] + v[k,j])
+// for r in [0,4), j in [0,jlen), k in [0,klen), ascending k per element.
 //
 //go:noescape
-func minplusBrickAVX2(x, b, v []float64, xstride, vstride, klen, jlen int)
+func minplusBrickAVX2(x, b, v []float64, xstride, bstride, vstride, klen, jlen int)
 
-// gaussBrickAVX2 applies x[r,j] -= b[r*klen+k] * v[k,j] for r in [0,4),
-// j in [0,jlen), k in [0,klen), ascending k per element, unfused.
+// gaussBrickAVX2 applies x[r,j] -= b[r*bstride+k] * v[k,j] for r in
+// [0,4), j in [0,jlen), k in [0,klen), ascending k per element, unfused.
 //
 //go:noescape
-func gaussBrickAVX2(x, b, v []float64, xstride, vstride, klen, jlen int)
+func gaussBrickAVX2(x, b, v []float64, xstride, bstride, vstride, klen, jlen int)
 
 // minplusPanelAVX2 applies x[r,j] = min(x[r,j], u[r*ustride] + v[j]) for
 // r in [0,rows) ascending, j in [0,jlen).

@@ -27,11 +27,11 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 //	DI  x tile pointer, advanced 64 bytes per 8-column tile
 //	DX  v base pointer, advanced in lockstep with DI
 //	R13 v row pointer inside the k loop (DX + k·vstride·8)
-//	SI  b base (row-major 4×klen scalar operands)
+//	SI  b base (row 0 of the 4×klen scalar operands, read in place)
 //	AX  b row-0 pointer inside the k loop (SI + k·8)
 //	CX  b row-0 end pointer (SI + klen·8)
-//	R10 klen·8   (b row offset: row r scalar at AX + r·R10)
-//	R11 3·klen·8
+//	R10 bstride·8 (b row offset: row r scalar at AX + r·R10)
+//	R11 3·bstride·8
 //	R8  xstride·8
 //	BX  3·xstride·8
 //	R9  vstride·8
@@ -61,26 +61,27 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMOVUPD Y6, (DI)(BX*1) \
 	VMOVUPD Y7, 32(DI)(BX*1)
 
-// func minplusBrickAVX2(x, b, v []float64, xstride, vstride, klen, jlen int)
+// func minplusBrickAVX2(x, b, v []float64, xstride, bstride, vstride, klen, jlen int)
 //
 // x[r,j] = min(x[r,j], b[r,k] + v[k,j]). The VMINPD operand order below is
 // Go syntax for Intel MINPD(src1 = t, src2 = x): on unordered or equal
 // operands the instruction returns src2, i.e. x survives ties and NaN sums
 // exactly like the scalar `if t := s + vj; t < x { x = t }`.
-TEXT ·minplusBrickAVX2(SB), NOSPLIT, $0-104
+TEXT ·minplusBrickAVX2(SB), NOSPLIT, $0-112
 	MOVQ x_base+0(FP), DI
 	MOVQ b_base+24(FP), SI
 	MOVQ v_base+48(FP), DX
 	MOVQ xstride+72(FP), R8
 	SHLQ $3, R8
 	LEAQ (R8)(R8*2), BX
-	MOVQ vstride+80(FP), R9
-	SHLQ $3, R9
-	MOVQ klen+88(FP), R10
+	MOVQ bstride+80(FP), R10
 	SHLQ $3, R10
 	LEAQ (R10)(R10*2), R11
-	LEAQ (SI)(R10*1), CX
-	MOVQ jlen+96(FP), R12
+	MOVQ vstride+88(FP), R9
+	SHLQ $3, R9
+	MOVQ klen+96(FP), CX
+	LEAQ (SI)(CX*8), CX
+	MOVQ jlen+104(FP), R12
 
 mp_jtile:
 	LOAD_X
@@ -124,26 +125,27 @@ mp_kloop:
 	VZEROUPPER
 	RET
 
-// func gaussBrickAVX2(x, b, v []float64, xstride, vstride, klen, jlen int)
+// func gaussBrickAVX2(x, b, v []float64, xstride, bstride, vstride, klen, jlen int)
 //
 // x[r,j] -= b[r,k] * v[k,j], unfused multiply-then-subtract to match the
 // scalar path bit for bit (gc does not contract mul-add on amd64). v is
 // Intel's first multiply source, as in gc's `MULSD f, v`: when both are
 // NaN the product carries v's payload on either path.
-TEXT ·gaussBrickAVX2(SB), NOSPLIT, $0-104
+TEXT ·gaussBrickAVX2(SB), NOSPLIT, $0-112
 	MOVQ x_base+0(FP), DI
 	MOVQ b_base+24(FP), SI
 	MOVQ v_base+48(FP), DX
 	MOVQ xstride+72(FP), R8
 	SHLQ $3, R8
 	LEAQ (R8)(R8*2), BX
-	MOVQ vstride+80(FP), R9
-	SHLQ $3, R9
-	MOVQ klen+88(FP), R10
+	MOVQ bstride+80(FP), R10
 	SHLQ $3, R10
 	LEAQ (R10)(R10*2), R11
-	LEAQ (SI)(R10*1), CX
-	MOVQ jlen+96(FP), R12
+	MOVQ vstride+88(FP), R9
+	SHLQ $3, R9
+	MOVQ klen+96(FP), CX
+	LEAQ (SI)(CX*8), CX
+	MOVQ jlen+104(FP), R12
 
 ge_jtile:
 	LOAD_X

@@ -9,11 +9,11 @@ var useAVX2 = false
 
 func setSIMDForTest(enabled bool) (prev bool) { return false }
 
-func minplusBrickAVX2(x, b, v []float64, xstride, vstride, klen, jlen int) {
+func minplusBrickAVX2(x, b, v []float64, xstride, bstride, vstride, klen, jlen int) {
 	panic("kernels: SIMD brick in a build without assembly")
 }
 
-func gaussBrickAVX2(x, b, v []float64, xstride, vstride, klen, jlen int) {
+func gaussBrickAVX2(x, b, v []float64, xstride, bstride, vstride, klen, jlen int) {
 	panic("kernels: SIMD brick in a build without assembly")
 }
 

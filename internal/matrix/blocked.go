@@ -48,25 +48,26 @@ func NewSymbolicBlocked(n, b int) *Blocked {
 
 // Block decomposes d into b×b tiles, filling any padded region with the
 // given off-diagonal and diagonal padding elements (take them from the
-// GEP rule's Pad/PadDiag so padded cells are inert).
+// GEP rule's Pad/PadDiag so padded cells are inert). Each tile row is one
+// copy from d plus its padding.
 func Block(d *Dense, b int, padOff, padDiag float64) *Blocked {
 	bl := NewBlocked(d.N, b)
-	np := bl.R * b
 	for bi := 0; bi < bl.R; bi++ {
 		for bj := 0; bj < bl.R; bj++ {
 			t := bl.Tiles[bi*bl.R+bj]
 			for i := 0; i < b; i++ {
 				gi := bi*b + i
-				for j := 0; j < b; j++ {
-					gj := bj*b + j
-					switch {
-					case gi < d.N && gj < d.N:
-						t.Data[i*b+j] = d.At(gi, gj)
-					case gi == gj && gi < np:
-						t.Data[i*b+j] = padDiag
-					default:
-						t.Data[i*b+j] = padOff
-					}
+				row := t.Data[i*b : (i+1)*b]
+				// The row's first n columns lie inside d; the rest pad.
+				n := 0
+				if gi < d.N {
+					n = copy(row, d.Data[gi*d.N+min(bj*b, d.N):(gi+1)*d.N])
+				}
+				for j := n; j < b; j++ {
+					row[j] = padOff
+				}
+				if gi >= d.N && bi == bj {
+					row[i] = padDiag
 				}
 			}
 		}
@@ -111,28 +112,18 @@ func (bl *Blocked) Symbolic() bool {
 	return len(bl.Tiles) > 0 && bl.Tiles[0].Symbolic()
 }
 
-// ToDense reassembles the logical n×n matrix, dropping virtual padding.
+// ToDense reassembles the logical n×n matrix, dropping virtual padding:
+// one copy per tile row.
 func (bl *Blocked) ToDense() *Dense {
 	if bl.Symbolic() {
 		panic("matrix: ToDense of a symbolic blocked matrix")
 	}
 	d := NewDense(bl.N)
-	for bi := 0; bi < bl.R; bi++ {
+	for gi := 0; gi < bl.N; gi++ {
+		bi, i := gi/bl.B, gi%bl.B
 		for bj := 0; bj < bl.R; bj++ {
 			t := bl.Tiles[bi*bl.R+bj]
-			for i := 0; i < bl.B; i++ {
-				gi := bi*bl.B + i
-				if gi >= bl.N {
-					break
-				}
-				for j := 0; j < bl.B; j++ {
-					gj := bj*bl.B + j
-					if gj >= bl.N {
-						break
-					}
-					d.Set(gi, gj, t.At(i, j))
-				}
-			}
+			copy(d.Data[gi*bl.N+bj*bl.B:(gi+1)*bl.N], t.Data[i*bl.B:(i+1)*bl.B])
 		}
 	}
 	return d

@@ -198,6 +198,85 @@ func TestBlockPadding(t *testing.T) {
 	}
 }
 
+// TestBlockMatchesElementwise compares Block's and ToDense's row copies
+// with the element-wise loops they replaced, bit for bit, on ragged and
+// dividing shapes under FW (+Inf, 0) and GE (0, 1) padding.
+func TestBlockMatchesElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 5, 100, 1000, 1024} {
+		for _, b := range []int{4, 24, 256} {
+			for _, pad := range [][2]float64{{math.Inf(1), 0}, {0, 1}} {
+				d := NewDense(n)
+				d.FillRandom(rng, -10, 10)
+				bl := Block(d, b, pad[0], pad[1])
+				want := blockElementwise(d, b, pad[0], pad[1])
+				for q, tile := range bl.Tiles {
+					if !sameBits(tile.Data, want.Tiles[q].Data) {
+						t.Fatalf("n=%d b=%d pad=%v: Block tile %d differs", n, b, pad, q)
+					}
+				}
+				// Scribble on the padding so ToDense must drop it.
+				for _, tile := range bl.Tiles {
+					for i := range tile.Data {
+						tile.Data[i] += 1
+					}
+				}
+				if got, want := bl.ToDense(), toDenseElementwise(bl); !sameBits(got.Data, want.Data) {
+					t.Fatalf("n=%d b=%d pad=%v: ToDense differs", n, b, pad)
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// blockElementwise is Block as one switch per element.
+func blockElementwise(d *Dense, b int, padOff, padDiag float64) *Blocked {
+	bl := NewBlocked(d.N, b)
+	np := bl.R * b
+	for bi := 0; bi < bl.R; bi++ {
+		for bj := 0; bj < bl.R; bj++ {
+			t := bl.Tiles[bi*bl.R+bj]
+			for i := 0; i < b; i++ {
+				for j := 0; j < b; j++ {
+					gi, gj := bi*b+i, bj*b+j
+					switch {
+					case gi < d.N && gj < d.N:
+						t.Set(i, j, d.At(gi, gj))
+					case gi == gj && gi < np:
+						t.Set(i, j, padDiag)
+					default:
+						t.Set(i, j, padOff)
+					}
+				}
+			}
+		}
+	}
+	return bl
+}
+
+// toDenseElementwise is ToDense one element at a time.
+func toDenseElementwise(bl *Blocked) *Dense {
+	d := NewDense(bl.N)
+	for gi := 0; gi < bl.N; gi++ {
+		for gj := 0; gj < bl.N; gj++ {
+			d.Set(gi, gj, bl.Tiles[(gi/bl.B)*bl.R+gj/bl.B].At(gi%bl.B, gj%bl.B))
+		}
+	}
+	return d
+}
+
 func TestBlockedProperty(t *testing.T) {
 	// Property: blocking then unblocking is identity for any n, b.
 	f := func(nRaw, bRaw uint8, seed int64) bool {
