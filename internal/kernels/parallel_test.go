@@ -336,7 +336,7 @@ func TestHostParallelCeiling(t *testing.T) {
 				s ^= s >> 7
 				s ^= s << 17
 			}
-			sink.Add(s)
+			ceilingSink.Add(s)
 		}
 	}
 	// calls runs each worker for the window and returns the total calls.
@@ -376,4 +376,4 @@ func TestHostParallelCeiling(t *testing.T) {
 	}
 }
 
-var sink atomic.Uint64
+var ceilingSink atomic.Uint64
