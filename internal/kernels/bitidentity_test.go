@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dpspark/internal/matrix"
@@ -123,25 +124,29 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 	cases := []struct {
 		rule  semiring.Rule
 		fills []fill
+		// bc lists sizes run on kinds B and C only, past edgeSizes: a
+		// k-block tail of 4 with brick column tails (100), and two column
+		// tiles (520, past jBlock).
+		bc []int
 	}{
 		{semiring.NewFloydWarshall(), []fill{
 			{name: "special", value: specialValues},
 			{name: "negative-diagonal", value: ordinary,
 				pivot: func(rng *rand.Rand) float64 { return -1 - rng.Float64() }},
-		}},
+		}, []int{100, 520}},
 		{semiring.NewGaussian(), []fill{
 			{name: "special", value: specialValues,
 				pivot: func(rng *rand.Rand) float64 { return 1 + rng.Float64() }},
 			{name: "special-pivots", value: specialValues},
 			{name: "tiny-pivots", value: ordinary,
 				pivot: func(rng *rand.Rand) float64 { return 1e-300 * (rng.Float64() - 0.5) }},
-		}},
+		}, nil},
 	}
 	rng := rand.New(rand.NewSource(303))
 	for _, c := range cases {
 		rule := c.rule
 		for _, f := range c.fills {
-			for _, n := range edgeSizes {
+			for _, n := range append(edgeSizes[:len(edgeSizes):len(edgeSizes)], c.bc...) {
 				if (testing.Short() || raceEnabled) && n > 64 {
 					continue
 				}
@@ -157,6 +162,9 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 						}
 					}
 					for _, kind := range allKinds {
+						if slices.Contains(c.bc, n) && kind != semiring.KindB && kind != semiring.KindC {
+							continue
+						}
 						name := fmt.Sprintf("%s/%s/%v/n=%d/quadrants=%v", rule.Name(), f.name, kind, n, quadrants)
 						run := func(simd bool, kernel func(semiring.Rule, semiring.Kind, matrix.View, matrix.View, matrix.View, matrix.View)) []float64 {
 							setSIMDForTest(simd)
