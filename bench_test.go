@@ -237,9 +237,10 @@ func BenchmarkAblationUndirected(b *testing.B) {
 // BenchmarkKernelIterative measures the min-plus loop kernels per update:
 // the unaliased kind D (sizes 512 and 1024 are the cache-blocking regime:
 // the tile no longer fits L2 and the k-blocked fast path's reuse shows up
-// directly in MB/s) and the aliased kinds A, B, C, which run the ordered
-// loop over the vectorised row primitive and are 7 of the 16 tile updates
-// of an r=4 iteration.
+// directly in MB/s) and the aliased kinds A, B, C, which are 7 of the 16
+// tile updates of an r=4 iteration: A runs the ordered loop over the
+// vectorised row primitive, C the same loop in L1-sized row bands, and B
+// k-blocks of bricks over captured pivot rows.
 func BenchmarkKernelIterative(b *testing.B) {
 	rule := semiring.NewFloydWarshall()
 	for _, size := range []int{128, 256, 512, 1024} {

@@ -65,7 +65,8 @@ type KindCosts [4]float64
 
 // MeasureKernelKinds times one serial update of a b×b tile for each
 // kernel kind with the operand aliasing of the drivers — A, B and C run
-// the ordered in-place loop, D the blocked one — and returns best-of-reps
+// in place in the ordered loop's per-element sequence (min-plus B and C
+// in cache-resident forms), D the blocked one — and returns best-of-reps
 // nanoseconds per element update (kernels.Updates counts them: GE's
 // pivot-row and pivot-column kinds update a triangle). The per-kind gap
 // is what decides how much of a solve the 7-of-16 aliased tile updates

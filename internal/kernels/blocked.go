@@ -20,14 +20,14 @@ import "dpspark/internal/matrix"
 // Column tiling (jBlock) bounds the working set further for very large
 // tiles.
 //
-// The blocked paths apply only when x does not alias u or v. For kinds A,
-// B and C, Fig. 4 wires x into the operand list (u = v = w = x for A,
-// v = x for B, u = x for C), making the kernel a true in-place DP whose
-// later pivots must observe earlier updates — those keep the ordered kij
-// sequence (k ascending, rows ascending, one vectorised panel per pivot;
-// see loop.go). The D update reads only u, v and w, so the k loop is a
-// pure reduction over an unchanging operand set and any evaluation order
-// is valid:
+// The blocked paths read u and v in place only when x aliases neither.
+// For kinds A, B and C, Fig. 4 wires x into the operand list (u = v = w =
+// x for A, v = x for B, u = x for C), making the kernel a true in-place
+// DP whose later pivots must observe earlier updates — each element keeps
+// the ordered kij loop's operands in ascending k (see loop.go; min-plus
+// kind B runs these bricks too, over captured pivot rows). The D update
+// reads only u, v and w, so the k loop is a pure reduction over an
+// unchanging operand set and any evaluation order is valid:
 //
 //   - min-plus: x[i,j] = min over k of u[i,k]+v[k,j] (and the original
 //     x[i,j]). min is exact in floating point, so every order produces
@@ -198,31 +198,41 @@ func gaussRow8(xrow, vrow []float64, f float64, n int) {
 
 // minPlusBand runs the k-blocked min-plus update on rows [i0,i1) of x.
 // Rows are independent (x aliases neither u nor v), so disjoint bands
-// compose to the full tile in any order or in parallel. The bricks read
-// their scalars u[i,k] in place, at u's row stride.
+// compose to the full tile in any order or in parallel.
 func minPlusBand(x, u, v matrix.View, i0, i1 int) {
+	minPlusKBlocks(x, u, v.Data, v.Stride, 0, x.N, i0, i1)
+}
+
+// minPlusKBlocks applies pivots [k0,k1) to rows [i0,i1) of x in blocks
+// of kBlock, ascending k per element: x[i,j] = min(x[i,j], u[i,k] +
+// vb[(k-k0)*vstride+j]). vb holds the pivot rows — v's own rows for kind
+// D, captured rows for kind B (loopMinPlusPivotRows) — and must not alias
+// the rows written. The bricks read their scalars u[i,k] in place, at
+// u's row stride.
+func minPlusKBlocks(x, u matrix.View, vb []float64, vstride, k0, k1, i0, i1 int) {
 	n := x.N
-	for k0 := 0; k0 < n; k0 += kBlock {
-		kHi := min(k0+kBlock, n)
+	for kb := k0; kb < k1; kb += kBlock {
+		kHi := min(kb+kBlock, k1)
+		v := vb[(kb-k0)*vstride:]
 		for j0 := 0; j0 < n; j0 += jBlock {
 			jHi := min(j0+jBlock, n)
 			i := i0
 			if useAVX2 && jHi-j0 >= 8 {
 				jv := j0 + (jHi-j0)&^7
 				for ; i+4 <= i1; i += 4 {
-					minplusBrickAVX2(x.Data[i*x.Stride+j0:], u.Data[i*u.Stride+k0:],
-						v.Data[k0*v.Stride+j0:], x.Stride, u.Stride, v.Stride, kHi-k0, jv-j0)
-					for k := k0; jv < jHi && k < kHi; k++ {
+					minplusBrickAVX2(x.Data[i*x.Stride+j0:], u.Data[i*u.Stride+kb:],
+						v[j0:], x.Stride, u.Stride, vstride, kHi-kb, jv-j0)
+					for k := kb; jv < jHi && k < kHi; k++ {
 						minPlusPanel(x.Data[i*x.Stride+jv:], u.Data[i*u.Stride+k:],
-							v.Data[k*v.Stride+jv:], x.Stride, u.Stride, 4, jHi-jv)
+							v[(k-kb)*vstride+jv:], x.Stride, u.Stride, 4, jHi-jv)
 					}
 				}
 			}
 			// Row-outer so a remainder row stays in L1 across the k block.
 			for ; i < i1; i++ {
-				for k := k0; k < kHi; k++ {
+				for k := kb; k < kHi; k++ {
 					minPlusPanel(x.Data[i*x.Stride+j0:], u.Data[i*u.Stride+k:],
-						v.Data[k*v.Stride+j0:], x.Stride, u.Stride, 1, jHi-j0)
+						v[(k-kb)*vstride+j0:], x.Stride, u.Stride, 1, jHi-j0)
 				}
 			}
 		}

@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"sync"
+
 	"dpspark/internal/matrix"
 	"dpspark/internal/semiring"
 )
@@ -69,20 +71,70 @@ func Loop(rule semiring.Rule, kind semiring.Kind, x, u, v, w matrix.View) {
 // min-reduction over fixed operands and runs cache-blocked; min is exact,
 // so the result is bit-identical to the ordered loop.
 //
-// The aliased shapes (kinds A, B, C) keep the ordered kij sequence — k
-// ascending, rows ascending — with each pivot's rows handed to the
-// vectorised row primitive in one call. Inside a row every j is
-// independent, which is all the vector lanes need, so this is the scalar
-// triple loop bit for bit (see minPlusPanel for the aliasing argument).
+// The aliased shapes keep each element's operands in the ordered kij
+// loop's ascending k, a pivot's rows handed to the vectorised row
+// primitive in one call (inside a row every j is independent; see
+// minPlusPanel). Kind A (x = u = v) runs that loop over the whole tile.
+// Kind C (x = u) reads no other row of x, so it runs it over row bands
+// that stay in L1, all pivots per band. Kind B (x = v) runs k-blocks
+// over captured pivot rows (loopMinPlusPivotRows).
 func loopMinPlus(x, u, v matrix.View) {
-	if !sameView(x, u) && !sameView(x, v) {
+	xu, xv := sameView(x, u), sameView(x, v)
+	if !xu && !xv {
 		loopMinPlusBlocked(x, u, v)
 		return
 	}
 	n := x.N
-	for k := 0; k < n; k++ {
-		minPlusPanel(x.Data, u.Data[k:], v.Data[k*v.Stride:], x.Stride, u.Stride, n, n)
+	if xv && !xu && n > kBlock {
+		loopMinPlusPivotRows(x, u)
+		return
 	}
+	band := n
+	if xu && !xv && n*n*8 > l1Bytes {
+		band = max(4, l1Bytes/(8*n))
+	}
+	for i0 := 0; i0 < n; i0 += band {
+		for k := 0; k < n; k++ {
+			minPlusPanel(x.Data[i0*x.Stride:], u.Data[i0*u.Stride+k:], v.Data[k*v.Stride:],
+				x.Stride, u.Stride, min(band, n-i0), n)
+		}
+	}
+}
+
+// l1Bytes is the L1 data cache a kind-C row band is sized to.
+const l1Bytes = 32 << 10
+
+// pivotRows recycles kind B's pivot-row captures: 2·kBlock·n values.
+var pivotRows sync.Pool
+
+// loopMinPlusPivotRows is kind B (x = v, u the fixed pivot tile) one
+// k-block [k0,k1) at a time. Phase 1 runs the ordered loop over the
+// block's own rows, and captures pivot row k before its panel (pre: what
+// the ordered loop hands rows above k at step k) and after it (post: what
+// it hands rows below k). Phase 2 runs the bricks over every other row,
+// rows < k0 reading pre and rows ≥ k1 reading post. Each element gets
+// the ordered loop's operands in its ascending k, so the bits are the
+// same, also when a negative u[k,k] makes pre and post differ.
+func loopMinPlusPivotRows(x, u matrix.View) {
+	n := x.N
+	p, _ := pivotRows.Get().(*[]float64)
+	if p == nil || cap(*p) < 2*kBlock*n {
+		buf := make([]float64, 2*kBlock*n)
+		p = &buf
+	}
+	pre, post := (*p)[:kBlock*n], (*p)[kBlock*n:2*kBlock*n]
+	for k0 := 0; k0 < n; k0 += kBlock {
+		k1 := min(k0+kBlock, n)
+		for k := k0; k < k1; k++ {
+			row := x.Data[k*x.Stride : k*x.Stride+n]
+			copy(pre[(k-k0)*n:], row)
+			minPlusPanel(x.Data[k0*x.Stride:], u.Data[k0*u.Stride+k:], row, x.Stride, u.Stride, k1-k0, n)
+			copy(post[(k-k0)*n:], row)
+		}
+		minPlusKBlocks(x, u, pre, n, k0, k1, 0, k0)
+		minPlusKBlocks(x, u, post, n, k0, k1, k1, n)
+	}
+	pivotRows.Put(p)
 }
 
 // loopGaussian is the elimination inner loop with the row multiplier

@@ -26,10 +26,10 @@ const parMinDim = 64
 //     so the result equals the serial loop bit for bit.
 //   - Aliased shapes (kind A always; B, C and semiring-rule kernels
 //     whose operands are wired back to x) are true in-place DPs whose
-//     later pivots observe earlier updates; they run Loop's ordered
-//     kernel on the caller regardless of the pool — vectorised along
-//     each row (loopMinPlus, loopGaussian), but one pivot and one row
-//     at a time, never split across workers.
+//     later pivots observe earlier updates; they run Loop's serial
+//     kernel on the caller regardless of the pool — each element's
+//     updates in the ordered loop's sequence (min-plus B and C in
+//     cache-resident forms, see loopMinPlus), never split across workers.
 //
 // A nil or width-1 pool, or a tile below the parallel crossover floor,
 // falls through to Loop unchanged.
