@@ -16,7 +16,7 @@ import (
 //	...
 //
 // Vertex ids are 0-based. Lines starting with '#' or '%' are ignored.
-// This is the input format of cmd/apsp.
+// This is the input format of `dpspark solve -graph`.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
