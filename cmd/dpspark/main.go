@@ -561,14 +561,7 @@ func (v *inv) durable(ctx context.Context, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rctx := rdd.NewContext(rdd.Conf{
-		Cluster:       cluster.LocalN(4, 2),
-		DurableDir:    v.dir,
-		MemoryBudget:  v.budget,
-		SpillCodec:    core.TileCodec{},
-		KernelThreads: v.kernelThreads,
-		Observer:      v.obs,
-	})
+	rctx := rdd.NewContext(v.localConf(v.dir))
 	defer rctx.Close()
 	in := core.SeededInput(rule, v.size, v.seed)
 	bl := matrix.Block(in, v.block, rule.Pad(), rule.PadDiag())
@@ -622,17 +615,9 @@ func (v *inv) remote(_ context.Context, w io.Writer) error {
 		if outage {
 			plan.Events = append(plan.Events, rdd.RemoteOutage{From: 0, Dur: 4 * r})
 		}
-		ctx := rdd.NewContext(rdd.Conf{
-			Cluster:       cluster.LocalN(4, 2),
-			DurableDir:    filepath.Join(v.dir, name, "local"),
-			RemoteDir:     filepath.Join(v.dir, name, "remote"),
-			MemoryBudget:  v.budget,
-			SpillCodec:    core.TileCodec{},
-			Speculation:   true,
-			FaultPlan:     plan,
-			KernelThreads: v.kernelThreads,
-			Observer:      v.obs,
-		})
+		conf := v.localConf(filepath.Join(v.dir, name, "local"))
+		conf.RemoteDir, conf.Speculation, conf.FaultPlan = filepath.Join(v.dir, name, "remote"), true, plan
+		ctx := rdd.NewContext(conf)
 		defer ctx.Close()
 		bl := matrix.Block(in, v.block, rule.Pad(), rule.PadDiag())
 		out, st, err := core.Run(ctx, bl, core.Config{
@@ -682,15 +667,9 @@ func (v *inv) resume(ctx context.Context, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "resuming %s %s from checkpoint %d/%d (n=%d b=%d)\n",
 		meta.Rule, meta.Driver, meta.Iteration, meta.R, meta.N, meta.B)
-	rctx := rdd.NewContext(rdd.Conf{
-		Cluster:       cluster.LocalN(4, 2),
-		DurableDir:    v.dir,
-		MemoryBudget:  v.budget,
-		SpillCodec:    core.TileCodec{},
-		Restore:       &meta.Engine,
-		KernelThreads: v.kernelThreads,
-		Observer:      v.obs,
-	})
+	conf := v.localConf(v.dir)
+	conf.Restore = &meta.Engine
+	rctx := rdd.NewContext(conf)
 	defer rctx.Close()
 	out, st, err := core.Resume(rctx, meta, bl, core.Config{
 		Rule: rule, BlockSize: meta.B, Driver: drv,
@@ -932,6 +911,15 @@ func ruleFlagName(ruleName string) string {
 		return "ge"
 	}
 	return "fw"
+}
+
+// localConf is the engine configuration of the real runs (durable,
+// remote, resume): the local 4-node model with a block store under dir.
+func (v *inv) localConf(dir string) rdd.Conf {
+	return rdd.Conf{
+		Cluster: cluster.LocalN(4, 2), DurableDir: dir, MemoryBudget: v.budget,
+		SpillCodec: core.TileCodec{}, KernelThreads: v.kernelThreads, Observer: v.obs,
+	}
 }
 
 // printDurableStats reports the run's modelled time and store activity.
