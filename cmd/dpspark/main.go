@@ -47,31 +47,35 @@ type command struct {
 // fields; each flag of the binary is defined in exactly one group.
 type flagGroup func(v *inv, fs *flag.FlagSet)
 
-// evalFlags are the flags of the commands that regenerate the evaluation.
-var evalFlags = []flagGroup{sizeFlag, reportFlags, obsFlags}
+// tableFlags are the flags of the commands that print tables, figFlags
+// those of the commands that print only charts (no -csv).
+var (
+	tableFlags = []flagGroup{sizeFlag, csvFlag, verboseFlag, htmlFlag, obsFlags}
+	figFlags   = []flagGroup{sizeFlag, verboseFlag, htmlFlag, obsFlags}
+)
 
 const stopNotice = "checkpointing and stopping at the next iteration boundary (repeat to force quit)"
 
 var commands = []command{
-	{"table1", "Table I — GE, CB, 4-way recursive: executor-cores × OMP grid", evalFlags, "", (*inv).table1},
-	{"table2", "Table II — FW-APSP, IM, 16-way recursive: same grid", evalFlags, "", (*inv).table2},
-	{"fig6", "Fig. 6 — implementation × kernel × block-size sweeps", evalFlags, "", (*inv).fig6},
-	{"fig8", "Fig. 8 — FW-APSP portability across both clusters", evalFlags, "", (*inv).fig8},
-	{"fig9", "Fig. 9 — weak scaling at fixed work per node", []flagGroup{reportFlags, obsFlags}, "", (*inv).fig9},
+	{"table1", "Table I — GE, CB, 4-way recursive: executor-cores × OMP grid", tableFlags, "", (*inv).table1},
+	{"table2", "Table II — FW-APSP, IM, 16-way recursive: same grid", tableFlags, "", (*inv).table2},
+	{"fig6", "Fig. 6 — implementation × kernel × block-size sweeps", figFlags, "", (*inv).fig6},
+	{"fig8", "Fig. 8 — FW-APSP portability across both clusters", figFlags, "", (*inv).fig8},
+	{"fig9", "Fig. 9 — weak scaling at fixed work per node", []flagGroup{verboseFlag, htmlFlag, obsFlags}, "", (*inv).fig9},
 	{"headline", "best iterative vs best recursive per benchmark", []flagGroup{sizeFlag, obsFlags}, "", (*inv).headline},
-	{"ablations", "partitioner / partitions / r_shared / baseline comparisons", evalFlags, "", (*inv).ablations},
+	{"ablations", "partitioner / partitions / r_shared / baseline comparisons", figFlags, "", (*inv).ablations},
 	{"explain", "per-iteration plan: kernel counts, copies, moved bytes", []flagGroup{sizeFlag}, "", (*inv).explain},
-	{"apsp", "one observable FW-APSP run with its phase breakdown", evalFlags, "", (*inv).apsp},
-	{"chaos", "FW-APSP under a seeded fault plan: recovery overhead per driver", []flagGroup{sizeFlag, reportFlags, obsFlags, faultFlags, seedFlag, threadsFlag}, "", (*inv).chaos},
+	{"apsp", "one observable FW-APSP run with its phase breakdown", []flagGroup{sizeFlag, htmlFlag, obsFlags}, "", (*inv).apsp},
+	{"chaos", "FW-APSP under a seeded fault plan: recovery overhead per driver", []flagGroup{sizeFlag, htmlFlag, obsFlags, faultFlags, seedFlag, threadsFlag}, "", (*inv).chaos},
 	{"durable", "real run through the checksummed block store with driver checkpoints", []flagGroup{obsFlags, seedFlag, threadsFlag, runFlags, storeFlags, stopFlag}, stopNotice, (*inv).durable},
 	{"resume", "restart from the newest intact checkpoint under -dir, bit-identically", []flagGroup{obsFlags, threadsFlag, storeFlags}, stopNotice, (*inv).resume},
 	{"remote", "one executor crash recovered from remote replicas, then under a remote outage", []flagGroup{obsFlags, seedFlag, threadsFlag, runFlags, storeFlags}, "", (*inv).remote},
-	{"solve", "APSP of a graph (-bench fw) or A·x = b (-bench ge), solved on the local machine", []flagGroup{seedFlag, threadsFlag, runFlags, solveFlags}, "", (*inv).solve},
+	{"solve", "APSP of a graph (-bench fw) or A·x = b (-bench ge), solved on the local machine", []flagGroup{seedFlag, runFlags, solveFlags}, "", (*inv).solve},
 	{"kernels", "measured single-tile kernel scaling, crossover and cores×threads split", []flagGroup{threadsFlag}, "", (*inv).kernels},
 	{"sweep", "autotune search over the full tuning space", []flagGroup{sizeFlag}, "", (*inv).sweep},
 	{"serve", "multi-tenant HTTP job service; -journal DIR makes it crash-safe", []flagGroup{obsFlags, threadsFlag, serveFlags},
 		"draining (no new admissions; in-flight jobs get -drain-grace, then are cancelled)", (*inv).serve},
-	{"all", "tables, figures and ablations", evalFlags, "", (*inv).all},
+	{"all", "tables, figures and ablations", tableFlags, "", (*inv).all},
 }
 
 func main() {
@@ -204,9 +208,15 @@ func sizeFlag(v *inv, fs *flag.FlagSet) {
 	fs.IntVar(&v.n, "n", experiments.PaperN, "problem size (DP table is n×n)")
 }
 
-func reportFlags(v *inv, fs *flag.FlagSet) {
+func csvFlag(v *inv, fs *flag.FlagSet) {
 	fs.StringVar(&v.csvDir, "csv", "", "directory to also write CSV tables into")
+}
+
+func verboseFlag(v *inv, fs *flag.FlagSet) {
 	fs.BoolVar(&v.verbose, "v", false, "print per-cell cost breakdowns")
+}
+
+func htmlFlag(v *inv, fs *flag.FlagSet) {
 	fs.StringVar(&v.htmlOut, "html", "", "also write a self-contained HTML report to this file")
 }
 

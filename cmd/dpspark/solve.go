@@ -51,7 +51,7 @@ func (v *inv) solve(_ context.Context, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -kernel %q (want iter or rec)", v.kernel)
 	}
-	s := dpspark.NewSessionKernelThreads(dpspark.Local(v.cores), v.kernelThreads)
+	s := dpspark.NewSession(dpspark.Local(v.cores))
 	defer s.Close()
 	if bench == "ge" {
 		return v.solveLinear(w, s, cfg)
