@@ -323,3 +323,90 @@ func TestRecursiveSpecialValuesMatchOrdered(t *testing.T) {
 		}
 	}
 }
+
+// TestIterativeApplyMatchesLoop pins the iterative exec's entry points to
+// Loop bit for bit: Apply on a serial exec and on one with its own
+// width-2 pool, and ApplyWith on no pool and on a caller's width-2 pool.
+// Tiles are wired with Fig. 4's nil operands (A takes only X, B omits V,
+// C omits U; the semiring rules' kind D also runs without its pivot, as
+// the engine calls FW), so the exec's own wiring is checked too. The
+// strided quadrants of one slab, which no tile can express, go through
+// LoopPool on the same two pools. FW, GE and a non-min-plus semiring
+// (the generic path) cover every loop an iterative exec can pick, and
+// b = 64 and 100 reach the row-band split.
+func TestIterativeApplyMatchesLoop(t *testing.T) {
+	fw, ge, tc := semiring.NewFloydWarshall(), semiring.NewGaussian(), semiring.NewTransitiveClosure()
+	pool := NewPool(2)
+	rng := rand.New(rand.NewSource(313))
+	for _, rule := range []semiring.Rule{fw, ge, tc} {
+		execs := []struct {
+			name  string
+			apply func(kind semiring.Kind, x, u, v, w *matrix.Tile)
+		}{
+			{"Apply", NewIterative(rule).Apply},
+			{"Apply/own-pool", NewIterativePool(rule, 2).Apply},
+			{"ApplyWith/nil", func(kind semiring.Kind, x, u, v, w *matrix.Tile) {
+				NewIterative(rule).ApplyWith(nil, kind, x, u, v, w)
+			}},
+			{"ApplyWith/pool", func(kind semiring.Kind, x, u, v, w *matrix.Tile) {
+				NewIterative(rule).ApplyWith(pool, kind, x, u, v, w)
+			}},
+		}
+		for _, n := range []int{1, 4, 8, 33, 64, 100} {
+			base := make([]float64, 4*n*n)
+			for _, quadrants := range []bool{false, true} {
+				for i := range base {
+					base[i] = specialValues(rng)
+				}
+				if rule == semiring.Rule(ge) {
+					_, _, _, w := kernelOperands(semiring.KindD, n, quadrants, base)
+					for i := 0; i < n; i++ {
+						w.Set(i, i, 1+rng.Float64())
+					}
+				}
+				for _, kind := range allKinds {
+					// dropW wires kind D's pivot back to x, as for a rule
+					// that never reads it.
+					for _, dropW := range []bool{false, true} {
+						if dropW && (kind != semiring.KindD || rule.UsesPivot()) {
+							continue
+						}
+						operands := func(data []float64) (x, u, v, w matrix.View) {
+							x, u, v, w = kernelOperands(kind, n, quadrants, data)
+							if dropW {
+								w = x
+							}
+							return x, u, v, w
+						}
+						want := append([]float64(nil), base...)
+						x, u, v, w := operands(want)
+						Loop(rule, kind, x, u, v, w)
+						name := fmt.Sprintf("%s/%v/n=%d/quadrants=%v/dropW=%v", rule.Name(), kind, n, quadrants, dropW)
+						if quadrants {
+							for _, p := range []*Pool{nil, pool} {
+								got := append([]float64(nil), base...)
+								x, u, v, w := operands(got)
+								LoopPool(p, rule, kind, x, u, v, w)
+								requireSameBits(t, fmt.Sprintf("%s/LoopPool/threads=%d", name, p.Threads()), got, want)
+							}
+							continue
+						}
+						for _, e := range execs {
+							got := append([]float64(nil), base...)
+							x, u, v, w := operands(got)
+							// An operand that is x itself goes in as nil.
+							tile := func(o matrix.View) *matrix.Tile {
+								if sameView(o, x) {
+									return nil
+								}
+								return &matrix.Tile{B: n, Data: o.Data[:n*n]}
+							}
+							e.apply(kind, &matrix.Tile{B: n, Data: x.Data[:n*n]}, tile(u), tile(v), tile(w))
+							requireSameBits(t, name+"/"+e.name, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
