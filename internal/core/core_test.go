@@ -253,7 +253,8 @@ func TestMatrixFromBlocksValidation(t *testing.T) {
 
 func TestOperandsAbsorbPanicsOnDuplicates(t *testing.T) {
 	tile := matrix.NewTile(2)
-	o := Operands{}.absorb(Msg{RolePivot, tile})
+	var o Operands
+	o.absorb(Msg{RolePivot, tile})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -274,8 +275,37 @@ func TestMsgSizeBytes(t *testing.T) {
 	if o.SizeBytes() != 2*32+1 {
 		t.Fatalf("operands size = %d", o.SizeBytes())
 	}
-	if len(o.messages()) != 2 {
-		t.Fatal("messages")
+}
+
+// TestCombineMsgsShuffled: messages that are not co-partitioned take
+// combineMsgs' shuffle path, where each key's partial operand sets from
+// several map tasks merge into one.
+func TestCombineMsgsShuffled(t *testing.T) {
+	var tiles [RoleCol + 1]*matrix.Tile
+	for r := range tiles {
+		tiles[r] = matrix.NewTile(1)
+	}
+	keys := []matrix.Coord{{I: 0, J: 0}, {I: 0, J: 1}, {I: 1, J: 1}}
+	var recs []rdd.Pair[matrix.Coord, Msg]
+	for r := RoleSelf; r <= RoleCol; r++ {
+		for _, c := range keys {
+			recs = append(recs, rdd.KV(c, Msg{r, tiles[r]}))
+		}
+	}
+	// Three input partitions of five records split every key's roles.
+	got, err := combineMsgs(rdd.Parallelize(newCtx(), recs, 3), rdd.NewHashPartitioner(2)).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Operands{Self: tiles[RoleSelf], Done: tiles[RoleDone], Pivot: tiles[RolePivot],
+		Row: tiles[RoleRow], Col: tiles[RoleCol]}
+	if len(got) != len(keys) {
+		t.Fatalf("%d operand sets, want %d", len(got), len(keys))
+	}
+	for _, p := range got {
+		if p.Value != want {
+			t.Fatalf("%v: %+v, want %+v", p.Key, p.Value, want)
+		}
 	}
 }
 

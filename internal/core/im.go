@@ -171,9 +171,19 @@ func (run *runner) inMemory(dp *rdd.RDD[Block]) (*rdd.RDD[Block], error) {
 // combineByKey(..) calls of Listing 1. The inputs are co-partitioned, so
 // this aggregates in place (Spark skips the shuffle too, §II footnote 1).
 func combineMsgs(in *rdd.RDD[rdd.Pair[matrix.Coord, Msg]], part rdd.Partitioner) *rdd.RDD[rdd.Pair[matrix.Coord, Operands]] {
-	return rdd.CombineByKey(in,
-		func(m Msg) Operands { return Operands{}.absorb(m) },
-		func(o Operands, m Msg) Operands { return o.absorb(m) },
-		func(a, b Operands) Operands { return a.merge(b) },
+	return rdd.CombineByKeyInPlace(in,
+		func(m Msg) (o Operands) {
+			o.absorb(m)
+			return o
+		},
+		(*Operands).absorb,
+		func(o *Operands, other Operands) {
+			for _, m := range [...]Msg{{RoleSelf, other.Self}, {RoleDone, other.Done},
+				{RolePivot, other.Pivot}, {RoleRow, other.Row}, {RoleCol, other.Col}} {
+				if m.Tile != nil {
+					o.absorb(m)
+				}
+			}
+		},
 		part)
 }

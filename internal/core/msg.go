@@ -85,9 +85,9 @@ func (o Operands) SizeBytes() int64 {
 	return n + 1
 }
 
-// absorb merges one message into the operand set; duplicate roles for one
-// key indicate a driver bug and panic loudly.
-func (o Operands) absorb(m Msg) Operands {
+// absorb merges one message into the operand set in place; duplicate
+// roles for one key indicate a driver bug and panic loudly.
+func (o *Operands) absorb(m Msg) {
 	switch m.Role {
 	case RoleSelf:
 		if o.Self != nil {
@@ -117,34 +117,4 @@ func (o Operands) absorb(m Msg) Operands {
 	default:
 		panic(fmt.Sprintf("core: unknown role %v", m.Role))
 	}
-	return o
-}
-
-// merge combines two operand sets (mergeCombiners).
-func (o Operands) merge(other Operands) Operands {
-	for _, m := range other.messages() {
-		o = o.absorb(m)
-	}
-	return o
-}
-
-// messages decomposes the set back into tagged tiles.
-func (o Operands) messages() []Msg {
-	var out []Msg
-	if o.Self != nil {
-		out = append(out, Msg{RoleSelf, o.Self})
-	}
-	if o.Done != nil {
-		out = append(out, Msg{RoleDone, o.Done})
-	}
-	if o.Pivot != nil {
-		out = append(out, Msg{RolePivot, o.Pivot})
-	}
-	if o.Row != nil {
-		out = append(out, Msg{RoleRow, o.Row})
-	}
-	if o.Col != nil {
-		out = append(out, Msg{RoleCol, o.Col})
-	}
-	return out
 }

@@ -98,11 +98,7 @@ func Solve(ctx *rdd.Context, a, b []byte, cfg Config) (*Result, error) {
 	for w := 0; w < waves; w++ {
 		w := w
 		// Assemble each wave tile's inputs from the pending boundaries.
-		grouped := rdd.CombineByKey(pending,
-			func(m msg) []msg { return []msg{m} },
-			func(g []msg, m msg) []msg { return append(g, m) },
-			func(x, y []msg) []msg { return append(x, y...) },
-			part)
+		grouped := rdd.GroupByKey(pending, part)
 
 		// Seed the origin tile (every other tile has at least one
 		// incoming boundary message).

@@ -14,7 +14,7 @@ import (
 // outputs mean equal key order and equal merge order.
 func gather[K comparable](chunks [][]Pair[K, int]) []Pair[K, []int] {
 	return combinePairs(chunks, func(v int) []int { return []int{v} },
-		func(c []int, v int) []int { return append(c, v) })
+		func(c *[]int, v int) { *c = append(*c, v) })
 }
 
 // gatherByMap is gather through the map numbering, the reference.
@@ -25,7 +25,7 @@ func gatherByMap[K comparable](chunks [][]Pair[K, int]) []Pair[K, []int] {
 	}
 	slots, keys := numberByMap(chunks, n)
 	return combineSlots(chunks, slots, keys, func(v int) []int { return []int{v} },
-		func(c []int, v int) []int { return append(c, v) })
+		func(c *[]int, v int) { *c = append(*c, v) })
 }
 
 // TestDenseCombineMatchesMap: over random coordinate chunks — dense
@@ -189,21 +189,62 @@ func TestChunkedUnionCombineMatchesConcatenated(t *testing.T) {
 		if u.ds.chunks == nil {
 			t.Fatalf("%s: union is not partitioner-aware", name)
 		}
-		cat := func(c []int, v int) []int { return append(c, v) }
+		cat := func(c *[]int, v int) { *c = append(*c, v) }
 		create := func(v int) []int { return []int{v} }
-		merge := func(a, b []int) []int { return append(a, b...) }
-		got, err := CombineByKey(u, create, cat, merge, part).Collect()
+		merge := func(a *[]int, b []int) { *a = append(*a, b...) }
+		got, err := CombineByKeyInPlace(u, create, cat, merge, part).Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
 		concatenated := MapValues(u, func(_ *TaskContext, _ matrix.Coord, v int) int { return v })
-		want, err := CombineByKey(concatenated, create, cat, merge, part).Collect()
+		want, err := CombineByKeyInPlace(concatenated, create, cat, merge, part).Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) == 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: chunked\n %v\nconcatenated\n %v", name, got, want)
 		}
+	}
+}
+
+// TestShuffledCombineKeepsFirstSeenOrder: through a shuffle, each reduce
+// partition merges the map sides' combiners in map-task order
+// (mergeCombiners, in place), so its keys come out in first-seen order
+// over the map tasks' records taken task by task, and each key's values
+// in that order too — what one gather over those records produces.
+func TestShuffledCombineKeepsFirstSeenOrder(t *testing.T) {
+	const maps, records = 4, 200
+	part := NewHashPartitioner(3)
+	rng := rand.New(rand.NewSource(35))
+	recs := make([]Pair[int, int], records)
+	for i := range recs {
+		recs[i] = KV(rng.Intn(25), i)
+	}
+	ctx := NewContext(Conf{Cluster: cluster.Local(2)})
+	got, err := CombineByKeyInPlace(Parallelize(ctx, recs, maps),
+		func(v int) []int { return []int{v} },
+		func(c *[]int, v int) { *c = append(*c, v) },
+		func(c *[]int, o []int) { *c = append(*c, o...) },
+		part).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Parallelize deals the records round-robin; reduce partition p sees
+	// map task 0's records of its keys, then task 1's, and so on.
+	var want []Pair[int, []int]
+	for p := 0; p < part.NumPartitions(); p++ {
+		var seen []Pair[int, int]
+		for m := 0; m < maps; m++ {
+			for i := m; i < records; i += maps {
+				if part.Partition(recs[i].Key) == p {
+					seen = append(seen, recs[i])
+				}
+			}
+		}
+		want = append(want, gather([][]Pair[int, int]{seen})...)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shuffled combine:\n %v\nwant\n %v", got, want)
 	}
 }
 

@@ -25,28 +25,26 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 		return KV(p.Key, either[V, W]{right: p.Value, isRight: true})
 	})
 	merged := ae.Union(be)
-	return CombineByKey(merged,
+	return CombineByKeyInPlace(merged,
 		func(e either[V, W]) CoGrouped[V, W] {
-			return CoGrouped[V, W]{}.add(e)
+			var g CoGrouped[V, W]
+			g.add(e)
+			return g
 		},
-		func(g CoGrouped[V, W], e either[V, W]) CoGrouped[V, W] {
-			return g.add(e)
-		},
-		func(x, y CoGrouped[V, W]) CoGrouped[V, W] {
+		(*CoGrouped[V, W]).add,
+		func(x *CoGrouped[V, W], y CoGrouped[V, W]) {
 			x.Left = append(x.Left, y.Left...)
 			x.Right = append(x.Right, y.Right...)
-			return x
 		},
 		part)
 }
 
-func (g CoGrouped[V, W]) add(e either[V, W]) CoGrouped[V, W] {
+func (g *CoGrouped[V, W]) add(e either[V, W]) {
 	if e.isRight {
 		g.Right = append(g.Right, e.right)
 	} else {
 		g.Left = append(g.Left, e.left)
 	}
-	return g
 }
 
 // Joined is one inner-join match.

@@ -79,13 +79,20 @@ func appendBucket[K comparable, V any](c *Context, st *shuffleState, ref bucketR
 	return append(out, unbox[Pair[K, V]](ref.slab)[ref.lo:ref.lo+ref.n]...)
 }
 
-// CombineByKey aggregates values per key into combiners of type C with
-// map-side combining, shuffling by part — Spark's combineByKey, the wide
-// transformation at the heart of the IM driver (Listing 1). If the RDD is
-// already partitioned by an equal partitioner the aggregation happens
-// in place without a shuffle (narrow), as Spark does.
-func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
-	create func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
+// CombineByKeyInPlace aggregates values per key into combiners of type C
+// with map-side combining, shuffling by part — Spark's combineByKey, the
+// wide transformation at the heart of the IM driver (Listing 1). If the
+// RDD is already partitioned by an equal partitioner the aggregation
+// happens in place without a shuffle (narrow), as Spark does.
+//
+// A key's first record becomes its combiner through create; every later
+// record (mergeValue) and every later map-side combiner of the key
+// (mergeCombiners, shuffle path only) is merged into that combiner in
+// place, through a pointer to its slot in the output. A merge must not
+// modify its second argument: that is still the parent's record or a
+// map-side combiner, which lineage recomputation may read again.
+func CombineByKeyInPlace[K comparable, V, C any](r *RDD[Pair[K, V]],
+	create func(V) C, mergeValue func(*C, V), mergeCombiners func(*C, C),
 	part Partitioner) *RDD[Pair[K, C]] {
 
 	ctx := r.ds.ctx
@@ -120,19 +127,32 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
 	return &RDD[Pair[K, C]]{ds: ds}
 }
 
+// CombineByKey is CombineByKeyInPlace for merges that return the merged
+// combiner rather than update it: each result is stored back into the
+// key's slot.
+func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
+	create func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
+	part Partitioner) *RDD[Pair[K, C]] {
+	return CombineByKeyInPlace(r, create,
+		func(c *C, v V) { *c = mergeValue(*c, v) },
+		func(c *C, o C) { *c = mergeCombiners(*c, o) },
+		part)
+}
+
 // combinePairs folds the records of chunks, in order, into one combiner
 // per key, keys in first-seen order. numberKeys numbers the keys as they
 // appear, which sizes the output exactly; the second pass fills the slots
 // — one equal to the count made so far is a key's first record.
-func combinePairs[K comparable, V, C any](chunks [][]Pair[K, V], create func(V) C, merge func(C, V) C) []Pair[K, C] {
+func combinePairs[K comparable, V, C any](chunks [][]Pair[K, V], create func(V) C, merge func(*C, V)) []Pair[K, C] {
 	slots, keys := numberKeys(chunks)
 	return combineSlots(chunks, slots, keys, create, merge)
 }
 
 // combineSlots is combinePairs' second pass, given the slot of every
-// record (in chunk order) and the number of distinct keys.
+// record (in chunk order) and the number of distinct keys. Later records
+// merge into their key's slot in place, so a combiner is never copied.
 func combineSlots[K comparable, V, C any](chunks [][]Pair[K, V], slots []int32, keys int,
-	create func(V) C, merge func(C, V) C) []Pair[K, C] {
+	create func(V) C, merge func(*C, V)) []Pair[K, C] {
 	if keys == 0 {
 		return nil
 	}
@@ -146,7 +166,7 @@ func combineSlots[K comparable, V, C any](chunks [][]Pair[K, V], slots []int32, 
 				out[s] = Pair[K, C]{Key: ch[i].Key, Value: create(ch[i].Value)}
 				made++
 			} else {
-				out[s].Value = merge(out[s].Value, ch[i].Value)
+				merge(&out[s].Value, ch[i].Value)
 			}
 		}
 	}
@@ -250,10 +270,10 @@ func numberCoords[V any](chunks [][]Pair[matrix.Coord, V], n int) (slots []int32
 // GroupByKey gathers all values per key (combineByKey with slice
 // combiners).
 func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], part Partitioner) *RDD[Pair[K, []V]] {
-	return CombineByKey(r,
+	return CombineByKeyInPlace(r,
 		func(v V) []V { return []V{v} },
-		func(c []V, v V) []V { return append(c, v) },
-		func(a, b []V) []V { return append(a, b...) },
+		func(c *[]V, v V) { *c = append(*c, v) },
+		func(c *[]V, o []V) { *c = append(*c, o...) },
 		part)
 }
 
