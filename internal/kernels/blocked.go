@@ -64,22 +64,6 @@ func sameView(a, b matrix.View) bool {
 	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
-// loopMinPlusBlocked is the whole-tile serial entry: one band spanning
-// every row.
-func loopMinPlusBlocked(x, u, v matrix.View) {
-	minPlusBand(x, u, v, 0, x.N)
-}
-
-// loopGaussianBlocked is the whole-tile serial entry for the unaliased
-// full-range shape (kind D: ILow = JLow = 0): one multiplier panel, one
-// band spanning every row.
-func loopGaussianBlocked(x, u, v, w matrix.View) {
-	f := matrix.DefaultPool.Alloc(x.N)
-	gaussMultipliers(f.View(), u, w, 0, x.N)
-	gaussianBand(x, f.View(), v, 0, x.N)
-	matrix.DefaultPool.Release(f)
-}
-
 // gaussMultipliers writes rows [i0,i1) of a kind-D call's multiplier
 // panel f[i,k] = u[i,k]/w[k,k] — the IEEE division the ordered loop
 // performs, once per call instead of once per brick that reads it. f

@@ -82,7 +82,7 @@ func TestLoopBlockedMinPlusBitIdentical(t *testing.T) {
 		x0 := randomOperandTile(rule, n, rng)
 		u, v := randomOperandTile(rule, n, rng), randomOperandTile(rule, n, rng)
 		blocked := x0.Clone()
-		loopMinPlusBlocked(blocked.View(), u.View(), v.View())
+		minPlusBand(blocked.View(), u.View(), v.View(), 0, n)
 		ordered := x0.Clone()
 		ov := ordered.View()
 		for k := 0; k < n; k++ {

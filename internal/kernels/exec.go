@@ -22,8 +22,10 @@ type Exec interface {
 	Apply(kind semiring.Kind, x, u, v, w *matrix.Tile)
 }
 
-// normalize fills Fig. 4's implicit operands and validates dimensions.
-func normalize(x, u, v, w *matrix.Tile) (xv, uv, vv, wv matrix.View) {
+// normalize fills Fig. 4's implicit operands and validates dimensions. It
+// returns tiles, not views, so that it inlines and each caller builds
+// its views in place.
+func normalize(x, u, v, w *matrix.Tile) (*matrix.Tile, *matrix.Tile, *matrix.Tile) {
 	if u == nil {
 		u = x
 	}
@@ -34,9 +36,9 @@ func normalize(x, u, v, w *matrix.Tile) (xv, uv, vv, wv matrix.View) {
 		w = x
 	}
 	if u.B != x.B || v.B != x.B || w.B != x.B {
-		panic(fmt.Sprintf("kernels: operand tile sizes differ: %d/%d/%d/%d", x.B, u.B, v.B, w.B))
+		panic("kernels: operand tile sizes differ")
 	}
-	return x.View(), u.View(), v.View(), w.View()
+	return u, v, w
 }
 
 // PoolExec is implemented by execs that can run one kernel invocation on
@@ -54,16 +56,18 @@ type PoolExec interface {
 // Iterative runs loop kernels — the baseline kernel type (Schoeneman–Zola
 // / Numba style). With a Pool, the unaliased blocked fast paths split
 // into row bands so one invocation uses up to Pool.Threads() cores;
-// without one, each invocation is single-threaded.
+// without one, each invocation is single-threaded. Build one with
+// NewIterative or NewIterativePool, which pick the rule's loop once.
 type Iterative struct {
-	R semiring.Rule
-	// Pool provides intra-kernel parallelism for plain Apply calls; nil
+	rule semiring.Rule
+	// pool provides intra-kernel parallelism for plain Apply calls; nil
 	// runs serially. ApplyWith overrides it per invocation.
-	Pool *Pool
+	pool *Pool
+	loop loopFunc
 }
 
 // NewIterative returns a serial iterative kernel exec for the rule.
-func NewIterative(rule semiring.Rule) Iterative { return Iterative{R: rule} }
+func NewIterative(rule semiring.Rule) Iterative { return NewIterativePool(rule, 1) }
 
 // NewIterativePool returns an iterative exec whose Apply uses a private
 // pool of the given width (≤1 ⇒ serial).
@@ -72,33 +76,32 @@ func NewIterativePool(rule semiring.Rule, threads int) Iterative {
 	if threads > 1 {
 		pool = NewPool(threads)
 	}
-	return Iterative{R: rule, Pool: pool}
+	return Iterative{rule: rule, pool: pool, loop: resolveLoop(rule)}
 }
 
 // Name implements Exec.
 func (e Iterative) Name() string {
-	if e.Pool.Threads() > 1 {
-		return fmt.Sprintf("iterative(threads=%d)", e.Pool.Threads())
+	if e.pool.Threads() > 1 {
+		return fmt.Sprintf("iterative(threads=%d)", e.pool.Threads())
 	}
 	return "iterative"
 }
 
 // Rule implements Exec.
-func (e Iterative) Rule() semiring.Rule { return e.R }
+func (e Iterative) Rule() semiring.Rule { return e.rule }
 
 // Apply implements Exec.
 func (e Iterative) Apply(kind semiring.Kind, x, u, v, w *matrix.Tile) {
-	xv, uv, vv, wv := normalize(x, u, v, w)
-	LoopPool(e.Pool, e.R, kind, xv, uv, vv, wv)
+	e.ApplyWith(nil, kind, x, u, v, w)
 }
 
 // ApplyWith implements PoolExec (nil pool ⇒ the exec's own).
 func (e Iterative) ApplyWith(pool *Pool, kind semiring.Kind, x, u, v, w *matrix.Tile) {
 	if pool == nil {
-		pool = e.Pool
+		pool = e.pool
 	}
-	xv, uv, vv, wv := normalize(x, u, v, w)
-	LoopPool(pool, e.R, kind, xv, uv, vv, wv)
+	u, v, w = normalize(x, u, v, w)
+	e.loop(pool, kind, x.View(), u.View(), v.View(), w.View())
 }
 
 // RecursiveExec runs the r_shared-way recursive R-DP kernels on a worker
@@ -133,8 +136,8 @@ func (e RecursiveExec) Threads() int { return e.rec.Pool.Threads() }
 
 // Apply implements Exec.
 func (e RecursiveExec) Apply(kind semiring.Kind, x, u, v, w *matrix.Tile) {
-	xv, uv, vv, wv := normalize(x, u, v, w)
-	e.rec.Run(kind, xv, uv, vv, wv)
+	u, v, w = normalize(x, u, v, w)
+	e.rec.Run(kind, x.View(), u.View(), v.View(), w.View())
 }
 
 // ApplyWith implements PoolExec, running the recursion's par_for groups
@@ -144,10 +147,10 @@ func (e RecursiveExec) ApplyWith(pool *Pool, kind semiring.Kind, x, u, v, w *mat
 		e.Apply(kind, x, u, v, w)
 		return
 	}
-	xv, uv, vv, wv := normalize(x, u, v, w)
+	u, v, w = normalize(x, u, v, w)
 	rec := *e.rec
 	rec.Pool = pool
-	rec.Run(kind, xv, uv, vv, wv)
+	rec.Run(kind, x.View(), u.View(), v.View(), w.View())
 }
 
 // RunLocal executes the full top-level blocked GEP algorithm on a single

@@ -22,32 +22,50 @@ import (
 // recursive kernels and, used directly on whole tiles, the paper's
 // "iterative kernel" configuration.
 func Loop(rule semiring.Rule, kind semiring.Kind, x, u, v, w matrix.View) {
-	n := x.N
-	if u.N != n || v.N != n || w.N != n {
-		panic("kernels: Loop operand dimensions differ")
-	}
-	// Specialized inner loops for the two benchmark rules: the generic
-	// path pays an interface call per element update, which dominates
-	// real-mode runs. The fast paths are semantically identical
-	// (TestLoopFastPathsMatchGeneric pins this).
+	LoopPool(nil, rule, kind, x, u, v, w)
+}
+
+// loopFunc is one rule's iterative kernel, LoopPool with the rule fixed.
+// Iterative and Recursive resolve it once, when they are built, so a
+// kernel call pays no dispatch on the rule.
+type loopFunc func(pool *Pool, kind semiring.Kind, x, u, v, w matrix.View)
+
+// resolveLoop picks the rule's loop. Specialized inner loops serve the
+// two benchmark rules: the generic path pays an interface call per
+// element update, which dominates real-mode runs. The fast paths are
+// semantically identical (TestLoopFastPathsMatchGeneric pins this).
+func resolveLoop(rule semiring.Rule) loopFunc {
 	switch r := rule.(type) {
 	case semiring.SemiringRule:
 		if r.S.Name() == "min-plus" {
-			loopMinPlus(x, u, v)
-			return
+			return loopMinPlus
 		}
 	case semiring.GaussianRule:
-		loopGaussian(r, kind, x, u, v, w)
+		return loopGaussian
+	}
+	return func(pool *Pool, kind semiring.Kind, x, u, v, w matrix.View) {
+		loopGeneric(rule, pool, kind, x, u, v, w)
+	}
+}
+
+// loopGeneric is the per-element update through the rule's interface.
+// Rules that never read the pivot operand must not load it either: when
+// the engine carries no pivot tile for them (FW's kind D has lighter
+// dependencies, Fig. 7) normalize wires w back to x, and the recursive
+// kernels run sibling quadrant updates concurrently — a load of the
+// aliased w[k,k] would race with the (k,k) quadrant's writer. Apply
+// ignores the argument, so skipping the load is bit-identical. For the
+// same reason an aliased w forces the ordered loop only on rules that
+// read it.
+func loopGeneric(rule semiring.Rule, pool *Pool, kind semiring.Kind, x, u, v, w matrix.View) {
+	n := x.N
+	usesW := rule.UsesPivot()
+	if bands(pool, n) && !sameView(x, u) && !sameView(x, v) && (!usesW || !sameView(x, w)) {
+		bandParallel(pool, n, func(i0, i1 int) {
+			genericBand(rule, kind, x, u, v, w, i0, i1)
+		})
 		return
 	}
-	// Rules that never read the pivot operand must not load it either:
-	// when the engine carries no pivot tile for them (FW's kind D has
-	// lighter dependencies, Fig. 7) normalize wires w back to x, and the
-	// recursive kernels run sibling quadrant updates concurrently — a
-	// load of the aliased w[k,k] would race with the (k,k) quadrant's
-	// writer. Apply ignores the argument, so skipping the load is
-	// bit-identical.
-	usesW := rule.UsesPivot()
 	for k := 0; k < n; k++ {
 		var wkk float64
 		if usesW {
@@ -68,8 +86,9 @@ func Loop(rule semiring.Rule, kind semiring.Kind, x, u, v, w matrix.View) {
 // v[k,j]) over the full cube (semiring rules have zero loop lower bounds
 // and ignore the pivot operand). When x aliases neither u nor v (kind D,
 // and the recursive kernels' interior sub-updates) the k loop is a pure
-// min-reduction over fixed operands and runs cache-blocked; min is exact,
-// so the result is bit-identical to the ordered loop.
+// min-reduction over fixed operands and runs cache-blocked, in row bands
+// on the pool; min is exact, so the result is bit-identical to the
+// ordered loop.
 //
 // The aliased shapes keep each element's operands in the ordered kij
 // loop's ascending k, a pivot's rows handed to the vectorised row
@@ -78,13 +97,19 @@ func Loop(rule semiring.Rule, kind semiring.Kind, x, u, v, w matrix.View) {
 // Kind C (x = u) reads no other row of x, so it runs it over row bands
 // that stay in L1, all pivots per band. Kind B (x = v) runs k-blocks
 // over captured pivot rows (loopMinPlusPivotRows).
-func loopMinPlus(x, u, v matrix.View) {
+func loopMinPlus(pool *Pool, _ semiring.Kind, x, u, v, _ matrix.View) {
 	xu, xv := sameView(x, u), sameView(x, v)
+	n := x.N
 	if !xu && !xv {
-		loopMinPlusBlocked(x, u, v)
+		if bands(pool, n) {
+			bandParallel(pool, n, func(i0, i1 int) {
+				minPlusBand(x, u, v, i0, i1)
+			})
+		} else {
+			minPlusBand(x, u, v, 0, n)
+		}
 		return
 	}
-	n := x.N
 	if xv && !xu && n > kBlock {
 		loopMinPlusPivotRows(x, u)
 		return
@@ -139,18 +164,34 @@ func loopMinPlusPivotRows(x, u matrix.View) {
 
 // loopGaussian is the elimination inner loop with the row multiplier
 // u[i,k]/w[k,k] hoisted out of the j loop (gaussPanel).
-func loopGaussian(rule semiring.GaussianRule, kind semiring.Kind, x, u, v, w matrix.View) {
+func loopGaussian(pool *Pool, kind semiring.Kind, x, u, v, w matrix.View) {
+	n := x.N
 	// Kind D has full-range loop bounds (i > k, j > k constrain only
 	// pivot-row/column kernels) and never aliases x with an operand, so
-	// it takes the k-blocked path; see blocked.go for the bit-identity
-	// argument.
+	// it takes the k-blocked path, in row bands on the pool; see
+	// blocked.go for the bit-identity argument. Each band writes its own
+	// rows of the multiplier panel, then reads only those.
 	if kind == semiring.KindD && !sameView(x, u) && !sameView(x, v) && !sameView(x, w) {
-		loopGaussianBlocked(x, u, v, w)
+		f := matrix.DefaultPool.Alloc(n)
+		fv := f.View()
+		if bands(pool, n) {
+			bandParallel(pool, n, func(i0, i1 int) {
+				gaussMultipliers(fv, u, w, i0, i1)
+				gaussianBand(x, fv, v, i0, i1)
+			})
+		} else {
+			gaussMultipliers(fv, u, w, 0, n)
+			gaussianBand(x, fv, v, 0, n)
+		}
+		matrix.DefaultPool.Release(f)
 		return
 	}
 	// Ordered kij over the kind's triangle: rows [ILow,n) × columns
-	// [JLow,n) of pivot k, one panel call per pivot.
-	n := x.N
+	// [JLow,n) of pivot k, one panel call per pivot. Kinds B and C hoist
+	// the row multiplier out of the j loop; banding them through the
+	// per-element update would change the rounding reference, and they
+	// are never the hot shape, so they stay serial.
+	var rule semiring.GaussianRule
 	for k := 0; k < n; k++ {
 		i0, j0 := rule.ILow(kind, k), rule.JLow(kind, k)
 		if i0 >= n || j0 >= n {

@@ -32,65 +32,19 @@ const parMinDim = 64
 //     cache-resident forms, see loopMinPlus), never split across workers.
 //
 // A nil or width-1 pool, or a tile below the parallel crossover floor,
-// falls through to Loop unchanged.
+// runs serially (bands).
 func LoopPool(pool *Pool, rule semiring.Rule, kind semiring.Kind, x, u, v, w matrix.View) {
 	n := x.N
 	if u.N != n || v.N != n || w.N != n {
-		panic("kernels: LoopPool operand dimensions differ")
+		panic("kernels: Loop operand dimensions differ")
 	}
-	if pool.Threads() <= 1 || n < parMinDim {
-		Loop(rule, kind, x, u, v, w)
-		return
-	}
-	// The aliasing requirement is per rule: the band split needs x's rows
-	// independent of every operand the update READS. Semiring rules never
-	// read w (Exec.normalize wires an omitted w to x, which must not force
-	// the serial path — their kind D carries no pivot operand at all);
-	// Gaussian elimination and pivot-reading generic rules read all three.
-	switch r := rule.(type) {
-	case semiring.SemiringRule:
-		if r.S.Name() == "min-plus" {
-			if !sameView(x, u) && !sameView(x, v) {
-				bandParallel(pool, n, func(i0, i1 int) {
-					minPlusBand(x, u, v, i0, i1)
-				})
-				return
-			}
-		} else if !sameView(x, u) && !sameView(x, v) {
-			// Other semirings run the generic per-element update. Like
-			// min-plus they never read w (UsesPivot is false — genericBand
-			// skips the load), so an aliased w does not force serial.
-			bandParallel(pool, n, func(i0, i1 int) {
-				genericBand(rule, kind, x, u, v, w, i0, i1)
-			})
-			return
-		}
-	case semiring.GaussianRule:
-		// Kind B/C hoist the row multiplier out of the j loop in the
-		// serial path; banding them through the per-element generic
-		// update would change the rounding reference. They are never the
-		// hot shape, so only the full-range kind D splits.
-		if kind == semiring.KindD && !sameView(x, u) && !sameView(x, v) && !sameView(x, w) {
-			// Each band writes its own rows of the multiplier panel, then
-			// reads only those.
-			f := matrix.DefaultPool.Alloc(n)
-			fv := f.View()
-			bandParallel(pool, n, func(i0, i1 int) {
-				gaussMultipliers(fv, u, w, i0, i1)
-				gaussianBand(x, fv, v, i0, i1)
-			})
-			matrix.DefaultPool.Release(f)
-			return
-		}
-	default:
-		if !sameView(x, u) && !sameView(x, v) && (!rule.UsesPivot() || !sameView(x, w)) {
-			bandParallel(pool, n, func(i0, i1 int) {
-				genericBand(rule, kind, x, u, v, w, i0, i1)
-			})
-			return
-		}
-	}
-	Loop(rule, kind, x, u, v, w)
+	resolveLoop(rule)(pool, kind, x, u, v, w)
+}
+
+// bands reports whether an unaliased update of dimension n splits into
+// row bands on pool.
+func bands(pool *Pool, n int) bool {
+	return pool.Threads() > 1 && n >= parMinDim
 }
 
 // bandParallel partitions the n rows into one band per pool thread

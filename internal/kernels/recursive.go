@@ -28,6 +28,7 @@ type Recursive struct {
 	// Pool bounds leaf parallelism; nil runs serially.
 	Pool *Pool
 
+	loop loopFunc
 	fig4 *fig4Schedules
 }
 
@@ -57,7 +58,7 @@ func NewRecursive(rule semiring.Rule, r, base int, pool *Pool) *Recursive {
 	if base < 1 {
 		panic(fmt.Sprintf("kernels: base size must be ≥ 1, got %d", base))
 	}
-	return &Recursive{Rule: rule, R: r, Base: base, Pool: pool, fig4: new(fig4Schedules)}
+	return &Recursive{Rule: rule, R: r, Base: base, Pool: pool, loop: resolveLoop(rule), fig4: new(fig4Schedules)}
 }
 
 // Run executes the kernel of the given kind on x (updating it in place)
@@ -85,7 +86,7 @@ func (rc *Recursive) run(held bool, kind semiring.Kind, x, u, v, w, f matrix.Vie
 		if f.Data != nil {
 			gaussianBand(x, f, v, 0, x.N)
 		} else {
-			Loop(rc.Rule, kind, x, u, v, w)
+			rc.loop(nil, kind, x, u, v, w)
 		}
 		return
 	}
