@@ -12,7 +12,7 @@ import (
 // Across GOMAXPROCS 1–8 the measured values stay within 1 % of these.
 const (
 	fineSolveAllocs = 26_200
-	fineSolveBytes  = 17_720_000
+	fineSolveBytes  = 16_200_000
 	tablesBytes     = 273_400_000
 	// allocSlack is the headroom over a budget before it fails.
 	allocSlack = 1.10

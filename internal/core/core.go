@@ -498,8 +498,11 @@ type kindTally struct {
 }
 
 const (
-	// wallChunk bounds how many samples an attempt buffers per kind.
+	// wallChunk bounds how many samples an attempt buffers per kind;
+	// the buffer starts at wallFirst and grows to it by doubling, since
+	// most attempts time a kind a handful of times.
 	wallChunk = 128
+	wallFirst = 8
 	// wallFloor is the wall time (seconds) from which every call is
 	// timed: far above the ~60 ns a clock read costs.
 	wallFloor = 10e-6
@@ -519,7 +522,7 @@ func (k *kindTally) timed(seconds float64, h *obs.Histogram) {
 	if len(k.wall) == wallChunk {
 		k.observe(h)
 	} else if k.wall == nil {
-		k.wall = make([]obs.Weighted, 0, wallChunk)
+		k.wall = make([]obs.Weighted, 0, wallFirst)
 	}
 	k.wall = append(k.wall, obs.Weighted{V: seconds, N: 1})
 	if seconds >= wallFloor {
