@@ -15,7 +15,7 @@ type either[V, W any] struct {
 
 // CoGroup groups two pair RDDs by key: for every key present in either
 // input, the result holds all left values and all right values. Built
-// from union + combineByKey, so co-partitioned inputs group without a
+// from union + groupByKey, so co-partitioned inputs group without a
 // shuffle.
 func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], part Partitioner) *RDD[Pair[K, CoGrouped[V, W]]] {
 	ae := Map(a, func(_ *TaskContext, p Pair[K, V]) Pair[K, either[V, W]] {
@@ -24,27 +24,17 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 	be := Map(b, func(_ *TaskContext, p Pair[K, W]) Pair[K, either[V, W]] {
 		return KV(p.Key, either[V, W]{right: p.Value, isRight: true})
 	})
-	merged := ae.Union(be)
-	return CombineByKeyInPlace(merged,
-		func(e either[V, W]) CoGrouped[V, W] {
-			var g CoGrouped[V, W]
-			g.add(e)
+	return MapValues(GroupByKey(ae.Union(be), part),
+		func(_ *TaskContext, _ K, es []either[V, W]) (g CoGrouped[V, W]) {
+			for _, e := range es {
+				if e.isRight {
+					g.Right = append(g.Right, e.right)
+				} else {
+					g.Left = append(g.Left, e.left)
+				}
+			}
 			return g
-		},
-		(*CoGrouped[V, W]).add,
-		func(x *CoGrouped[V, W], y CoGrouped[V, W]) {
-			x.Left = append(x.Left, y.Left...)
-			x.Right = append(x.Right, y.Right...)
-		},
-		part)
-}
-
-func (g *CoGrouped[V, W]) add(e either[V, W]) {
-	if e.isRight {
-		g.Right = append(g.Right, e.right)
-	} else {
-		g.Left = append(g.Left, e.left)
-	}
+		})
 }
 
 // Joined is one inner-join match.

@@ -84,13 +84,10 @@ func appendBucket[K comparable, V any](c *Context, st *shuffleState, ref bucketR
 // wide transformation at the heart of the IM driver (Listing 1). If the
 // RDD is already partitioned by an equal partitioner the aggregation
 // happens in place without a shuffle (narrow), as Spark does.
-//
-// A key's first record becomes its combiner through create; every later
-// record (mergeValue) and every later map-side combiner of the key
-// (mergeCombiners, shuffle path only) is merged into that combiner in
-// place, through a pointer to its slot in the output. A merge must not
-// modify its second argument: that is still the parent's record or a
-// map-side combiner, which lineage recomputation may read again.
+// create makes a key's combiner from its first record; mergeValue (each
+// later record) and mergeCombiners (each later map-side combiner) update
+// it in place, through a pointer to its output slot. A merge must not
+// modify its second argument, which lineage recomputation may read again.
 func CombineByKeyInPlace[K comparable, V, C any](r *RDD[Pair[K, V]],
 	create func(V) C, mergeValue func(*C, V), mergeCombiners func(*C, C),
 	part Partitioner) *RDD[Pair[K, C]] {
@@ -128,8 +125,7 @@ func CombineByKeyInPlace[K comparable, V, C any](r *RDD[Pair[K, V]],
 }
 
 // CombineByKey is CombineByKeyInPlace for merges that return the merged
-// combiner rather than update it: each result is stored back into the
-// key's slot.
+// combiner, which is stored back into the key's slot.
 func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
 	create func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
 	part Partitioner) *RDD[Pair[K, C]] {
@@ -149,8 +145,7 @@ func combinePairs[K comparable, V, C any](chunks [][]Pair[K, V], create func(V) 
 }
 
 // combineSlots is combinePairs' second pass, given the slot of every
-// record (in chunk order) and the number of distinct keys. Later records
-// merge into their key's slot in place, so a combiner is never copied.
+// record (in chunk order) and the number of distinct keys.
 func combineSlots[K comparable, V, C any](chunks [][]Pair[K, V], slots []int32, keys int,
 	create func(V) C, merge func(*C, V)) []Pair[K, C] {
 	if keys == 0 {
@@ -279,11 +274,7 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], part Partitioner) *RDD[
 
 // ReduceByKey merges values per key with an associative, commutative op.
 func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], op func(a, b V) V, part Partitioner) *RDD[Pair[K, V]] {
-	return CombineByKey(r,
-		func(v V) V { return v },
-		op,
-		op,
-		part)
+	return CombineByKey(r, func(v V) V { return v }, op, op, part)
 }
 
 // Keys projects the keys of a pair RDD.
