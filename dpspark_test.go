@@ -240,3 +240,27 @@ func TestFacadeEliminate(t *testing.T) {
 		}
 	}
 }
+
+// TestFacadeObservedSession: a session built on a caller's observer
+// reports into it — Session.Observer returns it, and a solve's kernel
+// calls land in its registry, one per tile update (an r=4 FW solve runs
+// 4 iterations of 16). A plain session has an observer of its own.
+func TestFacadeObservedSession(t *testing.T) {
+	o := NewObserver()
+	s := NewSessionObserved(Local(2), 0, o)
+	t.Cleanup(s.Close)
+	if s.Observer() != o {
+		t.Fatal("Session.Observer is not the observer the session was built on")
+	}
+	if _, _, err := s.APSP(RandomGraph(32, 0.2, 1, 9, 1), Config{BlockSize: 8, Driver: IM}); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Metrics().CounterTotal("dpspark_kernel_calls_total"); got != 4*16 {
+		t.Fatalf("observer counted %d kernel calls, want %d", got, 4*16)
+	}
+	plain := NewSession(Local(2))
+	t.Cleanup(plain.Close)
+	if plain.Observer() == nil || plain.Observer() == o {
+		t.Fatal("a plain session must have an observer of its own")
+	}
+}
