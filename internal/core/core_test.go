@@ -292,8 +292,9 @@ func TestCombineMsgsShuffled(t *testing.T) {
 			recs = append(recs, rdd.KV(c, Msg{r, tiles[r]}))
 		}
 	}
-	// Three input partitions of five records split every key's roles.
-	got, err := combineMsgs(rdd.Parallelize(newCtx(), recs, 3), rdd.NewHashPartitioner(2)).Collect()
+	// Parallelize deals the records round-robin over two partitions, so
+	// every key's roles are split between them.
+	got, err := combineMsgs(rdd.Parallelize(newCtx(), recs, 2), rdd.NewHashPartitioner(2)).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
