@@ -32,7 +32,7 @@ const parMinDim = 64
 //     cache-resident forms, see loopMinPlus), never split across workers.
 //
 // A nil or width-1 pool, or a tile below the parallel crossover floor,
-// runs serially (bands).
+// runs serially (see bands).
 func LoopPool(pool *Pool, rule semiring.Rule, kind semiring.Kind, x, u, v, w matrix.View) {
 	n := x.N
 	if u.N != n || v.N != n || w.N != n {
