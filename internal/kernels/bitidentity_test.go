@@ -13,9 +13,23 @@ import (
 
 var allKinds = []semiring.Kind{semiring.KindA, semiring.KindB, semiring.KindC, semiring.KindD}
 
-// edgeSizes straddle every unroll boundary of the row primitive (1, 4, 8
-// and 16 columns) and of the bricks (4 rows, 8 columns, kBlock pivots).
-var edgeSizes = []int{1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33, 64, 255, 256}
+// edgeSizes straddle every unroll boundary of the row primitives (1, 4,
+// 8, 16 and 32 columns, the AVX-512 panels' masked tail) and of the
+// bricks (4 rows, 8 or 16 columns, kBlock pivots): 23 leaves an AVX-512
+// panel a masked tail of 7, and 24 and 40 are 16k+8 column runs whose
+// last 8 columns an AVX-512 host hands to the AVX2 brick.
+var edgeSizes = []int{1, 3, 4, 7, 8, 9, 15, 16, 17, 23, 24, 31, 33, 40, 64, 255, 256}
+
+// simdTiers lists every tier this build and host can run, scalar first,
+// and puts the detected tier back when the test ends.
+func simdTiers(t testing.TB) []simdLevel {
+	t.Cleanup(func() { setSIMDForTest(hostSIMD) })
+	var tiers []simdLevel
+	for l := simdScalar; l <= hostSIMD; l++ {
+		tiers = append(tiers, l)
+	}
+	return tiers
+}
 
 // kernelOperands carves the four n×n operand pieces of one kernel call
 // out of data (4n² values) and wires them by kind. With quadrants false
@@ -51,22 +65,31 @@ func kernelOperands(kind semiring.Kind, n int, quadrants bool, data []float64) (
 
 // orderedReference is the plain scalar kij triple loop (GE with the row
 // multiplier hoisted) — the code the fast paths replaced, kept here as
-// the bit-level reference.
+// the bit-level reference. The j loop indexes both rows afresh on every
+// element, so a row that is the pivot row (kind B at i = k) is read as it
+// is updated, exactly as the loop it replaced.
 func orderedReference(rule semiring.Rule, kind semiring.Kind, x, u, v, w matrix.View) {
 	_, ge := rule.(semiring.GaussianRule)
 	n := x.N
 	for k := 0; k < n; k++ {
+		j0 := rule.JLow(kind, k)
+		if j0 >= n {
+			continue
+		}
+		vrow := v.Data[k*v.Stride+j0 : k*v.Stride+n]
 		for i := rule.ILow(kind, k); i < n; i++ {
 			s := u.At(i, k)
+			xrow := x.Data[i*x.Stride+j0 : i*x.Stride+n]
+			xrow = xrow[:len(vrow)]
 			if ge {
 				s /= w.At(k, k)
-			}
-			xrow := x.Data[i*x.Stride:]
-			vrow := v.Data[k*v.Stride:]
-			for j := rule.JLow(kind, k); j < n; j++ {
-				if ge {
+				for j := range xrow {
 					xrow[j] -= s * vrow[j]
-				} else if t := s + vrow[j]; t < xrow[j] {
+				}
+				continue
+			}
+			for j := range xrow {
+				if t := s + vrow[j]; t < xrow[j] {
 					xrow[j] = t
 				}
 			}
@@ -100,19 +123,18 @@ func specialValues(rng *rand.Rand) float64 {
 	}
 }
 
-// TestSIMDKernelsMatchScalar pins every fast path — the AVX2 bricks and
-// panels, and the scalar bodies that replace them without AVX2 — to the
-// plain ordered loop bit for bit, for every kind (A, B, C through the
-// ordered panels, D through the blocked bricks) under the aliasing the
-// drivers and the recursive kernels produce, on adversarial inputs:
+// TestSIMDKernelsMatchScalar pins every fast path — the AVX-512 and AVX2
+// bricks and panels, and the scalar bodies that replace them without
+// AVX2, at every tier the host has — to the plain ordered loop bit for
+// bit, for every kind (A, B, C through the ordered panels, D through the
+// blocked bricks) under the aliasing the drivers and the recursive
+// kernels produce, on adversarial inputs:
 // VMINPD must keep x on ties and NaN sums exactly like `if t < x`, GE
 // must stay an unfused multiply-subtract with one division per row, a
 // row's scalar must be read before the row overwrites it (negative
 // min-plus diagonals), and later rows must observe the updated pivot row.
 func TestSIMDKernelsMatchScalar(t *testing.T) {
-	prev := setSIMDForTest(true)
-	defer setSIMDForTest(prev)
-	haveSIMD := useAVX2
+	tiers := simdTiers(t)
 
 	type fill struct {
 		name  string
@@ -166,17 +188,16 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 							continue
 						}
 						name := fmt.Sprintf("%s/%s/%v/n=%d/quadrants=%v", rule.Name(), f.name, kind, n, quadrants)
-						run := func(simd bool, kernel func(semiring.Rule, semiring.Kind, matrix.View, matrix.View, matrix.View, matrix.View)) []float64 {
-							setSIMDForTest(simd)
+						run := func(kernel func(semiring.Rule, semiring.Kind, matrix.View, matrix.View, matrix.View, matrix.View)) []float64 {
 							data := append([]float64(nil), base...)
 							x, u, v, w := kernelOperands(kind, n, quadrants, data)
 							kernel(rule, kind, x, u, v, w)
 							return data
 						}
-						want := run(false, orderedReference)
-						requireSameBits(t, name+": scalar fast path vs ordered loop", run(false, Loop), want)
-						if haveSIMD {
-							requireSameBits(t, name+": SIMD vs ordered loop", run(true, Loop), want)
+						want := run(orderedReference)
+						for _, tier := range tiers {
+							setSIMDForTest(tier)
+							requireSameBits(t, fmt.Sprintf("%s: %v vs ordered loop", name, tier), run(Loop), want)
 						}
 					}
 				}
@@ -199,12 +220,11 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 
 // TestRunLocalSIMDOnOff: whole FW and GE tables through the blocked
 // driver — every kind, many iterations, iterative and recursive execs,
-// dividing and non-dividing tile sizes — are bit-identical with the
-// assembly on and off.
+// dividing and non-dividing tile sizes — are bit-identical at every SIMD
+// tier the host has and with the assembly off.
 func TestRunLocalSIMDOnOff(t *testing.T) {
-	prev := setSIMDForTest(true)
-	defer setSIMDForTest(prev)
-	if !useAVX2 {
+	tiers := simdTiers(t)
+	if len(tiers) == 1 {
 		t.Skip("no AVX2 in this build or on this machine")
 	}
 	rng := rand.New(rand.NewSource(307))
@@ -218,14 +238,17 @@ func TestRunLocalSIMDOnOff(t *testing.T) {
 			n, b := shape[0], shape[1]
 			in := randomInput(rule, n, rng)
 			for _, exec := range execs {
-				run := func(simd bool) []float64 {
-					setSIMDForTest(simd)
+				run := func(tier simdLevel) []float64 {
+					setSIMDForTest(tier)
 					bl := matrix.Block(in, b, rule.Pad(), rule.PadDiag())
 					RunLocal(bl, exec)
 					return bl.ToDense().Data
 				}
-				requireSameBits(t, fmt.Sprintf("%s %s n=%d b=%d: SIMD on vs off", rule.Name(), exec.Name(), n, b),
-					run(true), run(false))
+				want := run(simdScalar)
+				for _, tier := range tiers[1:] {
+					requireSameBits(t, fmt.Sprintf("%s %s n=%d b=%d: %v vs scalar", rule.Name(), exec.Name(), n, b, tier),
+						run(tier), want)
+				}
 			}
 		}
 	}

@@ -9,16 +9,28 @@ import "dpspark/internal/matrix"
 // per k — at b = 1024 that is 8 MB of x traffic per pivot row, far beyond
 // L2. Blocking k in chunks of kBlock keeps a small set of x rows resident
 // across kBlock consecutive pivots; rows are processed in groups of four
-// by the AVX2 bricks in simd_amd64.s, which hold a 4×8 x block in
-// registers across the whole k block and read the rows' scalar operands
-// in place at their row stride: u itself for min-plus, and for GE the
-// multiplier panel f[i,k] = u[i,k]/w[k,k] that each kind-D call computes
-// once (gaussMultipliers) — recursive calls once at their outermost
-// kind-D level, for all their leaves. Column tails, row remainders and
-// machines without AVX2 go through minPlusPanel / gaussPanel — one pivot,
-// a run of rows — which is also the whole body of the ordered loops.
-// Column tiling (jBlock) bounds the working set further for very large
-// tiles.
+// by the bricks in simd_amd64.s, which hold a 4×16 (AVX-512) or 4×8
+// (AVX2) x block in registers across the whole k block and read the rows'
+// scalar operands in place at their row stride: u itself for min-plus,
+// and for GE the multiplier panel f[i,k] = u[i,k]/w[k,k] that each
+// kind-D call computes once (gaussMultipliers) — recursive calls once at
+// their outermost kind-D level, for all their leaves. Column tails, row
+// remainders and machines without AVX2 go through minPlusPanel /
+// gaussPanel — one pivot, a run of rows — which is also the whole body
+// of the ordered loops. Column tiling (jBlock) bounds the working set
+// further for very large tiles.
+//
+// The tier (simd.go) only widens the instructions. A brick run takes its
+// columns 16 at a time on AVX-512 hosts and hands an 8-column remainder
+// to the AVX2 brick (brickSplit); a panel takes the AVX-512 body only
+// when jlen ≥ 16, so b = 8 tiles and the bricks' short column tails run
+// exactly the AVX2 code they ran before the tier existed. fw_im_fine is
+// all 8-column calls; an early build without the gate lost it in 3 of 3
+// paired runs by about 2.7 %, though on this code an ungated build read
+// it flat (EXPERIMENTS.md, "An AVX-512 tier"). The split is done at the
+// call sites, not in a helper: one more call level per brick made a
+// b = 8 min-plus kind-D call 1.16× slower. Every lane computes the same
+// expression in both tiers, so the bits never depend on the host.
 //
 // The blocked paths read u and v in place only when x aliases neither.
 // For kinds A, B and C, Fig. 4 wires x into the operand list (u = v = w =
@@ -64,17 +76,42 @@ func sameView(a, b matrix.View) bool {
 	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
+// diagChunk is how many of w's diagonal entries gaussMultipliers copies
+// into its stack row at a time.
+const diagChunk = 256
+
 // gaussMultipliers writes rows [i0,i1) of a kind-D call's multiplier
 // panel f[i,k] = u[i,k]/w[k,k] — the IEEE division the ordered loop
 // performs, once per call instead of once per brick that reads it. f
-// must not alias u or w.
+// must not alias u or w. With AVX2 it copies w's diagonal into a
+// contiguous row once per call and divides eight columns at a time
+// (divRowsAVX2); IEEE division is correctly rounded per lane, so the
+// panel has the same bits.
 func gaussMultipliers(f, u, w matrix.View, i0, i1 int) {
 	n := u.N
-	for i := i0; i < i1; i++ {
-		frow := f.Data[i*f.Stride : i*f.Stride+n]
-		for k, uik := range u.Data[i*u.Stride : i*u.Stride+n] {
-			frow[k] = uik / w.Data[k*w.Stride+k]
+	if i0 >= i1 || n == 0 {
+		return
+	}
+	if simd == simdScalar {
+		for i := i0; i < i1; i++ {
+			frow := f.Data[i*f.Stride : i*f.Stride+n]
+			for k, uik := range u.Data[i*u.Stride : i*u.Stride+n] {
+				frow[k] = uik / w.Data[k*w.Stride+k]
+			}
 		}
+		return
+	}
+	var diag [diagChunk]float64
+	rows := i1 - i0
+	for k0 := 0; k0 < n; k0 += diagChunk {
+		d := diag[:min(diagChunk, n-k0)]
+		for k := range d {
+			d[k] = w.Data[(k0+k)*(w.Stride+1)]
+		}
+		fr, ur := f.Data[i0*f.Stride+k0:], u.Data[i0*u.Stride+k0:]
+		// The assembly does no bounds checks; these are its last accesses.
+		_, _ = fr[(rows-1)*f.Stride+len(d)-1], ur[(rows-1)*u.Stride+len(d)-1]
+		divRowsAVX2(fr, ur, d, f.Stride, u.Stride, rows, len(d))
 	}
 }
 
@@ -91,7 +128,11 @@ func minPlusPanel(x, u, v []float64, xstride, ustride, rows, jlen int) {
 	}
 	// The assembly does no bounds checks; these are its last accesses.
 	_, _, _ = x[(rows-1)*xstride+jlen-1], u[(rows-1)*ustride], v[jlen-1]
-	if useAVX2 {
+	switch {
+	case simd == simdAVX512 && jlen >= 16:
+		minplusPanelAVX512(x, u, v, xstride, ustride, rows, jlen)
+		return
+	case simd >= simdAVX2:
 		minplusPanelAVX2(x, u, v, xstride, ustride, rows, jlen)
 		return
 	}
@@ -109,7 +150,11 @@ func gaussPanel(x, u, v []float64, w float64, xstride, ustride, rows, jlen int) 
 		return
 	}
 	_, _, _ = x[(rows-1)*xstride+jlen-1], u[(rows-1)*ustride], v[jlen-1]
-	if useAVX2 {
+	switch {
+	case simd == simdAVX512 && jlen >= 16:
+		gaussPanelAVX512(x, u, v, w, xstride, ustride, rows, jlen)
+		return
+	case simd >= simdAVX2:
 		gaussPanelAVX2(x, u, v, w, xstride, ustride, rows, jlen)
 		return
 	}
@@ -201,11 +246,17 @@ func minPlusKBlocks(x, u matrix.View, vb []float64, vstride, k0, k1, i0, i1 int)
 		for j0 := 0; j0 < n; j0 += jBlock {
 			jHi := min(j0+jBlock, n)
 			i := i0
-			if useAVX2 && jHi-j0 >= 8 {
+			if simd >= simdAVX2 && jHi-j0 >= 8 {
 				jv := j0 + (jHi-j0)&^7
+				jz := brickSplit(j0, jv)
 				for ; i+4 <= i1; i += 4 {
-					minplusBrickAVX2(x.Data[i*x.Stride+j0:], u.Data[i*u.Stride+kb:],
-						v[j0:], x.Stride, u.Stride, vstride, kHi-kb, jv-j0)
+					xi, ui := x.Data[i*x.Stride:], u.Data[i*u.Stride+kb:]
+					if jz > j0 {
+						minplusBrickAVX512(xi[j0:], ui, v[j0:], x.Stride, u.Stride, vstride, kHi-kb, jz-j0)
+					}
+					if jv > jz {
+						minplusBrickAVX2(xi[jz:], ui, v[jz:], x.Stride, u.Stride, vstride, kHi-kb, jv-jz)
+					}
 					for k := kb; jv < jHi && k < kHi; k++ {
 						minPlusPanel(x.Data[i*x.Stride+jv:], u.Data[i*u.Stride+k:],
 							v[(k-kb)*vstride+jv:], x.Stride, u.Stride, 4, jHi-jv)
@@ -235,11 +286,17 @@ func gaussianBand(x, f, v matrix.View, i0, i1 int) {
 	for k0 := 0; k0 < n; k0 += kBlock {
 		kHi := min(k0+kBlock, n)
 		i := i0
-		if useAVX2 && n >= 8 {
+		if simd >= simdAVX2 && n >= 8 {
 			jv := n &^ 7
+			jz := brickSplit(0, jv)
 			for ; i+4 <= i1; i += 4 {
-				gaussBrickAVX2(x.Data[i*x.Stride:], f.Data[i*f.Stride+k0:],
-					v.Data[k0*v.Stride:], x.Stride, f.Stride, v.Stride, kHi-k0, jv)
+				xi, fi, vk := x.Data[i*x.Stride:], f.Data[i*f.Stride+k0:], v.Data[k0*v.Stride:]
+				if jz > 0 {
+					gaussBrickAVX512(xi, fi, vk, x.Stride, f.Stride, v.Stride, kHi-k0, jz)
+				}
+				if jv > jz {
+					gaussBrickAVX2(xi[jz:], fi, vk[jz:], x.Stride, f.Stride, v.Stride, kHi-k0, jv-jz)
+				}
 				for k := k0; jv < n && k < kHi; k++ {
 					gaussPanel(x.Data[i*x.Stride+jv:], f.Data[i*f.Stride+k:],
 						v.Data[k*v.Stride+jv:], 1, x.Stride, f.Stride, 4, n-jv)
@@ -253,4 +310,15 @@ func gaussianBand(x, f, v matrix.View, i0, i1 int) {
 			}
 		}
 	}
+}
+
+// brickSplit divides a brick run [j0,jv) of whole 8-column tiles between
+// the tiers: [j0,jz) goes to the AVX-512 brick, 16 columns at a time, and
+// [jz,jv) — empty, or the 8-column remainder, or everything on an AVX2
+// host — to the AVX2 brick.
+func brickSplit(j0, jv int) (jz int) {
+	if simd == simdAVX512 {
+		return j0 + (jv-j0)&^15
+	}
+	return j0
 }

@@ -182,17 +182,12 @@ type genericRule struct{ semiring.Rule }
 
 // TestLoopFastPathsMatchGeneric: the specialized min-plus and GE inner
 // loops — blocked bricks for kind D, the ordered row primitive for the
-// aliased kinds A, B, C, with the assembly on and off — must agree with
+// aliased kinds A, B, C, at every SIMD tier the host has — must agree with
 // the generic interface-dispatch path on whole tiles and on the strided
 // quadrant views the recursive kernels pass: bit for bit for min-plus,
 // up to the GE multiplier hoist's rounding for elimination.
 func TestLoopFastPathsMatchGeneric(t *testing.T) {
-	prev := setSIMDForTest(true)
-	defer setSIMDForTest(prev)
-	simdModes := []bool{false}
-	if useAVX2 {
-		simdModes = append(simdModes, true)
-	}
+	tiers := simdTiers(t)
 	rng := rand.New(rand.NewSource(106))
 	for _, rule := range []semiring.Rule{semiring.NewFloydWarshall(), semiring.NewGaussian()} {
 		_, ge := rule.(semiring.GaussianRule)
@@ -220,12 +215,12 @@ func TestLoopFastPathsMatchGeneric(t *testing.T) {
 					slow := append([]float64(nil), base...)
 					sx, su, sv, sw := kernelOperands(kind, n, quadrants, slow)
 					Loop(genericRule{rule}, kind, sx, su, sv, sw)
-					for _, simd := range simdModes {
-						setSIMDForTest(simd)
+					for _, tier := range tiers {
+						setSIMDForTest(tier)
 						fast := append([]float64(nil), base...)
 						fx, fu, fv, fw := kernelOperands(kind, n, quadrants, fast)
 						Loop(rule, kind, fx, fu, fv, fw)
-						what := fmt.Sprintf("%s %v n=%d quadrants=%v simd=%v", rule.Name(), kind, n, quadrants, simd)
+						what := fmt.Sprintf("%s %v n=%d quadrants=%v %v", rule.Name(), kind, n, quadrants, tier)
 						if !ge {
 							requireSameBits(t, what, fast, slow)
 							continue
