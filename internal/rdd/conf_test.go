@@ -68,6 +68,7 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 
 		// Kernel family.
 		{"negative kernel threads", func(c *Conf) { c.KernelThreads = -1 }, "KernelThreads"},
+		{"negative real parallelism", func(c *Conf) { c.RealParallelism = -1 }, "RealParallelism"},
 
 		// Substrate family.
 		{"priority without substrate", func(c *Conf) { c.Priority = 3 }, "Priority needs Conf.Substrate"},

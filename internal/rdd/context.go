@@ -3,7 +3,6 @@ package rdd
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -25,12 +24,14 @@ type Conf struct {
 	// calibration, kernel pools and real task slots come from the
 	// substrate, so Cluster, Params and KernelThreads must be left zero.
 	// Lineage, shuffle state, fault plans and the virtual clock stay
-	// per-context. Nil (the default) gives the context its own substrate
-	// ingredients, exactly as before.
+	// per-context. Nil (the default) gives the context a private substrate
+	// built from Cluster, Params, KernelThreads and RealParallelism, so a
+	// solo context dispatches its tasks through the same slot scheduler.
 	Substrate *Substrate
 	// Priority orders this context's tasks against sibling contexts on
 	// the same Substrate when real task slots are contended: higher wins,
-	// FIFO within a priority. Ignored without a Substrate.
+	// FIFO within a priority. Needs a Substrate: a nonzero Priority
+	// without one is rejected.
 	Priority int
 	// Cluster describes the (simulated) hardware. Required unless
 	// Substrate is set (the substrate supplies it).
@@ -50,8 +51,11 @@ type Conf struct {
 	// pool bounds real intra-kernel concurrency per node — tasks on one
 	// node share it, so total kernel workers never exceed this width.
 	KernelThreads int
-	// RealParallelism bounds the goroutines that actually execute tasks
-	// in this process. Default: runtime.NumCPU().
+	// RealParallelism bounds the task attempts running at once. Without a
+	// Substrate it sizes the context's private one, bounding all of the
+	// context's concurrent actions together (negative values are
+	// rejected); on a shared Substrate it caps each stage's workers.
+	// Default: runtime.NumCPU(), or the shared substrate's.
 	RealParallelism int
 	// KeepShuffles is how many most-recent shuffles stay staged before
 	// the engine emulates Spark's shuffle cleanup (old generations are
@@ -141,30 +145,41 @@ type Conf struct {
 // context construction path goes through it, so a hand-built Conf can
 // never smuggle an unnormalized value past NewContext.
 func (conf *Conf) normalize() error {
-	if conf.Substrate != nil {
-		// The substrate owns everything shared across mounted jobs; a
-		// per-job override of those fields would silently diverge from
-		// what siblings see, so they must be left zero.
-		if conf.Cluster != nil && conf.Cluster != conf.Substrate.cluster {
-			return fmt.Errorf("rdd: Conf.Cluster must be unset with Conf.Substrate — the substrate supplies the cluster")
+	if conf.Substrate == nil {
+		if conf.Priority != 0 {
+			return fmt.Errorf("rdd: Conf.Priority needs Conf.Substrate — priorities order jobs contending for shared task slots")
 		}
-		if conf.Params != nil && conf.Params != conf.Substrate.params {
-			return fmt.Errorf("rdd: Conf.Params must be unset with Conf.Substrate — the substrate supplies the calibration")
+		// A solo context runs on a substrate of its own, built from its
+		// own fields: one task-dispatch path for solo and mounted jobs.
+		s, err := NewSubstrate(SubstrateConf{
+			Cluster:         conf.Cluster,
+			Params:          conf.Params,
+			KernelThreads:   conf.KernelThreads,
+			RealParallelism: conf.RealParallelism,
+		})
+		if err != nil {
+			return err
 		}
-		if conf.KernelThreads != 0 && conf.KernelThreads != conf.Substrate.kernelThreads {
-			return fmt.Errorf("rdd: Conf.KernelThreads must be unset with Conf.Substrate — the substrate owns the kernel pools")
-		}
-		conf.Cluster = conf.Substrate.cluster
-		conf.Params = conf.Substrate.params
-		conf.KernelThreads = conf.Substrate.kernelThreads
-		if conf.RealParallelism <= 0 {
-			conf.RealParallelism = conf.Substrate.realPar
-		}
-	} else if conf.Priority != 0 {
-		return fmt.Errorf("rdd: Conf.Priority needs Conf.Substrate — priorities order jobs contending for shared task slots")
+		conf.Substrate = s
 	}
-	if conf.Cluster == nil {
-		return fmt.Errorf("rdd: Conf.Cluster is required")
+	// The substrate owns everything shared across mounted jobs; a per-job
+	// override of those fields would silently diverge from what siblings
+	// see, so they must be left zero.
+	s := conf.Substrate
+	if conf.Cluster != nil && conf.Cluster != s.cluster {
+		return fmt.Errorf("rdd: Conf.Cluster must be unset with Conf.Substrate — the substrate supplies the cluster")
+	}
+	if conf.Params != nil && conf.Params != s.params {
+		return fmt.Errorf("rdd: Conf.Params must be unset with Conf.Substrate — the substrate supplies the calibration")
+	}
+	if conf.KernelThreads != 0 && conf.KernelThreads != s.kernelThreads {
+		return fmt.Errorf("rdd: Conf.KernelThreads must be unset with Conf.Substrate — the substrate owns the kernel pools")
+	}
+	conf.Cluster = s.cluster
+	conf.Params = s.params
+	conf.KernelThreads = s.kernelThreads
+	if conf.RealParallelism <= 0 {
+		conf.RealParallelism = s.realPar
 	}
 	if conf.MaxTaskAttempts < 0 {
 		return fmt.Errorf("rdd: Conf.MaxTaskAttempts must be ≥ 0 (0 means the default 4, Spark's spark.task.maxFailures), got %d", conf.MaxTaskAttempts)
@@ -214,12 +229,6 @@ func (conf *Conf) normalize() error {
 			return err
 		}
 	}
-	if conf.KernelThreads < 0 {
-		return fmt.Errorf("rdd: Conf.KernelThreads must be ≥ 0 (0 means the default 1, serial kernels), got %d", conf.KernelThreads)
-	}
-	if conf.KernelThreads == 0 {
-		conf.KernelThreads = 1
-	}
 	if conf.ExecutorCores <= 0 {
 		conf.ExecutorCores = conf.Cluster.Node.Cores
 		if conf.KernelThreads > 1 {
@@ -230,9 +239,6 @@ func (conf *Conf) normalize() error {
 				conf.ExecutorCores = 1
 			}
 		}
-	}
-	if conf.RealParallelism <= 0 {
-		conf.RealParallelism = runtime.NumCPU()
 	}
 	if conf.KeepShuffles == 0 {
 		conf.KeepShuffles = 8
@@ -259,18 +265,6 @@ type Context struct {
 	// store is the durable block store (nil without Conf.DurableDir); it
 	// stages shuffle buckets and broadcast payloads as checksummed blocks.
 	store *store.Store
-
-	// kernelPools holds one shared kernel worker pool per node (nil slice
-	// when Conf.KernelThreads ≤ 1): every task running on a node hands the
-	// node's pool to its kernel invocations, so intra-kernel workers are
-	// bounded per node, not per task.
-	kernelPools []*kernels.Pool
-
-	// substrate is the shared scheduler/executor layer (nil for solo
-	// contexts): when set, every real task execution first acquires one
-	// of its slots, so concurrent sibling jobs interleave on a bounded
-	// executor pool instead of each spawning RealParallelism goroutines.
-	substrate *Substrate
 
 	// cancel is closed by Cancel (idempotent); cancelErr is the cause,
 	// written under mu before the close so readers that observe the
@@ -473,28 +467,17 @@ func NewContext(conf Conf) *Context {
 		conf.Observer = obs.New()
 	}
 	c := &Context{
-		conf:      conf,
-		model:     m,
-		simul:     sim.New(m, conf.ExecutorCores),
-		obsv:      conf.Observer,
-		substrate: conf.Substrate,
-		cancel:    make(chan struct{}),
-		shuffles:  make(map[int]*shuffleState),
-		memUsed:   make([]int64, conf.Cluster.Nodes),
+		conf:     conf,
+		model:    m,
+		simul:    sim.New(m, conf.ExecutorCores),
+		obsv:     conf.Observer,
+		cancel:   make(chan struct{}),
+		shuffles: make(map[int]*shuffleState),
+		memUsed:  make([]int64, conf.Cluster.Nodes),
 	}
 	c.stormTokens = conf.RecoveryTokens
 	if conf.FaultPlan != nil {
 		c.faults = newFaultState(conf.FaultPlan, conf.Cluster.Nodes)
-	}
-	if conf.Substrate != nil {
-		// Mounted jobs share the substrate's per-node kernel pools so
-		// real kernel workers stay bounded per node across all tenants.
-		c.kernelPools = conf.Substrate.kernelPools
-	} else if conf.KernelThreads > 1 {
-		c.kernelPools = make([]*kernels.Pool, conf.Cluster.Nodes)
-		for n := range c.kernelPools {
-			c.kernelPools[n] = kernels.NewPool(conf.KernelThreads)
-		}
 	}
 	if conf.DurableDir != "" {
 		st, err := store.Open(conf.DurableDir, store.Options{
@@ -604,17 +587,17 @@ func (c *Context) KernelThreads() int { return c.conf.KernelThreads }
 // kernelPool returns the node's shared kernel worker pool (nil when
 // KernelThreads ≤ 1 or the node index is out of range).
 func (c *Context) kernelPool(node int) *kernels.Pool {
-	if node < 0 || node >= len(c.kernelPools) {
+	if node < 0 || node >= len(c.conf.Substrate.kernelPools) {
 		return nil
 	}
-	return c.kernelPools[node]
+	return c.conf.Substrate.kernelPools[node]
 }
 
 // KernelPoolStats sums the scheduling counters of every node's kernel
 // pool: branches spawned on their own goroutine, branches inlined on the
 // caller, and barrier token hand-offs. All zero when KernelThreads ≤ 1.
 func (c *Context) KernelPoolStats() (spawned, inlined, handoffs int64) {
-	for _, p := range c.kernelPools {
+	for _, p := range c.conf.Substrate.kernelPools {
 		s, i, h := p.Stats()
 		spawned += s
 		inlined += i
@@ -639,9 +622,9 @@ func (c *Context) Ledger() *simtime.Ledger { return c.simul.Ledger }
 var ErrJobCanceled = fmt.Errorf("rdd: job canceled")
 
 // Cancel requests cooperative cancellation: in-flight tasks finish
-// their current attempt, queued tasks (and slot waiters on a shared
-// Substrate) abort, and Err reports the cause from then on — so driver
-// loops checking Err at iteration boundaries stop promptly. A nil
+// their current attempt, queued tasks and slot waiters abort, and Err
+// reports the cause from then on — so driver loops checking Err at
+// iteration boundaries stop promptly. A nil
 // cause means ErrJobCanceled; wrap ErrJobCanceled to attach context
 // (e.g. a deadline) while keeping errors.Is working. Idempotent: the
 // first cause wins.
@@ -670,26 +653,13 @@ func (c *Context) CancelCause() error {
 
 // acquireSlot takes one substrate-wide real-execution slot (highest
 // Conf.Priority first), or reports false if the context is cancelled
-// before or while waiting. Without a mounted substrate there is nothing
-// to wait for.
+// while waiting.
 func (c *Context) acquireSlot() bool {
-	select {
-	case <-c.cancel:
-		return false
-	default:
-	}
-	if c.substrate == nil {
-		return true
-	}
-	return c.substrate.sched.acquire(c.conf.Priority, c.cancel)
+	return c.conf.Substrate.sched.acquire(c.conf.Priority, c.cancel)
 }
 
 // releaseSlot returns a slot taken by acquireSlot.
-func (c *Context) releaseSlot() {
-	if c.substrate != nil {
-		c.substrate.sched.release()
-	}
-}
+func (c *Context) releaseSlot() { c.conf.Substrate.sched.release() }
 
 // Err returns the first failure (staging disk full, executor memory
 // exceeded, cancellation), if any.

@@ -128,38 +128,46 @@ func (sr *stageRun) plan(c *Context) {
 	sr.scratch = c.takeStageScratch(sr.parts)
 }
 
-// runTasks runs the stage's tasks on at most Conf.RealParallelism workers
-// and waits for all of them. Workers claim task indices from one shared
-// cursor, a short run at a time: about eight claims per worker over the
-// stage, so the tail stays balanced, and a single task per claim once the
-// stage is small enough that every task matters.
+// runTasks runs the stage's tasks on at most Conf.RealParallelism workers,
+// the caller's goroutine among them, and waits for all of them. Workers
+// claim task indices from one shared cursor, a short run at a time: about
+// eight claims per worker over the stage, so the tail stays balanced, and
+// a single task per claim once the stage is small enough that every task
+// matters. A worker takes one substrate slot per claim, not per attempt,
+// so symbolic stages of near-empty tasks do not queue on the scheduler.
 func (sr *stageRun) runTasks() {
-	workers := min(sr.c.conf.RealParallelism, sr.parts)
-	if workers <= 1 {
-		for idx := 0; idx < sr.parts; idx++ {
-			sr.runTask(idx)
-		}
-		return
-	}
+	c := sr.c
+	workers := max(1, min(c.conf.RealParallelism, sr.parts))
 	run := max(1, sr.parts/(8*workers))
 	var next atomic.Int64
+	claim := func() {
+		for {
+			hi := int(next.Add(int64(run)))
+			lo := hi - run
+			if lo >= sr.parts {
+				return
+			}
+			if !c.acquireSlot() {
+				c.recordTaskErr(c.CancelCause())
+				return
+			}
+			for idx := lo; idx < min(hi, sr.parts); idx++ {
+				if !sr.runTask(idx) {
+					return
+				}
+			}
+			c.releaseSlot()
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				hi := int(next.Add(int64(run)))
-				lo := hi - run
-				if lo >= sr.parts {
-					return
-				}
-				for idx := lo; idx < min(hi, sr.parts); idx++ {
-					sr.runTask(idx)
-				}
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
 }
 
@@ -172,23 +180,22 @@ func (sr *stageRun) runTasks() {
 // new placement, nothing charged for the part it ran (which reduce tasks
 // see a loss before it is repaired is a scheduling accident, so what they
 // did until then must not reach the modelled clock).
-func (sr *stageRun) runTask(idx int) {
+//
+// It runs on its worker's slot and keeps it unless it reports false: a
+// cancellation abandons the task between attempts, gives the slot up and
+// records the cause for the next action (and the driver's Err check).
+func (sr *stageRun) runTask(idx int) bool {
 	c, split := sr.c, sr.split(idx)
 	tc := &sr.scratch.tcs[idx]
 	var lost simtime.Duration
 	failures, node := 0, -1 // node < 0: the coming attempt is not placed yet
 	for {
-		// On a shared Substrate each attempt holds one substrate-wide
-		// task slot for its real execution only. Recovery and retry run
-		// slot-free: recoverShuffle resubmits the parent map stage,
-		// whose tasks need slots of their own, so holding one across it
-		// would self-deadlock on a narrow substrate (one slot suffices
-		// for any recovery depth this way). Cancellation abandons the
-		// task between attempts; the recorded cause makes the next action
-		// (and the driver loop's Err check) surface it.
-		if !c.acquireSlot() {
+		select {
+		case <-c.cancel:
+			c.releaseSlot()
 			c.recordTaskErr(c.CancelCause())
-			return
+			return false
+		default:
 		}
 		if node < 0 {
 			node = c.placeNode(split, sr.asOf)
@@ -200,16 +207,24 @@ func (sr *stageRun) runTask(idx int) {
 		}
 		*tc = TaskContext{StageID: sr.stageID, Partition: split, Node: node, ctx: c}
 		err := sr.runAttempt(tc, idx, failures)
-		c.releaseSlot()
 		if err == nil {
 			sr.dilate(tc)
 			tc.compute += lost // failed attempts' work is not free
-			return
+			return true
 		}
 		if ff, ok := err.(*FetchFailedError); ok {
+			// Recovery runs slot-free: recoverShuffle resubmits the parent
+			// map stage, whose tasks need slots of their own, so holding
+			// one across it would self-deadlock on a narrow substrate (one
+			// slot suffices for any recovery depth this way).
+			c.releaseSlot()
 			if rerr := c.recoverShuffle(ff); rerr != nil {
 				c.recordTaskErr(rerr)
-				return
+				return c.acquireSlot()
+			}
+			if !c.acquireSlot() {
+				c.recordTaskErr(c.CancelCause())
+				return false
 			}
 			continue
 		}
@@ -217,7 +232,7 @@ func (sr *stageRun) runTask(idx int) {
 		failures++
 		if failures >= c.conf.MaxTaskAttempts {
 			c.recordTaskErr(err)
-			return
+			return true
 		}
 		c.count(recTaskRetries, 1)
 		c.recordEvent(obs.Event{

@@ -11,13 +11,14 @@ import (
 	"dpspark/internal/kernels"
 )
 
-// This file is the shared scheduler/executor substrate behind
-// multi-tenant serving (`dpspark serve`): several concurrent engine
-// contexts — one per job — mount one Substrate, which owns everything
-// that models the physical cluster the jobs share, while each Context
-// keeps everything that is logically per-job: lineage, shuffle state,
-// fault plans and fired-event bookkeeping, the virtual clock, and the
-// breakdown/recovery accounting.
+// This file is the scheduler/executor substrate every engine context
+// runs on. A solo context builds a private one from its Conf; in
+// multi-tenant serving (`dpspark serve`) several concurrent contexts —
+// one per job — mount one shared Substrate. The Substrate owns
+// everything that models the physical cluster the jobs share, while each
+// Context keeps everything that is logically per-job: lineage, shuffle
+// state, fault plans and fired-event bookkeeping, the virtual clock, and
+// the breakdown/recovery accounting.
 //
 // Concretely the Substrate owns:
 //
@@ -27,9 +28,10 @@ import (
 //     real intra-kernel concurrency is bounded per node across ALL
 //     jobs, not per job, and
 //   - the real task-slot scheduler: a bounded pool of task-execution
-//     slots (Conf.RealParallelism of a solo run) that stages from
-//     different jobs acquire per task, highest job priority first,
-//     FIFO within a priority.
+//     slots (Conf.RealParallelism of a solo run) that the stage workers
+//     of every mounted job acquire, one per run of task indices they
+//     claim (see runTasks), highest job priority first, FIFO within a
+//     priority.
 //
 // Isolation invariant: because the virtual clock, lineage and fault
 // state stay per-job, a job's modelled time, recovery trajectory and
@@ -47,14 +49,14 @@ type SubstrateConf struct {
 	// KernelThreads is the width of the shared per-node kernel pools
 	// (see Conf.KernelThreads). Default 1: serial kernels, no pools.
 	KernelThreads int
-	// RealParallelism bounds the task-execution goroutines across every
-	// job mounted on the substrate. Default: runtime.NumCPU().
+	// RealParallelism bounds the task attempts running at once across
+	// every job mounted on the substrate. Default: runtime.NumCPU().
 	RealParallelism int
 }
 
-// Substrate is the shared scheduler/executor layer of a multi-job
-// process. Create one with NewSubstrate, then mount any number of
-// concurrent Contexts on it via Conf.Substrate.
+// Substrate is the scheduler/executor layer contexts run on. Create one
+// with NewSubstrate, then mount any number of concurrent Contexts on it
+// via Conf.Substrate; a Context without one builds its own.
 type Substrate struct {
 	cluster       *cluster.Cluster
 	params        *costmodel.Params

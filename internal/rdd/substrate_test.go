@@ -3,8 +3,8 @@ package rdd
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,37 +175,33 @@ func TestNewSubstrateValidates(t *testing.T) {
 	}
 }
 
-func TestConfSubstrateNormalization(t *testing.T) {
-	sub, err := NewSubstrate(SubstrateConf{Cluster: cluster.LocalN(2, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		mut  func(*Conf)
-		want string
-	}{
-		{"cluster conflict", func(c *Conf) { c.Cluster = cluster.LocalN(4, 2) }, "Cluster must be unset"},
-		{"kernel threads conflict", func(c *Conf) { c.KernelThreads = 4 }, "KernelThreads must be unset"},
-		{"priority without substrate", func(c *Conf) { c.Substrate = nil; c.Cluster = cluster.LocalN(2, 2); c.Priority = 1 }, "Priority needs Conf.Substrate"},
-	} {
-		conf := Conf{Substrate: sub}
-		tc.mut(&conf)
-		err := conf.normalize()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+// TestSubstrateBoundsConcurrentActions: a solo context runs on a
+// substrate of its own, so RealParallelism bounds the task attempts of
+// every action on it together, not of each action apart.
+func TestSubstrateBoundsConcurrentActions(t *testing.T) {
+	ctx := NewContext(Conf{Cluster: cluster.LocalN(2, 2), RealParallelism: 1})
+	var running, peak atomic.Int32
+	ds := Map(Parallelize(ctx, make([]int, 8), 8), func(_ *TaskContext, v int) int {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 		}
+		time.Sleep(200 * time.Microsecond)
+		running.Add(-1)
+		return v
+	})
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ds.Collect(); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-
-	conf := Conf{Substrate: sub, Priority: 3}
-	if err := conf.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if conf.Cluster != sub.Cluster() {
-		t.Fatal("substrate cluster not adopted")
-	}
-	if conf.RealParallelism != sub.RealParallelism() {
-		t.Fatalf("RealParallelism %d, want substrate's %d", conf.RealParallelism, sub.RealParallelism())
+	wg.Wait()
+	if got := peak.Load(); got != 1 {
+		t.Fatalf("%d task attempts ran at once with RealParallelism 1", got)
 	}
 }
 
