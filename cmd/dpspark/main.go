@@ -594,7 +594,7 @@ func (v *inv) durable(ctx context.Context, w io.Writer) error {
 		return nil
 	}
 	fmt.Fprintf(w, "result checksum: %016x (n=%d b=%d %s %v)\n",
-		out.ToDense().Checksum(), v.size, v.block, v.bench, drv)
+		out.Checksum(), v.size, v.block, v.bench, drv)
 	return nil
 }
 
@@ -641,7 +641,7 @@ func (v *inv) remote(_ context.Context, w io.Writer) error {
 			name+":", st.Time.Seconds(), st.RecoveryTime.Seconds(),
 			st.ReplicatedBlocks, st.RestoredBlocks, st.RecomputedBlocks,
 			rs.RemoteRetries, rs.DegradedWindows)
-		return out.ToDense().Checksum(), nil
+		return out.Checksum(), nil
 	}
 	fmt.Fprintf(w, "remote replica tier: %s %v n=%d b=%d, executor crash at stage %d\n\n",
 		v.bench, drv, v.size, v.block, crash.Stage)
@@ -696,7 +696,7 @@ func (v *inv) resume(ctx context.Context, w io.Writer) error {
 		return nil
 	}
 	fmt.Fprintf(w, "result checksum: %016x (n=%d b=%d %s %v)\n",
-		out.ToDense().Checksum(), meta.N, meta.B, ruleFlagName(meta.Rule), drv)
+		out.Checksum(), meta.N, meta.B, ruleFlagName(meta.Rule), drv)
 	return nil
 }
 

@@ -4,6 +4,12 @@
 // Schoeneman–Zola solver from undirected to directed graphs) to any
 // closed semiring and arbitrary directed inputs. It also provides path
 // reconstruction from the distance matrix.
+//
+// Input path: Solve builds the b×b tiles straight from the graph, one
+// row of d⁰ at a time (graph.DistanceRow into matrix.BlockRows), so the
+// n×n d⁰ is never made dense; SolveMatrix blocks a d⁰ the caller built
+// (matrix.Block, the same blocker). Either way the result is made dense
+// once, at the end.
 package apsp
 
 import (
@@ -33,10 +39,16 @@ func New(cfg core.Config) *Solver {
 }
 
 // Solve computes all-pairs shortest distances for the directed graph.
-// The result matrix holds d(i,j), +∞ where j is unreachable from i.
+// The result matrix holds d(i,j), +∞ where j is unreachable from i. The
+// tiles are built straight from the graph's rows (graph.DistanceRow), so
+// d⁰ is never made dense; the result is SolveMatrix(g.DistanceMatrix())
+// bit for bit.
 func (s *Solver) Solve(ctx *rdd.Context, g *graph.Graph) (*matrix.Dense, *core.Stats, error) {
-	d := g.DistanceMatrix()
-	return s.SolveMatrix(ctx, d)
+	cfg := s.Config
+	if cfg.BlockSize < 1 {
+		return nil, nil, fmt.Errorf("apsp: BlockSize must be set")
+	}
+	return s.run(ctx, matrix.BlockRows(g.N, cfg.BlockSize, cfg.Rule.Pad(), cfg.Rule.PadDiag(), g.DistanceRow))
 }
 
 // SolveMatrix runs the solver on a pre-built distance matrix (d⁰ of the
@@ -46,8 +58,12 @@ func (s *Solver) SolveMatrix(ctx *rdd.Context, d *matrix.Dense) (*matrix.Dense, 
 	if cfg.BlockSize < 1 {
 		return nil, nil, fmt.Errorf("apsp: BlockSize must be set")
 	}
-	bl := matrix.Block(d, cfg.BlockSize, cfg.Rule.Pad(), cfg.Rule.PadDiag())
-	out, stats, err := core.Run(ctx, bl, cfg)
+	return s.run(ctx, matrix.Block(d, cfg.BlockSize, cfg.Rule.Pad(), cfg.Rule.PadDiag()))
+}
+
+// run solves the blocked d⁰ and returns the dense result.
+func (s *Solver) run(ctx *rdd.Context, bl *matrix.Blocked) (*matrix.Dense, *core.Stats, error) {
+	out, stats, err := core.Run(ctx, bl, s.Config)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -38,17 +38,37 @@ func New(cfg core.Config) *Solver {
 // Augment packs A (m×m) and b (length m) into the (m+1)×(m+1) GEP table.
 // The final slack row is inert padding (zero coefficients, unit pivot).
 func Augment(a *matrix.Dense, b []float64) (*matrix.Dense, error) {
-	m := a.N
-	if len(b) != m {
-		return nil, fmt.Errorf("ge: rhs length %d != %d unknowns", len(b), m)
+	if err := checkRHS(a, b); err != nil {
+		return nil, err
 	}
-	t := matrix.NewDense(m + 1)
-	for i := 0; i < m; i++ {
-		copy(t.Data[i*(m+1):i*(m+1)+m], a.Data[i*m:(i+1)*m])
-		t.Set(i, m, b[i])
+	n := a.N + 1
+	t := matrix.NewDense(n)
+	for i := 0; i < n; i++ {
+		augmentedRow(a, b, i, t.Data[i*n:(i+1)*n])
 	}
-	t.Set(m, m, 1)
 	return t, nil
+}
+
+// checkRHS rejects a right-hand side whose length is not A's order.
+func checkRHS(a *matrix.Dense, b []float64) error {
+	if len(b) != a.N {
+		return fmt.Errorf("ge: rhs length %d != %d unknowns", len(b), a.N)
+	}
+	return nil
+}
+
+// augmentedRow writes row i of Augment's table into row (length m+1)
+// and returns it.
+func augmentedRow(a *matrix.Dense, b []float64, i int, row []float64) []float64 {
+	m := a.N
+	if i < m {
+		copy(row, a.Data[i*m:(i+1)*m])
+		row[m] = b[i]
+		return row
+	}
+	clear(row[:m])
+	row[m] = 1
+	return row
 }
 
 // Eliminate runs distributed forward elimination on an n×n GEP table,
@@ -74,35 +94,53 @@ func (s *Solver) EliminateSymbolic(ctx *rdd.Context, n int) (*core.Stats, error)
 	return stats, err
 }
 
-// Solve solves A·x = b for diagonally dominant or SPD A.
+// Solve solves A·x = b for diagonally dominant or SPD A: Augment,
+// Eliminate and BackSubstitute bit for bit, on tiles built from (A, b)
+// and read in place.
 func (s *Solver) Solve(ctx *rdd.Context, a *matrix.Dense, b []float64) ([]float64, *core.Stats, error) {
-	t, err := Augment(a, b)
-	if err != nil {
+	if err := checkRHS(a, b); err != nil {
 		return nil, nil, err
 	}
-	elim, stats, err := s.Eliminate(ctx, t)
+	cfg := s.Config
+	if cfg.BlockSize < 1 {
+		return nil, nil, fmt.Errorf("ge: BlockSize must be set")
+	}
+	bl := matrix.BlockRows(a.N+1, cfg.BlockSize, cfg.Rule.Pad(), cfg.Rule.PadDiag(),
+		func(i int, row []float64) []float64 { return augmentedRow(a, b, i, row) })
+	out, stats, err := core.Run(ctx, bl, cfg)
 	if err != nil {
 		return nil, stats, err
 	}
-	x, err := BackSubstitute(elim)
+	x, err := backSubstitute(out.N, out.RowRun)
 	return x, stats, err
 }
 
 // BackSubstitute extracts the solution from an eliminated augmented
 // table: x[i] = (rhs[i] − Σ_{j>i} U[i,j]·x[j]) / U[i,i].
 func BackSubstitute(t *matrix.Dense) ([]float64, error) {
-	m := t.N - 1
+	return backSubstitute(t.N, func(i, j int) []float64 { return t.Data[i*t.N+j : (i+1)*t.N] })
+}
+
+// backSubstitute is BackSubstitute on an n×n table read through run(i,
+// j), which returns a non-empty run of row i from column j on (the rest
+// of the row, or of its tile). The sum takes j ascending either way.
+func backSubstitute(n int, run func(i, j int) []float64) ([]float64, error) {
+	m := n - 1
 	if m < 1 {
-		return nil, fmt.Errorf("ge: table too small (%d)", t.N)
+		return nil, fmt.Errorf("ge: table too small (%d)", n)
 	}
 	x := make([]float64, m)
 	for i := m - 1; i >= 0; i-- {
-		row := t.Data[i*t.N : (i+1)*t.N]
-		sum := row[m]
-		for j, xj := range x[i+1:] {
-			sum -= row[i+1+j] * xj
+		sum := run(i, m)[0]
+		for j := i + 1; j < m; {
+			r := run(i, j)
+			r = r[:min(len(r), m-j)]
+			for k, v := range r {
+				sum -= v * x[j+k]
+			}
+			j += len(r)
 		}
-		piv := row[i]
+		piv := run(i, i)[0]
 		if piv == 0 || math.IsNaN(piv) {
 			return nil, fmt.Errorf("ge: zero pivot at row %d (matrix not GE-safe without pivoting)", i)
 		}

@@ -52,21 +52,29 @@ func (g *Graph) Edges() int {
 // parallel edges, +∞ where no edge exists.
 func (g *Graph) DistanceMatrix() *matrix.Dense {
 	d := matrix.NewDense(g.N)
-	inf := math.Inf(1)
-	for i := range d.Data {
-		d.Data[i] = inf
-	}
 	for i := 0; i < g.N; i++ {
-		d.Set(i, i, 0)
-	}
-	for _, es := range g.Adj {
-		for _, e := range es {
-			if e.Weight < d.At(e.From, e.To) {
-				d.Set(e.From, e.To, e.Weight)
-			}
-		}
+		g.DistanceRow(i, d.Data[i*g.N:(i+1)*g.N])
 	}
 	return d
+}
+
+// DistanceRow writes row i of DistanceMatrix into row (length N) and
+// returns it: the solvers build their tiles from these rows
+// (matrix.BlockRows) without the dense matrix. A self-loop lighter than 0
+// sets the diagonal; a NaN weight never wins.
+func (g *Graph) DistanceRow(i int, row []float64) []float64 {
+	row = row[:g.N]
+	inf := math.Inf(1)
+	for j := range row {
+		row[j] = inf
+	}
+	row[i] = 0
+	for _, e := range g.Adj[i] {
+		if e.Weight < row[e.To] {
+			row[e.To] = e.Weight
+		}
+	}
+	return row
 }
 
 // AdjacencyBool converts the graph to a boolean (0/1) reachability matrix

@@ -126,9 +126,10 @@ func specialValues(rng *rand.Rand) float64 {
 // TestSIMDKernelsMatchScalar pins every fast path — the AVX-512 and AVX2
 // bricks and panels, and the scalar bodies that replace them without
 // AVX2, at every tier the host has — to the plain ordered loop bit for
-// bit, for every kind (A, B, C through the ordered panels, D through the
-// blocked bricks) under the aliasing the drivers and the recursive
-// kernels produce, on adversarial inputs:
+// bit, for every kind (D through the blocked bricks, min-plus A and B
+// through k-blocks over captured pivot rows above their gates, the rest
+// through the ordered panels) under the aliasing the drivers and the
+// recursive kernels produce, on adversarial inputs:
 // VMINPD must keep x on ties and NaN sums exactly like `if t < x`, GE
 // must stay an unfused multiply-subtract with one division per row, a
 // row's scalar must be read before the row overwrites it (negative
@@ -146,16 +147,18 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 	cases := []struct {
 		rule  semiring.Rule
 		fills []fill
-		// bc lists sizes run on kinds B and C only, past edgeSizes: a
-		// k-block tail of 4 with brick column tails (100), and two column
-		// tiles (520, past jBlock).
-		bc []int
+		// abc lists sizes run on the aliased kinds A, B and C only, past
+		// edgeSizes: 79 is the last tile below kind A's k-block gate
+		// (aMinDim) and 80 the first at it; 100 is a k-block tail of 4
+		// with brick column tails, and 520 has two column tiles (past
+		// jBlock).
+		abc []int
 	}{
 		{semiring.NewFloydWarshall(), []fill{
 			{name: "special", value: specialValues},
 			{name: "negative-diagonal", value: ordinary,
 				pivot: func(rng *rand.Rand) float64 { return -1 - rng.Float64() }},
-		}, []int{100, 520}},
+		}, []int{79, 80, 100, 520}},
 		{semiring.NewGaussian(), []fill{
 			{name: "special", value: specialValues,
 				pivot: func(rng *rand.Rand) float64 { return 1 + rng.Float64() }},
@@ -168,7 +171,7 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 	for _, c := range cases {
 		rule := c.rule
 		for _, f := range c.fills {
-			for _, n := range append(edgeSizes[:len(edgeSizes):len(edgeSizes)], c.bc...) {
+			for _, n := range append(edgeSizes[:len(edgeSizes):len(edgeSizes)], c.abc...) {
 				if (testing.Short() || raceEnabled) && n > 64 {
 					continue
 				}
@@ -184,7 +187,7 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 						}
 					}
 					for _, kind := range allKinds {
-						if slices.Contains(c.bc, n) && kind != semiring.KindB && kind != semiring.KindC {
+						if slices.Contains(c.abc, n) && kind == semiring.KindD {
 							continue
 						}
 						name := fmt.Sprintf("%s/%s/%v/n=%d/quadrants=%v", rule.Name(), f.name, kind, n, quadrants)

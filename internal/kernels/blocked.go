@@ -36,8 +36,17 @@ import "dpspark/internal/matrix"
 // For kinds A, B and C, Fig. 4 wires x into the operand list (u = v = w =
 // x for A, v = x for B, u = x for C), making the kernel a true in-place
 // DP whose later pivots must observe earlier updates — each element keeps
-// the ordered kij loop's operands in ascending k (see loop.go; min-plus
-// kind B runs these bricks too, over captured pivot rows). The D update
+// the ordered kij loop's operands in ascending k (see loop.go). Min-plus
+// kinds B and A run these bricks too, one k-block [k0,k1) at a time, on
+// operands captured so that each element still sees the ordered loop's:
+// pivot row k as it was before its own panel (pre, for rows above the
+// block) or after it (post, for rows below), and — for kind A, whose
+// scalars x[i,k] are themselves updated by the block — each row's x[i,k]
+// as step k finds it, captured while the row's block columns [k0,k1) run
+// the ordered loop; the bricks then cover the other columns. Kind A does
+// so only from b = 80 (aMinDim) and with the bricks (AVX2 or better): a
+// tile that (nearly) fits L1, or one without them, runs the ordered loop
+// faster. The D update
 // reads only u, v and w, so the k loop is a pure reduction over an
 // unchanging operand set and any evaluation order is valid:
 //
@@ -229,45 +238,45 @@ func gaussRow8(xrow, vrow []float64, f float64, n int) {
 // Rows are independent (x aliases neither u nor v), so disjoint bands
 // compose to the full tile in any order or in parallel.
 func minPlusBand(x, u, v matrix.View, i0, i1 int) {
-	minPlusKBlocks(x, u, v.Data, v.Stride, 0, x.N, i0, i1)
+	minPlusKBlocks(x, u.Data, u.Stride, v.Data, v.Stride, 0, x.N, i0, i1, 0, x.N)
 }
 
-// minPlusKBlocks applies pivots [k0,k1) to rows [i0,i1) of x in blocks
-// of kBlock, ascending k per element: x[i,j] = min(x[i,j], u[i,k] +
-// vb[(k-k0)*vstride+j]). vb holds the pivot rows — v's own rows for kind
-// D, captured rows for kind B (loopMinPlusPivotRows) — and must not alias
-// the rows written. The bricks read their scalars u[i,k] in place, at
-// u's row stride.
-func minPlusKBlocks(x, u matrix.View, vb []float64, vstride, k0, k1, i0, i1 int) {
-	n := x.N
+// minPlusKBlocks applies pivots [k0,k1) to rows [i0,i1) and columns
+// [j0,j1) of x in blocks of kBlock, ascending k per element: x[i,j] =
+// min(x[i,j], s[i*sstride+k-k0] + vb[(k-k0)*vstride+j]). s holds the
+// rows' scalars — u's own entries, read in place, for kinds B and D;
+// the ones kind A captured — and vb the pivot rows — v's own rows for
+// kind D, captured rows for kinds A and B (loopMinPlusPivotRows).
+// Neither may alias the elements written.
+func minPlusKBlocks(x matrix.View, s []float64, sstride int, vb []float64, vstride, k0, k1, i0, i1, j0, j1 int) {
 	for kb := k0; kb < k1; kb += kBlock {
 		kHi := min(kb+kBlock, k1)
-		v := vb[(kb-k0)*vstride:]
-		for j0 := 0; j0 < n; j0 += jBlock {
-			jHi := min(j0+jBlock, n)
+		v, sk := vb[(kb-k0)*vstride:], s[kb-k0:]
+		for jt := j0; jt < j1; jt += jBlock {
+			jHi := min(jt+jBlock, j1)
 			i := i0
-			if simd >= simdAVX2 && jHi-j0 >= 8 {
-				jv := j0 + (jHi-j0)&^7
-				jz := brickSplit(j0, jv)
+			if simd >= simdAVX2 && jHi-jt >= 8 {
+				jv := jt + (jHi-jt)&^7
+				jz := brickSplit(jt, jv)
 				for ; i+4 <= i1; i += 4 {
-					xi, ui := x.Data[i*x.Stride:], u.Data[i*u.Stride+kb:]
-					if jz > j0 {
-						minplusBrickAVX512(xi[j0:], ui, v[j0:], x.Stride, u.Stride, vstride, kHi-kb, jz-j0)
+					xi, si := x.Data[i*x.Stride:], sk[i*sstride:]
+					if jz > jt {
+						minplusBrickAVX512(xi[jt:], si, v[jt:], x.Stride, sstride, vstride, kHi-kb, jz-jt)
 					}
 					if jv > jz {
-						minplusBrickAVX2(xi[jz:], ui, v[jz:], x.Stride, u.Stride, vstride, kHi-kb, jv-jz)
+						minplusBrickAVX2(xi[jz:], si, v[jz:], x.Stride, sstride, vstride, kHi-kb, jv-jz)
 					}
 					for k := kb; jv < jHi && k < kHi; k++ {
-						minPlusPanel(x.Data[i*x.Stride+jv:], u.Data[i*u.Stride+k:],
-							v[(k-kb)*vstride+jv:], x.Stride, u.Stride, 4, jHi-jv)
+						minPlusPanel(x.Data[i*x.Stride+jv:], si[k-kb:],
+							v[(k-kb)*vstride+jv:], x.Stride, sstride, 4, jHi-jv)
 					}
 				}
 			}
 			// Row-outer so a remainder row stays in L1 across the k block.
 			for ; i < i1; i++ {
 				for k := kb; k < kHi; k++ {
-					minPlusPanel(x.Data[i*x.Stride+j0:], u.Data[i*u.Stride+k:],
-						v[(k-kb)*vstride+j0:], x.Stride, u.Stride, 1, jHi-j0)
+					minPlusPanel(x.Data[i*x.Stride+jt:], sk[i*sstride+k-kb:],
+						v[(k-kb)*vstride+jt:], x.Stride, sstride, 1, jHi-jt)
 				}
 			}
 		}

@@ -93,10 +93,16 @@ func loopGeneric(rule semiring.Rule, pool *Pool, kind semiring.Kind, x, u, v, w 
 // The aliased shapes keep each element's operands in the ordered kij
 // loop's ascending k, a pivot's rows handed to the vectorised row
 // primitive in one call (inside a row every j is independent; see
-// minPlusPanel). Kind A (x = u = v) runs that loop over the whole tile.
-// Kind C (x = u) reads no other row of x, so it runs it over row bands
-// that stay in L1, all pivots per band. Kind B (x = v) runs k-blocks
-// over captured pivot rows (loopMinPlusPivotRows).
+// minPlusPanel). Kind B (x = v) runs k-blocks over captured pivot rows
+// (loopMinPlusPivotRows), and so does kind A (x = u = v) from b = aMinDim
+// on, on hosts with the bricks. Below that the ordered loop streams a
+// tile that stays in L1 or close to it, and the k-blocks' extra passes
+// read 1.1–1.6× slower (b = 40 to 72); without the bricks they read
+// 1.06–1.18× slower at every size (EXPERIMENTS.md, "Kind A on the
+// bricks"). Kind C (x = u) reads no other row of x, so it runs the
+// ordered loop over row bands that stay in L1, all pivots per band;
+// capturing its scalars for the bricks instead read 1.05–1.44× slower at
+// b = 128 and 256.
 func loopMinPlus(pool *Pool, _ semiring.Kind, x, u, v, _ matrix.View) {
 	xu, xv := sameView(x, u), sameView(x, v)
 	n := x.N
@@ -110,7 +116,7 @@ func loopMinPlus(pool *Pool, _ semiring.Kind, x, u, v, _ matrix.View) {
 		}
 		return
 	}
-	if xv && !xu && n > kBlock {
+	if xv && (!xu && n > kBlock || xu && n >= aMinDim && simd >= simdAVX2) {
 		loopMinPlusPivotRows(x, u)
 		return
 	}
@@ -126,28 +132,51 @@ func loopMinPlus(pool *Pool, _ semiring.Kind, x, u, v, _ matrix.View) {
 	}
 }
 
-// l1Bytes is the L1 data cache a kind-C row band is sized to.
-const l1Bytes = 32 << 10
+const (
+	// l1Bytes is the L1 data cache a kind-C row band is sized to.
+	l1Bytes = 32 << 10
+	// aMinDim is the smallest tile kind A runs in k-blocks, the measured
+	// crossover: 1.1–1.45× slower than the ordered loop at b = 72, 0.95×
+	// at 80, 0.45–0.65× at 96.
+	aMinDim = 80
+	// aRows is the row group of kind A's phase 2: four bricks, whose
+	// block columns stay in L1 between their capture and the bricks.
+	// Groups of four rows read 1.1–1.25× slower (per-pivot panel calls
+	// of four rows), and whole regions slower still.
+	aRows = 16
+)
 
-// pivotRows recycles kind B's pivot-row captures: 2·kBlock·n values.
+// pivotRows recycles the k-block captures of kinds A and B: kBlock pivot
+// rows before and after their panel (2·kBlock·n values), and for kind A
+// kBlock scalars per row (kBlock·n more).
 var pivotRows sync.Pool
 
-// loopMinPlusPivotRows is kind B (x = v, u the fixed pivot tile) one
-// k-block [k0,k1) at a time. Phase 1 runs the ordered loop over the
-// block's own rows, and captures pivot row k before its panel (pre: what
-// the ordered loop hands rows above k at step k) and after it (post: what
-// it hands rows below k). Phase 2 runs the bricks over every other row,
-// rows < k0 reading pre and rows ≥ k1 reading post. Each element gets
-// the ordered loop's operands in its ascending k, so the bits are the
-// same, also when a negative u[k,k] makes pre and post differ.
+// loopMinPlusPivotRows is kind B (x = v, u the fixed pivot tile) and kind
+// A (x = u = v) one k-block [k0,k1) at a time. Phase 1 runs the ordered
+// loop over the block's own rows, and captures pivot row k before its
+// panel (pre: what the ordered loop hands rows above k at step k) and
+// after it (post: what it hands rows below k). Phase 2 runs the bricks
+// over every other row, rows < k0 reading pre and rows ≥ k1 reading post.
+// Kind B's rows read their scalars u[i,k] in place: u is not written.
+// Kind A's scalars are x[i,k] as step k finds them, so phase 2 takes its
+// rows aRows at a time: first the block's columns [k0,k1) in ascending k,
+// capturing x[i,k] before each step (the value the ordered loop reads),
+// then the bricks over columns [0,k0) and [k1,n), reading the captured
+// scalars. Each element gets the ordered loop's operands in its ascending
+// k, so the bits are the same, also when a negative diagonal makes pre
+// and post differ. Phase 2's rows are independent of each other.
 func loopMinPlusPivotRows(x, u matrix.View) {
 	n := x.N
+	kindA, panels := sameView(x, u), 2
+	if kindA {
+		panels = 3
+	}
 	p, _ := pivotRows.Get().(*[]float64)
-	if p == nil || cap(*p) < 2*kBlock*n {
-		buf := make([]float64, 2*kBlock*n)
+	if p == nil || cap(*p) < panels*kBlock*n {
+		buf := make([]float64, panels*kBlock*n)
 		p = &buf
 	}
-	pre, post := (*p)[:kBlock*n], (*p)[kBlock*n:2*kBlock*n]
+	pre, post, scalars := (*p)[:kBlock*n], (*p)[kBlock*n:2*kBlock*n], (*p)[2*kBlock*n:panels*kBlock*n]
 	for k0 := 0; k0 < n; k0 += kBlock {
 		k1 := min(k0+kBlock, n)
 		for k := k0; k < k1; k++ {
@@ -156,8 +185,31 @@ func loopMinPlusPivotRows(x, u matrix.View) {
 			minPlusPanel(x.Data[k0*x.Stride:], u.Data[k0*u.Stride+k:], row, x.Stride, u.Stride, k1-k0, n)
 			copy(post[(k-k0)*n:], row)
 		}
-		minPlusKBlocks(x, u, pre, n, k0, k1, 0, k0)
-		minPlusKBlocks(x, u, post, n, k0, k1, k1, n)
+		if !kindA {
+			minPlusKBlocks(x, u.Data[k0:], u.Stride, pre, n, k0, k1, 0, k0, 0, n)
+			minPlusKBlocks(x, u.Data[k0:], u.Stride, post, n, k0, k1, k1, n, 0, n)
+			continue
+		}
+		for i := 0; i < n; {
+			if i == k0 {
+				i = k1
+				continue
+			}
+			i1, pivots := min(i+aRows, k0), pre
+			if i >= k1 {
+				i1, pivots = min(i+aRows, n), post
+			}
+			for k := k0; k < k1; k++ {
+				for r := i; r < i1; r++ {
+					scalars[r*kBlock+k-k0] = x.Data[r*x.Stride+k]
+				}
+				minPlusPanel(x.Data[i*x.Stride+k0:], x.Data[i*x.Stride+k:], pivots[(k-k0)*n+k0:],
+					x.Stride, x.Stride, i1-i, k1-k0)
+			}
+			minPlusKBlocks(x, scalars, kBlock, pivots, n, k0, k1, i, i1, 0, k0)
+			minPlusKBlocks(x, scalars, kBlock, pivots, n, k0, k1, i, i1, k1, n)
+			i = i1
+		}
 	}
 	pivotRows.Put(p)
 }

@@ -28,8 +28,11 @@ const parMinDim = 64
 //     whose operands are wired back to x) are true in-place DPs whose
 //     later pivots observe earlier updates; they run Loop's serial
 //     kernel on the caller regardless of the pool — each element's
-//     updates in the ordered loop's sequence (min-plus B and C in
+//     updates in the ordered loop's sequence (min-plus A, B and C in
 //     cache-resident forms, see loopMinPlus), never split across workers.
+//     Min-plus A's and B's k-blocks are row-independent once a block's
+//     own rows have run (loopMinPlusPivotRows' phase 2), so that phase
+//     could take row bands on the pool; it does not yet.
 //
 // A nil or width-1 pool, or a tile below the parallel crossover floor,
 // runs serially (see bands).

@@ -48,27 +48,36 @@ func NewSymbolicBlocked(n, b int) *Blocked {
 
 // Block decomposes d into b×b tiles, filling any padded region with the
 // given off-diagonal and diagonal padding elements (take them from the
-// GEP rule's Pad/PadDiag so padded cells are inert). Each tile row is one
-// copy from d plus its padding.
+// GEP rule's Pad/PadDiag so padded cells are inert).
 func Block(d *Dense, b int, padOff, padDiag float64) *Blocked {
-	bl := NewBlocked(d.N, b)
-	for bi := 0; bi < bl.R; bi++ {
+	return BlockRows(d.N, b, padOff, padDiag, func(i int, _ []float64) []float64 {
+		return d.Data[i*d.N : (i+1)*d.N]
+	})
+}
+
+// BlockRows builds the b×b tiles of an n×n table straight from its rows,
+// without the dense table: row(i, buf) returns row i's n values, either
+// in a slice of its own or in buf (length n), which it may fill and
+// return. Each tile row is one copy from the row plus its padding, as in
+// Block.
+func BlockRows(n, b int, padOff, padDiag float64, row func(i int, buf []float64) []float64) *Blocked {
+	bl := NewBlocked(n, b)
+	buf := make([]float64, n)
+	for gi := 0; gi < bl.R*b; gi++ {
+		bi, i := gi/b, gi%b
+		var r []float64
+		if gi < n {
+			r = row(gi, buf)
+		}
 		for bj := 0; bj < bl.R; bj++ {
-			t := bl.Tiles[bi*bl.R+bj]
-			for i := 0; i < b; i++ {
-				gi := bi*b + i
-				row := t.Data[i*b : (i+1)*b]
-				// The row's first n columns lie inside d; the rest pad.
-				n := 0
-				if gi < d.N {
-					n = copy(row, d.Data[gi*d.N+min(bj*b, d.N):(gi+1)*d.N])
-				}
-				for j := n; j < b; j++ {
-					row[j] = padOff
-				}
-				if gi >= d.N && bi == bj {
-					row[i] = padDiag
-				}
+			dst := bl.Tiles[bi*bl.R+bj].Data[i*b : (i+1)*b]
+			// The row's first columns lie inside the table; the rest pad.
+			j := copy(dst, r[min(bj*b, len(r)):])
+			for ; j < b; j++ {
+				dst[j] = padOff
+			}
+			if gi >= n && bi == bj {
+				dst[i] = padDiag
 			}
 		}
 	}
@@ -119,14 +128,38 @@ func (bl *Blocked) ToDense() *Dense {
 		panic("matrix: ToDense of a symbolic blocked matrix")
 	}
 	d := NewDense(bl.N)
-	for gi := 0; gi < bl.N; gi++ {
-		bi, i := gi/bl.B, gi%bl.B
-		for bj := 0; bj < bl.R; bj++ {
-			t := bl.Tiles[bi*bl.R+bj]
-			copy(d.Data[gi*bl.N+bj*bl.B:(gi+1)*bl.N], t.Data[i*bl.B:(i+1)*bl.B])
+	for i := 0; i < bl.N; i++ {
+		for j := 0; j < bl.N; {
+			j += copy(d.Data[i*bl.N+j:(i+1)*bl.N], bl.RowRun(i, j))
 		}
 	}
 	return d
+}
+
+// RowRun returns the run of logical row i stored contiguously from column
+// j on: the rest of that tile row, cut at column N so no padding shows.
+// It aliases the tile.
+func (bl *Blocked) RowRun(i, j int) []float64 {
+	t := bl.Tiles[(i/bl.B)*bl.R+j/bl.B]
+	off := (i%bl.B)*bl.B + j%bl.B
+	return t.Data[off : off+min(bl.B-j%bl.B, bl.N-j)]
+}
+
+// Checksum is ToDense().Checksum() without the dense copy: it walks the
+// tiles in row-major order of the logical table.
+func (bl *Blocked) Checksum() uint64 {
+	if bl.Symbolic() {
+		panic("matrix: Checksum of a symbolic blocked matrix")
+	}
+	h := newFloatHash()
+	for i := 0; i < bl.N; i++ {
+		for j := 0; j < bl.N; {
+			r := bl.RowRun(i, j)
+			h.write(r)
+			j += len(r)
+		}
+	}
+	return h.sum()
 }
 
 // Clone deep-copies the blocked matrix.

@@ -7,6 +7,7 @@ package matrix
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -127,14 +128,32 @@ func (d *Dense) MaxAbsDiff(other *Dense) float64 {
 // and a CLI run report this number, and it must match the same input's
 // solo run bit for bit.
 func (d *Dense) Checksum() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range d.Data {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	return h.Sum64()
+	h := newFloatHash()
+	h.write(d.Data)
+	return h.sum()
 }
+
+// floatHash is the FNV-1a stream Checksum hashes: each value's bits,
+// little-endian, encoded a chunk at a time.
+type floatHash struct {
+	h   hash.Hash64
+	buf [512]byte
+}
+
+func newFloatHash() *floatHash { return &floatHash{h: fnv.New64a()} }
+
+func (f *floatHash) write(xs []float64) {
+	for len(xs) > 0 {
+		n := min(len(xs), len(f.buf)/8)
+		for i, v := range xs[:n] {
+			binary.LittleEndian.PutUint64(f.buf[8*i:], math.Float64bits(v))
+		}
+		f.h.Write(f.buf[:8*n])
+		xs = xs[n:]
+	}
+}
+
+func (f *floatHash) sum() uint64 { return f.h.Sum64() }
 
 // Bytes returns the in-memory payload size of the matrix.
 func (d *Dense) Bytes() int64 { return int64(d.N) * int64(d.N) * 8 }

@@ -792,7 +792,7 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 		modelled = st.Time.Seconds()
 	}
 	if err == nil && out != nil {
-		sum = out.ToDense().Checksum()
+		sum = out.Checksum()
 	}
 	return sum, modelled, err
 }
