@@ -4,7 +4,6 @@ import (
 	"dpspark/internal/cluster"
 	"dpspark/internal/core"
 	"dpspark/internal/costmodel"
-	"dpspark/internal/matrix"
 	"dpspark/internal/semiring"
 	"dpspark/internal/simtime"
 )
@@ -192,6 +191,3 @@ func enumerate(cl *cluster.Cluster, space Space, n int) ([]Candidate, error) {
 }
 
 var errEmptySpace = matrixError("autotune: empty candidate space")
-
-// Grid is re-exported for estimator callers needing the grid dimension.
-func Grid(n, b int) int { return matrix.Grid(n, b) }

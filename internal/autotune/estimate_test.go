@@ -96,7 +96,4 @@ func TestEstimateEmptySpace(t *testing.T) {
 		Space{BlockSizes: []int{4096}, RShared: []int{4}, Threads: []int{8}}); err == nil {
 		t.Fatal("expected error")
 	}
-	if Grid(1000, 256) != 4 {
-		t.Fatal("Grid re-export")
-	}
 }

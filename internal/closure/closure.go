@@ -1,7 +1,6 @@
 // Package closure computes transitive closure — Warshall's algorithm, the
 // paper's third canonical GEP instance — on the distributed framework,
-// and derives graph condensation structure (strongly connected
-// components, reachability queries) from the closure matrix.
+// and labels strongly connected components from the closure matrix.
 package closure
 
 import (
@@ -42,11 +41,6 @@ func (s *Solver) Solve(ctx *rdd.Context, g *graph.Graph) (*matrix.Dense, *core.S
 	return out.ToDense(), stats, nil
 }
 
-// Reachable reports whether v is reachable from u in a closure matrix.
-func Reachable(c *matrix.Dense, u, v int) bool {
-	return u >= 0 && v >= 0 && u < c.N && v < c.N && c.At(u, v) != 0
-}
-
 // Components labels strongly connected components from a closure matrix:
 // u and v share a component iff each reaches the other. Labels are dense
 // in [0, #components), assigned in order of first appearance.
@@ -69,34 +63,4 @@ func Components(c *matrix.Dense) []int {
 		next++
 	}
 	return labels
-}
-
-// Condense builds the condensation DAG: one vertex per strongly connected
-// component, with an (unweighted) edge between components that have any
-// reachability between distinct members. The result is a DAG by
-// construction.
-func Condense(c *matrix.Dense) *graph.Graph {
-	labels := Components(c)
-	n := 0
-	for _, l := range labels {
-		if l+1 > n {
-			n = l + 1
-		}
-	}
-	dag := graph.New(n)
-	seen := make(map[[2]int]bool)
-	for u := 0; u < c.N; u++ {
-		for v := 0; v < c.N; v++ {
-			lu, lv := labels[u], labels[v]
-			if lu == lv || c.At(u, v) == 0 {
-				continue
-			}
-			key := [2]int{lu, lv}
-			if !seen[key] {
-				seen[key] = true
-				dag.AddEdge(lu, lv, 1)
-			}
-		}
-	}
-	return dag
 }

@@ -70,7 +70,8 @@ type Cluster struct {
 	// Shared is the shared persistent storage used by the CB driver.
 	Shared SharedStorageSpec
 	// ExecutorMemBytes is the per-executor memory setting
-	// (spark.executor.memory); the RDD working set must fit in it.
+	// (spark.executor.memory). String reports it; the engine does not
+	// enforce it.
 	ExecutorMemBytes int64
 	// Racks is the number of fault domains the nodes are spread across.
 	// Nodes map to racks in contiguous blocks (nodes 0..k-1 in rack 0,

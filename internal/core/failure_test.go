@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"dpspark/internal/cluster"
@@ -71,22 +70,5 @@ func TestTimeoutMarking(t *testing.T) {
 	}
 	if !stats.TimedOut {
 		t.Fatalf("48K iterative/4096 on the Haswell cluster must exceed 8h, got %v", stats.Time)
-	}
-}
-
-// TestExecutorMemoryFailureSurfaced: a cached working set beyond the
-// executor budget must fail the job.
-func TestExecutorMemoryFailureSurfaced(t *testing.T) {
-	cl := cluster.Local(2)
-	cl.ExecutorMemBytes = 8 << 10 // 8 KiB: below the 4×4-tile table's 32 KiB
-	ctx := rdd.NewContext(rdd.Conf{Cluster: cl})
-
-	rng := rand.New(rand.NewSource(1))
-	in := randomInput(semiring.NewFloydWarshall(), 64, rng)
-	bl := matrix.Block(in, 16, semiring.NewFloydWarshall().Pad(), 0)
-	blocks := BlocksFromMatrix(bl)
-	dp := rdd.ParallelizePairs(ctx, blocks, rdd.NewHashPartitioner(4)).Cache()
-	if _, err := dp.Collect(); err == nil {
-		t.Fatal("expected executor-memory failure")
 	}
 }

@@ -86,14 +86,6 @@ func (s *Solver) Eliminate(ctx *rdd.Context, x *matrix.Dense) (*matrix.Dense, *c
 	return out.ToDense(), stats, nil
 }
 
-// EliminateSymbolic prices an n×n elimination on the configured cluster
-// without computing (model mode).
-func (s *Solver) EliminateSymbolic(ctx *rdd.Context, n int) (*core.Stats, error) {
-	bl := matrix.NewSymbolicBlocked(n, s.Config.BlockSize)
-	_, stats, err := core.Run(ctx, bl, s.Config)
-	return stats, err
-}
-
 // Solve solves A·x = b for diagonally dominant or SPD A: Augment,
 // Eliminate and BackSubstitute bit for bit, on tiles built from (A, b)
 // and read in place.

@@ -139,17 +139,6 @@ func TestAugmentValidation(t *testing.T) {
 	}
 }
 
-func TestEliminateSymbolic(t *testing.T) {
-	ctx := rdd.NewContext(rdd.Conf{Cluster: cluster.Skylake16()})
-	stats, err := New(core.Config{BlockSize: 512, Driver: core.CB}).EliminateSymbolic(ctx, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Time <= 0 {
-		t.Fatal("no virtual time")
-	}
-}
-
 func TestMissingBlockSize(t *testing.T) {
 	if _, _, err := New(core.Config{}).Eliminate(newCtx(), matrix.NewDense(4)); err == nil {
 		t.Fatal("expected BlockSize error")

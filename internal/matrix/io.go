@@ -8,54 +8,12 @@ import (
 	"math"
 )
 
-// Binary formats: little-endian, a small magic+dimension header followed by
-// raw float64 payload. Tiles and matrices round-trip exactly (bit-level),
-// including infinities used by the min-plus semiring. The CB driver stages
-// tiles through shared storage in this format.
+// Binary format of a dense matrix: little-endian, a small magic+dimension
+// header followed by the raw float64 payload. Matrices round-trip exactly
+// (bit-level), including infinities used by the min-plus semiring. Tiles
+// have their own codec (codec.go).
 
-const (
-	tileMagic  = uint32(0x44505431) // "DPT1"
-	denseMagic = uint32(0x44504431) // "DPD1"
-)
-
-// WriteTile serializes t to w. Symbolic tiles cannot be serialized.
-func WriteTile(w io.Writer, t *Tile) error {
-	if t.Symbolic() {
-		return fmt.Errorf("matrix: cannot serialize a symbolic tile")
-	}
-	bw := bufio.NewWriter(w)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], tileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(t.B))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if err := writeFloats(bw, t.Data); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadTile deserializes a tile written by WriteTile.
-func ReadTile(r io.Reader) (*Tile, error) {
-	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != tileMagic {
-		return nil, fmt.Errorf("matrix: bad tile magic %#x", m)
-	}
-	b := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if b <= 0 || b > 1<<20 {
-		return nil, fmt.Errorf("matrix: unreasonable tile dimension %d", b)
-	}
-	t := NewTile(b)
-	if err := readFloats(br, t.Data); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
+const denseMagic = uint32(0x44504431) // "DPD1"
 
 // WriteDense serializes d to w.
 func WriteDense(w io.Writer, d *Dense) error {

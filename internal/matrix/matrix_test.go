@@ -95,22 +95,6 @@ func TestTileBasics(t *testing.T) {
 	}
 }
 
-func TestTileFillConst(t *testing.T) {
-	tl := NewTile(3)
-	tl.FillConst(9, 1)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 9.0
-			if i == j {
-				want = 1
-			}
-			if tl.At(i, j) != want {
-				t.Fatalf("FillConst: (%d,%d) = %v", i, j, tl.At(i, j))
-			}
-		}
-	}
-}
-
 func TestViewSubAndQuadrant(t *testing.T) {
 	tl := NewTile(8)
 	for i := 0; i < 8; i++ {
@@ -323,31 +307,6 @@ func TestBlockedCloneAndCoords(t *testing.T) {
 	}
 }
 
-func TestTileIORoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	tl := NewTile(5)
-	for i := range tl.Data {
-		tl.Data[i] = rng.NormFloat64()
-	}
-	tl.Set(0, 1, math.Inf(1)) // infinities must survive
-	var buf bytes.Buffer
-	if err := WriteTile(&buf, tl); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.B != tl.B {
-		t.Fatalf("B = %d", got.B)
-	}
-	for i := range tl.Data {
-		if got.Data[i] != tl.Data[i] && !(math.IsInf(got.Data[i], 1) && math.IsInf(tl.Data[i], 1)) {
-			t.Fatalf("payload differs at %d", i)
-		}
-	}
-}
-
 func TestDenseIORoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	d := NewDense(7)
@@ -362,19 +321,5 @@ func TestDenseIORoundTrip(t *testing.T) {
 	}
 	if !d.Equal(got, 0) {
 		t.Fatal("dense round trip differs")
-	}
-}
-
-func TestTileIOErrors(t *testing.T) {
-	if err := WriteTile(&bytes.Buffer{}, NewSymbolicTile(4)); err == nil {
-		t.Fatal("expected error serializing symbolic tile")
-	}
-	if _, err := ReadTile(bytes.NewReader([]byte("short"))); err == nil {
-		t.Fatal("expected error on truncated input")
-	}
-	bad := bytes.NewBuffer(nil)
-	_ = WriteDense(bad, NewDense(1))
-	if _, err := ReadTile(bad); err == nil {
-		t.Fatal("expected magic mismatch error")
 	}
 }

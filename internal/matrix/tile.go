@@ -62,20 +62,6 @@ func (t *Tile) At(i, j int) float64 { return t.Data[i*t.B+j] }
 // Set assigns element (i, j) of the tile.
 func (t *Tile) Set(i, j int, v float64) { t.Data[i*t.B+j] = v }
 
-// FillConst sets every element, with the diagonal getting diag instead of
-// off. Used to materialize virtual-padding tiles.
-func (t *Tile) FillConst(off, diag float64) {
-	for i := 0; i < t.B; i++ {
-		for j := 0; j < t.B; j++ {
-			if i == j {
-				t.Data[i*t.B+j] = diag
-			} else {
-				t.Data[i*t.B+j] = off
-			}
-		}
-	}
-}
-
 // Transpose returns a new tile with rows and columns exchanged; a
 // symbolic tile transposes to a symbolic tile. Used by solvers that
 // exploit symmetry (undirected APSP keeps only the upper block triangle

@@ -197,45 +197,6 @@ func (h *Histogram) Max() float64 {
 	return 0
 }
 
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) of the observed
-// samples with Prometheus histogram_quantile semantics: linear
-// interpolation within the bucket the quantile rank falls in, the first
-// bucket interpolating from 0. A quantile landing in the +Inf overflow
-// bucket clamps to the highest finite bound (NaN when there is none).
-// Returns NaN for an empty histogram, -Inf for q < 0, +Inf for q > 1.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 {
-		return math.Inf(-1)
-	}
-	if q > 1 {
-		return inf
-	}
-	buckets, cum, _, count := h.snapshot()
-	if count == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(count)
-	i := sort.Search(len(cum), func(i int) bool { return float64(cum[i]) >= rank })
-	if i >= len(buckets) {
-		// Overflow bucket: no finite upper bound to interpolate toward.
-		if len(buckets) == 0 {
-			return math.NaN()
-		}
-		return buckets[len(buckets)-1]
-	}
-	lo, hi := 0.0, buckets[i]
-	var below int64
-	if i > 0 {
-		lo = buckets[i-1]
-		below = cum[i-1]
-	}
-	inBucket := cum[i] - below
-	if inBucket == 0 {
-		return hi
-	}
-	return lo + (hi-lo)*(rank-float64(below))/float64(inBucket)
-}
-
 // snapshot copies the histogram state under its lock.
 func (h *Histogram) snapshot() (buckets []float64, cum []int64, sum float64, count int64) {
 	h.mu.Lock()

@@ -18,7 +18,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 
 	"dpspark/internal/simtime"
@@ -105,9 +104,6 @@ func (o *Observer) CritPath() *CritPathRecorder { return o.crit }
 // EnableCritPath switches critical-path interval recording on or off.
 func (o *Observer) EnableCritPath(on bool) { o.crit.SetEnabled(on) }
 
-// CritPathEnabled reports whether critical-path intervals are recorded.
-func (o *Observer) CritPathEnabled() bool { return o.crit.Enabled() }
-
 // RegisterProcess allocates a trace process id with the given display
 // name (one per engine context).
 func (o *Observer) RegisterProcess(name string) int {
@@ -153,14 +149,4 @@ func (o *Observer) SpanCount() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return len(o.spans)
-}
-
-// ProcessName returns the display name of a registered process.
-func (o *Observer) ProcessName(pid int) string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if n, ok := o.procs[pid]; ok {
-		return n
-	}
-	return fmt.Sprintf("process %d", pid)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -98,61 +97,6 @@ func TestCritPathDisabled(t *testing.T) {
 	}
 	if len(r.Pids()) != 0 {
 		t.Errorf("disabled recorder retained pids: %v", r.Pids())
-	}
-}
-
-// TestHistogramQuantile pins the Prometheus-style interpolation and its
-// edge cases.
-func TestHistogramQuantile(t *testing.T) {
-	reg := NewRegistry()
-
-	// Bounds 1, 2, 4; samples land one per bucket plus one overflow.
-	h := reg.Histogram("q_main", nil, ExpBuckets(1, 2, 3))
-	for _, v := range []float64{0.5, 1.5, 3, 8} {
-		h.Observe(v)
-	}
-	for _, tc := range []struct{ q, want float64 }{
-		{0.125, 0.5}, // first bucket interpolates from 0
-		{0.25, 1},
-		{0.5, 2}, // exact bucket boundary
-		{0.9, 4}, // rank in +Inf bucket clamps to highest finite bound
-		{1.0, 4}, // same
-	} {
-		if got := h.Quantile(tc.q); got != tc.want {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-
-	// Out-of-range q.
-	if got := h.Quantile(-0.1); !math.IsInf(got, -1) {
-		t.Errorf("Quantile(-0.1) = %v, want -Inf", got)
-	}
-	if got := h.Quantile(1.1); !math.IsInf(got, +1) {
-		t.Errorf("Quantile(1.1) = %v, want +Inf", got)
-	}
-
-	// Empty histogram.
-	empty := reg.Histogram("q_empty", nil, ExpBuckets(1, 2, 3))
-	if got := empty.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("empty Quantile = %v, want NaN", got)
-	}
-
-	// Single finite bucket.
-	single := reg.Histogram("q_single", nil, []float64{10})
-	single.Observe(5)
-	single.Observe(20)
-	if got := single.Quantile(0.25); got != 5 {
-		t.Errorf("single-bucket Quantile(0.25) = %v, want 5", got)
-	}
-	if got := single.Quantile(0.75); got != 10 {
-		t.Errorf("single-bucket Quantile(0.75) = %v, want clamp to 10", got)
-	}
-
-	// Only the implicit +Inf bucket: no finite bound to report.
-	onlyInf := reg.Histogram("q_inf", nil, nil)
-	onlyInf.Observe(1)
-	if got := onlyInf.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("+Inf-only Quantile = %v, want NaN", got)
 	}
 }
 

@@ -307,53 +307,3 @@ func TestChunkReadersMatchMaterialised(t *testing.T) {
 		t.Fatalf("shuffling combine over a union:\n %v\nconcatenated\n %v", got, want)
 	}
 }
-
-// TestCachedUnionCombineUsesCache: a cached union is read through its
-// cache, not as chunks — the combine's second run recomputes none of the
-// union's inputs, and the union's partitions are charged to cache memory
-// once.
-func TestCachedUnionCombineUsesCache(t *testing.T) {
-	part := NewHashPartitioner(2)
-	ctx := NewContext(Conf{Cluster: cluster.Local(2)})
-	var computed atomic.Int64
-	ins := unionInputsFor(ctx, part, [][]matrix.Coord{coordsInBox(0, 0, 4, 4), coordsInBox(2, 2, 4, 4)}, &computed)
-	u := ins[0].Union(ins[1]).Cache()
-	sum := func(a, b int) int { return a + b }
-	combined := ReduceByKey(u, sum, part)
-	first, err := combined.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := computed.Load()
-	if records != 2*(16+16) {
-		t.Fatalf("first run computed %d input records, want 64", records)
-	}
-	cacheBytes := cachedBytes(ctx)
-	if want := int64(records) * (16 + 8); cacheBytes != want {
-		t.Fatalf("cache holds %d bytes after the first run, want %d", cacheBytes, want)
-	}
-	second, err := combined.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed.Load() != records {
-		t.Fatalf("second run recomputed %d input records through a cached union", computed.Load()-records)
-	}
-	if cachedBytes(ctx) != cacheBytes {
-		t.Fatalf("cache memory moved from %d to %d on a cached rerun", cacheBytes, cachedBytes(ctx))
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("cached rerun: %v, first run %v", second, first)
-	}
-}
-
-// cachedBytes is the cache memory charged across the context's nodes.
-func cachedBytes(c *Context) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	for _, b := range c.memUsed {
-		total += b
-	}
-	return total
-}

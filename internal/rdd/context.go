@@ -305,8 +305,6 @@ type Context struct {
 	// take (stageScratch, shuffleArrays); Close drops them.
 	scratchFree []*stageScratch
 	arraysFree  []shuffleArrays
-	memUsed     []int64
-	memErr      error
 	taskErr     error
 	events      []StageEvent
 	phase       string
@@ -473,7 +471,6 @@ func NewContext(conf Conf) *Context {
 		obsv:     conf.Observer,
 		cancel:   make(chan struct{}),
 		shuffles: make(map[int]*shuffleState),
-		memUsed:  make([]int64, conf.Cluster.Nodes),
 	}
 	c.stormTokens = conf.RecoveryTokens
 	if conf.FaultPlan != nil {
@@ -661,17 +658,14 @@ func (c *Context) acquireSlot() bool {
 // releaseSlot returns a slot taken by acquireSlot.
 func (c *Context) releaseSlot() { c.conf.Substrate.sched.release() }
 
-// Err returns the first failure (staging disk full, executor memory
-// exceeded, cancellation), if any.
+// Err returns the first failure (a failed task, cancellation, staging
+// disk full), if any.
 func (c *Context) Err() error {
 	c.mu.Lock()
-	memErr, taskErr, cancelErr := c.memErr, c.taskErr, c.cancelErr
+	taskErr, cancelErr := c.taskErr, c.cancelErr
 	c.mu.Unlock()
 	if taskErr != nil {
 		return taskErr
-	}
-	if memErr != nil {
-		return memErr
 	}
 	if cancelErr != nil {
 		return cancelErr
@@ -805,27 +799,6 @@ func (c *Context) nodeOf(split int) int {
 		n += c.conf.Cluster.Nodes
 	}
 	return n
-}
-
-// chargeCacheMemory accounts cached records against executor memory.
-func (c *Context) chargeCacheMemory(node int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.memUsed[node] += bytes
-	if c.memErr == nil && c.memUsed[node] > c.conf.Cluster.ExecutorMemBytes {
-		c.memErr = fmt.Errorf("rdd: executor memory exceeded on node %d: %d cached bytes > %d budget",
-			node, c.memUsed[node], c.conf.Cluster.ExecutorMemBytes)
-	}
-}
-
-// releaseCacheMemory returns cached bytes to the executor budget.
-func (c *Context) releaseCacheMemory(node int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.memUsed[node] -= bytes
-	if c.memUsed[node] < 0 {
-		c.memUsed[node] = 0
-	}
 }
 
 // laneTid maps an executor core (or, at lane == ExecutorCores, the
@@ -1017,16 +990,13 @@ func (c *Context) emitStageSpans(ev StageEvent, rep sim.StageReport) {
 }
 
 // ensureUpstream materializes every shuffle the dataset's lineage needs,
-// parents first. Traversal stops at fully cached datasets and at already
-// materialized shuffles — exactly Spark's stage-skipping behaviour.
+// parents first. Traversal stops at already materialized shuffles —
+// exactly Spark's stage-skipping behaviour.
 func (c *Context) ensureUpstream(ds *dataset, visited map[*dataset]bool) {
 	if visited[ds] {
 		return
 	}
 	visited[ds] = true
-	if ds.fullyCached() {
-		return
-	}
 	if ds.shuffle != nil {
 		sd := ds.shuffle
 		if st, retired := c.shuffle(sd.id); retired || (st != nil && st.isDone()) {

@@ -1,9 +1,6 @@
 package rdd
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Record is one record, boxed, as the spill Codec sees it. The engine
 // itself never boxes a record, only whole partitions.
@@ -12,7 +9,7 @@ type Record = any
 // partition is one materialised partition of an RDD[T]: a []T behind a
 // single interface value, nil when empty. The typed transformations box
 // their result once and unbox their input once; everything between —
-// lineage, cache, stages, shuffle state — only passes the value along.
+// lineage, stages, shuffle state — only passes the value along.
 type partition = any
 
 // box wraps a result slice; empty results cost nothing.
@@ -59,12 +56,6 @@ type dataset struct {
 	// partition as the pieces narrow or the shuffle read would copy into
 	// one slice, for readers that pass over them once (chunksOf).
 	chunks any
-
-	// cacheSize prices a cached partition; set by RDD[T].Cache.
-	cacheSize func(p partition) int64
-	cacheOn   bool
-	mu        sync.Mutex
-	cached    map[int]partition
 }
 
 // shuffleDep is a wide dependency: the parent's records are keyed,
@@ -107,45 +98,14 @@ func (c *Context) iterate(ds *dataset, split int, tc *TaskContext) partition {
 	if split < 0 || split >= ds.parts {
 		panic(fmt.Sprintf("rdd: partition %d outside dataset %q (%d partitions)", split, ds.name, ds.parts))
 	}
-	if ds.cacheOn {
-		ds.mu.Lock()
-		p, ok := ds.cached[split]
-		ds.mu.Unlock()
-		if ok {
-			return p
-		}
-	}
-	var p partition
 	switch {
 	case ds.source != nil:
-		p = ds.source[split]
+		return ds.source[split]
 	case ds.shuffle != nil:
-		p = c.readShuffle(ds.shuffle, split, tc, ds.shuffle.merge)
+		return c.readShuffle(ds.shuffle, split, tc, ds.shuffle.merge)
 	case ds.narrow != nil:
-		p = ds.narrow(tc, split)
+		return ds.narrow(tc, split)
 	default:
 		panic(fmt.Sprintf("rdd: dataset %q has no compute", ds.name))
 	}
-	if ds.cacheOn {
-		ds.mu.Lock()
-		_, dup := ds.cached[split]
-		if !dup {
-			ds.cached[split] = p
-		}
-		ds.mu.Unlock()
-		if !dup {
-			c.chargeCacheMemory(c.nodeOf(split), ds.cacheSize(p))
-		}
-	}
-	return p
-}
-
-// fullyCached reports whether every partition is materialized in cache.
-func (ds *dataset) fullyCached() bool {
-	if !ds.cacheOn {
-		return false
-	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return len(ds.cached) == ds.parts
 }

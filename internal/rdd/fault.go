@@ -125,7 +125,7 @@ type RemoteCorruption struct {
 
 // GCPause schedules a stop-the-world pause on one executor: from the
 // start of stage From the node stops heartbeating for Dur modelled time
-// WITHOUT dying — its staged outputs and cached data survive. With a
+// WITHOUT dying — its staged outputs survive. With a
 // heartbeat failure detector (Conf.HeartbeatInterval > 0) a pause of at
 // least one interval makes the scheduler suspect the node; a pause of at
 // least two intervals (heartbeatMisses) makes it falsely declare it dead,

@@ -276,13 +276,3 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], part Partitioner) *RDD[
 func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], op func(a, b V) V, part Partitioner) *RDD[Pair[K, V]] {
 	return CombineByKey(r, func(v V) V { return v }, op, op, part)
 }
-
-// Keys projects the keys of a pair RDD.
-func Keys[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[K] {
-	return Map(r, func(_ *TaskContext, p Pair[K, V]) K { return p.Key })
-}
-
-// Values projects the values of a pair RDD.
-func Values[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[V] {
-	return Map(r, func(_ *TaskContext, p Pair[K, V]) V { return p.Value })
-}

@@ -23,20 +23,6 @@ func (r *RDD[T]) Partitioner() Partitioner { return r.ds.part }
 // Context returns the owning engine context.
 func (r *RDD[T]) Context() *Context { return r.ds.ctx }
 
-// Cache marks the RDD's partitions for in-memory materialization on first
-// computation (spark .cache()); cached bytes count against executor
-// memory. Returns the receiver for chaining.
-func (r *RDD[T]) Cache() *RDD[T] {
-	r.ds.cacheSize = func(p partition) int64 { return sizeAll(unbox[T](p)) }
-	r.ds.cacheOn = true
-	r.ds.mu.Lock()
-	if r.ds.cached == nil {
-		r.ds.cached = make(map[int]partition)
-	}
-	r.ds.mu.Unlock()
-	return r
-}
-
 // Checkpoint eagerly materializes the RDD and truncates its lineage: its
 // partitions become stored data, upstream shuffles and parents are
 // released. Iterative drivers checkpoint each generation of the DP table,
@@ -65,22 +51,6 @@ func (r *RDD[T]) CheckpointData() ([][]T, error) {
 	r.ds.shuffle = nil
 	r.ds.deps = nil
 	return unboxAll[T](data), ctx.Err()
-}
-
-// Unpersist drops cached partitions and returns their memory.
-func (r *RDD[T]) Unpersist() {
-	ds := r.ds
-	ds.mu.Lock()
-	freed := make(map[int]int64)
-	for split, p := range ds.cached {
-		freed[split] = ds.cacheSize(p)
-	}
-	ds.cached = make(map[int]partition)
-	ds.cacheOn = false
-	ds.mu.Unlock()
-	for split, b := range freed {
-		ds.ctx.releaseCacheMemory(ds.ctx.nodeOf(split), b)
-	}
 }
 
 // Parallelize distributes records across parts partitions (round-robin,
@@ -341,13 +311,12 @@ type chunkFunc[T any] func(tc *TaskContext, split int, into [][]T) [][]T
 // chunksOf reads partition split of ds as chunks, for a reader that only
 // passes over the records — a combine, or a shuffle's map side. A dataset
 // with a chunk reader (a partitioner-aware union, a flatMap, a shuffle's
-// reduce side) that is not cached hands over its pieces as they are
-// instead of copying them into one partition; anything else is the one
-// chunk one holds, so the common case allocates nothing. The chunks may
-// alias an input or a shuffle's bucket slab, so the reader must neither
-// keep nor modify them.
+// reduce side) hands over its pieces as they are instead of copying them
+// into one partition; anything else is the one chunk one holds, so the
+// common case allocates nothing. The chunks may alias an input or a
+// shuffle's bucket slab, so the reader must neither keep nor modify them.
 func chunksOf[T any](ds *dataset, split int, tc *TaskContext, one *[1][]T) [][]T {
-	if f, ok := ds.chunks.(chunkFunc[T]); ok && !ds.cacheOn {
+	if f, ok := ds.chunks.(chunkFunc[T]); ok {
 		return f(tc, split, nil)
 	}
 	one[0] = unbox[T](ds.ctx.iterate(ds, split, tc))
@@ -357,7 +326,7 @@ func chunksOf[T any](ds *dataset, split int, tc *TaskContext, one *[1][]T) [][]T
 // appendChunks is chunksOf for a chunk reader reading its inputs in turn:
 // it appends ds's chunks to into, skipping an empty partition.
 func appendChunks[T any](ds *dataset, split int, tc *TaskContext, into [][]T) [][]T {
-	if f, ok := ds.chunks.(chunkFunc[T]); ok && !ds.cacheOn {
+	if f, ok := ds.chunks.(chunkFunc[T]); ok {
 		return f(tc, split, into)
 	}
 	if p := unbox[T](ds.ctx.iterate(ds, split, tc)); len(p) > 0 {

@@ -239,19 +239,6 @@ func TestUnionPartitionerAware(t *testing.T) {
 	}
 }
 
-func TestKeysValues(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, []Pair[int, string]{KV(1, "a"), KV(2, "b")}, 1)
-	ks := sortedCollect(t, Keys(r), func(a, b int) bool { return a < b })
-	if len(ks) != 2 || ks[0] != 1 || ks[1] != 2 {
-		t.Fatalf("keys = %v", ks)
-	}
-	vs := sortedCollect(t, Values(r), func(a, b string) bool { return a < b })
-	if len(vs) != 2 || vs[0] != "a" {
-		t.Fatalf("values = %v", vs)
-	}
-}
-
 func TestMapValuesPreservesPartitioner(t *testing.T) {
 	ctx := testCtx()
 	part := NewHashPartitioner(3)
@@ -263,35 +250,6 @@ func TestMapValuesPreservesPartitioner(t *testing.T) {
 	m, err := CollectMap(mv)
 	if err != nil || m[1] != 11 || m[2] != 22 {
 		t.Fatalf("mapValues = %v, %v", m, err)
-	}
-}
-
-func TestCacheAvoidsRecompute(t *testing.T) {
-	ctx := testCtx()
-	var computes atomic.Int64
-	r := Map(Parallelize(ctx, ints(10), 2), func(_ *TaskContext, x int) int {
-		computes.Add(1)
-		return x
-	}).Cache()
-	if _, err := r.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	first := computes.Load()
-	if first != 10 {
-		t.Fatalf("first pass computed %d", first)
-	}
-	if _, err := r.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if computes.Load() != first {
-		t.Fatalf("cached collect recomputed: %d → %d", first, computes.Load())
-	}
-	r.Unpersist()
-	if _, err := r.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if computes.Load() != 2*first {
-		t.Fatalf("unpersisted collect must recompute: %d", computes.Load())
 	}
 }
 
@@ -471,17 +429,6 @@ func TestHashPartitionerSpread(t *testing.T) {
 	}
 	if !h.Equal(NewHashPartitioner(16)) || h.Equal(NewHashPartitioner(8)) {
 		t.Fatal("Equal")
-	}
-}
-
-func TestExecutorMemoryFailure(t *testing.T) {
-	small := cluster.Local(2)
-	small.ExecutorMemBytes = 1 << 10 // 1 KiB budget
-	ctx := NewContext(Conf{Cluster: small})
-	tiles := []Pair[matrix.Coord, *matrix.Tile]{KV(matrix.Coord{}, matrix.NewTile(64))}
-	r := Parallelize(ctx, tiles, 1).Cache()
-	if _, err := r.Collect(); err == nil {
-		t.Fatal("expected executor-memory failure")
 	}
 }
 

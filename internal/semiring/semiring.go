@@ -82,17 +82,3 @@ func MaxPlus() Semiring {
 		One:   0,
 	}
 }
-
-// Reliability returns the Viterbi semiring ([0,1], max, ×, 0, 1): GEP
-// over it finds the most reliable path when edges carry independent
-// success probabilities (wireless-sensor routing, one of the FW
-// application areas the paper cites).
-func Reliability() Semiring {
-	return Semiring{
-		SName: "reliability",
-		Plus:  math.Max,
-		Times: func(a, b float64) float64 { return a * b },
-		Zero:  0,
-		One:   1,
-	}
-}

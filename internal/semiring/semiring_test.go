@@ -8,7 +8,7 @@ import (
 )
 
 func semirings() []Semiring {
-	return []Semiring{MinPlus(), MaxMin(), Boolean(), MaxPlus(), Reliability()}
+	return []Semiring{MinPlus(), MaxMin(), Boolean(), MaxPlus()}
 }
 
 // sampleFor draws a random element valid for the given semiring.
@@ -16,10 +16,6 @@ func sampleFor(s Semiring, rng *rand.Rand) float64 {
 	switch s.Name() {
 	case "boolean":
 		return float64(rng.Intn(2))
-	case "reliability":
-		// Probabilities (≥ 0 for distributivity of × over max), chosen
-		// as powers of two so products stay exact in floating point.
-		return []float64{0, 0.25, 0.5, 1}[rng.Intn(4)]
 	}
 	switch rng.Intn(8) {
 	case 0:

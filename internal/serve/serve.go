@@ -42,6 +42,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -259,6 +260,14 @@ type JobSpec struct {
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
+const (
+	// maxChaosEvents caps chaos_crashes and chaos_gcpauses: dispatch
+	// builds the job's fault plan event by event.
+	maxChaosEvents = 64
+	// maxDeadlineMS is the largest deadline_ms a time.Duration holds.
+	maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+)
+
 // validate checks and defaults a submitted spec.
 func (sp *JobSpec) validate() error {
 	if sp.Tenant == "" {
@@ -288,14 +297,14 @@ func (sp *JobSpec) validate() error {
 	if sp.N > 4096 {
 		return fmt.Errorf("serve: n=%d exceeds the serving cap 4096 — submit a batch run instead", sp.N)
 	}
-	if sp.DeadlineMS < 0 {
-		return fmt.Errorf("serve: deadline_ms must be ≥ 0, got %d", sp.DeadlineMS)
+	if sp.DeadlineMS < 0 || sp.DeadlineMS > maxDeadlineMS {
+		return fmt.Errorf("serve: deadline_ms must be in [0, %d], got %d", maxDeadlineMS, sp.DeadlineMS)
 	}
-	if sp.ChaosCrashes < 0 {
-		return fmt.Errorf("serve: chaos_crashes must be ≥ 0, got %d", sp.ChaosCrashes)
+	if sp.ChaosCrashes < 0 || sp.ChaosCrashes > maxChaosEvents {
+		return fmt.Errorf("serve: chaos_crashes must be in [0, %d], got %d", maxChaosEvents, sp.ChaosCrashes)
 	}
-	if sp.ChaosGCPauses < 0 {
-		return fmt.Errorf("serve: chaos_gcpauses must be ≥ 0, got %d", sp.ChaosGCPauses)
+	if sp.ChaosGCPauses < 0 || sp.ChaosGCPauses > maxChaosEvents {
+		return fmt.Errorf("serve: chaos_gcpauses must be in [0, %d], got %d", maxChaosEvents, sp.ChaosGCPauses)
 	}
 	if sp.HeartbeatMS < 0 {
 		return fmt.Errorf("serve: heartbeat_ms must be ≥ 0, got %d", sp.HeartbeatMS)

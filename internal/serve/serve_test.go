@@ -505,8 +505,11 @@ func TestJobSpecValidation(t *testing.T) {
 		{"block > n", JobSpec{N: 16, Block: 32}, "shape"},
 		{"oversize", JobSpec{N: 8192, Block: 64}, "cap"},
 		{"negative deadline", JobSpec{DeadlineMS: -1}, "deadline"},
+		{"overflowing deadline", JobSpec{DeadlineMS: 1 << 62}, "deadline_ms"},
 		{"negative chaos", JobSpec{ChaosCrashes: -1}, "chaos"},
+		{"oversize chaos", JobSpec{ChaosCrashes: 65}, "chaos_crashes"},
 		{"negative gcpauses", JobSpec{ChaosGCPauses: -1}, "chaos_gcpauses"},
+		{"oversize gcpauses", JobSpec{ChaosGCPauses: 65}, "chaos_gcpauses"},
 		{"negative heartbeat", JobSpec{HeartbeatMS: -1}, "heartbeat_ms"},
 		{"oversize idempotency key", JobSpec{IdempotencyKey: strings.Repeat("k", 257)}, "idempotency_key"},
 		{"negative max attempts", JobSpec{MaxAttempts: -1}, "max_attempts"},

@@ -415,7 +415,6 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 		s.Ledger.Add(simtime.Compute, compute)
 
 		s.diskUsed[n] += spill
-		s.Ledger.ObserveDisk(s.diskUsed[n])
 		if s.failure == nil && s.diskUsed[n] > s.Model.C.Node.Disk.Capacity {
 			s.failure = ErrDiskFull{Node: n, Staged: s.diskUsed[n], Cap: s.Model.C.Node.Disk.Capacity}
 		}

@@ -55,14 +55,6 @@ func (d Duration) String() string {
 	}
 }
 
-// Max returns the larger of two durations.
-func Max(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Min returns the smaller of two durations.
 func Min(a, b Duration) Duration {
 	if a < b {
@@ -89,12 +81,11 @@ const (
 // It is safe for concurrent use; tasks executing in parallel report into
 // the job's ledger.
 type Ledger struct {
-	mu      sync.Mutex
-	time    map[Category]Duration
-	bytes   map[Category]int64
-	tasks   int
-	stages  int
-	maxDisk int64 // high-water mark of staged shuffle bytes on any node
+	mu     sync.Mutex
+	time   map[Category]Duration
+	bytes  map[Category]int64
+	tasks  int
+	stages int
 }
 
 // NewLedger returns an empty ledger.
@@ -134,15 +125,6 @@ func (l *Ledger) CountStage() {
 	l.mu.Unlock()
 }
 
-// ObserveDisk records a per-node staged-bytes observation, keeping the max.
-func (l *Ledger) ObserveDisk(bytes int64) {
-	l.mu.Lock()
-	if bytes > l.maxDisk {
-		l.maxDisk = bytes
-	}
-	l.mu.Unlock()
-}
-
 // Time returns the accumulated time for category c.
 func (l *Ledger) Time(c Category) Duration {
 	l.mu.Lock()
@@ -169,13 +151,6 @@ func (l *Ledger) Stages() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stages
-}
-
-// MaxStagedDisk returns the high-water mark of staged shuffle bytes.
-func (l *Ledger) MaxStagedDisk() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.maxDisk
 }
 
 // Total returns the sum of all categories. Note that wall-clock style
@@ -219,33 +194,4 @@ func (l *Ledger) String() string {
 	}
 	fmt.Fprintf(&b, " tasks=%d stages=%d", l.Tasks(), l.Stages())
 	return b.String()
-}
-
-// Merge adds every counter of other into l.
-func (l *Ledger) Merge(other *Ledger) {
-	other.mu.Lock()
-	times := make(map[Category]Duration, len(other.time))
-	for c, d := range other.time {
-		times[c] = d
-	}
-	bytesBy := make(map[Category]int64, len(other.bytes))
-	for c, b := range other.bytes {
-		bytesBy[c] = b
-	}
-	tasks, stages, maxDisk := other.tasks, other.stages, other.maxDisk
-	other.mu.Unlock()
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for c, d := range times {
-		l.time[c] += d
-	}
-	for c, b := range bytesBy {
-		l.bytes[c] += b
-	}
-	l.tasks += tasks
-	l.stages += stages
-	if maxDisk > l.maxDisk {
-		l.maxDisk = maxDisk
-	}
 }
