@@ -518,9 +518,9 @@ func (v *inv) chaos(_ context.Context, w io.Writer) error {
 					rs.TaskRetries, rs.BlacklistPlacements, rs.SpeculativeTasks, rs.SpeculationWins)
 				if detector {
 					fmt.Fprintf(w, "  detector: %d suspicions (%d false), %d fenced zombie commits, "+
-						"%d rack failures, %d throttled resubmits, %.0fs detection wait\n",
+						"%d rack failures, %.0fs detection wait\n",
 						rs.Suspicions, rs.FalseSuspicions, rs.FencedCommits,
-						rs.RackFailures, rs.StormThrottledResubmits, st.DetectionTime.Seconds())
+						rs.RackFailures, st.DetectionTime.Seconds())
 				}
 			} else {
 				cleanS = st.Time.Seconds()

@@ -35,7 +35,10 @@ import (
 //	gesolve -random 200 -seed 7 -block 64 -driver cb -kernel rec -rshared 2 -threads 2 > solve_ge.golden
 //
 // `dpspark solve -bench fw` is what cmd/apsp was and `-bench ge` what
-// cmd/gesolve was, with -size in place of -random. Every byte must match
+// cmd/gesolve was, with -size in place of -random. chaos.golden and
+// sweep.golden were regenerated with the command above when the
+// throttled-resubmits column and the cluster's executor-memory figure
+// left the output; nothing else in them moved. Every byte must match
 // except the wall-clock readings in masks.
 var goldenRows = []struct {
 	golden string

@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -63,26 +65,10 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	used := map[string]bool{}
 	type decl struct{ key, pos string }
 	var decls []decl
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", ".bench_build", "testdata":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	for _, sf := range nonTestFiles(t, fset) {
+		f := sf.file
 		declared := map[*ast.Ident]bool{}
-		inInternal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		inInternal := strings.HasPrefix(sf.path, "internal/")
 		for _, dl := range f.Decls {
 			fn, ok := dl.(*ast.FuncDecl)
 			if !ok {
@@ -104,10 +90,6 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	var orphans []string
 	declared := map[string]bool{}
@@ -127,6 +109,235 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			t.Errorf("allowlist entry %s names no declaration", key)
 		}
 	}
+}
+
+// sourceFile is one parsed non-test file; path is slash-separated and
+// relative to the module root.
+type sourceFile struct {
+	path string
+	file *ast.File
+}
+
+// nonTestFiles parses every non-test .go file of the module, the nested
+// benchmark module, examples and commands included.
+func nonTestFiles(t *testing.T, fset *token.FileSet) []sourceFile {
+	t.Helper()
+	var files []sourceFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, sourceFile{filepath.ToSlash(path), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// configStructs are the settings a program hands the engine and the
+// server, keyed "pkg.Struct" with the directory that declares each.
+var configStructs = map[string]string{
+	"rdd.Conf":          "internal/rdd",
+	"rdd.SubstrateConf": "internal/rdd",
+	"core.Config":       "internal/core",
+	"serve.Config":      "internal/serve",
+}
+
+// configFieldsSetOnlyByTests are the exported fields of configStructs
+// that no non-test file outside the declaring package sets but that stay,
+// keyed "pkg.Struct.Field".
+var configFieldsSetOnlyByTests = map[string]string{
+	"core.Config.Base":         "the recursive kernels' base-case size; its sweep is an open roadmap item",
+	"rdd.Conf.RealParallelism": "core and root tests pin the slot count; programs take the NumCPU default",
+}
+
+// TestConfigFieldsHaveSetters fails for an exported field of a config
+// struct that only tests set: a setting no program can change is a
+// constant, and belongs behind an unexported seam or gone. A field counts
+// as set by a non-test file outside its package when it is a key of a
+// composite literal that names the struct (through a type alias too), or,
+// matched by field name in a file that sees the struct, an assignment
+// target x.F = … or an &x.F argument (a flag binder). Matching by name
+// can miss a test-only field; a literal element that elides its type
+// (inside a slice or map literal) is not counted, and no program writes
+// one.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	fset := token.NewFileSet()
+	files := nonTestFiles(t, fset)
+
+	// Declared fields and the aliases that name a config struct.
+	type field struct{ key, dir, pos string }
+	var fields []field
+	alias := map[string]string{}
+	for _, sf := range files {
+		imports := importNames(sf.file)
+		for _, dl := range sf.file.Decls {
+			gd, ok := dl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, sp := range gd.Specs {
+				ts, ok := sp.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				key := sf.file.Name.Name + "." + ts.Name.Name
+				if ts.Assign.IsValid() {
+					if target := typeKey(ts.Type, sf.file.Name.Name, imports); configStructs[target] != "" {
+						alias[key] = target
+					}
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || configStructs[key] != path.Dir(sf.path) {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, name := range fl.Names {
+						if name.IsExported() {
+							fields = append(fields, field{key + "." + name.Name, path.Dir(sf.path), fset.Position(name.Pos()).String()})
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// What non-test files set: literal keys per struct, and the files that
+	// assign or take the address of a field name.
+	type site struct {
+		dir  string
+		pkgs map[string]bool // the file's package and the ones it imports
+	}
+	keyed := map[string]bool{}
+	namedAt := map[string][]site{}
+	for _, sf := range files {
+		pkg, dir, imports := sf.file.Name.Name, path.Dir(sf.path), importNames(sf.file)
+		here := site{dir, map[string]bool{pkg: true}}
+		for _, p := range imports {
+			here.pkgs[p] = true
+		}
+		named := func(e ast.Expr) {
+			if s, ok := e.(*ast.SelectorExpr); ok {
+				namedAt[s.Sel.Name] = append(namedAt[s.Sel.Name], here)
+			}
+		}
+		resolve := func(e ast.Expr) string {
+			key := typeKey(e, pkg, imports)
+			if a := alias[key]; a != "" {
+				key = a
+			}
+			if d := configStructs[key]; d == "" || d == dir {
+				return ""
+			}
+			return key
+		}
+		ast.Inspect(sf.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				key := resolve(n.Type)
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok && key != "" {
+						keyed[key+"."+kv.Key.(*ast.Ident).Name] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					named(lhs)
+				}
+			case *ast.CallExpr:
+				for _, arg := range n.Args {
+					if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+						named(u.X)
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	// A file can name a struct's field only if it sees the struct: it is
+	// in or imports the declaring package, or one aliasing the struct.
+	sees := map[string][]string{}
+	for key := range configStructs {
+		sees[key] = []string{key[:strings.IndexByte(key, '.')]}
+	}
+	for a, target := range alias {
+		sees[target] = append(sees[target], a[:strings.IndexByte(a, '.')])
+	}
+	declared := map[string]bool{}
+	for _, f := range fields {
+		declared[f.key] = true
+		set := keyed[f.key]
+		structKey, name := f.key[:strings.LastIndexByte(f.key, '.')], f.key[strings.LastIndexByte(f.key, '.')+1:]
+		for _, s := range namedAt[name] {
+			if s.dir == f.dir {
+				continue
+			}
+			for _, p := range sees[structKey] {
+				set = set || s.pkgs[p]
+			}
+		}
+		switch reason := configFieldsSetOnlyByTests[f.key]; {
+		case !set && reason == "":
+			t.Errorf("no non-test file outside %s sets %s (%s)", f.dir, f.key, f.pos)
+		case set && reason != "":
+			t.Errorf("allowlist entry %s is set by a program; drop the entry", f.key)
+		}
+	}
+	for key := range configFieldsSetOnlyByTests {
+		if !declared[key] {
+			t.Errorf("allowlist entry %s names no declared field", key)
+		}
+	}
+}
+
+// importNames maps each import's local name in f to its package name,
+// taken as the last element of the import path.
+func importNames(f *ast.File) map[string]string {
+	names := map[string]string{}
+	for _, im := range f.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		local := path.Base(p)
+		if im.Name != nil {
+			local = im.Name.Name
+		}
+		names[local] = path.Base(p)
+	}
+	return names
+}
+
+// typeKey is "pkg.Name" for a type written T in package pkg or q.T with
+// q imported, after a pointer; "" for anything else.
+func typeKey(e ast.Expr, pkg string, imports map[string]string) string {
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	switch x := e.(type) {
+	case *ast.Ident:
+		return pkg + "." + x.Name
+	case *ast.SelectorExpr:
+		if q, ok := x.X.(*ast.Ident); ok && imports[q.Name] != "" {
+			return imports[q.Name] + "." + x.Sel.Name
+		}
+	}
+	return ""
 }
 
 // recvName is the type name of a method receiver, without pointer or type

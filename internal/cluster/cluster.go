@@ -69,10 +69,6 @@ type Cluster struct {
 	Net NetworkSpec
 	// Shared is the shared persistent storage used by the CB driver.
 	Shared SharedStorageSpec
-	// ExecutorMemBytes is the per-executor memory setting
-	// (spark.executor.memory). String reports it; the engine does not
-	// enforce it.
-	ExecutorMemBytes int64
 	// Racks is the number of fault domains the nodes are spread across.
 	// Nodes map to racks in contiguous blocks (nodes 0..k-1 in rack 0,
 	// and so on); a rack is the unit of correlated failure (shared ToR
@@ -118,9 +114,8 @@ func (c *Cluster) DefaultPartitions() int { return 2 * c.TotalCores() }
 
 // String summarizes the cluster.
 func (c *Cluster) String() string {
-	return fmt.Sprintf("%s: %d nodes × %d cores @%.2fGHz, %dGB RAM, %dGB executor mem",
-		c.Name, c.Nodes, c.Node.Cores, c.Node.ClockGHz,
-		c.Node.RAMBytes>>30, c.ExecutorMemBytes>>30)
+	return fmt.Sprintf("%s: %d nodes × %d cores @%.2fGHz, %dGB RAM",
+		c.Name, c.Nodes, c.Node.Cores, c.Node.ClockGHz, c.Node.RAMBytes>>30)
 }
 
 // WithNodes returns a copy of the cluster scaled to n nodes (used by the
@@ -176,9 +171,8 @@ func Skylake16() *Cluster {
 				Capacity: 1 * tb,
 			},
 		},
-		Net:              NetworkSpec{BandwidthBps: 1.2e9, LatencySec: 100e-6},
-		Shared:           SharedStorageSpec{ReadBW: 1.8e9, WriteBW: 1.5e9},
-		ExecutorMemBytes: 160 * gb,
+		Net:    NetworkSpec{BandwidthBps: 1.2e9, LatencySec: 100e-6},
+		Shared: SharedStorageSpec{ReadBW: 1.8e9, WriteBW: 1.5e9},
 	}
 }
 
@@ -204,9 +198,8 @@ func Haswell16() *Cluster {
 				Capacity: 1 * tb,
 			},
 		},
-		Net:              NetworkSpec{BandwidthBps: 1.0e9, LatencySec: 120e-6},
-		Shared:           SharedStorageSpec{ReadBW: 1.5e9, WriteBW: 1.2e9},
-		ExecutorMemBytes: 60 * gb,
+		Net:    NetworkSpec{BandwidthBps: 1.0e9, LatencySec: 120e-6},
+		Shared: SharedStorageSpec{ReadBW: 1.5e9, WriteBW: 1.2e9},
 	}
 }
 
@@ -242,8 +235,7 @@ func Local(cores int) *Cluster {
 			MemBWBps: 50e9,
 			Disk:     DiskSpec{ReadBW: 1e9, WriteBW: 1e9, Capacity: 100 * gb},
 		},
-		Net:              NetworkSpec{BandwidthBps: 10e9, LatencySec: 5e-6},
-		Shared:           SharedStorageSpec{ReadBW: 1e9, WriteBW: 1e9},
-		ExecutorMemBytes: 8 * gb,
+		Net:    NetworkSpec{BandwidthBps: 10e9, LatencySec: 5e-6},
+		Shared: SharedStorageSpec{ReadBW: 1e9, WriteBW: 1e9},
 	}
 }

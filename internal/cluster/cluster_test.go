@@ -31,9 +31,6 @@ func TestPresets(t *testing.T) {
 	if !(has.Node.Disk.WriteBW < sky.Node.Disk.WriteBW) {
 		t.Fatal("haswell spinning disk must be slower than skylake SSD")
 	}
-	if !(has.ExecutorMemBytes < sky.ExecutorMemBytes) {
-		t.Fatal("haswell executor memory must be smaller")
-	}
 }
 
 func TestWithNodes(t *testing.T) {

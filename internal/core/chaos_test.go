@@ -184,7 +184,8 @@ func TestChaosSeededPlan(t *testing.T) {
 // TestCheckpointCadence: a multi-iteration lineage window (CheckpointEvery
 // 2) must still recover to identical bits — recovery replays kernels from
 // older generations, exercised here with a crash landing inside the
-// window — and an over-wide window must be rejected against KeepShuffles.
+// window — and an over-wide window must be rejected against the
+// context's 8-shuffle retention.
 func TestCheckpointCadence(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	rule := semiring.NewFloydWarshall()
@@ -192,9 +193,8 @@ func TestCheckpointCadence(t *testing.T) {
 
 	run := func(plan *rdd.FaultPlan) chaosOut {
 		ctx := rdd.NewContext(rdd.Conf{
-			Cluster:      cluster.LocalN(4, 2),
-			KeepShuffles: 12,
-			FaultPlan:    plan,
+			Cluster:   cluster.LocalN(4, 2),
+			FaultPlan: plan,
 		})
 		cfg := Config{Rule: rule, BlockSize: 8, Driver: IM, Partitions: 8, CheckpointEvery: 2}
 		bl := matrix.Block(in, cfg.BlockSize, rule.Pad(), rule.PadDiag())
@@ -230,10 +230,11 @@ func TestCheckpointCadence(t *testing.T) {
 	}
 
 	// The window must fit the shuffle-retention budget.
-	ctx := rdd.NewContext(rdd.Conf{Cluster: cluster.LocalN(4, 2)}) // KeepShuffles 8
+	ctx := rdd.NewContext(rdd.Conf{Cluster: cluster.LocalN(4, 2)})
 	_, _, err = Run(ctx, bl, Config{Rule: rule, BlockSize: 8, Driver: IM, CheckpointEvery: 4})
-	if err == nil {
-		t.Fatal("CheckpointEvery 4 with KeepShuffles 8 must be rejected")
+	const want = "core: CheckpointEvery 4 needs 12 live shuffles but the context keeps the last 8; IM needs CheckpointEvery ≤ 2"
+	if err == nil || err.Error() != want {
+		t.Fatalf("CheckpointEvery 4 with 8 kept shuffles: err = %v, want %q", err, want)
 	}
 
 	if _, _, err := Run(ctx, bl, Config{Rule: rule, BlockSize: 8, CheckpointEvery: -1}); err == nil {

@@ -199,8 +199,8 @@ func (cfg *Config) normalize(ctx *rdd.Context) error {
 	// not retire them while a later action (or failure recovery) can
 	// still replay them.
 	if cfg.Driver == IM && 3*cfg.CheckpointEvery > ctx.KeepShuffles() {
-		return fmt.Errorf("core: CheckpointEvery %d needs %d live shuffles but Conf.KeepShuffles is %d; raise KeepShuffles to ≥ %d",
-			cfg.CheckpointEvery, 3*cfg.CheckpointEvery, ctx.KeepShuffles(), 3*cfg.CheckpointEvery)
+		return fmt.Errorf("core: CheckpointEvery %d needs %d live shuffles but the context keeps the last %d; IM needs CheckpointEvery ≤ %d",
+			cfg.CheckpointEvery, 3*cfg.CheckpointEvery, ctx.KeepShuffles(), ctx.KeepShuffles()/3)
 	}
 	if cfg.StopAfter < 0 {
 		return fmt.Errorf("core: StopAfter must be ≥ 0 (0 runs to completion), got %d", cfg.StopAfter)

@@ -197,8 +197,8 @@ func TestChaosRackFailureDomainAwareRestore(t *testing.T) {
 	}
 }
 
-// TestChaosDetectorDeterministic: suspicion, false declaration, fencing
-// and throttling all key off the virtual clock — the same plan replayed
+// TestChaosDetectorDeterministic: suspicion, false declaration and
+// fencing all key off the virtual clock — the same plan replayed
 // yields the identical clock, counters, event log and bits.
 func TestChaosDetectorDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
@@ -209,8 +209,6 @@ func TestChaosDetectorDeterministic(t *testing.T) {
 		rdd.Partition{Nodes: []int{2}, From: 11, Dur: 5 * simtime.Second},
 	}}
 	conf := detectorConf(plan)
-	conf.RecoveryTokens = 1
-	conf.RecoveryRefill = 10 * simtime.Second
 	a, _ := detectorRun(t, rule, IM, in, conf)
 	b, _ := detectorRun(t, rule, IM, in, conf)
 	if a.stats.Time != b.stats.Time {
@@ -227,53 +225,6 @@ func TestChaosDetectorDeterministic(t *testing.T) {
 	}
 	if a.rs.FalseSuspicions != 2 {
 		t.Fatalf("both stalls must be falsely declared: %+v", a.rs)
-	}
-}
-
-// TestChaosRecoveryStormThrottled: with a one-token bucket and a slow
-// refill, the second of two resubmissions in quick succession must wait
-// out a refill slot on the modelled clock — throttled, charged, and
-// still bit-identical.
-func TestChaosRecoveryStormThrottled(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	rule := semiring.NewFloydWarshall()
-	in := randomInput(rule, 32, rng)
-	clean := chaosRun(t, rule, IM, in, nil)
-
-	plan := chaosPlan() // crash at stage 7, disk loss at 11: two recovery waves
-	conf := rdd.Conf{
-		Cluster:        cluster.LocalN(4, 2),
-		FaultPlan:      plan,
-		Speculation:    true,
-		RecoveryTokens: 1,
-		RecoveryRefill: 10 * simtime.Second,
-	}
-	chaos, ctx := detectorRun(t, rule, IM, in, conf)
-
-	if !bitIdentical(clean.dense, chaos.dense) {
-		t.Fatal("throttled recovery differs from fault-free bits")
-	}
-	rs := chaos.rs
-	if rs.StageResubmits < 2 {
-		t.Fatalf("need two recovery waves to exercise the bucket: %+v", rs)
-	}
-	if rs.StormThrottledResubmits == 0 {
-		t.Fatalf("second wave must hit an empty bucket: %+v", rs)
-	}
-	if chaos.stats.StormThrottledResubmits != rs.StormThrottledResubmits {
-		t.Fatalf("Stats disagrees with recovery counters: %+v vs %+v", chaos.stats, rs)
-	}
-	if got := ctx.Observer().Metrics().CounterTotal("dpspark_detector_storm_throttled_resubmits_total"); got != rs.StormThrottledResubmits {
-		t.Fatalf("throttle metric = %d, want %d", got, rs.StormThrottledResubmits)
-	}
-	if chaos.stats.Time <= clean.stats.Time {
-		t.Fatalf("throttle waits must cost time: %v vs %v", chaos.stats.Time, clean.stats.Time)
-	}
-	// The whole point: recovery drains in bounded waves, not a stampede —
-	// the run still lands well inside the chaos suite's overhead budget
-	// plus the explicit refill waits it was forced to take.
-	if limit := 3*clean.stats.Time + simtime.Duration(rs.StormThrottledResubmits)*conf.RecoveryRefill; chaos.stats.Time > limit {
-		t.Fatalf("throttled recovery unbounded: %v vs limit %v", chaos.stats.Time, limit)
 	}
 }
 
@@ -297,7 +248,7 @@ func fuzzEnvInt(t *testing.T, key string, def int64) int64 {
 // (fixed default on regular runs) seeds DPSPARK_CHAOS_ROUNDS rounds of a
 // random fault plan mixing crashes, disk losses, stragglers, GC pauses,
 // network partitions and a rack failure on a two-rack cluster, all under
-// the heartbeat detector with a storm-throttle bucket. Whatever the seed
+// the heartbeat detector. Whatever the seed
 // draws, the run must reproduce the fault-free bits, replay to an
 // identical clock/counter/event trajectory, and stay inside the recovery
 // overhead budget.
@@ -319,8 +270,6 @@ func TestChaosFuzz(t *testing.T) {
 				WithRandomRackFailures(s+3, 16, 2, 1)
 			conf := detectorConf(plan)
 			conf.Cluster = cluster.LocalN(4, 2).WithRacks(2)
-			conf.RecoveryTokens = 2
-			conf.RecoveryRefill = 5 * simtime.Second
 
 			clean := chaosRun(t, rule, driver, in, nil)
 			a, _ := detectorRun(t, rule, driver, in, conf)
@@ -342,9 +291,7 @@ func TestChaosFuzz(t *testing.T) {
 			if rs.Suspicions == 0 {
 				t.Fatalf("rack members and stalled nodes must be suspected: %+v", rs)
 			}
-			limit := 4*clean.stats.Time +
-				simtime.Duration(rs.StormThrottledResubmits)*conf.RecoveryRefill +
-				a.stats.DetectionTime
+			limit := 4*clean.stats.Time + a.stats.DetectionTime
 			if a.stats.Time > limit {
 				t.Fatalf("fuzzed recovery unbounded: %v vs limit %v (clean %v)", a.stats.Time, limit, clean.stats.Time)
 			}

@@ -64,7 +64,7 @@ type Stats struct {
 	SpillWall time.Duration
 
 	// ReplicatedBlocks counts blocks the run copied to the remote replica
-	// tier (Config.RemoteDir); zero without one.
+	// tier (rdd.Conf.RemoteDir); zero without one.
 	ReplicatedBlocks int64
 	// RestoredBlocks and RecomputedBlocks split the run's block repairs
 	// by path: staged shuffle blocks restored from intact remote replicas
@@ -90,10 +90,8 @@ type Stats struct {
 	// map outputs rejected by the commit lease. All zero with the
 	// detector off.
 	Suspicions, FalseSuspicions, FencedCommits int64
-	// StormThrottledResubmits counts stage resubmissions delayed by the
-	// recovery-storm token bucket (Config.RecoveryTokens); RackFailures
-	// counts fired correlated fault-domain losses.
-	StormThrottledResubmits, RackFailures int64
+	// RackFailures counts fired correlated fault-domain losses.
+	RackFailures int64
 
 	// CritPath is the run's critical-path report (nil unless the
 	// observer's critical-path recorder was enabled for the run). Its Len
@@ -171,12 +169,11 @@ func (m RunMark) StatsSince(ctx *rdd.Context, iterations int) *Stats {
 		RemoteRetries:    rs.RemoteRetries - m.rs.RemoteRetries,
 		DegradedWindows:  rs.DegradedWindows - m.rs.DegradedWindows,
 
-		DetectionTime:           bd.Detection,
-		Suspicions:              rs.Suspicions - m.rs.Suspicions,
-		FalseSuspicions:         rs.FalseSuspicions - m.rs.FalseSuspicions,
-		FencedCommits:           rs.FencedCommits - m.rs.FencedCommits,
-		StormThrottledResubmits: rs.StormThrottledResubmits - m.rs.StormThrottledResubmits,
-		RackFailures:            rs.RackFailures - m.rs.RackFailures,
+		DetectionTime:   bd.Detection,
+		Suspicions:      rs.Suspicions - m.rs.Suspicions,
+		FalseSuspicions: rs.FalseSuspicions - m.rs.FalseSuspicions,
+		FencedCommits:   rs.FencedCommits - m.rs.FencedCommits,
+		RackFailures:    rs.RackFailures - m.rs.RackFailures,
 	}
 	ps, pi, ph := ctx.KernelPoolStats()
 	s.KernelSpawned = ps - m.poolSpawned

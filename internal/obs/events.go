@@ -29,7 +29,6 @@ const (
 	EvJobFinish     = "job-finish"
 	EvSuspicion     = "suspicion"
 	EvFencedCommit  = "fenced-commit"
-	EvThrottle      = "recovery-throttle"
 )
 
 // Event is one structured flight-recorder record. Integer fields use -1

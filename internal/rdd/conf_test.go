@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"dpspark/internal/cluster"
-	"dpspark/internal/costmodel"
 	"dpspark/internal/simtime"
 )
 
 // TestConfNormalizationAllKnobs: one table across every Conf knob family
-// — cluster, fault/retry, durable store, remote tier, kernels,
-// substrate mounting — so every validation lives (and
-// stays) in the single normalize site.
+// — cluster, detector, fault plan, durable store, remote tier, kernels,
+// substrate mounting — so every validation lives (and stays) in the
+// single normalize site, and NewContext panics with its error.
 func TestConfNormalizationAllKnobs(t *testing.T) {
 	base := func() Conf { return Conf{Cluster: cluster.LocalN(2, 2)} }
 	plan := func(evs ...FaultEvent) func(*Conf) {
@@ -30,10 +29,8 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		// Cluster family.
 		{"missing cluster", func(c *Conf) { c.Cluster = nil }, "Conf.Cluster is required"},
 
-		// Fault / retry family.
-		{"negative task attempts", func(c *Conf) { c.MaxTaskAttempts = -1 }, "MaxTaskAttempts"},
-		{"negative keep shuffles", func(c *Conf) { c.KeepShuffles = -1 }, "KeepShuffles"},
-		{"negative blacklist backoff", func(c *Conf) { c.BlacklistBackoff = -simtime.Second }, "BlacklistBackoff"},
+		// Detector family.
+		{"negative heartbeat", func(c *Conf) { c.HeartbeatInterval = -simtime.Second }, "Conf.HeartbeatInterval must be ≥ 0"},
 
 		// Fault-plan family: a malformed event of every kind, each refused
 		// by its own check with the kind and stage named.
@@ -84,6 +81,24 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		})
 	}
 
+	// NewContext runs the same normalize and panics with its error.
+	t.Run("new context panics naming the field", func(t *testing.T) {
+		for want, conf := range map[string]Conf{
+			"Conf.Cluster is required":           {},
+			"Conf.HeartbeatInterval must be ≥ 0": {Cluster: cluster.Local(2), HeartbeatInterval: -simtime.Second},
+		} {
+			func() {
+				defer func() {
+					err, ok := recover().(error)
+					if !ok || !strings.Contains(err.Error(), want) {
+						t.Fatalf("NewContext panic = %v, want an error naming %q", err, want)
+					}
+				}()
+				NewContext(conf)
+			}()
+		}
+	})
+
 	t.Run("substrate conflicts", func(t *testing.T) {
 		sub, err := NewSubstrate(SubstrateConf{Cluster: cluster.LocalN(2, 2), KernelThreads: 2})
 		if err != nil {
@@ -95,10 +110,6 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 			want string
 		}{
 			{"cluster with substrate", func(c *Conf) { c.Cluster = cluster.LocalN(4, 2) }, "Conf.Cluster must be unset"},
-			{"params with substrate", func(c *Conf) {
-				p := costmodel.DefaultParams()
-				c.Params = &p
-			}, "Conf.Params must be unset"},
 			{"kernel threads with substrate", func(c *Conf) { c.KernelThreads = 4 }, "Conf.KernelThreads must be unset"},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
@@ -140,8 +151,8 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		if err := conf.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		if conf.MaxTaskAttempts != 4 || conf.KeepShuffles != 8 {
-			t.Fatalf("retry defaults: attempts %d keep %d", conf.MaxTaskAttempts, conf.KeepShuffles)
+		if conf.keepShuffles != 8 {
+			t.Fatalf("shuffle window default: keep %d", conf.keepShuffles)
 		}
 		if conf.KernelThreads != 1 || conf.ExecutorCores != conf.Cluster.Node.Cores {
 			t.Fatalf("kernel defaults: threads %d cores %d", conf.KernelThreads, conf.ExecutorCores)

@@ -20,12 +20,12 @@ import (
 // paper's experiments.
 type Conf struct {
 	// Substrate mounts the context on a shared scheduler/executor
-	// substrate (multi-tenant serving): the cluster spec, cost-model
-	// calibration, kernel pools and real task slots come from the
-	// substrate, so Cluster, Params and KernelThreads must be left zero.
+	// substrate (multi-tenant serving): the cluster spec, kernel pools
+	// and real task slots come from the substrate, so Cluster and
+	// KernelThreads must be left zero.
 	// Lineage, shuffle state, fault plans and the virtual clock stay
 	// per-context. Nil (the default) gives the context a private substrate
-	// built from Cluster, Params, KernelThreads and RealParallelism, so a
+	// built from Cluster, KernelThreads and RealParallelism, so a
 	// solo context dispatches its tasks through the same slot scheduler.
 	Substrate *Substrate
 	// Priority orders this context's tasks against sibling contexts on
@@ -36,8 +36,6 @@ type Conf struct {
 	// Cluster describes the (simulated) hardware. Required unless
 	// Substrate is set (the substrate supplies it).
 	Cluster *cluster.Cluster
-	// Params overrides the cost-model calibration; nil uses defaults.
-	Params *costmodel.Params
 	// ExecutorCores is the number of concurrent task slots per executor
 	// (spark.executor.cores). Default: all physical cores per node, or
 	// cores/KernelThreads when KernelThreads > 1 — the paper's
@@ -57,22 +55,11 @@ type Conf struct {
 	// rejected); on a shared Substrate it caps each stage's workers.
 	// Default: runtime.NumCPU(), or the shared substrate's.
 	RealParallelism int
-	// KeepShuffles is how many most-recent shuffles stay staged before
-	// the engine emulates Spark's shuffle cleanup (old generations are
-	// deleted from the local disks). Default: 8.
-	KeepShuffles int
 	// FaultPlan, when set, schedules deterministic whole-executor
 	// failures: crashes (map outputs lost + blacklist), staging-disk
 	// losses and slow-task stragglers. See RandomFaultPlan. The plan is
 	// never mutated, so one plan can drive several contexts.
 	FaultPlan *FaultPlan
-	// MaxTaskAttempts bounds task retries (default 4, Spark's
-	// spark.task.maxFailures). Negative values are rejected.
-	MaxTaskAttempts int
-	// BlacklistBackoff is the base executor blacklist duration after a
-	// crash, doubling per repeated crash of the same node (default 30
-	// virtual seconds).
-	BlacklistBackoff simtime.Duration
 	// Speculation enables speculative execution: after a stage's tasks
 	// finish computing, tasks slower than 1.5 × the 0.75-quantile task
 	// duration (Spark's spark.speculation.multiplier and .quantile
@@ -119,17 +106,6 @@ type Conf struct {
 	// rejected. Required for FaultPlan GC pauses and network partitions —
 	// false suspicion only exists with a detector.
 	HeartbeatInterval simtime.Duration
-	// RecoveryTokens enables recovery-storm throttling: a token bucket of
-	// this capacity gates stage resubmissions, so a mass failure (rack
-	// loss) drains in bounded waves instead of stampeding recompute. Each
-	// resubmission takes a token; an empty bucket charges the modelled
-	// wait until the next refill. 0 (the default) disables throttling;
-	// negative values are rejected.
-	RecoveryTokens int
-	// RecoveryRefill is the modelled interval at which the storm bucket
-	// mints one token back (default 1 virtual second when RecoveryTokens
-	// is set). Needs RecoveryTokens; negative values are rejected.
-	RecoveryRefill simtime.Duration
 	// JobLabel tags every flight-recorder event this context produces with
 	// a job ID, so multi-tenant observers can filter /events?job=ID down
 	// to one tenant. Empty (the default) leaves events unlabelled.
@@ -139,6 +115,12 @@ type Conf struct {
 	// events that fired before the checkpoint. Validated against the
 	// FaultPlan and cluster size.
 	Restore *EngineState
+
+	// keepShuffles is how many most-recent shuffles stay staged before
+	// the engine emulates Spark's shuffle cleanup (old generations are
+	// deleted from the local disks). Default 8; tests that need a
+	// narrower or wider window set it.
+	keepShuffles int
 }
 
 // normalize is the single place Conf is validated and defaulted — every
@@ -153,7 +135,6 @@ func (conf *Conf) normalize() error {
 		// own fields: one task-dispatch path for solo and mounted jobs.
 		s, err := NewSubstrate(SubstrateConf{
 			Cluster:         conf.Cluster,
-			Params:          conf.Params,
 			KernelThreads:   conf.KernelThreads,
 			RealParallelism: conf.RealParallelism,
 		})
@@ -169,41 +150,16 @@ func (conf *Conf) normalize() error {
 	if conf.Cluster != nil && conf.Cluster != s.cluster {
 		return fmt.Errorf("rdd: Conf.Cluster must be unset with Conf.Substrate — the substrate supplies the cluster")
 	}
-	if conf.Params != nil && conf.Params != s.params {
-		return fmt.Errorf("rdd: Conf.Params must be unset with Conf.Substrate — the substrate supplies the calibration")
-	}
 	if conf.KernelThreads != 0 && conf.KernelThreads != s.kernelThreads {
 		return fmt.Errorf("rdd: Conf.KernelThreads must be unset with Conf.Substrate — the substrate owns the kernel pools")
 	}
 	conf.Cluster = s.cluster
-	conf.Params = s.params
 	conf.KernelThreads = s.kernelThreads
 	if conf.RealParallelism <= 0 {
 		conf.RealParallelism = s.realPar
 	}
-	if conf.MaxTaskAttempts < 0 {
-		return fmt.Errorf("rdd: Conf.MaxTaskAttempts must be ≥ 0 (0 means the default 4, Spark's spark.task.maxFailures), got %d", conf.MaxTaskAttempts)
-	}
-	if conf.KeepShuffles < 0 {
-		return fmt.Errorf("rdd: Conf.KeepShuffles must be ≥ 0 (0 means the default 8), got %d", conf.KeepShuffles)
-	}
-	if conf.BlacklistBackoff < 0 {
-		return fmt.Errorf("rdd: Conf.BlacklistBackoff must be ≥ 0, got %v", conf.BlacklistBackoff)
-	}
 	if conf.HeartbeatInterval < 0 {
 		return fmt.Errorf("rdd: Conf.HeartbeatInterval must be ≥ 0 (0 disables the failure detector), got %v", conf.HeartbeatInterval)
-	}
-	if conf.RecoveryTokens < 0 {
-		return fmt.Errorf("rdd: Conf.RecoveryTokens must be ≥ 0 (0 disables recovery-storm throttling), got %d", conf.RecoveryTokens)
-	}
-	if conf.RecoveryRefill < 0 {
-		return fmt.Errorf("rdd: Conf.RecoveryRefill must be ≥ 0 (0 means the default 1s), got %v", conf.RecoveryRefill)
-	}
-	if conf.RecoveryRefill > 0 && conf.RecoveryTokens == 0 {
-		return fmt.Errorf("rdd: Conf.RecoveryRefill needs Conf.RecoveryTokens — a refill interval without a bucket throttles nothing")
-	}
-	if conf.RecoveryTokens > 0 && conf.RecoveryRefill == 0 {
-		conf.RecoveryRefill = 1 * simtime.Second
 	}
 	if conf.FaultPlan != nil {
 		if err := conf.FaultPlan.validate(conf.Cluster.Nodes, conf.Cluster.Racks, conf.HeartbeatInterval > 0); err != nil {
@@ -240,14 +196,8 @@ func (conf *Conf) normalize() error {
 			}
 		}
 	}
-	if conf.KeepShuffles == 0 {
-		conf.KeepShuffles = 8
-	}
-	if conf.MaxTaskAttempts == 0 {
-		conf.MaxTaskAttempts = 4
-	}
-	if conf.BlacklistBackoff == 0 {
-		conf.BlacklistBackoff = defaultBlacklistBackoff
+	if conf.keepShuffles == 0 {
+		conf.keepShuffles = 8
 	}
 	return nil
 }
@@ -279,14 +229,6 @@ type Context struct {
 	ledger ledger
 
 	laneNames sync.Once
-
-	// stormMu guards the recovery-storm token bucket (Conf.RecoveryTokens):
-	// stormTokens is the current token count, stormLast the virtual time
-	// tokens were last minted. Separate from mu because the take charges
-	// driver time (advanceDriver) while held.
-	stormMu     sync.Mutex
-	stormTokens int
-	stormLast   simtime.Duration
 
 	mu            sync.Mutex
 	nextDataset   int
@@ -450,17 +392,14 @@ func (st *shuffleState) isDone() bool {
 }
 
 // NewContext creates an engine context. The Conf is validated and
-// defaulted by Conf.normalize; invalid settings (negative
-// MaxTaskAttempts, a fault plan naming nodes outside the cluster) panic
+// defaulted by Conf.normalize; invalid settings (a negative
+// HeartbeatInterval, a fault plan naming nodes outside the cluster) panic
 // with a clear error.
 func NewContext(conf Conf) *Context {
 	if err := conf.normalize(); err != nil {
 		panic(err)
 	}
 	m := costmodel.New(conf.Cluster)
-	if conf.Params != nil {
-		m.P = *conf.Params
-	}
 	if conf.Observer == nil {
 		conf.Observer = obs.New()
 	}
@@ -472,7 +411,6 @@ func NewContext(conf Conf) *Context {
 		cancel:   make(chan struct{}),
 		shuffles: make(map[int]*shuffleState),
 	}
-	c.stormTokens = conf.RecoveryTokens
 	if conf.FaultPlan != nil {
 		c.faults = newFaultState(conf.FaultPlan, conf.Cluster.Nodes)
 	}
@@ -605,7 +543,7 @@ func (c *Context) KernelPoolStats() (spawned, inlined, handoffs int64) {
 
 // KeepShuffles returns how many recent shuffle generations stay staged
 // (drivers with multi-iteration lineage windows must fit inside it).
-func (c *Context) KeepShuffles() int { return c.conf.KeepShuffles }
+func (c *Context) KeepShuffles() int { return c.conf.keepShuffles }
 
 // Clock returns the job's virtual time so far.
 func (c *Context) Clock() simtime.Duration { return c.simul.Now() }
@@ -737,52 +675,6 @@ func (c *Context) advanceDriver(d simtime.Duration, cat simtime.Category, critPh
 func (c *Context) recordEvent(ev obs.Event) {
 	ev.Job = c.conf.JobLabel
 	c.obsv.Flight().Record(ev)
-}
-
-// takeRecoveryToken implements recovery-storm throttling
-// (Conf.RecoveryTokens): each stage resubmission consumes one token from
-// a bucket refilled at one token per Conf.RecoveryRefill of modelled
-// time. An empty bucket charges the wait until the next refill to the
-// modelled clock (overhead, attributed to recovery), so a mass failure —
-// a rack loss invalidating many shuffles at once — drains in bounded
-// waves instead of stampeding recompute. No-op with throttling off.
-func (c *Context) takeRecoveryToken() {
-	if c.conf.RecoveryTokens <= 0 {
-		return
-	}
-	c.stormMu.Lock()
-	defer c.stormMu.Unlock()
-	now := c.Clock()
-	if now > c.stormLast {
-		if minted := int((now - c.stormLast) / c.conf.RecoveryRefill); minted > 0 {
-			c.stormTokens += minted
-			if c.stormTokens > c.conf.RecoveryTokens {
-				c.stormTokens = c.conf.RecoveryTokens
-			}
-			c.stormLast += simtime.Duration(minted) * c.conf.RecoveryRefill
-		}
-	}
-	if c.stormTokens > 0 {
-		c.stormTokens--
-		return
-	}
-	// Bucket empty: this resubmission waits out the next refill on the
-	// modelled clock. Holding stormMu across the charge serializes
-	// concurrent waiters, so each consumes a successive refill slot.
-	wait := c.stormLast + c.conf.RecoveryRefill - now
-	if wait < 0 {
-		wait = 0
-	}
-	c.stormLast += c.conf.RecoveryRefill
-	c.count(recStormThrottled, 1)
-	c.recordEvent(obs.Event{
-		Clock: now.Seconds(), Type: obs.EvThrottle,
-		Stage: -1, Part: -1, Node: -1, Shuffle: -1,
-		Detail: fmt.Sprintf("recovery-storm bucket empty, waiting %s for a token", wait),
-	})
-	if wait > 0 {
-		c.advanceDriver(wait, simtime.Overhead, obs.PhaseRecovery)
-	}
 }
 
 // addBroadcastBytes accounts driver-staged broadcast payload bytes.

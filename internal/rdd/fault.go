@@ -35,8 +35,8 @@ type ExecutorCrash struct {
 	// Node is the executor that dies.
 	Node int
 	// Down is how long the executor stays blacklisted; 0 uses the
-	// context's exponential backoff (Conf.BlacklistBackoff doubling per
-	// repeated crash of the same node).
+	// exponential backoff (defaultBlacklistBackoff doubling per repeated
+	// crash of the same node).
 	Down simtime.Duration
 }
 
@@ -450,6 +450,10 @@ func (e *FetchFailedError) Error() string {
 // spark.stage.maxConsecutiveAttempts).
 const maxStageAttempts = 8
 
+// maxTaskAttempts bounds the attempts of one task (Spark's
+// spark.task.maxFailures).
+const maxTaskAttempts = 4
+
 // defaultBlacklistBackoff is the base executor blacklist duration after a
 // crash (spark.blacklist-style timeout, in virtual time).
 const defaultBlacklistBackoff = 30 * simtime.Second
@@ -555,7 +559,7 @@ func (f *firing) suspect(node int, detail string) {
 func (f *firing) declareDead(node int, down simtime.Duration, why string) {
 	fs := f.c.faults
 	fs.strikes[node]++
-	backoff := f.c.conf.BlacklistBackoff
+	backoff := defaultBlacklistBackoff
 	for s := 1; s < fs.strikes[node] && s < 6; s++ {
 		backoff *= 2
 	}
@@ -927,7 +931,6 @@ const (
 	recSuspicions
 	recFalseSuspicions
 	recFencedCommits
-	recStormThrottled
 	recRackFailures
 	// Fired plan events that only the injection family reports.
 	recRemoteOutages
@@ -965,7 +968,6 @@ var ledgerRows = [numRecKinds]struct {
 	recSuspicions:       {metric: "dpspark_detector_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.Suspicions }},
 	recFalseSuspicions:  {metric: "dpspark_detector_false_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.FalseSuspicions }},
 	recFencedCommits:    {metric: "dpspark_detector_fenced_commits_total", field: func(s *RecoveryStats) *int64 { return &s.FencedCommits }},
-	recStormThrottled:   {metric: "dpspark_detector_storm_throttled_resubmits_total", field: func(s *RecoveryStats) *int64 { return &s.StormThrottledResubmits }},
 	recRackFailures:     {inject: "rack-failure", field: func(s *RecoveryStats) *int64 { return &s.RackFailures }},
 	recRemoteOutages:    {inject: "remote-outage"},
 	recRemoteSlows:      {inject: "remote-slow"},
@@ -1054,9 +1056,6 @@ type RecoveryStats struct {
 	// FencedCommits counts stale (zombie) map-output commits rejected by
 	// the attempt-epoch commit lease after a false declaration.
 	FencedCommits int64
-	// StormThrottledResubmits counts stage resubmissions that had to wait
-	// for a recovery-storm token (Conf.RecoveryTokens) before running.
-	StormThrottledResubmits int64
 	// RackFailures counts fired rack-failure events (each kills a whole
 	// fault domain; the per-node losses are not double-counted as
 	// ExecutorCrashes).

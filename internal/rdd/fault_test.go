@@ -37,10 +37,10 @@ func TestTaskRetryRecovers(t *testing.T) {
 
 // TestTaskPanicRetried: panics inside user code are treated as task
 // failures and retried; a deterministic panic exhausts the attempts and
-// surfaces as a job error naming the task.
+// surfaces as a job error naming the task after maxTaskAttempts (4).
 func TestTaskPanicRetried(t *testing.T) {
 	var calls atomic.Int64
-	ctx := NewContext(Conf{Cluster: cluster.Local(2), MaxTaskAttempts: 3})
+	ctx := NewContext(Conf{Cluster: cluster.Local(2)})
 	r := Map(Parallelize(ctx, ints(4), 1), func(_ *TaskContext, x int) int {
 		calls.Add(1)
 		panic("kaboom")
@@ -49,11 +49,11 @@ func TestTaskPanicRetried(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected job failure")
 	}
-	if !strings.Contains(err.Error(), "attempt 3") {
+	if !strings.Contains(err.Error(), "attempt 4") {
 		t.Fatalf("error = %v", err)
 	}
-	if calls.Load() != 3 {
-		t.Fatalf("task ran %d times, want 3", calls.Load())
+	if calls.Load() != 4 {
+		t.Fatalf("task ran %d times, want 4", calls.Load())
 	}
 }
 

@@ -169,11 +169,10 @@ func TestCrashedExecutorTasksRePlaced(t *testing.T) {
 }
 
 // TestBlacklistBackoffDoubles: repeated crashes of the same node extend
-// the blacklist exponentially.
+// the blacklist exponentially from defaultBlacklistBackoff.
 func TestBlacklistBackoffDoubles(t *testing.T) {
 	ctx := NewContext(Conf{
-		Cluster:          cluster.LocalN(2, 2),
-		BlacklistBackoff: 10 * simtime.Second,
+		Cluster: cluster.LocalN(2, 2),
 		FaultPlan: &FaultPlan{Events: []FaultEvent{
 			ExecutorCrash{Stage: 0, Node: 1},
 			ExecutorCrash{Stage: 1, Node: 1},
@@ -185,10 +184,10 @@ func TestBlacklistBackoffDoubles(t *testing.T) {
 	mid := ctx.Clock()
 	ctx.fireStageFaults(1)
 	second := ctx.faults.downUntil[1] - mid
-	if first != 10*simtime.Second {
+	if first != 30*simtime.Second {
 		t.Fatalf("first backoff = %v", first)
 	}
-	if second != 20*simtime.Second {
+	if second != 60*simtime.Second {
 		t.Fatalf("second backoff must double: %v", second)
 	}
 }
@@ -238,15 +237,13 @@ func TestStragglerDilatesAndSpeculationRecovers(t *testing.T) {
 // TestRecoveryMetricsExported: after a chaos run every exported recovery
 // series, looked up by its published name and labels, equals the
 // RecoveryStats field it mirrors — one row per ledger row that has both.
-// Three jobs on one context (durable store, remote tier, detector, storm
-// bucket) walk the plan through a straggler, a crash, a remote outage, a
+// Three jobs on one context (durable store, remote tier, detector) walk the plan through a straggler, a crash, a remote outage, a
 // GC pause long enough to be falsely declared, a disk loss and a corrupt
 // block with a corrupt replica.
 func TestRecoveryMetricsExported(t *testing.T) {
 	conf := remoteConf(t, 0)
 	conf.Speculation = true
 	conf.HeartbeatInterval = simtime.Second
-	conf.RecoveryTokens, conf.RecoveryRefill = 1, 1000*simtime.Second
 	conf.FaultPlan = &FaultPlan{Events: []FaultEvent{
 		Straggler{Stage: 0, Partition: 1, Factor: 8},
 		ExecutorCrash{Stage: 1, Node: 0},
@@ -287,7 +284,6 @@ func TestRecoveryMetricsExported(t *testing.T) {
 		{"dpspark_detector_suspicions_total", "", rs.Suspicions, true},
 		{"dpspark_detector_false_suspicions_total", "", rs.FalseSuspicions, true},
 		{"dpspark_detector_fenced_commits_total", "", rs.FencedCommits, true},
-		{"dpspark_detector_storm_throttled_resubmits_total", "", rs.StormThrottledResubmits, true},
 		{"dpspark_fault_injections_total", "executor-crash", rs.ExecutorCrashes, true},
 		{"dpspark_fault_injections_total", "disk-loss", rs.DiskLosses, true},
 		{"dpspark_fault_injections_total", "straggler", rs.Stragglers, true},
@@ -422,60 +418,6 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 	}
 	if err := d.validate(4, 1, true); err == nil {
 		t.Fatal("rack failures must be rejected without rack topology")
-	}
-}
-
-// TestConfNormalization: Conf validation is centralized — bad settings
-// panic out of NewContext with an error naming the field.
-func TestConfNormalization(t *testing.T) {
-	cases := []struct {
-		name string
-		conf Conf
-		want string
-	}{
-		{"negative attempts", Conf{Cluster: cluster.Local(2), MaxTaskAttempts: -1}, "MaxTaskAttempts"},
-		{"negative keep", Conf{Cluster: cluster.Local(2), KeepShuffles: -2}, "KeepShuffles"},
-		{"negative backoff", Conf{Cluster: cluster.Local(2), BlacklistBackoff: -simtime.Second}, "BlacklistBackoff"},
-		{"no cluster", Conf{}, "Cluster"},
-		{"negative heartbeat", Conf{Cluster: cluster.Local(2), HeartbeatInterval: -simtime.Second}, "HeartbeatInterval"},
-		{"negative tokens", Conf{Cluster: cluster.Local(2), RecoveryTokens: -1}, "RecoveryTokens"},
-		{"refill without tokens", Conf{Cluster: cluster.Local(2), RecoveryRefill: simtime.Second}, "RecoveryRefill"},
-	}
-	for _, tc := range cases {
-		func() {
-			defer func() {
-				p := recover()
-				if p == nil {
-					t.Fatalf("%s: NewContext must panic", tc.name)
-				}
-				err, ok := p.(error)
-				if !ok || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("%s: panic = %v, want mention of %q", tc.name, p, tc.want)
-				}
-			}()
-			NewContext(tc.conf)
-		}()
-	}
-	// And the defaults land where Spark's do.
-	conf := Conf{Cluster: cluster.Local(2)}
-	if err := conf.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if conf.MaxTaskAttempts != 4 || conf.KeepShuffles != 8 ||
-		conf.BlacklistBackoff != 30*simtime.Second {
-		t.Fatalf("defaults = %+v", conf)
-	}
-	// The storm bucket's refill: zero while the bucket is off, 1s once
-	// RecoveryTokens is set.
-	if conf.RecoveryRefill != 0 {
-		t.Fatalf("the refill must stay zero while the bucket is off: %+v", conf)
-	}
-	storm := Conf{Cluster: cluster.Local(2), RecoveryTokens: 2}
-	if err := storm.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if storm.RecoveryRefill != simtime.Second {
-		t.Fatalf("storm defaults = %+v", storm)
 	}
 }
 

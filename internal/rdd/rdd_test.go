@@ -254,7 +254,7 @@ func TestMapValuesPreservesPartitioner(t *testing.T) {
 }
 
 func TestCheckpointTruncatesLineage(t *testing.T) {
-	ctx := NewContext(Conf{Cluster: cluster.Local(2), KeepShuffles: 1})
+	ctx := NewContext(Conf{Cluster: cluster.Local(2), keepShuffles: 1})
 	part := NewHashPartitioner(2)
 	var computes atomic.Int64
 	r := PartitionBy(Map(Parallelize(ctx, ints(6), 2), func(_ *TaskContext, x int) Pair[int, int] {
@@ -433,7 +433,7 @@ func TestHashPartitionerSpread(t *testing.T) {
 }
 
 func TestShuffleRetirement(t *testing.T) {
-	ctx := NewContext(Conf{Cluster: cluster.Local(2), KeepShuffles: 1})
+	ctx := NewContext(Conf{Cluster: cluster.Local(2), keepShuffles: 1})
 	part := NewHashPartitioner(2)
 	r := Parallelize(ctx, []Pair[int, int]{KV(1, 1), KV(2, 2)}, 2)
 	a := PartitionBy(r, part)

@@ -369,7 +369,7 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 // immediately and simply retries its fetch.
 func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 	retiredErr := func() error {
-		return fmt.Errorf("rdd: shuffle %d was retired before its recovery ran; raise Conf.KeepShuffles", ff.ShuffleID)
+		return fmt.Errorf("rdd: shuffle %d was retired before its recovery ran; the context keeps the last %d shuffles", ff.ShuffleID, c.conf.keepShuffles)
 	}
 	st, retired := c.shuffle(ff.ShuffleID)
 	if retired {
@@ -427,9 +427,6 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 	}
 
 	if len(toRecompute) > 0 {
-		// Recovery-storm throttling: a resubmission may first have to wait
-		// for a token, so a mass failure drains in bounded waves.
-		c.takeRecoveryToken()
 		c.count(recStageResubmits, 1)
 		c.recordEvent(obs.Event{
 			Clock: -1, Type: obs.EvStageResubmit,
@@ -485,7 +482,7 @@ func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext,
 	read func(c *Context, st *shuffleState, refs []bucketRef) partition) partition {
 	st, retired := c.shuffle(sd.id)
 	if retired {
-		panic(fmt.Sprintf("rdd: shuffle %d was retired; raise Conf.KeepShuffles", sd.id))
+		panic(fmt.Sprintf("rdd: shuffle %d was retired; the context keeps the last %d shuffles", sd.id, c.conf.keepShuffles))
 	}
 	if st == nil {
 		panic(fmt.Sprintf("rdd: shuffle %d read before materialization", sd.id))
@@ -496,7 +493,7 @@ func (c *Context) readShuffle(sd *shuffleDep, split int, tc *TaskContext,
 		panic(fmt.Sprintf("rdd: shuffle %d read before materialization", sd.id))
 	}
 	if st.retired { // retired since the lookup
-		panic(fmt.Sprintf("rdd: shuffle %d was retired; raise Conf.KeepShuffles", sd.id))
+		panic(fmt.Sprintf("rdd: shuffle %d was retired; the context keeps the last %d shuffles", sd.id, c.conf.keepShuffles))
 	}
 
 	refs := st.byReduce[split]
@@ -534,14 +531,14 @@ func (c *Context) chargeFetch(tc *TaskContext, mapNode int, bytes int64) {
 }
 
 // retireOldShuffles drops staged data of all but the most recent
-// Conf.KeepShuffles shuffles, freeing simulated disk and real memory. A
+// Conf.keepShuffles shuffles, freeing simulated disk and real memory. A
 // retired shuffle leaves the live list, its map entry becomes the
 // tombstone and its arrays go to the free list; a recovery of it that is
 // still running finishes first (recMu).
 func (c *Context) retireOldShuffles() {
 	c.mu.Lock()
 	var toRetire []*shuffleState
-	if n := len(c.live) - c.conf.KeepShuffles; n > 0 {
+	if n := len(c.live) - c.conf.keepShuffles; n > 0 {
 		toRetire = slices.Clone(c.live[:n])
 		c.live = slices.Delete(c.live, 0, n)
 		for _, st := range toRetire {

@@ -173,7 +173,7 @@ func (sr *stageRun) runTasks() {
 
 // runTask is the attempt runner: it drives one task to success or to a
 // recorded error. A panic fails the attempt and the task restarts from its
-// lineage on a freshly placed executor, up to Conf.MaxTaskAttempts; the
+// lineage on a freshly placed executor, up to maxTaskAttempts; the
 // compute a failed attempt charged still costs virtual time. A
 // FetchFailedError indicts the parent map stage instead: the shuffle is
 // recovered and the SAME attempt fetches again — no attempt consumed, no
@@ -230,7 +230,7 @@ func (sr *stageRun) runTask(idx int) bool {
 		}
 		lost += tc.compute
 		failures++
-		if failures >= c.conf.MaxTaskAttempts {
+		if failures >= maxTaskAttempts {
 			c.recordTaskErr(err)
 			return true
 		}

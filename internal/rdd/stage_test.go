@@ -196,7 +196,7 @@ func taskShapes(o *obs.Observer) []string {
 // count, duration or lane in one of them (and as a race under -race).
 func TestParallelJobsMatchSerialJobs(t *testing.T) {
 	run := func(concurrent bool) *Context {
-		ctx := NewContext(Conf{Cluster: cluster.LocalN(2, 2), RealParallelism: 2, KeepShuffles: 32})
+		ctx := NewContext(Conf{Cluster: cluster.LocalN(2, 2), RealParallelism: 2, keepShuffles: 32})
 		ctx.Observer().EnableTrace(true)
 		jobMix(t, ctx, concurrent)
 		return ctx
@@ -274,12 +274,12 @@ func liveShuffles(c *Context) (states, tombstones, listed int) {
 }
 
 // TestContextForgetsRetiredShuffles: a Context reused for many jobs keeps
-// at most KeepShuffles shuffle states — the rest are tombstones whose
+// at most keepShuffles shuffle states — the rest are tombstones whose
 // arrays went back to the free list — and a late job costs what an early
 // one did.
 func TestContextForgetsRetiredShuffles(t *testing.T) {
 	const keep, jobs = 4, 50
-	ctx := NewContext(Conf{Cluster: cluster.Local(4), RealParallelism: 2, KeepShuffles: keep})
+	ctx := NewContext(Conf{Cluster: cluster.Local(4), RealParallelism: 2, keepShuffles: keep})
 	job := func(j int) time.Duration {
 		t0 := time.Now()
 		// Three chained shuffles per job.
@@ -327,7 +327,9 @@ func TestContextForgetsRetiredShuffles(t *testing.T) {
 	}
 	stages := len(ctx.Events())
 	_, err := first.Collect()
-	if err == nil || !strings.Contains(err.Error(), "was retired; raise Conf.KeepShuffles") {
+	// The 3·jobs shuffles above took IDs 0..3·jobs-1; first's is next.
+	want := fmt.Sprintf(": rdd: shuffle %d was retired; the context keeps the last %d shuffles", 3*jobs, keep)
+	if err == nil || !strings.HasSuffix(err.Error(), want) {
 		t.Errorf("reading a retired shuffle: err = %v", err)
 	}
 	if ran := len(ctx.Events()) - stages; ran != 1 {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"dpspark/internal/cluster"
-	"dpspark/internal/costmodel"
 	"dpspark/internal/kernels"
 )
 
@@ -22,8 +21,7 @@ import (
 //
 // Concretely the Substrate owns:
 //
-//   - the cluster spec and cost-model calibration (all jobs price
-//     against the same hardware),
+//   - the cluster spec (all jobs price against the same hardware),
 //   - the per-node kernel worker pools (Conf.KernelThreads wide), so
 //     real intra-kernel concurrency is bounded per node across ALL
 //     jobs, not per job, and
@@ -44,8 +42,6 @@ type SubstrateConf struct {
 	// Cluster describes the (simulated) hardware every mounted job
 	// shares. Required.
 	Cluster *cluster.Cluster
-	// Params overrides the cost-model calibration; nil uses defaults.
-	Params *costmodel.Params
 	// KernelThreads is the width of the shared per-node kernel pools
 	// (see Conf.KernelThreads). Default 1: serial kernels, no pools.
 	KernelThreads int
@@ -59,7 +55,6 @@ type SubstrateConf struct {
 // via Conf.Substrate; a Context without one builds its own.
 type Substrate struct {
 	cluster       *cluster.Cluster
-	params        *costmodel.Params
 	kernelThreads int
 	realPar       int
 
@@ -91,7 +86,6 @@ func NewSubstrate(conf SubstrateConf) (*Substrate, error) {
 	}
 	s := &Substrate{
 		cluster:       conf.Cluster,
-		params:        conf.Params,
 		kernelThreads: conf.KernelThreads,
 		realPar:       conf.RealParallelism,
 		sched:         newSlotScheduler(conf.RealParallelism),

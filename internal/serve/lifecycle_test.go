@@ -27,7 +27,7 @@ func TestRecoverMatchesLive(t *testing.T) {
 	runs := map[string]int{} // attempts started, by tenant
 	entered, release := make(chan struct{}), make(chan struct{})
 	var releaseOnce sync.Once
-	cfg := Config{JournalDir: dir, MaxRunning: 1, RetryBackoff: time.Millisecond, DrainGrace: time.Minute}
+	cfg := Config{JournalDir: dir, MaxRunning: 1, retryBackoff: time.Millisecond, DrainGrace: time.Minute}
 	cfg.hook = func(j *Job) {
 		mu.Lock()
 		runs[j.Spec.Tenant]++

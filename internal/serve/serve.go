@@ -70,15 +70,9 @@ const checkpointInterval = 100 * time.Millisecond
 
 // Config configures the job service.
 type Config struct {
-	// Cluster is the shared simulated cluster every job's stages are
-	// scheduled onto. Default: cluster.LocalN(4, 2).
-	Cluster *cluster.Cluster
 	// KernelThreads is the shared per-node kernel pool width (see
 	// rdd.SubstrateConf). Default 1: serial kernels.
 	KernelThreads int
-	// RealParallelism bounds the real task-execution slots shared by
-	// every running job. Default: runtime.NumCPU() (via the substrate).
-	RealParallelism int
 	// MaxQueue bounds the admission queue: submissions arriving with
 	// MaxQueue jobs already queued are rejected with 429. Default 16;
 	// negative values are rejected.
@@ -112,15 +106,20 @@ type Config struct {
 	// deadline or client cancel never retries). Default 1 — no retries;
 	// JobSpec.MaxAttempts overrides per job.
 	MaxAttempts int
-	// RetryBackoff is the delay before the first retry, doubling each
-	// further attempt (capped at 1s). Default 50ms.
-	RetryBackoff time.Duration
 	// PoisonThreshold quarantines a job once its panics plus the server
 	// crashes it was caught mid-run in reach this count: the job lands in
 	// the terminal "quarantined" state with a flight-recorder dump
 	// attached instead of crash-looping the service. Default 3.
 	PoisonThreshold int
 
+	// realParallelism, when set, bounds the real task-execution slots
+	// shared by every running job — the test seam for slot contention.
+	// Default: runtime.NumCPU() (via the substrate).
+	realParallelism int
+	// retryBackoff, when set, replaces the 50ms delay before a job's first
+	// retry (doubling each further attempt, capped at 1s) — the test seam
+	// that keeps retry tests fast.
+	retryBackoff time.Duration
 	// hook, when set, runs inside each job's goroutine right before the
 	// engine run — the test seam for panic containment.
 	hook func(j *Job)
@@ -162,20 +161,11 @@ func (cfg *Config) normalize() error {
 	if cfg.KernelThreads < 0 {
 		return fmt.Errorf("serve: Config.KernelThreads must be ≥ 0 (0 means serial kernels), got %d", cfg.KernelThreads)
 	}
-	if cfg.RealParallelism < 0 {
-		return fmt.Errorf("serve: Config.RealParallelism must be ≥ 0 (0 means NumCPU), got %d", cfg.RealParallelism)
-	}
 	if cfg.MaxAttempts < 0 || cfg.MaxAttempts > 16 {
 		return fmt.Errorf("serve: Config.MaxAttempts must be in [0, 16] (0 means the default 1), got %d", cfg.MaxAttempts)
 	}
-	if cfg.RetryBackoff < 0 {
-		return fmt.Errorf("serve: Config.RetryBackoff must be ≥ 0 (0 means the default 50ms), got %v", cfg.RetryBackoff)
-	}
 	if cfg.PoisonThreshold < 0 {
 		return fmt.Errorf("serve: Config.PoisonThreshold must be ≥ 0 (0 means the default 3), got %d", cfg.PoisonThreshold)
-	}
-	if cfg.Cluster == nil {
-		cfg.Cluster = cluster.LocalN(4, 2)
 	}
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 16
@@ -195,8 +185,8 @@ func (cfg *Config) normalize() error {
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = 1
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
+	if cfg.retryBackoff == 0 {
+		cfg.retryBackoff = 50 * time.Millisecond
 	}
 	if cfg.PoisonThreshold == 0 {
 		cfg.PoisonThreshold = 3
@@ -428,15 +418,16 @@ type Server struct {
 	runningGauge *obs.Gauge
 }
 
-// New builds a server over one shared substrate.
+// New builds a server over one shared substrate on a 4-node, 2-core
+// local cluster.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	sub, err := rdd.NewSubstrate(rdd.SubstrateConf{
-		Cluster:         cfg.Cluster,
+		Cluster:         cluster.LocalN(4, 2),
 		KernelThreads:   cfg.KernelThreads,
-		RealParallelism: cfg.RealParallelism,
+		RealParallelism: cfg.realParallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -623,7 +614,7 @@ func (s *Server) runAttempts(j *Job, dispatched journalRecord) journalRecord {
 	if maxAttempts == 0 {
 		maxAttempts = s.cfg.MaxAttempts
 	}
-	backoff := s.cfg.RetryBackoff
+	backoff := s.cfg.retryBackoff
 	for attempt := dispatched.Attempt; ; attempt++ {
 		s.journalAppend(dispatched)
 		sum, modelled, err, panicked := s.attemptOnce(j)
@@ -692,7 +683,7 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 	// those outliving the detection latency exercise false suspicion +
 	// zombie fencing in-service.
 	r := (spec.N + spec.Block - 1) / spec.Block
-	plan := rdd.ChaosPlan(spec.ChaosSeed, 4*r, s.cfg.Cluster.Nodes, spec.ChaosCrashes, spec.ChaosGCPauses, 0, 0)
+	plan := rdd.ChaosPlan(spec.ChaosSeed, 4*r, s.sub.Cluster().Nodes, spec.ChaosCrashes, spec.ChaosGCPauses, 0, 0)
 	var heartbeat simtime.Duration
 	if spec.HeartbeatMS > 0 {
 		heartbeat = simtime.Duration(spec.HeartbeatMS) * simtime.Millisecond

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"dpspark/internal/cluster"
 )
 
 // waitTerminal polls a job until it leaves the queued/running states.
@@ -79,7 +77,7 @@ func TestServeIsolationInvariant(t *testing.T) {
 		MaxRunning:      len(specs),
 		MaxQueue:        2,
 		TenantPending:   1,
-		RealParallelism: 3, // force real slot contention between jobs
+		realParallelism: 3, // force real slot contention between jobs
 	}
 	cfg.hook = func(*Job) { <-release }
 	s, err := New(cfg)
@@ -270,7 +268,7 @@ func TestDeadlineCancelsJob(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	// A persistently panicking job is retried up to the poison threshold
 	// and then quarantined — never crashing the server or its siblings.
-	cfg := Config{MaxRunning: 2, RetryBackoff: time.Millisecond}
+	cfg := Config{MaxRunning: 2, retryBackoff: time.Millisecond}
 	attempts := 0
 	var amu sync.Mutex
 	cfg.hook = func(j *Job) {
@@ -456,10 +454,8 @@ func TestServeConfNormalization(t *testing.T) {
 		{"negative TenantPending", func(c *Config) { c.TenantPending = -1 }, "TenantPending"},
 		{"negative DrainGrace", func(c *Config) { c.DrainGrace = -time.Second }, "DrainGrace"},
 		{"negative KernelThreads", func(c *Config) { c.KernelThreads = -1 }, "KernelThreads"},
-		{"negative RealParallelism", func(c *Config) { c.RealParallelism = -1 }, "RealParallelism"},
 		{"negative MaxAttempts", func(c *Config) { c.MaxAttempts = -1 }, "MaxAttempts"},
 		{"oversize MaxAttempts", func(c *Config) { c.MaxAttempts = 17 }, "MaxAttempts"},
-		{"negative RetryBackoff", func(c *Config) { c.RetryBackoff = -time.Second }, "RetryBackoff"},
 		{"negative PoisonThreshold", func(c *Config) { c.PoisonThreshold = -1 }, "PoisonThreshold"},
 	} {
 		cfg := Config{}
@@ -477,10 +473,10 @@ func TestServeConfNormalization(t *testing.T) {
 	if cfg.MaxQueue != 16 || cfg.MaxRunning != 2 || cfg.TenantRunning != 2 || cfg.TenantPending != 16 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
-	if cfg.DrainGrace != 30*time.Second || cfg.Cluster == nil || cfg.Observer == nil {
+	if cfg.DrainGrace != 30*time.Second || cfg.Observer == nil {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
-	if cfg.MaxAttempts != 1 || cfg.RetryBackoff != 50*time.Millisecond || cfg.PoisonThreshold != 3 {
+	if cfg.MaxAttempts != 1 || cfg.retryBackoff != 50*time.Millisecond || cfg.PoisonThreshold != 3 {
 		t.Fatalf("retry/poison defaults wrong: %+v", cfg)
 	}
 
@@ -537,20 +533,5 @@ func TestJobSpecValidation(t *testing.T) {
 	}
 	if sp.HeartbeatMS != 0 {
 		t.Fatalf("detector must stay off without chaos: %+v", sp)
-	}
-}
-
-func TestServerUsesProvidedCluster(t *testing.T) {
-	cl := cluster.LocalN(2, 2)
-	s, err := New(Config{Cluster: cl, MaxRunning: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := s.Submit(JobSpec{N: 64, Block: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitTerminal(t, s, j.ID); st.State != StateDone {
-		t.Fatalf("job on custom cluster ended %s: %s", st.State, st.Error)
 	}
 }
