@@ -51,7 +51,7 @@ func (run *runner) inMemory(dp *rdd.RDD[Block]) (*rdd.RDD[Block], error) {
 				if pivotToD {
 					emits += len(rest) * len(rest)
 				}
-				out := make([]rdd.Pair[matrix.Coord, Msg], 0, emits)
+				out := rdd.Scratch[rdd.Pair[matrix.Coord, Msg]](tc, emits)
 				out = append(out, rdd.KV(b.Key, Msg{RoleDone, updated}))
 				for _, j := range rest {
 					out = append(out, rdd.KV(matrix.Coord{I: k, J: j}, Msg{RolePivot, updated}))
@@ -86,7 +86,7 @@ func (run *runner) inMemory(dp *rdd.RDD[Block]) (*rdd.RDD[Block], error) {
 						return []rdd.Pair[matrix.Coord, Msg]{rdd.KV(key, Msg{RoleDone, ops.Done})}
 					case key.I == k:
 						updated := kr.apply(tc, gen, semiring.KindB, ops.Self, ops.Pivot, nil, ops.Pivot)
-						out := make([]rdd.Pair[matrix.Coord, Msg], 0, 1+len(rest))
+						out := rdd.Scratch[rdd.Pair[matrix.Coord, Msg]](tc, 1+len(rest))
 						out = append(out, rdd.KV(key, Msg{RoleDone, updated}))
 						for _, i := range rest {
 							out = append(out, rdd.KV(matrix.Coord{I: i, J: key.J}, Msg{RoleRow, updated}))
@@ -94,7 +94,7 @@ func (run *runner) inMemory(dp *rdd.RDD[Block]) (*rdd.RDD[Block], error) {
 						return out
 					case key.J == k:
 						updated := kr.apply(tc, gen, semiring.KindC, ops.Self, nil, ops.Pivot, ops.Pivot)
-						out := make([]rdd.Pair[matrix.Coord, Msg], 0, 1+len(rest))
+						out := rdd.Scratch[rdd.Pair[matrix.Coord, Msg]](tc, 1+len(rest))
 						out = append(out, rdd.KV(key, Msg{RoleDone, updated}))
 						for _, j := range rest {
 							out = append(out, rdd.KV(matrix.Coord{I: key.I, J: j}, Msg{RoleCol, updated}))
@@ -117,7 +117,7 @@ func (run *runner) inMemory(dp *rdd.RDD[Block]) (*rdd.RDD[Block], error) {
 		abcdBlocks := rdd.PartitionBy(
 			rdd.MapPartitions(combineMsgs(dSelf.Union(abcBlocks), part),
 				func(tc *rdd.TaskContext, recs []rdd.Pair[matrix.Coord, Operands]) []Block {
-					out := make([]Block, 0, len(recs))
+					out := rdd.Scratch[Block](tc, len(recs))
 					for _, p := range recs {
 						ops := p.Value
 						if ops.Self != nil {

@@ -13,7 +13,7 @@ import (
 // gather is a combine that keeps every value in merge order, so equal
 // outputs mean equal key order and equal merge order.
 func gather[K comparable](chunks [][]Pair[K, int]) []Pair[K, []int] {
-	return combinePairs(chunks, func(v int) []int { return []int{v} },
+	return combinePairs(nil, chunks, func(v int) []int { return []int{v} },
 		func(c *[]int, v int) { *c = append(*c, v) })
 }
 
@@ -23,8 +23,8 @@ func gatherByMap[K comparable](chunks [][]Pair[K, int]) []Pair[K, []int] {
 	for _, ch := range chunks {
 		n += len(ch)
 	}
-	slots, keys := numberByMap(chunks, n)
-	return combineSlots(chunks, slots, keys, func(v int) []int { return []int{v} },
+	slots, keys := numberByMap(nil, chunks, n)
+	return combineSlots(nil, chunks, slots, keys, func(v int) []int { return []int{v} },
 		func(c *[]int, v int) { *c = append(*c, v) })
 }
 
@@ -93,7 +93,7 @@ func TestDenseCombineMatchesMap(t *testing.T) {
 				}
 				continue
 			}
-			if _, _, ok := numberCoords(chunks, v); ok != denseBox(chunks, v) {
+			if _, _, ok := numberCoords(nil, chunks, v); ok != denseBox(chunks, v) {
 				t.Fatalf("%s round %d: dense table used = %v", sh.name, round, ok)
 			} else if ok {
 				denseRounds++

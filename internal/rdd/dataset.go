@@ -78,7 +78,7 @@ type shuffleDep struct {
 	bucket func(tc *TaskContext, split int, codec Codec) ([]taskBucket, int64)
 	// merge is the reduce side: concatenate (or, when combining, merge
 	// per key) the records of one reduce partition's buckets.
-	merge func(c *Context, st *shuffleState, refs []bucketRef) partition
+	merge func(tc *TaskContext, st *shuffleState, refs []bucketRef) partition
 }
 
 // newDataset registers a lineage node with the context.

@@ -33,27 +33,29 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], part Partitioner) *RDD
 	sd := ctx.newShuffleDep(parent, part)
 	sd.bucket = func(tc *TaskContext, split int, codec Codec) ([]taskBucket, int64) {
 		var one [1][]Pair[K, V]
-		return bucketPairs(chunksOf(parent, split, tc, &one), part, codec)
+		return bucketPairs(tc, chunksOf(parent, split, tc, &one), part, codec)
 	}
-	sd.merge = func(c *Context, st *shuffleState, refs []bucketRef) partition {
+	sd.merge = func(tc *TaskContext, st *shuffleState, refs []bucketRef) partition {
 		total := 0
 		for _, ref := range refs {
 			total += ref.n
 		}
-		out := make([]Pair[K, V], 0, total)
+		out := take[Pair[K, V]](tc, total)[:0]
 		for _, ref := range refs {
-			out = appendBucket(c, st, ref, out)
+			out = appendBucket(tc.ctx, st, ref, out)
 		}
 		return box(out)
 	}
 	ds := ctx.newDataset("partitionBy<-"+parent.name, part.NumPartitions(), part)
 	ds.shuffle = sd
-	// Read as chunks, the in-memory buckets are the chunks.
-	asChunks := func(c *Context, st *shuffleState, refs []bucketRef) partition {
-		chunks := make([][]Pair[K, V], len(refs))
+	// Read as chunks, the in-memory buckets are the chunks: they alias the
+	// slabs past the read lock, so the read pins the shuffle.
+	asChunks := func(tc *TaskContext, st *shuffleState, refs []bucketRef) partition {
+		tc.pin(st)
+		chunks := take[[]Pair[K, V]](tc, len(refs))
 		for i, ref := range refs {
 			if ref.stored {
-				chunks[i] = appendBucket(c, st, ref, make([]Pair[K, V], 0, ref.n))
+				chunks[i] = appendBucket(tc.ctx, st, ref, take[Pair[K, V]](tc, ref.n)[:0])
 			} else {
 				chunks[i] = unbox[Pair[K, V]](ref.slab)[ref.lo : ref.lo+ref.n]
 			}
@@ -100,7 +102,7 @@ func CombineByKeyInPlace[K comparable, V, C any](r *RDD[Pair[K, V]],
 		ds.deps = []*dataset{parent}
 		ds.narrow = func(tc *TaskContext, split int) partition {
 			var one [1][]Pair[K, V]
-			return box(combinePairs(chunksOf(parent, split, tc, &one), create, mergeValue))
+			return box(combinePairs(tc, chunksOf(parent, split, tc, &one), create, mergeValue))
 		}
 		return &RDD[Pair[K, C]]{ds: ds}
 	}
@@ -109,15 +111,15 @@ func CombineByKeyInPlace[K comparable, V, C any](r *RDD[Pair[K, V]],
 	sd.combining = true
 	sd.bucket = func(tc *TaskContext, split int, _ Codec) ([]taskBucket, int64) {
 		var one [1][]Pair[K, V]
-		combined := combinePairs(chunksOf(parent, split, tc, &one), create, mergeValue)
-		return bucketPairs([][]Pair[K, C]{combined}, part, nil)
+		combined := combinePairs(tc, chunksOf(parent, split, tc, &one), create, mergeValue)
+		return bucketPairs(tc, [][]Pair[K, C]{combined}, part, nil)
 	}
-	sd.merge = func(_ *Context, _ *shuffleState, refs []bucketRef) partition {
-		chunks := make([][]Pair[K, C], len(refs))
+	sd.merge = func(tc *TaskContext, _ *shuffleState, refs []bucketRef) partition {
+		chunks := take[[]Pair[K, C]](tc, len(refs))
 		for i, ref := range refs {
 			chunks[i] = unbox[Pair[K, C]](ref.slab)[ref.lo : ref.lo+ref.n]
 		}
-		return box(combinePairs(chunks, func(c C) C { return c }, mergeCombiners))
+		return box(combinePairs(tc, chunks, func(c C) C { return c }, mergeCombiners))
 	}
 	ds := ctx.newDataset("combineByKey<-"+parent.name, part.NumPartitions(), part)
 	ds.shuffle = sd
@@ -139,19 +141,21 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
 // per key, keys in first-seen order. numberKeys numbers the keys as they
 // appear, which sizes the output exactly; the second pass fills the slots
 // — one equal to the count made so far is a key's first record.
-func combinePairs[K comparable, V, C any](chunks [][]Pair[K, V], create func(V) C, merge func(*C, V)) []Pair[K, C] {
-	slots, keys := numberKeys(chunks)
-	return combineSlots(chunks, slots, keys, create, merge)
+func combinePairs[K comparable, V, C any](tc *TaskContext, chunks [][]Pair[K, V], create func(V) C, merge func(*C, V)) []Pair[K, C] {
+	slots, keys := numberKeys(tc, chunks)
+	return combineSlots(tc, chunks, slots, keys, create, merge)
 }
 
 // combineSlots is combinePairs' second pass, given the slot of every
 // record (in chunk order) and the number of distinct keys.
-func combineSlots[K comparable, V, C any](chunks [][]Pair[K, V], slots []int32, keys int,
+func combineSlots[K comparable, V, C any](tc *TaskContext, chunks [][]Pair[K, V], slots []int32, keys int,
 	create func(V) C, merge func(*C, V)) []Pair[K, C] {
 	if keys == 0 {
 		return nil
 	}
-	out := make([]Pair[K, C], keys)
+	// Every slot is created before it is merged into, so a recycled slice
+	// needs no clearing.
+	out := take[Pair[K, C]](tc, keys)
 	made := 0
 	for _, ch := range chunks {
 		for i := range ch {
@@ -172,7 +176,7 @@ func combineSlots[K comparable, V, C any](chunks [][]Pair[K, V], slots []int32, 
 // in first-seen order, and returns the slots and the key count. Tile
 // coordinates — the DP drivers' keys — are numbered through a dense
 // table when they are dense enough; anything else goes through a map.
-func numberKeys[K comparable, V any](chunks [][]Pair[K, V]) ([]int32, int) {
+func numberKeys[K comparable, V any](tc *TaskContext, chunks [][]Pair[K, V]) ([]int32, int) {
 	n := 0
 	for _, ch := range chunks {
 		n += len(ch)
@@ -181,16 +185,16 @@ func numberKeys[K comparable, V any](chunks [][]Pair[K, V]) ([]int32, int) {
 		return nil, 0
 	}
 	if cs, ok := any(chunks).([][]Pair[matrix.Coord, V]); ok {
-		if slots, keys, ok := numberCoords(cs, n); ok {
+		if slots, keys, ok := numberCoords(tc, cs, n); ok {
 			return slots, keys
 		}
 	}
-	return numberByMap(chunks, n)
+	return numberByMap(tc, chunks, n)
 }
 
 // numberByMap numbers the n records' keys through a map.
-func numberByMap[K comparable, V any](chunks [][]Pair[K, V], n int) ([]int32, int) {
-	slots := make([]int32, 0, n)
+func numberByMap[K comparable, V any](tc *TaskContext, chunks [][]Pair[K, V], n int) ([]int32, int) {
+	slots := take[int32](tc, n)[:0]
 	index := make(map[K]int32, n)
 	for _, ch := range chunks {
 		for i := range ch {
@@ -221,7 +225,7 @@ var denseTables sync.Pool
 // numberCoords numbers the n records' coordinate keys through a table
 // over their bounding box, cell (I−minI)·w + (J−minJ) holding a key's
 // slot + 1. ok is false when the box is too sparse for one.
-func numberCoords[V any](chunks [][]Pair[matrix.Coord, V], n int) (slots []int32, keys int, ok bool) {
+func numberCoords[V any](tc *TaskContext, chunks [][]Pair[matrix.Coord, V], n int) (slots []int32, keys int, ok bool) {
 	minI, minJ, maxI, maxJ := math.MaxInt, math.MaxInt, -1, -1
 	for _, ch := range chunks {
 		for i := range ch {
@@ -246,7 +250,7 @@ func numberCoords[V any](chunks [][]Pair[matrix.Coord, V], n int) (slots []int32
 		*tp = make([]int32, area)
 	}
 	table := (*tp)[:area]
-	slots = make([]int32, 0, n)
+	slots = take[int32](tc, n)[:0]
 	for _, ch := range chunks {
 		for i := range ch {
 			cell := &table[(ch[i].Key.I-minI)*int(w)+ch[i].Key.J-minJ]

@@ -1,9 +1,6 @@
 package rdd
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // RDD is a typed, lazily evaluated, partitioned distributed dataset —
 // transformations build lineage; actions (Collect, Count) trigger jobs.
@@ -129,7 +126,7 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 		case len(in):
 			return p
 		}
-		out := make([]T, 0, keep)
+		out := take[T](tc, keep)[:0]
 		for i := range in {
 			if pred(in[i]) {
 				out = append(out, in[i])
@@ -158,7 +155,7 @@ func Map[T, U any](r *RDD[T], f func(tc *TaskContext, rec T) U) *RDD[U] {
 		if len(in) == 0 {
 			return nil
 		}
-		out := make([]U, len(in))
+		out := take[U](tc, len(in))
 		for i := range in {
 			out[i] = f(tc, in[i])
 		}
@@ -169,26 +166,28 @@ func Map[T, U any](r *RDD[T], f func(tc *TaskContext, rec T) U) *RDD[U] {
 // FlatMap applies f to every record and concatenates the results.
 // Narrow; clears the partitioner. The engine keeps the slices f returns
 // until the partition is assembled (and adopts a lone one as the
-// partition), so f must return a fresh slice per call.
+// partition), so f must return a fresh slice per call. A slice f takes
+// from Scratch is recycled: in a shuffle-map task the engine reuses it
+// once the task's records are in the shuffle, so f must not keep it.
 func FlatMap[T, U any](r *RDD[T], f func(tc *TaskContext, rec T) []U) *RDD[U] {
 	out := narrow[T, U](r, "flatMap", nil, func(tc *TaskContext, _ int, in []T) partition {
 		if len(in) == 0 {
 			return nil
 		}
 		// Gather the emits, then copy once into an exactly sized slice.
-		emits := make([][]U, len(in))
+		emits := take[[]U](tc, len(in))
 		total := 0
 		for i := range in {
 			emits[i] = f(tc, in[i])
 			total += len(emits[i])
 		}
-		return box(concat(emits, total))
+		return box(concat(tc, emits, total))
 	})
 	// Read as chunks, the emits are the chunks: no copy at all.
 	parent := r.ds
 	out.ds.chunks = chunkFunc[U](func(tc *TaskContext, split int, into [][]U) [][]U {
 		in := unbox[T](parent.ctx.iterate(parent, split, tc))
-		into = slices.Grow(into, len(in))
+		into = grow(tc, into, len(in))
 		for i := range in {
 			if e := f(tc, in[i]); len(e) > 0 {
 				into = append(into, e)
@@ -201,7 +200,7 @@ func FlatMap[T, U any](r *RDD[T], f func(tc *TaskContext, rec T) []U) *RDD[U] {
 
 // concat joins chunks holding total records into one slice; when a single
 // chunk holds them all it is returned as is.
-func concat[T any](chunks [][]T, total int) []T {
+func concat[T any](tc *TaskContext, chunks [][]T, total int) []T {
 	if total == 0 {
 		return nil
 	}
@@ -210,7 +209,7 @@ func concat[T any](chunks [][]T, total int) []T {
 			return ch
 		}
 	}
-	out := make([]T, 0, total)
+	out := take[T](tc, total)[:0]
 	for _, ch := range chunks {
 		out = append(out, ch...)
 	}
@@ -219,7 +218,9 @@ func concat[T any](chunks [][]T, total int) []T {
 
 // MapPartitions applies f to each whole partition. preservesPartitioning
 // keeps the input partitioner (assert keys unchanged), as in Spark. recs
-// is the engine's own partition, not a copy: f must not modify it.
+// is the engine's own partition, not a copy: f must not modify it, nor
+// keep it past its return. A slice f returns from Scratch is recycled
+// like FlatMap's emits.
 func MapPartitions[T, U any](r *RDD[T], f func(tc *TaskContext, recs []T) []U, preservesPartitioning bool) *RDD[U] {
 	var part Partitioner
 	if preservesPartitioning {
@@ -275,7 +276,7 @@ func (r *RDD[T]) Union(others ...*RDD[T]) *RDD[T] {
 			if len(ins) <= 1 {
 				return only
 			}
-			return concat(ins, total)
+			return concat(tc, ins, total)
 		}
 		ds.chunks = chunkFunc[T](func(tc *TaskContext, split int, into [][]T) [][]T {
 			for _, d := range deps {
