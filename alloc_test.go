@@ -9,11 +9,12 @@ import (
 )
 
 // Allocation budgets, captured on a 2-core x86-64 host at GOMAXPROCS=2.
-// Across GOMAXPROCS 1–8 the measured values stay within 4 % of these.
+// Across GOMAXPROCS 1–8 the measured values stay within 5 % of these;
+// sync.Pool keeps its objects per P, so CI checks them at 1, 2 and 8.
 const (
 	fineSolveAllocs = 22_100
 	fineSolveBytes  = 5_600_000
-	tablesBytes     = 273_400_000
+	tablesBytes     = 215_000_000
 	// allocSlack is the headroom over a budget before it fails.
 	allocSlack = 1.10
 )
@@ -36,8 +37,8 @@ func heapDelta(f func()) (mallocs, bytes uint64) {
 //     allocations per task and shows in its bytes.
 //   - A symbolic Table I + Table II regeneration is 30 cells of 33 stages
 //     and no arithmetic each, so a task-count-sized slab made per stage
-//     again (instead of taken from the Context's free list) multiplies
-//     its bytes.
+//     again (instead of taken from the stage scratch pool) multiplies its
+//     bytes.
 //
 // The race detector drops pooled objects at random and instruments
 // allocation, so the budgets hold only without it.
@@ -49,15 +50,15 @@ func TestAllocBudget(t *testing.T) {
 	solve := func() {
 		// Pinned, not left at its default of the host's CPU count.
 		s := &Session{ctx: rdd.NewContext(rdd.Conf{Cluster: Local(4), RealParallelism: 2})}
-		defer s.Close()
 		if _, _, err := s.APSP(g, Config{BlockSize: 8, Driver: IM}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	solve()
 	mallocs, bytes := heapDelta(solve)
-	// A table is 30 cells on fresh Contexts, so its first cell warms what
-	// the other 29 reuse; a warm-up regeneration would add no information.
+	// A table is 30 cells on fresh Contexts, and the pools they draw on
+	// are shared, so its first cell warms what the other 29 reuse; a
+	// warm-up regeneration would add no information.
 	_, tables := heapDelta(func() {
 		experiments.TableI(benchN)
 		experiments.TableII(benchN)

@@ -226,7 +226,6 @@ func BenchmarkAblationUndirected(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(stats.Time.Seconds(), "model_s")
-				closeUntimed(b, ctx.Close)
 			}
 		})
 	}
@@ -353,7 +352,6 @@ func BenchmarkEngineAPSPReal(b *testing.B) {
 				if _, _, err := s.APSP(g, Config{BlockSize: 64, Driver: driver}); err != nil {
 					b.Fatal(err)
 				}
-				closeUntimed(b, s.Close)
 			}
 		})
 	}
@@ -370,7 +368,6 @@ func BenchmarkEngineAPSPFine(b *testing.B) {
 		if _, _, err := s.APSP(g, Config{BlockSize: 8, Driver: core.IM}); err != nil {
 			b.Fatal(err)
 		}
-		closeUntimed(b, s.Close)
 	}
 }
 
@@ -382,7 +379,6 @@ func BenchmarkEngineGEReal(b *testing.B) {
 		if _, _, err := s.SolveLinear(a, rhs, Config{BlockSize: 64, Driver: CB}); err != nil {
 			b.Fatal(err)
 		}
-		closeUntimed(b, s.Close)
 	}
 }
 
@@ -395,13 +391,12 @@ func BenchmarkBaselineReal(b *testing.B) {
 		if _, _, err := baseline.Solve(ctx, d, baseline.Config{BlockSize: 64}); err != nil {
 			b.Fatal(err)
 		}
-		closeUntimed(b, ctx.Close)
 	}
 }
 
-// closeUntimed releases an iteration's engine context outside the timed
-// region: an unclosed context keeps the buffers it recycles, and releasing
-// them is not part of the solve being priced.
+// closeUntimed closes an iteration's durable context outside the timed
+// region: draining the store's background writers is not part of the
+// solve being priced, but has to finish before its directory goes.
 func closeUntimed(b *testing.B, release func()) {
 	b.StopTimer()
 	release()

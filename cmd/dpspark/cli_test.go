@@ -105,7 +105,6 @@ func TestSolveOut(t *testing.T) {
 	chdir(t, t.TempDir())
 	cfg := dpspark.Config{BlockSize: 32, Driver: dpspark.IM}
 	s := dpspark.NewSession(dpspark.Local(4))
-	defer s.Close()
 
 	var out bytes.Buffer
 	if code, stderr := invoke(&out, "solve", "-bench", "fw", "-size", "100", "-seed", "3", "-block", "32", "-out", "d.bin"); code != 0 {

@@ -52,7 +52,6 @@ func (v *inv) solve(_ context.Context, w io.Writer) error {
 		return fmt.Errorf("unknown -kernel %q (want iter or rec)", v.kernel)
 	}
 	s := dpspark.NewSession(dpspark.Local(v.cores))
-	defer s.Close()
 	if bench == "ge" {
 		return v.solveLinear(w, s, cfg)
 	}

@@ -117,11 +117,6 @@ func NewSessionObserved(c *Cluster, execCores int, o *Observer) *Session {
 	return &Session{ctx: rdd.NewContext(rdd.Conf{Cluster: c, ExecutorCores: execCores, Observer: o})}
 }
 
-// Close releases what the session's engine context keeps between solves:
-// the stage and shuffle buffers it recycles and, on a durable context, the
-// block store's background writers. No solve may be in flight. Idempotent.
-func (s *Session) Close() { s.ctx.Close() }
-
 // Context exposes the underlying engine context (ledger, clock, model).
 func (s *Session) Context() *rdd.Context { return s.ctx }
 

@@ -10,7 +10,6 @@ import (
 
 func TestFacadeAPSP(t *testing.T) {
 	s := NewSession(Local(4))
-	t.Cleanup(s.Close)
 	g := RandomGraph(40, 0.2, 1, 9, 1)
 	dist, stats, err := s.APSP(g, Config{BlockSize: 16, Driver: IM})
 	if err != nil {
@@ -61,7 +60,6 @@ func TestFacadeKernelThreads(t *testing.T) {
 
 func TestFacadeLinearSolve(t *testing.T) {
 	s := NewSession(Local(4))
-	t.Cleanup(s.Close)
 	a, b := RandomSystem(30, 2)
 	x, _, err := s.SolveLinear(a, b, Config{BlockSize: 8, Driver: CB})
 	if err != nil {
@@ -74,7 +72,6 @@ func TestFacadeLinearSolve(t *testing.T) {
 
 func TestFacadeTransitiveClosure(t *testing.T) {
 	s := NewSession(Local(2))
-	t.Cleanup(s.Close)
 	g := GridGraph(2, 3, 1, 2, 3)
 	tc, _, err := s.TransitiveClosure(g, Config{BlockSize: 4})
 	if err != nil {
@@ -91,7 +88,6 @@ func TestFacadeTransitiveClosure(t *testing.T) {
 
 func TestFacadeWidestPaths(t *testing.T) {
 	s := NewSession(Local(2))
-	t.Cleanup(s.Close)
 	n := 3
 	d0 := &Matrix{N: n, Data: make([]float64, n*n)}
 	sr := MaxMin()
@@ -139,7 +135,6 @@ func TestFacadeLongestPathOnDAG(t *testing.T) {
 		}
 	}
 	s := NewSession(Local(2))
-	t.Cleanup(s.Close)
 	out, _, err := s.APSPSemiring(d0, sr, Config{BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -150,10 +145,10 @@ func TestFacadeLongestPathOnDAG(t *testing.T) {
 	}
 }
 
-// TestFacadeSessionClose: solves on one reused session — whose context
-// recycles its stage and shuffle buffers from the second solve on — return
-// the bits a fresh session returns, and Close may be called twice.
-func TestFacadeSessionClose(t *testing.T) {
+// TestFacadeSessionReuse: solves on one reused session — whose stages
+// recycle the buffers earlier solves pooled — return the bits a fresh
+// session returns.
+func TestFacadeSessionReuse(t *testing.T) {
 	g := RandomGraph(60, 0.2, 1, 9, 3)
 	cfg := Config{BlockSize: 8, Driver: IM}
 	want, _, err := NewSession(Local(4)).APSP(g, cfg)
@@ -172,13 +167,10 @@ func TestFacadeSessionClose(t *testing.T) {
 			}
 		}
 	}
-	s.Close()
-	s.Close()
 }
 
 func TestFacadeSymbolicSession(t *testing.T) {
 	s := NewSessionExecutorCores(Skylake16(), 16)
-	t.Cleanup(s.Close)
 	if s.Context().ExecutorCores() != 16 {
 		t.Fatal("executor cores not applied")
 	}
@@ -248,7 +240,6 @@ func TestFacadeEliminate(t *testing.T) {
 func TestFacadeObservedSession(t *testing.T) {
 	o := NewObserver()
 	s := NewSessionObserved(Local(2), 0, o)
-	t.Cleanup(s.Close)
 	if s.Observer() != o {
 		t.Fatal("Session.Observer is not the observer the session was built on")
 	}
@@ -259,7 +250,6 @@ func TestFacadeObservedSession(t *testing.T) {
 		t.Fatalf("observer counted %d kernel calls, want %d", got, 4*16)
 	}
 	plain := NewSession(Local(2))
-	t.Cleanup(plain.Close)
 	if plain.Observer() == nil || plain.Observer() == o {
 		t.Fatal("a plain session must have an observer of its own")
 	}

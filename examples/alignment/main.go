@@ -30,7 +30,6 @@ func main() {
 	}
 
 	session := dpspark.NewSession(dpspark.Local(4))
-	defer session.Close()
 	length, stats, err := session.LCS(a, b, 150)
 	if err != nil {
 		log.Fatal(err)

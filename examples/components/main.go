@@ -20,7 +20,6 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges\n", g.N, g.Edges())
 
 	session := dpspark.NewSession(dpspark.Local(4))
-	defer session.Close()
 	cfg := dpspark.Config{BlockSize: 75, Driver: dpspark.IM}
 
 	labels, stats, err := session.StronglyConnectedComponents(g, cfg)
@@ -43,7 +42,6 @@ func main() {
 
 	// Reachability via the closure matrix directly.
 	closure := dpspark.NewSession(dpspark.Local(4))
-	defer closure.Close()
 	tc, _, err := closure.TransitiveClosure(g, cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -20,7 +20,6 @@ func main() {
 	fmt.Printf("system: %d equations, %d unknowns (diagonally dominant)\n", m, m)
 
 	session := dpspark.NewSession(dpspark.Local(4))
-	defer session.Close()
 	cfg := dpspark.Config{
 		BlockSize:       150,
 		Driver:          dpspark.CB, // the paper's winner for GE
@@ -38,7 +37,6 @@ func main() {
 	// GE also yields the LU decomposition (paper §IV): eliminate the raw
 	// matrix and extract the factors.
 	factoring := dpspark.NewSession(dpspark.Local(4))
-	defer factoring.Close()
 	elim, _, err := factoring.Eliminate(a.Clone(), cfg)
 	if err != nil {
 		log.Fatal(err)

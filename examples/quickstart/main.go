@@ -20,7 +20,6 @@ func main() {
 	// The engine simulates a small local "cluster"; the computation runs
 	// for real on goroutines.
 	session := dpspark.NewSession(dpspark.Local(4))
-	defer session.Close()
 
 	// Iterative kernels (the baseline configuration).
 	distIter, statsIter, err := session.APSP(g, dpspark.Config{
@@ -36,7 +35,6 @@ func main() {
 	// Recursive 4-way R-DP kernels with 4 worker threads — the paper's
 	// OpenMP-offload configuration.
 	recursive := dpspark.NewSession(dpspark.Local(4))
-	defer recursive.Close()
 	distRec, statsRec, err := recursive.APSP(g, dpspark.Config{
 		BlockSize:       100,
 		Driver:          dpspark.IM,

@@ -23,7 +23,6 @@ func main() {
 	fmt.Printf("road network: %d intersections, %d road segments\n", g.N, g.Edges())
 
 	session := dpspark.NewSession(dpspark.Local(4))
-	defer session.Close()
 	cfg := dpspark.Config{
 		BlockSize:       96,
 		Driver:          dpspark.IM,
@@ -59,7 +58,6 @@ func main() {
 		}
 	}
 	capacity := dpspark.NewSession(dpspark.Local(4))
-	defer capacity.Close()
 	widest, _, err := capacity.APSPSemiring(capMat, sr, dpspark.Config{BlockSize: 96})
 	if err != nil {
 		log.Fatal(err)

@@ -1,9 +1,13 @@
 package dpspark
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -46,69 +50,249 @@ var exportsKeptWithoutCallers = map[string]string{
 	"obs.Registry.CounterTotal":             "test instrument: a counter summed over its label sets",
 	"obs.Histogram.Sum":                     "test instrument: a histogram's sum",
 	"obs.Observer.Spans":                    "test instrument: the recorded trace spans",
+	"kernels.Schedule.Equal":                "test instrument: compares a built Fig. 4 schedule with its derivation",
+	"matrix.Dense.Checksum":                 "reference: the dense checksum Blocked.Checksum is pinned to",
+	"mpifw.Solve":                           "reference: the MPI baseline run for real, checked against plain FW",
+	"matrix.Blocked.Clone":                  "test instrument: a deep copy of a grid",
+	"matrix.Dense.Equal":                    "test instrument: compares dense results within a tolerance",
+	"matrix.Tile.At":                        "test instrument: reads one element of a tile",
+	"matrix.View.Set":                       "test instrument: writes one element of a view",
+	"obs.Histogram.Count":                   "test instrument: a histogram's sample count",
+	"rdd.Breakdown.Total":                   "test instrument: the breakdown sum the clock tests compare",
+	"rdd.Broadcast.Bytes":                   "test instrument: a broadcast's staged payload",
+	"rdd.Context.Store":                     "test instrument: the durable tests inspect the context's block store",
+	"rdd.RDD.NumPartitions":                 "test instrument: the partition count the narrow-op tests assert",
+	"simtime.Ledger.Time":                   "test instrument: the resource-seconds of one category",
+	"simtime.Ledger.Bytes":                  "test instrument: the traffic of one category",
+	"simtime.Ledger.Total":                  "test instrument: the resource-seconds of all categories",
+	"simtime.Microsecond":                   "unit: the timing tests write modelled durations in it",
+	"store.Store.Has":                       "test instrument: whether a block is held",
+	"store.FSTier.Has":                      "test instrument: whether a tier holds a block file",
+	"store.Store.Spill":                     "test instrument: forces a block to the disk tier",
 	"semiring.MaxPlus":                      "used by the root facade test",
 	"graph.WriteDIMACS":                     "its round trip is what tests the live DIMACS reader",
 	"graph.WriteEdgeList":                   "its round trip is what tests the live edge-list reader",
-	"graph.dijkstraPQ.Less":                 "called by container/heap",
-	"graph.dijkstraPQ.Swap":                 "called by container/heap",
-	"rdd.waiterQueue.Less":                  "called by container/heap",
-	"rdd.waiterQueue.Swap":                  "called by container/heap",
-	"rdd.EngineState.UnmarshalJSON":         "called by encoding/json",
 	"serve.errInternal.Unwrap":              "called by errors.Is and errors.As",
 }
 
-// TestInternalExportsHaveCallers fails for an exported function or method
-// under internal/ whose name no non-test file in the module uses. Matching
-// is by name, so it can miss dead code but never flags live code.
+// TestInternalExportsHaveCallers fails for an exported function, method,
+// constant or variable under internal/ that no non-test file of the
+// module uses. Uses are resolved by type checking (go/types), so a method
+// that shares its name with something live is still found. A concrete
+// method also counts as used when a used interface method of the same
+// name is one its type implements (a call through kernels.Exec, error or
+// io.Writer); methods only the standard library calls need an allowlist
+// entry.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	used := map[string]bool{}
-	type decl struct{ key, pos string }
-	var decls []decl
-	for _, sf := range nonTestFiles(t, fset) {
-		f := sf.file
-		declared := map[*ast.Ident]bool{}
-		inInternal := strings.HasPrefix(sf.path, "internal/")
-		for _, dl := range f.Decls {
-			fn, ok := dl.(*ast.FuncDecl)
-			if !ok {
-				continue
+	pkgs, std := typeCheckModule(t)
+	used := map[types.Object]bool{}
+	var ifaceMethods []*types.Func
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			obj = origin(obj)
+			if !used[obj] {
+				if fn, ok := obj.(*types.Func); ok && isInterfaceMethod(fn) {
+					ifaceMethods = append(ifaceMethods, fn)
+				}
 			}
-			declared[fn.Name] = true
-			if !inInternal || !fn.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "."
-			if fn.Recv != nil {
-				key += recvName(fn.Recv.List[0].Type) + "."
-			}
-			decls = append(decls, decl{key + fn.Name.Name, fset.Position(fn.Pos()).String()})
+			used[obj] = true
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+	}
+	// The standard library calls these through an interface on values the
+	// module hands it: fmt prints a Stringer, container/heap orders a
+	// heap.Interface, encoding/json decodes into an Unmarshaler.
+	for _, name := range []struct{ pkg, iface string }{
+		{"fmt", "Stringer"}, {"container/heap", "Interface"}, {"encoding/json", "Unmarshaler"},
+	} {
+		pkg, err := std.Import(name.pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iface := pkg.Scope().Lookup(name.iface).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaceMethods = append(ifaceMethods, iface.Method(i))
+		}
+	}
+	implementsUsed := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		for _, im := range ifaceMethods {
+			iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if im.Name() == fn.Name() && iface.IsMethodSet() &&
+				(types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+				return true
 			}
-			return true
-		})
+		}
+		return false
 	}
 	var orphans []string
 	declared := map[string]bool{}
-	for _, d := range decls {
-		declared[d.key] = true
-		name := d.key[strings.LastIndexByte(d.key, '.')+1:]
-		if !used[name] && exportsKeptWithoutCallers[d.key] == "" {
-			orphans = append(orphans, d.key+" ("+d.pos+")")
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for _, obj := range p.exported() {
+			key := p.types.Name() + "." + obj.Name()
+			fn, method := obj.(*types.Func)
+			if method = method && fn.Type().(*types.Signature).Recv() != nil; method {
+				key = p.types.Name() + "." + methodRecv(fn) + "." + obj.Name()
+			}
+			declared[key] = true
+			if used[obj] || method && implementsUsed(fn) || exportsKeptWithoutCallers[key] != "" {
+				continue
+			}
+			orphans = append(orphans, key+" ("+p.fset.Position(obj.Pos()).String()+")")
 		}
 	}
 	sort.Strings(orphans)
 	for _, o := range orphans {
-		t.Errorf("no non-test caller: %s", o)
+		t.Errorf("no non-test use: %s", o)
 	}
 	for key := range exportsKeptWithoutCallers {
 		if !declared[key] {
 			t.Errorf("allowlist entry %s names no declaration", key)
 		}
 	}
+}
+
+// checkedPackage is one type-checked package of the module; dir is
+// slash-separated and relative to the module root.
+type checkedPackage struct {
+	dir   string
+	fset  *token.FileSet
+	types *types.Package
+	info  *types.Info
+	files []*ast.File
+}
+
+// exported lists the package-level functions, constants and variables
+// and the methods of package-level named types the package exports.
+func (p *checkedPackage) exported() []types.Object {
+	var objs []types.Object
+	scope := p.types.Scope()
+	for _, name := range scope.Names() {
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Func, *types.Const, *types.Var:
+			if obj.Exported() {
+				objs = append(objs, obj)
+			}
+		case *types.TypeName:
+			named, ok := obj.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					objs = append(objs, m)
+				}
+			}
+		}
+	}
+	return objs
+}
+
+// typeCheckModule type-checks every non-test package of the module for
+// this platform's build constraints — the nested benchmark module,
+// examples and commands included — importing the standard library from
+// its export data through the returned importer.
+func typeCheckModule(t *testing.T) ([]*checkedPackage, types.Importer) {
+	t.Helper()
+	fset := token.NewFileSet()
+	byPath := map[string]*checkedPackage{}
+	var all []*checkedPackage
+	std := importer.ForCompiler(fset, "gc", nil)
+	var check func(path string) (*types.Package, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if path == "dpspark" || strings.HasPrefix(path, "dpspark/") {
+			return check(path)
+		}
+		return std.Import(path)
+	})
+	check = func(path string) (*types.Package, error) {
+		if p := byPath[path]; p != nil {
+			return p.types, nil
+		}
+		dir := "."
+		if path != "dpspark" {
+			dir = strings.TrimPrefix(path, "dpspark/")
+		}
+		bp, err := build.Default.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		p := &checkedPackage{dir: dir, fset: fset, info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			p.files = append(p.files, f)
+		}
+		conf := types.Config{Importer: imp}
+		if p.types, err = conf.Check(path, fset, p.files, p.info); err != nil {
+			return nil, err
+		}
+		byPath[path] = p
+		all = append(all, p)
+		return p.types, nil
+	}
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		switch d.Name() {
+		case ".git", ".bench_build", "testdata":
+			return filepath.SkipDir
+		}
+		path := "dpspark"
+		if dir != "." {
+			path += "/" + filepath.ToSlash(dir)
+		}
+		if _, err := check(path); err != nil {
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				return nil
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all, std
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// isInterfaceMethod reports whether fn is a method of an interface.
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// origin is the generic declaration behind an instantiated method or
+// field, obj itself otherwise.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// methodRecv is the name of a method's receiver type, without pointer or
+// type arguments.
+func methodRecv(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	return recv.(*types.Named).Obj().Name()
 }
 
 // sourceFile is one parsed non-test file; path is slash-separated and
@@ -338,23 +522,4 @@ func typeKey(e ast.Expr, pkg string, imports map[string]string) string {
 		}
 	}
 	return ""
-}
-
-// recvName is the type name of a method receiver, without pointer or type
-// parameters.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
-		}
-	}
 }

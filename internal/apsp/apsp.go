@@ -70,14 +70,6 @@ func (s *Solver) run(ctx *rdd.Context, bl *matrix.Blocked) (*matrix.Dense, *core
 	return out.ToDense(), stats, nil
 }
 
-// SolveSymbolic prices an n-vertex run on the configured cluster without
-// computing distances (model mode).
-func (s *Solver) SolveSymbolic(ctx *rdd.Context, n int) (*core.Stats, error) {
-	bl := matrix.NewSymbolicBlocked(n, s.Config.BlockSize)
-	_, stats, err := core.Run(ctx, bl, s.Config)
-	return stats, err
-}
-
 // ReconstructPath returns the vertices of one shortest path from u to v
 // given the original graph and the solved distance matrix, or nil if v is
 // unreachable. It walks greedily: from u it follows any edge (u,w) with

@@ -143,7 +143,7 @@ func TestSolveMatchesRepeatedSquaring(t *testing.T) {
 func TestSolveSymbolic(t *testing.T) {
 	ctx := rdd.NewContext(rdd.Conf{Cluster: cluster.Skylake16()})
 	s := New(core.Config{BlockSize: 512, Driver: core.IM})
-	stats, err := s.SolveSymbolic(ctx, 2048)
+	_, stats, err := core.Run(ctx, matrix.NewSymbolicBlocked(2048, s.Config.BlockSize), s.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

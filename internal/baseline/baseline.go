@@ -82,13 +82,12 @@ func run(ctx *rdd.Context, bl *matrix.Blocked, cfg Config) (*matrix.Blocked, *co
 	}
 	dp := rdd.ParallelizePairs(ctx, blocks, part)
 
-	pool := matrix.DefaultPool
 	var cost [4]simtime.Duration
 	for kind := range cost {
 		cost[kind] = ctx.Model().KernelTime(rule, semiring.Kind(kind), bl.B, kc)
 	}
 	apply := func(tc *rdd.TaskContext, kind semiring.Kind, x, u, v, w *matrix.Tile) *matrix.Tile {
-		out := pool.Clone(x)
+		out := x.Clone()
 		tc.ChargeCompute(cost[kind], 1)
 		if !out.Symbolic() {
 			exec.Apply(kind, out, u, v, w)
@@ -136,15 +135,14 @@ func run(ctx *rdd.Context, bl *matrix.Blocked, cfg Config) (*matrix.Blocked, *co
 			panelIdx[b.Key] = b.Value
 		}
 		// lookup serves (i,k)/(k,j) tiles, transposing the mirror tile
-		// into a pooled temporary when only the other triangle is stored;
-		// the second result reports whether the caller must release it.
-		lookup := func(c matrix.Coord) (*matrix.Tile, bool) {
+		// when only the other triangle is stored.
+		lookup := func(c matrix.Coord) *matrix.Tile {
 			if t, ok := panelIdx[c]; ok {
-				return t, false
+				return t
 			}
 			if cfg.Undirected {
 				if t, ok := panelIdx[matrix.Coord{I: c.J, J: c.I}]; ok {
-					return pool.Transpose(t), true
+					return t.Transpose()
 				}
 			}
 			panic(fmt.Sprintf("baseline: panel tile %v missing", c))
@@ -156,18 +154,9 @@ func run(ctx *rdd.Context, bl *matrix.Blocked, cfg Config) (*matrix.Blocked, *co
 		interior := rdd.Map(dp.Filter(func(b Block) bool { return b.Key.I != k && b.Key.J != k }),
 			func(tc *rdd.TaskContext, b Block) Block {
 				panelBC.Get(tc)
-				u, uTmp := lookup(matrix.Coord{I: b.Key.I, J: k})
-				v, vTmp := lookup(matrix.Coord{I: k, J: b.Key.J})
-				out := rdd.KV(b.Key, apply(tc, semiring.KindD, b.Value, u, v, nil))
-				// The kernel only reads its operands; transposed
-				// temporaries recycle as soon as it returns.
-				if uTmp {
-					pool.Release(u)
-				}
-				if vTmp {
-					pool.Release(v)
-				}
-				return out
+				u := lookup(matrix.Coord{I: b.Key.I, J: k})
+				v := lookup(matrix.Coord{I: k, J: b.Key.J})
+				return rdd.KV(b.Key, apply(tc, semiring.KindD, b.Value, u, v, nil))
 			})
 
 		dp = rdd.PartitionBy(diag.Union(panels, interior), part)

@@ -410,7 +410,6 @@ func (run *runner) newKernelRunner() *kernelRunner {
 		kc:    run.kernelConfig(),
 		model: run.ctx.Model(),
 		b:     run.cfg.BlockSize,
-		pool:  matrix.DefaultPool,
 	}
 	kr.pexec, _ = e.(kernels.PoolExec)
 	for kind := semiring.KindA; kind <= semiring.KindD; kind++ {
@@ -456,7 +455,6 @@ type kernelRunner struct {
 	// size a run's grid holds.
 	b     int
 	price [4]kernelPrice
-	pool  *matrix.TilePool
 	m     [4]kindMetrics
 }
 
@@ -584,12 +582,11 @@ func (t *kernelTally) Flush() {
 // .cache(), and which failure recovery performs for lost map outputs),
 // but a deep copy per call is only needed when a replay could still
 // observe the input. The gen tag tracks that: gen 0 marks a tile the
-// engine does not own (user input — clone it into a pooled slab before
-// mutating; a replay clones again and reproduces the identical result
-// from the untouched input); a tile owned by a strictly earlier iteration
-// is mutated in place, because first executions always advance the tag to
-// at least this generation — 0 < tag < gen can only be a first execution;
-// and a tile tagged with this generation or later already contains this
+// engine does not own (user input — clone it before mutating; a replay
+// clones again and reproduces the identical result from the untouched
+// input); a tile owned by a strictly earlier iteration is mutated in
+// place, because first executions always advance the tag to at least this
+// generation — 0 < tag < gen can only be a first execution; and a tile tagged with this generation or later already contains this
 // kernel's effect — the call is a lineage replay (CB's deliberate
 // recompute, a task retry, or a recovery recompute of an older stage) and
 // returns it unchanged. Either way the modelled cost is charged in full:
@@ -618,7 +615,7 @@ func (kr *kernelRunner) apply(tc *rdd.TaskContext, gen uint32, kind semiring.Kin
 	}
 	out := x
 	if tag == 0 {
-		out = kr.pool.Clone(x)
+		out = x.Clone()
 	}
 	if !out.Symbolic() {
 		if k.skip > 0 {

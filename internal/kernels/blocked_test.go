@@ -104,37 +104,54 @@ func TestLoopBlockedMinPlusBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTilePoolUnderParallelKernels (run with -race): many goroutines
-// clone pooled tiles, run the recursive kernels' Pool.parallel fan-out on
-// them, verify the result against a serially computed reference and
-// release the slabs back for the next goroutine to reuse.
-func TestTilePoolUnderParallelKernels(t *testing.T) {
+// TestSharedRecursiveExecUnderParallelKernels (run with -race): many
+// goroutines share one recursive exec per rule, run its Pool.parallel
+// fan-out on their own clones and check the result against the
+// iterative kernel. Min-plus kind B leaves (b = 64 > kBlock) take k-block
+// captures and GE kind D takes a multiplier panel, both from the one
+// float scratch pool, so its slabs change hands between goroutines.
+func TestSharedRecursiveExecUnderParallelKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(209))
-	rule := semiring.NewFloydWarshall()
-	const n = 64
-	x0 := randomOperandTile(rule, n, rng)
-	u, v := randomOperandTile(rule, n, rng), randomOperandTile(rule, n, rng)
-
-	want := x0.Clone()
-	NewIterative(rule).Apply(semiring.KindD, want, u, v, nil)
-
-	pool := matrix.NewTilePool()
-	exec := NewRecursiveExec(rule, 2, 8, 4)
+	const n = 128
+	type job struct {
+		exec        Exec
+		kind        semiring.Kind
+		x0, u, v, w *matrix.Tile
+		want        *matrix.Tile
+	}
+	var jobs []job
+	for _, c := range []struct {
+		rule semiring.Rule
+		kind semiring.Kind
+	}{{semiring.NewFloydWarshall(), semiring.KindB}, {semiring.NewGaussian(), semiring.KindD}} {
+		x0 := randomOperandTile(c.rule, n, rng)
+		u, w := randomOperandTile(c.rule, n, rng), randomOperandTile(c.rule, n, rng)
+		v := randomOperandTile(c.rule, n, rng)
+		if c.kind == semiring.KindB {
+			// Kind B's v is x itself, and its pivot tile u is closed
+			// (kind A's output), as in a solve.
+			v = nil
+			NewIterative(c.rule).Apply(semiring.KindA, u, nil, nil, nil)
+		}
+		want := x0.Clone()
+		NewIterative(c.rule).Apply(c.kind, want, u, v, w)
+		jobs = append(jobs, job{NewRecursiveExec(c.rule, 2, 64, 4), c.kind, x0, u, v, w, want})
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for iter := 0; iter < 20; iter++ {
-				x := pool.Clone(x0)
-				exec.Apply(semiring.KindD, x, u, v, nil)
+			for iter := 0; iter < 10; iter++ {
+				j := jobs[(g+iter)%len(jobs)]
+				x := j.x0.Clone()
+				j.exec.Apply(j.kind, x, j.u, j.v, j.w)
 				for i := range x.Data {
-					if x.Data[i] != want.Data[i] {
-						t.Errorf("pooled parallel kernel diverges at %d", i)
+					if x.Data[i] != j.want.Data[i] {
+						t.Errorf("%s kind %v diverges from the iterative kernel at %d", j.exec.Name(), j.kind, i)
 						return
 					}
 				}
-				pool.Release(x)
 			}
 		}()
 	}

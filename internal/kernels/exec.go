@@ -128,12 +128,6 @@ func (e RecursiveExec) Name() string {
 // Rule implements Exec.
 func (e RecursiveExec) Rule() semiring.Rule { return e.rec.Rule }
 
-// RShared returns the kernel fan-out.
-func (e RecursiveExec) RShared() int { return e.rec.R }
-
-// Threads returns the pool width.
-func (e RecursiveExec) Threads() int { return e.rec.Pool.Threads() }
-
 // Apply implements Exec.
 func (e RecursiveExec) Apply(kind semiring.Kind, x, u, v, w *matrix.Tile) {
 	u, v, w = normalize(x, u, v, w)

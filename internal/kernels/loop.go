@@ -146,10 +146,27 @@ const (
 	aRows = 16
 )
 
-// pivotRows recycles the k-block captures of kinds A and B: kBlock pivot
-// rows before and after their panel (2·kBlock·n values), and for kind A
-// kBlock scalars per row (kBlock·n more).
-var pivotRows sync.Pool
+// floatScratch recycles the kernels' float temporaries: the k-block
+// captures of min-plus kinds A and B (kBlock pivot rows before and after
+// their panel, 2·kBlock·n values, and for kind A kBlock scalars per row,
+// kBlock·n more) and GE kind D's n×n multiplier panel. Like every pool
+// under internal/, it is a package-level sync.Pool the collector drains.
+var floatScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// takeFloats returns a slab of at least n floats, unzeroed, boxed for
+// floatScratch.Put.
+func takeFloats(n int) *[]float64 {
+	p := floatScratch.Get().(*[]float64)
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	}
+	return p
+}
+
+// squareView is the n×n view over a slab of at least n² floats.
+func squareView(s []float64, n int) matrix.View {
+	return matrix.View{Data: s[:n*n], N: n, Stride: n}
+}
 
 // loopMinPlusPivotRows is kind B (x = v, u the fixed pivot tile) and kind
 // A (x = u = v) one k-block [k0,k1) at a time. Phase 1 runs the ordered
@@ -171,11 +188,7 @@ func loopMinPlusPivotRows(x, u matrix.View) {
 	if kindA {
 		panels = 3
 	}
-	p, _ := pivotRows.Get().(*[]float64)
-	if p == nil || cap(*p) < panels*kBlock*n {
-		buf := make([]float64, panels*kBlock*n)
-		p = &buf
-	}
+	p := takeFloats(panels * kBlock * n)
 	pre, post, scalars := (*p)[:kBlock*n], (*p)[kBlock*n:2*kBlock*n], (*p)[2*kBlock*n:panels*kBlock*n]
 	for k0 := 0; k0 < n; k0 += kBlock {
 		k1 := min(k0+kBlock, n)
@@ -211,7 +224,7 @@ func loopMinPlusPivotRows(x, u matrix.View) {
 			i = i1
 		}
 	}
-	pivotRows.Put(p)
+	floatScratch.Put(p)
 }
 
 // loopGaussian is the elimination inner loop with the row multiplier
@@ -224,8 +237,8 @@ func loopGaussian(pool *Pool, kind semiring.Kind, x, u, v, w matrix.View) {
 	// blocked.go for the bit-identity argument. Each band writes its own
 	// rows of the multiplier panel, then reads only those.
 	if kind == semiring.KindD && !sameView(x, u) && !sameView(x, v) && !sameView(x, w) {
-		f := matrix.DefaultPool.Alloc(n)
-		fv := f.View()
+		p := takeFloats(n * n)
+		fv := squareView(*p, n)
 		if bands(pool, n) {
 			bandParallel(pool, n, func(i0, i1 int) {
 				gaussMultipliers(fv, u, w, i0, i1)
@@ -235,7 +248,7 @@ func loopGaussian(pool *Pool, kind semiring.Kind, x, u, v, w matrix.View) {
 			gaussMultipliers(fv, u, w, 0, n)
 			gaussianBand(x, fv, v, 0, n)
 		}
-		matrix.DefaultPool.Release(f)
+		floatScratch.Put(p)
 		return
 	}
 	// Ordered kij over the kind's triangle: rows [ILow,n) × columns

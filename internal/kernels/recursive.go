@@ -92,10 +92,11 @@ func (rc *Recursive) run(held bool, kind semiring.Kind, x, u, v, w, f matrix.Vie
 	}
 	_, ge := rc.Rule.(semiring.GaussianRule)
 	if ge && kind == semiring.KindD && f.Data == nil && !sameView(x, u) && !sameView(x, v) && !sameView(x, w) {
-		t := matrix.DefaultPool.Alloc(x.N)
-		gaussMultipliers(t.View(), u, w, 0, x.N)
-		rc.run(held, kind, x, u, v, w, t.View())
-		matrix.DefaultPool.Release(t)
+		p := takeFloats(x.N * x.N)
+		fv := squareView(*p, x.N)
+		gaussMultipliers(fv, u, w, 0, x.N)
+		rc.run(held, kind, x, u, v, w, fv)
+		floatScratch.Put(p)
 		return
 	}
 	ops := [...]matrix.View{OpX: x, OpU: u, OpV: v, OpW: w}

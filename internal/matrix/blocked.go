@@ -170,12 +170,3 @@ func (bl *Blocked) Clone() *Blocked {
 	}
 	return out
 }
-
-// Bytes returns the total payload size across all tiles.
-func (bl *Blocked) Bytes() int64 {
-	var n int64
-	for _, t := range bl.Tiles {
-		n += t.Bytes()
-	}
-	return n
-}

@@ -2,15 +2,11 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
-
-// inf is the +Inf histogram overflow bound.
-var inf = math.Inf(1)
 
 // Labels identify one series within a metric family. Values must not
 // contain the `"` or newline characters (they are emitted verbatim into
@@ -82,13 +78,6 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) {
 	g.mu.Lock()
 	g.v = v
-	g.mu.Unlock()
-}
-
-// Add adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	g.mu.Lock()
-	g.v += d
 	g.mu.Unlock()
 }
 
@@ -179,22 +168,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Max returns the upper bound of the highest non-empty bucket (an upper
-// estimate of the maximum sample; +Inf if the overflow bucket is hit).
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := len(h.counts) - 1; i >= 0; i-- {
-		if h.counts[i] > 0 {
-			if i == len(h.buckets) {
-				return inf
-			}
-			return h.buckets[i]
-		}
-	}
-	return 0
 }
 
 // snapshot copies the histogram state under its lock.

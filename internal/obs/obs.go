@@ -41,9 +41,6 @@ type Span struct {
 	Args map[string]string
 }
 
-// End returns the span's end on the virtual clock.
-func (s Span) End() simtime.Duration { return s.Start + s.Dur }
-
 // Observer collects spans and metrics for one or more engine contexts.
 // It is safe for concurrent use from parallel tasks and parallel jobs.
 type Observer struct {

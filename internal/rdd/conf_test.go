@@ -130,8 +130,8 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		if conf.Cluster != sub.Cluster() || conf.KernelThreads != 2 {
 			t.Fatalf("mounted conf did not adopt substrate fields: cluster %v kernelThreads %d", conf.Cluster, conf.KernelThreads)
 		}
-		if conf.RealParallelism != sub.RealParallelism() {
-			t.Fatalf("RealParallelism = %d, want substrate's %d", conf.RealParallelism, sub.RealParallelism())
+		if conf.RealParallelism != sub.realPar {
+			t.Fatalf("RealParallelism = %d, want substrate's %d", conf.RealParallelism, sub.realPar)
 		}
 	})
 

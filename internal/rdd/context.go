@@ -243,15 +243,10 @@ type Context struct {
 	// that walks shuffles pays for those a long-lived context has retired.
 	shuffles map[int]*shuffleState
 	live     []*shuffleState
-	// scratchFree and arraysFree keep what settled stages and retired
-	// shuffles no longer need, for the next stage and the next shuffle to
-	// take (stageScratch, shuffleArrays); Close drops them.
-	scratchFree []*stageScratch
-	arraysFree  []shuffleArrays
-	taskErr     error
-	events      []StageEvent
-	phase       string
-	bd          Breakdown
+	taskErr  error
+	events   []StageEvent
+	phase    string
+	bd       Breakdown
 
 	// stageMetrics caches resolved stage-metric handles per (stage kind,
 	// phase): the registry lookup encodes and hashes a label map per

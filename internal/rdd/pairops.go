@@ -6,7 +6,6 @@ package rdd
 
 import (
 	"math"
-	"sync"
 
 	"dpspark/internal/matrix"
 )
@@ -219,9 +218,6 @@ const (
 	denseMinCells = 64
 )
 
-// denseTables recycles numberCoords' tables; each goes back all zero.
-var denseTables sync.Pool
-
 // numberCoords numbers the n records' coordinate keys through a table
 // over their bounding box, cell (I−minI)·w + (J−minJ) holding a key's
 // slot + 1. ok is false when the box is too sparse for one.
@@ -242,14 +238,9 @@ func numberCoords[V any](tc *TaskContext, chunks [][]Pair[matrix.Coord, V], n in
 		return nil, 0, false
 	}
 	area := int(h * w)
-	tp, _ := denseTables.Get().(*[]int32)
-	if tp == nil {
-		tp = new([]int32)
-	}
-	if cap(*tp) < area {
-		*tp = make([]int32, area)
-	}
+	tp := takeInt32s(area)
 	table := (*tp)[:area]
+	clear(table)
 	slots = take[int32](tc, n)[:0]
 	for _, ch := range chunks {
 		for i := range ch {
@@ -261,8 +252,7 @@ func numberCoords[V any](tc *TaskContext, chunks [][]Pair[matrix.Coord, V], n in
 			slots = append(slots, *cell-1)
 		}
 	}
-	clear(table)
-	denseTables.Put(tp)
+	int32Scratch.Put(tp)
 	return slots, keys, true
 }
 

@@ -8,17 +8,8 @@ type RDD[T any] struct {
 	ds *dataset
 }
 
-// Name returns the dataset's debug name.
-func (r *RDD[T]) Name() string { return r.ds.name }
-
 // NumPartitions returns the partition count.
 func (r *RDD[T]) NumPartitions() int { return r.ds.parts }
-
-// Partitioner returns the dataset's partitioner, or nil if unknown.
-func (r *RDD[T]) Partitioner() Partitioner { return r.ds.part }
-
-// Context returns the owning engine context.
-func (r *RDD[T]) Context() *Context { return r.ds.ctx }
 
 // Checkpoint eagerly materializes the RDD and truncates its lineage: its
 // partitions become stored data, upstream shuffles and parents are

@@ -78,11 +78,11 @@ func TestMapPartitionsPreservesPartitioner(t *testing.T) {
 		}
 		return out
 	}, true)
-	if mp.Partitioner() == nil || !mp.Partitioner().Equal(part) {
+	if mp.ds.part == nil || !mp.ds.part.Equal(part) {
 		t.Fatal("preservesPartitioning must keep the partitioner")
 	}
 	lost := MapPartitions(r, func(_ *TaskContext, recs []Pair[int, int]) []Pair[int, int] { return recs }, false)
-	if lost.Partitioner() != nil {
+	if lost.ds.part != nil {
 		t.Fatal("partitioner must be dropped without the flag")
 	}
 }
@@ -112,11 +112,11 @@ func TestPartitionByPlacesByKey(t *testing.T) {
 		pairs = append(pairs, KV(i, "v"))
 	}
 	r := Parallelize(ctx, pairs, 3) // no partitioner
-	if r.Partitioner() != nil {
+	if r.ds.part != nil {
 		t.Fatal("fresh parallelize must have no partitioner")
 	}
 	pb := PartitionBy(r, part)
-	if pb.NumPartitions() != 4 || !pb.Partitioner().Equal(part) {
+	if pb.NumPartitions() != 4 || !pb.ds.part.Equal(part) {
 		t.Fatal("partitionBy metadata wrong")
 	}
 	// Records must land in the partitioner-assigned partition: verify via
@@ -220,7 +220,7 @@ func TestUnionPartitionerAware(t *testing.T) {
 	a := ParallelizePairs(ctx, []Pair[int, int]{KV(1, 1)}, part)
 	b := ParallelizePairs(ctx, []Pair[int, int]{KV(2, 2)}, part)
 	u := a.Union(b)
-	if u.NumPartitions() != 4 || u.Partitioner() == nil {
+	if u.NumPartitions() != 4 || u.ds.part == nil {
 		t.Fatal("co-partitioned union must stay partitioner-aware")
 	}
 	recs, err := u.Collect()
@@ -230,8 +230,8 @@ func TestUnionPartitionerAware(t *testing.T) {
 
 	c := Parallelize(ctx, []Pair[int, int]{KV(3, 3)}, 2) // no partitioner
 	u2 := a.Union(c)
-	if u2.Partitioner() != nil || u2.NumPartitions() != 6 {
-		t.Fatalf("mixed union: part=%v n=%d", u2.Partitioner(), u2.NumPartitions())
+	if u2.ds.part != nil || u2.NumPartitions() != 6 {
+		t.Fatalf("mixed union: part=%v n=%d", u2.ds.part, u2.NumPartitions())
 	}
 	recs2, err := u2.Collect()
 	if err != nil || len(recs2) != 2 {
@@ -244,7 +244,7 @@ func TestMapValuesPreservesPartitioner(t *testing.T) {
 	part := NewHashPartitioner(3)
 	r := ParallelizePairs(ctx, []Pair[int, int]{KV(1, 10), KV(2, 20)}, part)
 	mv := MapValues(r, func(_ *TaskContext, k, v int) int { return v + k })
-	if mv.Partitioner() == nil || !mv.Partitioner().Equal(part) {
+	if mv.ds.part == nil || !mv.ds.part.Equal(part) {
 		t.Fatal("mapValues must preserve the partitioner")
 	}
 	m, err := CollectMap(mv)

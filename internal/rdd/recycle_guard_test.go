@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dpspark/internal/cluster"
@@ -55,6 +56,15 @@ func guardInput(rule semiring.Rule, n int, seed int64) *matrix.Dense {
 // guardSolve runs one solve (a resume when meta is set) and records it.
 func guardSolve(t *testing.T, conf rdd.Conf, cfg core.Config, in *matrix.Dense, meta *core.CheckpointMeta, bl *matrix.Blocked) guardRun {
 	t.Helper()
+	run, err := solveRecorded(conf, cfg, in, meta, bl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// solveRecorded is guardSolve for any goroutine: it returns the error.
+func solveRecorded(conf rdd.Conf, cfg core.Config, in *matrix.Dense, meta *core.CheckpointMeta, bl *matrix.Blocked) (guardRun, error) {
 	ctx := rdd.NewContext(conf)
 	defer ctx.Close()
 	var out *matrix.Blocked
@@ -66,14 +76,14 @@ func guardSolve(t *testing.T, conf rdd.Conf, cfg core.Config, in *matrix.Dense, 
 		out, stats, err = core.Run(ctx, matrix.Block(in, cfg.BlockSize, cfg.Rule.Pad(), cfg.Rule.PadDiag()), cfg)
 	}
 	if err != nil {
-		t.Fatal(err)
+		return guardRun{}, err
 	}
 	d := out.ToDense()
 	bits := make([]uint64, len(d.Data))
 	for i, v := range d.Data {
 		bits[i] = math.Float64bits(v)
 	}
-	return guardRun{bits: bits, time: stats.Time, rs: ctx.RecoveryStats(), events: ctx.Events()}
+	return guardRun{bits: bits, time: stats.Time, rs: ctx.RecoveryStats(), events: ctx.Events()}, nil
 }
 
 // poisonedMatches runs f without and with the seam and compares.
@@ -159,6 +169,52 @@ func TestRecycleGuardSolves(t *testing.T) {
 				rcfg.BlockSize, rcfg.Partitions, rcfg.CheckpointEvery = meta.B, meta.Partitions, meta.CheckpointEvery
 				return guardSolve(t, durable(&meta.Engine), rcfg, nil, meta, bl)
 			})
+		}
+	}
+}
+
+// TestRecycleGuardSharedSubstrate: two Contexts on one Substrate run FW IM
+// solves at once — serve's shape — with recycled memory poisoned. The
+// pools (record slabs, stage scratch, shuffle arrays, kernel scratch)
+// cross Contexts, so a slab one job still reads while the other recycles
+// it shows here. Each must reproduce the bits, modelled clock and stage
+// log of the same solve run alone.
+func TestRecycleGuardSharedSubstrate(t *testing.T) {
+	local := cluster.LocalN(4, 2)
+	rule := semiring.NewFloydWarshall()
+	cfg := core.Config{Rule: rule, BlockSize: 8, Driver: core.IM, Partitions: 8, CheckpointEvery: 2}
+	ins := []*matrix.Dense{guardInput(rule, 64, 7), guardInput(rule, 64, 8)}
+	solo := make([]guardRun, len(ins))
+	for i, in := range ins {
+		solo[i] = guardSolve(t, rdd.Conf{Cluster: local, RealParallelism: 2}, cfg, in, nil, nil)
+	}
+	sub, err := rdd.NewSubstrate(rdd.SubstrateConf{Cluster: local, RealParallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdd.PoisonRecycled(true)()
+	for round := 0; round < 3; round++ {
+		runs := make([]guardRun, len(ins))
+		errs := make([]error, len(ins))
+		var wg sync.WaitGroup
+		for i, in := range ins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runs[i], errs[i] = solveRecorded(rdd.Conf{Cluster: local, Substrate: sub}, cfg, in, nil, nil)
+			}()
+		}
+		wg.Wait()
+		for i := range ins {
+			switch {
+			case errs[i] != nil:
+				t.Fatalf("round %d, solve %d: %v", round, i, errs[i])
+			case !reflect.DeepEqual(runs[i].bits, solo[i].bits):
+				t.Errorf("round %d, solve %d: result bits differ from the solo run", round, i)
+			case runs[i].time != solo[i].time || !reflect.DeepEqual(runs[i].events, solo[i].events):
+				t.Errorf("round %d, solve %d: modelled clock or stage log differ from the solo run: %v, want %v",
+					round, i, runs[i].time, solo[i].time)
+			}
 		}
 	}
 }

@@ -17,10 +17,21 @@ type taskBucket struct {
 	blob   []byte
 }
 
-// scratchPool recycles bucketPairs' counters: one per target partition
-// plus one per record — a paper-scale grid has a thousand partitions and
-// map tasks that move three records.
-var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
+// int32Scratch recycles a task's int32 scratch, unzeroed: bucketPairs'
+// counters (one per target partition plus one per record — a paper-scale
+// grid has a thousand partitions and map tasks that move three records)
+// and numberCoords' dense tables.
+var int32Scratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// takeInt32s returns a slab of at least n int32s, unzeroed, boxed for
+// int32Scratch.Put.
+func takeInt32s(n int) *[]int32 {
+	p := int32Scratch.Get().(*[]int32)
+	if cap(*p) < n {
+		*p = make([]int32, n)
+	}
+	return p
+}
 
 // bucketPairs is the typed back half of every shuffle's map side: it
 // splits one map task's records — chunks, in order — by the target partitioner into one bucket
@@ -40,11 +51,8 @@ func bucketPairs[K comparable, V any](tc *TaskContext, chunks [][]Pair[K, V], pa
 	}
 	partOf := partitionFunc[K](part)
 	p := part.NumPartitions()
-	sp := scratchPool.Get().(*[]int32)
-	defer scratchPool.Put(sp)
-	if cap(*sp) < p+n {
-		*sp = make([]int32, p+n)
-	}
+	sp := takeInt32s(p + n)
+	defer int32Scratch.Put(sp)
 	ends, dest := (*sp)[:p], (*sp)[p:p+n]
 	clear(ends)
 	nonEmpty, i := 0, 0
@@ -142,10 +150,11 @@ type mapTaskOut struct {
 // refsByMap record where each map partition's output lives, its staged
 // bytes and how many buckets it produced — what executor-loss invalidation
 // and fetch attribution key on; outs is where the map tasks of one
-// execution leave their results for the merge. A retired shuffle gives
-// them to the Context's free list for the next shuffle to take. Arrays on
-// the list are zero over their whole capacity: every holder clears what it
-// used before letting go.
+// execution leave their results for the merge. A retired shuffle pools
+// them (shuffleArraysPool) for the next shuffle of any Context to take.
+// The pointer-bearing arrays go back zero over their whole capacity:
+// every execution clears outs after its merge, and the put clears
+// byReduce, which also lets go of the bucket slabs it pointed into.
 type shuffleArrays struct {
 	byReduce   [][]bucketRef
 	mapNode    []int
@@ -154,34 +163,39 @@ type shuffleArrays struct {
 	outs       []mapTaskOut
 }
 
-// takeShuffleArrays sizes a set of zeroed arrays for a shuffle: what the
-// free list kept is zero already, what has to grow is new.
-func (c *Context) takeShuffleArrays(mapParts, reduceParts int) shuffleArrays {
+// shuffleArraysPool recycles retired shuffles' arrays, like arenas.
+var shuffleArraysPool sync.Pool
+
+// takeShuffleArrays sizes a set of zeroed arrays for a shuffle: the
+// pointer-bearing ones come back zero, the per-map counters are cleared
+// here, what has to grow is new.
+func takeShuffleArrays(mapParts, reduceParts int) shuffleArrays {
 	var a shuffleArrays
-	c.mu.Lock()
-	if n := len(c.arraysFree); n > 0 {
-		a, c.arraysFree = c.arraysFree[n-1], c.arraysFree[:n-1]
+	if p, _ := shuffleArraysPool.Get().(*shuffleArrays); p != nil {
+		a = *p
 	}
-	c.mu.Unlock()
 	a.byReduce = slices.Grow(a.byReduce[:0], reduceParts)[:reduceParts]
 	a.mapNode = slices.Grow(a.mapNode[:0], mapParts)[:mapParts]
 	a.spillByMap = slices.Grow(a.spillByMap[:0], mapParts)[:mapParts]
 	a.refsByMap = slices.Grow(a.refsByMap[:0], mapParts)[:mapParts]
 	a.outs = slices.Grow(a.outs[:0], mapParts)[:mapParts]
-	return a
-}
-
-// putShuffleArrays clears a retired shuffle's arrays — which also lets go
-// of the bucket slabs byReduce pointed into — and puts them on the free
-// list. outs is already clear: every execution clears it after its merge.
-func (c *Context) putShuffleArrays(a shuffleArrays) {
-	clear(a.byReduce)
 	clear(a.mapNode)
 	clear(a.spillByMap)
 	clear(a.refsByMap)
-	c.mu.Lock()
-	c.arraysFree = append(c.arraysFree, a)
-	c.mu.Unlock()
+	return a
+}
+
+// putShuffleArrays clears a retired shuffle's byReduce and pools its
+// arrays. Under poisonRecycled the per-map counters read -1, so a reader
+// that kept them reads garbage.
+func putShuffleArrays(a shuffleArrays) {
+	clear(a.byReduce)
+	if poisonRecycled {
+		for i := range a.mapNode {
+			a.mapNode[i], a.spillByMap[i], a.refsByMap[i] = -1, -1, -1
+		}
+	}
+	shuffleArraysPool.Put(&a)
 }
 
 // runMapStage executes the map side of a shuffle: one task per parent
@@ -195,7 +209,7 @@ func (c *Context) runMapStage(sd *shuffleDep) {
 	mapParts := sd.parent.parts
 	st := &shuffleState{
 		dep:           sd,
-		shuffleArrays: c.takeShuffleArrays(mapParts, sd.part.NumPartitions()),
+		shuffleArrays: takeShuffleArrays(mapParts, sd.part.NumPartitions()),
 		spillByNode:   make([]int64, c.conf.Cluster.Nodes),
 	}
 	c.mu.Lock()
@@ -568,7 +582,7 @@ func (c *Context) retireOldShuffles() {
 		spillByNode := st.spillByNode
 		st.mu.Unlock()
 		st.recMu.Unlock()
-		c.recycleIfUnpinned(st)
+		recycleIfUnpinned(st)
 		for node, bytes := range spillByNode {
 			c.simul.ReleaseShuffle(node, bytes)
 		}

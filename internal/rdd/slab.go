@@ -14,10 +14,11 @@ import (
 // its records sit in its bucket slab (or are encoded); a bucket slab is
 // dead once its shuffle retires and its last reader is done. At that end
 // they go back to a free list — a sync.Pool per record type and
-// power-of-two capacity class, shared by every Context like scratchPool —
-// for the next task or shuffle to take. What stays unused for two
-// collections the collector frees, so the lists need no cap and nothing
-// to drop at Close. See DESIGN.md §9, "Record slab lifetimes".
+// power-of-two capacity class, shared by every Context like the stage
+// scratch and shuffle arrays — for the next task or shuffle to take. What
+// stays unused for two collections the collector frees, so the lists need
+// no cap and nothing to drop at Close. See DESIGN.md §9, "Record slab
+// lifetimes".
 //
 // A taken slice is not zeroed: every taker writes each record before it
 // reads it (bucketPairs places all n, merges and narrow outputs fill up
@@ -237,7 +238,7 @@ func (tc *TaskContext) endAttempt(panicked bool) {
 	for i, st := range a.pins {
 		a.pins[i] = nil
 		if st.pins.Add(-1) == 0 {
-			tc.ctx.recycleIfUnpinned(st)
+			recycleIfUnpinned(st)
 		}
 	}
 	a.pins = a.pins[:0]
@@ -256,7 +257,7 @@ func putArena(a *taskArena) {
 // recycleIfUnpinned recycles a retired shuffle's arrays and bucket slabs
 // once no reader pins it. Retirement and the last unpin both call it;
 // exactly one of them finds it retired, unpinned and not yet recycled.
-func (c *Context) recycleIfUnpinned(st *shuffleState) {
+func recycleIfUnpinned(st *shuffleState) {
 	st.mu.Lock()
 	if !st.retired || st.recycled || st.pins.Load() > 0 {
 		st.mu.Unlock()
@@ -279,5 +280,5 @@ func (c *Context) recycleIfUnpinned(st *shuffleState) {
 			}
 		}
 	}
-	c.putShuffleArrays(a)
+	putShuffleArrays(a)
 }

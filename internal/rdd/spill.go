@@ -60,19 +60,14 @@ type Codec interface {
 }
 
 // Store exposes the context's durable block store (nil when
-// Conf.DurableDir is unset). Drivers use it for their own staging (the
-// CB driver's collect/redistribute files).
+// Conf.DurableDir is unset).
 func (c *Context) Store() *store.Store { return c.store }
 
-// Close releases what the context holds on to between stages: it drops
-// the free lists of stage scratch and shuffle arrays, and drains and stops
-// the durable store's spill and replication writers (store.Close), so a
-// caller may remove DurableDir afterwards. Idempotent. Call it once no
-// stage is running.
+// Close drains and stops the durable store's spill and replication
+// writers (store.Close), so a caller may remove DurableDir afterwards; a
+// context without a store holds nothing to close. Idempotent. Call it
+// once no stage is running.
 func (c *Context) Close() {
-	c.mu.Lock()
-	c.scratchFree, c.arraysFree = nil, nil
-	c.mu.Unlock()
 	if c.store != nil {
 		c.store.Close()
 	}

@@ -275,8 +275,8 @@ func liveShuffles(c *Context) (states, tombstones, listed int) {
 
 // TestContextForgetsRetiredShuffles: a Context reused for many jobs keeps
 // at most keepShuffles shuffle states — the rest are tombstones whose
-// arrays went back to the free list — and a late job costs what an early
-// one did.
+// arrays went back to the pool, pointing at no bucket slab — and a late
+// job costs what an early one did.
 func TestContextForgetsRetiredShuffles(t *testing.T) {
 	const keep, jobs = 4, 50
 	ctx := NewContext(Conf{Cluster: cluster.Local(4), RealParallelism: 2, keepShuffles: keep})
@@ -304,12 +304,18 @@ func TestContextForgetsRetiredShuffles(t *testing.T) {
 	if states, tombstones, _ := liveShuffles(ctx); states+tombstones != 3*jobs {
 		t.Errorf("%d states + %d tombstones, want %d shuffles accounted for", states, tombstones, 3*jobs)
 	}
-	ctx.mu.Lock()
-	free := len(ctx.arraysFree)
-	ctx.mu.Unlock()
-	if free == 0 || free > keep+1 {
-		t.Errorf("%d array sets on the free list, want 1..%d", free, keep+1)
+	a := takeShuffleArrays(0, 0)
+	for i, refs := range a.byReduce[:cap(a.byReduce)] {
+		if refs != nil {
+			t.Fatalf("pooled shuffle arrays still hold reduce partition %d's buckets", i)
+		}
 	}
+	for i, out := range a.outs[:cap(a.outs)] {
+		if out.buckets != nil {
+			t.Fatalf("pooled shuffle arrays still hold map task %d's output", i)
+		}
+	}
+	putShuffleArrays(a)
 	// Fastest of a window of jobs, so one scheduling hiccup does not decide.
 	early, late := slices.Min(walls[3:8]), slices.Min(walls[jobs-5:])
 	if float64(late) > 1.2*float64(early)+float64(200*time.Microsecond) {
@@ -334,11 +340,5 @@ func TestContextForgetsRetiredShuffles(t *testing.T) {
 	}
 	if ran := len(ctx.Events()) - stages; ran != 1 {
 		t.Errorf("collecting over a retired shuffle ran %d stages, want the result stage only", ran)
-	}
-	ctx.Close()
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
-	if ctx.arraysFree != nil || ctx.scratchFree != nil {
-		t.Error("Close left the free lists in place")
 	}
 }

@@ -102,12 +102,6 @@ func NewSubstrate(conf SubstrateConf) (*Substrate, error) {
 // Cluster returns the shared cluster spec.
 func (s *Substrate) Cluster() *cluster.Cluster { return s.cluster }
 
-// KernelThreads returns the shared per-node kernel pool width.
-func (s *Substrate) KernelThreads() int { return s.kernelThreads }
-
-// RealParallelism returns the substrate-wide task-slot budget.
-func (s *Substrate) RealParallelism() int { return s.realPar }
-
 // slotScheduler is a bounded pool of real task-execution slots with
 // priority admission: acquire blocks until a slot frees (or the caller
 // cancels), and freed slots go to the highest-priority waiter, FIFO

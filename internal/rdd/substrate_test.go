@@ -167,8 +167,8 @@ func TestNewSubstrateValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.KernelThreads() != 2 || s.RealParallelism() != 3 {
-		t.Fatalf("substrate settings lost: threads=%d par=%d", s.KernelThreads(), s.RealParallelism())
+	if s.kernelThreads != 2 || s.realPar != 3 {
+		t.Fatalf("substrate settings lost: threads=%d par=%d", s.kernelThreads, s.realPar)
 	}
 	if len(s.kernelPools) != 2 {
 		t.Fatalf("expected one kernel pool per node, got %d", len(s.kernelPools))

@@ -257,7 +257,7 @@ func TestCkptDirLifecycle(t *testing.T) {
 			t.Fatalf("job %s ended %s: %s", j.ID, st.State, st.Error)
 		}
 	}
-	if n := sA.Observer().Metrics().CounterTotal("dpspark_durable_checkpoints_total"); n == 0 {
+	if n := sA.obsv.Metrics().CounterTotal("dpspark_durable_checkpoints_total"); n == 0 {
 		t.Fatal("no job wrote a checkpoint — the retirement check would be vacuous")
 	}
 	if left := ckptDirs(t, dir); len(left) != 0 {
@@ -366,7 +366,7 @@ func TestCheckpointIntervalKeepsResults(t *testing.T) {
 			}
 			boundaries += specs[i].N / specs[i].Block
 		}
-		reg := s.Observer().Metrics()
+		reg := s.obsv.Metrics()
 		count := func(outcome string) int {
 			return int(reg.Counter("dpspark_durable_checkpoints_total", obs.Labels{"outcome": outcome}).Value())
 		}
@@ -416,7 +416,7 @@ func TestCompactAmortised(t *testing.T) {
 		}
 	}
 	compactions := func(s *Server) int64 {
-		return s.Observer().Metrics().CounterTotal("dpspark_serve_journal_compactions_total")
+		return s.obsv.Metrics().CounterTotal("dpspark_serve_journal_compactions_total")
 	}
 
 	sA, err := New(Config{JournalDir: dir, MaxRunning: 1})

@@ -125,7 +125,7 @@ func TestRecoverMatchesLive(t *testing.T) {
 	}
 
 	finishes := map[string]int{}
-	for _, ev := range live.Observer().Flight().Snapshot() {
+	for _, ev := range live.obsv.Flight().Snapshot() {
 		if ev.Type == obs.EvJobFinish {
 			finishes[ev.Job]++
 		}
@@ -151,13 +151,13 @@ func TestRecoverMatchesLive(t *testing.T) {
 			t.Errorf("%s: replayed result %s, live %s", st.ID, b, a)
 		}
 	}
-	for _, ev := range replayed.Observer().Flight().Snapshot() {
+	for _, ev := range replayed.obsv.Flight().Snapshot() {
 		if ev.Type == obs.EvJobSubmit || ev.Type == obs.EvJobFinish {
 			t.Errorf("replay recorded a %s event for %s", ev.Type, ev.Job)
 		}
 	}
 	for _, outcome := range []string{"admitted", "completed", "cancelled", "quarantined", "recovered"} {
-		if n := replayed.Observer().Metrics().CounterTotal("dpspark_jobs_" + outcome + "_total"); n != 0 {
+		if n := replayed.obsv.Metrics().CounterTotal("dpspark_jobs_" + outcome + "_total"); n != 0 {
 			t.Errorf("replay counted %d %s jobs", n, outcome)
 		}
 	}

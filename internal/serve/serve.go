@@ -464,10 +464,6 @@ func (s *Server) Ready() bool {
 	return s.ready && !s.draining
 }
 
-// Observer returns the server's observability sink (shared with every
-// job's engine context).
-func (s *Server) Observer() *obs.Observer { return s.obsv }
-
 // jobCounter resolves one of the per-tenant job counters.
 func (s *Server) jobCounter(outcome, tenant string) *obs.Counter {
 	return s.obsv.Metrics().Counter("dpspark_jobs_"+outcome+"_total", obs.Labels{"tenant": tenant})

@@ -418,7 +418,7 @@ func TestServeDrainWithFalseSuspicionInFlight(t *testing.T) {
 	}
 	// The detector really ran in-service: the pauses were suspected and
 	// at least one outlived the lease count into a false declaration.
-	reg := s.Observer().Metrics()
+	reg := s.obsv.Metrics()
 	if reg.CounterTotal("dpspark_detector_suspicions_total") == 0 {
 		t.Fatal("no suspicions recorded — the GC-pause plan never met the detector")
 	}
@@ -427,7 +427,7 @@ func TestServeDrainWithFalseSuspicionInFlight(t *testing.T) {
 	}
 	// Every engine event the job emitted is tagged for /events?job=.
 	tagged := 0
-	for _, ev := range s.Observer().Flight().Snapshot() {
+	for _, ev := range s.obsv.Flight().Snapshot() {
 		if ev.Job == j.ID {
 			tagged++
 		}

@@ -166,11 +166,6 @@ func (s *Sim) Now() simtime.Duration {
 	return s.Clock
 }
 
-// AdvanceDriver charges driver-side time (collect/broadcast, scheduling).
-func (s *Sim) AdvanceDriver(d simtime.Duration, cat simtime.Category) {
-	s.Advance(d, cat)
-}
-
 // Advance charges driver-side time like AdvanceDriver and returns the
 // clock readings immediately before and after the advance, so callers
 // recording the segment (the critical-path profiler) see bit-exact

@@ -122,11 +122,11 @@ func TestReleaseShuffleFreesDisk(t *testing.T) {
 
 func TestAdvanceDriverAndTimeout(t *testing.T) {
 	s := newSim(32)
-	s.AdvanceDriver(2*simtime.Hour, simtime.Overhead)
+	s.Advance(2*simtime.Hour, simtime.Overhead)
 	if s.Now() > Timeout {
 		t.Fatal("2h is within the 8h budget")
 	}
-	s.AdvanceDriver(7*simtime.Hour, simtime.Overhead)
+	s.Advance(7*simtime.Hour, simtime.Overhead)
 	if s.Now() <= Timeout {
 		t.Fatal("9h must time out")
 	}

@@ -22,11 +22,9 @@ type Duration float64
 
 // Common durations.
 const (
-	Nanosecond  Duration = 1e-9
 	Microsecond Duration = 1e-6
 	Millisecond Duration = 1e-3
 	Second      Duration = 1
-	Minute      Duration = 60
 	Hour        Duration = 3600
 )
 

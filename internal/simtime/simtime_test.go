@@ -12,7 +12,7 @@ func TestDurationString(t *testing.T) {
 		want string
 	}{
 		{0, "0s"},
-		{3 * Nanosecond, "3.0ns"},
+		{3e-9, "3.0ns"},
 		{15 * Microsecond, "15.0µs"},
 		{2500 * Microsecond, "2.50ms"},
 		{1.5 * Second, "1.50s"},

@@ -215,9 +215,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the directory the store spills into.
-func (s *Store) Dir() string { return s.dir }
-
 // recordFlight emits one flight-recorder event for a block, stamping
 // the engine's virtual clock via the recorder's clock source. Safe to
 // call with s.mu held: the recorder's clock source reads the simulator

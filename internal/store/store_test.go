@@ -172,7 +172,7 @@ func TestStoreDeleteAndPrefix(t *testing.T) {
 		t.Fatal("deleted key still present")
 	}
 	// The spilled victim's file must be gone too.
-	files, _ := filepath.Glob(filepath.Join(s.Dir(), "*.blk"))
+	files, _ := filepath.Glob(filepath.Join(s.dir, "*.blk"))
 	if len(files) != 0 {
 		t.Fatalf("stray spill files after delete: %v", files)
 	}
@@ -198,7 +198,7 @@ func TestStoreKeySanitization(t *testing.T) {
 	for i, k := range keys {
 		mustGet(t, s, k, []byte{byte(i)})
 	}
-	files, _ := filepath.Glob(filepath.Join(s.Dir(), "*.blk"))
+	files, _ := filepath.Glob(filepath.Join(s.dir, "*.blk"))
 	if len(files) != len(keys) {
 		t.Fatalf("%d spill files for %d keys", len(files), len(keys))
 	}

@@ -59,9 +59,6 @@ func NewFSTier(dir string) (*FSTier, error) {
 	return &FSTier{dir: dir, keys: make(map[string]struct{})}, nil
 }
 
-// Dir returns the shared directory the tier writes replicas into.
-func (t *FSTier) Dir() string { return t.dir }
-
 func (t *FSTier) fileFor(key string) string {
 	return filepath.Join(t.dir, sanitizeKey(key)+".rep")
 }

@@ -265,7 +265,7 @@ func TestAsyncSpillFlushSettlesQueue(t *testing.T) {
 	// After Flush no block may still be dirty: disk-resident blocks must
 	// really be on disk (delete one's file out from under it to prove the
 	// read goes to disk, then restore it).
-	files, _ := filepath.Glob(filepath.Join(s.Dir(), "*.blk"))
+	files, _ := filepath.Glob(filepath.Join(s.dir, "*.blk"))
 	if int64(len(files)) != st.DiskBlocks {
 		t.Fatalf("%d spill files for %d disk blocks", len(files), st.DiskBlocks)
 	}

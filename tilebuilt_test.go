@@ -22,7 +22,6 @@ import (
 func TestTileBuiltSolversMatchDense(t *testing.T) {
 	session := func() *Session {
 		s := NewSession(Local(2))
-		t.Cleanup(s.Close)
 		return s
 	}
 	fw := semiring.NewFloydWarshall()
