@@ -17,7 +17,6 @@ package dpspark
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"dpspark/internal/baseline"
 	"dpspark/internal/cluster"
@@ -598,52 +597,6 @@ func BenchmarkDurableOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) { run(b, false, 0) })
 	b.Run("on", func(b *testing.B) { run(b, true, 0) })
 	b.Run("tight256KiB", func(b *testing.B) { run(b, true, 256<<10) })
-}
-
-// --- Remote replica tier benchmarks ---
-
-// BenchmarkRemoteReplication prices the asynchronous replication path: a
-// real-mode durable FW run (n=512, b=128 → r=4, the durable suite's
-// shape) with the remote tier off vs on. Replication is off the staging
-// path (a parked queue drained at stage boundaries), so the modelled
-// clock is identical; the reported replicated count and wall milliseconds
-// show what the copies cost the host.
-func BenchmarkRemoteReplication(b *testing.B) {
-	rng := rand.New(rand.NewSource(35))
-	in := matrix.NewDense(512)
-	in.FillRandom(rng, 1, 9)
-	for i := 0; i < 512; i++ {
-		in.Set(i, i, 0)
-	}
-	rule := semiring.NewFloydWarshall()
-	run := func(b *testing.B, remote bool) {
-		for i := 0; i < b.N; i++ {
-			conf := rdd.Conf{
-				Cluster:    cluster.LocalN(4, 2),
-				DurableDir: b.TempDir(),
-				SpillCodec: core.TileCodec{},
-			}
-			if remote {
-				conf.RemoteDir = b.TempDir()
-			}
-			ctx := rdd.NewContext(conf)
-			bl := matrix.Block(in, 128, rule.Pad(), rule.PadDiag())
-			start := time.Now()
-			_, stats, err := core.Run(ctx, bl, core.Config{
-				Rule: rule, BlockSize: 128, Driver: core.IM,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx.Store().FlushReplication()
-			b.ReportMetric(float64(ctx.StoreStats().ReplicatedBlocks), "replicated")
-			b.ReportMetric(stats.Time.Seconds(), "model_s")
-			b.ReportMetric(time.Since(start).Seconds()*1e3, "wall_ms")
-			ctx.Close()
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, false) })
-	b.Run("on", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkDurableResume measures checkpoint–restart: one durable FW

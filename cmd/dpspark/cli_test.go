@@ -34,12 +34,9 @@ func TestErrors(t *testing.T) {
 		{"solve -bench fw -size 8 -kernel-threads 2", 2, []string{"flag provided but not defined: -kernel-threads"}},
 		{"durable", 1, []string{"durable: -dir is required"}},
 		{"resume", 1, []string{"resume: -dir is required"}},
-		{"remote", 1, []string{"remote: -dir is required"}},
 		{"serve", 1, []string{"serve: -listen is required"}},
 		{"durable -dir d -bench lcs", 1, []string{`unknown -bench "lcs"`}},
 		{"durable -dir d -driver xx", 1, []string{`unknown -driver "xx"`}},
-		// One tile row runs four stages; the crash at stage 7 would never fire.
-		{"remote -dir r -size 64 -block 64", 1, []string{"1 tile row", "at least 2"}},
 		{"solve -bench fw -size 50 -query 0,99", 1, []string{"-query 0,99", "0..49"}},
 		{"solve -bench fw -size 50 -query 0", 1, []string{`bad -query "0"`}},
 		{"solve -bench fw", 1, []string{"-graph", "-dimacs", "-grid", "-size"}},

@@ -69,7 +69,6 @@ var commands = []command{
 	{"chaos", "FW-APSP under a seeded fault plan: recovery overhead per driver", []flagGroup{sizeFlag, htmlFlag, obsFlags, faultFlags, seedFlag, threadsFlag}, "", (*inv).chaos},
 	{"durable", "real run through the checksummed block store with driver checkpoints", []flagGroup{obsFlags, seedFlag, threadsFlag, runFlags, storeFlags, stopFlag}, stopNotice, (*inv).durable},
 	{"resume", "restart from the newest intact checkpoint under -dir, bit-identically", []flagGroup{obsFlags, threadsFlag, storeFlags}, stopNotice, (*inv).resume},
-	{"remote", "one executor crash recovered from remote replicas, then under a remote outage", []flagGroup{obsFlags, seedFlag, threadsFlag, runFlags, storeFlags}, "", (*inv).remote},
 	{"solve", "APSP of a graph (-bench fw) or A·x = b (-bench ge), solved on the local machine", []flagGroup{seedFlag, runFlags, solveFlags}, "", (*inv).solve},
 	{"kernels", "measured single-tile kernel scaling, crossover and cores×threads split", []flagGroup{threadsFlag}, "", (*inv).kernels},
 	{"sweep", "autotune search over the full tuning space", []flagGroup{sizeFlag}, "", (*inv).sweep},
@@ -192,7 +191,7 @@ type inv struct {
 	verbose, critpath                     bool
 	trace, metrics, listen, flight        string
 	seed                                  int64
-	crashes, gcpauses, rackfails          int
+	crashes, gcpauses                     int
 	bench, driver                         string
 	size, block, stop, kernelThreads      int
 	dir                                   string
@@ -231,11 +230,10 @@ func obsFlags(v *inv, fs *flag.FlagSet) {
 func faultFlags(v *inv, fs *flag.FlagSet) {
 	fs.IntVar(&v.crashes, "crashes", 2, "executor crashes to schedule")
 	fs.IntVar(&v.gcpauses, "gcpause", 0, "stop-the-world GC pauses to schedule; turns on the heartbeat failure detector, so pauses outliving the lease count are falsely declared dead")
-	fs.IntVar(&v.rackfails, "rackfail", 0, "correlated rack failures to schedule on a 4-rack topology")
 }
 
 func seedFlag(v *inv, fs *flag.FlagSet) {
-	fs.Int64Var(&v.seed, "seed", 20260805, "seed of the fault plan (chaos) or of the generated input (durable, remote, solve)")
+	fs.Int64Var(&v.seed, "seed", 20260805, "seed of the fault plan (chaos) or of the generated input (durable, solve)")
 }
 
 func threadsFlag(v *inv, fs *flag.FlagSet) {
@@ -472,17 +470,13 @@ func (v *inv) apsp(_ context.Context, w io.Writer) error {
 // counters, and the phase breakdown with its recovery column.
 func (v *inv) chaos(_ context.Context, w io.Writer) error {
 	cl := cluster.Skylake16()
-	const chaosRacks = 4
-	if v.rackfails > 0 {
-		cl = cl.WithRacks(chaosRacks)
-	}
-	detector := v.gcpauses > 0 || v.rackfails > 0
+	detector := v.gcpauses > 0
 	const blk = 1024
 	r := (v.n + blk - 1) / blk
-	plan := rdd.ChaosPlan(v.seed, 4*r, cl.Nodes, v.crashes, v.gcpauses, chaosRacks, v.rackfails)
-	fmt.Fprintf(w, "chaos plan (seed %d): %d executor crashes, %d stragglers, %d disk losses, %d gc pauses, %d rack failures over %d planned stages\n",
+	plan := rdd.ChaosPlan(v.seed, 4*r, cl.Nodes, v.crashes, v.gcpauses)
+	fmt.Fprintf(w, "chaos plan (seed %d): %d executor crashes, %d stragglers, %d disk losses, %d gc pauses over %d planned stages\n",
 		v.seed, rdd.CountEvents[rdd.ExecutorCrash](plan), rdd.CountEvents[rdd.Straggler](plan), rdd.CountEvents[rdd.DiskLoss](plan),
-		rdd.CountEvents[rdd.GCPause](plan), rdd.CountEvents[rdd.RackFailure](plan), 4*r)
+		rdd.CountEvents[rdd.GCPause](plan), 4*r)
 	if detector {
 		fmt.Fprintf(w, "heartbeat failure detector: 2s lease, dead after 2 missed leases (4s detection latency)\n")
 	}
@@ -517,10 +511,8 @@ func (v *inv) chaos(_ context.Context, w io.Writer) error {
 					rs.FetchFailures, rs.StageResubmits, rs.RecomputedMapPartitions,
 					rs.TaskRetries, rs.BlacklistPlacements, rs.SpeculativeTasks, rs.SpeculationWins)
 				if detector {
-					fmt.Fprintf(w, "  detector: %d suspicions (%d false), %d fenced zombie commits, "+
-						"%d rack failures, %.0fs detection wait\n",
-						rs.Suspicions, rs.FalseSuspicions, rs.FencedCommits,
-						rs.RackFailures, st.DetectionTime.Seconds())
+					fmt.Fprintf(w, "  detector: %d suspicions (%d false), %d fenced zombie commits, %.0fs detection wait\n",
+						rs.Suspicions, rs.FalseSuspicions, rs.FencedCommits, st.DetectionTime.Seconds())
 				}
 			} else {
 				cleanS = st.Time.Seconds()
@@ -595,68 +587,6 @@ func (v *inv) durable(ctx context.Context, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "result checksum: %016x (n=%d b=%d %s %v)\n",
 		out.Checksum(), v.size, v.block, v.bench, drv)
-	return nil
-}
-
-// remote recovers the same mid-run executor crash twice: once with a
-// healthy remote replica tier (lost staged outputs re-install from intact
-// replicas), once under a full-run remote outage (degraded mode falls back
-// to partial map-recompute). The checksums must be identical; only the
-// recovery path and its cost differ.
-func (v *inv) remote(_ context.Context, w io.Writer) error {
-	if v.dir == "" {
-		return fmt.Errorf("remote: -dir is required")
-	}
-	rule, drv, err := ruleDriver(v.bench, v.driver)
-	if err != nil {
-		return err
-	}
-	in := core.SeededInput(rule, v.size, v.seed)
-	r := (v.size + v.block - 1) / v.block
-	// Iteration 1's result stage (4k+3, k=1): freshly staged map outputs
-	// are lost exactly when the reduce side fetches them.
-	crash := rdd.ExecutorCrash{Stage: 7, Node: 1}
-	if r < 2 {
-		return fmt.Errorf("remote: -size %d over -block %d is %d tile row; the crash at stage %d needs at least 2 (-size > -block)",
-			v.size, v.block, r, crash.Stage)
-	}
-	runOnce := func(name string, outage bool) (uint64, error) {
-		plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{crash}}
-		if outage {
-			plan.Events = append(plan.Events, rdd.RemoteOutage{From: 0, Dur: 4 * r})
-		}
-		conf := v.localConf(filepath.Join(v.dir, name, "local"))
-		conf.RemoteDir, conf.Speculation, conf.FaultPlan = filepath.Join(v.dir, name, "remote"), true, plan
-		ctx := rdd.NewContext(conf)
-		defer ctx.Close()
-		bl := matrix.Block(in, v.block, rule.Pad(), rule.PadDiag())
-		out, st, err := core.Run(ctx, bl, core.Config{
-			Rule: rule, BlockSize: v.block, Driver: drv,
-		})
-		if err != nil {
-			return 0, err
-		}
-		rs := ctx.RecoveryStats()
-		fmt.Fprintf(w, "%-8s modelled %.0fs (recovery %.3fs); %d replicated, %d restored, %d recomputed blocks; %d remote retries, %d degraded windows\n",
-			name+":", st.Time.Seconds(), st.RecoveryTime.Seconds(),
-			st.ReplicatedBlocks, st.RestoredBlocks, st.RecomputedBlocks,
-			rs.RemoteRetries, rs.DegradedWindows)
-		return out.Checksum(), nil
-	}
-	fmt.Fprintf(w, "remote replica tier: %s %v n=%d b=%d, executor crash at stage %d\n\n",
-		v.bench, drv, v.size, v.block, crash.Stage)
-	restored, err := runOnce("restore", false)
-	if err != nil {
-		return err
-	}
-	degraded, err := runOnce("degraded", true)
-	if err != nil {
-		return err
-	}
-	if restored != degraded {
-		return fmt.Errorf("remote: recovery paths disagree: %016x vs %016x", restored, degraded)
-	}
-	fmt.Fprintf(w, "\nresult checksum: %016x — identical through both recovery paths\n", restored)
 	return nil
 }
 
@@ -924,7 +854,7 @@ func ruleFlagName(ruleName string) string {
 }
 
 // localConf is the engine configuration of the real runs (durable,
-// remote, resume): the local 4-node model with a block store under dir.
+// resume): the local 4-node model with a block store under dir.
 func (v *inv) localConf(dir string) rdd.Conf {
 	return rdd.Conf{
 		Cluster: cluster.LocalN(4, 2), DurableDir: dir, MemoryBudget: v.budget,

@@ -29,7 +29,6 @@ import (
 //	dpspark sweep -n 1024                               > sweep.golden
 //	{ dpspark durable -dir ckpt -stop 2; dpspark resume -dir ckpt; } > durable_resume.golden
 //	dpspark durable -dir full                           > durable.golden
-//	dpspark remote -dir rep                             > remote.golden
 //	apsp -random 200 -p 0.1 -seed 7 -block 64 -query 3,150 > solve_fw.golden
 //	apsp -grid 12x12 -seed 7 -block 32 -driver CB -kernel rec -rshared 2 -threads 2 -query 0,143 > solve_fw_grid.golden
 //	gesolve -random 200 -seed 7 -block 64 -driver cb -kernel rec -rshared 2 -threads 2 > solve_ge.golden
@@ -59,7 +58,6 @@ var goldenRows = []struct {
 	{"sweep", runs("sweep -n 1024"), true, ""},
 	{"durable_resume", runs("durable -dir ckpt -stop 2", "resume -dir ckpt"), false, ""},
 	{"durable", runs("durable -dir full"), false, ""},
-	{"remote", runs("remote -dir rep"), false, ""},
 	{"solve_fw", runs("solve -bench fw -size 200 -p 0.1 -seed 7 -block 64 -query 3,150"), false, ""},
 	{"solve_fw_grid", runs("solve -bench fw -grid 12x12 -seed 7 -block 32 -driver CB -kernel rec -rshared 2 -threads 2 -query 0,143"), false, ""},
 	{"solve_ge", runs("solve -bench ge -size 200 -seed 7 -block 64 -driver cb -kernel rec -rshared 2 -threads 2"), false, ""},

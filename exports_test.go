@@ -67,7 +67,6 @@ var exportsKeptWithoutCallers = map[string]string{
 	"simtime.Ledger.Total":                  "test instrument: the resource-seconds of all categories",
 	"simtime.Microsecond":                   "unit: the timing tests write modelled durations in it",
 	"store.Store.Has":                       "test instrument: whether a block is held",
-	"store.FSTier.Has":                      "test instrument: whether a tier holds a block file",
 	"store.Store.Spill":                     "test instrument: forces a block to the disk tier",
 	"semiring.MaxPlus":                      "used by the root facade test",
 	"graph.WriteDIMACS":                     "its round trip is what tests the live DIMACS reader",

@@ -69,40 +69,6 @@ type Cluster struct {
 	Net NetworkSpec
 	// Shared is the shared persistent storage used by the CB driver.
 	Shared SharedStorageSpec
-	// Racks is the number of fault domains the nodes are spread across.
-	// Nodes map to racks in contiguous blocks (nodes 0..k-1 in rack 0,
-	// and so on); a rack is the unit of correlated failure (shared ToR
-	// switch / PDU). 0 or 1 means a single domain — rack-awareness off.
-	Racks int
-}
-
-// RackOf returns the fault domain of node (contiguous-block mapping).
-// With Racks ≤ 1 every node lives in domain 0.
-func (c *Cluster) RackOf(node int) int {
-	if c.Racks <= 1 || c.Nodes <= 0 {
-		return 0
-	}
-	per := (c.Nodes + c.Racks - 1) / c.Racks
-	r := node / per
-	if r >= c.Racks {
-		r = c.Racks - 1
-	}
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
-
-// RackNodes returns the node IDs living in rack r (empty when out of
-// range).
-func (c *Cluster) RackNodes(r int) []int {
-	var out []int
-	for n := 0; n < c.Nodes; n++ {
-		if c.RackOf(n) == r {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // TotalCores returns the number of physical cores in the cluster.
@@ -124,15 +90,6 @@ func (c *Cluster) WithNodes(n int) *Cluster {
 	out := *c
 	out.Nodes = n
 	out.Name = fmt.Sprintf("%s[%d nodes]", c.Name, n)
-	return &out
-}
-
-// WithRacks returns a copy of the cluster spread across r fault domains.
-// Rack-awareness is opt-in so the presets' modelled schedules stay
-// byte-stable for existing runs.
-func (c *Cluster) WithRacks(r int) *Cluster {
-	out := *c
-	out.Racks = r
 	return &out
 }
 

@@ -56,46 +56,6 @@ func TestLocal(t *testing.T) {
 	}
 }
 
-func TestWithRacks(t *testing.T) {
-	c := Skylake16().WithRacks(4)
-	if c.Racks != 4 {
-		t.Fatalf("Racks = %d", c.Racks)
-	}
-	if Skylake16().Racks != 0 {
-		t.Fatal("WithRacks must not mutate the receiver")
-	}
-	// Contiguous blocks of 4: every node maps into range, every rack's
-	// member list round-trips through RackOf.
-	seen := 0
-	for r := 0; r < c.Racks; r++ {
-		members := c.RackNodes(r)
-		if len(members) != 4 {
-			t.Fatalf("rack %d has %d members", r, len(members))
-		}
-		for _, n := range members {
-			if c.RackOf(n) != r {
-				t.Fatalf("RackOf(%d) = %d, want %d", n, c.RackOf(n), r)
-			}
-			seen++
-		}
-	}
-	if seen != c.Nodes {
-		t.Fatalf("racks cover %d of %d nodes", seen, c.Nodes)
-	}
-	// Uneven split: 16 nodes over 3 racks = ceil blocks of 6, last rack short.
-	u := Skylake16().WithRacks(3)
-	if got := len(u.RackNodes(2)); got != 4 {
-		t.Fatalf("last uneven rack has %d members, want 4", got)
-	}
-	if u.RackOf(15) != 2 || u.RackOf(0) != 0 {
-		t.Fatalf("uneven mapping: RackOf(15)=%d RackOf(0)=%d", u.RackOf(15), u.RackOf(0))
-	}
-	// Without topology everything is one implicit domain.
-	if Skylake16().RackOf(7) != 0 {
-		t.Fatal("rackless cluster must map every node to domain 0")
-	}
-}
-
 func TestString(t *testing.T) {
 	s := Skylake16().String()
 	if !strings.Contains(s, "skylake-16") || !strings.Contains(s, "192GB") {

@@ -242,136 +242,6 @@ func TestCheckpointCadence(t *testing.T) {
 	}
 }
 
-// remoteChaosConf wires the remote replica tier into a durable chaos
-// context: the chaos suite again, with lost staged outputs now eligible
-// for restore-from-replica before the recompute fallback.
-func remoteChaosConf(t *testing.T, plan *rdd.FaultPlan) rdd.Conf {
-	t.Helper()
-	conf := durableConf(t.TempDir(), 0, plan, nil)
-	conf.RemoteDir = t.TempDir()
-	return conf
-}
-
-// TestRemoteChaosBitIdentical: FW and GE under both drivers, with the
-// remote tier attached, recover the chaos plan's losses through replica
-// restore and still reproduce the fault-free bits exactly.
-func TestRemoteChaosBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, rule := range []semiring.Rule{semiring.NewFloydWarshall(), semiring.NewGaussian()} {
-		in := randomInput(rule, 32, rng)
-		for _, driver := range []DriverKind{IM, CB} {
-			clean := chaosRun(t, rule, driver, in, nil)
-			out, ctx := durableChaosRun(t, rule, driver, in, remoteChaosConf(t, chaosPlan()), "")
-			if !bitIdentical(clean.dense, out.dense) {
-				t.Fatalf("%s %v: remote-backed recovery differs from fault-free bits", rule.Name(), driver)
-			}
-			rs := out.rs
-			if rs.ExecutorCrashes != 1 || rs.DiskLosses != 1 {
-				t.Fatalf("%s %v: plan did not fully fire: %+v", rule.Name(), driver, rs)
-			}
-			if rs.RestoredBlocks == 0 {
-				t.Fatalf("%s %v: lost staged outputs must restore from replicas: %+v", rule.Name(), driver, rs)
-			}
-			st := out.stats
-			if st.ReplicatedBlocks == 0 {
-				t.Fatalf("%s %v: nothing replicated: %+v", rule.Name(), driver, st)
-			}
-			if st.RestoredBlocks != rs.RestoredBlocks || st.RecomputedBlocks != rs.RecomputedBlocks {
-				t.Fatalf("%s %v: Stats disagrees with recovery counters: %+v vs %+v", rule.Name(), driver, st, rs)
-			}
-			reg := ctx.Observer().Metrics()
-			if reg.CounterTotal("dpspark_remote_replicated_blocks_total") != st.ReplicatedBlocks ||
-				reg.CounterTotal("dpspark_remote_restored_blocks_total") != st.RestoredBlocks {
-				t.Fatalf("%s %v: remote counters disagree with stats: %+v", rule.Name(), driver, st)
-			}
-		}
-	}
-}
-
-// TestRemoteChaosDeterministic: the restore path joins the determinism
-// contract — same plan, same clock, counters, event log and bits.
-func TestRemoteChaosDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	rule := semiring.NewFloydWarshall()
-	in := randomInput(rule, 32, rng)
-	a, _ := durableChaosRun(t, rule, IM, in, remoteChaosConf(t, chaosPlan()), "")
-	b, _ := durableChaosRun(t, rule, IM, in, remoteChaosConf(t, chaosPlan()), "")
-	if a.stats.Time != b.stats.Time {
-		t.Fatalf("clocks differ: %v vs %v", a.stats.Time, b.stats.Time)
-	}
-	if a.rs != b.rs {
-		t.Fatalf("recovery stats differ:\n%+v\n%+v", a.rs, b.rs)
-	}
-	if !reflect.DeepEqual(a.event, b.event) {
-		t.Fatal("event logs differ")
-	}
-	if !bitIdentical(a.dense, b.dense) {
-		t.Fatal("results differ")
-	}
-}
-
-// TestRemoteOutageMidRunFallsBack: an outage window swallowing the crash
-// degrades that recovery to recompute-only; the disk loss firing after
-// the window closes restores from replicas again — one run exercising
-// both paths, still bit-identical.
-func TestRemoteOutageMidRunFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	rule := semiring.NewFloydWarshall()
-	in := randomInput(rule, 32, rng)
-	clean := chaosRun(t, rule, IM, in, nil)
-	plan := chaosPlan()
-	plan.Events = append(plan.Events, rdd.RemoteOutage{From: 6, Dur: 4}) // covers the stage-7 crash
-	out, ctx := durableChaosRun(t, rule, IM, in, remoteChaosConf(t, plan), "")
-	if !bitIdentical(clean.dense, out.dense) {
-		t.Fatal("degraded-mode recovery differs from fault-free bits")
-	}
-	rs := out.rs
-	if rs.DegradedWindows != 1 {
-		t.Fatalf("degraded windows = %d, want 1: %+v", rs.DegradedWindows, rs)
-	}
-	if rs.RecomputedBlocks == 0 {
-		t.Fatalf("the crash inside the window must fall back to recompute: %+v", rs)
-	}
-	if rs.RestoredBlocks == 0 {
-		t.Fatalf("the disk loss past the window must restore from replicas: %+v", rs)
-	}
-	st := out.stats
-	if st.DegradedWindows != 1 || st.RecomputedBlocks != rs.RecomputedBlocks {
-		t.Fatalf("Stats disagrees with recovery counters: %+v vs %+v", st, rs)
-	}
-	if n := ctx.Observer().Metrics().CounterTotal("dpspark_remote_degraded_windows_total"); n != 1 {
-		t.Fatalf("degraded-window counter = %d, want 1", n)
-	}
-}
-
-// TestRemoteCorruptReplicaFallsBack: damaging a staged block and its
-// replica together (the paired selection rule) defeats the restore; the
-// replica's checksum failure is detected and recompute repairs the run.
-func TestRemoteCorruptReplicaFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	rule := semiring.NewGaussian()
-	in := randomInput(rule, 32, rng)
-	clean := chaosRun(t, rule, IM, in, nil)
-	plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{
-		rdd.Corruption{Stage: 7, Block: 1},
-		rdd.RemoteCorruption{Stage: 7, Block: 1},
-	}}
-	out, ctx := durableChaosRun(t, rule, IM, in, remoteChaosConf(t, plan), "")
-	if !bitIdentical(clean.dense, out.dense) {
-		t.Fatal("corrupt-replica recovery differs from fault-free bits")
-	}
-	rs := out.rs
-	if rs.Corruptions != 1 || rs.RemoteCorruptions != 1 {
-		t.Fatalf("both corruption events must fire: %+v", rs)
-	}
-	if rs.RecomputedBlocks == 0 {
-		t.Fatalf("a corrupt replica must force the recompute fallback: %+v", rs)
-	}
-	if n := ctx.Observer().Metrics().CounterTotal("dpspark_remote_corrupt_replicas_detected_total"); n == 0 {
-		t.Fatal("replica checksum failure went undetected")
-	}
-}
-
 // TestRecoveryTimeInStats: the recovery share surfaces through
 // Stats.RecoveryTime and overlaps (never inflates) the phase sum.
 func TestRecoveryTimeInStats(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"os"
 	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 
 	"dpspark/internal/cluster"
@@ -16,8 +15,7 @@ import (
 )
 
 // Failure-detector chaos harness: heartbeat/lease suspicion, detection-
-// latency charging, zombie-attempt fencing under false suspicion, rack
-// failures with domain-aware replicas, and recovery-storm throttling.
+// latency charging and zombie-attempt fencing under false suspicion.
 // Every scenario must reproduce the fault-free bits and a deterministic
 // modelled clock — the detector changes when losses are *learned*, never
 // what the job computes.
@@ -140,63 +138,6 @@ func TestChaosDetectionLatencyCharged(t *testing.T) {
 	}
 }
 
-// TestChaosRackFailureDomainAwareRestore: a correlated rack failure on a
-// two-rack cluster kills half the executors at once and burns the
-// failed domain's share of the remote replica tier. Domain-aware
-// placement (replica never co-located with its origin's rack) keeps the
-// lost nodes' staged outputs restorable from the surviving domain.
-func TestChaosRackFailureDomainAwareRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	rule := semiring.NewGaussian()
-	in := randomInput(rule, 32, rng)
-	clean := chaosRun(t, rule, IM, in, nil)
-
-	plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{rdd.RackFailure{Rack: 1, Stage: 7}}}
-	conf := durableConf(t.TempDir(), 0, plan, nil)
-	conf.Cluster = cluster.LocalN(4, 2).WithRacks(2)
-	conf.RemoteDir = t.TempDir()
-	conf.HeartbeatInterval = 2 * simtime.Second
-	chaos, ctx := detectorRun(t, rule, IM, in, conf)
-
-	if !bitIdentical(clean.dense, chaos.dense) {
-		t.Fatal("rack-failure recovery differs from fault-free bits")
-	}
-	rs := chaos.rs
-	if rs.RackFailures != 1 {
-		t.Fatalf("rack failure did not fire: %+v", rs)
-	}
-	if rs.ExecutorCrashes != 0 {
-		t.Fatalf("a rack failure is counted as one correlated event, not per-node crashes: %+v", rs)
-	}
-	if rs.Suspicions < 2 {
-		t.Fatalf("every rack member must be suspected: %+v", rs)
-	}
-	if rs.FetchFailures == 0 {
-		t.Fatalf("the rack's staged outputs must be lost and recovered: %+v", rs)
-	}
-	if rs.RestoredBlocks == 0 || rs.RecomputedMapPartitions != 0 {
-		t.Fatalf("anti-affine replicas must survive the rack loss and make recovery restore-only: %+v", rs)
-	}
-	if chaos.stats.RackFailures != 1 || chaos.stats.DetectionTime <= 0 {
-		t.Fatalf("Stats must surface the rack failure and detection wait: %+v", chaos.stats)
-	}
-	if n := ctx.Observer().Metrics().CounterTotal("dpspark_fault_injections_total"); n == 0 {
-		t.Fatal("rack failure missing from injection metrics")
-	}
-	// The failed domain's replicas burned with its executors: the drop
-	// must be visible in the flight ring.
-	dropped := false
-	for _, ev := range ctx.Observer().Flight().Snapshot() {
-		if strings.Contains(ev.Detail, "dropped") && strings.Contains(ev.Detail, "remote replicas") {
-			dropped = true
-			break
-		}
-	}
-	if !dropped {
-		t.Fatal("rack failure must drop the failed domain's remote replicas")
-	}
-}
-
 // TestChaosDetectorDeterministic: suspicion, false declaration and
 // fencing all key off the virtual clock — the same plan replayed
 // yields the identical clock, counters, event log and bits.
@@ -246,9 +187,8 @@ func fuzzEnvInt(t *testing.T, key string, def int64) int64 {
 
 // TestChaosFuzz is the nightly chaos-fuzz entry point. DPSPARK_CHAOS_SEED
 // (fixed default on regular runs) seeds DPSPARK_CHAOS_ROUNDS rounds of a
-// random fault plan mixing crashes, disk losses, stragglers, GC pauses,
-// network partitions and a rack failure on a two-rack cluster, all under
-// the heartbeat detector. Whatever the seed
+// random fault plan mixing crashes, disk losses, stragglers, GC pauses and
+// network partitions, all under the heartbeat detector. Whatever the seed
 // draws, the run must reproduce the fault-free bits, replay to an
 // identical clock/counter/event trajectory, and stay inside the recovery
 // overhead budget.
@@ -266,10 +206,8 @@ func TestChaosFuzz(t *testing.T) {
 			// 16 planned stages: 4 iterations × 4 stages at n=32, b=8.
 			plan := rdd.RandomFaultPlan(s, 16, 4, 2, 2, 1).
 				WithRandomGCPauses(s+1, 16, 4, 2).
-				WithRandomPartitions(s+2, 16, 4, 1).
-				WithRandomRackFailures(s+3, 16, 2, 1)
+				WithRandomPartitions(s+2, 16, 4, 1)
 			conf := detectorConf(plan)
-			conf.Cluster = cluster.LocalN(4, 2).WithRacks(2)
 
 			clean := chaosRun(t, rule, driver, in, nil)
 			a, _ := detectorRun(t, rule, driver, in, conf)
@@ -285,11 +223,11 @@ func TestChaosFuzz(t *testing.T) {
 				t.Fatal("replay event logs differ")
 			}
 			rs := a.rs
-			if rs.ExecutorCrashes == 0 && rs.DiskLosses == 0 && rs.RackFailures == 0 {
+			if rs.ExecutorCrashes == 0 && rs.DiskLosses == 0 {
 				t.Fatalf("fuzzed plan fired no hard faults: %+v", rs)
 			}
 			if rs.Suspicions == 0 {
-				t.Fatalf("rack members and stalled nodes must be suspected: %+v", rs)
+				t.Fatalf("crashed and stalled nodes must be suspected: %+v", rs)
 			}
 			limit := 4*clean.stats.Time + a.stats.DetectionTime
 			if a.stats.Time > limit {

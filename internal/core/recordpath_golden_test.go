@@ -211,10 +211,7 @@ const recoverySeed = 20260805
 //   - the c=2 plan under heartbeat leases of 0 (instant detection), 1, 2
 //     and 5 s, each declaration delayed by misses × interval;
 //   - heavy stragglers on update stages, speculation off vs on (32
-//     partitions over a 16×16 grid keep every partition populated);
-//   - a real run losing an executor mid-run with the remote tier healthy
-//     (lost staged outputs restore from replicas) vs down for the whole
-//     run (degraded mode recomputes their map partitions).
+//     partitions over a 16×16 grid keep every partition populated).
 func recoveryRows(t *testing.T) []goldenRow {
 	t.Helper()
 	var rows []goldenRow
@@ -275,17 +272,6 @@ func recoveryRows(t *testing.T) []goldenRow {
 		run("speculation/"+speculation, conf, nil, Config{BlockSize: 512, Driver: IM, Partitions: 32})
 	}
 
-	const n, b = 512, 128
-	in := randomInput(fw, n, rand.New(rand.NewSource(35)))
-	for i, path := range []string{"restore", "recompute"} {
-		plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{rdd.ExecutorCrash{Stage: 7, Node: 1}}}
-		if i == 1 {
-			plan.Events = append(plan.Events, rdd.RemoteOutage{From: 0, Dur: 1 << 20})
-		}
-		conf := durableConf(t.TempDir(), 0, plan, nil)
-		conf.RemoteDir = t.TempDir()
-		run("remote/"+path, conf, in, Config{BlockSize: b, Driver: IM})
-	}
 	return rows
 }
 

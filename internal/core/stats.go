@@ -63,19 +63,6 @@ type Stats struct {
 	// price (the modelled charges are identical with and without it).
 	SpillWall time.Duration
 
-	// ReplicatedBlocks counts blocks the run copied to the remote replica
-	// tier (rdd.Conf.RemoteDir); zero without one.
-	ReplicatedBlocks int64
-	// RestoredBlocks and RecomputedBlocks split the run's block repairs
-	// by path: staged shuffle blocks restored from intact remote replicas
-	// vs rebuilt by the partial map-recompute fallback (replica missing,
-	// corrupt, the tier down, or restore retries exhausted).
-	RestoredBlocks, RecomputedBlocks int64
-	// RemoteRetries counts remote restore reads retried after a simulated
-	// timeout; DegradedWindows counts entries into recompute-only
-	// degraded mode (one per remote-outage window passed through).
-	RemoteRetries, DegradedWindows int64
-
 	// DetectionTime is the modelled clock spent waiting for the
 	// heartbeat failure detector to declare executors dead (latency =
 	// two missed leases, 2 × rdd.Conf.HeartbeatInterval, per declaring
@@ -90,8 +77,6 @@ type Stats struct {
 	// map outputs rejected by the commit lease. All zero with the
 	// detector off.
 	Suspicions, FalseSuspicions, FencedCommits int64
-	// RackFailures counts fired correlated fault-domain losses.
-	RackFailures int64
 
 	// CritPath is the run's critical-path report (nil unless the
 	// observer's critical-path recorder was enabled for the run). Its Len
@@ -163,17 +148,10 @@ func (m RunMark) StatsSince(ctx *rdd.Context, iterations int) *Stats {
 		CorruptBlocks:  st.CorruptDetected - m.st.CorruptDetected,
 		SpillWall:      st.SpillWall - m.st.SpillWall,
 
-		ReplicatedBlocks: st.ReplicatedBlocks - m.st.ReplicatedBlocks,
-		RestoredBlocks:   rs.RestoredBlocks - m.rs.RestoredBlocks,
-		RecomputedBlocks: rs.RecomputedBlocks - m.rs.RecomputedBlocks,
-		RemoteRetries:    rs.RemoteRetries - m.rs.RemoteRetries,
-		DegradedWindows:  rs.DegradedWindows - m.rs.DegradedWindows,
-
 		DetectionTime:   bd.Detection,
 		Suspicions:      rs.Suspicions - m.rs.Suspicions,
 		FalseSuspicions: rs.FalseSuspicions - m.rs.FalseSuspicions,
 		FencedCommits:   rs.FencedCommits - m.rs.FencedCommits,
-		RackFailures:    rs.RackFailures - m.rs.RackFailures,
 	}
 	ps, pi, ph := ctx.KernelPoolStats()
 	s.KernelSpawned = ps - m.poolSpawned

@@ -20,10 +20,8 @@ const (
 	EvBlacklist     = "blacklist"
 	EvSpeculation   = "speculation"
 	EvFault         = "fault-injection"
-	EvRestore       = "remote-restore"
 	EvCheckpoint    = "checkpoint"
 	EvEviction      = "eviction"
-	EvReplication   = "replication"
 	EvCorrupt       = "corrupt-detected"
 	EvJobSubmit     = "job-submit"
 	EvJobFinish     = "job-finish"

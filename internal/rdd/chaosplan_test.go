@@ -24,7 +24,7 @@ func pinEvent(t *testing.T, ev FaultEvent) string {
 }
 
 // TestChaosPlanPinned pins ChaosPlan's exact event list, in order, for the
-// argument shapes serve (4 nodes, no racks) and `dpspark chaos` (16 nodes)
+// argument shapes serve (4 nodes) and `dpspark chaos` (16 nodes)
 // use. EngineState.Fired indexes FaultPlan.Events by position, so a serve
 // journal or checkpoint written by an older build resumes with the same
 // events marked fired only while this list stays put.
@@ -97,7 +97,7 @@ func TestChaosPlanPinned(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		p := ChaosPlan(c.seed, c.stages, c.nodes, c.crashes, c.gcPauses, 0, 0)
+		p := ChaosPlan(c.seed, c.stages, c.nodes, c.crashes, c.gcPauses)
 		var got []string
 		for _, ev := range p.Events {
 			got = append(got, pinEvent(t, ev))

@@ -10,7 +10,7 @@ import (
 )
 
 // TestConfNormalizationAllKnobs: one table across every Conf knob family
-// — cluster, detector, fault plan, durable store, remote tier, kernels,
+// — cluster, detector, fault plan, durable store, kernels,
 // substrate mounting — so every validation lives (and stays) in the
 // single normalize site, and NewContext panics with its error.
 func TestConfNormalizationAllKnobs(t *testing.T) {
@@ -41,27 +41,16 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		{"fault plan straggler below 1", plan(Straggler{Stage: 0, Partition: 0, Factor: 0.5}), "factor 0.5 < 1"},
 		{"straggler negative partition", plan(Straggler{Stage: 0, Partition: -1, Factor: 2}), "negative partition"},
 		{"corruption negative block", plan(Corruption{Stage: 1, Block: -2}), "rdd.Corruption at stage 1 names negative block"},
-		{"outage without window", plan(RemoteOutage{From: 0, Dur: 0}), "RemoteOutage at stage 0 has window length 0"},
-		{"slowdown that speeds up", plan(RemoteSlow{From: 0, Dur: 2, Factor: 0.5}), "RemoteSlow at stage 0 has factor 0.5 ≤ 1"},
-		{"remote corruption before stage 0", plan(RemoteCorruption{Stage: -1}), "RemoteCorruption at stage -1 names a negative stage"},
 		{"gc pause without detector", plan(GCPause{Node: 0, From: 1, Dur: simtime.Second}), "failure detector"},
 		{"gc pause zero dur", detector(GCPause{Node: 0, From: 1}), "GCPause at stage 1 has non-positive duration"},
 		{"partition without detector", plan(Partition{Nodes: []int{0}, From: 1, Dur: simtime.Second}), "failure detector"},
 		{"partition isolates nothing", detector(Partition{From: 1, Dur: simtime.Second}), "isolates no nodes"},
 		{"partition absent node", detector(Partition{Nodes: []int{0, 7}, From: 1, Dur: simtime.Second}), "node 7"},
-		{"rack failure without racks", detector(RackFailure{Rack: 0, Stage: 1}), "rack topology"},
-		{"rack failure absent rack", func(c *Conf) {
-			c.Cluster = cluster.LocalN(4, 2).WithRacks(2)
-			plan(RackFailure{Rack: 2, Stage: 1})(c)
-		}, "names rack 2 outside the 2-rack cluster"},
 		{"nil event", plan(nil), "event 0 is nil"},
 
 		// Durable-store family.
 		{"negative memory budget", func(c *Conf) { c.MemoryBudget = -1 }, "MemoryBudget"},
 		{"budget without durable dir", func(c *Conf) { c.MemoryBudget = 64 }, "needs Conf.DurableDir"},
-
-		// Remote-tier family.
-		{"remote without durable", func(c *Conf) { c.RemoteDir = "somewhere" }, "RemoteDir needs Conf.DurableDir"},
 
 		// Kernel family.
 		{"negative kernel threads", func(c *Conf) { c.KernelThreads = -1 }, "KernelThreads"},
@@ -136,7 +125,7 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 	})
 
 	t.Run("fault plan of every kind", func(t *testing.T) {
-		conf := Conf{Cluster: cluster.LocalN(4, 2).WithRacks(2)}
+		conf := Conf{Cluster: cluster.LocalN(4, 2)}
 		detector(everyKind()...)(&conf)
 		if err := conf.normalize(); err != nil {
 			t.Fatal(err)
@@ -173,20 +162,16 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 	})
 }
 
-// everyKind is one well-formed event of each of the ten kinds, all due by
-// stage 1 of a two-stage job on a 4-node, 2-rack cluster with the detector
-// on — and mild enough (sub-lease silences) that the job still completes.
+// everyKind is one well-formed event of each of the six kinds, all due by
+// stage 1 of a two-stage job on a 4-node cluster with the detector on —
+// and mild enough (sub-lease silences) that the job still completes.
 func everyKind() []FaultEvent {
 	return []FaultEvent{
 		ExecutorCrash{Stage: 1, Node: 0},
 		DiskLoss{Stage: 1, Node: 1},
 		Straggler{Stage: 0, Partition: 1, Factor: 3},
 		Corruption{Stage: 1, Block: 1},
-		RemoteOutage{From: 0, Dur: 1},
-		RemoteSlow{From: 0, Dur: 8, Factor: 2},
-		RemoteCorruption{Stage: 1, Block: 2},
 		GCPause{Node: 1, From: 1, Dur: simtime.Second / 2},
 		Partition{Nodes: []int{1}, From: 1, Dur: simtime.Second / 2},
-		RackFailure{Rack: 1, Stage: 1},
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -87,14 +86,6 @@ type Conf struct {
 	// a tile codec). Without one, shuffle/broadcast staging is skipped
 	// even when DurableDir is set.
 	SpillCodec Codec
-	// RemoteDir roots the shared remote replica tier (store.FSTier)
-	// behind the durable store: staged shuffle blocks are asynchronously
-	// replicated under it, and recovery restores lost blocks from intact
-	// replicas before falling back to recompute. Empty (the default)
-	// disables the tier; a non-empty value requires DurableDir (the tier
-	// replicates the durable store). The directory is shared — several
-	// contexts (or a restarted driver) may point at the same one.
-	RemoteDir string
 	// HeartbeatInterval enables the heartbeat/lease failure detector:
 	// executors heartbeat the driver every HeartbeatInterval modelled
 	// seconds, the scheduler suspects a node after one missed lease and
@@ -163,7 +154,7 @@ func (conf *Conf) normalize() error {
 		return fmt.Errorf("rdd: Conf.HeartbeatInterval must be ≥ 0 (0 disables the failure detector), got %v", conf.HeartbeatInterval)
 	}
 	if conf.FaultPlan != nil {
-		if err := conf.FaultPlan.validate(conf.Cluster.Nodes, conf.Cluster.Racks, conf.HeartbeatInterval > 0); err != nil {
+		if err := conf.FaultPlan.validate(conf.Cluster.Nodes, conf.HeartbeatInterval > 0); err != nil {
 			return err
 		}
 	}
@@ -177,9 +168,6 @@ func (conf *Conf) normalize() error {
 		if err := os.MkdirAll(conf.DurableDir, 0o755); err != nil {
 			return fmt.Errorf("rdd: Conf.DurableDir %q is not creatable: %w", conf.DurableDir, err)
 		}
-	}
-	if conf.RemoteDir != "" && conf.DurableDir == "" {
-		return fmt.Errorf("rdd: Conf.RemoteDir needs Conf.DurableDir — the remote tier replicates the durable store")
 	}
 	if conf.Restore != nil {
 		if err := validateRestore(conf.Restore, conf.FaultPlan, conf.Cluster.Nodes); err != nil {
@@ -425,30 +413,6 @@ func NewContext(conf Conf) *Context {
 			panic(err)
 		}
 		c.store = st
-	}
-	if conf.RemoteDir != "" {
-		tier, err := store.NewFSTier(conf.RemoteDir)
-		if err != nil {
-			panic(err)
-		}
-		// Only shuffle blocks replicate: broadcast payloads and driver
-		// staging files are cheap to rebuild, lost map outputs are not.
-		c.store.AttachRemote(tier, func(key string) bool {
-			return strings.HasPrefix(key, "shuffle/")
-		})
-		if cl := conf.Cluster; cl.Racks > 1 {
-			// Domain-aware replica placement: a replica must never share a
-			// fault domain with the block it protects, or a rack failure
-			// takes both. Origin domain = the rack of the map partition's
-			// home executor, parsed from the shuffle block key.
-			c.store.SetReplicaDomains(cl.Racks, func(key string) int {
-				var id, m, r int
-				if _, err := fmt.Sscanf(key, "shuffle/%d/m%d/r%d", &id, &m, &r); err != nil {
-					return 0
-				}
-				return cl.RackOf(c.nodeOf(m))
-			})
-		}
 	}
 	if conf.Restore != nil {
 		c.restoreEngineState(conf.Restore)
@@ -749,18 +713,8 @@ func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Du
 		}
 		// The copy needs a live executor other than the straggler's own;
 		// without one (single-node cluster, or every other node
-		// blacklisted) the task is left to finish where it runs. With rack
-		// topology the scan prefers a node OFF the straggler's fault
-		// domain — slowness indicts the domain (shared ToR/PDU, a rack-wide
-		// GC of a noisy neighbour), so the copy must not share it — and
-		// falls back to the plain ring scan when no such node is alive.
-		copyNode := -1
-		if cl := c.conf.Cluster; cl.Racks > 1 {
-			copyNode = c.nextAlive(tc.Node, asOf, cl.RackOf(tc.Node))
-		}
-		if copyNode < 0 {
-			copyNode = c.nextAlive(tc.Node, asOf, -1)
-		}
+		// blacklisted) the task is left to finish where it runs.
+		copyNode := c.nextAlive(tc.Node, asOf)
 		if copyNode < 0 {
 			continue
 		}

@@ -80,49 +80,6 @@ type Corruption struct {
 	Torn bool
 }
 
-// RemoteOutage takes the remote replica tier down for a window of
-// stages: from the start of stage From until (exclusive) the start of
-// stage From+Dur, replication parks its queue and recovery skips the
-// restore path — the engine degrades to recompute-only. Window
-// membership is evaluated against the run's high-water stage ID, so
-// resubmitted recovery stages (which reuse old IDs) can never re-open a
-// closed window.
-type RemoteOutage struct {
-	// From is the global stage ID at whose start the outage begins.
-	From int
-	// Dur is the window length in stages (> 0).
-	Dur int
-}
-
-// RemoteSlow dilates simulated remote-tier operations by Factor for a
-// window of stages ([From, From+Dur), same semantics as RemoteOutage).
-// A dilated restore read that exceeds remoteOpTimeout times out and is
-// retried with exponential backoff up to remoteMaxRetries times;
-// exhausting the retries falls back to recompute.
-type RemoteSlow struct {
-	// From is the global stage ID at whose start the slowdown begins.
-	From int
-	// Dur is the window length in stages (> 0).
-	Dur int
-	// Factor > 1 multiplies simulated remote operation time.
-	Factor float64
-}
-
-// RemoteCorruption schedules the deliberate damage of one remote
-// replica at the start of one stage: pending replication is flushed,
-// then among the newest shuffle's replicas (sorted keys) index Block
-// modulo the count selects the victim — the same selection rule as the
-// local Corruption event, so pairing the two with equal indexes damages
-// a block and its replica together (forcing the recompute fallback).
-type RemoteCorruption struct {
-	// Stage is the global stage ID at whose start the damage happens.
-	Stage int
-	// Block indexes the victim among the replicas (mod the count).
-	Block int
-	// Torn truncates the replica file instead of flipping a bit.
-	Torn bool
-}
-
 // GCPause schedules a stop-the-world pause on one executor: from the
 // start of stage From the node stops heartbeating for Dur modelled time
 // WITHOUT dying — its staged outputs survive. With a
@@ -156,34 +113,15 @@ type Partition struct {
 	Dur simtime.Duration
 }
 
-// RackFailure schedules the correlated loss of one fault domain at the
-// start of one stage: every executor in the rack dies at once (shared
-// ToR switch / PDU), with full per-node crash semantics — staged outputs
-// lost, blacklist backoff per node, first-attempt tasks killed. Requires
-// a cluster with rack topology (cluster.WithRacks).
-type RackFailure struct {
-	// Rack is the fault domain that fails.
-	Rack int
-	// Stage is the global stage ID at whose start the rack dies.
-	Stage int
-	// Down is how long the rack's executors stay blacklisted; 0 uses the
-	// per-node exponential backoff.
-	Down simtime.Duration
-}
-
-// FaultEvent is one scheduled failure: the ten event structs above are its
+// FaultEvent is one scheduled failure: the six event structs above are its
 // implementations (the methods are unexported, so the set is closed).
 type FaultEvent interface {
-	// span is where the event applies. A point event (n == 0) fires once,
-	// when stage `from` starts. A window event (n > 0) holds at every stage
-	// boundary while the run's high-water stage ID is in [from, from+n) —
-	// resubmitted recovery stages reuse old IDs, so they can never re-open
-	// a closed window.
-	span() (from, n int)
+	// stage is the global stage ID at whose start the event fires, once.
+	stage() int
 	// check reports what is wrong with the event on a cluster of `nodes`
-	// executors in `racks` fault domains, with or without a heartbeat
-	// failure detector; validate prefixes the event's type and stage.
-	check(nodes, racks int, detector bool) error
+	// executors, with or without a heartbeat failure detector; validate
+	// prefixes the event's type and stage.
+	check(nodes int, detector bool) error
 }
 
 // boundaryEvent is a FaultEvent delivered at stage boundaries — all but
@@ -192,9 +130,8 @@ type boundaryEvent interface {
 	FaultEvent
 	// rank orders the kinds due at one boundary; ties fire in plan order.
 	rank() int
-	// fire applies the event under faultState.mu. first is false when a
-	// window event already fired at an earlier boundary.
-	fire(f *firing, first bool)
+	// fire applies the event under faultState.mu.
+	fire(f *firing)
 }
 
 // FaultPlan is a deterministic schedule of injected cluster failures,
@@ -223,16 +160,15 @@ func CountEvents[T FaultEvent](p *FaultPlan) (n int) {
 	return n
 }
 
-// validate checks the plan against a cluster size, rack count and whether
-// the heartbeat failure detector is on.
-func (p *FaultPlan) validate(nodes, racks int, detector bool) error {
+// validate checks the plan against a cluster size and whether the
+// heartbeat failure detector is on.
+func (p *FaultPlan) validate(nodes int, detector bool) error {
 	for i, ev := range p.Events {
 		if ev == nil {
 			return fmt.Errorf("rdd: FaultPlan event %d is nil", i)
 		}
-		from, _ := ev.span()
-		if err := cmp.Or(ev.check(nodes, racks, detector), failIf(from < 0, "names a negative stage")); err != nil {
-			return fmt.Errorf("rdd: FaultPlan %T at stage %d %v", ev, from, err)
+		if err := cmp.Or(ev.check(nodes, detector), failIf(ev.stage() < 0, "names a negative stage")); err != nil {
+			return fmt.Errorf("rdd: FaultPlan %T at stage %d %v", ev, ev.stage(), err)
 		}
 	}
 	return nil
@@ -256,39 +192,26 @@ func failStall(dur simtime.Duration, detector bool) error {
 		failIf(!detector, "needs Conf.HeartbeatInterval > 0 — false suspicion only exists with a heartbeat failure detector"))
 }
 
-func (ev ExecutorCrash) check(nodes, _ int, _ bool) error {
+func (ev ExecutorCrash) check(nodes int, _ bool) error {
 	return cmp.Or(failNode(ev.Node, nodes), failIf(ev.Down < 0, "has negative Down %v", ev.Down))
 }
 
-func (ev DiskLoss) check(nodes, _ int, _ bool) error { return failNode(ev.Node, nodes) }
+func (ev DiskLoss) check(nodes int, _ bool) error { return failNode(ev.Node, nodes) }
 
-func (ev Straggler) check(_, _ int, _ bool) error {
+func (ev Straggler) check(_ int, _ bool) error {
 	return cmp.Or(failIf(ev.Factor < 1, "task %d has factor %g < 1", ev.Partition, ev.Factor),
 		failIf(ev.Partition < 0, "names negative partition %d", ev.Partition))
 }
 
-func (ev Corruption) check(_, _ int, _ bool) error {
+func (ev Corruption) check(_ int, _ bool) error {
 	return failIf(ev.Block < 0, "names negative block %d", ev.Block)
 }
 
-func (ev RemoteOutage) check(_, _ int, _ bool) error {
-	return failIf(ev.Dur <= 0, "has window length %d (Dur must be > 0)", ev.Dur)
-}
-
-func (ev RemoteSlow) check(_, _ int, _ bool) error {
-	return cmp.Or(failIf(ev.Dur <= 0, "has window length %d (Dur must be > 0)", ev.Dur),
-		failIf(ev.Factor <= 1, "has factor %g ≤ 1", ev.Factor))
-}
-
-func (ev RemoteCorruption) check(_, _ int, _ bool) error {
-	return failIf(ev.Block < 0, "names negative block %d", ev.Block)
-}
-
-func (ev GCPause) check(nodes, _ int, detector bool) error {
+func (ev GCPause) check(nodes int, detector bool) error {
 	return cmp.Or(failNode(ev.Node, nodes), failStall(ev.Dur, detector))
 }
 
-func (ev Partition) check(nodes, _ int, detector bool) error {
+func (ev Partition) check(nodes int, detector bool) error {
 	err := failIf(len(ev.Nodes) == 0, "isolates no nodes")
 	for _, n := range ev.Nodes {
 		err = cmp.Or(err, failNode(n, nodes))
@@ -296,29 +219,19 @@ func (ev Partition) check(nodes, _ int, detector bool) error {
 	return cmp.Or(err, failStall(ev.Dur, detector))
 }
 
-func (ev RackFailure) check(_, racks int, _ bool) error {
-	return cmp.Or(failIf(racks <= 1, "needs a cluster with rack topology (cluster.WithRacks)"),
-		failIf(ev.Rack < 0 || ev.Rack >= racks, "names rack %d outside the %d-rack cluster", ev.Rack, racks),
-		failIf(ev.Down < 0, "has negative Down %v", ev.Down))
-}
-
-func (ev ExecutorCrash) span() (int, int)    { return ev.Stage, 0 }
-func (ev DiskLoss) span() (int, int)         { return ev.Stage, 0 }
-func (ev Straggler) span() (int, int)        { return ev.Stage, 0 }
-func (ev Corruption) span() (int, int)       { return ev.Stage, 0 }
-func (ev RemoteOutage) span() (int, int)     { return ev.From, ev.Dur }
-func (ev RemoteSlow) span() (int, int)       { return ev.From, ev.Dur }
-func (ev RemoteCorruption) span() (int, int) { return ev.Stage, 0 }
-func (ev GCPause) span() (int, int)          { return ev.From, 0 }
-func (ev Partition) span() (int, int)        { return ev.From, 0 }
-func (ev RackFailure) span() (int, int)      { return ev.Stage, 0 }
+func (ev ExecutorCrash) stage() int { return ev.Stage }
+func (ev DiskLoss) stage() int      { return ev.Stage }
+func (ev Straggler) stage() int     { return ev.Stage }
+func (ev Corruption) stage() int    { return ev.Stage }
+func (ev GCPause) stage() int       { return ev.From }
+func (ev Partition) stage() int     { return ev.From }
 
 // randStage draws a stage in [1, stages). Stage 0 is skipped so every
 // fault hits a run with prior shuffle state to lose (a crash before any
 // map output exists recovers trivially).
 func randStage(rng *rand.Rand, stages int) int { return 1 + rng.Intn(max(stages, 2)-1) }
 
-// randIndex draws one of n nodes or racks.
+// randIndex draws one of n nodes.
 func randIndex(rng *rand.Rand, n int) int { return rng.Intn(max(n, 1)) }
 
 // randStall draws a 2–8 modelled-second silence: against typical heartbeat
@@ -358,16 +271,14 @@ func RandomFaultPlan(seed int64, stages, nodes, crashes, stragglers, diskLosses 
 // ChaosPlan is the chaos harness's standard mix over the first `stages`
 // stages, the one `dpspark chaos` and chaos-seeded serve jobs share:
 // `crashes` executor crashes with two stragglers and one staging-disk loss
-// (drawn only when crashes > 0), `gcPauses` stop-the-world pauses drawn at
-// seed+1, and `rackFailures` losses among `racks` fault domains drawn at
-// seed+2.
-func ChaosPlan(seed int64, stages, nodes, crashes, gcPauses, racks, rackFailures int) *FaultPlan {
+// (drawn only when crashes > 0) and `gcPauses` stop-the-world pauses drawn
+// at seed+1.
+func ChaosPlan(seed int64, stages, nodes, crashes, gcPauses int) *FaultPlan {
 	p := &FaultPlan{Seed: seed}
 	if crashes > 0 {
 		p = RandomFaultPlan(seed, stages, nodes, crashes, 2, 1)
 	}
-	return p.WithRandomGCPauses(seed+1, stages, nodes, gcPauses).
-		WithRandomRackFailures(seed+2, stages, racks, rackFailures)
+	return p.WithRandomGCPauses(seed+1, stages, nodes, gcPauses)
 }
 
 // withRandom returns a copy of the plan with n more events, drawn from a
@@ -405,15 +316,6 @@ func (p *FaultPlan) WithRandomPartitions(seed int64, stages, nodes, n int) *Faul
 			cut = append(cut, b)
 		}
 		return Partition{From: randStage(rng, stages), Nodes: cut, Dur: randStall(rng)}
-	})
-}
-
-// WithRandomRackFailures returns a copy of the plan with n seeded rack
-// failures appended, drawn over the first `stages` stages of a
-// `racks`-domain cluster.
-func (p *FaultPlan) WithRandomRackFailures(seed int64, stages, racks, n int) *FaultPlan {
-	return p.withRandom(seed, n, func(rng *rand.Rand) FaultEvent {
-		return RackFailure{Stage: randStage(rng, stages), Rack: randIndex(rng, racks)}
 	})
 }
 
@@ -474,12 +376,6 @@ type faultState struct {
 	// strike).
 	downUntil []simtime.Duration
 	strikes   []int
-	// maxStage is the high-water global stage ID seen by fireStageFaults,
-	// which window events are evaluated against.
-	maxStage int
-	// remoteDown is the outage-window state last applied to the store
-	// (transition edges count degraded windows).
-	remoteDown bool
 }
 
 // newFaultState prepares the per-context bookkeeping for a plan.
@@ -492,7 +388,6 @@ func newFaultState(p *FaultPlan, nodes int) *faultState {
 		fired:     make([]bool, len(p.Events)),
 		downUntil: make([]simtime.Duration, nodes),
 		strikes:   make([]int, nodes),
-		maxStage:  -1,
 	}
 	for i, ev := range p.Events {
 		if _, ok := ev.(boundaryEvent); ok {
@@ -503,11 +398,6 @@ func newFaultState(p *FaultPlan, nodes int) *faultState {
 		return p.Events[a].(boundaryEvent).rank() - p.Events[b].(boundaryEvent).rank()
 	})
 	return fs
-}
-
-// inWindow reports whether the run's high-water stage is in [from, from+n).
-func (fs *faultState) inWindow(from, n int) bool {
-	return fs.maxStage >= from && fs.maxStage < from+n
 }
 
 // firing is one stage boundary's delivery of the due events: the helpers
@@ -524,15 +414,12 @@ type firing struct {
 	det simtime.Duration
 	// declared: some executor was declared dead through the detector.
 	declared bool
-	// remoteDown: an outage window holds at this boundary.
-	remoteDown bool
 	// crashed are the nodes that died at this stage.
 	crashed map[int]bool
 	// lose and zombies are the nodes whose staged outputs go (dead or
-	// wiped, falsely declared); racks the failed fault domains; damage the
-	// block corruptions.
-	lose, zombies, racks []int
-	damage               []func()
+	// wiped, falsely declared); damage the block corruptions.
+	lose, zombies []int
+	damage        []func()
 }
 
 // record puts one event of this boundary in the flight recorder.
@@ -550,32 +437,6 @@ func (f *firing) fault(node int, detail string) { f.record(obs.EvFault, node, de
 func (f *firing) suspect(node int, detail string) {
 	f.c.count(recSuspicions, 1)
 	f.record(obs.EvSuspicion, node, detail)
-}
-
-// declareDead applies per-node crash semantics (strike, exponential
-// blacklist backoff — overridden by an explicit down — and staged output
-// loss) shared by solo crashes and rack failures. The blacklist starts at
-// declaration time: detection latency delays it.
-func (f *firing) declareDead(node int, down simtime.Duration, why string) {
-	fs := f.c.faults
-	fs.strikes[node]++
-	backoff := defaultBlacklistBackoff
-	for s := 1; s < fs.strikes[node] && s < 6; s++ {
-		backoff *= 2
-	}
-	if down <= 0 {
-		down = backoff
-	}
-	fs.downUntil[node] = max(fs.downUntil[node], f.now+f.det+down)
-	if f.crashed == nil {
-		f.crashed = make(map[int]bool)
-	}
-	f.crashed[node] = true
-	f.lose = append(f.lose, node)
-	if f.det > 0 {
-		f.declared = true
-		f.suspect(node, why)
-	}
 }
 
 // stall models an alive executor going silent for dur (stop-the-world
@@ -599,49 +460,48 @@ func (f *firing) stall(node int, dur simtime.Duration, kind string) {
 	f.zombies = append(f.zombies, node)
 }
 
-// Firing order: the remote tier's windows, then executor deaths, then
-// silent executors, then lost and damaged data (a block before its replica).
-func (RemoteOutage) rank() int     { return 0 }
-func (RemoteSlow) rank() int       { return 1 }
-func (ExecutorCrash) rank() int    { return 2 }
-func (RackFailure) rank() int      { return 3 }
-func (GCPause) rank() int          { return 4 }
-func (Partition) rank() int        { return 5 }
-func (DiskLoss) rank() int         { return 6 }
-func (Corruption) rank() int       { return 7 }
-func (RemoteCorruption) rank() int { return 8 }
+// Firing order: executor deaths, then silent executors, then lost and
+// damaged data.
+func (ExecutorCrash) rank() int { return 0 }
+func (GCPause) rank() int       { return 1 }
+func (Partition) rank() int     { return 2 }
+func (DiskLoss) rank() int      { return 3 }
+func (Corruption) rank() int    { return 4 }
 
-func (ev RemoteOutage) fire(f *firing, _ bool) { f.remoteDown = true }
-
-func (ev RemoteSlow) fire(f *firing, first bool) {
-	if first {
-		f.c.count(recRemoteSlows, 1)
+// A crash strikes the node (exponential blacklist backoff, overridden by
+// an explicit Down) and loses its staged outputs. The blacklist starts at
+// declaration time: detection latency delays it.
+func (ev ExecutorCrash) fire(f *firing) {
+	fs := f.c.faults
+	fs.strikes[ev.Node]++
+	down := defaultBlacklistBackoff
+	for s := 1; s < fs.strikes[ev.Node] && s < 6; s++ {
+		down *= 2
 	}
-}
-
-func (ev ExecutorCrash) fire(f *firing, _ bool) {
-	f.declareDead(ev.Node, ev.Down, "heartbeats stopped: executor dead")
+	if ev.Down > 0 {
+		down = ev.Down
+	}
+	fs.downUntil[ev.Node] = max(fs.downUntil[ev.Node], f.now+f.det+down)
+	if f.crashed == nil {
+		f.crashed = make(map[int]bool)
+	}
+	f.crashed[ev.Node] = true
+	f.lose = append(f.lose, ev.Node)
+	if f.det > 0 {
+		f.declared = true
+		f.suspect(ev.Node, "heartbeats stopped: executor dead")
+	}
 	f.c.count(recExecCrashes, 1)
 	f.fault(ev.Node, "executor-crash")
 }
 
-func (ev RackFailure) fire(f *firing, _ bool) {
-	members := f.c.conf.Cluster.RackNodes(ev.Rack)
-	for _, node := range members {
-		f.declareDead(node, ev.Down, fmt.Sprintf("heartbeats stopped with rack %d", ev.Rack))
-	}
-	f.racks = append(f.racks, ev.Rack)
-	f.c.count(recRackFailures, 1)
-	f.fault(-1, fmt.Sprintf("rack-failure rack=%d nodes=%d", ev.Rack, len(members)))
-}
-
-func (ev GCPause) fire(f *firing, _ bool) {
+func (ev GCPause) fire(f *firing) {
 	f.c.count(recGCPauses, 1)
 	f.fault(ev.Node, fmt.Sprintf("gc-pause dur=%s", ev.Dur))
 	f.stall(ev.Node, ev.Dur, "gc-pause")
 }
 
-func (ev Partition) fire(f *firing, _ bool) {
+func (ev Partition) fire(f *firing) {
 	f.c.count(recPartitions, 1)
 	f.fault(-1, fmt.Sprintf("network-partition nodes=%d dur=%s", len(ev.Nodes), ev.Dur))
 	for _, node := range ev.Nodes {
@@ -649,53 +509,39 @@ func (ev Partition) fire(f *firing, _ bool) {
 	}
 }
 
-func (ev DiskLoss) fire(f *firing, _ bool) {
+func (ev DiskLoss) fire(f *firing) {
 	f.lose = append(f.lose, ev.Node)
 	f.c.count(recDiskLosses, 1)
 	f.fault(ev.Node, "disk-loss")
 }
 
-func (ev Corruption) fire(f *firing, _ bool) {
+// The victim: among the staged blocks of the newest shuffle that has any —
+// sorted, and a deterministic set, since staging depends only on the data
+// — index Block modulo the count, which Store.Corrupt forces to disk and
+// damages. Only a victim actually damaged is counted; with nothing staged
+// the event is a no-op.
+func (ev Corruption) fire(f *firing) {
 	f.damage = append(f.damage, func() {
-		if st := f.c.store; st != nil {
-			f.c.damageNewest(ev.Block, st.Keys, func(key string) bool { return st.Corrupt(key, ev.Torn) }, recCorruptions)
-		}
-	})
-}
-
-// Pending replication is flushed first: the victim set must be the full
-// deterministic replica set.
-func (ev RemoteCorruption) fire(f *firing, _ bool) {
-	f.damage = append(f.damage, func() {
-		if st := f.c.store; st != nil && st.RemoteAttached() {
-			st.FlushReplication()
-			f.c.damageNewest(ev.Block, st.RemoteKeys, func(key string) bool { return st.CorruptRemote(key, ev.Torn) }, recRemoteCorrupts)
-		}
-	})
-}
-
-// damageNewest picks a corruption event's victim: among the blocks (or
-// replicas) keys lists for the newest shuffle that has any — sorted, and a
-// deterministic set, since staging depends only on the data — index block
-// modulo the count, which corrupt forces to disk and damages. rec counts a
-// victim actually damaged; with nothing staged the event is a no-op.
-func (c *Context) damageNewest(block int, keys func(prefix string) []string, corrupt func(key string) bool, rec recKind) {
-	c.mu.Lock()
-	live := slices.Clone(c.live)
-	c.mu.Unlock()
-	for i := len(live) - 1; i >= 0; i-- {
-		if ks := keys(shufflePrefix(live[i].dep.id)); len(ks) > 0 {
-			if corrupt(ks[block%len(ks)]) {
-				c.count(rec, 1)
-			}
+		c, st := f.c, f.c.store
+		if st == nil {
 			return
 		}
-	}
+		c.mu.Lock()
+		live := slices.Clone(c.live)
+		c.mu.Unlock()
+		for i := len(live) - 1; i >= 0; i-- {
+			if ks := st.Keys(shufflePrefix(live[i].dep.id)); len(ks) > 0 {
+				if st.Corrupt(ks[ev.Block%len(ks)], ev.Torn) {
+					c.count(recCorruptions, 1)
+				}
+				return
+			}
+		}
+	})
 }
 
-// fireStageFaults delivers the plan's events due at this stage boundary:
-// point events scheduled for the stage (once each) and the window events
-// the run's high-water stage is inside. Dead nodes are blacklisted with
+// fireStageFaults delivers the plan's events scheduled for this stage
+// boundary, once each, in rank order. Dead nodes are blacklisted with
 // exponential backoff and lose their staged map outputs, as do wiped disks
 // and falsely declared executors. It returns the set of nodes that crashed
 // at this stage — their first-attempt tasks die with the executor.
@@ -706,23 +552,14 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 	}
 	f := &firing{c: c, stage: stageID, now: c.Clock(), det: heartbeatMisses * c.conf.HeartbeatInterval}
 	fs.mu.Lock()
-	fs.maxStage = max(fs.maxStage, stageID)
 	for _, i := range fs.boundary {
 		ev := fs.plan.Events[i].(boundaryEvent)
-		from, n := ev.span()
-		due := from == stageID && !fs.fired[i]
-		if n > 0 {
-			due = fs.inWindow(from, n)
-		}
-		if !due {
+		if ev.stage() != stageID || fs.fired[i] {
 			continue
 		}
-		first := !fs.fired[i]
 		fs.fired[i] = true
-		ev.fire(f, first)
+		ev.fire(f)
 	}
-	remoteWasDown := fs.remoteDown
-	fs.remoteDown = f.remoteDown
 	fs.mu.Unlock()
 	if f.declared && f.det > 0 {
 		// Detection latency: the scheduler learns of the losses only after
@@ -732,34 +569,6 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 		// expire in parallel). The charge lands before the stage reads the
 		// clock, so placements already see the post-declaration blacklist.
 		c.advanceDriver(f.det, simtime.Overhead, obs.PhaseDetection)
-	}
-	if c.store != nil && c.store.RemoteAttached() {
-		if f.remoteDown && !remoteWasDown {
-			// Entering an outage window: one degraded-mode episode begins —
-			// the replication queue parks and recovery falls back to
-			// recompute until the window closes.
-			c.count(recDegradedWindows, 1)
-			c.count(recRemoteOutages, 1)
-			f.fault(-1, "remote-outage-enter")
-		}
-		c.store.SetRemoteAvailable(!f.remoteDown)
-		if !f.remoteDown {
-			// While the tier is up, every block staged before this stage
-			// boundary is replicated before any of the stage's faults can
-			// lose it — this is what makes restore-vs-recompute decisions
-			// (and therefore the recovery stats) deterministic. A reopened
-			// tier drains the backlog parked during the outage here too.
-			c.store.FlushReplication()
-		}
-		for _, rack := range f.racks {
-			// A rack failure burns the rack's share of the remote tier too:
-			// replicas placed in the failed domain are gone, so restores of
-			// those keys fail over to recompute — domain-aware placement
-			// guarantees the surviving copy lives elsewhere.
-			if n := c.store.DropRemoteDomain(rack); n > 0 {
-				f.fault(-1, fmt.Sprintf("rack-failure rack=%d dropped %d remote replicas", rack, n))
-			}
-		}
 	}
 	for _, node := range f.lose {
 		c.loseNodeOutputs(node, false)
@@ -777,24 +586,6 @@ func (c *Context) fireStageFaults(stageID int) map[int]bool {
 // node into a declared-dead one.
 const heartbeatMisses = 2
 
-// remoteSlowFactor returns the active remote-slowdown dilation (≥ 1) at
-// the run's current high-water stage.
-func (c *Context) remoteSlowFactor() float64 {
-	fs := c.faults
-	if fs == nil {
-		return 1
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f := 1.0
-	for _, ev := range fs.plan.Events {
-		if slow, ok := ev.(RemoteSlow); ok && fs.inWindow(slow.From, slow.Dur) {
-			f = max(f, slow.Factor)
-		}
-	}
-	return f
-}
-
 // nodeDown reports whether a node is blacklisted at the given time.
 func (c *Context) nodeDown(node int, asOf simtime.Duration) bool {
 	fs := c.faults
@@ -807,11 +598,11 @@ func (c *Context) nodeDown(node int, asOf simtime.Duration) bool {
 }
 
 // nextAlive returns the first node after from, in ring order, that is not
-// blacklisted at asOf nor in rack avoidRack (< 0: any rack); -1 if none.
-func (c *Context) nextAlive(from int, asOf simtime.Duration, avoidRack int) int {
-	cl := c.conf.Cluster
-	for i := 1; i < cl.Nodes; i++ {
-		if n := (from + i) % cl.Nodes; !c.nodeDown(n, asOf) && (avoidRack < 0 || cl.RackOf(n) != avoidRack) {
+// blacklisted at asOf; -1 if none.
+func (c *Context) nextAlive(from int, asOf simtime.Duration) int {
+	nodes := c.conf.Cluster.Nodes
+	for i := 1; i < nodes; i++ {
+		if n := (from + i) % nodes; !c.nodeDown(n, asOf) {
 			return n
 		}
 	}
@@ -826,7 +617,7 @@ func (c *Context) placeNode(split int, asOf simtime.Duration) int {
 	if !c.nodeDown(home, asOf) {
 		return home
 	}
-	n := c.nextAlive(home, asOf, -1)
+	n := c.nextAlive(home, asOf)
 	if n < 0 {
 		return home // every node down: schedule home and let it run
 	}
@@ -923,18 +714,10 @@ const (
 	recDiskLosses
 	recStragglers
 	recCorruptions
-	recRestoredBlocks
-	recRecomputedBlocks
-	recRemoteRetries
-	recDegradedWindows
-	recRemoteCorrupts
 	recSuspicions
 	recFalseSuspicions
 	recFencedCommits
-	recRackFailures
 	// Fired plan events that only the injection family reports.
-	recRemoteOutages
-	recRemoteSlows
 	recGCPauses
 	recPartitions
 	numRecKinds
@@ -958,21 +741,11 @@ var ledgerRows = [numRecKinds]struct {
 	recDiskLosses:      {inject: "disk-loss", field: func(s *RecoveryStats) *int64 { return &s.DiskLosses }},
 	recStragglers:      {inject: "straggler", field: func(s *RecoveryStats) *int64 { return &s.Stragglers }},
 	recCorruptions:     {inject: "corruption", field: func(s *RecoveryStats) *int64 { return &s.Corruptions }},
-	// dpspark_remote_restored_blocks_total belongs to the store's
-	// RestoreFromRemote, which counts it; a series here would double it.
-	recRestoredBlocks:   {field: func(s *RecoveryStats) *int64 { return &s.RestoredBlocks }},
-	recRecomputedBlocks: {metric: "dpspark_remote_recomputed_blocks_total", field: func(s *RecoveryStats) *int64 { return &s.RecomputedBlocks }},
-	recRemoteRetries:    {metric: "dpspark_remote_retries_total", field: func(s *RecoveryStats) *int64 { return &s.RemoteRetries }},
-	recDegradedWindows:  {metric: "dpspark_remote_degraded_windows_total", field: func(s *RecoveryStats) *int64 { return &s.DegradedWindows }},
-	recRemoteCorrupts:   {inject: "remote-corruption", field: func(s *RecoveryStats) *int64 { return &s.RemoteCorruptions }},
-	recSuspicions:       {metric: "dpspark_detector_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.Suspicions }},
-	recFalseSuspicions:  {metric: "dpspark_detector_false_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.FalseSuspicions }},
-	recFencedCommits:    {metric: "dpspark_detector_fenced_commits_total", field: func(s *RecoveryStats) *int64 { return &s.FencedCommits }},
-	recRackFailures:     {inject: "rack-failure", field: func(s *RecoveryStats) *int64 { return &s.RackFailures }},
-	recRemoteOutages:    {inject: "remote-outage"},
-	recRemoteSlows:      {inject: "remote-slow"},
-	recGCPauses:         {inject: "gc-pause"},
-	recPartitions:       {inject: "network-partition"},
+	recSuspicions:      {metric: "dpspark_detector_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.Suspicions }},
+	recFalseSuspicions: {metric: "dpspark_detector_false_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.FalseSuspicions }},
+	recFencedCommits:   {metric: "dpspark_detector_fenced_commits_total", field: func(s *RecoveryStats) *int64 { return &s.FencedCommits }},
+	recGCPauses:        {inject: "gc-pause"},
+	recPartitions:      {inject: "network-partition"},
 }
 
 // ledger is a context's recovery accounting: per kind, the count that
@@ -1021,8 +794,8 @@ type RecoveryStats struct {
 	// SpeculativeTasks and SpeculationWins count speculative copies
 	// launched and copies that beat the original.
 	SpeculativeTasks, SpeculationWins int64
-	// BlacklistPlacements counts task attempts (and restored map outputs)
-	// placed off their home node because it was blacklisted.
+	// BlacklistPlacements counts task attempts placed off their home node
+	// because it was blacklisted.
 	BlacklistPlacements int64
 	// ExecutorCrashes, DiskLosses and Stragglers count fired plan events.
 	ExecutorCrashes, DiskLosses, Stragglers int64
@@ -1030,22 +803,6 @@ type RecoveryStats struct {
 	// damaged a staged block (a corruption with nothing staged is a no-op
 	// and not counted).
 	Corruptions int64
-	// RestoredBlocks counts staged shuffle blocks recovery repaired from
-	// intact remote replicas instead of recomputing their map partition.
-	RestoredBlocks int64
-	// RecomputedBlocks counts staged blocks recovery had to rebuild via
-	// the partial map-recompute fallback (replica missing, corrupt, the
-	// tier down, or the restore retries exhausted).
-	RecomputedBlocks int64
-	// RemoteRetries counts remote restore reads retried after a simulated
-	// timeout (exponential backoff; see remoteOpTimeout).
-	RemoteRetries int64
-	// DegradedWindows counts entries into degraded (recompute-only) mode
-	// — one per remote-outage window the run passed through.
-	DegradedWindows int64
-	// RemoteCorruptions counts fired plan remote-corruption events that
-	// actually damaged a replica.
-	RemoteCorruptions int64
 	// Suspicions counts executors the heartbeat detector suspected after a
 	// missed lease (0 with the detector off: at latency 0 a loss is
 	// declared the instant it fires, nothing is ever merely suspected).
@@ -1056,10 +813,6 @@ type RecoveryStats struct {
 	// FencedCommits counts stale (zombie) map-output commits rejected by
 	// the attempt-epoch commit lease after a false declaration.
 	FencedCommits int64
-	// RackFailures counts fired rack-failure events (each kills a whole
-	// fault domain; the per-node losses are not double-counted as
-	// ExecutorCrashes).
-	RackFailures int64
 }
 
 // RecoveryStats returns the context's failure/recovery counters so far.

@@ -237,22 +237,20 @@ func TestStragglerDilatesAndSpeculationRecovers(t *testing.T) {
 // TestRecoveryMetricsExported: after a chaos run every exported recovery
 // series, looked up by its published name and labels, equals the
 // RecoveryStats field it mirrors — one row per ledger row that has both.
-// Three jobs on one context (durable store, remote tier, detector) walk the plan through a straggler, a crash, a remote outage, a
-// GC pause long enough to be falsely declared, a disk loss and a corrupt
-// block with a corrupt replica.
+// Three jobs on one context (durable store, detector) walk the plan
+// through a straggler, a crash, a GC pause long enough to be falsely
+// declared, a disk loss and a corrupt block.
 func TestRecoveryMetricsExported(t *testing.T) {
-	conf := remoteConf(t, 0)
+	conf := durableConf(t, 0)
 	conf.Speculation = true
 	conf.HeartbeatInterval = simtime.Second
 	conf.FaultPlan = &FaultPlan{Events: []FaultEvent{
 		Straggler{Stage: 0, Partition: 1, Factor: 8},
 		ExecutorCrash{Stage: 1, Node: 0},
-		RemoteOutage{From: 2, Dur: 2},
 		// Node 0 is still blacklisted when job 1 maps: node 1 stages it all.
 		GCPause{Node: 1, From: 3, Dur: 4 * simtime.Second},
 		DiskLoss{Stage: 5, Node: 0},
 		Corruption{Stage: 5, Block: 1},
-		RemoteCorruption{Stage: 5, Block: 1},
 	}}
 	ctx := newContext(t, conf)
 	for job := 0; job < 3; job++ {
@@ -278,9 +276,6 @@ func TestRecoveryMetricsExported(t *testing.T) {
 		{"dpspark_speculative_tasks_total", "", rs.SpeculativeTasks, true},
 		{"dpspark_speculation_wins_total", "", rs.SpeculationWins, true},
 		{"dpspark_blacklist_placements_total", "", rs.BlacklistPlacements, true},
-		{"dpspark_remote_recomputed_blocks_total", "", rs.RecomputedBlocks, true},
-		{"dpspark_remote_retries_total", "", rs.RemoteRetries, false},
-		{"dpspark_remote_degraded_windows_total", "", rs.DegradedWindows, true},
 		{"dpspark_detector_suspicions_total", "", rs.Suspicions, true},
 		{"dpspark_detector_false_suspicions_total", "", rs.FalseSuspicions, true},
 		{"dpspark_detector_fenced_commits_total", "", rs.FencedCommits, true},
@@ -288,8 +283,6 @@ func TestRecoveryMetricsExported(t *testing.T) {
 		{"dpspark_fault_injections_total", "disk-loss", rs.DiskLosses, true},
 		{"dpspark_fault_injections_total", "straggler", rs.Stragglers, true},
 		{"dpspark_fault_injections_total", "corruption", rs.Corruptions, true},
-		{"dpspark_fault_injections_total", "remote-corruption", rs.RemoteCorruptions, true},
-		{"dpspark_fault_injections_total", "rack-failure", rs.RackFailures, false},
 	}
 	reg := ctx.Observer().Metrics()
 	for _, row := range rows {
@@ -310,12 +303,6 @@ func TestRecoveryMetricsExported(t *testing.T) {
 	}
 	if mirrored != len(rows) {
 		t.Fatalf("the ledger mirrors %d RecoveryStats fields into series, this table checks %d", mirrored, len(rows))
-	}
-	// RestoredBlocks is the one field without an rdd-side series: the store
-	// owns dpspark_remote_restored_blocks_total and counts every block it
-	// fetched back, also those of a partition whose restore then failed.
-	if rs.RestoredBlocks == 0 {
-		t.Errorf("the crash's lost outputs must restore from replicas: %+v", rs)
 	}
 }
 
@@ -393,7 +380,7 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds should differ")
 	}
-	if err := a.validate(4, 1, false); err != nil {
+	if err := a.validate(4, false); err != nil {
 		t.Fatalf("drawn plan invalid: %v", err)
 	}
 	if CountEvents[ExecutorCrash](a) != 2 || CountEvents[Straggler](a) != 2 || CountEvents[DiskLoss](a) != 1 {
@@ -402,22 +389,22 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 
 	// The detector-era event kinds generate behind chained opts, equally
 	// deterministic, without disturbing the base plan's draws.
-	d := a.WithRandomGCPauses(5, 12, 4, 2).WithRandomPartitions(6, 12, 4, 1).WithRandomRackFailures(7, 12, 2, 1)
-	e := a.WithRandomGCPauses(5, 12, 4, 2).WithRandomPartitions(6, 12, 4, 1).WithRandomRackFailures(7, 12, 2, 1)
+	d := a.WithRandomGCPauses(5, 12, 4, 2).WithRandomPartitions(6, 12, 4, 1)
+	e := a.WithRandomGCPauses(5, 12, 4, 2).WithRandomPartitions(6, 12, 4, 1)
 	if !reflect.DeepEqual(d, e) {
 		t.Fatalf("same seeds, different chained plans:\n%+v\n%+v", d, e)
 	}
-	if CountEvents[GCPause](d) != 2 || CountEvents[Partition](d) != 1 || CountEvents[RackFailure](d) != 1 {
+	if CountEvents[GCPause](d) != 2 || CountEvents[Partition](d) != 1 {
 		t.Fatalf("chained plan = %+v", d)
 	}
-	if CountEvents[GCPause](a)+CountEvents[Partition](a)+CountEvents[RackFailure](a) != 0 {
+	if CountEvents[GCPause](a)+CountEvents[Partition](a) != 0 {
 		t.Fatalf("chaining must copy, not mutate: %+v", a)
 	}
-	if err := d.validate(4, 2, true); err != nil {
-		t.Fatalf("chained plan invalid for a 2-rack cluster: %v", err)
+	if err := d.validate(4, true); err != nil {
+		t.Fatalf("chained plan invalid: %v", err)
 	}
-	if err := d.validate(4, 1, true); err == nil {
-		t.Fatal("rack failures must be rejected without rack topology")
+	if err := d.validate(4, false); err == nil {
+		t.Fatal("GC pauses and partitions must be rejected without the detector")
 	}
 }
 
@@ -451,8 +438,7 @@ func TestRandomFaultPlanGolden(t *testing.T) {
 	p := RandomFaultPlan(16, 30, 4, 2, 2, 1).
 		WithRandomCorruptions(17, 30, 2).
 		WithRandomGCPauses(18, 30, 4, 2).
-		WithRandomPartitions(19, 30, 4, 2).
-		WithRandomRackFailures(20, 30, 2, 1)
+		WithRandomPartitions(19, 30, 4, 2)
 	var got strings.Builder
 	for _, ev := range p.Events {
 		fmt.Fprintf(&got, "%#v\n", ev)
@@ -473,5 +459,4 @@ rdd.GCPause{Node:0, From:8, Dur:2.206549092681544}
 rdd.GCPause{Node:2, From:9, Dur:6.4621137238874}
 rdd.Partition{Nodes:[]int{1, 0}, From:10, Dur:7.414460852092496}
 rdd.Partition{Nodes:[]int{2}, From:3, Dur:4.641757663820156}
-rdd.RackFailure{Rack:0, Stage:8, Down:0}
 `

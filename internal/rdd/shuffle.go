@@ -379,11 +379,9 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 	}
 }
 
-// recoverShuffle repairs a shuffle after a reduce-side fetch failure.
-// Lost map partitions are first restored from intact remote replicas
-// (tryRemoteRestore — every staged block of the partition fetched back
-// verified); only the rest fall into the PR 3 path, resubmitting the
-// map stage to recompute exactly those partitions. Concurrent failures
+// recoverShuffle repairs a shuffle after a reduce-side fetch failure by
+// resubmitting the map stage to recompute exactly the lost map
+// partitions. Concurrent failures
 // of the same shuffle serialize on recMu; whoever arrives after a
 // completed recovery (the epoch advanced past the failure's) returns
 // immediately and simply retries its fetch.
@@ -441,32 +439,14 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 	// concurrent reads in the interim still find the lost refs, raise
 	// FetchFailed and serialize behind recMu on the epoch guard above.
 
-	toRecompute := lost
-	if restored := c.tryRemoteRestore(st, lost); len(restored) > 0 {
-		toRecompute = subtractSorted(lost, restored)
-	}
-
-	if len(toRecompute) > 0 {
+	if len(lost) > 0 {
 		c.count(recStageResubmits, 1)
 		c.recordEvent(obs.Event{
 			Clock: -1, Type: obs.EvStageResubmit,
 			Stage: -1, Part: -1, Node: -1, Shuffle: ff.ShuffleID,
-			Detail: fmt.Sprintf("recompute %d lost map partitions", len(toRecompute)),
+			Detail: fmt.Sprintf("recompute %d lost map partitions", len(lost)),
 		})
-
-		c.execMapTasks(st, toRecompute)
-
-		if c.store != nil && c.store.RemoteAttached() {
-			// The restore-vs-recompute ledger: staged blocks rebuilt by
-			// the fallback (restored ones were counted in tryRemoteRestore).
-			var blocks int64
-			st.mu.Lock()
-			for _, p := range toRecompute {
-				blocks += int64(st.refsByMap[p])
-			}
-			st.mu.Unlock()
-			c.count(recRecomputedBlocks, blocks)
-		}
+		c.execMapTasks(st, lost)
 	}
 
 	st.mu.Lock()
@@ -479,7 +459,7 @@ func (c *Context) recoverShuffle(ff *FetchFailedError) error {
 	st.epoch++
 	st.mu.Unlock()
 
-	c.count(recRecomputedParts, int64(len(toRecompute)))
+	c.count(recRecomputedParts, int64(len(lost)))
 	return c.Err()
 }
 

@@ -63,10 +63,9 @@ type Codec interface {
 // Conf.DurableDir is unset).
 func (c *Context) Store() *store.Store { return c.store }
 
-// Close drains and stops the durable store's spill and replication
-// writers (store.Close), so a caller may remove DurableDir afterwards; a
-// context without a store holds nothing to close. Idempotent. Call it
-// once no stage is running.
+// Close drains and stops the durable store's spill writer (store.Close),
+// so a caller may remove DurableDir afterwards; a context without a store
+// holds nothing to close. Idempotent. Call it once no stage is running.
 func (c *Context) Close() {
 	if c.store != nil {
 		c.store.Close()

@@ -297,7 +297,7 @@ func TestWithRandomCorruptionsDeterministic(t *testing.T) {
 	if CountEvents[Corruption](a) != 3 || CountEvents[Corruption](base) != 0 {
 		t.Fatalf("append went wrong: %+v / %+v", a.Events, base.Events)
 	}
-	if err := a.validate(4, 1, false); err != nil {
+	if err := a.validate(4, false); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
 	c := base.WithRandomCorruptions(100, 12, 3)
@@ -314,11 +314,10 @@ func TestWithRandomCorruptionsDeterministic(t *testing.T) {
 func TestEngineStateRoundTrip(t *testing.T) {
 	plan := &FaultPlan{Events: everyKind()}
 	// counted[i] is the ledger row that counts plan.Events[i] firing.
-	counted := []recKind{recExecCrashes, recDiskLosses, recStragglers, recCorruptions, recRemoteOutages,
-		recRemoteSlows, recRemoteCorrupts, recGCPauses, recPartitions, recRackFailures}
+	counted := []recKind{recExecCrashes, recDiskLosses, recStragglers, recCorruptions, recGCPauses, recPartitions}
 	conf := func(restore *EngineState) Conf {
-		c := remoteConf(t, 0)
-		c.Cluster = cluster.LocalN(4, 2).WithRacks(2)
+		c := durableConf(t, 0)
+		c.Cluster = cluster.LocalN(4, 2)
 		c.HeartbeatInterval = simtime.Second
 		c.FaultPlan, c.Restore = plan, restore
 		return c
@@ -348,9 +347,6 @@ func TestEngineStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored run = %v, want %v", got, want)
 	}
 	for i, ev := range plan.Events {
-		if _, ok := ev.(RemoteOutage); ok {
-			continue // counted per window entry (level state), not per fired bit
-		}
 		if n := resumed.ledger.n[counted[i]].Load(); n != 0 {
 			t.Errorf("%T fired again on the restored context (counted %d)", ev, n)
 		}

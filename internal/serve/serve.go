@@ -679,7 +679,7 @@ func (s *Server) runAttempt(j *Job) (uint64, float64, error) {
 	// those outliving the detection latency exercise false suspicion +
 	// zombie fencing in-service.
 	r := (spec.N + spec.Block - 1) / spec.Block
-	plan := rdd.ChaosPlan(spec.ChaosSeed, 4*r, s.sub.Cluster().Nodes, spec.ChaosCrashes, spec.ChaosGCPauses, 0, 0)
+	plan := rdd.ChaosPlan(spec.ChaosSeed, 4*r, s.sub.Cluster().Nodes, spec.ChaosCrashes, spec.ChaosGCPauses)
 	var heartbeat simtime.Duration
 	if spec.HeartbeatMS > 0 {
 		heartbeat = simtime.Duration(spec.HeartbeatMS) * simtime.Millisecond

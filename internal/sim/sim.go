@@ -180,16 +180,6 @@ func (s *Sim) Advance(d simtime.Duration, cat simtime.Category) (start, end simt
 	return start, end
 }
 
-// AcquireShuffle re-stages shuffle bytes on a node outside a stage run —
-// the restore-from-replica recovery path re-homing a lost map output.
-func (s *Sim) AcquireShuffle(node int, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if node >= 0 && node < len(s.diskUsed) {
-		s.diskUsed[node] += bytes
-	}
-}
-
 // ReleaseShuffle frees staged shuffle bytes (Spark's shuffle cleanup when
 // an old RDD generation is no longer referenced).
 func (s *Sim) ReleaseShuffle(node int, bytes int64) {

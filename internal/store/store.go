@@ -1,7 +1,6 @@
 // Package store is the engine's BlockManager: a budgeted in-memory block
 // tier that evicts least-recently-used blocks to a checksummed on-disk
-// tier, an optional third *remote* tier (tier.go) holding replicas on
-// shared storage, plus atomic driver checkpoint files (checkpoint.go).
+// tier, plus atomic driver checkpoint files (checkpoint.go).
 //
 // Blocks are opaque byte slices keyed by string; the rdd layer encodes
 // shuffle buckets and broadcast payloads through a Codec (tiles ride
@@ -10,8 +9,7 @@
 // disk, and disk reads verify a CRC32C before returning bytes — a
 // mismatch or torn write surfaces as *CorruptError so the caller can
 // route it into the FetchFailed → partial-recompute path instead of
-// consuming silent garbage. Remote replicas carry the same frame and the
-// same checksum-on-read = lost-block contract.
+// consuming silent garbage.
 //
 // Spills are asynchronous: eviction *chooses* its victims
 // deterministically under the lock (LRU order, counted immediately) but
@@ -80,11 +78,10 @@ type Options struct {
 	// reach disk via Corrupt or explicit spill).
 	MemoryBudget int64
 	// Registry receives the spill/eviction/corruption counters
-	// (dpspark_{spilled_blocks,evicted_blocks,corrupt_blocks_detected}_total)
-	// and, once a remote tier is attached, the dpspark_remote_* families.
+	// (dpspark_{spilled_blocks,evicted_blocks,corrupt_blocks_detected}_total).
 	// Nil is fine; the store keeps its own Stats either way.
 	Registry *obs.Registry
-	// Flight, when non-nil, receives structured eviction / replication /
+	// Flight, when non-nil, receives structured eviction and
 	// corruption-detection events for the engine's flight recorder.
 	Flight *obs.FlightRecorder
 }
@@ -108,17 +105,6 @@ type Stats struct {
 	// With async spill it accrues when the background writer finishes;
 	// call Flush before reading it if every pending write must be in.
 	SpillWall time.Duration
-	// ReplicatedBlocks counts blocks durably copied to the remote tier.
-	ReplicatedBlocks int64
-	// RemoteRestored counts blocks re-installed locally from an intact
-	// remote replica (RestoreFromRemote).
-	RemoteRestored int64
-	// RemoteCorruptDetected counts remote replica reads that failed
-	// verification.
-	RemoteCorruptDetected int64
-	// RemoteQueue is the current replication backlog (parked entries
-	// included while the remote tier is unavailable).
-	RemoteQueue int64
 }
 
 // entry is one block. data != nil && !dirty means memory (elem is its LRU
@@ -144,15 +130,14 @@ type Store struct {
 	budget int64
 
 	mu      sync.Mutex
-	cond    *sync.Cond // signals background-writer progress (spill + replication)
+	cond    *sync.Cond // signals background-writer progress
 	blocks  map[string]*entry
 	lru     *list.List // front = most recent; values are *entry
 	memUsed int64
 	disk    int64 // bytes on disk (dirty blocks counted here already)
 	diskN   int64 // blocks on disk
 	stats   Stats
-	// closed refuses new blocks and keeps the background writers from
-	// being (re)started; set by Close.
+	// closed refuses new blocks; set by Close.
 	closed bool
 
 	// Async spill: FIFO of dirty entries awaiting the single background
@@ -160,31 +145,10 @@ type Store struct {
 	spillQ      []*entry
 	spillWorker bool
 
-	// Remote tier (tier.go): replication queue of keys, single lazy
-	// worker, availability gate for outage simulation.
-	remote     Tier
-	repPolicy  func(key string) bool
-	remoteUp   bool
-	repQ       []string
-	repPending map[string]struct{}
-	repWorker  bool
-
-	// Fault-domain-aware replica placement (tier.go): when configured
-	// via SetReplicaDomains, each landed replica is recorded as living
-	// in the rack after its origin's, so a correlated rack failure can
-	// invalidate exactly the replicas it would physically take out.
-	domains       int
-	originOf      func(key string) int
-	replicaDomain map[string]int
-
-	reg        *obs.Registry
-	flight     *obs.FlightRecorder
-	spilled    *obs.Counter
-	evicted    *obs.Counter
-	corrupted  *obs.Counter
-	replicated *obs.Counter
-	restored   *obs.Counter
-	remoteBad  *obs.Counter
+	flight    *obs.FlightRecorder
+	spilled   *obs.Counter
+	evicted   *obs.Counter
+	corrupted *obs.Counter
 }
 
 // Open creates (if needed) dir and returns a Store over it. Stale block
@@ -203,7 +167,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		budget: opts.MemoryBudget,
 		blocks: make(map[string]*entry),
 		lru:    list.New(),
-		reg:    opts.Registry,
 		flight: opts.Flight,
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -233,25 +196,11 @@ func (s *Store) recordFlight(typ, key string) {
 // Put stores data under key, replacing any previous block. The slice is
 // retained; callers must not mutate it afterwards. The insert lands in
 // the memory tier and then evicts LRU blocks while over budget (possibly
-// spilling the new block itself if it alone exceeds the budget). When a
-// remote tier is attached and its policy covers the key, the block is
-// also queued for asynchronous replication.
+// spilling the new block itself if it alone exceeds the budget). It fails
+// once the store is closed.
 func (s *Store) Put(key string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.insertLocked(key, data); err != nil {
-		return err
-	}
-	if s.remote != nil && s.repPolicy(key) {
-		s.enqueueReplicationLocked(key)
-	}
-	return s.evictLocked()
-}
-
-// insertLocked installs data as key's block in the memory tier, dropping
-// whatever local state the key had; it fails once the store is closed.
-// Called with s.mu held; the caller runs evictLocked afterwards.
-func (s *Store) insertLocked(key string, data []byte) error {
 	for {
 		// Checked on every pass: dropLocked releases the lock while it
 		// waits, and a Close in that window must still refuse this block.
@@ -270,7 +219,7 @@ func (s *Store) insertLocked(key string, data []byte) error {
 	e.elem = s.lru.PushFront(e)
 	s.blocks[key] = e
 	s.memUsed += e.size
-	return nil
+	return s.evictLocked()
 }
 
 // Get returns the block's bytes. Memory hits refresh the block's LRU
@@ -323,28 +272,22 @@ func (s *Store) InMemory(key string) bool {
 	return ok && e.data != nil && !e.dirty
 }
 
-// Delete removes the block from the local tiers and, when a remote tier
-// is attached, its replica. Unknown keys are a no-op.
+// Delete removes the block from whichever tier holds it. Unknown keys
+// are a no-op.
 func (s *Store) Delete(key string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e, ok := s.blocks[key]; ok {
 		s.dropLocked(e)
 	}
-	delete(s.replicaDomain, key)
-	remote := s.remote
-	s.mu.Unlock()
-	if remote != nil {
-		// Replica cleanup is physical housekeeping, not simulated data-path
-		// traffic, so it proceeds regardless of the availability gate.
-		remote.Delete(key)
-	}
 }
 
-// DeletePrefix removes every local block whose key starts with prefix
-// (and their remote replicas) and returns how many local blocks were
-// dropped. Used to retire a whole shuffle's buckets in one call.
+// DeletePrefix removes every block whose key starts with prefix and
+// returns how many were dropped. Used to retire a whole shuffle's buckets
+// in one call.
 func (s *Store) DeletePrefix(prefix string) int {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	var victims []*entry
 	for k, e := range s.blocks {
 		if strings.HasPrefix(k, prefix) {
@@ -353,18 +296,6 @@ func (s *Store) DeletePrefix(prefix string) int {
 	}
 	for _, e := range victims {
 		s.dropLocked(e)
-	}
-	for k := range s.replicaDomain {
-		if strings.HasPrefix(k, prefix) {
-			delete(s.replicaDomain, k)
-		}
-	}
-	remote := s.remote
-	s.mu.Unlock()
-	if remote != nil {
-		for _, k := range remote.Keys(prefix) {
-			remote.Delete(k)
-		}
 	}
 	return len(victims)
 }
@@ -430,8 +361,7 @@ func (s *Store) Spill(key string) error {
 }
 
 // Flush blocks until every queued async spill has landed on disk and no
-// background spill write is in flight. Replication is not waited on —
-// see FlushReplication.
+// background spill write is in flight.
 func (s *Store) Flush() {
 	s.mu.Lock()
 	for len(s.spillQ) > 0 || s.spillWorker {
@@ -440,20 +370,19 @@ func (s *Store) Flush() {
 	s.mu.Unlock()
 }
 
-// errClosed is what Put and RestoreFromRemote return after Close.
+// errClosed is what Put returns after Close.
 var errClosed = errors.New("store: closed")
 
-// Close drains the background spill and replication writers and waits for
-// them to exit, so no goroutine of the store touches its directories
-// afterwards (a caller may remove them). Later Puts and remote restores
-// fail; blocks already stored stay readable. A replication backlog parked
-// by a remote outage stays parked. Idempotent, and safe to call while
-// other goroutines still use the store.
+// Close drains the background spill writer and waits for it to exit, so
+// no goroutine of the store touches its directory afterwards (a caller
+// may remove it). Later Puts fail; blocks already stored stay readable.
+// Idempotent, and safe to call while other goroutines still use the
+// store.
 func (s *Store) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	for s.spillWorker || s.repWorker {
+	for s.spillWorker {
 		s.cond.Wait()
 	}
 }
@@ -467,7 +396,6 @@ func (s *Store) Stats() Stats {
 	st.MemBytes = s.memUsed
 	st.DiskBlocks = s.diskN
 	st.DiskBytes = s.disk
-	st.RemoteQueue = int64(len(s.repQ))
 	return st
 }
 
@@ -671,8 +599,7 @@ func isCorrupt(err error) bool {
 
 // damageBlockFile damages one block file in place — truncating it
 // mid-payload when torn, flipping one payload bit otherwise — so the
-// next verified read fails. Shared by the local and remote corruption
-// injection hooks. Returns false if the file cannot be damaged.
+// next verified read fails. Returns false if the file cannot be damaged.
 func damageBlockFile(path string, torn bool) bool {
 	info, err := os.Stat(path)
 	if err != nil {

@@ -17,8 +17,8 @@ func open(t *testing.T, budget int64, reg *obs.Registry) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Registered after TempDir, so the background spill and replication
-	// writers have exited before the directory is removed.
+	// Registered after TempDir, so the background spill writer has
+	// exited before the directory is removed.
 	t.Cleanup(s.Close)
 	return s
 }
@@ -227,17 +227,12 @@ func TestStoreConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStoreClose: Close drains the background writers (every evicted
-// block's file is on disk when it returns, every queued replica landed),
-// refuses later Puts and restores, leaves stored blocks readable, and may
-// be called again — also while other goroutines are still putting.
+// TestStoreClose: Close drains the background writer (every evicted
+// block's file is on disk when it returns), refuses later Puts, leaves
+// stored blocks readable, and may be called again — also while other
+// goroutines are still putting.
 func TestStoreClose(t *testing.T) {
 	s := open(t, 128, nil)
-	tier, err := NewFSTier(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AttachRemote(tier, nil)
 	for i := 0; i < 32; i++ {
 		if err := s.Put(fmt.Sprintf("c/%d", i), bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
 			t.Fatal(err)
@@ -245,7 +240,7 @@ func TestStoreClose(t *testing.T) {
 	}
 	s.Close()
 	st := s.Stats()
-	if st.Spilled == 0 || st.ReplicatedBlocks != 32 || st.RemoteQueue != 0 {
+	if st.Spilled == 0 {
 		t.Fatalf("Close left work undone: %+v", st)
 	}
 	for i := 0; i < 32; i++ {
@@ -259,9 +254,6 @@ func TestStoreClose(t *testing.T) {
 	}
 	if err := s.Put("late", []byte("x")); err == nil {
 		t.Fatal("Put after Close must fail")
-	}
-	if _, err := s.RestoreFromRemote("c/0"); err == nil {
-		t.Fatal("RestoreFromRemote after Close must fail")
 	}
 	s.Close() // idempotent
 
@@ -283,7 +275,7 @@ func TestStoreClose(t *testing.T) {
 	r.Close()
 	wg.Wait()
 	r.mu.Lock()
-	running := r.spillWorker || r.repWorker || len(r.spillQ) > 0
+	running := r.spillWorker || len(r.spillQ) > 0
 	r.mu.Unlock()
 	if running {
 		t.Fatal("a background writer outlived Close")
@@ -377,5 +369,121 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(f, "sub"), Options{}); err == nil {
 		t.Fatal("Open under a regular file must error")
+	}
+}
+
+func TestAsyncSpillBitIdentityAndDirtyReads(t *testing.T) {
+	// Two stores with the same budget and write sequence: the eviction
+	// *choices* (Spilled/Evicted counts, which blocks leave memory) are
+	// decided synchronously under the lock, so they must match exactly no
+	// matter how the background writer's timing floats; and every read —
+	// dirty (pinned, awaiting its write), in-flight or on disk — returns
+	// the exact bytes that were put.
+	blk := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 64+i) }
+	run := func() (Stats, *Store) {
+		s := open(t, 256, nil)
+		for i := 0; i < 16; i++ {
+			if err := s.Put(fmt.Sprintf("b/%d", i), blk(i)); err != nil {
+				t.Fatal(err)
+			}
+			// Interleave reads while spills are potentially still queued.
+			mustGet(t, s, fmt.Sprintf("b/%d", i/2), blk(i/2))
+		}
+		s.Flush()
+		return s.Stats(), s
+	}
+	a, _ := run()
+	b, s := run()
+	if a.Spilled != b.Spilled || a.Evicted != b.Evicted ||
+		a.MemBlocks != b.MemBlocks || a.DiskBlocks != b.DiskBlocks {
+		t.Fatalf("eviction choice diverged across runs:\n%+v\n%+v", a, b)
+	}
+	for i := 0; i < 16; i++ {
+		mustGet(t, s, fmt.Sprintf("b/%d", i), blk(i))
+	}
+}
+
+func TestAsyncSpillFlushSettlesQueue(t *testing.T) {
+	s := open(t, 128, nil)
+	for i := 0; i < 32; i++ {
+		if err := s.Put(fmt.Sprintf("q/%d", i), bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Flush()
+	st := s.Stats()
+	if st.SpillWall <= 0 {
+		t.Fatalf("flushed store recorded no spill wall time: %+v", st)
+	}
+	if st.MemBytes > 128 {
+		t.Fatalf("memory tier over budget after flush: %+v", st)
+	}
+	// After Flush no block may still be dirty: disk-resident blocks must
+	// really be on disk (delete one's file out from under it to prove the
+	// read goes to disk, then restore it).
+	files, _ := filepath.Glob(filepath.Join(s.dir, "*.blk"))
+	if int64(len(files)) != st.DiskBlocks {
+		t.Fatalf("%d spill files for %d disk blocks", len(files), st.DiskBlocks)
+	}
+}
+
+func TestGCCheckpointsRetention(t *testing.T) {
+	dir := t.TempDir()
+	for id := 1; id <= 5; id++ {
+		if err := WriteCheckpoint(dir, id, []byte(fmt.Sprintf(`{"iter":%d}`, id)), []byte("blocks")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deleted := GCCheckpoints(dir, 2)
+	if len(deleted) != 3 || deleted[0] != 1 || deleted[2] != 3 {
+		t.Fatalf("deleted = %v, want [1 2 3]", deleted)
+	}
+	if ids := ListCheckpoints(dir); len(ids) != 2 || ids[0] != 4 || ids[1] != 5 {
+		t.Fatalf("remaining = %v, want [4 5]", ids)
+	}
+	// keep <= 0 keeps everything; keep larger than what exists deletes
+	// nothing.
+	if del := GCCheckpoints(dir, 0); del != nil {
+		t.Fatalf("keep=0 deleted %v", del)
+	}
+	if del := GCCheckpoints(dir, 10); del != nil {
+		t.Fatalf("keep=10 deleted %v", del)
+	}
+}
+
+func TestGCCheckpointsNeverDeletesBeforeNewerVerifies(t *testing.T) {
+	dir := t.TempDir()
+	for id := 1; id <= 4; id++ {
+		if err := WriteCheckpoint(dir, id, []byte(fmt.Sprintf(`{"iter":%d}`, id)), []byte("blocks")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Damage the two newest: retention keep=2 must fall back to the older
+	// intact pair and delete nothing (fewer intact than asked keeps all),
+	// then with keep=1 it must retain id 2 (the newest intact) and the
+	// damaged-but-newer files for post-mortem.
+	for _, id := range []int{3, 4} {
+		raw, err := os.ReadFile(ckptFile(dir, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)-6] ^= 0xFF
+		if err := os.WriteFile(ckptFile(dir, id), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if del := GCCheckpoints(dir, 3); del != nil {
+		t.Fatalf("keep=3 with only 2 intact deleted %v", del)
+	}
+	deleted := GCCheckpoints(dir, 1)
+	if len(deleted) != 1 || deleted[0] != 1 {
+		t.Fatalf("deleted = %v, want [1]", deleted)
+	}
+	ids := ListCheckpoints(dir)
+	if len(ids) != 3 || ids[0] != 2 {
+		t.Fatalf("remaining = %v, want [2 3 4]", ids)
+	}
+	if id, _, _, ok := LatestCheckpoint(dir); !ok || id != 2 {
+		t.Fatalf("LatestCheckpoint = %d ok=%v, want 2 true", id, ok)
 	}
 }
