@@ -678,7 +678,7 @@ func (v *inv) kernels(_ context.Context, w io.Writer) error {
 
 func (v *inv) sweep(_ context.Context, w io.Writer) error {
 	cl := cluster.Skylake16()
-	outs, best, err := autotune.Search(cl, semiring.NewFloydWarshall(), v.n, autotune.DefaultSpace(cl))
+	outs, best, err := autotune.Search(cl, experiments.FW, v.n, autotune.DefaultSpace(cl))
 	if err != nil {
 		return err
 	}
@@ -690,9 +690,9 @@ func (v *inv) sweep(_ context.Context, w io.Writer) error {
 		} else if o.TimedOut {
 			note = " [timeout]"
 		}
-		fmt.Fprintf(w, "%2d. %-40s %8.0fs%s\n", i+1, o.Candidate, o.Time.Seconds(), note)
+		fmt.Fprintf(w, "%2d. %-40s %8.0fs%s\n", i+1, o.Cell, o.Time.Seconds(), note)
 	}
-	fmt.Fprintf(w, "best: %s (%.0fs)\n", best.Candidate, best.Time.Seconds())
+	fmt.Fprintf(w, "best: %s (%.0fs)\n", best.Cell, best.Time.Seconds())
 	return nil
 }
 

@@ -15,12 +15,11 @@ import (
 	"dpspark/internal/autotune"
 	"dpspark/internal/cluster"
 	"dpspark/internal/core"
-	"dpspark/internal/semiring"
+	"dpspark/internal/experiments"
 )
 
 func main() {
 	const n = 16384
-	rule := semiring.NewFloydWarshall()
 	space := autotune.Space{
 		Drivers:          []core.DriverKind{core.IM, core.CB},
 		BlockSizes:       []int{256, 512, 1024, 2048},
@@ -30,23 +29,25 @@ func main() {
 	}
 
 	clusters := []*cluster.Cluster{cluster.Skylake16(), cluster.Haswell16()}
-	best := make([]autotune.Outcome, len(clusters))
+	best := make([]experiments.Result, len(clusters))
 	for i, cl := range clusters {
-		outs, b, err := autotune.Search(cl, rule, n, space)
+		outs, b, err := autotune.Search(cl, experiments.FW, n, space)
 		if err != nil {
 			log.Fatal(err)
 		}
 		best[i] = b
 		fmt.Printf("%s — %d candidates, top 3:\n", cl, len(outs))
 		for j := 0; j < 3 && j < len(outs); j++ {
-			fmt.Printf("  %d. %-38s %7.0fs\n", j+1, outs[j].Candidate, outs[j].Time.Seconds())
+			fmt.Printf("  %d. %-38s %7.0fs\n", j+1, outs[j].Cell, outs[j].Time.Seconds())
 		}
 	}
 
 	// What happens if cluster #1's winner is carried to cluster #2
 	// unchanged (the paper's Fig. 8 experiment)?
-	carried := autotune.Price(clusters[1], rule, n, best[0].Candidate)
+	moved := best[0].Cell
+	moved.Cluster = clusters[1]
+	carried := experiments.Run(moved)
 	fmt.Printf("\ncluster #1's best (%s) on cluster #2: %.0fs vs tuned %.0fs → %.1f× slower untuned\n",
-		best[0].Candidate, carried.Time.Seconds(), best[1].Time.Seconds(),
+		best[0].Cell, carried.Time.Seconds(), best[1].Time.Seconds(),
 		carried.Time.Seconds()/best[1].Time.Seconds())
 }

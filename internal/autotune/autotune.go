@@ -1,11 +1,12 @@
 // Package autotune searches the paper's tuning space — block size r,
 // kernel type, r_shared, OMP_NUM_THREADS, executor-cores and driver — by
-// pricing candidate configurations on the cluster model (the paper §IV-C:
-// "the decomposition parameter can be tuned ... using estimates from
-// hardware/software parameters based on analytical models"). Each
-// candidate is a full symbolic run of the actual drivers, so the search
-// sees every modelled effect: cache cliffs, oversubscription, shuffle
-// versus broadcast traffic, timeouts and staging-disk failures.
+// enumerating experiments.Cells and pricing them on the cluster model (the
+// paper §IV-C: "the decomposition parameter can be tuned ... using
+// estimates from hardware/software parameters based on analytical
+// models"). Each cell is priced by experiments.Run, a full symbolic run of
+// the actual drivers, so the search sees every modelled effect: cache
+// cliffs, oversubscription, shuffle versus broadcast traffic, timeouts and
+// staging-disk failures. Estimate is the closed-form alternative.
 package autotune
 
 import (
@@ -14,13 +15,10 @@ import (
 
 	"dpspark/internal/cluster"
 	"dpspark/internal/core"
-	"dpspark/internal/matrix"
-	"dpspark/internal/rdd"
-	"dpspark/internal/semiring"
-	"dpspark/internal/simtime"
+	"dpspark/internal/experiments"
 )
 
-// Space enumerates candidate settings. Zero-value fields fall back to
+// Space enumerates candidate cells. Zero-value fields fall back to
 // the paper's sweep (§V-C).
 type Space struct {
 	// Drivers to try (default: IM and CB).
@@ -34,11 +32,11 @@ type Space struct {
 	// ExecutorCores settings (default: all physical cores).
 	ExecutorCores []int
 	// KernelThreads widths for iterative kernels (default: 1, serial).
-	// Each width > 1 co-tunes the candidate's ExecutorCores down to
+	// Each width > 1 co-tunes the cell's ExecutorCores down to
 	// cores/threads so task slots × kernel threads covers the node once —
 	// the paper's cores×threads trade-off.
 	KernelThreads []int
-	// IncludeIterative adds the iterative-kernel candidates (default on
+	// IncludeIterative adds the iterative-kernel cells (default on
 	// via DefaultSpace).
 	IncludeIterative bool
 }
@@ -56,92 +54,23 @@ func DefaultSpace(c *cluster.Cluster) Space {
 	}
 }
 
-// Candidate is one point in the tuning space.
-type Candidate struct {
-	Driver        core.DriverKind
-	BlockSize     int
-	Recursive     bool
-	RShared       int
-	Threads       int
-	ExecutorCores int
-	// KernelThreads is the iterative kernel's row-band pool width
-	// (0 or 1: serial; ignored for recursive kernels, which use Threads).
-	KernelThreads int
-}
-
-// String renders the candidate compactly.
-func (c Candidate) String() string {
-	kernel := "iter"
-	if c.Recursive {
-		kernel = fmt.Sprintf("rec%d/omp%d", c.RShared, c.Threads)
-	} else if c.KernelThreads > 1 {
-		kernel = fmt.Sprintf("iter/t%d", c.KernelThreads)
-	}
-	return fmt.Sprintf("%s b=%d %s cores=%d", c.Driver, c.BlockSize, kernel, c.ExecutorCores)
-}
-
-// Outcome is a priced candidate.
-type Outcome struct {
-	Candidate
-	// Time is the modelled job time; meaningless when Err != nil.
-	Time simtime.Duration
-	// TimedOut marks runs beyond the 8-hour experiment bound.
-	TimedOut bool
-	// Err reports modelled failures (staging disk full, ...).
-	Err error
-}
-
-// ok reports whether the outcome completed within bounds.
-func (o Outcome) ok() bool { return o.Err == nil && !o.TimedOut }
-
-// Search prices every candidate for an n×n problem under the rule on the
-// cluster and returns all outcomes (fastest first, failures last) plus
-// the best. It errors only if no candidate completes.
-func Search(cl *cluster.Cluster, rule semiring.Rule, n int, space Space) ([]Outcome, Outcome, error) {
-	cands, err := enumerate(cl, space, n)
+// Search prices every cell of the space for an n×n problem of the
+// benchmark on the cluster with experiments.Run and returns all results
+// (fastest first, failures last, by experiments.Better) plus the best.
+// It errors only if no cell completes.
+func Search(cl *cluster.Cluster, bench experiments.Benchmark, n int, space Space) ([]experiments.Result, experiments.Result, error) {
+	cells, err := enumerate(cl, bench, n, space)
 	if err != nil {
-		return nil, Outcome{}, fmt.Errorf("autotune: %w (n=%d)", err, n)
+		return nil, experiments.Result{}, fmt.Errorf("autotune: %w (n=%d)", err, n)
 	}
 
-	outcomes := make([]Outcome, 0, len(cands))
-	for _, cand := range cands {
-		outcomes = append(outcomes, Price(cl, rule, n, cand))
+	results := make([]experiments.Result, 0, len(cells))
+	for _, c := range cells {
+		results = append(results, experiments.Run(c))
 	}
-	sort.SliceStable(outcomes, func(i, j int) bool {
-		oi, oj := outcomes[i], outcomes[j]
-		if oi.ok() != oj.ok() {
-			return oi.ok()
-		}
-		return oi.Time < oj.Time
-	})
-	if !outcomes[0].ok() {
-		return outcomes, outcomes[0], fmt.Errorf("autotune: no candidate completed within bounds")
+	sort.SliceStable(results, func(i, j int) bool { return experiments.Better(results[i], results[j]) })
+	if results[0].Note() != "" {
+		return results, results[0], fmt.Errorf("autotune: no candidate completed within bounds")
 	}
-	return outcomes, outcomes[0], nil
-}
-
-// Price runs one candidate symbolically and returns its outcome.
-func Price(cl *cluster.Cluster, rule semiring.Rule, n int, cand Candidate) Outcome {
-	ctx := rdd.NewContext(rdd.Conf{
-		Cluster:       cl,
-		ExecutorCores: cand.ExecutorCores,
-		KernelThreads: cand.KernelThreads,
-	})
-	cfg := core.Config{
-		Rule:            rule,
-		BlockSize:       cand.BlockSize,
-		Driver:          cand.Driver,
-		RecursiveKernel: cand.Recursive,
-		RShared:         cand.RShared,
-		Threads:         cand.Threads,
-		KernelThreads:   cand.KernelThreads,
-	}
-	bl := matrix.NewSymbolicBlocked(n, cand.BlockSize)
-	_, stats, err := core.Run(ctx, bl, cfg)
-	out := Outcome{Candidate: cand, Err: err}
-	if stats != nil {
-		out.Time = stats.Time
-		out.TimedOut = stats.TimedOut
-	}
-	return out
+	return results, results[0], nil
 }

@@ -1,12 +1,11 @@
 package autotune
 
 import (
-	"strings"
 	"testing"
 
 	"dpspark/internal/cluster"
 	"dpspark/internal/core"
-	"dpspark/internal/semiring"
+	"dpspark/internal/experiments"
 )
 
 func smallSpace() Space {
@@ -20,7 +19,7 @@ func smallSpace() Space {
 }
 
 func TestSearchFindsBest(t *testing.T) {
-	outs, best, err := Search(cluster.Skylake16(), semiring.NewFloydWarshall(), 2048, smallSpace())
+	outs, best, err := Search(cluster.Skylake16(), experiments.FW, 2048, smallSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +27,11 @@ func TestSearchFindsBest(t *testing.T) {
 	if len(outs) != 8 {
 		t.Fatalf("outcomes = %d", len(outs))
 	}
-	if !best.ok() {
+	if best.Note() != "" {
 		t.Fatalf("best failed: %+v", best)
 	}
 	for _, o := range outs {
-		if o.ok() && o.Time < best.Time {
+		if o.Note() == "" && o.Time < best.Time {
 			t.Fatalf("best is not minimal: %v < %v", o.Time, best.Time)
 		}
 	}
@@ -41,28 +40,14 @@ func TestSearchFindsBest(t *testing.T) {
 func TestSearchSkipsOversizedBlocks(t *testing.T) {
 	space := smallSpace()
 	space.BlockSizes = []int{4096} // larger than the problem
-	if _, _, err := Search(cluster.Skylake16(), semiring.NewGaussian(), 1024, space); err == nil {
+	if _, _, err := Search(cluster.Skylake16(), experiments.GE, 1024, space); err == nil {
 		t.Fatal("expected empty-space error")
 	}
 }
 
-func TestCandidateString(t *testing.T) {
-	c := Candidate{Driver: core.CB, BlockSize: 1024, Recursive: true, RShared: 4, Threads: 8, ExecutorCores: 32}
-	s := c.String()
-	for _, want := range []string{"CB", "1024", "rec4", "omp8", "cores=32"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("candidate string %q missing %q", s, want)
-		}
-	}
-	it := Candidate{Driver: core.IM, BlockSize: 512}
-	if !strings.Contains(it.String(), "iter") {
-		t.Fatalf("iterative string = %q", it.String())
-	}
-}
-
 func TestPriceDefaults(t *testing.T) {
-	o := Price(cluster.Haswell16(), semiring.NewGaussian(), 1024,
-		Candidate{Driver: core.CB, BlockSize: 256, ExecutorCores: 20})
+	o := experiments.Run(experiments.Cell{Cluster: cluster.Haswell16(), Bench: experiments.GE, N: 1024,
+		Driver: core.CB, Block: 256, ExecutorCores: 20})
 	if o.Err != nil || o.Time <= 0 {
 		t.Fatalf("price: %+v", o)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dpspark/internal/cluster"
+	"dpspark/internal/experiments"
 	"dpspark/internal/semiring"
 )
 
@@ -127,14 +128,14 @@ func TestSplitCoresThreads(t *testing.T) {
 }
 
 // TestSearchKernelThreads: the symbolic search accepts and prices the
-// widened-kernel candidates, with the co-tuned cores×threads split
-// carried on the candidate itself.
+// widened-kernel cells, with the co-tuned cores×threads split carried on
+// the cell itself.
 func TestSearchKernelThreads(t *testing.T) {
 	cl := cluster.Skylake16()
 	space := smallSpace()
 	space.BlockSizes = []int{256}
 	space.KernelThreads = []int{1, 4}
-	outs, best, err := Search(cl, semiring.NewFloydWarshall(), 2048, space)
+	outs, best, err := Search(cl, experiments.FW, 2048, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,17 +156,17 @@ func TestSearchKernelThreads(t *testing.T) {
 		if !strings.Contains(o.String(), "iter/t4") {
 			t.Fatalf("candidate string %q missing iter/t4", o.String())
 		}
-		if !o.ok() {
+		if o.Note() != "" {
 			t.Fatalf("widened candidate failed: %+v", o)
 		}
-		if _, err := Estimate(cl, semiring.NewFloydWarshall(), 2048, o.Candidate); err != nil {
+		if _, err := Estimate(o.Cell); err != nil {
 			t.Fatalf("estimate of widened candidate: %v", err)
 		}
 	}
 	if !sawWide {
 		t.Fatal("no KernelThreads=4 candidate enumerated")
 	}
-	if !best.ok() {
+	if best.Note() != "" {
 		t.Fatalf("best failed: %+v", best)
 	}
 }

@@ -4,23 +4,26 @@ import (
 	"dpspark/internal/cluster"
 	"dpspark/internal/core"
 	"dpspark/internal/costmodel"
+	"dpspark/internal/experiments"
 	"dpspark/internal/semiring"
 	"dpspark/internal/simtime"
 )
 
-// Estimate prices a candidate with a closed-form analytic model — no
+// Estimate prices a cell with a closed-form analytic model — no
 // driver replay — the paper's "estimates from hardware/software
 // parameters using analytical models" path for on-the-fly configuration
 // selection (§I, §IV-C). It combines core.Explain's per-iteration
 // structure with the kernel/transfer cost model and a coarse utilization
-// term. Orders of magnitude faster than Price (microseconds per
-// candidate), at the cost of accuracy: TestEstimateTracksPrice pins it
-// to within a small factor of the replayed model, which is enough to
-// rank configurations.
-func Estimate(cl *cluster.Cluster, rule semiring.Rule, n int, cand Candidate) (simtime.Duration, error) {
+// term. Orders of magnitude faster than experiments.Run (microseconds
+// per cell), at the cost of accuracy: TestEstimateTracksPrice pins it to
+// within a small factor of the replayed model, which is enough to rank
+// configurations. Zero cluster and size default as in Run.
+func Estimate(cand experiments.Cell) (simtime.Duration, error) {
+	cand = cand.Defaulted()
+	cl, rule, n := cand.Cluster, cand.Bench.Rule(), cand.N
 	cfg := core.Config{
 		Rule:            rule,
-		BlockSize:       cand.BlockSize,
+		BlockSize:       cand.Block,
 		Driver:          cand.Driver,
 		RecursiveKernel: cand.Recursive,
 		RShared:         cand.RShared,
@@ -45,7 +48,7 @@ func Estimate(cl *cluster.Cluster, rule semiring.Rule, n int, cand Candidate) (s
 		Threads:   kcThreads,
 		CoTasks:   execCores,
 	}
-	b := cand.BlockSize
+	b := cand.Block
 	tileBytes := int64(b) * int64(b) * 8
 
 	kernelTime := func(kind semiring.Kind) simtime.Duration {
@@ -98,26 +101,26 @@ func Estimate(cl *cluster.Cluster, rule semiring.Rule, n int, cand Candidate) (s
 
 // EstimateBest ranks the space analytically and returns the winner —
 // the on-the-fly selection the paper envisions (microseconds per
-// candidate instead of a symbolic replay).
-func EstimateBest(cl *cluster.Cluster, rule semiring.Rule, n int, space Space) (Candidate, simtime.Duration, error) {
-	outs, err := enumerate(cl, space, n)
+// cell instead of a symbolic replay).
+func EstimateBest(cl *cluster.Cluster, bench experiments.Benchmark, n int, space Space) (experiments.Cell, simtime.Duration, error) {
+	cells, err := enumerate(cl, bench, n, space)
 	if err != nil {
-		return Candidate{}, 0, err
+		return experiments.Cell{}, 0, err
 	}
-	var best Candidate
+	var best experiments.Cell
 	var bestTime simtime.Duration
 	first := true
-	for _, cand := range outs {
-		est, err := Estimate(cl, rule, n, cand)
+	for _, c := range cells {
+		est, err := Estimate(c)
 		if err != nil {
 			continue
 		}
 		if first || est < bestTime {
-			best, bestTime, first = cand, est, false
+			best, bestTime, first = c, est, false
 		}
 	}
 	if first {
-		return Candidate{}, 0, errNoCandidates
+		return experiments.Cell{}, 0, errNoCandidates
 	}
 	return best, bestTime, nil
 }
@@ -128,8 +131,9 @@ type matrixError string
 
 func (e matrixError) Error() string { return string(e) }
 
-// enumerate expands the space into candidates (shared with Search).
-func enumerate(cl *cluster.Cluster, space Space, n int) ([]Candidate, error) {
+// enumerate expands the space into cells of the benchmark at size n on
+// the cluster (shared with Search).
+func enumerate(cl *cluster.Cluster, bench experiments.Benchmark, n int, space Space) ([]experiments.Cell, error) {
 	if len(space.Drivers) == 0 {
 		space.Drivers = []core.DriverKind{core.IM, core.CB}
 	}
@@ -148,7 +152,7 @@ func enumerate(cl *cluster.Cluster, space Space, n int) ([]Candidate, error) {
 	if len(space.KernelThreads) == 0 {
 		space.KernelThreads = []int{1}
 	}
-	var cands []Candidate
+	var cells []experiments.Cell
 	for _, d := range space.Drivers {
 		for _, b := range space.BlockSizes {
 			if b > n {
@@ -158,7 +162,7 @@ func enumerate(cl *cluster.Cluster, space Space, n int) ([]Candidate, error) {
 				if space.IncludeIterative {
 					for _, kt := range space.KernelThreads {
 						// Widening the kernel shrinks the task slots: the
-						// candidate carries the co-tuned cores×threads
+						// cell carries the co-tuned cores×threads
 						// split explicitly so pricing sees it.
 						ec := cores
 						if kt > 1 {
@@ -167,16 +171,18 @@ func enumerate(cl *cluster.Cluster, space Space, n int) ([]Candidate, error) {
 								ec = 1
 							}
 						}
-						cands = append(cands, Candidate{
-							Driver: d, BlockSize: b,
+						cells = append(cells, experiments.Cell{
+							Cluster: cl, Bench: bench, N: n,
+							Driver: d, Block: b,
 							ExecutorCores: ec, KernelThreads: kt,
 						})
 					}
 				}
 				for _, rs := range space.RShared {
 					for _, th := range space.Threads {
-						cands = append(cands, Candidate{
-							Driver: d, BlockSize: b, Recursive: true,
+						cells = append(cells, experiments.Cell{
+							Cluster: cl, Bench: bench, N: n,
+							Driver: d, Block: b, Recursive: true,
 							RShared: rs, Threads: th, ExecutorCores: cores,
 						})
 					}
@@ -184,10 +190,10 @@ func enumerate(cl *cluster.Cluster, space Space, n int) ([]Candidate, error) {
 			}
 		}
 	}
-	if len(cands) == 0 {
+	if len(cells) == 0 {
 		return nil, errEmptySpace
 	}
-	return cands, nil
+	return cells, nil
 }
 
 var errEmptySpace = matrixError("autotune: empty candidate space")

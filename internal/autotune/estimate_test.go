@@ -5,7 +5,7 @@ import (
 
 	"dpspark/internal/cluster"
 	"dpspark/internal/core"
-	"dpspark/internal/semiring"
+	"dpspark/internal/experiments"
 )
 
 // TestEstimateTracksPrice: the closed-form estimator must land within a
@@ -14,19 +14,20 @@ import (
 func TestEstimateTracksPrice(t *testing.T) {
 	cl := cluster.Skylake16()
 	n := 16384
-	cands := []Candidate{
-		{Driver: core.IM, BlockSize: 512, ExecutorCores: 32},
-		{Driver: core.CB, BlockSize: 512, ExecutorCores: 32},
-		{Driver: core.IM, BlockSize: 1024, Recursive: true, RShared: 16, Threads: 8, ExecutorCores: 32},
-		{Driver: core.CB, BlockSize: 2048, Recursive: true, RShared: 4, Threads: 16, ExecutorCores: 32},
+	cands := []experiments.Cell{
+		{Driver: core.IM, Block: 512, ExecutorCores: 32},
+		{Driver: core.CB, Block: 512, ExecutorCores: 32},
+		{Driver: core.IM, Block: 1024, Recursive: true, RShared: 16, Threads: 8, ExecutorCores: 32},
+		{Driver: core.CB, Block: 2048, Recursive: true, RShared: 4, Threads: 16, ExecutorCores: 32},
 	}
-	for _, bench := range []semiring.Rule{semiring.NewFloydWarshall(), semiring.NewGaussian()} {
+	for _, bench := range []experiments.Benchmark{experiments.FW, experiments.GE} {
 		for _, cand := range cands {
-			est, err := Estimate(cl, bench, n, cand)
+			cand.Cluster, cand.Bench, cand.N = cl, bench, n
+			est, err := Estimate(cand)
 			if err != nil {
 				t.Fatal(err)
 			}
-			priced := Price(cl, bench, n, cand)
+			priced := experiments.Run(cand)
 			if priced.Err != nil {
 				t.Fatal(priced.Err)
 			}
@@ -34,7 +35,7 @@ func TestEstimateTracksPrice(t *testing.T) {
 			// Coarse by design: no straggler/starvation modelling.
 			if ratio < 0.25 || ratio > 4.0 {
 				t.Fatalf("%s %v: estimate %v vs priced %v (ratio %.2f)",
-					bench.Name(), cand, est, priced.Time, ratio)
+					bench, cand, est, priced.Time, ratio)
 			}
 		}
 	}
@@ -45,13 +46,13 @@ func TestEstimateTracksPrice(t *testing.T) {
 // beat iterative at large blocks.
 func TestEstimateRanksKernelFamilies(t *testing.T) {
 	cl := cluster.Skylake16()
-	rule := semiring.NewFloydWarshall()
-	iter, err := Estimate(cl, rule, 32768, Candidate{Driver: core.IM, BlockSize: 2048, ExecutorCores: 32})
+	iter, err := Estimate(experiments.Cell{Cluster: cl, Bench: experiments.FW, N: 32768,
+		Driver: core.IM, Block: 2048, ExecutorCores: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Estimate(cl, rule, 32768, Candidate{
-		Driver: core.IM, BlockSize: 2048, Recursive: true, RShared: 16, Threads: 8, ExecutorCores: 32})
+	rec, err := Estimate(experiments.Cell{Cluster: cl, Bench: experiments.FW, N: 32768,
+		Driver: core.IM, Block: 2048, Recursive: true, RShared: 16, Threads: 8, ExecutorCores: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestEstimateRanksKernelFamilies(t *testing.T) {
 // price (with the full model) within 2× of the exhaustively found best.
 func TestEstimateBestIsReasonable(t *testing.T) {
 	cl := cluster.Skylake16()
-	rule := semiring.NewGaussian()
+	bench := experiments.GE
 	n := 16384
 	space := Space{
 		Drivers:          []core.DriverKind{core.IM, core.CB},
@@ -73,26 +74,26 @@ func TestEstimateBestIsReasonable(t *testing.T) {
 		Threads:          []int{8},
 		IncludeIterative: true,
 	}
-	estBest, _, err := EstimateBest(cl, rule, n, space)
+	estBest, _, err := EstimateBest(cl, bench, n, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, trueBest, err := Search(cl, rule, n, space)
+	_, trueBest, err := Search(cl, bench, n, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chosen := Price(cl, rule, n, estBest)
+	chosen := experiments.Run(estBest)
 	if chosen.Err != nil {
 		t.Fatal(chosen.Err)
 	}
 	if chosen.Time.Seconds() > 2*trueBest.Time.Seconds() {
 		t.Fatalf("estimator's pick %v prices at %v, exhaustive best %v at %v",
-			estBest, chosen.Time, trueBest.Candidate, trueBest.Time)
+			estBest, chosen.Time, trueBest.Cell, trueBest.Time)
 	}
 }
 
 func TestEstimateEmptySpace(t *testing.T) {
-	if _, _, err := EstimateBest(cluster.Skylake16(), semiring.NewGaussian(), 128,
+	if _, _, err := EstimateBest(cluster.Skylake16(), experiments.GE, 128,
 		Space{BlockSizes: []int{4096}, RShared: []int{4}, Threads: []int{8}}); err == nil {
 		t.Fatal("expected error")
 	}

@@ -398,7 +398,7 @@ func (run *runner) kernelConfig() costmodel.KernelConfig {
 // call of the run, resolved once here — the per-kind metric handles and
 // the cost model's price of each kind on the run's tile size.
 func (run *runner) newKernelRunner() *kernelRunner {
-	var e kernels.Exec
+	var e kernels.PoolExec
 	if run.cfg.RecursiveKernel {
 		e = kernels.NewRecursiveExec(run.cfg.Rule, run.cfg.RShared, run.cfg.Base, run.cfg.Threads)
 	} else {
@@ -411,7 +411,6 @@ func (run *runner) newKernelRunner() *kernelRunner {
 		model: run.ctx.Model(),
 		b:     run.cfg.BlockSize,
 	}
-	kr.pexec, _ = e.(kernels.PoolExec)
 	for kind := semiring.KindA; kind <= semiring.KindD; kind++ {
 		l := obs.Labels{"exec": e.Name(), "kind": kind.String()}
 		kr.m[kind] = kindMetrics{
@@ -444,11 +443,9 @@ type kernelPrice struct {
 
 // kernelRunner applies kernels for one driver run.
 type kernelRunner struct {
-	exec kernels.Exec
-	// pexec is exec's pool-aware face (nil if the exec cannot take a
-	// caller-supplied pool): real-tile invocations go through it with the
-	// task node's shared kernel pool.
-	pexec kernels.PoolExec
+	// exec runs real-tile invocations with the task node's shared
+	// kernel pool.
+	exec  kernels.PoolExec
 	kc    costmodel.KernelConfig
 	model *costmodel.Model
 	// price memoises the model's answer per kind for b×b tiles, the only
@@ -633,11 +630,7 @@ func (kr *kernelRunner) apply(tc *rdd.TaskContext, gen uint32, kind semiring.Kin
 
 // run executes one kernel on real tiles.
 func (kr *kernelRunner) run(tc *rdd.TaskContext, kind semiring.Kind, x, u, v, w *matrix.Tile) {
-	if kr.pexec != nil {
-		kr.pexec.ApplyWith(tc.KernelPool(), kind, x, u, v, w)
-	} else {
-		kr.exec.Apply(kind, x, u, v, w)
-	}
+	kr.exec.ApplyWith(tc.KernelPool(), kind, x, u, v, w)
 }
 
 // kernelSecondsBuckets spans sub-millisecond base cases to multi-minute

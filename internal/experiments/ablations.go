@@ -24,58 +24,27 @@ func AblationPartitioner(n int) (*report.Table, []Result) {
 	parts := []string{"hash (default)", "grid (custom)"}
 	t := report.NewTable("Ablation: partitioner (seconds, block 1K, 4-way recursive, omp 8)",
 		"benchmark", []string{benches[0].String(), benches[1].String()}, parts)
+	// The grid partitioner takes the hash default's partition count.
+	nParts := cluster.Skylake16().DefaultPartitions()
 	var results []Result
 	for bi, bench := range benches {
 		driver := core.IM
 		if bench == GE {
 			driver = core.CB
 		}
-		for pi, gridPart := range []bool{false, true} {
+		for pi, grid := range []bool{false, true} {
 			cell := Cell{Bench: bench, N: n, Driver: driver, Block: 1024,
 				Recursive: true, RShared: 4, Threads: 8}
-			r := runWithPartitioner(cell, gridPart)
+			var p rdd.Partitioner
+			if grid {
+				p = rdd.NewGridPartitioner(nParts, matrix.Grid(n, cell.Block))
+			}
+			r := run(cell, p)
 			results = append(results, r)
 			t.Set(bi, pi, report.Seconds(r.Time, r.TimedOut))
 		}
 	}
 	return t, results
-}
-
-// runWithPartitioner is Run with an optional grid partitioner.
-func runWithPartitioner(c Cell, grid bool) Result {
-	if c.Cluster == nil {
-		c.Cluster = cluster.Skylake16()
-	}
-	if c.N == 0 {
-		c.N = PaperN
-	}
-	ctx := rdd.NewContext(rdd.Conf{Cluster: c.Cluster, ExecutorCores: c.ExecutorCores, Observer: obsv})
-	parts := c.Partitions
-	if parts == 0 {
-		parts = c.Cluster.DefaultPartitions()
-	}
-	var p rdd.Partitioner = rdd.NewHashPartitioner(parts)
-	if grid {
-		p = rdd.NewGridPartitioner(parts, matrix.Grid(c.N, c.Block))
-	}
-	cfg := core.Config{
-		Rule:            c.Bench.Rule(),
-		BlockSize:       c.Block,
-		Driver:          c.Driver,
-		RecursiveKernel: c.Recursive,
-		RShared:         c.RShared,
-		Threads:         c.Threads,
-		Partitions:      parts,
-		Partitioner:     p,
-	}
-	bl := matrix.NewSymbolicBlocked(c.N, c.Block)
-	_, stats, err := core.Run(ctx, bl, cfg)
-	res := Result{Cell: c, Err: err, Breakdown: ctx.Ledger().Snapshot(), Stats: stats}
-	if stats != nil {
-		res.Time = stats.Time
-		res.TimedOut = stats.TimedOut
-	}
-	return res
 }
 
 // AblationPartitions sweeps the RDD-partition multiplier (the paper
@@ -155,13 +124,7 @@ func AblationBaseline(n int) (*report.Table, []Result) {
 	runBaseline := func(und bool) Result {
 		ctx := rdd.NewContext(rdd.Conf{Cluster: cl, Observer: obsv})
 		stats, err := baseline.SolveSymbolic(ctx, n, baseline.Config{BlockSize: 1024, Undirected: und})
-		res := Result{Cell: Cell{Bench: FW, N: n, Block: 1024, Cluster: cl},
-			Err: err, Breakdown: ctx.Ledger().Snapshot(), Stats: stats}
-		if stats != nil {
-			res.Time = stats.Time
-			res.TimedOut = stats.TimedOut
-		}
-		return res
+		return result(Cell{Bench: FW, N: n, Block: 1024, Cluster: cl}, ctx, stats, err)
 	}
 	mpiTime := mpifw.ModelTime(cl, n, mpifw.Config{
 		BlockSize: 1024, Recursive: true, RShared: 16, Threads: 8,

@@ -15,7 +15,7 @@ func TestAblationsBundle(t *testing.T) {
 	}
 	for _, r := range s.Results {
 		if r.Err != nil {
-			t.Fatalf("ablation cell failed: %+v", r)
+			t.Fatalf("ablation cell %v failed: %v", r.Cell, r.Err)
 		}
 	}
 	var sb strings.Builder

@@ -11,6 +11,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"dpspark/internal/cluster"
 	"dpspark/internal/core"
 	"dpspark/internal/matrix"
@@ -58,7 +60,10 @@ func (b Benchmark) Rule() semiring.Rule {
 	return semiring.NewFloydWarshall()
 }
 
-// Cell is one experiment configuration.
+// Cell is one experiment configuration: a point in the paper's tuning
+// space (r, r_shared, OMP_NUM_THREADS, executor-cores, partitions) on one
+// cluster, benchmark and problem size. The tables, figures and the
+// autotuner all price cells with Run.
 type Cell struct {
 	// Cluster to price on (nil → Skylake16).
 	Cluster *cluster.Cluster
@@ -76,8 +81,22 @@ type Cell struct {
 	RShared, Threads int
 	// ExecutorCores overrides the per-executor task slots (0 → all).
 	ExecutorCores int
+	// KernelThreads is the iterative kernel's row-band pool width
+	// (0 or 1: serial; ignored for recursive kernels, which use Threads).
+	KernelThreads int
 	// Partitions overrides the RDD partition count (0 → 2× cores).
 	Partitions int
+}
+
+// String renders the cell's tuning point compactly.
+func (c Cell) String() string {
+	kernel := "iter"
+	if c.Recursive {
+		kernel = fmt.Sprintf("rec%d/omp%d", c.RShared, c.Threads)
+	} else if c.KernelThreads > 1 {
+		kernel = fmt.Sprintf("iter/t%d", c.KernelThreads)
+	}
+	return fmt.Sprintf("%s b=%d %s cores=%d", c.Driver, c.Block, kernel, c.ExecutorCores)
 }
 
 // Result is a priced cell.
@@ -110,16 +129,28 @@ func (r Result) Note() string {
 }
 
 // Run prices one cell.
-func Run(c Cell) Result {
+func Run(c Cell) Result { return run(c, nil) }
+
+// Defaulted returns the cell with its zero-value cluster and problem size
+// replaced by Skylake16 and PaperN, as Run prices it.
+func (c Cell) Defaulted() Cell {
 	if c.Cluster == nil {
 		c.Cluster = cluster.Skylake16()
 	}
 	if c.N == 0 {
 		c.N = PaperN
 	}
+	return c
+}
+
+// run prices one cell under partitioner p (nil: the engine's default
+// hash partitioner over c.Partitions).
+func run(c Cell, p rdd.Partitioner) Result {
+	c = c.Defaulted()
 	ctx := rdd.NewContext(rdd.Conf{
 		Cluster:       c.Cluster,
 		ExecutorCores: c.ExecutorCores,
+		KernelThreads: c.KernelThreads,
 		Observer:      obsv,
 	})
 	cfg := core.Config{
@@ -129,10 +160,17 @@ func Run(c Cell) Result {
 		RecursiveKernel: c.Recursive,
 		RShared:         c.RShared,
 		Threads:         c.Threads,
+		KernelThreads:   c.KernelThreads,
 		Partitions:      c.Partitions,
+		Partitioner:     p,
 	}
 	bl := matrix.NewSymbolicBlocked(c.N, c.Block)
 	_, stats, err := core.Run(ctx, bl, cfg)
+	return result(c, ctx, stats, err)
+}
+
+// result assembles a priced cell from its run's context and report.
+func result(c Cell, ctx *rdd.Context, stats *core.Stats, err error) Result {
 	res := Result{Cell: c, Err: err, Breakdown: ctx.Ledger().Snapshot(), Stats: stats}
 	if stats != nil {
 		res.Time = stats.Time
@@ -153,15 +191,16 @@ func RunBestThreads(c Cell, threadCandidates []int) Result {
 		cc := c
 		cc.Threads = th
 		r := Run(cc)
-		if i == 0 || better(r, best) {
+		if i == 0 || Better(r, best) {
 			best = r
 		}
 	}
 	return best
 }
 
-// better prefers valid runs, then lower times.
-func better(a, b Result) bool {
+// Better prefers valid runs, then lower times: the order every sweep
+// (RunBestThreads, autotune.Search) picks its winner by.
+func Better(a, b Result) bool {
 	av, bv := a.Note() == "", b.Note() == ""
 	if av != bv {
 		return av

@@ -16,13 +16,31 @@ const testN = 8192
 func TestRunCellDefaults(t *testing.T) {
 	r := Run(Cell{Bench: FW, N: testN, Driver: core.IM, Block: 1024})
 	if r.Err != nil || r.Time <= 0 {
-		t.Fatalf("cell: %+v", r)
+		t.Fatalf("cell %v: err=%v time=%v", r.Cell, r.Err, r.Time)
 	}
 	if r.N != testN || r.Cluster == nil {
 		t.Fatal("defaults not filled")
 	}
 	if r.Breakdown[simtime.Compute] <= 0 {
 		t.Fatal("breakdown missing compute")
+	}
+}
+
+func TestCellString(t *testing.T) {
+	c := Cell{Driver: core.CB, Block: 1024, Recursive: true, RShared: 4, Threads: 8, ExecutorCores: 32}
+	s := c.String()
+	for _, want := range []string{"CB", "1024", "rec4", "omp8", "cores=32"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("cell string %q missing %q", s, want)
+		}
+	}
+	it := Cell{Driver: core.IM, Block: 512}
+	if !strings.Contains(it.String(), "iter") {
+		t.Fatalf("iterative string = %q", it.String())
+	}
+	wide := Cell{Driver: core.IM, Block: 512, KernelThreads: 2, ExecutorCores: 16}
+	if got, want := wide.String(), "IM b=512 iter/t2 cores=16"; got != want {
+		t.Fatalf("widened iterative string = %q, want %q", got, want)
 	}
 }
 
@@ -229,7 +247,7 @@ func TestFig9WeakScaling(t *testing.T) {
 	}
 	for _, r := range results {
 		if r.Err != nil {
-			t.Fatalf("fig9 cell failed: %+v", r)
+			t.Fatalf("fig9 cell %v failed: %v", r.Cell, r.Err)
 		}
 	}
 }

@@ -85,30 +85,12 @@ func (h *HTMLReport) AddBarChart(bc *BarChart) {
 	h.sections = append(h.sections, b.String())
 }
 
-// AddLineChart renders a line chart as its value table plus a note.
+// AddLineChart renders a line chart as its value table.
 func (h *HTMLReport) AddLineChart(lc *LineChart) {
 	if len(lc.Lines) == 0 {
 		return
 	}
-	headers := make([]string, len(lc.Lines))
-	for i, l := range lc.Lines {
-		headers[i] = l.Name
-	}
-	rows := make([]string, len(lc.Lines[0].Points))
-	for i, p := range lc.Lines[0].Points {
-		rows[i] = p.Label
-	}
-	t := NewTable(lc.Title, "x", rows, headers)
-	for c, l := range lc.Lines {
-		for r, p := range l.Points {
-			if p.Note != "" {
-				t.Set(r, c, "["+p.Note+"]")
-			} else {
-				t.Set(r, c, fmt.Sprintf("%.0f%s", p.Value, lc.Unit))
-			}
-		}
-	}
-	h.AddTable(t)
+	h.AddTable(lc.table())
 }
 
 // AddText adds a free-form paragraph.

@@ -202,6 +202,13 @@ func (lc *LineChart) Render(w io.Writer) error {
 	if len(lc.Lines) == 0 {
 		return nil
 	}
+	return lc.table().Render(w)
+}
+
+// table lays the series out as a value table: x labels as rows, one
+// column per line, notes in brackets in place of values. It needs at
+// least one line.
+func (lc *LineChart) table() *Table {
 	headers := make([]string, len(lc.Lines))
 	for i, l := range lc.Lines {
 		headers[i] = l.Name
@@ -220,7 +227,7 @@ func (lc *LineChart) Render(w io.Writer) error {
 			}
 		}
 	}
-	return t.Render(w)
+	return t
 }
 
 // Seconds formats a duration cell the way the paper's tables do (whole
