@@ -27,44 +27,27 @@ var CritPhases = []string{
 	PhaseRecovery, PhaseDetection, PhaseOverhead,
 }
 
-// CritBranch is one executor node's serial io→compute chain inside a
-// stage: the candidate critical branches the scheduler's makespan
-// maximum ran over. Values come verbatim from the scheduler's
-// StageReport so re-deriving the winning branch reproduces the same
-// float operations the makespan used.
-type CritBranch struct {
-	Node      int              `json:"node"`
-	ShuffleIO simtime.Duration `json:"shuffle_io_s"`
-	SharedIO  simtime.Duration `json:"shared_io_s"`
-	Compute   simtime.Duration `json:"compute_s"`
-}
-
 // CritStage is one executed stage on the virtual clock: Start and End
 // are raw clock readings (End bit-identical to the clock after the
 // stage), so consecutive entries tile the run without float drift.
 type CritStage struct {
-	Start   simtime.Duration `json:"start_s"`
-	End     simtime.Duration `json:"end_s"`
-	StageID int              `json:"stage"`
-	Attempt int              `json:"attempt"`
-	Kind    string           `json:"kind"`
-	Phase   string           `json:"phase,omitempty"`
-	Tasks   int              `json:"tasks"`
+	Start, End simtime.Duration
+	// Attempt is the stage attempt; a resubmission (> 0) is recovery.
+	Attempt int
 	// Speculative counts speculative copy tasks the stage ran beyond its
 	// partition count.
-	Speculative int          `json:"speculative,omitempty"`
-	Branches    []CritBranch `json:"branches,omitempty"`
+	Speculative int
+	// ShuffleIO, SharedIO and Compute are the stage's critical-node
+	// split as the scheduler reported it (sim.StageReport).
+	ShuffleIO, SharedIO, Compute simtime.Duration
 }
 
 // CritSegment is one driver-side clock advance (collect, broadcast,
 // scheduling overhead, recovery restore) between stages.
 type CritSegment struct {
-	Start simtime.Duration `json:"start_s"`
-	End   simtime.Duration `json:"end_s"`
+	Start, End simtime.Duration
 	// Phase is the critical-path phase the segment is attributed to.
-	Phase string `json:"phase"`
-	// Name carries the ledger category or call-site detail.
-	Name string `json:"name,omitempty"`
+	Phase string
 }
 
 // critEntry is one recorded interval: exactly one of stage/seg is set.
@@ -162,10 +145,9 @@ func (r CritPathReport) Phase(p string) simtime.Duration {
 // Compute derives the critical path for pid over the clock window
 // [from, to]. The run's stage DAG executes serially on the virtual
 // clock (parallelism lives inside stages, across executor cores), so
-// the path is the recorded timeline itself; within each stage the
-// scheduler's critical (makespan) node is re-derived from the recorded
-// branches with the same float-op grouping the scheduler used, and its
-// serial io→compute chain attributed to phases.
+// the path is the recorded timeline itself; within each stage it is the
+// serial io→compute chain of the scheduler's critical (makespan) node,
+// attributed to phases.
 func (r *CritPathRecorder) Compute(pid int, from, to simtime.Duration) CritPathReport {
 	r.mu.Lock()
 	entries := append([]critEntry(nil), r.byPid[pid]...)
@@ -236,32 +218,17 @@ func (r *CritPathRecorder) ComputeAll(pid int) CritPathReport {
 
 // attributeStage splits one stage's clock advance across phases. A
 // resubmitted attempt is recovery work wholesale; a first attempt
-// re-derives the scheduler's critical branch — first maximum of
-// (shuffle+shared)+compute in node order, matching sim.RunStageReport's
-// float-op grouping bit for bit — and charges its shuffle I/O, shared
-// I/O (the broadcast path), compute, and the residual (scheduling
-// overhead plus idle wait) in that order.
+// charges the critical node's shuffle I/O, shared I/O (the broadcast
+// path) and compute, then the residual (scheduling overhead plus idle
+// wait) — total minus the node's time, summed in the scheduler's order.
 func attributeStage(st *CritStage, add func(phase string, d simtime.Duration)) {
 	total := st.End - st.Start
 	if st.Attempt > 0 {
 		add(PhaseRecovery, total)
 		return
 	}
-	var crit *CritBranch
-	var makespan simtime.Duration
-	for i := range st.Branches {
-		b := &st.Branches[i]
-		if t := (b.ShuffleIO + b.SharedIO) + b.Compute; t > makespan {
-			makespan = t
-			crit = b
-		}
-	}
-	if crit == nil {
-		add(PhaseOverhead, total)
-		return
-	}
-	add(PhaseShuffle, crit.ShuffleIO)
-	add(PhaseBroadcast, crit.SharedIO)
-	add(PhaseCompute, crit.Compute)
-	add(PhaseOverhead, total-makespan)
+	add(PhaseShuffle, st.ShuffleIO)
+	add(PhaseBroadcast, st.SharedIO)
+	add(PhaseCompute, st.Compute)
+	add(PhaseOverhead, total-((st.ShuffleIO+st.SharedIO)+st.Compute))
 }

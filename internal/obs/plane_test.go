@@ -19,8 +19,8 @@ import (
 // the HTTP scrape endpoints.
 
 // TestCritPathSyntheticWalk drives the path computation over a
-// hand-built timeline: a driver segment, a two-branch stage, a gap, a
-// resubmitted stage and a fully-overlapped entry.
+// hand-built timeline: a driver segment, a stage with its critical
+// split, a gap, a resubmitted stage and a fully-overlapped entry.
 func TestCritPathSyntheticWalk(t *testing.T) {
 	r := newCritPathRecorder()
 	r.SetEnabled(true)
@@ -28,24 +28,18 @@ func TestCritPathSyntheticWalk(t *testing.T) {
 
 	// [0,2): broadcast segment.
 	r.RecordSegment(pid, CritSegment{Start: 0, End: 2 * simtime.Second, Phase: PhaseBroadcast})
-	// [2,12): stage, makespan branch is node 1 (3 shuffle + 1 shared + 5
-	// compute = 9); residual overhead 1.
+	// [2,12): stage whose critical node takes 3 shuffle + 1 shared + 5
+	// compute = 9; residual overhead 1.
 	r.RecordStage(pid, CritStage{
-		Start: 2 * simtime.Second, End: 12 * simtime.Second,
-		StageID: 0, Tasks: 4, Speculative: 1,
-		Branches: []CritBranch{
-			{Node: 0, ShuffleIO: 1 * simtime.Second, Compute: 2 * simtime.Second},
-			{Node: 1, ShuffleIO: 3 * simtime.Second, SharedIO: 1 * simtime.Second,
-				Compute: 5 * simtime.Second},
-		},
+		Start: 2 * simtime.Second, End: 12 * simtime.Second, Speculative: 1,
+		ShuffleIO: 3 * simtime.Second, SharedIO: 1 * simtime.Second, Compute: 5 * simtime.Second,
 	})
 	// Entry fully covered by the stage above: must be skipped.
 	r.RecordSegment(pid, CritSegment{Start: 3 * simtime.Second, End: 4 * simtime.Second, Phase: PhaseCompute})
 	// [12,13): uncovered gap. [13,16): resubmitted attempt → recovery.
 	r.RecordStage(pid, CritStage{
 		Start: 13 * simtime.Second, End: 16 * simtime.Second,
-		StageID: 0, Attempt: 1, Tasks: 1,
-		Branches: []CritBranch{{Node: 1, Compute: 3 * simtime.Second}},
+		Attempt: 1, Compute: 3 * simtime.Second,
 	})
 
 	rep := r.Compute(pid, 0, 16*simtime.Second)
@@ -225,8 +219,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	o.Flight().Record(Event{Clock: 1, Type: EvStageSubmit, Stage: 0, Part: -1, Node: -1, Shuffle: -1})
 	o.Flight().Record(Event{Clock: 2, Type: EvStageComplete, Stage: 0, Part: -1, Node: -1, Shuffle: -1})
 	o.CritPath().RecordStage(7, CritStage{
-		Start: 0, End: 2 * simtime.Second, Tasks: 1,
-		Branches: []CritBranch{{Compute: 2 * simtime.Second}},
+		Start: 0, End: 2 * simtime.Second, Compute: 2 * simtime.Second,
 	})
 
 	srv := httptest.NewServer(o.Handler())

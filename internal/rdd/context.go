@@ -258,11 +258,14 @@ type stageMetricHandles struct {
 	skewGauge                   *obs.Gauge
 }
 
-// Breakdown is the context's accumulated critical-path time decomposition
-// plus traffic counters. Unlike the Ledger's overlapping resource-seconds,
-// the four time components sum exactly to the virtual clock: every stage
+// Breakdown is the context's accumulated overlapping time decomposition
+// plus traffic counters. Unlike the Ledger's resource-seconds, the four
+// time components sum exactly to the virtual clock: every stage
 // contributes its makespan node's split (sim.StageReport) and every
-// driver-side advance is attributed by category.
+// driver-side advance is attributed by category. Recovery and Detection
+// overlap those four — a resubmitted stage counts in both — so this is
+// not the critical-path profiler's exclusive attribution (obs), which
+// charges a resubmitted stage to recovery only.
 type Breakdown struct {
 	// Compute is kernel/task compute time on the critical path.
 	Compute simtime.Duration
@@ -627,9 +630,7 @@ func (c *Context) advanceDriver(d simtime.Duration, cat simtime.Category, critPh
 	}
 	c.mu.Unlock()
 	if cp := c.obsv.CritPath(); cp.Enabled() {
-		cp.RecordSegment(c.pid, obs.CritSegment{
-			Start: start, End: end, Phase: critPhase, Name: string(cat),
-		})
+		cp.RecordSegment(c.pid, obs.CritSegment{Start: start, End: end, Phase: critPhase})
 	}
 }
 

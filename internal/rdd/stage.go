@@ -374,7 +374,11 @@ func (sr *stageRun) settle() {
 	c.mu.Unlock()
 
 	if cp := c.obsv.CritPath(); cp.Enabled() {
-		cp.RecordStage(c.pid, sr.critStage(rep, len(tasks)-sr.parts))
+		cp.RecordStage(c.pid, obs.CritStage{
+			Start: rep.Start, End: rep.Start + rep.Total,
+			Attempt: sr.attempt, Speculative: len(tasks) - sr.parts,
+			ShuffleIO: rep.ShuffleIO, SharedIO: rep.SharedIO, Compute: rep.Compute,
+		})
 	}
 	c.recordEvent(obs.Event{
 		Clock: (rep.Start + rep.Total).Seconds(), Type: obs.EvStageComplete,
@@ -405,26 +409,4 @@ func (sr *stageRun) settle() {
 	// rep dies here: its slices live in the scratch the next stage takes.
 	putStageScratch(sr.scratch)
 	sr.scratch = nil
-}
-
-// critStage is the stage as the critical-path profiler sees it: one
-// branch per active node.
-func (sr *stageRun) critStage(rep sim.StageReport, speculative int) obs.CritStage {
-	branches := make([]obs.CritBranch, 0, 4)
-	for n := range rep.NodeCompute {
-		comp, sh, sf := rep.NodeCompute[n], rep.NodeShuffleIO[n], rep.NodeSharedIO[n]
-		if comp == 0 && sh == 0 && sf == 0 {
-			continue
-		}
-		branches = append(branches, obs.CritBranch{
-			Node: n, ShuffleIO: sh, SharedIO: sf, Compute: comp,
-		})
-	}
-	return obs.CritStage{
-		Start: rep.Start, End: rep.Start + rep.Total,
-		StageID: sr.stageID, Attempt: sr.attempt,
-		Kind: sr.kind.String(), Phase: sr.phase,
-		Tasks: sr.parts, Speculative: speculative,
-		Branches: branches,
-	}
 }

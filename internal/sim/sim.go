@@ -101,10 +101,10 @@ type TaskSpan struct {
 }
 
 // StageReport decomposes one executed stage. The breakdown follows the
-// stage's critical (makespan) node, so Compute + ShuffleIO + SharedIO +
-// Overhead equals Total exactly — summing the per-stage reports of a job
-// therefore reproduces the job's clock advance, unlike the Ledger's
-// overlapping resource-seconds.
+// stage's critical (makespan) node, so ((ShuffleIO + SharedIO) + Compute)
+// + Overhead equals Total exactly — in that order of float additions —
+// and summing the per-stage reports of a job therefore reproduces the
+// job's clock advance, unlike the Ledger's overlapping resource-seconds.
 type StageReport struct {
 	// Start is the virtual clock when the stage began.
 	Start simtime.Duration
@@ -125,14 +125,6 @@ type StageReport struct {
 	MaxTask, MeanTask simtime.Duration
 	// NodeIO is each node's I/O time (zero for idle nodes).
 	NodeIO []simtime.Duration
-	// NodeCompute, NodeShuffleIO and NodeSharedIO are every node's time
-	// decomposition (not just the critical node's): the critical-path
-	// profiler re-derives the makespan branch from these, so they use the
-	// same values — and the same float-op grouping — as the makespan
-	// comparison below.
-	NodeCompute   []simtime.Duration
-	NodeShuffleIO []simtime.Duration
-	NodeSharedIO  []simtime.Duration
 	// Tasks is the per-task lane schedule for tracing.
 	Tasks []TaskSpan
 }
@@ -212,10 +204,10 @@ func (s *Sim) RunStage(tasks []Task) simtime.Duration {
 // Scratch holds what RunStageReport needs for one call, so a caller that
 // runs many stages pays for it once: the node-major task order, the raw
 // durations, the lane clocks, and the memory the returned StageReport's
-// slices (the Node* decompositions and Tasks) point into. A report built
-// on a Scratch is therefore valid only until that Scratch's next use. The
-// zero value is ready; what an earlier call left behind, and how much
-// capacity, does not matter.
+// slices (NodeIO and Tasks) point into. A report built on a Scratch is
+// therefore valid only until that Scratch's next use. The zero value is
+// ready; what an earlier call left behind, and how much capacity, does
+// not matter.
 type Scratch struct {
 	// ends[n] is where node n's run of order stops (it starts where node
 	// n-1's stops); order lists the task indices node by node, ascending
@@ -224,8 +216,7 @@ type Scratch struct {
 	order   []int
 	raw     []simtime.Duration
 	laneEnd []simtime.Duration
-	// perNode backs NodeIO, NodeCompute, NodeShuffleIO and NodeSharedIO,
-	// back to back; spans backs Tasks.
+	// perNode backs NodeIO; spans backs Tasks.
 	perNode []simtime.Duration
 	spans   []TaskSpan
 }
@@ -242,7 +233,69 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 	defer s.mu.Unlock()
 
 	nodes := s.Model.C.Nodes
-	cores := s.Model.C.Node.Cores
+	sc.groupByNode(tasks, nodes)
+	sc.perNode = slices.Grow(sc.perNode[:0], nodes)[:nodes]
+	clear(sc.perNode)
+	sc.spans = slices.Grow(sc.spans[:0], len(tasks))
+	rep := StageReport{Start: s.Clock, NodeIO: sc.perNode[:nodes:nodes]}
+	var makespan, rawSum simtime.Duration
+	lo := 0
+	for n, hi := range sc.ends {
+		q, raw := sc.order[lo:hi], sc.raw[lo:hi]
+		lo = hi
+		if len(q) == 0 {
+			continue
+		}
+		tr := s.nodeTraffic(tasks, q)
+		s.Ledger.Add(simtime.LocalDisk, tr.diskRead+tr.diskWrite)
+		s.Ledger.Add(simtime.Network, tr.net)
+		s.Ledger.Add(simtime.SharedFS, tr.sharedIO)
+		s.Ledger.AddBytes(simtime.Network, tr.remote)
+		s.Ledger.AddBytes(simtime.LocalDisk, tr.spill)
+		s.Ledger.AddBytes(simtime.SharedFS, tr.shared)
+
+		var l load
+		l, rawSum = s.nodeLoad(tasks, q, raw, rawSum)
+		fluid := s.fluidTime(l)
+		compute := fluid + s.launchTime(len(q))
+		s.Ledger.Add(simtime.Compute, compute)
+		if l.longest > rep.MaxTask {
+			rep.MaxTask = l.longest
+		}
+
+		s.diskUsed[n] += tr.spill
+		if s.failure == nil && s.diskUsed[n] > s.Model.C.Node.Disk.Capacity {
+			s.failure = ErrDiskFull{Node: n, Staged: s.diskUsed[n], Cap: s.Model.C.Node.Disk.Capacity}
+		}
+
+		io := tr.shuffleIO + tr.sharedIO
+		rep.NodeIO[n] = io
+		sc.laneSchedule(n, s.ExecCores, q, raw, l, fluid, io)
+		if total := io + compute; total > makespan {
+			makespan = total
+			rep.Compute, rep.ShuffleIO, rep.SharedIO = compute, tr.shuffleIO, tr.sharedIO
+		}
+	}
+
+	rep.Overhead = s.Model.StageOverhead()
+	rep.Total = makespan + rep.Overhead
+	if len(tasks) > 0 {
+		rep.MeanTask = rawSum / simtime.Duration(float64(len(tasks)))
+	}
+	rep.Tasks = sc.spans
+	s.Clock += rep.Total
+	s.Ledger.Add(simtime.Overhead, rep.Overhead)
+	s.Ledger.CountStage()
+	s.Ledger.CountTasks(len(tasks))
+	return rep
+}
+
+// groupByNode lists the task indices node by node in sc.order without
+// moving the tasks, and sizes sc.raw to match: count, turn the counts
+// into start offsets, then place each index — which advances every
+// node's offset to the end of its run, leaving sc.ends as documented.
+// Node indices wrap modulo nodes.
+func (sc *Scratch) groupByNode(tasks []Task, nodes int) {
 	nodeOf := func(t *Task) int {
 		n := t.Node % nodes
 		if n < 0 {
@@ -250,9 +303,6 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 		}
 		return n
 	}
-	// Group the tasks by node without moving them: count, turn the counts
-	// into start offsets, then place each index — which advances every
-	// node's offset to the end of its run.
 	sc.ends = slices.Grow(sc.ends[:0], nodes)[:nodes]
 	sc.order = slices.Grow(sc.order[:0], len(tasks))[:len(tasks)]
 	sc.raw = slices.Grow(sc.raw[:0], len(tasks))[:len(tasks)]
@@ -271,199 +321,158 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 		sc.order[ends[n]] = i
 		ends[n]++
 	}
+}
 
-	sc.perNode = slices.Grow(sc.perNode[:0], 4*nodes)[:4*nodes]
-	clear(sc.perNode)
-	rep := StageReport{
-		Start:         s.Clock,
-		NodeIO:        sc.perNode[0*nodes : 1*nodes : 1*nodes],
-		NodeCompute:   sc.perNode[1*nodes : 2*nodes : 2*nodes],
-		NodeShuffleIO: sc.perNode[2*nodes : 3*nodes : 3*nodes],
-		NodeSharedIO:  sc.perNode[3*nodes : 4*nodes : 4*nodes],
-		Tasks:         slices.Grow(sc.spans[:0], len(tasks)),
+// traffic is one node's I/O in a stage: the bytes its tasks move over
+// the network, stage on the local disk and read from shared storage, and
+// what moving them costs.
+type traffic struct {
+	remote, spill, shared    int64
+	diskRead, net, diskWrite simtime.Duration
+	// shuffleIO is (diskRead + net) + diskWrite; sharedIO the shared-fs
+	// read time.
+	shuffleIO, sharedIO simtime.Duration
+}
+
+// nodeTraffic prices the I/O of the tasks q of one node: shuffle reads
+// come off disks and (for remote chunks) through the node's link;
+// shuffle writes and shared-fs traffic are serial with compute.
+func (s *Sim) nodeTraffic(tasks []Task, q []int) traffic {
+	var fetched, remote, spill, shared int64
+	for _, idx := range q {
+		t := &tasks[idx]
+		fetched += t.FetchLocal + t.FetchRemote
+		remote += t.FetchRemote
+		spill += t.Spill
+		shared += t.SharedRead
 	}
-	var rawSum simtime.Duration
-	var makespan simtime.Duration
-	lo := 0
-	for n, hi := range ends {
-		q, raw := sc.order[lo:hi], sc.raw[lo:hi]
-		lo = hi
-		if len(q) == 0 {
-			continue
-		}
-		var fetchLocal, fetchRemote, spill, sharedR int64
-		for _, idx := range q {
-			t := &tasks[idx]
-			fetchLocal += t.FetchLocal
-			fetchRemote += t.FetchRemote
-			spill += t.Spill
-			sharedR += t.SharedRead
-		}
+	tr := traffic{remote: remote, spill: spill, shared: shared}
+	tr.diskRead = s.Model.DiskReadTime(fetched)
+	tr.net = s.Model.NetTime(remote)
+	tr.diskWrite = s.Model.DiskWriteTime(spill)
+	tr.shuffleIO = tr.diskRead + tr.net + tr.diskWrite
+	tr.sharedIO = s.Model.SharedReadTime(shared)
+	return tr
+}
 
-		// Node-level I/O: shuffle reads come off disks and (for remote
-		// chunks) through the node's link; shuffle writes and shared-fs
-		// traffic are serial with compute.
-		shuffleIO := s.Model.DiskReadTime(fetchLocal+fetchRemote) +
-			s.Model.NetTime(fetchRemote) +
-			s.Model.DiskWriteTime(spill)
-		sharedIO := s.Model.SharedReadTime(sharedR)
-		io := shuffleIO + sharedIO
-		s.Ledger.Add(simtime.LocalDisk, s.Model.DiskReadTime(fetchLocal+fetchRemote)+s.Model.DiskWriteTime(spill))
-		s.Ledger.Add(simtime.Network, s.Model.NetTime(fetchRemote))
-		s.Ledger.Add(simtime.SharedFS, sharedIO)
-		s.Ledger.AddBytes(simtime.Network, fetchRemote)
-		s.Ledger.AddBytes(simtime.LocalDisk, spill)
-		s.Ledger.AddBytes(simtime.SharedFS, sharedR)
+// load is what one node's tasks ask of its cores in a stage.
+type load struct {
+	// work is Σ compute × busy threads plus the single-core
+	// serialization, idle is Σ compute × spinning idle threads (both in
+	// thread-seconds), and sum is Σ raw task durations in seconds.
+	work, idle, sum float64
+	// busy counts the tasks with a nonzero raw duration; longest is the
+	// largest raw duration.
+	busy    int
+	longest simtime.Duration
+}
 
-		// Compute via a fluid list-scheduling bound: the executor keeps
-		// ExecCores task slots busy (Spark dispatches a new task as soon
-		// as a slot frees), each running task occupies Threads workers,
-		// and the node cannot exceed its physical cores — demanding more
-		// adds a thread-switching (spin) penalty. The stage's node time
-		// is the larger of the bandwidth bound W/throughput and the
-		// longest single task (the straggler bound).
-		var workThreadSec float64 // Σ compute_i × busy threads_i
-		var idleThreadSec float64
-		var sumCompute float64
-		var longest simtime.Duration
-		var busyTasks int
-		overhead := s.Model.TaskOverhead()
-		for i, idx := range q {
-			t := &tasks[idx]
-			th := t.Threads
-			if th < 1 {
-				th = 1
-			}
-			// Shuffled bytes pay single-core (de)serialization inside
-			// the task (pySpark pickling).
-			ser := s.Model.SerializeTime(t.Spill + t.FetchLocal + t.FetchRemote)
-			c := t.Compute + ser
-			raw[i] = c
-			workThreadSec += t.Compute.Seconds()*float64(th) + ser.Seconds()
-			idleThreadSec += t.Compute.Seconds() * float64(t.IdleThreads)
-			sumCompute += c.Seconds()
-			if c > 0 {
-				busyTasks++
-			}
-			if c > longest {
-				longest = c
-			}
-			rawSum += c
-			if c > rep.MaxTask {
-				rep.MaxTask = c
-			}
+// nodeLoad writes each of the tasks q's standalone duration to raw —
+// its compute plus the single-core (de)serialization its shuffled bytes
+// pay inside the task (pySpark pickling) — and sums the node's load. It
+// also adds each duration to rawSum, the stage's running total, and
+// returns that total: MeanTask is one running sum over the stage in
+// node-major order, so its bits do not depend on per-node subtotals.
+func (s *Sim) nodeLoad(tasks []Task, q []int, raw []simtime.Duration, rawSum simtime.Duration) (load, simtime.Duration) {
+	var work, idle, sum float64
+	var busy int
+	var longest simtime.Duration
+	for i, idx := range q {
+		t := &tasks[idx]
+		th := max(t.Threads, 1)
+		ser := s.Model.SerializeTime(t.Spill + t.FetchLocal + t.FetchRemote)
+		c := t.Compute + ser
+		raw[i] = c
+		rawSum += c
+		work += t.Compute.Seconds()*float64(th) + ser.Seconds()
+		idle += t.Compute.Seconds() * float64(t.IdleThreads)
+		sum += c.Seconds()
+		if c > 0 {
+			busy++
 		}
-		var compute simtime.Duration
-		if workThreadSec > 0 {
-			conc := busyTasks
-			if conc > s.ExecCores {
-				conc = s.ExecCores
-			}
-			avgOcc := workThreadSec / sumCompute
-			avgIdle := idleThreadSec / sumCompute
-			demandBusy := float64(conc) * avgOcc
-			demandIdle := float64(conc) * avgIdle
-			usable := demandBusy
-			if usable > float64(cores) {
-				usable = float64(cores)
-			}
-			spin := 1.0
-			if ratio := demandBusy / float64(cores); ratio > 1 {
-				spin += s.OversubPenalty * (ratio - 1)
-			}
-			if total := demandBusy + demandIdle; demandIdle > 0 && total > float64(cores) {
-				// Spinning hurts superlinearly in how outnumbered the
-				// busy threads are: a 4-wide kernel run with 32 OMP
-				// threads (idle/busy = 7) thrashes far worse than a
-				// 16-wide kernel with the same thread count (idle/busy
-				// = 1) — the Tables I vs II omp=32 contrast.
-				pressure := total / float64(cores)
-				outnumber := demandIdle / demandBusy
-				spin += s.SpinQuad * pressure * outnumber * outnumber
-			}
-			throughput := usable / spin
-			compute = simtime.Duration(workThreadSec / throughput)
-			if longest > compute {
-				compute = longest
-			}
-		}
-		fluid := compute
-		// Task launch overhead amortizes across slots.
-		slots := s.ExecCores
-		if slots > len(q) {
-			slots = len(q)
-		}
-		if slots < 1 {
-			slots = 1
-		}
-		compute += simtime.Duration(float64(len(q)) / float64(slots) * overhead.Seconds())
-		s.Ledger.Add(simtime.Compute, compute)
-
-		s.diskUsed[n] += spill
-		if s.failure == nil && s.diskUsed[n] > s.Model.C.Node.Disk.Capacity {
-			s.failure = ErrDiskFull{Node: n, Staged: s.diskUsed[n], Cap: s.Model.C.Node.Disk.Capacity}
-		}
-
-		// Lane schedule for the tracer: list-schedule the node's tasks
-		// greedily onto its executor-core lanes, each task's length its
-		// share of the node's fluid compute window, lanes starting after
-		// the node's serial I/O (matching the model's io + compute order).
-		rep.NodeIO[n] = io
-		rep.NodeCompute[n] = compute
-		rep.NodeShuffleIO[n] = shuffleIO
-		rep.NodeSharedIO[n] = sharedIO
-		lanes := s.ExecCores
-		if busyTasks > 0 && busyTasks < lanes {
-			lanes = busyTasks
-		}
-		if lanes < 1 {
-			lanes = 1
-		}
-		scale := 0.0
-		if sumCompute > 0 {
-			scale = fluid.Seconds() * float64(lanes) / sumCompute
-		}
-		sc.laneEnd = slices.Grow(sc.laneEnd[:0], lanes)[:lanes]
-		laneEnd := sc.laneEnd
-		for i := range laneEnd {
-			laneEnd[i] = io
-		}
-		for i, idx := range q {
-			lane := 0
-			for l := 1; l < lanes; l++ {
-				if laneEnd[l] < laneEnd[lane] {
-					lane = l
-				}
-			}
-			dur := simtime.Duration(raw[i].Seconds() * scale)
-			rep.Tasks = append(rep.Tasks, TaskSpan{
-				Index: idx,
-				Node:  n,
-				Lane:  lane,
-				Start: laneEnd[lane],
-				Dur:   dur,
-				Raw:   raw[i],
-			})
-			laneEnd[lane] += dur
-		}
-
-		if total := io + compute; total > makespan {
-			makespan = total
-			rep.Compute = compute
-			rep.ShuffleIO = shuffleIO
-			rep.SharedIO = sharedIO
+		if c > longest {
+			longest = c
 		}
 	}
+	return load{work: work, idle: idle, sum: sum, busy: busy, longest: longest}, rawSum
+}
 
-	rep.Overhead = s.Model.StageOverhead()
-	rep.Total = makespan + rep.Overhead
-	if len(tasks) > 0 {
-		rep.MeanTask = rawSum / simtime.Duration(float64(len(tasks)))
+// fluidTime is a node's compute time under a fluid list-scheduling bound:
+// the executor keeps ExecCores task slots busy (Spark dispatches a new
+// task as soon as a slot frees), each running task occupies its busy
+// threads, and the node cannot exceed its physical cores — demanding
+// more adds a thread-switching (spin) penalty. The result is the larger
+// of the bandwidth bound work/throughput and the longest single task
+// (the straggler bound).
+func (s *Sim) fluidTime(l load) simtime.Duration {
+	if l.work <= 0 {
+		return 0
 	}
-	s.Clock += rep.Total
-	s.Ledger.Add(simtime.Overhead, rep.Overhead)
-	s.Ledger.CountStage()
-	s.Ledger.CountTasks(len(tasks))
-	sc.spans = rep.Tasks
-	return rep
+	cores := float64(s.Model.C.Node.Cores)
+	conc := float64(min(l.busy, s.ExecCores))
+	demandBusy := conc * (l.work / l.sum)
+	demandIdle := conc * (l.idle / l.sum)
+	usable := demandBusy
+	if usable > cores {
+		usable = cores
+	}
+	spin := 1.0
+	if ratio := demandBusy / cores; ratio > 1 {
+		spin += s.OversubPenalty * (ratio - 1)
+	}
+	if total := demandBusy + demandIdle; demandIdle > 0 && total > cores {
+		// Spinning hurts superlinearly in how outnumbered the busy
+		// threads are: a 4-wide kernel run with 32 OMP threads
+		// (idle/busy = 7) thrashes far worse than a 16-wide kernel with
+		// the same thread count (idle/busy = 1) — the Tables I vs II
+		// omp=32 contrast.
+		pressure := total / cores
+		outnumber := demandIdle / demandBusy
+		spin += s.SpinQuad * pressure * outnumber * outnumber
+	}
+	compute := simtime.Duration(l.work / (usable / spin))
+	if l.longest > compute {
+		compute = l.longest
+	}
+	return compute
+}
+
+// launchTime is the launch overhead of n tasks, amortized across the
+// executor's task slots.
+func (s *Sim) launchTime(n int) simtime.Duration {
+	slots := max(min(s.ExecCores, n), 1)
+	return simtime.Duration(float64(n) / float64(slots) * s.Model.TaskOverhead().Seconds())
+}
+
+// laneSchedule appends node n's task spans to sc.spans for the tracer:
+// it list-schedules the tasks q greedily onto the node's executor-core
+// lanes, each task's length its share of the node's fluid compute
+// window, lanes starting after the node's serial I/O (matching the
+// model's io + compute order).
+func (sc *Scratch) laneSchedule(n, execCores int, q []int, raw []simtime.Duration, l load, fluid, io simtime.Duration) {
+	lanes := execCores
+	if l.busy > 0 && l.busy < lanes {
+		lanes = l.busy
+	}
+	lanes = max(lanes, 1)
+	scale := 0.0
+	if l.sum > 0 {
+		scale = fluid.Seconds() * float64(lanes) / l.sum
+	}
+	sc.laneEnd = slices.Grow(sc.laneEnd[:0], lanes)[:lanes]
+	laneEnd := sc.laneEnd
+	for i := range laneEnd {
+		laneEnd[i] = io
+	}
+	for i, idx := range q {
+		lane := 0
+		for j := 1; j < lanes; j++ {
+			if laneEnd[j] < laneEnd[lane] {
+				lane = j
+			}
+		}
+		dur := simtime.Duration(raw[i].Seconds() * scale)
+		sc.spans = append(sc.spans, TaskSpan{Index: idx, Node: n, Lane: lane, Start: laneEnd[lane], Dur: dur, Raw: raw[i]})
+		laneEnd[lane] += dur
+	}
 }
