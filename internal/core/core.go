@@ -84,16 +84,10 @@ type Config struct {
 	RShared int
 	// Base is the recursive base-case size (default 64).
 	Base int
-	// Threads is OMP_NUM_THREADS for recursive kernels. 0 inherits
-	// KernelThreads.
+	// Threads is OMP_NUM_THREADS for recursive kernels. 0 inherits the
+	// engine's rdd.Conf.KernelThreads, the width of the shared per-node
+	// kernel pools iterative kernels split their row bands on.
 	Threads int
-	// KernelThreads is the per-invocation kernel thread budget — the
-	// cores×threads split of the paper's OpenMP experiments, applied to
-	// both kernel families (for iterative kernels it drives the row-band
-	// parallel split of the blocked fast paths). 0 (the default) inherits
-	// the engine's rdd.Conf.KernelThreads; an explicit value must not
-	// exceed it, because the shared per-node pools are sized by the Conf.
-	KernelThreads int
 	// Partitions is the RDD partition count (default: 2× total cores,
 	// the paper's guideline).
 	Partitions int
@@ -161,16 +155,6 @@ func (cfg *Config) normalize(ctx *rdd.Context) error {
 	if cfg.BlockSize < 1 {
 		return fmt.Errorf("core: BlockSize must be ≥1, got %d", cfg.BlockSize)
 	}
-	if cfg.KernelThreads < 0 {
-		return fmt.Errorf("core: KernelThreads must be ≥ 0 (0 inherits the engine's Conf.KernelThreads), got %d", cfg.KernelThreads)
-	}
-	if cfg.KernelThreads == 0 {
-		cfg.KernelThreads = ctx.KernelThreads()
-	}
-	if cfg.KernelThreads > ctx.KernelThreads() {
-		return fmt.Errorf("core: KernelThreads %d exceeds the engine's per-node kernel pool width %d; raise rdd.Conf.KernelThreads",
-			cfg.KernelThreads, ctx.KernelThreads())
-	}
 	if cfg.RecursiveKernel {
 		if cfg.RShared < 2 {
 			return fmt.Errorf("core: RShared must be ≥2 for recursive kernels, got %d", cfg.RShared)
@@ -179,7 +163,7 @@ func (cfg *Config) normalize(ctx *rdd.Context) error {
 			cfg.Base = 64
 		}
 		if cfg.Threads < 1 {
-			cfg.Threads = cfg.KernelThreads
+			cfg.Threads = ctx.KernelThreads()
 		}
 	}
 	if cfg.Partitions < 1 {
@@ -220,13 +204,13 @@ func (cfg *Config) normalize(ctx *rdd.Context) error {
 	return nil
 }
 
-// KernelName describes the kernel configuration for reports.
-func (cfg Config) KernelName() string {
+// KernelName describes the kernel configuration on ctx for reports.
+func (cfg Config) KernelName(ctx *rdd.Context) string {
 	if cfg.RecursiveKernel {
 		return fmt.Sprintf("rec%d-way(omp=%d)", cfg.RShared, cfg.Threads)
 	}
-	if cfg.KernelThreads > 1 {
-		return fmt.Sprintf("iterative(threads=%d)", cfg.KernelThreads)
+	if t := ctx.KernelThreads(); t > 1 {
+		return fmt.Sprintf("iterative(threads=%d)", t)
 	}
 	return "iterative"
 }
@@ -292,8 +276,8 @@ func execute(ctx *rdd.Context, bl *matrix.Blocked, cfg Config, startK int, disow
 			return nil, mark.StatsSince(ctx, bl.R), err
 		}
 	}
-	ctx.EmitDriverSpan(fmt.Sprintf("%s %s run r=%d", cfg.Driver, cfg.KernelName(), bl.R),
-		"run", jobStart, map[string]string{"driver": cfg.Driver.String(), "kernel": cfg.KernelName()})
+	ctx.EmitDriverSpan(fmt.Sprintf("%s %s run r=%d", cfg.Driver, cfg.KernelName(ctx), bl.R),
+		"run", jobStart, map[string]string{"driver": cfg.Driver.String(), "kernel": cfg.KernelName(ctx)})
 	return out, mark.StatsSince(ctx, bl.R), nil
 }
 
@@ -380,7 +364,7 @@ type runner struct {
 
 // kernelConfig builds the cost-model description of the configured kernel.
 func (run *runner) kernelConfig() costmodel.KernelConfig {
-	threads := run.cfg.KernelThreads
+	threads := run.ctx.KernelThreads()
 	if run.cfg.RecursiveKernel {
 		threads = run.cfg.Threads
 	}
@@ -402,7 +386,7 @@ func (run *runner) newKernelRunner() *kernelRunner {
 	if run.cfg.RecursiveKernel {
 		e = kernels.NewRecursiveExec(run.cfg.Rule, run.cfg.RShared, run.cfg.Base, run.cfg.Threads)
 	} else {
-		e = kernels.NewIterativePool(run.cfg.Rule, run.cfg.KernelThreads)
+		e = kernels.NewIterativePool(run.cfg.Rule, run.ctx.KernelThreads())
 	}
 	reg := run.ctx.Observer().Metrics()
 	kr := &kernelRunner{

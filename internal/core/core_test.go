@@ -57,7 +57,7 @@ func runOnce(t *testing.T, ctx *rdd.Context, in *matrix.Dense, cfg Config) *matr
 	bl := matrix.Block(in, cfg.BlockSize, cfg.Rule.Pad(), cfg.Rule.PadDiag())
 	out, stats, err := Run(ctx, bl, cfg)
 	if err != nil {
-		t.Fatalf("Run(%v, %s): %v", cfg.Driver, cfg.KernelName(), err)
+		t.Fatalf("Run(%v, %s): %v", cfg.Driver, cfg.KernelName(ctx), err)
 	}
 	if stats.Time <= 0 {
 		t.Fatalf("virtual time must advance, got %v", stats.Time)
@@ -92,10 +92,11 @@ func TestDriversMatchReference(t *testing.T) {
 						cfg.Base = 4
 						cfg.Threads = 2
 					}
-					got := runOnce(t, newCtx(), in, cfg)
+					ctx := newCtx()
+					got := runOnce(t, ctx, in, cfg)
 					if diff := got.MaxAbsDiff(want); diff > tolFor(rule, shape.n) {
 						t.Fatalf("%s %v %s n=%d b=%d: diff %v",
-							rule.Name(), driver, cfg.KernelName(), shape.n, shape.b, diff)
+							rule.Name(), driver, cfg.KernelName(ctx), shape.n, shape.b, diff)
 					}
 				}
 			}
@@ -226,12 +227,13 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestKernelName(t *testing.T) {
-	if (Config{}).KernelName() != "iterative" {
+	ctx := newCtx()
+	if (Config{}).KernelName(ctx) != "iterative" {
 		t.Fatal("iterative name")
 	}
 	cfg := Config{RecursiveKernel: true, RShared: 4, Threads: 8}
-	if cfg.KernelName() != "rec4-way(omp=8)" {
-		t.Fatalf("name = %q", cfg.KernelName())
+	if cfg.KernelName(ctx) != "rec4-way(omp=8)" {
+		t.Fatalf("name = %q", cfg.KernelName(ctx))
 	}
 	if IM.String() != "IM" || CB.String() != "CB" {
 		t.Fatal("driver names")

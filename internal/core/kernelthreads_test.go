@@ -111,37 +111,30 @@ func TestChaosKernelThreadsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestKernelThreadsConfig pins the knob's validation and defaulting:
-// inheritance from the engine conf, the exceeds-pool-width rejection,
-// the recursive Threads inheritance and the kernel names reports use.
+// TestKernelThreadsConfig pins the knob's defaulting: a run takes the
+// engine's pool width, recursive kernels inherit it as Threads, and the
+// kernel names reports use read it from the context.
 func TestKernelThreadsConfig(t *testing.T) {
 	rule := semiring.NewFloydWarshall()
 	in := randomInput(rule, 16, rand.New(rand.NewSource(74)))
 	bl := matrix.Block(in, 8, rule.Pad(), rule.PadDiag())
 
-	// Explicit KernelThreads above the engine's pool width is rejected.
-	cfg := Config{Rule: rule, BlockSize: 8, KernelThreads: 8}
-	if _, _, err := Run(ktCtx(2), bl, cfg); err == nil {
-		t.Fatal("KernelThreads above the node pool width must be rejected")
-	}
-	// Negative is rejected.
-	cfg.KernelThreads = -1
-	if _, _, err := Run(ktCtx(2), bl, cfg); err == nil {
-		t.Fatal("negative KernelThreads must be rejected")
-	}
-	// Inheritance: cfg 0 takes the context's width.
-	cfg.KernelThreads = 0
-	if _, _, err := Run(ktCtx(2), bl, cfg); err != nil {
+	// Inheritance: the run and its recursive Threads take the context's width.
+	if _, _, err := Run(ktCtx(2), bl, Config{Rule: rule, BlockSize: 8}); err != nil {
 		t.Fatal(err)
 	}
+	rec := Config{Rule: rule, BlockSize: 8, RecursiveKernel: true, RShared: 2}
+	if err := rec.normalize(ktCtx(2)); err != nil || rec.Threads != 2 {
+		t.Fatalf("recursive Threads = %d (err %v), want the pool width 2", rec.Threads, err)
+	}
 
-	if got := (Config{KernelThreads: 4}).KernelName(); got != "iterative(threads=4)" {
+	if got := (Config{}).KernelName(ktCtx(4)); got != "iterative(threads=4)" {
 		t.Fatalf("KernelName = %q", got)
 	}
-	if got := (Config{}).KernelName(); got != "iterative" {
+	if got := (Config{}).KernelName(ktCtx(1)); got != "iterative" {
 		t.Fatalf("KernelName = %q", got)
 	}
-	if got := (Config{RecursiveKernel: true, RShared: 4, Threads: 8}).KernelName(); got != "rec4-way(omp=8)" {
+	if got := (Config{RecursiveKernel: true, RShared: 4, Threads: 8}).KernelName(ktCtx(1)); got != "rec4-way(omp=8)" {
 		t.Fatalf("KernelName = %q", got)
 	}
 }

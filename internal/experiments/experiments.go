@@ -160,7 +160,6 @@ func run(c Cell, p rdd.Partitioner) Result {
 		RecursiveKernel: c.Recursive,
 		RShared:         c.RShared,
 		Threads:         c.Threads,
-		KernelThreads:   c.KernelThreads,
 		Partitions:      c.Partitions,
 		Partitioner:     p,
 	}
