@@ -48,8 +48,12 @@ func TestAllocBudget(t *testing.T) {
 	}
 	g := RandomGraph(256, 0.05, 1, 10, 3)
 	solve := func() {
-		// Pinned, not left at its default of the host's CPU count.
-		s := &Session{ctx: rdd.NewContext(rdd.Conf{Cluster: Local(4), RealParallelism: 2})}
+		// Two task slots, not the default of the host's CPU count.
+		sub, err := rdd.NewSubstrate(rdd.SubstrateConf{Cluster: Local(4), RealParallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &Session{ctx: rdd.NewContext(rdd.Conf{Substrate: sub})}
 		if _, _, err := s.APSP(g, Config{BlockSize: 8, Driver: IM}); err != nil {
 			t.Fatal(err)
 		}

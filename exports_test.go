@@ -41,7 +41,6 @@ var exportsKeptWithoutCallers = map[string]string{
 	"rdd.Context.WriteTimeline":             "test instrument: the stage timeline the structure tests read",
 	"rdd.Context.Canceled":                  "test instrument: cancellation state the cancel tests read",
 	"rdd.FaultPlan.WithRandomCorruptions":   "test instrument: seeded corruption plans",
-	"rdd.FaultPlan.WithRandomPartitions":    "test instrument: seeded network-partition plans",
 	"sim.Sim.RunStage":                      "test instrument: drives one modelled stage",
 	"sim.Sim.DiskUsed":                      "test instrument: the modelled staging disk a node holds",
 	"store.Store.InMemory":                  "test instrument: which tier holds a block",
@@ -62,9 +61,6 @@ var exportsKeptWithoutCallers = map[string]string{
 	"rdd.Broadcast.Bytes":                   "test instrument: a broadcast's staged payload",
 	"rdd.Context.Store":                     "test instrument: the durable tests inspect the context's block store",
 	"rdd.RDD.NumPartitions":                 "test instrument: the partition count the narrow-op tests assert",
-	"simtime.Ledger.Time":                   "test instrument: the resource-seconds of one category",
-	"simtime.Ledger.Bytes":                  "test instrument: the traffic of one category",
-	"simtime.Ledger.Total":                  "test instrument: the resource-seconds of all categories",
 	"simtime.Microsecond":                   "unit: the timing tests write modelled durations in it",
 	"store.Store.Has":                       "test instrument: whether a block is held",
 	"store.Store.Spill":                     "test instrument: forces a block to the disk tier",
@@ -346,8 +342,7 @@ var configStructs = map[string]string{
 // that no non-test file outside the declaring package sets but that stay,
 // keyed "pkg.Struct.Field".
 var configFieldsSetOnlyByTests = map[string]string{
-	"core.Config.Base":         "the recursive kernels' base-case size; its sweep is an open roadmap item",
-	"rdd.Conf.RealParallelism": "core and root tests pin the slot count; programs take the NumCPU default",
+	"core.Config.Base": "the recursive kernels' base-case size; its sweep is an open roadmap item",
 }
 
 // TestConfigFieldsHaveSetters fails for an exported field of a config

@@ -66,12 +66,12 @@ func TestUndirectedHalvesComputeAndTraffic(t *testing.T) {
 	if _, err := SolveSymbolic(half, n, Config{BlockSize: 256, Undirected: true}); err != nil {
 		t.Fatal(err)
 	}
-	fullC := full.Ledger().Time(simtime.Compute)
-	halfC := half.Ledger().Time(simtime.Compute)
+	fullC := full.Ledger().Snapshot()[simtime.Compute]
+	halfC := half.Ledger().Snapshot()[simtime.Compute]
 	if halfC >= fullC {
 		t.Fatalf("undirected compute %v not below directed %v", halfC, fullC)
 	}
-	if half.Ledger().Bytes(simtime.LocalDisk) >= full.Ledger().Bytes(simtime.LocalDisk) {
+	if half.Breakdown().ShuffleWriteBytes >= full.Breakdown().ShuffleWriteBytes {
 		t.Fatal("undirected mode must shuffle fewer bytes")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"dpspark/internal/matrix"
 	"dpspark/internal/rdd"
 	"dpspark/internal/semiring"
-	"dpspark/internal/simtime"
 )
 
 func newCtx() *rdd.Context {
@@ -18,6 +17,17 @@ func newCtx() *rdd.Context {
 
 func clusterCtx() *rdd.Context {
 	return rdd.NewContext(rdd.Conf{Cluster: cluster.Skylake16()})
+}
+
+// slots returns a substrate on c with n real task slots, for tests that
+// pin how many task attempts run at once (Conf.Substrate).
+func slots(t testing.TB, c *cluster.Cluster, n int) *rdd.Substrate {
+	t.Helper()
+	sub, err := rdd.NewSubstrate(rdd.SubstrateConf{Cluster: c, RealParallelism: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
 }
 
 func randomInput(rule semiring.Rule, n int, rng *rand.Rand) *matrix.Dense {
@@ -164,7 +174,7 @@ func TestSymbolicRunProducesTimingOnly(t *testing.T) {
 	if stats.Time <= 0 || stats.Iterations != 4 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if ctx.Ledger().Bytes(simtime.LocalDisk) == 0 {
+	if ctx.Breakdown().ShuffleWriteBytes == 0 {
 		t.Fatal("IM run must stage shuffle bytes")
 	}
 }
@@ -181,15 +191,15 @@ func TestCBUsesSharedStorageIMUsesShuffle(t *testing.T) {
 	}
 	im := mk(IM)
 	cb := mk(CB)
-	if im.Ledger().Bytes(simtime.SharedFS) != 0 {
+	if im.Breakdown().BroadcastBytes != 0 {
 		t.Fatal("IM must not touch shared storage")
 	}
-	if cb.Ledger().Bytes(simtime.SharedFS) == 0 {
+	if cb.Breakdown().BroadcastBytes == 0 {
 		t.Fatal("CB must stage blocks on shared storage")
 	}
-	if cb.Ledger().Bytes(simtime.LocalDisk) >= im.Ledger().Bytes(simtime.LocalDisk) {
+	if cb.Breakdown().ShuffleWriteBytes >= im.Breakdown().ShuffleWriteBytes {
 		t.Fatalf("CB must shuffle less than IM: %d vs %d",
-			cb.Ledger().Bytes(simtime.LocalDisk), im.Ledger().Bytes(simtime.LocalDisk))
+			cb.Breakdown().ShuffleWriteBytes, im.Breakdown().ShuffleWriteBytes)
 	}
 }
 

@@ -138,6 +138,33 @@ func TestChaosDetectionLatencyCharged(t *testing.T) {
 	}
 }
 
+// TestChaosDetectionChargedOncePerBoundary: executors declared dead at the
+// same stage boundary wait out their leases together, so the boundary
+// charges the detection latency once — two HeartbeatIntervals — however
+// many of them it declares.
+func TestChaosDetectionChargedOncePerBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	rule := semiring.NewFloydWarshall()
+	in := randomInput(rule, 32, rng)
+	plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{
+		rdd.GCPause{Node: 1, From: 7, Dur: 6 * simtime.Second},
+		rdd.GCPause{Node: 2, From: 7, Dur: 5 * simtime.Second},
+	}}
+	conf := detectorConf(plan)
+	clean := chaosRun(t, rule, IM, in, nil)
+	chaos, _ := detectorRun(t, rule, IM, in, conf)
+
+	if !bitIdentical(clean.dense, chaos.dense) {
+		t.Fatal("two false declarations at one boundary changed the answer")
+	}
+	if chaos.rs.FalseSuspicions != 2 {
+		t.Fatalf("both pauses must be falsely declared: %+v", chaos.rs)
+	}
+	if want := 2 * conf.HeartbeatInterval; chaos.stats.DetectionTime != want {
+		t.Fatalf("DetectionTime = %v, want one charge of %v", chaos.stats.DetectionTime, want)
+	}
+}
+
 // TestChaosDetectorDeterministic: suspicion, false declaration and
 // fencing all key off the virtual clock — the same plan replayed
 // yields the identical clock, counters, event log and bits.
@@ -147,7 +174,7 @@ func TestChaosDetectorDeterministic(t *testing.T) {
 	in := randomInput(rule, 32, rng)
 	plan := &rdd.FaultPlan{Events: []rdd.FaultEvent{
 		rdd.GCPause{Node: 1, From: 7, Dur: 6 * simtime.Second},
-		rdd.Partition{Nodes: []int{2}, From: 11, Dur: 5 * simtime.Second},
+		rdd.GCPause{Node: 2, From: 11, Dur: 5 * simtime.Second},
 	}}
 	conf := detectorConf(plan)
 	a, _ := detectorRun(t, rule, IM, in, conf)
@@ -187,8 +214,8 @@ func fuzzEnvInt(t *testing.T, key string, def int64) int64 {
 
 // TestChaosFuzz is the nightly chaos-fuzz entry point. DPSPARK_CHAOS_SEED
 // (fixed default on regular runs) seeds DPSPARK_CHAOS_ROUNDS rounds of a
-// random fault plan mixing crashes, disk losses, stragglers, GC pauses and
-// network partitions, all under the heartbeat detector. Whatever the seed
+// random fault plan mixing crashes, disk losses, stragglers and GC pauses,
+// all under the heartbeat detector. Whatever the seed
 // draws, the run must reproduce the fault-free bits, replay to an
 // identical clock/counter/event trajectory, and stay inside the recovery
 // overhead budget.
@@ -205,8 +232,7 @@ func TestChaosFuzz(t *testing.T) {
 			in := randomInput(rule, 32, rng)
 			// 16 planned stages: 4 iterations × 4 stages at n=32, b=8.
 			plan := rdd.RandomFaultPlan(s, 16, 4, 2, 2, 1).
-				WithRandomGCPauses(s+1, 16, 4, 2).
-				WithRandomPartitions(s+2, 16, 4, 1)
+				WithRandomGCPauses(s+1, 16, 4, 3)
 			conf := detectorConf(plan)
 
 			clean := chaosRun(t, rule, driver, in, nil)

@@ -113,7 +113,7 @@ func TestRealModeFaultRetryMatchesReference(t *testing.T) {
 			// as replays (calls that never reached the kernel loop).
 			run := func(kill bool) (*matrix.Dense, int64, *killingRule, rdd.RecoveryStats) {
 				kr := &killingRule{Rule: rule}
-				ctx := rdd.NewContext(rdd.Conf{Cluster: cluster.Local(4), RealParallelism: 1})
+				ctx := rdd.NewContext(rdd.Conf{Substrate: slots(t, cluster.Local(4), 1)})
 				boundaries := 0
 				got := runOnce(t, ctx, in, Config{Rule: kr, BlockSize: 8, Driver: driver,
 					// Two partitions: a task holds several tiles, so an

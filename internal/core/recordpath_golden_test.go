@@ -139,10 +139,9 @@ func recordPathRows(t *testing.T) []goldenRow {
 	// concurrent reduce tasks interleave (ROADMAP item 1).
 	{
 		ctx := rdd.NewContext(rdd.Conf{
-			Cluster:         cluster.LocalN(4, 2),
-			FaultPlan:       rdd.RandomFaultPlan(16, 30, 4, 2, 2, 1),
-			Speculation:     true,
-			RealParallelism: 1,
+			Substrate:   slots(t, cluster.LocalN(4, 2), 1),
+			FaultPlan:   rdd.RandomFaultPlan(16, 30, 4, 2, 2, 1),
+			Speculation: true,
 		})
 		cfg := Config{Rule: fw, BlockSize: b, Driver: IM, Partitions: parts}
 		out, st, err := Run(ctx, matrix.Block(in, b, fw.Pad(), fw.PadDiag()), cfg)

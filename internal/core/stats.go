@@ -61,6 +61,8 @@ type Stats struct {
 	// SpillWall is the real time spent writing spill files — wall, not
 	// modelled: durable staging is host I/O the cluster model does not
 	// price (the modelled charges are identical with and without it).
+	// Spill writes still queued when the run returns are not included:
+	// StatsSince reads the store's stats without flushing it.
 	SpillWall time.Duration
 
 	// DetectionTime is the modelled clock spent waiting for the
@@ -71,8 +73,8 @@ type Stats struct {
 	// off or no declarations.
 	DetectionTime simtime.Duration
 	// Suspicions and FalseSuspicions count failure-detector verdicts:
-	// executors suspected after a missed heartbeat lease, and alive
-	// executors (GC pause, network partition) wrongly declared dead
+	// executors suspected after a missed heartbeat lease, and paused
+	// executors (rdd.GCPause: alive but silent) wrongly declared dead
 	// after the full lease count. FencedCommits counts zombie-attempt
 	// map outputs rejected by the commit lease. All zero with the
 	// detector off.

@@ -119,7 +119,7 @@ func TestTimelineRendering(t *testing.T) {
 func TestCBRecomputesPanelKernels(t *testing.T) {
 	computeOf := func(driver DriverKind) simtime.Duration {
 		ctx, _ := runStructured(t, driver, semiring.NewGaussian())
-		return ctx.Ledger().Time(simtime.Compute)
+		return ctx.Ledger().Snapshot()[simtime.Compute]
 	}
 	im := computeOf(IM)
 	cb := computeOf(CB)

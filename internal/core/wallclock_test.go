@@ -41,7 +41,7 @@ func (r *sleepyRule) Apply(x, u, v, w float64) float64 {
 type wallPerturbation struct {
 	name  string
 	procs int // GOMAXPROCS
-	par   int // Conf.RealParallelism
+	par   int // task slots of the job's substrate
 	// shared mounts the job on a one-slot Substrate next to a sibling job.
 	shared bool
 }
@@ -62,8 +62,8 @@ func TestModelledClockIgnoresWallTime(t *testing.T) {
 		{"par4/procs1", 1, 4, false},
 		{"par1/procs8", 8, 1, false},
 		{"par4/procs8", 8, 4, false},
-		{"shared/procs1", 1, 4, true},
-		{"shared/procs8", 8, 4, true},
+		{"shared/procs1", 1, 1, true},
+		{"shared/procs8", 8, 1, true},
 	}
 	rules := []semiring.Rule{semiring.NewFloydWarshall(), semiring.NewGaussian()}
 	drivers := []DriverKind{IM, CB}
@@ -109,23 +109,20 @@ func perturbedRun(t *testing.T, rule semiring.Rule, driver DriverKind, in *matri
 	t.Helper()
 	dir := t.TempDir()
 	conf := durableConf(dir, 2<<10, chaosPlan(), nil)
-	conf.RealParallelism = 1
+	conf.Substrate = slots(t, conf.Cluster, 1)
 	sr := &sleepyRule{Rule: rule}
 	var sibling sync.WaitGroup
 	if p != nil {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p.procs))
 		sr.sleep = true
-		conf.RealParallelism = p.par
-		if p.shared {
-			sub, err := rdd.NewSubstrate(rdd.SubstrateConf{Cluster: conf.Cluster, RealParallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			conf.Substrate = sub
+		if !p.shared {
+			conf.Substrate = slots(t, conf.Cluster, p.par)
+		} else {
+			sub := conf.Substrate
 			sibling.Add(1)
 			go func() {
 				defer sibling.Done()
-				sib := rdd.NewContext(rdd.Conf{Substrate: sub, RealParallelism: 4})
+				sib := rdd.NewContext(rdd.Conf{Substrate: sub})
 				cfg := Config{Rule: &sleepyRule{Rule: rule, sleep: true}, BlockSize: 8, Driver: driver, Partitions: 8}
 				if _, _, err := Run(sib, matrix.Block(in, cfg.BlockSize, rule.Pad(), rule.PadDiag()), cfg); err != nil {
 					t.Errorf("sibling job: %v", err)

@@ -38,7 +38,6 @@ func NewBroadcast[T any](ctx *Context, items []T) *Broadcast[T] {
 	bytes := sizeAll(items)
 	start := ctx.Clock()
 	ctx.AdvanceDriver(ctx.model.SharedWriteTime(bytes), simtime.SharedFS)
-	ctx.Ledger().AddBytes(simtime.SharedFS, bytes)
 	ctx.addBroadcastBytes(bytes)
 	ctx.Observer().Metrics().
 		Counter("dpspark_broadcast_bytes_total", obs.Labels{"phase": ctx.CurrentPhase()}).

@@ -43,9 +43,6 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		{"corruption negative block", plan(Corruption{Stage: 1, Block: -2}), "rdd.Corruption at stage 1 names negative block"},
 		{"gc pause without detector", plan(GCPause{Node: 0, From: 1, Dur: simtime.Second}), "failure detector"},
 		{"gc pause zero dur", detector(GCPause{Node: 0, From: 1}), "GCPause at stage 1 has non-positive duration"},
-		{"partition without detector", plan(Partition{Nodes: []int{0}, From: 1, Dur: simtime.Second}), "failure detector"},
-		{"partition isolates nothing", detector(Partition{From: 1, Dur: simtime.Second}), "isolates no nodes"},
-		{"partition absent node", detector(Partition{Nodes: []int{0, 7}, From: 1, Dur: simtime.Second}), "node 7"},
 		{"nil event", plan(nil), "event 0 is nil"},
 
 		// Durable-store family.
@@ -54,7 +51,6 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 
 		// Kernel family.
 		{"negative kernel threads", func(c *Conf) { c.KernelThreads = -1 }, "KernelThreads"},
-		{"negative real parallelism", func(c *Conf) { c.RealParallelism = -1 }, "RealParallelism"},
 
 		// Substrate family.
 		{"priority without substrate", func(c *Conf) { c.Priority = 3 }, "Priority needs Conf.Substrate"},
@@ -119,9 +115,6 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		if conf.Cluster != sub.Cluster() || conf.KernelThreads != 2 {
 			t.Fatalf("mounted conf did not adopt substrate fields: cluster %v kernelThreads %d", conf.Cluster, conf.KernelThreads)
 		}
-		if conf.RealParallelism != sub.realPar {
-			t.Fatalf("RealParallelism = %d, want substrate's %d", conf.RealParallelism, sub.realPar)
-		}
 	})
 
 	t.Run("fault plan of every kind", func(t *testing.T) {
@@ -146,8 +139,8 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 		if conf.KernelThreads != 1 || conf.ExecutorCores != conf.Cluster.Node.Cores {
 			t.Fatalf("kernel defaults: threads %d cores %d", conf.KernelThreads, conf.ExecutorCores)
 		}
-		if conf.RealParallelism != runtime.NumCPU() {
-			t.Fatalf("engine defaults: parallelism %d", conf.RealParallelism)
+		if conf.Substrate.realPar != runtime.NumCPU() {
+			t.Fatalf("engine defaults: %d task slots", conf.Substrate.realPar)
 		}
 	})
 
@@ -162,7 +155,7 @@ func TestConfNormalizationAllKnobs(t *testing.T) {
 	})
 }
 
-// everyKind is one well-formed event of each of the six kinds, all due by
+// everyKind is one well-formed event of each of the five kinds, all due by
 // stage 1 of a two-stage job on a 4-node cluster with the detector on —
 // and mild enough (sub-lease silences) that the job still completes.
 func everyKind() []FaultEvent {
@@ -172,6 +165,5 @@ func everyKind() []FaultEvent {
 		Straggler{Stage: 0, Partition: 1, Factor: 3},
 		Corruption{Stage: 1, Block: 1},
 		GCPause{Node: 1, From: 1, Dur: simtime.Second / 2},
-		Partition{Nodes: []int{1}, From: 1, Dur: simtime.Second / 2},
 	}
 }

@@ -25,7 +25,7 @@ type Conf struct {
 	// KernelThreads must be left zero.
 	// Lineage, shuffle state, fault plans and the virtual clock stay
 	// per-context. Nil (the default) gives the context a private substrate
-	// built from Cluster, KernelThreads and RealParallelism, so a
+	// built from Cluster and KernelThreads with NumCPU task slots, so a
 	// solo context dispatches its tasks through the same slot scheduler.
 	Substrate *Substrate
 	// Priority orders this context's tasks against sibling contexts on
@@ -49,12 +49,6 @@ type Conf struct {
 	// pool bounds real intra-kernel concurrency per node — tasks on one
 	// node share it, so total kernel workers never exceed this width.
 	KernelThreads int
-	// RealParallelism bounds the task attempts running at once. Without a
-	// Substrate it sizes the context's private one, bounding all of the
-	// context's concurrent actions together (negative values are
-	// rejected); on a shared Substrate it caps each stage's workers.
-	// Default: runtime.NumCPU(), or the shared substrate's.
-	RealParallelism int
 	// FaultPlan, when set, schedules deterministic whole-executor
 	// failures: crashes (map outputs lost + blacklist), staging-disk
 	// losses and slow-task stragglers. See RandomFaultPlan. The plan is
@@ -95,8 +89,8 @@ type Conf struct {
 	// "detection") before recovery can begin. 0 (the default) is the same
 	// delivery at latency 0: injected faults are scheduler-visible the
 	// instant they fire and nothing is charged. Negative values are
-	// rejected. Required for FaultPlan GC pauses and network partitions —
-	// false suspicion only exists with a detector.
+	// rejected. Required for FaultPlan GC pauses — false suspicion only
+	// exists with a detector.
 	HeartbeatInterval simtime.Duration
 	// JobLabel tags every flight-recorder event this context produces with
 	// a job ID, so multi-tenant observers can filter /events?job=ID down
@@ -125,11 +119,7 @@ func (conf *Conf) normalize() error {
 		}
 		// A solo context runs on a substrate of its own, built from its
 		// own fields: one task-dispatch path for solo and mounted jobs.
-		s, err := NewSubstrate(SubstrateConf{
-			Cluster:         conf.Cluster,
-			KernelThreads:   conf.KernelThreads,
-			RealParallelism: conf.RealParallelism,
-		})
+		s, err := NewSubstrate(SubstrateConf{Cluster: conf.Cluster, KernelThreads: conf.KernelThreads})
 		if err != nil {
 			return err
 		}
@@ -147,9 +137,6 @@ func (conf *Conf) normalize() error {
 	}
 	conf.Cluster = s.cluster
 	conf.KernelThreads = s.kernelThreads
-	if conf.RealParallelism <= 0 {
-		conf.RealParallelism = s.realPar
-	}
 	if conf.HeartbeatInterval < 0 {
 		return fmt.Errorf("rdd: Conf.HeartbeatInterval must be ≥ 0 (0 disables the failure detector), got %v", conf.HeartbeatInterval)
 	}

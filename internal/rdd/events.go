@@ -29,7 +29,8 @@ func (k StageKind) String() string {
 // StageEvent records one executed stage — the engine's equivalent of a
 // Spark UI timeline entry. Tests use the event log to assert the drivers'
 // stage structure (e.g. the IM driver runs exactly three shuffles per
-// grid iteration); cmd/dpspark -v prints it.
+// grid iteration) and its task counts; core's RunMark.StatsSince reads
+// the task skew from it, and -v prints the ledger, not this log.
 type StageEvent struct {
 	// StageID is the global stage counter value. Resubmitted recovery
 	// stages reuse their original stage's ID (see Attempt).

@@ -99,21 +99,7 @@ type GCPause struct {
 	Dur simtime.Duration
 }
 
-// Partition schedules a network partition: from the start of stage From
-// the named executors are unreachable from the driver for Dur modelled
-// time — alive and computing, but silent. Detector semantics are exactly
-// GCPause's, applied to every partitioned node: false suspicion, stale
-// commits fenced when the partition heals. Requires the detector.
-type Partition struct {
-	// Nodes are the executors cut off from the driver.
-	Nodes []int
-	// From is the global stage ID at whose start the partition begins.
-	From int
-	// Dur is how long the partition lasts, in modelled time.
-	Dur simtime.Duration
-}
-
-// FaultEvent is one scheduled failure: the six event structs above are its
+// FaultEvent is one scheduled failure: the five event structs above are its
 // implementations (the methods are unexported, so the set is closed).
 type FaultEvent interface {
 	// stage is the global stage ID at whose start the event fires, once.
@@ -186,12 +172,6 @@ func failNode(node, nodes int) error {
 	return failIf(node < 0 || node >= nodes, "names node %d outside the %d-node cluster", node, nodes)
 }
 
-// failStall covers the two silent-but-alive kinds.
-func failStall(dur simtime.Duration, detector bool) error {
-	return cmp.Or(failIf(dur <= 0, "has non-positive duration %v", dur),
-		failIf(!detector, "needs Conf.HeartbeatInterval > 0 — false suspicion only exists with a heartbeat failure detector"))
-}
-
 func (ev ExecutorCrash) check(nodes int, _ bool) error {
 	return cmp.Or(failNode(ev.Node, nodes), failIf(ev.Down < 0, "has negative Down %v", ev.Down))
 }
@@ -208,15 +188,8 @@ func (ev Corruption) check(_ int, _ bool) error {
 }
 
 func (ev GCPause) check(nodes int, detector bool) error {
-	return cmp.Or(failNode(ev.Node, nodes), failStall(ev.Dur, detector))
-}
-
-func (ev Partition) check(nodes int, detector bool) error {
-	err := failIf(len(ev.Nodes) == 0, "isolates no nodes")
-	for _, n := range ev.Nodes {
-		err = cmp.Or(err, failNode(n, nodes))
-	}
-	return cmp.Or(err, failStall(ev.Dur, detector))
+	return cmp.Or(failNode(ev.Node, nodes), failIf(ev.Dur <= 0, "has non-positive duration %v", ev.Dur),
+		failIf(!detector, "needs Conf.HeartbeatInterval > 0 — false suspicion only exists with a heartbeat failure detector"))
 }
 
 func (ev ExecutorCrash) stage() int { return ev.Stage }
@@ -224,7 +197,6 @@ func (ev DiskLoss) stage() int      { return ev.Stage }
 func (ev Straggler) stage() int     { return ev.Stage }
 func (ev Corruption) stage() int    { return ev.Stage }
 func (ev GCPause) stage() int       { return ev.From }
-func (ev Partition) stage() int     { return ev.From }
 
 // randStage draws a stage in [1, stages). Stage 0 is skipped so every
 // fault hits a run with prior shuffle state to lose (a crash before any
@@ -303,19 +275,6 @@ func (p *FaultPlan) WithRandomCorruptions(seed int64, stages, n int) *FaultPlan 
 func (p *FaultPlan) WithRandomGCPauses(seed int64, stages, nodes, n int) *FaultPlan {
 	return p.withRandom(seed, n, func(rng *rand.Rand) FaultEvent {
 		return GCPause{From: randStage(rng, stages), Node: randIndex(rng, nodes), Dur: randStall(rng)}
-	})
-}
-
-// WithRandomPartitions returns a copy of the plan with n seeded network
-// partitions appended, each isolating one or two executors over the first
-// `stages` stages.
-func (p *FaultPlan) WithRandomPartitions(seed int64, stages, nodes, n int) *FaultPlan {
-	return p.withRandom(seed, n, func(rng *rand.Rand) FaultEvent {
-		cut := []int{randIndex(rng, nodes)}
-		if b := randIndex(rng, nodes); b != cut[0] {
-			cut = append(cut, b)
-		}
-		return Partition{From: randStage(rng, stages), Nodes: cut, Dur: randStall(rng)}
 	})
 }
 
@@ -439,34 +398,12 @@ func (f *firing) suspect(node int, detail string) {
 	f.record(obs.EvSuspicion, node, detail)
 }
 
-// stall models an alive executor going silent for dur (stop-the-world
-// GC, network partition): past one missed lease the scheduler suspects
-// it; past the full declaration latency it is falsely declared dead —
-// outputs invalidated, node blacklisted until its heartbeats resume,
-// and the still-running attempts remembered as zombies whose late
-// commits the map-output lease must fence.
-func (f *firing) stall(node int, dur simtime.Duration, kind string) {
-	if dur < f.c.conf.HeartbeatInterval {
-		return // resumes inside one lease: never even suspected
-	}
-	f.suspect(node, fmt.Sprintf("%s: heartbeats stalled %s", kind, dur))
-	if dur < f.det {
-		return // recovers before the lease count runs out: suspicion only
-	}
-	f.declared = true
-	f.c.count(recFalseSuspicions, 1)
-	fs := f.c.faults
-	fs.downUntil[node] = max(fs.downUntil[node], f.now+dur)
-	f.zombies = append(f.zombies, node)
-}
-
 // Firing order: executor deaths, then silent executors, then lost and
 // damaged data.
 func (ExecutorCrash) rank() int { return 0 }
 func (GCPause) rank() int       { return 1 }
-func (Partition) rank() int     { return 2 }
-func (DiskLoss) rank() int      { return 3 }
-func (Corruption) rank() int    { return 4 }
+func (DiskLoss) rank() int      { return 2 }
+func (Corruption) rank() int    { return 3 }
 
 // A crash strikes the node (exponential blacklist backoff, overridden by
 // an explicit Down) and loses its staged outputs. The blacklist starts at
@@ -495,18 +432,26 @@ func (ev ExecutorCrash) fire(f *firing) {
 	f.fault(ev.Node, "executor-crash")
 }
 
+// A paused executor is alive but silent: past one missed lease the
+// scheduler suspects it; past the full declaration latency it is falsely
+// declared dead — outputs invalidated, node blacklisted until its
+// heartbeats resume, and the still-running attempts remembered as zombies
+// whose late commits the map-output lease must fence.
 func (ev GCPause) fire(f *firing) {
 	f.c.count(recGCPauses, 1)
 	f.fault(ev.Node, fmt.Sprintf("gc-pause dur=%s", ev.Dur))
-	f.stall(ev.Node, ev.Dur, "gc-pause")
-}
-
-func (ev Partition) fire(f *firing) {
-	f.c.count(recPartitions, 1)
-	f.fault(-1, fmt.Sprintf("network-partition nodes=%d dur=%s", len(ev.Nodes), ev.Dur))
-	for _, node := range ev.Nodes {
-		f.stall(node, ev.Dur, "network-partition")
+	if ev.Dur < f.c.conf.HeartbeatInterval {
+		return // resumes inside one lease: never even suspected
 	}
+	f.suspect(ev.Node, fmt.Sprintf("gc-pause: heartbeats stalled %s", ev.Dur))
+	if ev.Dur < f.det {
+		return // recovers before the lease count runs out: suspicion only
+	}
+	f.declared = true
+	f.c.count(recFalseSuspicions, 1)
+	fs := f.c.faults
+	fs.downUntil[ev.Node] = max(fs.downUntil[ev.Node], f.now+ev.Dur)
+	f.zombies = append(f.zombies, ev.Node)
 }
 
 func (ev DiskLoss) fire(f *firing) {
@@ -719,7 +664,6 @@ const (
 	recFencedCommits
 	// Fired plan events that only the injection family reports.
 	recGCPauses
-	recPartitions
 	numRecKinds
 )
 
@@ -745,7 +689,6 @@ var ledgerRows = [numRecKinds]struct {
 	recFalseSuspicions: {metric: "dpspark_detector_false_suspicions_total", field: func(s *RecoveryStats) *int64 { return &s.FalseSuspicions }},
 	recFencedCommits:   {metric: "dpspark_detector_fenced_commits_total", field: func(s *RecoveryStats) *int64 { return &s.FencedCommits }},
 	recGCPauses:        {inject: "gc-pause"},
-	recPartitions:      {inject: "network-partition"},
 }
 
 // ledger is a context's recovery accounting: per kind, the count that
@@ -807,8 +750,8 @@ type RecoveryStats struct {
 	// missed lease (0 with the detector off: at latency 0 a loss is
 	// declared the instant it fires, nothing is ever merely suspected).
 	Suspicions int64
-	// FalseSuspicions counts alive-but-silent executors (GC pause, network
-	// partition) the detector falsely declared dead.
+	// FalseSuspicions counts paused executors (GCPause: alive but silent)
+	// the detector falsely declared dead.
 	FalseSuspicions int64
 	// FencedCommits counts stale (zombie) map-output commits rejected by
 	// the attempt-epoch commit lease after a false declaration.

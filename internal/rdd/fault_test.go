@@ -114,7 +114,7 @@ func (l countingLocal) Flush() { l.flushed.Add(1) }
 // it is replaced.
 func TestAttemptLocalFlushedHoweverTheAttemptEnds(t *testing.T) {
 	var attempts, flushed atomic.Int64
-	ctx := NewContext(Conf{Cluster: cluster.Local(1), RealParallelism: 1})
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(1), 1)})
 	r := MapPartitions(Parallelize(ctx, ints(4), 1), func(tc *TaskContext, recs []int) []int {
 		if tc.Local() != nil {
 			t.Error("attempt started with the previous attempt's local state")

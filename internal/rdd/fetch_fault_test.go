@@ -110,9 +110,8 @@ func TestFetchFailureResubmitsMapStage(t *testing.T) {
 func TestConcurrentFetchDuringRecovery(t *testing.T) {
 	for rep := 0; rep < 25; rep++ {
 		ctx := NewContext(Conf{
-			Cluster:         cluster.LocalN(2, 2),
-			RealParallelism: 8,
-			FaultPlan:       &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 1, Node: 0}}},
+			Substrate: slots(cluster.LocalN(2, 2), 8),
+			FaultPlan: &FaultPlan{Events: []FaultEvent{ExecutorCrash{Stage: 1, Node: 0}}},
 		})
 		got := collectPairs(t, shuffledDoubles(ctx, 16))
 		if len(got) != 20 {
@@ -317,8 +316,7 @@ func TestFetchFailureCountedOncePerRecovery(t *testing.T) {
 	const reducers = 8
 	run := func(par int) (simtime.Duration, RecoveryStats) {
 		ctx := NewContext(Conf{
-			Cluster:         cluster.LocalN(2, 2),
-			RealParallelism: par,
+			Substrate: slots(cluster.LocalN(2, 2), par),
 			// The crash fires as the result stage starts: map partition 0,
 			// staged on node 0, is lost, and the reducers homed there die
 			// with it once before they are re-placed.
@@ -387,24 +385,24 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 		t.Fatalf("plan = %+v", a)
 	}
 
-	// The detector-era event kinds generate behind chained opts, equally
+	// The later event kinds generate behind chained opts, equally
 	// deterministic, without disturbing the base plan's draws.
-	d := a.WithRandomGCPauses(5, 12, 4, 2).WithRandomPartitions(6, 12, 4, 1)
-	e := a.WithRandomGCPauses(5, 12, 4, 2).WithRandomPartitions(6, 12, 4, 1)
+	d := a.WithRandomGCPauses(5, 12, 4, 2).WithRandomCorruptions(6, 12, 1)
+	e := a.WithRandomGCPauses(5, 12, 4, 2).WithRandomCorruptions(6, 12, 1)
 	if !reflect.DeepEqual(d, e) {
 		t.Fatalf("same seeds, different chained plans:\n%+v\n%+v", d, e)
 	}
-	if CountEvents[GCPause](d) != 2 || CountEvents[Partition](d) != 1 {
+	if CountEvents[GCPause](d) != 2 || CountEvents[Corruption](d) != 1 {
 		t.Fatalf("chained plan = %+v", d)
 	}
-	if CountEvents[GCPause](a)+CountEvents[Partition](a) != 0 {
+	if CountEvents[GCPause](a)+CountEvents[Corruption](a) != 0 {
 		t.Fatalf("chaining must copy, not mutate: %+v", a)
 	}
 	if err := d.validate(4, true); err != nil {
 		t.Fatalf("chained plan invalid: %v", err)
 	}
 	if err := d.validate(4, false); err == nil {
-		t.Fatal("GC pauses and partitions must be rejected without the detector")
+		t.Fatal("GC pauses must be rejected without the detector")
 	}
 }
 
@@ -437,8 +435,7 @@ func TestFaultPlanRunsAreDeterministic(t *testing.T) {
 func TestRandomFaultPlanGolden(t *testing.T) {
 	p := RandomFaultPlan(16, 30, 4, 2, 2, 1).
 		WithRandomCorruptions(17, 30, 2).
-		WithRandomGCPauses(18, 30, 4, 2).
-		WithRandomPartitions(19, 30, 4, 2)
+		WithRandomGCPauses(18, 30, 4, 2)
 	var got strings.Builder
 	for _, ev := range p.Events {
 		fmt.Fprintf(&got, "%#v\n", ev)
@@ -457,6 +454,4 @@ rdd.Corruption{Stage:15, Block:31863, Torn:true}
 rdd.Corruption{Stage:8, Block:29928, Torn:false}
 rdd.GCPause{Node:0, From:8, Dur:2.206549092681544}
 rdd.GCPause{Node:2, From:9, Dur:6.4621137238874}
-rdd.Partition{Nodes:[]int{1, 0}, From:10, Dur:7.414460852092496}
-rdd.Partition{Nodes:[]int{2}, From:3, Dur:4.641757663820156}
 `

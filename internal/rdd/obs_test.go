@@ -31,7 +31,7 @@ func shuffleJob(t *testing.T, ctx *Context, seed int) {
 // single context (run under -race in CI): the event log, the simulator
 // and the metrics registry must all tolerate parallel submissions.
 func TestParallelJobsOneContext(t *testing.T) {
-	ctx := NewContext(Conf{Cluster: cluster.Local(4), RealParallelism: 2})
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(4), 2)})
 	ctx.Observer().EnableTrace(true)
 	var wg sync.WaitGroup
 	for j := 0; j < 8; j++ {
@@ -60,7 +60,7 @@ func TestParallelJobsOneContext(t *testing.T) {
 // dump's shuffle-write total equals the sum of SpillBytes over the
 // context's stage events (and the same for fetches).
 func TestMetricsMatchEventLog(t *testing.T) {
-	ctx := NewContext(Conf{Cluster: cluster.Local(4), RealParallelism: 4})
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(4), 4)})
 	ctx.SetPhase("update")
 	for j := 0; j < 3; j++ {
 		shuffleJob(t, ctx, j)
@@ -88,7 +88,7 @@ func TestMetricsMatchEventLog(t *testing.T) {
 // TestStagePhaseAttribution checks that shuffle stages inherit the phase
 // current when their dependency was created, not when they run.
 func TestStagePhaseAttribution(t *testing.T) {
-	ctx := NewContext(Conf{Cluster: cluster.Local(2), RealParallelism: 1})
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(2), 1)})
 	recs := []Pair[int, int]{KV(1, 1), KV(2, 1)}
 	r := ParallelizePairs(ctx, recs, NewHashPartitioner(2))
 	ctx.SetPhase("pivot")
@@ -112,7 +112,7 @@ func TestStagePhaseAttribution(t *testing.T) {
 // TestTimelineFooter checks the WriteTimeline totals footer agrees with
 // the rendered stage lines.
 func TestTimelineFooter(t *testing.T) {
-	ctx := NewContext(Conf{Cluster: cluster.Local(2), RealParallelism: 1})
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(2), 1)})
 	shuffleJob(t, ctx, 0)
 	var buf bytes.Buffer
 	if err := ctx.WriteTimeline(&buf); err != nil {
@@ -140,7 +140,7 @@ func TestTimelineFooter(t *testing.T) {
 func TestContextTraceExport(t *testing.T) {
 	o := obs.New()
 	o.EnableTrace(true)
-	ctx := NewContext(Conf{Cluster: cluster.Local(2), RealParallelism: 1, Observer: o, ExecutorCores: 2})
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(2), 1), Observer: o, ExecutorCores: 2})
 	shuffleJob(t, ctx, 0)
 	var buf bytes.Buffer
 	if err := o.WriteChromeTrace(&buf); err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 func testCtx() *Context {
-	return NewContext(Conf{Cluster: cluster.Local(4), RealParallelism: 4})
+	return NewContext(Conf{Substrate: slots(cluster.Local(4), 4)})
 }
 
 func clusterCtx() *Context {
@@ -326,8 +326,8 @@ func TestVirtualClockAdvances(t *testing.T) {
 	if ctx.Clock() <= 0 {
 		t.Fatal("virtual clock did not advance")
 	}
-	if ctx.Ledger().Time(simtime.Compute) < 2*simtime.Second {
-		t.Fatalf("compute ledger = %v", ctx.Ledger().Time(simtime.Compute))
+	if c := ctx.Ledger().Snapshot()[simtime.Compute]; c < 2*simtime.Second {
+		t.Fatalf("compute ledger = %v", c)
 	}
 }
 
@@ -344,10 +344,11 @@ func TestShuffleTrafficAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBytes := int64(32) * (tile.Bytes() + 16)
-	if got := ctx.Ledger().Bytes(simtime.LocalDisk); got != wantBytes {
+	if got := ctx.Breakdown().ShuffleWriteBytes; got != wantBytes {
 		t.Fatalf("spilled bytes = %d, want %d", got, wantBytes)
 	}
-	if ctx.Ledger().Bytes(simtime.Network) == 0 {
+	// Network time is charged only for remote bytes.
+	if ctx.Ledger().Snapshot()[simtime.Network] == 0 {
 		t.Fatal("some shuffle traffic must be remote on a 16-node cluster")
 	}
 }
@@ -358,7 +359,7 @@ func TestBroadcastChargesOncePerNodeStage(t *testing.T) {
 	if b.Bytes() != 64*64*8 {
 		t.Fatalf("broadcast bytes = %d", b.Bytes())
 	}
-	sharedAfterWrite := ctx.Ledger().Bytes(simtime.SharedFS)
+	sharedAfterWrite := ctx.Breakdown().BroadcastBytes
 	if sharedAfterWrite != b.Bytes() {
 		t.Fatalf("driver write not charged: %d", sharedAfterWrite)
 	}
@@ -372,13 +373,7 @@ func TestBroadcastChargesOncePerNodeStage(t *testing.T) {
 	if _, err := r.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	var fetched int64
-	for _, tcBytes := range []int64{} {
-		fetched += tcBytes
-	}
-	_ = fetched
-	// The shared-read traffic appears in the simulator's ledger.
-	got := ctx.Ledger().Bytes(simtime.SharedFS) - sharedAfterWrite
+	got := ctx.Breakdown().BroadcastBytes - sharedAfterWrite
 	if got != 16*b.Bytes() {
 		t.Fatalf("shared reads = %d, want %d", got, 16*b.Bytes())
 	}

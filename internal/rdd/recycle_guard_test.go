@@ -109,6 +109,10 @@ func poisonedMatches(t *testing.T, name string, f func() guardRun) {
 // checkpoint.
 func TestRecycleGuardSolves(t *testing.T) {
 	local := cluster.LocalN(4, 2)
+	twoSlots, err := rdd.NewSubstrate(rdd.SubstrateConf{Cluster: local, RealParallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	chaos := func() *rdd.FaultPlan {
 		return &rdd.FaultPlan{Seed: 1, Events: []rdd.FaultEvent{
 			rdd.ExecutorCrash{Stage: 7, Node: 1},
@@ -128,7 +132,7 @@ func TestRecycleGuardSolves(t *testing.T) {
 			in := guardInput(rule, 64, 7)
 			cfg := core.Config{Rule: rule, BlockSize: 8, Driver: driver, Partitions: 8, CheckpointEvery: 2}
 			poisonedMatches(t, name, func() guardRun {
-				return guardSolve(t, rdd.Conf{Cluster: local, RealParallelism: 2}, cfg, in, nil, nil)
+				return guardSolve(t, rdd.Conf{Substrate: twoSlots}, cfg, in, nil, nil)
 			})
 
 			small := guardInput(rule, 32, 11)
@@ -184,13 +188,13 @@ func TestRecycleGuardSharedSubstrate(t *testing.T) {
 	rule := semiring.NewFloydWarshall()
 	cfg := core.Config{Rule: rule, BlockSize: 8, Driver: core.IM, Partitions: 8, CheckpointEvery: 2}
 	ins := []*matrix.Dense{guardInput(rule, 64, 7), guardInput(rule, 64, 8)}
-	solo := make([]guardRun, len(ins))
-	for i, in := range ins {
-		solo[i] = guardSolve(t, rdd.Conf{Cluster: local, RealParallelism: 2}, cfg, in, nil, nil)
-	}
 	sub, err := rdd.NewSubstrate(rdd.SubstrateConf{Cluster: local, RealParallelism: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	solo := make([]guardRun, len(ins))
+	for i, in := range ins {
+		solo[i] = guardSolve(t, rdd.Conf{Substrate: sub}, cfg, in, nil, nil)
 	}
 	defer rdd.PoisonRecycled(true)()
 	for round := 0; round < 3; round++ {

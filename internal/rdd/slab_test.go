@@ -17,7 +17,7 @@ import (
 // map stage retires X under A's read. The outputs are returned in order.
 func concurrentCollects(t *testing.T) [3]any {
 	t.Helper()
-	ctx := NewContext(Conf{Cluster: cluster.Local(4), RealParallelism: 3, keepShuffles: 2})
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(4), 3), keepShuffles: 2})
 	defer ctx.Close()
 	recs := func(n, salt int) []Pair[int, int] {
 		out := make([]Pair[int, int], n)
@@ -80,7 +80,7 @@ func TestRecycleGuardConcurrentCollects(t *testing.T) {
 // result stage alone.
 func TestRetiredShuffleReadFails(t *testing.T) {
 	const keep = 2
-	ctx := NewContext(Conf{Cluster: cluster.Local(4), RealParallelism: 2, keepShuffles: keep})
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(4), 2), keepShuffles: keep})
 	defer ctx.Close()
 	first := sizedJob(ctx, 0) // shuffle 0
 	if _, err := first.Collect(); err != nil {

@@ -314,7 +314,7 @@ func TestWithRandomCorruptionsDeterministic(t *testing.T) {
 func TestEngineStateRoundTrip(t *testing.T) {
 	plan := &FaultPlan{Events: everyKind()}
 	// counted[i] is the ledger row that counts plan.Events[i] firing.
-	counted := []recKind{recExecCrashes, recDiskLosses, recStragglers, recCorruptions, recGCPauses, recPartitions}
+	counted := []recKind{recExecCrashes, recDiskLosses, recStragglers, recCorruptions, recGCPauses}
 	conf := func(restore *EngineState) Conf {
 		c := durableConf(t, 0)
 		c.Cluster = cluster.LocalN(4, 2)

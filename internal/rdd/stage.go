@@ -149,17 +149,18 @@ func (sr *stageRun) plan(c *Context) {
 	sr.scratch = takeStageScratch(sr.parts)
 }
 
-// runTasks runs the stage's tasks on at most Conf.RealParallelism workers,
-// the caller's goroutine among them, and waits for all of them. Workers
-// claim task indices from one shared cursor, a short run at a time: about
-// eight claims per worker over the stage, so the tail stays balanced, and
-// a single task per claim once the stage is small enough that every task
-// matters. A worker takes one substrate slot per claim, not per attempt,
-// so symbolic stages of near-empty tasks do not queue on the scheduler;
-// likewise it hands one arena (slab.go) from attempt to attempt.
+// runTasks runs the stage's tasks on at most as many workers as the
+// substrate has slots, the caller's goroutine among them, and waits for
+// all of them. Workers claim task indices from one shared cursor, a short
+// run at a time: about eight claims per worker over the stage, so the
+// tail stays balanced, and a single task per claim once the stage is
+// small enough that every task matters. A worker takes one substrate
+// slot per claim, not per attempt, so symbolic stages of near-empty tasks
+// do not queue on the scheduler; likewise it hands one arena (slab.go)
+// from attempt to attempt.
 func (sr *stageRun) runTasks() {
 	c := sr.c
-	workers := max(1, min(c.conf.RealParallelism, sr.parts))
+	workers := max(1, min(c.conf.Substrate.realPar, sr.parts))
 	run := max(1, sr.parts/(8*workers))
 	var next atomic.Int64
 	claim := func() {

@@ -26,7 +26,7 @@ import (
 //     real intra-kernel concurrency is bounded per node across ALL
 //     jobs, not per job, and
 //   - the real task-slot scheduler: a bounded pool of task-execution
-//     slots (Conf.RealParallelism of a solo run) that the stage workers
+//     slots (SubstrateConf.RealParallelism) that the stage workers
 //     of every mounted job acquire, one per run of task indices they
 //     claim (see runTasks), highest job priority first, FIFO within a
 //     priority.

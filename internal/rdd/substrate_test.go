@@ -175,11 +175,21 @@ func TestNewSubstrateValidates(t *testing.T) {
 	}
 }
 
-// TestSubstrateBoundsConcurrentActions: a solo context runs on a
-// substrate of its own, so RealParallelism bounds the task attempts of
-// every action on it together, not of each action apart.
+// slots returns a substrate on c with n real task slots, for tests that
+// pin how many task attempts run at once (Conf.Substrate).
+func slots(c *cluster.Cluster, n int) *Substrate {
+	s, err := NewSubstrate(SubstrateConf{Cluster: c, RealParallelism: n})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// TestSubstrateBoundsConcurrentActions: a context's substrate bounds the
+// task attempts of every action on it together, not of each action apart
+// (a solo context builds its own substrate the same way).
 func TestSubstrateBoundsConcurrentActions(t *testing.T) {
-	ctx := NewContext(Conf{Cluster: cluster.LocalN(2, 2), RealParallelism: 1})
+	ctx := NewContext(Conf{Substrate: slots(cluster.LocalN(2, 2), 1)})
 	var running, peak atomic.Int32
 	ds := Map(Parallelize(ctx, make([]int, 8), 8), func(_ *TaskContext, v int) int {
 		n := running.Add(1)
@@ -201,7 +211,7 @@ func TestSubstrateBoundsConcurrentActions(t *testing.T) {
 	}
 	wg.Wait()
 	if got := peak.Load(); got != 1 {
-		t.Fatalf("%d task attempts ran at once with RealParallelism 1", got)
+		t.Fatalf("%d task attempts ran at once on one slot", got)
 	}
 }
 
@@ -227,7 +237,7 @@ func TestContextCancel(t *testing.T) {
 }
 
 func TestContextCancelStopsStage(t *testing.T) {
-	ctx := NewContext(Conf{Cluster: cluster.LocalN(2, 2), RealParallelism: 1})
+	ctx := NewContext(Conf{Substrate: slots(cluster.LocalN(2, 2), 1)})
 	cause := fmt.Errorf("deadline exceeded: %w", ErrJobCanceled)
 	ran := 0
 	ctx.execStage(&stageRun{kind: StageResult, shuffleID: -1, parts: 8, stageID: -1,

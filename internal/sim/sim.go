@@ -250,9 +250,6 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 		s.Ledger.Add(simtime.LocalDisk, tr.diskRead+tr.diskWrite)
 		s.Ledger.Add(simtime.Network, tr.net)
 		s.Ledger.Add(simtime.SharedFS, tr.sharedIO)
-		s.Ledger.AddBytes(simtime.Network, tr.remote)
-		s.Ledger.AddBytes(simtime.LocalDisk, tr.spill)
-		s.Ledger.AddBytes(simtime.SharedFS, tr.shared)
 
 		var l load
 		l, rawSum = s.nodeLoad(tasks, q, raw, rawSum)
@@ -285,8 +282,6 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 	rep.Tasks = sc.spans
 	s.Clock += rep.Total
 	s.Ledger.Add(simtime.Overhead, rep.Overhead)
-	s.Ledger.CountStage()
-	s.Ledger.CountTasks(len(tasks))
 	return rep
 }
 
@@ -323,11 +318,11 @@ func (sc *Scratch) groupByNode(tasks []Task, nodes int) {
 	}
 }
 
-// traffic is one node's I/O in a stage: the bytes its tasks move over
-// the network, stage on the local disk and read from shared storage, and
-// what moving them costs.
+// traffic is one node's I/O in a stage: the bytes its tasks stage on the
+// local disk, and what moving its network, disk and shared-storage bytes
+// costs.
 type traffic struct {
-	remote, spill, shared    int64
+	spill                    int64
 	diskRead, net, diskWrite simtime.Duration
 	// shuffleIO is (diskRead + net) + diskWrite; sharedIO the shared-fs
 	// read time.
@@ -346,7 +341,7 @@ func (s *Sim) nodeTraffic(tasks []Task, q []int) traffic {
 		spill += t.Spill
 		shared += t.SharedRead
 	}
-	tr := traffic{remote: remote, spill: spill, shared: shared}
+	tr := traffic{spill: spill}
 	tr.diskRead = s.Model.DiskReadTime(fetched)
 	tr.net = s.Model.NetTime(remote)
 	tr.diskWrite = s.Model.DiskWriteTime(spill)

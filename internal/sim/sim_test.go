@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -74,14 +75,21 @@ func TestSharedAndShuffleCharges(t *testing.T) {
 		FetchLocal: gb, FetchRemote: gb, Spill: gb,
 		SharedRead: gb,
 	}})
-	if s.Ledger.Bytes(simtime.Network) != gb {
-		t.Fatalf("network bytes = %d", s.Ledger.Bytes(simtime.Network))
+	// Each category is charged the price of its own bytes: the remote GiB
+	// over the link, both fetched GiB read and the spilled GiB written on
+	// the local disk, the shared GiB read from shared storage.
+	m, snap := s.Model, s.Ledger.Snapshot()
+	if got, want := snap[simtime.Network], m.NetTime(gb); got != want {
+		t.Fatalf("network time = %v, want %v", got, want)
 	}
-	if s.Ledger.Bytes(simtime.LocalDisk) != gb {
-		t.Fatalf("disk bytes = %d", s.Ledger.Bytes(simtime.LocalDisk))
+	if got, want := snap[simtime.LocalDisk], m.DiskReadTime(2*gb)+m.DiskWriteTime(gb); got != want {
+		t.Fatalf("disk time = %v, want %v", got, want)
 	}
-	if s.Ledger.Bytes(simtime.SharedFS) != gb {
-		t.Fatalf("shared bytes = %d", s.Ledger.Bytes(simtime.SharedFS))
+	if got, want := snap[simtime.SharedFS], m.SharedReadTime(gb); got != want {
+		t.Fatalf("shared time = %v, want %v", got, want)
+	}
+	if s.DiskUsed(0) != gb {
+		t.Fatalf("disk used = %d", s.DiskUsed(0))
 	}
 	// 1 GiB over GbE alone is ~8.6 s; clock must reflect I/O.
 	if s.Clock < 8*simtime.Second {
@@ -143,9 +151,10 @@ func TestEmptyStage(t *testing.T) {
 
 func TestTaskCountLedger(t *testing.T) {
 	s := newSim(32)
-	s.RunStage(make([]Task, 7))
-	if s.Ledger.Tasks() != 7 || s.Ledger.Stages() != 1 {
-		t.Fatalf("ledger tasks/stages = %d/%d", s.Ledger.Tasks(), s.Ledger.Stages())
+	rep := s.RunStageReport(make([]Task, 7), nil)
+	if len(rep.Tasks) != 7 || s.Clock != rep.Total || s.Ledger.Snapshot()[simtime.Overhead] != rep.Overhead {
+		t.Fatalf("one stage of 7 tasks: %d spans, clock %v, overhead %v of report %+v",
+			len(rep.Tasks), s.Clock, s.Ledger.Snapshot()[simtime.Overhead], rep)
 	}
 }
 
@@ -205,7 +214,7 @@ func TestScratchReportEqualsFreshReport(t *testing.T) {
 		if !sameReport(got, want) {
 			t.Fatalf("round %d (%d tasks): report on scratch\n%+v\nwant\n%+v", round, n, got, want)
 		}
-		if scratched.Clock != fresh.Clock || scratched.Ledger.String() != fresh.Ledger.String() || scratched.DiskUsed(3) != fresh.DiskUsed(3) {
+		if scratched.Clock != fresh.Clock || !maps.Equal(scratched.Ledger.Snapshot(), fresh.Ledger.Snapshot()) || scratched.DiskUsed(3) != fresh.DiskUsed(3) {
 			t.Fatalf("round %d: simulator state diverged", round)
 		}
 		if split := ((got.ShuffleIO + got.SharedIO) + got.Compute) + got.Overhead; split != got.Total {
@@ -273,8 +282,8 @@ func TestNodeTraffic(t *testing.T) {
 		{FetchRemote: 1e9},
 	}
 	tr := s.nodeTraffic(tasks, []int{0, 2})
-	if tr.remote != 2e9 || tr.spill != 1e9 || tr.shared != 2e9 {
-		t.Errorf("bytes = %d remote, %d spill, %d shared", tr.remote, tr.spill, tr.shared)
+	if tr.spill != 1e9 {
+		t.Errorf("spill = %d bytes", tr.spill)
 	}
 	for _, c := range []struct {
 		name      string

@@ -1,7 +1,7 @@
 // Package simtime provides the virtual-time primitives used by the cluster
 // simulator: a Duration type measured in model seconds, and a Ledger that
-// attributes time and traffic to cost categories (compute, network, disk,
-// scheduler overhead) so experiments can report breakdowns.
+// attributes time to cost categories (compute, network, disk, scheduler
+// overhead) so experiments can report breakdowns.
 //
 // Virtual time is deliberately decoupled from wall-clock time: the same
 // engine code path accumulates simtime when replaying paper-scale
@@ -11,8 +11,6 @@ package simtime
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -75,23 +73,17 @@ const (
 	Overhead  Category = "overhead"
 )
 
-// Ledger accumulates virtual time per category plus traffic counters.
-// It is safe for concurrent use; tasks executing in parallel report into
-// the job's ledger.
+// Ledger accumulates virtual time per category. It is safe for
+// concurrent use; tasks executing in parallel report into the job's
+// ledger.
 type Ledger struct {
-	mu     sync.Mutex
-	time   map[Category]Duration
-	bytes  map[Category]int64
-	tasks  int
-	stages int
+	mu   sync.Mutex
+	time map[Category]Duration
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		time:  make(map[Category]Duration),
-		bytes: make(map[Category]int64),
-	}
+	return &Ledger{time: make(map[Category]Duration)}
 }
 
 // Add charges d of virtual time to category c.
@@ -101,70 +93,9 @@ func (l *Ledger) Add(c Category, d Duration) {
 	l.mu.Unlock()
 }
 
-// AddBytes records b bytes of traffic under category c.
-func (l *Ledger) AddBytes(c Category, b int64) {
-	l.mu.Lock()
-	l.bytes[c] += b
-	l.mu.Unlock()
-}
-
-// CountTasks adds n to the executed-task counter (a stage counts all of
-// its tasks at once).
-func (l *Ledger) CountTasks(n int) {
-	l.mu.Lock()
-	l.tasks += n
-	l.mu.Unlock()
-}
-
-// CountStage increments the executed-stage counter.
-func (l *Ledger) CountStage() {
-	l.mu.Lock()
-	l.stages++
-	l.mu.Unlock()
-}
-
-// Time returns the accumulated time for category c.
-func (l *Ledger) Time(c Category) Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.time[c]
-}
-
-// Bytes returns the accumulated traffic for category c.
-func (l *Ledger) Bytes(c Category) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes[c]
-}
-
-// Tasks returns the number of tasks recorded.
-func (l *Ledger) Tasks() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tasks
-}
-
-// Stages returns the number of stages recorded.
-func (l *Ledger) Stages() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stages
-}
-
-// Total returns the sum of all categories. Note that wall-clock style
-// job time is tracked by the scheduler, not by summing the ledger: the
-// ledger is resource-seconds, which overlap across cores.
-func (l *Ledger) Total() Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var t Duration
-	for _, d := range l.time {
-		t += d
-	}
-	return t
-}
-
-// Snapshot returns a copy of the per-category times.
+// Snapshot returns a copy of the per-category times. They are
+// resource-seconds, which overlap across cores: the job's elapsed time is
+// the scheduler's clock, not their sum.
 func (l *Ledger) Snapshot() map[Category]Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -173,23 +104,4 @@ func (l *Ledger) Snapshot() map[Category]Duration {
 		out[c] = d
 	}
 	return out
-}
-
-// String renders the ledger as a single line, categories sorted by name.
-func (l *Ledger) String() string {
-	snap := l.Snapshot()
-	cats := make([]string, 0, len(snap))
-	for c := range snap {
-		cats = append(cats, string(c))
-	}
-	sort.Strings(cats)
-	var b strings.Builder
-	for i, c := range cats {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%s", c, snap[Category(c)])
-	}
-	fmt.Fprintf(&b, " tasks=%d stages=%d", l.Tasks(), l.Stages())
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package simtime
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -37,21 +36,14 @@ func TestLedgerAccumulation(t *testing.T) {
 	l.Add(Compute, 2*Second)
 	l.Add(Compute, 3*Second)
 	l.Add(Network, 1*Second)
-	l.AddBytes(Network, 1000)
-	l.CountTasks(2)
-	l.CountStage()
 
-	if l.Time(Compute) != 5*Second {
-		t.Fatalf("compute = %v", l.Time(Compute))
+	snap := l.Snapshot()
+	if snap[Compute] != 5*Second || snap[Network] != Second || len(snap) != 2 {
+		t.Fatalf("snapshot = %v", snap)
 	}
-	if l.Total() != 6*Second {
-		t.Fatalf("total = %v", l.Total())
-	}
-	if l.Bytes(Network) != 1000 {
-		t.Fatalf("bytes = %d", l.Bytes(Network))
-	}
-	if l.Tasks() != 2 || l.Stages() != 1 {
-		t.Fatalf("tasks/stages = %d/%d", l.Tasks(), l.Stages())
+	snap[Compute] = 0
+	if l.Snapshot()[Compute] != 5*Second {
+		t.Fatal("Snapshot aliases the ledger")
 	}
 }
 
@@ -64,25 +56,11 @@ func TestLedgerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				l.Add(Compute, Millisecond)
-				l.CountTasks(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if l.Tasks() != 8000 {
-		t.Fatalf("tasks = %d", l.Tasks())
-	}
-	if diff := float64(l.Time(Compute) - 8*Second); diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("compute = %v", l.Time(Compute))
-	}
-}
-
-func TestLedgerString(t *testing.T) {
-	l := NewLedger()
-	l.Add(Compute, Second)
-	l.Add(Network, Second)
-	s := l.String()
-	if !strings.Contains(s, "compute=") || !strings.Contains(s, "network=") {
-		t.Fatalf("String = %q", s)
+	if diff := float64(l.Snapshot()[Compute] - 8*Second); diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("compute = %v", l.Snapshot()[Compute])
 	}
 }
