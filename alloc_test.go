@@ -14,7 +14,7 @@ import (
 const (
 	fineSolveAllocs = 22_100
 	fineSolveBytes  = 5_600_000
-	tablesBytes     = 215_000_000
+	tablesBytes     = 11_500_000
 	// allocSlack is the headroom over a budget before it fails.
 	allocSlack = 1.10
 )
@@ -35,10 +35,11 @@ func heapDelta(f func()) (mallocs, bytes uint64) {
 //     allocation multiplies its count; a per-record structure that grows
 //     back (a key map, a concatenated copy of a union) is a few large
 //     allocations per task and shows in its bytes.
-//   - A symbolic Table I + Table II regeneration is 30 cells of 33 stages
-//     and no arithmetic each, so a task-count-sized slab made per stage
-//     again (instead of taken from the stage scratch pool) multiplies its
-//     bytes.
+//   - A symbolic Table I + Table II regeneration runs the first cell of
+//     each table and prices the other 29 from its tape, so a
+//     task-count-sized slab made per stage again (instead of taken from
+//     the stage scratch pool) multiplies its bytes, and a table that
+//     stops sharing its tape replays 29 cells and reads about 20× over.
 //
 // The race detector drops pooled objects at random and instruments
 // allocation, so the budgets hold only without it.

@@ -31,6 +31,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,7 +44,6 @@ import (
 	"dpspark/internal/obs"
 	"dpspark/internal/rdd"
 	"dpspark/internal/semiring"
-	"dpspark/internal/simtime"
 )
 
 // Block is one DP-table tile record: the pair RDD element of §IV-C.
@@ -228,6 +228,32 @@ func Run(ctx *rdd.Context, bl *matrix.Blocked, cfg Config) (*matrix.Blocked, *St
 	return execute(ctx, bl, cfg, 0, true)
 }
 
+// Record is Run over a symbolic n×n table that also returns the run's
+// tape (rdd.Tape), or nil when the run cannot be re-priced: a fault plan
+// or speculation, a failed or retried task, or an error not the model's.
+func Record(ctx *rdd.Context, n int, cfg Config) (*Stats, *rdd.Tape, error) {
+	ctx.RecordTape()
+	_, stats, err := Run(ctx, matrix.NewSymbolicBlocked(n, cfg.BlockSize), cfg)
+	if t := ctx.StopTape(); t != nil && errors.Is(err, ctx.Err()) {
+		return stats, t, err
+	}
+	return stats, nil, err
+}
+
+// Reprice prices t, recorded by Record for an n×n table, as a run of cfg
+// on ctx, a fresh context. It returns Run's result when cfg and ctx differ
+// from the recorded run's only in kernel settings and executor cores,
+// which change what a kernel call costs, not which calls a run makes.
+func Reprice(ctx *rdd.Context, t *rdd.Tape, n int, cfg Config) (*Stats, error) {
+	if err := cfg.normalize(ctx); err != nil {
+		return nil, err
+	}
+	mark := MarkRun(ctx)
+	prices := (&runner{ctx: ctx, cfg: cfg}).prices()
+	ctx.Reprice(t, prices[:])
+	return mark.StatsSince(ctx, matrix.Grid(n, cfg.BlockSize)), ctx.Err()
+}
+
 // execute runs the (normalized) driver loop from iteration startK.
 // disown resets every input tile's ownership tag so the first kernel to
 // touch one takes a defensive copy — Run's contract that the caller's
@@ -362,25 +388,29 @@ type runner struct {
 	lastDurable time.Time
 }
 
-// kernelConfig builds the cost-model description of the configured kernel.
-func (run *runner) kernelConfig() costmodel.KernelConfig {
-	threads := run.ctx.KernelThreads()
+// prices is what the cost model charges one call of each kind of the
+// configured kernel on the run's b×b tiles, the only size its grid holds.
+func (run *runner) prices() (p [4]rdd.Charge) {
+	kc := costmodel.KernelConfig{Recursive: run.cfg.RecursiveKernel, RShared: run.cfg.RShared, Base: run.cfg.Base,
+		Threads: run.ctx.KernelThreads(), CoTasks: run.ctx.ExecutorCores()}
 	if run.cfg.RecursiveKernel {
-		threads = run.cfg.Threads
+		kc.Threads = run.cfg.Threads
 	}
-	return costmodel.KernelConfig{
-		Recursive: run.cfg.RecursiveKernel,
-		RShared:   run.cfg.RShared,
-		Base:      run.cfg.Base,
-		Threads:   threads,
-		CoTasks:   run.ctx.ExecutorCores(),
+	m := run.ctx.Model()
+	for kind := semiring.KindA; kind <= semiring.KindD; kind++ {
+		p[kind] = rdd.Charge{
+			Compute: m.KernelTime(run.cfg.Rule, kind, run.cfg.BlockSize, kc),
+			Threads: m.Occupancy(kind, kc),
+			Idle:    m.IdleThreads(kind, kc),
+		}
 	}
+	return p
 }
 
 // newKernelRunner builds the run's kernel applicator: the configured
 // exec, and everything about a kernel call that is the same for every
 // call of the run, resolved once here — the per-kind metric handles and
-// the cost model's price of each kind on the run's tile size.
+// prices.
 func (run *runner) newKernelRunner() *kernelRunner {
 	var e kernels.PoolExec
 	if run.cfg.RecursiveKernel {
@@ -389,12 +419,7 @@ func (run *runner) newKernelRunner() *kernelRunner {
 		e = kernels.NewIterativePool(run.cfg.Rule, run.ctx.KernelThreads())
 	}
 	reg := run.ctx.Observer().Metrics()
-	kr := &kernelRunner{
-		exec:  e,
-		kc:    run.kernelConfig(),
-		model: run.ctx.Model(),
-		b:     run.cfg.BlockSize,
-	}
+	kr := &kernelRunner{exec: e, price: run.prices()}
 	for kind := semiring.KindA; kind <= semiring.KindD; kind++ {
 		l := obs.Labels{"exec": e.Name(), "kind": kind.String()}
 		kr.m[kind] = kindMetrics{
@@ -403,7 +428,6 @@ func (run *runner) newKernelRunner() *kernelRunner {
 			occ:   reg.Gauge("dpspark_kernel_occupancy", l),
 			wall:  reg.Histogram("dpspark_kernel_wall_seconds", l, kernelSecondsBuckets),
 		}
-		kr.price[kind] = kr.priceOf(kind, kr.b)
 	}
 	return kr
 }
@@ -419,32 +443,14 @@ type kindMetrics struct {
 	wall  *obs.Histogram
 }
 
-// kernelPrice is what the cost model charges one call of one kind.
-type kernelPrice struct {
-	cost      simtime.Duration
-	occ, idle int
-}
-
 // kernelRunner applies kernels for one driver run.
 type kernelRunner struct {
 	// exec runs real-tile invocations with the task node's shared
 	// kernel pool.
-	exec  kernels.PoolExec
-	kc    costmodel.KernelConfig
-	model *costmodel.Model
-	// price memoises the model's answer per kind for b×b tiles, the only
-	// size a run's grid holds.
-	b     int
-	price [4]kernelPrice
+	exec kernels.PoolExec
+	// price is the cost model's answer per kind (runner.prices).
+	price [4]rdd.Charge
 	m     [4]kindMetrics
-}
-
-func (kr *kernelRunner) priceOf(kind semiring.Kind, b int) kernelPrice {
-	return kernelPrice{
-		cost: kr.model.KernelTime(kr.exec.Rule(), kind, b, kr.kc),
-		occ:  kr.model.Occupancy(kind, kr.kc),
-		idle: kr.model.IdleThreads(kind, kr.kc),
-	}
 }
 
 // kernelTally accumulates one task attempt's kernel metrics so that the
@@ -469,7 +475,7 @@ type kernelTally struct {
 // next timed call doubles, up to wallStrideMax.
 type kindTally struct {
 	calls int64
-	price kernelPrice
+	price rdd.Charge
 	// stride is the current gap between timed calls, skip the untimed
 	// executions left before the next timed one.
 	stride, skip int32
@@ -542,8 +548,8 @@ func (t *kernelTally) Flush() {
 		k, m := &t.kinds[kind], &t.kr.m[kind]
 		if k.calls > 0 {
 			m.calls.Add(k.calls)
-			m.cost.ObserveN(k.price.cost.Seconds(), k.calls)
-			m.occ.SetMax(float64(k.price.occ))
+			m.cost.ObserveN(k.price.Compute.Seconds(), k.calls)
+			m.occ.SetMax(float64(k.price.Threads))
 			k.calls = 0
 		}
 		if len(k.wall) > 0 {
@@ -577,11 +583,7 @@ func (t *kernelTally) Flush() {
 func (kr *kernelRunner) apply(tc *rdd.TaskContext, gen uint32, kind semiring.Kind,
 	x, u, v, w *matrix.Tile) *matrix.Tile {
 	price := kr.price[kind]
-	if x.B != kr.b {
-		price = kr.priceOf(kind, x.B)
-	}
-	tc.ChargeCompute(price.cost, price.occ)
-	tc.ChargeIdleThreads(price.idle)
+	tc.ChargeCall(uint8(kind), price)
 	t := kr.tally(tc)
 	k := &t.kinds[kind]
 	if k.calls > 0 && k.price != price {

@@ -132,7 +132,7 @@ func TestKernelMetricsCountFailedAttempts(t *testing.T) {
 		}
 		var want float64
 		for i := int64(0); i < n; i++ {
-			want += kr.price[kind].cost.Seconds()
+			want += kr.price[kind].Compute.Seconds()
 		}
 		if math.Float64bits(m.cost.Sum()) != math.Float64bits(want) {
 			t.Errorf("kind %v: modelled seconds sum %v, per-call addition gives %v", kind, m.cost.Sum(), want)

@@ -39,7 +39,7 @@ func AblationPartitioner(n int) (*report.Table, []Result) {
 			if grid {
 				p = rdd.NewGridPartitioner(nParts, matrix.Grid(n, cell.Block))
 			}
-			r := run(cell, p)
+			r := run(cell, p, nil)
 			results = append(results, r)
 			t.Set(bi, pi, report.Seconds(r.Time, r.TimedOut))
 		}

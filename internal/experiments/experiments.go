@@ -129,7 +129,7 @@ func (r Result) Note() string {
 }
 
 // Run prices one cell.
-func Run(c Cell) Result { return run(c, nil) }
+func Run(c Cell) Result { return run(c, nil, nil) }
 
 // Defaulted returns the cell with its zero-value cluster and problem size
 // replaced by Skylake16 and PaperN, as Run prices it.
@@ -144,8 +144,9 @@ func (c Cell) Defaulted() Cell {
 }
 
 // run prices one cell under partitioner p (nil: the engine's default
-// hash partitioner over c.Partitions).
-func run(c Cell, p rdd.Partitioner) Result {
+// hash partitioner over c.Partitions), from sw's tape when the cell is
+// part of a sweep.
+func run(c Cell, p rdd.Partitioner, sw *sweep) Result {
 	c = c.Defaulted()
 	ctx := rdd.NewContext(rdd.Conf{
 		Cluster:       c.Cluster,
@@ -163,9 +164,38 @@ func run(c Cell, p rdd.Partitioner) Result {
 		Partitions:      c.Partitions,
 		Partitioner:     p,
 	}
-	bl := matrix.NewSymbolicBlocked(c.N, c.Block)
-	_, stats, err := core.Run(ctx, bl, cfg)
+	var stats *core.Stats
+	var err error
+	switch {
+	case sw != nil && sw.tape != nil && sameShape(c, sw.first):
+		stats, err = core.Reprice(ctx, sw.tape, c.N, cfg)
+	case sw != nil && sw.tape == nil && obsv == nil:
+		stats, sw.tape, err = core.Record(ctx, c.N, cfg)
+		sw.first = c
+	default:
+		_, stats, err = core.Run(ctx, matrix.NewSymbolicBlocked(c.N, c.Block), cfg)
+	}
 	return result(c, ctx, stats, err)
+}
+
+// sweep prices a table or a RunBestThreads call from one run: its first
+// cell records a tape (core.Record) that prices every later cell of the
+// same shape. Other cells, and all while an observer is set, replay. The
+// tape dies with the sweep, so each regeneration runs its first cell.
+type sweep struct {
+	first Cell
+	tape  *rdd.Tape
+}
+
+// sameShape reports whether two defaulted cells differ at most in kernel
+// settings and executor cores, which change what a kernel call costs but
+// not which calls a run makes or what it moves.
+func sameShape(a, b Cell) bool {
+	ca, cb := *a.Cluster, *b.Cluster
+	for _, c := range []*Cell{&a, &b} {
+		c.Cluster, c.Recursive, c.RShared, c.Threads, c.ExecutorCores = nil, false, 0, 0, 0
+	}
+	return a == b && ca == cb
 }
 
 // result assembles a priced cell from its run's context and report.
@@ -186,10 +216,11 @@ func RunBestThreads(c Cell, threadCandidates []int) Result {
 		return Run(c)
 	}
 	var best Result
+	var sw sweep
 	for i, th := range threadCandidates {
 		cc := c
 		cc.Threads = th
-		r := Run(cc)
+		r := run(cc, nil, &sw)
 		if i == 0 || Better(r, best) {
 			best = r
 		}

@@ -28,7 +28,8 @@ func TableII(n int) (*report.Table, []Result) {
 		Cell{Bench: FW, N: n, Driver: core.IM, Block: 1024, Recursive: true, RShared: 16})
 }
 
-// threadGrid sweeps the shared grid of the two tables.
+// threadGrid sweeps the shared grid of the two tables, pricing it from
+// the run of its first cell (sweep).
 func threadGrid(title string, base Cell) (*report.Table, []Result) {
 	rows := make([]string, len(tableGridThreads))
 	for i, th := range tableGridThreads {
@@ -40,12 +41,13 @@ func threadGrid(title string, base Cell) (*report.Table, []Result) {
 	}
 	t := report.NewTable(title, "OMP\\cores", rows, cols)
 	var results []Result
+	var sw sweep
 	for ri, th := range tableGridThreads {
 		for ci, cores := range tableGridCores {
 			cell := base
 			cell.Threads = th
 			cell.ExecutorCores = cores
-			r := Run(cell)
+			r := run(cell, nil, &sw)
 			results = append(results, r)
 			if note := r.Note(); note != "" {
 				t.Set(ri, ci, note)

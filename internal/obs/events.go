@@ -118,10 +118,14 @@ func (f *FlightRecorder) Record(ev Event) {
 	}
 	ev.Seq = f.seq
 	f.seq++
-	if f.buf == nil {
-		f.buf = make([]Event, 0, f.cap)
-	}
 	if f.n < f.cap {
+		if len(f.buf) == cap(f.buf) {
+			// Double from 16 up to the capacity: most rings hold a few
+			// dozen events.
+			buf := make([]Event, len(f.buf), min(max(2*len(f.buf), 16), f.cap))
+			copy(buf, f.buf)
+			f.buf = buf
+		}
 		f.buf = append(f.buf, ev)
 		f.n++
 	} else {

@@ -126,11 +126,16 @@ func (h *Histogram) ObserveN(v float64, n int64) {
 }
 
 // ObserveAll records every sample of vs, in order, under one lock
-// acquisition.
+// acquisition. A run of equal samples (a symbolic stage's empty tasks)
+// looks its bucket up once.
 func (h *Histogram) ObserveAll(vs []float64) {
 	h.mu.Lock()
+	b, last := -1, 0.0
 	for _, v := range vs {
-		h.counts[sort.SearchFloat64s(h.buckets, v)]++
+		if b < 0 || v != last {
+			b, last = sort.SearchFloat64s(h.buckets, v), v
+		}
+		h.counts[b]++
 		h.sum += v
 	}
 	h.count += int64(len(vs))

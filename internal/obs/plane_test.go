@@ -311,6 +311,33 @@ func TestListenAndServe(t *testing.T) {
 	}
 }
 
+// TestFlightRingGrowsByDoubling: the observer every engine context gets
+// allocates its ring as events arrive, doubling up to the capacity — a
+// context that records 10 events holds a ring of at most 16, not 4096 —
+// and a ring that outgrows a capacity that is not a power of two still
+// fills to exactly that capacity and wraps oldest-first.
+func TestFlightRingGrowsByDoubling(t *testing.T) {
+	f := New().Flight()
+	for i := 0; i < 10; i++ {
+		f.Record(Event{Stage: i})
+	}
+	if c := cap(f.buf); c > 16 {
+		t.Errorf("10 events allocated a ring of %d", c)
+	}
+	g := NewFlightRecorder(100)
+	for i := 0; i < 250; i++ {
+		g.Record(Event{Stage: i})
+	}
+	if c := cap(g.buf); c != 100 {
+		t.Errorf("a ring of capacity 100 grew to %d", c)
+	}
+	for i, ev := range g.Snapshot() {
+		if ev.Stage != 150+i {
+			t.Fatalf("snapshot[%d] is stage %d, want %d", i, ev.Stage, 150+i)
+		}
+	}
+}
+
 // TestFlightRecorderSinceCursor: Since(seq) is the tailing cursor — it
 // returns exactly the events newer than the cursor, stays correct across
 // ring wrap (where the cursor may point at an already-overwritten seq),

@@ -206,6 +206,10 @@ type Context struct {
 
 	laneNames sync.Once
 
+	// tape is being recorded (RecordTape to StopTape); tasks read it
+	// unlocked, as it changes only while no stage runs.
+	tape *Tape
+
 	mu            sync.Mutex
 	nextDataset   int
 	nextShuffle   int
@@ -615,10 +619,23 @@ func (c *Context) advanceDriver(d simtime.Duration, cat simtime.Category, critPh
 	case obs.PhaseDetection:
 		c.bd.Detection += d
 	}
+	if c.tape != nil {
+		c.tape.steps = append(c.tape.steps, func(c *Context, _ []Charge) { c.advanceDriver(d, cat, critPhase) })
+	}
 	c.mu.Unlock()
 	if cp := c.obsv.CritPath(); cp.Enabled() {
 		cp.RecordSegment(c.pid, obs.CritSegment{Start: start, End: end, Phase: critPhase})
 	}
+}
+
+// releaseShuffle frees bytes of staged shuffle output on node.
+func (c *Context) releaseShuffle(node int, bytes int64) {
+	c.mu.Lock()
+	if c.tape != nil {
+		c.tape.steps = append(c.tape.steps, func(c *Context, _ []Charge) { c.releaseShuffle(node, bytes) })
+	}
+	c.mu.Unlock()
+	c.simul.ReleaseShuffle(node, bytes)
 }
 
 // recordEvent forwards one flight-recorder event, stamped with the
@@ -634,6 +651,9 @@ func (c *Context) recordEvent(ev obs.Event) {
 func (c *Context) addBroadcastBytes(n int64) {
 	c.mu.Lock()
 	c.bd.BroadcastBytes += n
+	if c.tape != nil {
+		c.tape.steps = append(c.tape.steps, func(c *Context, _ []Charge) { c.addBroadcastBytes(n) })
+	}
 	c.mu.Unlock()
 }
 
@@ -733,17 +753,18 @@ func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Du
 
 // recordStageMetrics updates the always-on metric families for one
 // executed stage.
-func (c *Context) recordStageMetrics(ev StageEvent, rep sim.StageReport, sc *stageScratch) {
+func (c *Context) recordStageMetrics(ev StageEvent, sc *stageScratch) {
 	m := c.stageMetricHandles(ev.Kind, ev.Phase)
 	m.stages.Inc()
 	m.tasks.Add(int64(ev.Tasks))
 	m.write.Add(ev.SpillBytes)
 	m.fetch.Add(ev.FetchBytes)
-	// One locked batch, in the report's task order: the histogram's sum
-	// adds up the way a per-task Observe would.
+	// One locked batch, in the order of the report's task spans (node
+	// major): the histogram's sum adds up the way a per-task Observe
+	// would.
 	sc.secs = sc.secs[:0]
-	for _, ts := range rep.Tasks {
-		sc.secs = append(sc.secs, ts.Raw.Seconds())
+	for _, raw := range sc.sim.Raw() {
+		sc.secs = append(sc.secs, raw.Seconds())
 	}
 	m.taskSeconds.ObserveAll(sc.secs)
 	if ev.MeanTask > 0 {

@@ -639,7 +639,7 @@ func (c *Context) loseOutputsOf(st *shuffleState, node int, zombie bool) {
 	}
 	st.mu.Unlock()
 	if lostBytes > 0 {
-		c.simul.ReleaseShuffle(node, lostBytes)
+		c.releaseShuffle(node, lostBytes)
 	}
 }
 

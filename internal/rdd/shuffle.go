@@ -564,7 +564,7 @@ func (c *Context) retireOldShuffles() {
 		st.recMu.Unlock()
 		recycleIfUnpinned(st)
 		for node, bytes := range spillByNode {
-			c.simul.ReleaseShuffle(node, bytes)
+			c.releaseShuffle(node, bytes)
 		}
 		if c.store != nil {
 			// Retired generations also leave the durable store (their

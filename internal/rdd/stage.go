@@ -355,10 +355,24 @@ func (sr *stageRun) settle() {
 			SharedRead:  tc.sharedRead,
 		}
 	}
+	if c.tape != nil {
+		c.mu.Lock()
+		c.tape.recordStage(sr, tcs, tasks, spill, fetch, shared)
+		c.mu.Unlock()
+	}
 	if c.conf.Speculation {
 		tasks = c.speculate(tcs, tasks, sr.asOf)
 	}
 	sr.scratch.tasks = tasks
+	sr.simulate(spill, fetch, shared)
+}
+
+// simulate is settle's tail, shared with Reprice: it runs the scratch's
+// tasks through the simulator and lands the report and the stage's bytes.
+func (sr *stageRun) simulate(spill, fetch, shared int64) {
+	c, tasks := sr.c, sr.scratch.tasks
+	traced := c.obsv.TraceEnabled()
+	sr.scratch.sim.SkipLanes = !traced
 	rep := c.simul.RunStageReport(tasks, &sr.scratch.sim)
 
 	c.mu.Lock()
@@ -402,8 +416,8 @@ func (sr *stageRun) settle() {
 		MaxTask:    rep.MaxTask,
 		MeanTask:   rep.MeanTask,
 	}
-	c.recordStageMetrics(ev, rep, sr.scratch)
-	if c.obsv.TraceEnabled() {
+	c.recordStageMetrics(ev, sr.scratch)
+	if traced {
 		c.emitStageSpans(ev, rep)
 	}
 	c.appendEvent(ev)

@@ -27,6 +27,9 @@ type TaskContext struct {
 	slowed      simtime.Duration
 	threads     int
 	idleThreads int
+	// kinds lists the classes of the attempt's ChargeCall calls, in
+	// order, while the context records a Tape.
+	kinds []uint8
 	// recycling is set while a shuffle-map task computes its buckets: take
 	// then hands out slices from the attempt's arena (slab.go).
 	recycling   bool
@@ -80,15 +83,6 @@ func (tc *TaskContext) ChargeCompute(d simtime.Duration, threads int) {
 	tc.compute += d
 	if threads > tc.threads {
 		tc.threads = threads
-	}
-}
-
-// ChargeIdleThreads records OMP threads the task spawns beyond its
-// kernels' exploitable parallelism; they spin at par_for barriers and
-// contribute node pressure without throughput.
-func (tc *TaskContext) ChargeIdleThreads(n int) {
-	if n > tc.idleThreads {
-		tc.idleThreads = n
 	}
 }
 

@@ -125,7 +125,8 @@ type StageReport struct {
 	MaxTask, MeanTask simtime.Duration
 	// NodeIO is each node's I/O time (zero for idle nodes).
 	NodeIO []simtime.Duration
-	// Tasks is the per-task lane schedule for tracing.
+	// Tasks is the per-task lane schedule for tracing (empty when the
+	// Scratch skips lanes).
 	Tasks []TaskSpan
 }
 
@@ -219,7 +220,13 @@ type Scratch struct {
 	// perNode backs NodeIO; spans backs Tasks.
 	perNode []simtime.Duration
 	spans   []TaskSpan
+	// SkipLanes leaves Tasks empty: only the tracer reads lanes.
+	SkipLanes bool
 }
+
+// Raw is the last report's task durations in the order of its Tasks,
+// whether or not they were scheduled.
+func (sc *Scratch) Raw() []simtime.Duration { return sc.raw }
 
 // RunStageReport is RunStage plus the stage's observability report: the
 // critical-node time decomposition, the straggler-skew summary and the
@@ -267,7 +274,9 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 
 		io := tr.shuffleIO + tr.sharedIO
 		rep.NodeIO[n] = io
-		sc.laneSchedule(n, s.ExecCores, q, raw, l, fluid, io)
+		if !sc.SkipLanes {
+			sc.laneSchedule(n, s.ExecCores, q, raw, l, fluid, io)
+		}
 		if total := io + compute; total > makespan {
 			makespan = total
 			rep.Compute, rep.ShuffleIO, rep.SharedIO = compute, tr.shuffleIO, tr.sharedIO
