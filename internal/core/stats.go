@@ -61,8 +61,9 @@ type Stats struct {
 	// SpillWall is the real time spent writing spill files — wall, not
 	// modelled: durable staging is host I/O the cluster model does not
 	// price (the modelled charges are identical with and without it).
-	// Spill writes still queued when the run returns are not included:
-	// StatsSince reads the store's stats without flushing it.
+	// StatsSince waits for the store's queued spill writes first, so it
+	// covers every spill of the run, and no write into the store's
+	// directory is still pending when the run returns.
 	SpillWall time.Duration
 
 	// DetectionTime is the modelled clock spent waiting for the
@@ -117,6 +118,9 @@ func MarkRun(ctx *rdd.Context) RunMark {
 // StatsSince builds the run's Stats from everything the context did since
 // the mark.
 func (m RunMark) StatsSince(ctx *rdd.Context, iterations int) *Stats {
+	if s := ctx.Store(); s != nil {
+		s.Flush()
+	}
 	now := ctx.Clock()
 	elapsed := now - m.clock
 	bd := ctx.Breakdown().Sub(m.bd)

@@ -71,10 +71,12 @@ type Conf struct {
 	// Empty (the default) disables the store entirely. The directory must
 	// be creatable; each context expects its own.
 	DurableDir string
-	// MemoryBudget caps the bytes the durable block store holds in memory
-	// before evicting least-recently-used blocks to disk. Default 0 means
-	// unbounded (blocks only reach disk via fault injection); negative
-	// values are rejected, and a positive budget requires DurableDir.
+	// MemoryBudget caps the encoded bytes the durable block store holds
+	// in its memory tier before evicting least-recently-used blocks to
+	// disk; staged records share their tiles with the live grid and are
+	// not counted. Default 0 means unbounded (blocks only reach disk via
+	// fault injection); negative values are rejected, and a positive
+	// budget requires DurableDir.
 	MemoryBudget int64
 	// SpillCodec serializes records for the durable store (core supplies
 	// a tile codec). Without one, shuffle/broadcast staging is skipped

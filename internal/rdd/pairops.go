@@ -47,14 +47,14 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], part Partitioner) *RDD
 	}
 	ds := ctx.newDataset("partitionBy<-"+parent.name, part.NumPartitions(), part)
 	ds.shuffle = sd
-	// Read as chunks, the in-memory buckets are the chunks: they alias the
-	// slabs past the read lock, so the read pins the shuffle.
+	// Read as chunks, the buckets read in place are the chunks: they alias
+	// the slabs past the read lock, so the read pins the shuffle.
 	asChunks := func(tc *TaskContext, st *shuffleState, refs []bucketRef) partition {
 		tc.pin(st)
 		chunks := take[[]Pair[K, V]](tc, len(refs))
 		for i, ref := range refs {
-			if ref.stored {
-				chunks[i] = appendBucket(tc.ctx, st, ref, take[Pair[K, V]](tc, ref.n)[:0])
+			if tc.ctx.onDisk(ref) {
+				chunks[i] = readStoredBucket(tc.ctx, st, ref, take[Pair[K, V]](tc, ref.n)[:0])
 			} else {
 				chunks[i] = unbox[Pair[K, V]](ref.slab)[ref.lo : ref.lo+ref.n]
 			}
@@ -71,11 +71,11 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], part Partitioner) *RDD
 }
 
 // appendBucket appends the records of one bucket of a PartitionBy shuffle
-// to out, decoding it from the block store when it was staged there.
+// to out: in place while its bytes are in memory, decoded from the block
+// store once they live on disk.
 func appendBucket[K comparable, V any](c *Context, st *shuffleState, ref bucketRef, out []Pair[K, V]) []Pair[K, V] {
-	if ref.stored {
-		c.readStoredBucket(st, ref, func(rec Record) { out = append(out, rec.(Pair[K, V])) })
-		return out
+	if c.onDisk(ref) {
+		return readStoredBucket(c, st, ref, out)
 	}
 	return append(out, unbox[Pair[K, V]](ref.slab)[ref.lo:ref.lo+ref.n]...)
 }

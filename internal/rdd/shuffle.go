@@ -119,19 +119,19 @@ func (c *Context) newShuffleDep(parent *dataset, part Partitioner) *shuffleDep {
 	return &shuffleDep{id: id, parent: parent, part: part, phase: c.CurrentPhase()}
 }
 
-// bucketRef is one map task's contribution to one reduce partition —
-// either in-process records (n of them from offset lo of slab, the one
-// boxed []Pair[K,·] holding all of the task's buckets back to back) or,
-// when the bucket was staged in the durable block store, a block key.
-// Either way n counts the records and bytes carries the same priced
-// payload, so virtual traffic charges are identical.
+// bucketRef is one map task's contribution to one reduce partition: n
+// records from offset lo of slab, the one boxed []Pair[K,·] holding all
+// of the task's buckets back to back, and, when the bucket was staged in
+// the durable block store, its block key. bytes carries the priced
+// payload either way, so virtual traffic charges are identical.
 type bucketRef struct {
 	mapPart int
 	slab    partition
 	lo, n   int
 	bytes   int64
-	// stored marks a bucket staged in the durable store under key; slab
-	// is nil for stored buckets.
+	// stored marks a bucket staged in the durable store under key. A read
+	// takes the records from slab while the store holds the block's bytes
+	// in memory and decodes the block only once it lives on disk.
 	stored bool
 	key    string
 }
@@ -370,7 +370,7 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 			if tb.blob != nil {
 				key := shuffleBlockKey(sd.id, split, tb.reduce)
 				if err := c.store.Put(key, tb.blob); err == nil {
-					ref.slab, ref.stored, ref.key = nil, true, key
+					ref.stored, ref.key = true, key
 				}
 			}
 			st.byReduce[tb.reduce] = append(st.byReduce[tb.reduce], ref)

@@ -267,9 +267,9 @@ func recycleIfUnpinned(st *shuffleState) {
 	a := st.shuffleArrays
 	st.shuffleArrays = shuffleArrays{}
 	st.mu.Unlock()
-	// Every in-memory slab has exactly one bucket at offset 0. Slabs whose
-	// refs a recovery merge dropped are not here: the collector has them,
-	// as it has a slab whose first bucket went to the block store.
+	// Every slab has exactly one bucket at offset 0, staged in the block
+	// store or not. Slabs whose refs a recovery merge dropped are not
+	// here: the collector has them.
 	for _, refs := range a.byReduce {
 		for _, ref := range refs {
 			if ref.lo != 0 || ref.slab == nil {

@@ -23,10 +23,16 @@ import (
 // Determinism: whether a bucket is *staged* depends only on the data
 // (every record codec-encodable), never on memory pressure — the budget
 // only moves blocks between the store's tiers, which changes no virtual
-// charge and no record content. Decoded records are fresh copies; the
-// codec preserves the tiles' ownership generation tags, so the clone-
-// elision replay semantics (and therefore the bits) are identical to the
-// pointer-sharing in-memory path.
+// charge and no record content. A staged bucket keeps its records: a read
+// takes them in place while the store holds the block's bytes in memory
+// (the memory tier, or pinned for the spill writer) and decodes the block
+// only once it lives on disk, where the store verifies its checksum and
+// where seeded corruption lands (Store.Corrupt drops the memory copy).
+// Which way a read goes depends on the spill writer's timing, so the two
+// must agree: decoded records are fresh copies, but the codec preserves
+// the tiles' ownership generation tags, so the clone-elision replay
+// semantics (and therefore the bits) are identical to the pointer-sharing
+// in-place read.
 //
 // Staging is split in two: the map task that produced a bucket encodes
 // it (bucketPairs — in parallel across the stage's task workers, off the
@@ -122,13 +128,20 @@ func encodeExact[T any](codec Codec, recs []T) ([]byte, bool) {
 	return dst, true
 }
 
-// readStoredBucket fetches one staged bucket and hands its decoded
-// records to emit, in order. Any verification or decode failure means the
-// block is lost: the read panics with a FetchFailedError indicting the
-// bucket's map partition, and the recovery path recomputes it (the
-// recompute's Put overwrites the damaged block). Called with st.mu
-// read-held, like the in-memory path.
-func (c *Context) readStoredBucket(st *shuffleState, ref bucketRef, emit func(rec Record)) {
+// onDisk reports whether a read of ref must decode it: a staged bucket
+// whose bytes the store no longer holds in memory. Resident refreshes a
+// memory-tier block's LRU slot exactly as the Get it replaces would.
+func (c *Context) onDisk(ref bucketRef) bool {
+	return ref.stored && !c.store.Resident(ref.key)
+}
+
+// readStoredBucket appends one staged bucket's records, decoded from the
+// block store and verified on the way, to out. Any verification or decode
+// failure means the block is lost: the read panics with a
+// FetchFailedError indicting the bucket's map partition, and the recovery
+// path recomputes it (the recompute's Put overwrites the damaged block).
+// Called with st.mu read-held, like the in-place path.
+func readStoredBucket[K comparable, V any](c *Context, st *shuffleState, ref bucketRef, out []Pair[K, V]) []Pair[K, V] {
 	blob, err := c.store.Get(ref.key)
 	if err != nil {
 		panic(st.fetchFailed(ref, true))
@@ -140,13 +153,14 @@ func (c *Context) readStoredBucket(st *shuffleState, ref bucketRef, emit func(re
 		if err != nil {
 			panic(st.fetchFailed(ref, true))
 		}
-		emit(rec)
+		out = append(out, rec.(Pair[K, V]))
 		blob = rest
 		n++
 	}
 	if n != ref.n {
 		panic(st.fetchFailed(ref, true))
 	}
+	return out
 }
 
 // EngineState is the restartable slice of a context's scheduler state: a

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dpspark/internal/cluster"
@@ -171,6 +172,80 @@ func TestCorruptionPlusCrashSameRun(t *testing.T) {
 	rs := ctx.RecoveryStats()
 	if rs.Corruptions != 1 || rs.ExecutorCrashes != 1 {
 		t.Fatalf("both events must fire: %+v", rs)
+	}
+}
+
+// countingCodec is intPairCodec counting its Decode calls.
+type countingCodec struct {
+	intPairCodec
+	decodes *atomic.Int64
+}
+
+func (c countingCodec) Decode(b []byte) (Record, []byte, error) {
+	c.decodes.Add(1)
+	return c.intPairCodec.Decode(b)
+}
+
+// TestStagedBucketsDecodeOnlyFromDisk: a staged bucket is read in place
+// while the store holds its bytes in memory and decoded, one Decode per
+// record, once they live on disk — through the merge (a collect) and the
+// chunk reader (a co-partitioned combine) alike, with the bits of a run
+// without a store. A seeded corruption still takes the verified path.
+func TestStagedBucketsDecodeOnlyFromDisk(t *testing.T) {
+	// jobs builds a shuffle and returns a function that collects it and a
+	// co-partitioned combine over it; the shuffle stays materialized, so
+	// every call reads the same blocks.
+	jobs := func(ctx *Context) func() [2]map[int]int {
+		sh := shuffledDoubles(ctx, 4)
+		sum := CombineByKey(sh, func(v int) int { return v },
+			func(c, v int) int { return c + v }, func(a, b int) int { return a + b },
+			NewHashPartitioner(4))
+		return func() [2]map[int]int { return [2]map[int]int{collectPairs(t, sh), collectPairs(t, sum)} }
+	}
+	want := jobs(NewContext(Conf{Cluster: cluster.LocalN(2, 2)}))()
+	counted := func(conf Conf) (*Context, *atomic.Int64) {
+		decodes := new(atomic.Int64)
+		conf.SpillCodec = countingCodec{decodes: decodes}
+		return newContext(t, conf), decodes
+	}
+
+	ctx, decodes := counted(durableConf(t, 0))
+	run := jobs(ctx)
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unbounded store: %v, want %v", got, want)
+	}
+	if n := decodes.Load(); n != 0 {
+		t.Fatalf("unbounded store decoded %d records, want 0", n)
+	}
+	keys := ctx.Store().Keys(shufflePrefix(0))
+	for _, key := range keys {
+		if err := ctx.Store().Spill(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("blocks on disk: %v, want %v", got, want)
+	}
+	if n := decodes.Load(); len(keys) == 0 || n != 2*20 {
+		t.Fatalf("%d blocks on disk: %d decodes over two reads of 20 records, want 40", len(keys), n)
+	}
+
+	conf := durableConf(t, 0)
+	conf.FaultPlan = &FaultPlan{Events: []FaultEvent{Corruption{Stage: 1, Block: 2}}}
+	ctx, decodes = counted(conf)
+	if got := jobs(ctx)(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("corrupted run: %v, want %v", got, want)
+	}
+	rs := ctx.RecoveryStats()
+	wantRS := RecoveryStats{FetchFailures: 1, StageResubmits: 1, RecomputedMapPartitions: 1, Corruptions: 1}
+	if rs != wantRS || ctx.StoreStats().CorruptDetected != 1 {
+		t.Fatalf("recovery %+v, corrupt detected %d; want %+v and 1",
+			rs, ctx.StoreStats().CorruptDetected, wantRS)
+	}
+	// The damaged block fails its checksum before the codec sees it, and
+	// the recompute's fresh block is in memory.
+	if n := decodes.Load(); n != 0 {
+		t.Fatalf("corrupted run decoded %d records, want 0", n)
 	}
 }
 

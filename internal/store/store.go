@@ -263,6 +263,24 @@ func (s *Store) Has(key string) bool {
 	return ok
 }
 
+// Resident reports whether a Get of key would be served from memory: the
+// memory tier, whose LRU position it refreshes exactly as Get does, or
+// bytes pinned for the spill writer. False means the bytes live on disk,
+// where Get verifies them (Corrupt leaves a block there), or the key is
+// unknown.
+func (s *Store) Resident(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.blocks[key]
+	if !ok || e.data == nil {
+		return false
+	}
+	if e.elem != nil {
+		s.lru.MoveToFront(e.elem)
+	}
+	return true
+}
+
 // InMemory reports whether key currently lives in the memory tier (a
 // dirty block awaiting its spill write already counts as disk).
 func (s *Store) InMemory(key string) bool {

@@ -144,6 +144,81 @@ func TestStoreCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestStoreResident: Resident is true exactly while a Get would be served
+// from memory — the memory tier (touching LRU as Get does) or bytes pinned
+// for the spill writer — and false for a block on disk, a corrupted one,
+// or a key the store does not hold.
+func TestStoreResident(t *testing.T) {
+	blk := bytes.Repeat([]byte{1}, 100)
+	t.Run("memory tier touches LRU like Get", func(t *testing.T) {
+		// Two stores fill to the budget and touch their oldest block, one
+		// with Get and one with Resident; the next Put must evict the same
+		// victim from both.
+		victims := func(touch func(s *Store)) []bool {
+			s := open(t, 300, nil)
+			for _, k := range []string{"a", "b", "c"} {
+				if err := s.Put(k, blk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			touch(s)
+			if err := s.Put("d", blk); err != nil {
+				t.Fatal(err)
+			}
+			return []bool{s.InMemory("a"), s.InMemory("b"), s.InMemory("c"), s.InMemory("d")}
+		}
+		want := victims(func(s *Store) { mustGet(t, s, "a", blk) })
+		got := victims(func(s *Store) {
+			if !s.Resident("a") {
+				t.Fatal("memory-tier block not resident")
+			}
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) || !got[0] || got[1] {
+			t.Fatalf("in memory after Resident %v, after Get %v; want a kept and b evicted", got, want)
+		}
+	})
+	t.Run("pinned, then on disk", func(t *testing.T) {
+		s := open(t, 50, nil)
+		// Claim the writer's slot so no writer starts: the evicted block
+		// stays pinned until the loop below is started by hand.
+		s.mu.Lock()
+		s.spillWorker = true
+		s.mu.Unlock()
+		if err := s.Put("a", blk); err != nil {
+			t.Fatal(err)
+		}
+		if s.InMemory("a") || !s.Resident("a") {
+			t.Fatalf("pinned block: InMemory %v, Resident %v; want false, true", s.InMemory("a"), s.Resident("a"))
+		}
+		go s.spillWorkerLoop()
+		s.Flush()
+		if s.Resident("a") {
+			t.Fatal("block on disk reported resident")
+		}
+		mustGet(t, s, "a", blk)
+	})
+	t.Run("corrupted, deleted, unknown", func(t *testing.T) {
+		s := open(t, 0, nil)
+		for _, k := range []string{"x", "y"} {
+			if err := s.Put(k, blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !s.Resident("x") {
+			t.Fatal("fresh block not resident")
+		}
+		if !s.Corrupt("x", false) {
+			t.Fatal("Corrupt returned false")
+		}
+		s.Delete("y")
+		for _, k := range []string{"x", "y", "nope"} {
+			if s.Resident(k) {
+				t.Errorf("Resident(%q) = true", k)
+			}
+		}
+	})
+}
+
 func TestStoreCorruptUnknownKey(t *testing.T) {
 	s := open(t, 0, nil)
 	if s.Corrupt("nope", false) {
