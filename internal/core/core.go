@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -451,12 +452,15 @@ type kernelRunner struct {
 	// price is the cost model's answer per kind (runner.prices).
 	price [4]rdd.Charge
 	m     [4]kindMetrics
+	// tallies holds ended attempts' tallies for the next attempts.
+	tallies sync.Pool
 }
 
 // kernelTally accumulates one task attempt's kernel metrics so that the
 // shared registry — a mutex per histogram, per gauge — is touched once
 // per attempt instead of three times per kernel call. The engine flushes
-// it when the attempt ends, however it ends (rdd.AttemptLocal).
+// it when the attempt ends, however it ends (rdd.AttemptLocal), which
+// hands it back to its runner for a later attempt.
 type kernelTally struct {
 	kr    *kernelRunner
 	kinds [4]kindTally
@@ -536,14 +540,24 @@ func (kr *kernelRunner) tally(tc *rdd.TaskContext) *kernelTally {
 	if t, ok := tc.Local().(*kernelTally); ok && t.kr == kr {
 		return t
 	}
-	t := &kernelTally{kr: kr}
+	t, _ := kr.tallies.Get().(*kernelTally)
+	if t == nil {
+		t = &kernelTally{kr: kr}
+	}
 	tc.SetLocal(t)
 	return t
 }
 
-// Flush implements rdd.AttemptLocal. ObserveN adds the cost the way n
-// Observe calls would, so dpspark_kernel_seconds_sum keeps its bits.
+// Flush implements rdd.AttemptLocal.
 func (t *kernelTally) Flush() {
+	t.flush()
+	t.kr.tallies.Put(t)
+}
+
+// flush hands the tally to the metrics and restarts its wall sampling.
+// ObserveN adds the cost the way n Observe calls would, so
+// dpspark_kernel_seconds_sum keeps its bits.
+func (t *kernelTally) flush() {
 	for kind := range t.kinds {
 		k, m := &t.kinds[kind], &t.kr.m[kind]
 		if k.calls > 0 {
@@ -555,7 +569,7 @@ func (t *kernelTally) Flush() {
 		if len(k.wall) > 0 {
 			k.observe(m.wall)
 		}
-		k.skip = 0
+		k.skip, k.stride = 0, 0
 	}
 }
 
@@ -587,7 +601,7 @@ func (kr *kernelRunner) apply(tc *rdd.TaskContext, gen uint32, kind semiring.Kin
 	t := kr.tally(tc)
 	k := &t.kinds[kind]
 	if k.calls > 0 && k.price != price {
-		t.Flush()
+		t.flush()
 	}
 	k.calls++
 	k.price = price

@@ -1,6 +1,9 @@
 package experiments
 
-import "dpspark/internal/rdd"
+import (
+	"dpspark/internal/obs"
+	"dpspark/internal/rdd"
+)
 
 // RecordCell prices c the way a sweep prices its first cell, by a run
 // that records its tape; the tape is nil when the run cannot be
@@ -19,3 +22,18 @@ func RepriceCell(c Cell, t *rdd.Tape) Result {
 
 // SameShape reports whether a and b can share a tape.
 func SameShape(a, b Cell) bool { return sameShape(a.Defaulted(), b.Defaulted()) }
+
+// Observed prices c from tape t as RepriceCell does, or, t nil, by a replay
+// as Run does, reporting to a fresh observer, which it returns.
+func Observed(c Cell, t *rdd.Tape) *obs.Observer {
+	o := obs.New()
+	was := obsv
+	obsv = o
+	defer func() { obsv = was }()
+	if t != nil {
+		RepriceCell(c, t)
+	} else {
+		Run(c)
+	}
+	return o
+}

@@ -1,14 +1,18 @@
 package experiments_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"dpspark/internal/autotune"
 	"dpspark/internal/cluster"
 	"dpspark/internal/core"
 	"dpspark/internal/experiments"
+	"dpspark/internal/obs"
 	"dpspark/internal/rdd"
 	"dpspark/internal/sim"
 )
@@ -108,4 +112,94 @@ func TestTapePricingMatchesReplay(t *testing.T) {
 func withThreads(c experiments.Cell, th int) experiments.Cell {
 	c.Threads = th
 	return c
+}
+
+// TestTapeMetricsMatchReplay: a cell priced from its table's tape reports
+// what its replay reports through the observer — the dpspark_task_seconds
+// histogram of each stage kind (bucket counts, count and the bits of its
+// sum) and every stage-complete event (clock bits and detail, the task
+// count among it). A re-price submits no stage, so only completions are
+// compared.
+func TestTapeMetricsMatchReplay(t *testing.T) {
+	for name, table := range map[string]func(int) []experiments.Result{
+		"TableI":  func(n int) []experiments.Result { _, r := experiments.TableI(n); return r },
+		"TableII": func(n int) []experiments.Result { _, r := experiments.TableII(n); return r },
+	} {
+		results := table(8192)
+		_, tape := experiments.RecordCell(results[0].Cell)
+		if tape == nil {
+			t.Fatalf("%s: the first cell %v recorded no tape", name, results[0].Cell)
+		}
+		for _, r := range results {
+			c := r.Cell
+			got, want := experiments.Observed(c, tape), experiments.Observed(c, nil)
+			for _, kind := range []rdd.StageKind{rdd.StageShuffleMap, rdd.StageResult} {
+				g, w := taskSeconds(got, kind), taskSeconds(want, kind)
+				if w.count == 0 || !slices.Equal(g.buckets, w.buckets) || g.count != w.count || g.sumBits != w.sumBits {
+					t.Errorf("%s %v, %v stages: task seconds priced %+v, replayed %+v", name, c, kind, g, w)
+				}
+			}
+			g, w := stageCompletions(got), stageCompletions(want)
+			if len(w) == 0 || !slices.Equal(g, w) {
+				t.Errorf("%s %v: %d stage completions priced, %d replayed; first difference at %d",
+					name, c, len(g), len(w), firstDiff(g, w))
+			}
+		}
+	}
+}
+
+// histogramBits is what TestTapeMetricsMatchReplay compares of a histogram.
+type histogramBits struct {
+	buckets []string // the exposition's _bucket lines
+	count   int64
+	sumBits uint64
+}
+
+// taskSeconds reads the dpspark_task_seconds histogram of one stage kind.
+func taskSeconds(o *obs.Observer, kind rdd.StageKind) histogramBits {
+	var prom strings.Builder
+	if err := o.Metrics().WritePrometheus(&prom); err != nil {
+		panic(err)
+	}
+	var hb histogramBits
+	label := fmt.Sprintf(`kind=%q`, kind.String())
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if strings.HasPrefix(line, "dpspark_task_seconds_bucket{") && strings.Contains(line, label) {
+			hb.buckets = append(hb.buckets, line)
+		}
+	}
+	h := o.Metrics().Histogram("dpspark_task_seconds", obs.Labels{"kind": kind.String()}, nil)
+	hb.count, hb.sumBits = h.Count(), math.Float64bits(h.Sum())
+	return hb
+}
+
+// stageCompletion is what TestTapeMetricsMatchReplay compares of a
+// stage-complete event.
+type stageCompletion struct {
+	clockBits             uint64
+	stage, attempt, shuff int
+	detail                string
+}
+
+// stageCompletions lists the observer's stage-complete events in order.
+func stageCompletions(o *obs.Observer) []stageCompletion {
+	if o.Flight().Dropped() > 0 {
+		panic("flight recorder dropped events; the comparison would miss them")
+	}
+	var out []stageCompletion
+	for _, ev := range o.Flight().Snapshot() {
+		if ev.Type == obs.EvStageComplete {
+			out = append(out, stageCompletion{math.Float64bits(ev.Clock), ev.Stage, ev.Attempt, ev.Shuffle, ev.Detail})
+		}
+	}
+	return out
+}
+
+func firstDiff[T comparable](a, b []T) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

@@ -126,16 +126,11 @@ func (h *Histogram) ObserveN(v float64, n int64) {
 }
 
 // ObserveAll records every sample of vs, in order, under one lock
-// acquisition. A run of equal samples (a symbolic stage's empty tasks)
-// looks its bucket up once.
+// acquisition.
 func (h *Histogram) ObserveAll(vs []float64) {
 	h.mu.Lock()
-	b, last := -1, 0.0
 	for _, v := range vs {
-		if b < 0 || v != last {
-			b, last = sort.SearchFloat64s(h.buckets, v), v
-		}
-		h.counts[b]++
+		h.counts[sort.SearchFloat64s(h.buckets, v)]++
 		h.sum += v
 	}
 	h.count += int64(len(vs))

@@ -701,10 +701,12 @@ const (
 // (plus a task launch); whichever of original and copy finishes first
 // wins, the loser is killed at that moment — so BOTH executors are
 // charged the winner's duration, exactly Spark's first-result-wins with
-// non-free losers.
-func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Duration) []sim.Task {
+// non-free losers. Only listed (busy) tasks pass the positive threshold;
+// copies are numbered past the stage's tasks.
+func (c *Context) speculate(sc *stageScratch, asOf simtime.Duration) {
+	tcs := sc.tcs
 	if len(tcs) < 2 {
-		return tasks
+		return
 	}
 	durs := make([]simtime.Duration, len(tcs))
 	for i := range tcs {
@@ -714,9 +716,10 @@ func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Du
 	quantile := durs[int(speculationQuantile*float64(len(durs)-1))]
 	threshold := simtime.Duration(quantile.Seconds() * speculationMultiplier)
 	if threshold <= 0 {
-		return tasks
+		return
 	}
-	for i := range tcs {
+	next := len(tcs)
+	for j, i := range sc.at {
 		tc := &tcs[i]
 		if tc.compute <= threshold {
 			continue
@@ -739,36 +742,38 @@ func (c *Context) speculate(tcs []TaskContext, tasks []sim.Task, asOf simtime.Du
 			Stage: tc.StageID, Part: tc.Partition, Node: copyNode, Shuffle: -1,
 			Detail: fmt.Sprintf("copy of node %d task (slowed %s)", tc.Node, tc.slowed),
 		})
-		tasks[i].Compute = winner
+		sc.tasks[j].Compute = winner
 		// The copy re-runs the task's compute on another executor until
 		// the winner finishes; its shuffle I/O stays with the original
 		// (the copy's partial fetches are not separately modelled).
-		tasks = append(tasks, sim.Task{
+		sc.tasks = append(sc.tasks, sim.Task{
 			Node:        copyNode,
 			Compute:     winner,
 			Threads:     tc.Threads(),
 			IdleThreads: tc.idleThreads,
 		})
+		sc.at = append(sc.at, next)
+		next++
 	}
-	return tasks
 }
 
 // recordStageMetrics updates the always-on metric families for one
-// executed stage.
-func (c *Context) recordStageMetrics(ev StageEvent, sc *stageScratch) {
+// executed stage of sc's listed tasks and empties empty ones.
+func (c *Context) recordStageMetrics(ev StageEvent, sc *stageScratch, empties int) {
 	m := c.stageMetricHandles(ev.Kind, ev.Phase)
 	m.stages.Inc()
 	m.tasks.Add(int64(ev.Tasks))
 	m.write.Add(ev.SpillBytes)
 	m.fetch.Add(ev.FetchBytes)
 	// One locked batch, in the order of the report's task spans (node
-	// major): the histogram's sum adds up the way a per-task Observe
-	// would.
+	// major), then the empty tasks' zeros (adding 0 keeps a sum's bits):
+	// the histogram's sum adds up the way a per-task Observe would.
 	sc.secs = sc.secs[:0]
 	for _, raw := range sc.sim.Raw() {
 		sc.secs = append(sc.secs, raw.Seconds())
 	}
 	m.taskSeconds.ObserveAll(sc.secs)
+	m.taskSeconds.ObserveWeighted([]obs.Weighted{{V: 0, N: int64(empties)}})
 	if ev.MeanTask > 0 {
 		skew := ev.MaxTask.Seconds() / ev.MeanTask.Seconds()
 		m.skewHist.Observe(skew)
@@ -806,10 +811,10 @@ var (
 	stageSkewBuckets   = obs.LinearBuckets(1, 0.25, 24)
 )
 
-// emitStageSpans renders one stage into trace spans: a stage span on the
-// driver lane, an I/O span per active node, and one span per task on its
-// executor-core lane.
-func (c *Context) emitStageSpans(ev StageEvent, rep sim.StageReport) {
+// emitStageSpans renders one stage of tasks tasks (speculative copies
+// included) into trace spans: a stage span on the driver lane, an I/O span
+// per active node, and one span per busy task on its executor-core lane.
+func (c *Context) emitStageSpans(ev StageEvent, rep sim.StageReport, tasks int) {
 	c.laneNames.Do(c.nameTraceLanes)
 	cat := "stage"
 	if ev.Phase != "" {
@@ -820,7 +825,7 @@ func (c *Context) emitStageSpans(ev StageEvent, rep sim.StageReport) {
 		Pid: c.pid, Tid: 0, Start: rep.Start, Dur: rep.Total,
 		Args: map[string]string{
 			"phase": ev.Phase,
-			"tasks": fmt.Sprint(len(rep.Tasks)),
+			"tasks": fmt.Sprint(tasks),
 			"spill": fmt.Sprintf("%dB", ev.SpillBytes),
 			"fetch": fmt.Sprintf("%dB", ev.FetchBytes),
 		},

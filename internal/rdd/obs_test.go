@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"dpspark/internal/cluster"
 	"dpspark/internal/obs"
+	"dpspark/internal/simtime"
 )
 
 // shuffleJob runs one shuffled word-count-style job on the context.
@@ -176,5 +178,91 @@ func TestContextTraceExport(t *testing.T) {
 	}
 	if taskSpans == 0 || stageSpans == 0 {
 		t.Errorf("trace has %d task and %d stage spans, want both > 0", taskSpans, stageSpans)
+	}
+}
+
+// TestEmptyTasksObserved: a stage's empty tasks, which settle counts per
+// node instead of listing, still count wherever the stage's tasks are
+// counted — the dpspark_task_seconds histogram, the stage-complete event's
+// "tasks=" and the trace's stage span — and the busy tasks' spans keep
+// their indices in the stage.
+func TestEmptyTasksObserved(t *testing.T) {
+	o := obs.New()
+	o.EnableTrace(true)
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(4), 2), Observer: o, ExecutorCores: 2})
+	part := NewHashPartitioner(16)
+	recs := []Pair[int, int]{KV(1, 1), KV(6, 1), KV(11, 1)}
+	busy := map[string]bool{} // "stage.task" of each task that moves a record
+	for _, p := range recs {
+		for stage := range 2 {
+			busy[fmt.Sprintf("%d.%d", stage, part.Partition(p.Key))] = true
+		}
+	}
+	keyed := Map(ParallelizePairs(ctx, recs, part), func(_ *TaskContext, p Pair[int, int]) Pair[int, int] { return p })
+	if _, err := PartitionBy(keyed, NewHashPartitioner(16)).Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ctx.Events()); n != 2 {
+		t.Fatalf("%d stages, want 2", n)
+	}
+
+	for _, kind := range []StageKind{StageShuffleMap, StageResult} {
+		if n := o.Metrics().Histogram("dpspark_task_seconds", obs.Labels{"kind": kind.String()}, nil).Count(); n != 16 {
+			t.Errorf("%v stage: %d task durations observed, want 16", kind, n)
+		}
+	}
+	completed := 0
+	for _, ev := range o.Flight().Snapshot() {
+		if ev.Type == obs.EvStageComplete {
+			completed++
+			if !strings.HasSuffix(ev.Detail, " tasks=16") {
+				t.Errorf("stage %d completion %q, want tasks=16", ev.Stage, ev.Detail)
+			}
+		}
+	}
+	if completed != 2 {
+		t.Errorf("%d stage completions recorded, want 2", completed)
+	}
+	var taskSpans int
+	for _, sp := range o.Spans() {
+		switch {
+		case strings.HasPrefix(sp.Cat, "stage") && sp.Args["tasks"] != "16":
+			t.Errorf("%s: tasks %q, want 16", sp.Name, sp.Args["tasks"])
+		case sp.Cat == "task":
+			taskSpans++
+			if !busy[strings.TrimPrefix(sp.Name, "task ")] {
+				t.Errorf("span %q names no task that moved a record (%v)", sp.Name, busy)
+			}
+		}
+	}
+	if taskSpans != len(busy) {
+		t.Errorf("%d task spans, want one per busy task (%d)", taskSpans, len(busy))
+	}
+}
+
+// TestSpeculativeCopySpans: a speculative copy's trace span is numbered
+// past the stage's tasks, and the stage span counts it.
+func TestSpeculativeCopySpans(t *testing.T) {
+	o := obs.New()
+	o.EnableTrace(true)
+	ctx := NewContext(Conf{Substrate: slots(cluster.LocalN(4, 2), 2), Observer: o, ExecutorCores: 2, Speculation: true,
+		FaultPlan: &FaultPlan{Events: []FaultEvent{Straggler{Stage: 0, Partition: 2, Factor: 3}}}})
+	work := Map(Parallelize(ctx, ints(4), 4), func(tc *TaskContext, v int) int {
+		tc.ChargeCompute(simtime.Second, 1)
+		return v
+	})
+	if _, err := work.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, sp := range o.Spans() {
+		if sp.Cat == "task" {
+			names[sp.Name] = true
+		} else if strings.HasPrefix(sp.Cat, "stage") && sp.Args["tasks"] != "5" {
+			t.Errorf("%s: tasks %q, want 4 and a copy", sp.Name, sp.Args["tasks"])
+		}
+	}
+	if want := map[string]bool{"task 0.0": true, "task 0.1": true, "task 0.2": true, "task 0.3": true, "task 0.4": true}; !maps.Equal(names, want) {
+		t.Errorf("task spans %v, want %v", names, want)
 	}
 }

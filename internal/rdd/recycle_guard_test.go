@@ -222,3 +222,35 @@ func TestRecycleGuardSharedSubstrate(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycleGuardTape: a tape whose stages count their empty tasks per
+// node prices the recorded run's modelled clock and stage log, without the
+// seam and in two passes with recycled memory poisoned — so no stage
+// reads counts a recycled scratch still points at, the tape's own
+// included.
+func TestRecycleGuardTape(t *testing.T) {
+	conf := rdd.Conf{Cluster: cluster.LocalN(4, 2)}
+	// 64 tiles hashed over 64 partitions: most stages run empty tasks.
+	cfg := core.Config{Rule: semiring.NewFloydWarshall(), BlockSize: 8, Driver: core.IM, Partitions: 64}
+	rec := rdd.NewContext(conf)
+	stats, tape, err := core.Record(rec, 64, cfg)
+	if err != nil || tape == nil {
+		t.Fatalf("recording run: err %v, tape %v", err, tape != nil)
+	}
+	want := guardRun{time: stats.Time, events: rec.Events()}
+	reprice := func() guardRun {
+		ctx := rdd.NewContext(conf)
+		stats, err := core.Reprice(ctx, tape, 64, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return guardRun{time: stats.Time, events: ctx.Events()}
+	}
+	poisonedMatches(t, "tape", reprice)
+	defer rdd.PoisonRecycled(true)()
+	for pass := range 2 {
+		if got := reprice(); got.time != want.time || !reflect.DeepEqual(got.events, want.events) {
+			t.Errorf("poisoned pass %d: tape priced %v, the recorded run took %v (or their stage logs differ)", pass, got.time, want.time)
+		}
+	}
+}

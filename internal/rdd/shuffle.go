@@ -149,18 +149,15 @@ type mapTaskOut struct {
 // reduce partition, the rest by map partition. mapNode, spillByMap and
 // refsByMap record where each map partition's output lives, its staged
 // bytes and how many buckets it produced — what executor-loss invalidation
-// and fetch attribution key on; outs is where the map tasks of one
-// execution leave their results for the merge. A retired shuffle pools
-// them (shuffleArraysPool) for the next shuffle of any Context to take.
-// The pointer-bearing arrays go back zero over their whole capacity:
-// every execution clears outs after its merge, and the put clears
-// byReduce, which also lets go of the bucket slabs it pointed into.
+// and fetch attribution key on. A retired shuffle pools them
+// (shuffleArraysPool) for the next shuffle of any Context to take.
+// byReduce goes back zero over its whole capacity: the put clears it,
+// which also lets go of the bucket slabs it pointed into.
 type shuffleArrays struct {
 	byReduce   [][]bucketRef
 	mapNode    []int
 	spillByMap []int64
 	refsByMap  []int
-	outs       []mapTaskOut
 }
 
 // shuffleArraysPool recycles retired shuffles' arrays, like arenas.
@@ -178,7 +175,6 @@ func takeShuffleArrays(mapParts, reduceParts int) shuffleArrays {
 	a.mapNode = slices.Grow(a.mapNode[:0], mapParts)[:mapParts]
 	a.spillByMap = slices.Grow(a.spillByMap[:0], mapParts)[:mapParts]
 	a.refsByMap = slices.Grow(a.refsByMap[:0], mapParts)[:mapParts]
-	a.outs = slices.Grow(a.outs[:0], mapParts)[:mapParts]
 	clear(a.mapNode)
 	clear(a.spillByMap)
 	clear(a.refsByMap)
@@ -197,6 +193,11 @@ func putShuffleArrays(a shuffleArrays) {
 	}
 	shuffleArraysPool.Put(&a)
 }
+
+// mapOutsPool recycles the slots where one execution's map tasks leave
+// their results for its merge, zero. They go back after the merge, not with
+// the shuffle's arrays: a Context's last keepShuffles shuffles never retire.
+var mapOutsPool = sync.Pool{New: func() any { return new([]mapTaskOut) }}
 
 // runMapStage executes the map side of a shuffle: one task per parent
 // partition computes the parent's records, keys them, optionally combines
@@ -254,11 +255,9 @@ func (c *Context) execMapTasks(st *shuffleState, splits []int) {
 	st.commitLease = attempt
 	st.mu.Unlock()
 
-	// Executions of one shuffle never overlap (the first runs before the
-	// state is published, recoveries hold recMu), so they share the slab;
-	// it is cleared on the way out to let go of the buckets and encodings.
-	outs := st.outs[:n]
-	defer clear(outs)
+	pooled := mapOutsPool.Get().(*[]mapTaskOut)
+	outs := slices.Grow((*pooled)[:0], n)[:n]
+	defer func() { clear(outs); *pooled = outs; mapOutsPool.Put(pooled) }()
 	var codec Codec
 	if c.store != nil && !sd.combining {
 		codec = c.conf.SpillCodec

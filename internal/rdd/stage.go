@@ -46,9 +46,10 @@ type stageRun struct {
 }
 
 // stageScratch is everything a stage needs that is sized by its task
-// count: the TaskContext slab, the simulated tasks (with headroom for
-// speculative copies), the per-task seconds handed to the metrics and the
-// simulator's own scratch, into which the stage report's slices point.
+// count: the TaskContext slab, the simulated busy tasks and speculative
+// copies (at holds their task indices), the per-node empty-task counts, the
+// per-task seconds handed to the metrics and the simulator's own scratch,
+// into which the stage report's slices point.
 //
 // Ownership: plan takes one from scratches (or makes one), the stage
 // owns it alone while it runs, and settle gives it back as its last act —
@@ -60,6 +61,8 @@ type stageRun struct {
 type stageScratch struct {
 	tcs   []TaskContext
 	tasks []sim.Task
+	at    []int
+	empty []int
 	secs  []float64
 	sim   sim.Scratch
 }
@@ -89,14 +92,19 @@ func takeStageScratch(parts int) *stageScratch {
 	return sc
 }
 
-// putStageScratch clears a settled stage's TaskContext slab and keeps the
-// scratch in lastScratch, pooling the one that held it. Under poisonRecycled the simulated tasks and task seconds are
-// overwritten too, so a reader that kept them reads garbage.
+// putStageScratch clears a settled stage's TaskContext slab and empty-task
+// counts and keeps the scratch in lastScratch, pooling the one that held
+// it. Under poisonRecycled the simulated tasks, the counts and the task
+// seconds are overwritten, so a reader that kept them reads garbage.
 func putStageScratch(sc *stageScratch) {
 	clear(sc.tcs)
+	clear(sc.empty)
 	if poisonRecycled {
 		for i := range sc.tasks {
 			sc.tasks[i] = sim.Task{Node: -1, Compute: -1}
+		}
+		for i := range sc.empty {
+			sc.empty[i] = -1
 		}
 		for i := range sc.secs {
 			sc.secs[i] = math.NaN()
@@ -325,26 +333,30 @@ func (sr *stageRun) dilate(tc *TaskContext) {
 // settle is the stage's virtual half: the tasks' charges become simulated
 // tasks (plus speculative copies), the simulator runs them, and the report
 // lands in the breakdown, the critical path, the flight recorder, the
-// metrics, the trace and the stage event log.
+// metrics, the trace and the stage event log. Empty tasks — no compute,
+// bytes or recorded call — are counted per node, not listed (DESIGN §13).
 func (sr *stageRun) settle() {
-	c := sr.c
+	c, sc := sr.c, sr.scratch
 	var spill, fetch, shared int64
-	// Every slot of tasks is written below, so what the scratch's last
-	// stage left in it does not matter.
-	tcs := sr.scratch.tcs
-	tasks := slices.Grow(sr.scratch.tasks[:0], sr.parts+sr.parts/4)[:sr.parts]
-	for i := range tcs {
-		tc := &tcs[i]
+	tasks, at := sc.tasks[:0], sc.at[:0]
+	empty := slices.Grow(sc.empty[:0], c.model.C.Nodes)[:c.model.C.Nodes]
+	clear(empty) // a poisoned put leaves it nonzero
+	for i := range sc.tcs {
+		tc := &sc.tcs[i]
 		if tc.ctx == nil {
 			// The task was abandoned before its first attempt (cancelled
 			// mid-stage); model it as an empty task so the stage report
 			// stays well-formed while Err carries the cause.
 			*tc = TaskContext{StageID: sr.stageID, Partition: sr.split(i), Node: c.nodeOf(sr.split(i)), ctx: c}
 		}
+		if tc.compute == 0 && tc.kinds == nil && tc.fetchLocal|tc.fetchRemote|tc.spill|tc.sharedRead == 0 {
+			empty[tc.Node]++
+			continue
+		}
 		spill += tc.spill
 		fetch += tc.fetchLocal + tc.fetchRemote
 		shared += tc.sharedRead
-		tasks[i] = sim.Task{
+		tasks = append(tasks, sim.Task{
 			Node:        tc.Node,
 			Compute:     tc.compute,
 			Threads:     tc.Threads(),
@@ -353,27 +365,33 @@ func (sr *stageRun) settle() {
 			FetchRemote: tc.fetchRemote,
 			Spill:       tc.spill,
 			SharedRead:  tc.sharedRead,
-		}
+		})
+		at = append(at, i)
 	}
+	sc.tasks, sc.at, sc.empty = tasks, at, empty
 	if c.tape != nil {
 		c.mu.Lock()
-		c.tape.recordStage(sr, tcs, tasks, spill, fetch, shared)
+		c.tape.recordStage(sr, spill, fetch, shared)
 		c.mu.Unlock()
 	}
 	if c.conf.Speculation {
-		tasks = c.speculate(tcs, tasks, sr.asOf)
+		c.speculate(sc, sr.asOf)
 	}
-	sr.scratch.tasks = tasks
 	sr.simulate(spill, fetch, shared)
 }
 
 // simulate is settle's tail, shared with Reprice: it runs the scratch's
 // tasks through the simulator and lands the report and the stage's bytes.
 func (sr *stageRun) simulate(spill, fetch, shared int64) {
-	c, tasks := sr.c, sr.scratch.tasks
+	c, sc := sr.c, sr.scratch
 	traced := c.obsv.TraceEnabled()
-	sr.scratch.sim.SkipLanes = !traced
-	rep := c.simul.RunStageReport(tasks, &sr.scratch.sim)
+	sc.sim.SkipLanes = !traced
+	rep := c.simul.RunStageReport(sc.tasks, sc.empty, &sc.sim)
+	empties := 0
+	for _, n := range sc.empty {
+		empties += n
+	}
+	ran := len(sc.tasks) + empties // the stage's tasks and speculative copies
 
 	c.mu.Lock()
 	c.bd.Compute += rep.Compute
@@ -391,7 +409,7 @@ func (sr *stageRun) simulate(spill, fetch, shared int64) {
 	if cp := c.obsv.CritPath(); cp.Enabled() {
 		cp.RecordStage(c.pid, obs.CritStage{
 			Start: rep.Start, End: rep.Start + rep.Total,
-			Attempt: sr.attempt, Speculative: len(tasks) - sr.parts,
+			Attempt: sr.attempt, Speculative: ran - sr.parts,
 			ShuffleIO: rep.ShuffleIO, SharedIO: rep.SharedIO, Compute: rep.Compute,
 		})
 	}
@@ -399,7 +417,7 @@ func (sr *stageRun) simulate(spill, fetch, shared int64) {
 		Clock: (rep.Start + rep.Total).Seconds(), Type: obs.EvStageComplete,
 		Stage: sr.stageID, Attempt: sr.attempt, Part: -1, Node: -1,
 		Shuffle: sr.shuffleID,
-		Detail:  fmt.Sprintf("%s dur=%s tasks=%d", sr.kind, rep.Total, len(tasks)),
+		Detail:  fmt.Sprintf("%s dur=%s tasks=%d", sr.kind, rep.Total, ran),
 	})
 
 	ev := StageEvent{
@@ -416,12 +434,15 @@ func (sr *stageRun) simulate(spill, fetch, shared int64) {
 		MaxTask:    rep.MaxTask,
 		MeanTask:   rep.MeanTask,
 	}
-	c.recordStageMetrics(ev, sr.scratch)
+	c.recordStageMetrics(ev, sc, empties)
 	if traced {
-		c.emitStageSpans(ev, rep)
+		for k := range rep.Tasks {
+			rep.Tasks[k].Index = sc.at[rep.Tasks[k].Index]
+		}
+		c.emitStageSpans(ev, rep, ran)
 	}
 	c.appendEvent(ev)
 	// rep dies here: its slices live in the scratch the next stage takes.
-	putStageScratch(sr.scratch)
+	putStageScratch(sc)
 	sr.scratch = nil
 }

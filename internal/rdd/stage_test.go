@@ -304,12 +304,14 @@ func TestContextForgetsRetiredShuffles(t *testing.T) {
 			t.Fatalf("pooled shuffle arrays still hold reduce partition %d's buckets", i)
 		}
 	}
-	for i, out := range a.outs[:cap(a.outs)] {
+	putShuffleArrays(a)
+	outs := mapOutsPool.Get().(*[]mapTaskOut)
+	for i, out := range (*outs)[:cap(*outs)] {
 		if out.buckets != nil {
-			t.Fatalf("pooled shuffle arrays still hold map task %d's output", i)
+			t.Fatalf("pooled map-output slots still hold map task %d's output", i)
 		}
 	}
-	putShuffleArrays(a)
+	mapOutsPool.Put(outs)
 	// Fastest of a window of jobs, so one scheduling hiccup does not decide.
 	early, late := slices.Min(walls[3:8]), slices.Min(walls[jobs-5:])
 	if float64(late) > 1.2*float64(early)+float64(200*time.Microsecond) {

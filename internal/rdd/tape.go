@@ -33,12 +33,13 @@ type Tape struct {
 	steps []func(c *Context, prices []Charge)
 }
 
-// stageTape is a recorded stage: every task's node, and the tasks that
-// moved bytes or charged calls, with the classes of their calls.
+// stageTape is a recorded stage: the tasks that moved bytes or charged
+// calls, with the classes of their calls, and how many empty tasks each
+// node ran.
 type stageTape struct {
 	sr                   stageRun
-	nodes                []int32
 	tasks                []tapeTask
+	empty                []int
 	spill, fetch, shared int64
 }
 
@@ -71,15 +72,13 @@ func (c *Context) StopTape() *Tape {
 	return t
 }
 
-// recordStage records a settling stage.
-func (t *Tape) recordStage(sr *stageRun, tcs []TaskContext, tasks []sim.Task, spill, fetch, shared int64) {
-	ts := &stageTape{nodes: make([]int32, len(tcs)), spill: spill, fetch: fetch, shared: shared,
+// recordStage records a settling stage from its scratch.
+func (t *Tape) recordStage(sr *stageRun, spill, fetch, shared int64) {
+	sc := sr.scratch
+	ts := &stageTape{tasks: make([]tapeTask, len(sc.tasks)), empty: slices.Clone(sc.empty), spill: spill, fetch: fetch, shared: shared,
 		sr: stageRun{kind: sr.kind, shuffleID: sr.shuffleID, parts: sr.parts, phase: sr.phase, stageID: sr.stageID, attempt: sr.attempt}}
-	for i, st := range tasks[:len(tcs)] {
-		ts.nodes[i] = int32(st.Node)
-		if tcs[i].kinds != nil || st.FetchLocal|st.FetchRemote|st.Spill|st.SharedRead != 0 {
-			ts.tasks = append(ts.tasks, tapeTask{i, st, tcs[i].kinds})
-		}
+	for j, i := range sc.at {
+		ts.tasks[j] = tapeTask{i, sc.tasks[j], sc.tcs[i].kinds}
 	}
 	t.steps = append(t.steps, func(c *Context, prices []Charge) { c.repriceStage(ts, prices) })
 }
@@ -93,24 +92,22 @@ func (c *Context) Reprice(t *Tape, prices []Charge) {
 	}
 }
 
-// repriceStage charges each task's calls on a TaskContext as its attempt
-// did and settles the stage; an empty task is what settle makes of one.
+// repriceStage charges each listed task's calls on a TaskContext as its
+// attempt did and settles the stage with the recorded empty tasks.
 func (c *Context) repriceStage(ts *stageTape, prices []Charge) {
 	sr := ts.sr
 	sr.c, sr.scratch = c, takeStageScratch(0)
-	tasks := slices.Grow(sr.scratch.tasks[:0], sr.parts)[:sr.parts]
-	for i, n := range ts.nodes {
-		tasks[i] = sim.Task{Node: int(n), Threads: 1}
-	}
+	sc := sr.scratch
+	tasks, at := sc.tasks[:0], sc.at[:0]
 	for _, tt := range ts.tasks {
 		tc := TaskContext{ctx: c}
 		for _, k := range tt.kinds {
 			tc.ChargeCall(k, prices[k])
 		}
-		st := &tasks[tt.idx]
-		*st = tt.task
+		st := tt.task
 		st.Compute, st.Threads, st.IdleThreads = tc.compute, tc.Threads(), tc.idleThreads
+		tasks, at = append(tasks, st), append(at, tt.idx)
 	}
-	sr.scratch.tasks = tasks
+	sc.tasks, sc.at, sc.empty = tasks, at, append(sc.empty[:0], ts.empty...)
 	sr.simulate(ts.spill, ts.fetch, ts.shared)
 }

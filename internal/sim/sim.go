@@ -199,7 +199,7 @@ func (s *Sim) DiskUsed(node int) int64 {
 // RunStage schedules one stage's tasks and advances the clock by the
 // stage's makespan (slowest node) plus the stage overhead.
 func (s *Sim) RunStage(tasks []Task) simtime.Duration {
-	return s.RunStageReport(tasks, nil).Total
+	return s.RunStageReport(tasks, nil, nil).Total
 }
 
 // Scratch holds what RunStageReport needs for one call, so a caller that
@@ -224,15 +224,19 @@ type Scratch struct {
 	SkipLanes bool
 }
 
-// Raw is the last report's task durations in the order of its Tasks,
-// whether or not they were scheduled.
+// Raw is the last report's listed (not counted) task durations in the
+// order of its Tasks, whether or not they were scheduled.
 func (sc *Scratch) Raw() []simtime.Duration { return sc.raw }
 
 // RunStageReport is RunStage plus the stage's observability report: the
 // critical-node time decomposition, the straggler-skew summary and the
 // per-task lane schedule the tracer renders. A nil Scratch allocates the
 // report afresh; with one, the report aliases it (see Scratch).
-func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
+//
+// empty[n] (nil: none) counts node n's empty tasks (no compute, no bytes)
+// beside tasks. They cost what listing them would, a launch each and a
+// share of MeanTask's divisor, but get no span (they move no lane clock).
+func (s *Sim) RunStageReport(tasks []Task, empty []int, sc *Scratch) StageReport {
 	if sc == nil {
 		sc = new(Scratch)
 	}
@@ -246,13 +250,18 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 	sc.spans = slices.Grow(sc.spans[:0], len(tasks))
 	rep := StageReport{Start: s.Clock, NodeIO: sc.perNode[:nodes:nodes]}
 	var makespan, rawSum simtime.Duration
-	lo := 0
+	lo, count := 0, 0
 	for n, hi := range sc.ends {
 		q, raw := sc.order[lo:hi], sc.raw[lo:hi]
 		lo = hi
-		if len(q) == 0 {
+		onNode := len(q)
+		if n < len(empty) {
+			onNode += empty[n]
+		}
+		if onNode == 0 {
 			continue
 		}
+		count += onNode
 		tr := s.nodeTraffic(tasks, q)
 		s.Ledger.Add(simtime.LocalDisk, tr.diskRead+tr.diskWrite)
 		s.Ledger.Add(simtime.Network, tr.net)
@@ -261,7 +270,7 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 		var l load
 		l, rawSum = s.nodeLoad(tasks, q, raw, rawSum)
 		fluid := s.fluidTime(l)
-		compute := fluid + s.launchTime(len(q))
+		compute := fluid + s.launchTime(onNode)
 		s.Ledger.Add(simtime.Compute, compute)
 		if l.longest > rep.MaxTask {
 			rep.MaxTask = l.longest
@@ -285,8 +294,8 @@ func (s *Sim) RunStageReport(tasks []Task, sc *Scratch) StageReport {
 
 	rep.Overhead = s.Model.StageOverhead()
 	rep.Total = makespan + rep.Overhead
-	if len(tasks) > 0 {
-		rep.MeanTask = rawSum / simtime.Duration(float64(len(tasks)))
+	if count > 0 {
+		rep.MeanTask = rawSum / simtime.Duration(float64(count))
 	}
 	rep.Tasks = sc.spans
 	s.Clock += rep.Total

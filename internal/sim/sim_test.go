@@ -151,7 +151,7 @@ func TestEmptyStage(t *testing.T) {
 
 func TestTaskCountLedger(t *testing.T) {
 	s := newSim(32)
-	rep := s.RunStageReport(make([]Task, 7), nil)
+	rep := s.RunStageReport(make([]Task, 7), nil, nil)
 	if len(rep.Tasks) != 7 || s.Clock != rep.Total || s.Ledger.Snapshot()[simtime.Overhead] != rep.Overhead {
 		t.Fatalf("one stage of 7 tasks: %d spans, clock %v, overhead %v of report %+v",
 			len(rep.Tasks), s.Clock, s.Ledger.Snapshot()[simtime.Overhead], rep)
@@ -188,7 +188,7 @@ func sameReport(a, b StageReport) bool {
 
 // TestScratchReportEqualsFreshReport: a report built on a Scratch — new,
 // dirty from a larger stage, too small, or far too large — equals the one
-// RunStageReport(tasks, nil) allocates, field by field, and leaves the
+// RunStageReport(tasks, nil, nil) allocates, field by field, and leaves the
 // simulator in the same state; Tasks lists the spans node by node, in
 // index order within a node; and the critical split sums to Total
 // exactly in the documented order.
@@ -209,8 +209,8 @@ func TestScratchReportEqualsFreshReport(t *testing.T) {
 		if round%3 == 2 {
 			sc = oversized
 		}
-		want := fresh.RunStageReport(tasks, nil)
-		got := scratched.RunStageReport(tasks, sc)
+		want := fresh.RunStageReport(tasks, nil, nil)
+		got := scratched.RunStageReport(tasks, nil, sc)
 		if !sameReport(got, want) {
 			t.Fatalf("round %d (%d tasks): report on scratch\n%+v\nwant\n%+v", round, n, got, want)
 		}
@@ -375,5 +375,79 @@ func TestLaneSchedule(t *testing.T) {
 	sc.laneSchedule(0, 8, []int{0, 1}, []simtime.Duration{2, 0}, load{sum: 2, busy: 1}, 2, 0)
 	if got := sc.spans; len(got) != 2 || got[0].Dur != 2 || got[1].Lane != 0 || got[1].Start != 2 {
 		t.Errorf("one busy task: spans = %+v", got)
+	}
+}
+
+// TestEmptyCountsEqualEmptyTasks: a stage given its empty tasks as
+// per-node counts reports, bit for bit, what it reports given them as
+// tasks — every StageReport field, the busy tasks' spans and raw
+// durations (the listed empties' are zero), and the simulator's clock,
+// ledger and disks — including when a node holding only empty tasks sets
+// the makespan with their launches.
+func TestEmptyCountsEqualEmptyTasks(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	listed, counted := roundSim(2), roundSim(2)
+	nodes := listed.Model.C.Nodes
+	for round, n := range []int{0, 1, 9, 64, 700, 2000} {
+		tasks := randomTasks(rng, n)
+		if round == 1 {
+			// Node 3 holds only empty tasks (7 wraps to 3): 1,000 launches
+			// on 2 slots take 5 s, against a 1 s task on node 0.
+			tasks = []Task{{Node: 0, Compute: 1, Threads: 1}}
+			for i := range 1000 {
+				tasks = append(tasks, Task{Node: 3 + 4*(i%2)})
+			}
+		}
+		var busy []Task
+		var at []int // at[j] is busy[j]'s index in tasks
+		empty := make([]int, nodes)
+		for i, tk := range tasks {
+			if tk.Compute == 0 && tk.FetchLocal|tk.FetchRemote|tk.Spill|tk.SharedRead == 0 {
+				empty[(tk.Node%nodes+nodes)%nodes]++
+				continue
+			}
+			busy, at = append(busy, tk), append(at, i)
+		}
+		var lsc, csc Scratch
+		want := listed.RunStageReport(tasks, nil, &lsc)
+		got := counted.RunStageReport(busy, empty, &csc)
+
+		// Keep the listed run's spans and raw durations of busy tasks,
+		// renumbered as the counted run numbers them.
+		renumber := make(map[int]int, len(at))
+		for j, i := range at {
+			renumber[i] = j
+		}
+		var spans []TaskSpan
+		var raw []simtime.Duration
+		for k, sp := range want.Tasks {
+			j, ok := renumber[sp.Index]
+			if !ok {
+				if lsc.Raw()[k] != 0 || sp.Dur != 0 {
+					t.Fatalf("round %d: empty task %d has raw %v, span %v", round, sp.Index, lsc.Raw()[k], sp.Dur)
+				}
+				continue
+			}
+			sp.Index = j
+			spans, raw = append(spans, sp), append(raw, lsc.Raw()[k])
+		}
+		if !slices.Equal(got.Tasks, spans) || !slices.Equal(csc.Raw(), raw) {
+			t.Fatalf("round %d: counted spans %+v raw %v\nlisted busy spans %+v raw %v", round, got.Tasks, csc.Raw(), spans, raw)
+		}
+		want.Tasks = got.Tasks
+		if !sameReport(got, want) {
+			t.Fatalf("round %d (%d tasks, %d busy): counted report\n%+v\nlisted\n%+v", round, n, len(busy), got, want)
+		}
+		if counted.Clock != listed.Clock || !maps.Equal(counted.Ledger.Snapshot(), listed.Ledger.Snapshot()) {
+			t.Fatalf("round %d: clock or ledger diverged", round)
+		}
+		for node := range nodes {
+			if counted.DiskUsed(node) != listed.DiskUsed(node) {
+				t.Fatalf("round %d: node %d staged %d bytes, listed %d", round, node, counted.DiskUsed(node), listed.DiskUsed(node))
+			}
+		}
+		if round == 1 && (got.Compute != counted.launchTime(1000) || got.ShuffleIO != 0 || got.MeanTask != simtime.Duration(1.0/1001)) {
+			t.Fatalf("only-empty node: compute %v shuffle %v mean %v; want the 5 s of launches to set the makespan", got.Compute, got.ShuffleIO, got.MeanTask)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package simtime
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -73,23 +74,37 @@ const (
 	Overhead  Category = "overhead"
 )
 
+// categories lists the Ledger categories; a category's position is its
+// slot in a Ledger.
+var categories = [...]Category{Compute, Network, LocalDisk, SharedFS, Overhead}
+
+// slot returns c's position in categories.
+func (c Category) slot() int {
+	if i := slices.Index(categories[:], c); i >= 0 {
+		return i
+	}
+	panic("simtime: unknown ledger category " + string(c))
+}
+
 // Ledger accumulates virtual time per category. It is safe for
 // concurrent use; tasks executing in parallel report into the job's
 // ledger.
 type Ledger struct {
-	mu   sync.Mutex
-	time map[Category]Duration
+	mu sync.Mutex
+	// Indexed by Category.slot; Snapshot lists only charged categories.
+	time    [len(categories)]Duration
+	charged [len(categories)]bool
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{time: make(map[Category]Duration)}
-}
+func NewLedger() *Ledger { return new(Ledger) }
 
 // Add charges d of virtual time to category c.
 func (l *Ledger) Add(c Category, d Duration) {
+	i := c.slot()
 	l.mu.Lock()
-	l.time[c] += d
+	l.time[i] += d
+	l.charged[i] = true
 	l.mu.Unlock()
 }
 
@@ -99,9 +114,11 @@ func (l *Ledger) Add(c Category, d Duration) {
 func (l *Ledger) Snapshot() map[Category]Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[Category]Duration, len(l.time))
-	for c, d := range l.time {
-		out[c] = d
+	out := make(map[Category]Duration, len(categories))
+	for i, c := range categories {
+		if l.charged[i] {
+			out[c] = l.time[i]
+		}
 	}
 	return out
 }
