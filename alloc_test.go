@@ -14,7 +14,7 @@ import (
 const (
 	fineSolveAllocs = 21_000
 	fineSolveBytes  = 5_600_000
-	tablesBytes     = 9_000_000
+	tablesBytes     = 7_000_000
 	// allocSlack is the headroom over a budget before it fails.
 	allocSlack = 1.10
 )

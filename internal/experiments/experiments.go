@@ -154,6 +154,7 @@ func run(c Cell, p rdd.Partitioner, sw *sweep) Result {
 		KernelThreads: c.KernelThreads,
 		Observer:      obsv,
 	})
+	defer ctx.Close()
 	cfg := core.Config{
 		Rule:            c.Bench.Rule(),
 		BlockSize:       c.Block,

@@ -138,6 +138,16 @@ func (f *FlightRecorder) Record(ev Event) {
 	f.mu.Unlock()
 }
 
+// Reserve makes room for n more events, up to the capacity, so that
+// recording them does not regrow the ring.
+func (f *FlightRecorder) Reserve(n int) {
+	f.mu.Lock()
+	if want := f.n + min(n, f.cap-f.n); cap(f.buf) < want {
+		f.buf = append(make([]Event, 0, want), f.buf...)
+	}
+	f.mu.Unlock()
+}
+
 // Len returns the number of events currently held.
 func (f *FlightRecorder) Len() int {
 	f.mu.Lock()

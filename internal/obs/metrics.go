@@ -239,7 +239,8 @@ func NewRegistry() *Registry {
 
 // lookup finds or creates the series for (name, labels) of the given type.
 func (r *Registry) lookup(name, typ string, l Labels) *series {
-	key := name + l.encode()
+	enc := l.encode()
+	key := name + enc
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if have, ok := r.types[name]; ok && have != typ {
@@ -248,7 +249,7 @@ func (r *Registry) lookup(name, typ string, l Labels) *series {
 	r.types[name] = typ
 	s, ok := r.series[key]
 	if !ok {
-		s = &series{family: name, labels: l.encode()}
+		s = &series{family: name, labels: enc}
 		r.series[key] = s
 	}
 	return s

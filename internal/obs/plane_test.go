@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -335,6 +336,36 @@ func TestFlightRingGrowsByDoubling(t *testing.T) {
 		if ev.Stage != 150+i {
 			t.Fatalf("snapshot[%d] is stage %d, want %d", i, ev.Stage, 150+i)
 		}
+	}
+}
+
+// TestFlightReserve: a ring reserved for n events records them without
+// regrowing, a reservation never takes it past its capacity, and what it
+// holds is what an unreserved ring holds.
+func TestFlightReserve(t *testing.T) {
+	f, g := NewFlightRecorder(100), NewFlightRecorder(100)
+	f.Reserve(40)
+	f.Record(Event{Stage: 0})
+	g.Record(Event{Stage: 0})
+	first := &f.buf[0]
+	for i := 1; i < 40; i++ {
+		f.Record(Event{Stage: i})
+		g.Record(Event{Stage: i})
+	}
+	if &f.buf[0] != first || cap(f.buf) != 40 {
+		t.Errorf("40 reserved events regrew the ring to %d", cap(f.buf))
+	}
+	f.Reserve(1000)
+	if c := cap(f.buf); c != 100 {
+		t.Errorf("reserving past the capacity of 100 made a ring of %d", c)
+	}
+	for i := 40; i < 250; i++ {
+		f.Record(Event{Stage: i})
+		g.Record(Event{Stage: i})
+	}
+	f.Reserve(10) // full: nothing to make room for
+	if !reflect.DeepEqual(f.Snapshot(), g.Snapshot()) || cap(f.buf) != 100 {
+		t.Errorf("a reserved ring holds %v, an unreserved one %v", f.Snapshot(), g.Snapshot())
 	}
 }
 

@@ -14,7 +14,14 @@ import (
 // memory exceeded) alongside the data.
 func (r *RDD[T]) Collect() ([]T, error) {
 	ctx := r.ds.ctx
-	out := slices.Concat(unboxAll[T](ctx.runJob(r.ds))...)
+	parts, n := ctx.runJob(r.ds), 0
+	for _, p := range parts {
+		n += len(unbox[T](p))
+	}
+	out := slices.Grow([]T(nil), n)
+	for _, p := range parts {
+		out = append(out, unbox[T](p)...)
+	}
 	bytes := sizeAll(out)
 	start := ctx.Clock()
 	ctx.AdvanceDriver(ctx.model.NetTime(bytes), simtime.Network)

@@ -19,8 +19,8 @@ func (r *RDD[T]) NumPartitions() int { return r.ds.parts }
 // generations' shuffle files). The materialization stage is charged like
 // any other.
 func (r *RDD[T]) Checkpoint() error {
-	_, err := r.CheckpointData()
-	return err
+	r.ds.checkpoint()
+	return r.ds.ctx.Err()
 }
 
 // CheckpointData checkpoints like Checkpoint and additionally returns
@@ -31,14 +31,15 @@ func (r *RDD[T]) Checkpoint() error {
 // the virtual clock are identical with and without a durable dir. The
 // rows are the engine's own partitions: read-only.
 func (r *RDD[T]) CheckpointData() ([][]T, error) {
-	ctx := r.ds.ctx
-	data := ctx.runJob(r.ds)
-	r.ds.source = data
-	r.ds.narrow = nil
-	r.ds.chunks = nil
-	r.ds.shuffle = nil
-	r.ds.deps = nil
-	return unboxAll[T](data), ctx.Err()
+	return unboxAll[T](r.ds.checkpoint()), r.ds.ctx.Err()
+}
+
+// checkpoint computes every partition of ds, makes them its source in
+// place of its lineage and returns them.
+func (ds *dataset) checkpoint() []partition {
+	data := ds.ctx.runJob(ds)
+	ds.source, ds.narrow, ds.chunks, ds.shuffle, ds.deps = data, nil, nil, nil, nil
+	return data
 }
 
 // Parallelize distributes records across parts partitions (round-robin,

@@ -196,7 +196,8 @@ func putShuffleArrays(a shuffleArrays) {
 
 // mapOutsPool recycles the slots where one execution's map tasks leave
 // their results for its merge, zero. They go back after the merge, not with
-// the shuffle's arrays: a Context's last keepShuffles shuffles never retire.
+// the shuffle's arrays, which a Context's last keepShuffles shuffles hold
+// until it is closed.
 var mapOutsPool = sync.Pool{New: func() any { return new([]mapTaskOut) }}
 
 // runMapStage executes the map side of a shuffle: one task per parent
@@ -231,7 +232,7 @@ func (c *Context) runMapStage(sd *shuffleDep) {
 	c.shuffles[sd.id] = st
 	c.live = append(c.live, st)
 	c.mu.Unlock()
-	c.retireOldShuffles()
+	c.retireShuffles(c.conf.keepShuffles)
 }
 
 // execMapTasks runs the map tasks of a shuffle and merges their buckets
@@ -537,16 +538,16 @@ func (c *Context) chargeFetch(tc *TaskContext, mapNode int, bytes int64) {
 	}
 }
 
-// retireOldShuffles drops staged data of all but the most recent
-// Conf.keepShuffles shuffles, freeing simulated disk and real memory. A
-// retired shuffle leaves the live list, its map entry becomes the
-// tombstone and its arrays and bucket slabs go to the free lists — once
-// no reader pins it (recycleIfUnpinned); a recovery of it that is still
-// running finishes first (recMu).
-func (c *Context) retireOldShuffles() {
+// retireShuffles drops staged data of all but the most recent keep
+// shuffles, freeing simulated disk and real memory. A retired shuffle
+// leaves the live list, its map entry becomes the tombstone and its arrays
+// and bucket slabs go to the free lists — once no reader pins it
+// (recycleIfUnpinned); a recovery of it that is still running finishes
+// first (recMu).
+func (c *Context) retireShuffles(keep int) {
 	c.mu.Lock()
 	var toRetire []*shuffleState
-	if n := len(c.live) - c.conf.keepShuffles; n > 0 {
+	if n := len(c.live) - keep; n > 0 {
 		toRetire = slices.Clone(c.live[:n])
 		c.live = slices.Delete(c.live, 0, n)
 		for _, st := range toRetire {

@@ -69,10 +69,13 @@ type Codec interface {
 // Conf.DurableDir is unset).
 func (c *Context) Store() *store.Store { return c.store }
 
-// Close drains and stops the durable store's spill writer (store.Close),
-// so a caller may remove DurableDir afterwards; a context without a store
-// holds nothing to close. Idempotent. Call it once no stage is running.
+// Close retires every shuffle the context still stages, handing their
+// arrays and bucket slabs to the next context, then drains and stops the
+// durable store's spill writer (store.Close), so a caller may remove
+// DurableDir afterwards. Idempotent. Call it once no stage is running and
+// no RDD of the context will be computed again.
 func (c *Context) Close() {
+	c.retireShuffles(0)
 	if c.store != nil {
 		c.store.Close()
 	}

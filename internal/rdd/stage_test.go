@@ -267,6 +267,28 @@ func liveShuffles(c *Context) (states, tombstones, listed int) {
 	return states, tombstones, len(c.live)
 }
 
+// TestCloseRetiresLiveShuffles: Close hands every shuffle the context still
+// stages back to the pools — a second Close finds none — and a job over one
+// of them then fails as over any retired shuffle.
+func TestCloseRetiresLiveShuffles(t *testing.T) {
+	ctx := NewContext(Conf{Substrate: slots(cluster.Local(4), 2)})
+	r := sizedJob(ctx, 3)
+	if _, err := r.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if states, _, listed := liveShuffles(ctx); states != 1 || listed != 1 {
+		t.Fatalf("before Close: %d shuffle states, %d listed live, want 1", states, listed)
+	}
+	ctx.Close()
+	ctx.Close()
+	if states, tombstones, listed := liveShuffles(ctx); states != 0 || listed != 0 || tombstones != 1 {
+		t.Errorf("after Close: %d states, %d tombstones, %d listed live, want 0, 1, 0", states, tombstones, listed)
+	}
+	if _, err := r.Collect(); err == nil || !strings.Contains(err.Error(), "was retired") {
+		t.Errorf("collecting over a closed context's shuffle: err = %v", err)
+	}
+}
+
 // TestContextForgetsRetiredShuffles: a Context reused for many jobs keeps
 // at most keepShuffles shuffle states — the rest are tombstones whose
 // arrays went back to the pool, pointing at no bucket slab — and a late

@@ -30,7 +30,8 @@ func (tc *TaskContext) ChargeCall(kind uint8, ch Charge) {
 // broadcast bytes and stages. It is faithful for one fault-free job that
 // charges all compute through ChargeCall and whose tasks never retried.
 type Tape struct {
-	steps []func(c *Context, prices []Charge)
+	steps  []func(c *Context, prices []Charge)
+	stages int
 }
 
 // stageTape is a recorded stage: the tasks that moved bytes or charged
@@ -81,12 +82,19 @@ func (t *Tape) recordStage(sr *stageRun, spill, fetch, shared int64) {
 		ts.tasks[j] = tapeTask{i, sc.tasks[j], sc.tcs[i].kinds}
 	}
 	t.steps = append(t.steps, func(c *Context, prices []Charge) { c.repriceStage(ts, prices) })
+	t.stages++
 }
 
 // Reprice feeds t to c, a fresh context on the recorded run's cluster,
 // through advanceDriver and settle's tail, each recorded call of class k
 // charged at prices[k] in the recorded order.
 func (c *Context) Reprice(t *Tape, prices []Charge) {
+	// Each stage appends one stage event and one flight record: size both
+	// logs once instead of regrowing them stage by stage.
+	c.mu.Lock()
+	c.events = slices.Grow(c.events, t.stages)
+	c.mu.Unlock()
+	c.obsv.Flight().Reserve(t.stages)
 	for _, step := range t.steps {
 		step(c, prices)
 	}
