@@ -484,8 +484,8 @@ func BenchmarkStoreCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkTileCodec prices the record codec the durable shuffle runs on
-// every staged tile: one b=128 grid-block record (128 KiB of payload)
+// BenchmarkTileCodec prices the bucket codec the durable shuffle runs on
+// every staged bucket: one b=128 grid-block record (128 KiB of payload)
 // encoded into an exactly sized buffer, and decoded back into a fresh
 // tile. B/op is the point: encode allocates the buffer once, decode the
 // tile once.
@@ -496,24 +496,24 @@ func BenchmarkTileCodec(b *testing.B) {
 		tile.Data[i] = rng.Float64()
 	}
 	codec := core.TileCodec{}
-	rec := rdd.KV(matrix.Coord{I: 3, J: 5}, tile)
-	size, _ := codec.EncodedLen(rec)
+	bucket := []core.Block{rdd.KV(matrix.Coord{I: 3, J: 5}, tile)}
+	size, _ := codec.EncodedLen(bucket)
 	b.Run("encode/b128", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(size))
 		for i := 0; i < b.N; i++ {
-			if enc, ok := codec.Append(make([]byte, 0, size), rec); !ok || len(enc) != size {
+			if enc, ok := codec.Append(make([]byte, 0, size), bucket); !ok || len(enc) != size {
 				b.Fatalf("encoded %d bytes, ok=%v; want %d", len(enc), ok, size)
 			}
 		}
 	})
 	b.Run("decode/b128", func(b *testing.B) {
-		enc, _ := codec.Append(nil, rec)
+		enc, _ := codec.Append(nil, bucket)
 		b.ReportAllocs()
 		b.SetBytes(int64(size))
 		for i := 0; i < b.N; i++ {
-			if _, rest, err := codec.Decode(enc); err != nil || len(rest) != 0 {
-				b.Fatalf("decode: %v, %d bytes left", err, len(rest))
+			if dec, err := codec.Decode(enc, []core.Block(nil)); err != nil || len(dec.([]core.Block)) != 1 {
+				b.Fatalf("decode: %v", err)
 			}
 		}
 	})

@@ -2,9 +2,10 @@ package rdd
 
 import "fmt"
 
-// Record is one record, boxed, as the spill Codec sees it. The engine
-// itself never boxes a record, only whole partitions.
-type Record = any
+// Bucket is one staged bucket's records, a []T behind a single interface
+// value, as the spill Codec sees it. The engine never boxes a single
+// record, only whole partitions and buckets.
+type Bucket = any
 
 // partition is one materialised partition of an RDD[T]: a []T behind a
 // single interface value, nil when empty. The typed transformations box

@@ -29,10 +29,11 @@ import (
 // only once it lives on disk, where the store verifies its checksum and
 // where seeded corruption lands (Store.Corrupt drops the memory copy).
 // Which way a read goes depends on the spill writer's timing, so the two
-// must agree: decoded records are fresh copies, but the codec preserves
-// the tiles' ownership generation tags, so the clone-elision replay
-// semantics (and therefore the bits) are identical to the pointer-sharing
-// in-place read.
+// must agree: decoded records are fresh copies (records of one bucket
+// whose shared payload the codec wrote once share its one decoded copy),
+// but the codec preserves the tiles' ownership generation tags, so the
+// clone-elision replay semantics (and therefore the bits) are identical
+// to the pointer-sharing in-place read.
 //
 // Staging is split in two: the map task that produced a bucket encodes
 // it (bucketPairs — in parallel across the stage's task workers, off the
@@ -43,26 +44,31 @@ import (
 // still happens in one deterministic sequence; the encode has no
 // observable order.
 
-// Codec serializes records for the durable block store. The engine is
-// type-agnostic, so the consumer supplies the codec (core's TileCodec
-// covers the DP drivers' pair-of-tile records).
+// Codec serializes whole buckets for the durable block store: the unit the
+// store holds, checksums and writes. A bucket is one []T of records
+// behind a single interface value (Bucket); the engine is type-agnostic,
+// so the consumer supplies the codec (core's TileCodec covers the DP
+// drivers' pair-of-tile records). Seeing the whole bucket lets a codec
+// write a payload that several records share once.
 //
-// EncodedLen and Append must agree: for every record EncodedLen accepts,
+// EncodedLen and Append must agree: for every bucket EncodedLen accepts,
 // Append accepts it too and appends exactly that many bytes. The engine
-// sizes a whole bucket with EncodedLen first, allocates once and panics
-// if Append's output disagrees — a codec bug, not a data condition. Both
-// may be called from many task goroutines at once.
+// sizes a bucket with EncodedLen first, allocates once and panics if
+// Append's output disagrees — a codec bug, not a data condition. All
+// three may be called from many task goroutines at once.
 type Codec interface {
-	// EncodedLen returns the exact number of bytes Append writes for rec;
-	// ok=false means the codec does not handle this record, which leaves
-	// the whole bucket (or broadcast) memory-resident.
-	EncodedLen(rec Record) (n int, ok bool)
-	// Append encodes rec onto dst and reports whether the codec handles
-	// this record type.
-	Append(dst []byte, rec Record) ([]byte, bool)
-	// Decode decodes one record from the front of b, returning the rest.
-	// Corrupted input must error, never panic.
-	Decode(b []byte) (Record, []byte, error)
+	// EncodedLen returns the exact number of bytes Append writes for
+	// bucket; ok=false means the codec does not handle one of its records
+	// (or its record type), which leaves the whole bucket (or broadcast)
+	// memory-resident.
+	EncodedLen(bucket Bucket) (n int, ok bool)
+	// Append encodes bucket onto dst and reports whether the codec
+	// handles it.
+	Append(dst []byte, bucket Bucket) ([]byte, bool)
+	// Decode decodes every byte of b, one encoded bucket, appending its
+	// records to into — a []T of the encoded bucket's record type — and
+	// returns the extended slice. Corrupted input must error, never panic.
+	Decode(b []byte, into Bucket) (Bucket, error)
 }
 
 // Store exposes the context's durable block store (nil when
@@ -101,29 +107,17 @@ func shufflePrefix(shuffleID int) string {
 	return fmt.Sprintf("shuffle/%d/", shuffleID)
 }
 
-// encodeExact serializes recs into one exactly sized buffer — the only
-// place records are boxed, for the Codec. A first pass over EncodedLen
-// sizes it and makes the all-or-nothing decision — ok=false if any record
-// is nil or the codec declines it — before a byte is written.
-func encodeExact[T any](codec Codec, recs []T) ([]byte, bool) {
-	size := 0
-	for i := range recs {
-		r := Record(recs[i])
-		if r == nil {
-			return nil, false
-		}
-		m, ok := codec.EncodedLen(r)
-		if !ok {
-			return nil, false
-		}
-		size += m
+// encodeExact serializes bucket into one exactly sized buffer. EncodedLen
+// sizes it and makes the all-or-nothing decision — ok=false if the codec
+// declines any record — before a byte is written.
+func encodeExact(codec Codec, bucket Bucket) ([]byte, bool) {
+	size, ok := codec.EncodedLen(bucket)
+	if !ok {
+		return nil, false
 	}
-	dst := make([]byte, 0, size)
-	for i := range recs {
-		var ok bool
-		if dst, ok = codec.Append(dst, recs[i]); !ok {
-			panic(fmt.Sprintf("rdd: codec %T sized record %d of %d but declined to encode it", codec, i, len(recs)))
-		}
+	dst, ok := codec.Append(make([]byte, 0, size), bucket)
+	if !ok {
+		panic(fmt.Sprintf("rdd: codec %T sized a bucket but declined to encode it", codec))
 	}
 	if len(dst) != size {
 		panic(fmt.Sprintf("rdd: codec %T wrote %d bytes, EncodedLen promised %d", codec, len(dst), size))
@@ -149,21 +143,12 @@ func readStoredBucket[K comparable, V any](c *Context, st *shuffleState, ref buc
 	if err != nil {
 		panic(st.fetchFailed(ref, true))
 	}
-	codec := c.conf.SpillCodec
-	n := 0
-	for len(blob) > 0 {
-		rec, rest, err := codec.Decode(blob)
-		if err != nil {
-			panic(st.fetchFailed(ref, true))
-		}
-		out = append(out, rec.(Pair[K, V]))
-		blob = rest
-		n++
-	}
-	if n != ref.n {
+	dec, err := c.conf.SpillCodec.Decode(blob, out)
+	recs, ok := dec.([]Pair[K, V])
+	if err != nil || !ok || len(recs)-len(out) != ref.n {
 		panic(st.fetchFailed(ref, true))
 	}
-	return out
+	return recs
 }
 
 // EngineState is the restartable slice of a context's scheduler state: a

@@ -20,30 +20,40 @@ import (
 // corruption must flow into the FetchFailed → partial-recompute path,
 // and the new Conf knobs must be validated in normalize.
 
-// intPairCodec serializes Pair[int, int] records as two u64s — the
-// engine-level stand-in for core's tile codec (rdd cannot import core).
+// intPairCodec serializes buckets of Pair[int, int] records as two u64s
+// per record — the engine-level stand-in for core's tile codec (rdd
+// cannot import core).
 type intPairCodec struct{}
 
-func (intPairCodec) EncodedLen(rec Record) (int, bool) {
-	_, ok := rec.(Pair[int, int])
-	return 16, ok
+func (intPairCodec) EncodedLen(bucket Bucket) (int, bool) {
+	recs, ok := bucket.([]Pair[int, int])
+	return 16 * len(recs), ok
 }
 
-func (intPairCodec) Append(dst []byte, rec Record) ([]byte, bool) {
-	p, ok := rec.(Pair[int, int])
+func (intPairCodec) Append(dst []byte, bucket Bucket) ([]byte, bool) {
+	recs, ok := bucket.([]Pair[int, int])
 	if !ok {
 		return dst, false
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Key))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Value))
+	for _, p := range recs {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Key))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Value))
+	}
 	return dst, true
 }
 
-func (intPairCodec) Decode(b []byte) (Record, []byte, error) {
-	if len(b) < 16 {
-		return nil, nil, fmt.Errorf("intPairCodec: %d bytes left, want 16", len(b))
+func (intPairCodec) Decode(b []byte, into Bucket) (Bucket, error) {
+	out, ok := into.([]Pair[int, int])
+	if !ok {
+		return nil, fmt.Errorf("intPairCodec: cannot decode into %T", into)
 	}
-	return KV(int(binary.LittleEndian.Uint64(b)), int(binary.LittleEndian.Uint64(b[8:]))), b[16:], nil
+	if len(b)%16 != 0 {
+		return nil, fmt.Errorf("intPairCodec: %d bytes, not whole 16-byte records", len(b))
+	}
+	for ; len(b) > 0; b = b[16:] {
+		out = append(out, KV(int(binary.LittleEndian.Uint64(b)), int(binary.LittleEndian.Uint64(b[8:]))))
+	}
+	return out, nil
 }
 
 // durableConf is a 2×2 cluster Conf with the block store enabled.
@@ -175,15 +185,15 @@ func TestCorruptionPlusCrashSameRun(t *testing.T) {
 	}
 }
 
-// countingCodec is intPairCodec counting its Decode calls.
+// countingCodec is intPairCodec counting the records it decodes.
 type countingCodec struct {
 	intPairCodec
 	decodes *atomic.Int64
 }
 
-func (c countingCodec) Decode(b []byte) (Record, []byte, error) {
-	c.decodes.Add(1)
-	return c.intPairCodec.Decode(b)
+func (c countingCodec) Decode(b []byte, into Bucket) (Bucket, error) {
+	c.decodes.Add(int64(len(b) / 16))
+	return c.intPairCodec.Decode(b, into)
 }
 
 // TestStagedBucketsDecodeOnlyFromDisk: a staged bucket is read in place

@@ -3,6 +3,7 @@ package rdd
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -14,27 +15,27 @@ import (
 
 func TestIntPairCodecEncodedLenExact(t *testing.T) {
 	codec := intPairCodec{}
-	for _, rec := range []Record{KV(0, 0), KV(-1, 1<<40)} {
-		n, ok := codec.EncodedLen(rec)
-		enc, aok := codec.Append(nil, rec)
+	for _, bucket := range []Bucket{[]Pair[int, int]{KV(0, 0)}, []Pair[int, int]{KV(0, 0), KV(-1, 1<<40)}} {
+		n, ok := codec.EncodedLen(bucket)
+		enc, aok := codec.Append(nil, bucket)
 		if !ok || !aok || n != len(enc) {
-			t.Fatalf("%v: EncodedLen = %d, %v; Append wrote %d bytes, %v", rec, n, ok, len(enc), aok)
+			t.Fatalf("%v: EncodedLen = %d, %v; Append wrote %d bytes, %v", bucket, n, ok, len(enc), aok)
 		}
 	}
-	for _, rec := range []Record{KV("a", 1), 7, nil} {
-		if _, ok := codec.EncodedLen(rec); ok {
-			t.Fatalf("EncodedLen accepted %#v", rec)
+	for _, bucket := range []Bucket{[]Pair[string, int]{KV("a", 1)}, []int{7}, nil} {
+		if _, ok := codec.EncodedLen(bucket); ok {
+			t.Fatalf("EncodedLen accepted %#v", bucket)
 		}
-		if _, ok := codec.Append(nil, rec); ok {
-			t.Fatalf("Append accepted %#v", rec)
+		if _, ok := codec.Append(nil, bucket); ok {
+			t.Fatalf("Append accepted %#v", bucket)
 		}
 	}
 }
 
-// hookCodec is intPairCodec with two test hooks: records whose key is
-// decline are refused, and the first Append of the record whose key is
-// kill panics right after encoding it — a map task dying with encoded
-// buckets in hand.
+// hookCodec is intPairCodec with two test hooks: a bucket holding a
+// record whose key is decline is refused, and the first Append of a
+// bucket holding the record whose key is kill panics right after encoding
+// it — a map task dying with encoded buckets in hand.
 type hookCodec struct {
 	intPairCodec
 	decline int
@@ -42,20 +43,25 @@ type hookCodec struct {
 	killed  *atomic.Bool
 }
 
-func (c hookCodec) EncodedLen(rec Record) (int, bool) {
-	if p, ok := rec.(Pair[int, int]); ok && p.Key == c.decline {
-		return 0, false
-	}
-	return c.intPairCodec.EncodedLen(rec)
+// holds reports whether bucket has a record with the given key.
+func (hookCodec) holds(bucket Bucket, key int) bool {
+	recs, _ := bucket.([]Pair[int, int])
+	return slices.ContainsFunc(recs, func(p Pair[int, int]) bool { return p.Key == key })
 }
 
-func (c hookCodec) Append(dst []byte, rec Record) ([]byte, bool) {
-	p, ok := rec.(Pair[int, int])
-	if ok && p.Key == c.decline {
+func (c hookCodec) EncodedLen(bucket Bucket) (int, bool) {
+	if c.holds(bucket, c.decline) {
+		return 0, false
+	}
+	return c.intPairCodec.EncodedLen(bucket)
+}
+
+func (c hookCodec) Append(dst []byte, bucket Bucket) ([]byte, bool) {
+	if c.holds(bucket, c.decline) {
 		return dst, false
 	}
-	dst, ok = c.intPairCodec.Append(dst, rec)
-	if ok && p.Key == c.kill && c.killed.CompareAndSwap(false, true) {
+	dst, ok := c.intPairCodec.Append(dst, bucket)
+	if ok && c.holds(bucket, c.kill) && c.killed.CompareAndSwap(false, true) {
 		panic("hookCodec: task killed after encoding")
 	}
 	return dst, ok
@@ -87,16 +93,14 @@ func TestStagingAllOrNothingPerBucket(t *testing.T) {
 	// Pick a bucket with several records and decline its last one.
 	victim, decline := "", 0
 	for _, key := range base.Store().Keys(shufflePrefix(0)) {
-		var recs []Pair[int, int]
+		dec, err := intPairCodec{}.Decode(all[key], []Pair[int, int](nil))
+		if err != nil {
+			t.Fatalf("decode %q: %v", key, err)
+		}
+		recs := dec.([]Pair[int, int])
 		var naive []byte
-		for rest := all[key]; len(rest) > 0; {
-			rec, r, err := intPairCodec{}.Decode(rest)
-			if err != nil {
-				t.Fatalf("decode %q: %v", key, err)
-			}
-			recs = append(recs, rec.(Pair[int, int]))
-			naive, _ = intPairCodec{}.Append(naive, rec)
-			rest = r
+		for _, rec := range recs {
+			naive, _ = intPairCodec{}.Append(naive, []Pair[int, int]{rec})
 		}
 		if !bytes.Equal(naive, all[key]) {
 			t.Fatalf("block %q is not the plain concatenation of its records", key)
