@@ -12,8 +12,8 @@ import (
 // Across GOMAXPROCS 1–8 the measured values stay within 5 % of these;
 // sync.Pool keeps its objects per P, so CI checks them at 1, 2 and 8.
 const (
-	fineSolveAllocs = 21_000
-	fineSolveBytes  = 5_600_000
+	fineSolveAllocs = 20_300
+	fineSolveBytes  = 5_300_000
 	tablesBytes     = 7_000_000
 	// allocSlack is the headroom over a budget before it fails.
 	allocSlack = 1.10

@@ -408,10 +408,10 @@ func (run *runner) prices() (p [4]rdd.Charge) {
 	return p
 }
 
-// newKernelRunner builds the run's kernel applicator: the configured
-// exec, and everything about a kernel call that is the same for every
-// call of the run, resolved once here — the per-kind metric handles and
-// prices.
+// newKernelRunner builds the run's kernel applicator: everything about a
+// kernel call that is the same for every call of the run, resolved once
+// here — the configured exec's call per kind on the run's b×b tiles, the
+// only size its grid holds, and the per-kind metric handles and prices.
 func (run *runner) newKernelRunner() *kernelRunner {
 	var e kernels.PoolExec
 	if run.cfg.RecursiveKernel {
@@ -420,8 +420,13 @@ func (run *runner) newKernelRunner() *kernelRunner {
 		e = kernels.NewIterativePool(run.cfg.Rule, run.ctx.KernelThreads())
 	}
 	reg := run.ctx.Observer().Metrics()
-	kr := &kernelRunner{exec: e, price: run.prices()}
+	kr := &kernelRunner{price: run.prices()}
 	for kind := semiring.KindA; kind <= semiring.KindD; kind++ {
+		if it, ok := e.(kernels.Iterative); ok {
+			kr.call[kind] = it.Resolve(kind, run.cfg.BlockSize)
+		} else {
+			kr.call[kind] = func(pool *kernels.Pool, x, u, v, w *matrix.Tile) { e.ApplyWith(pool, kind, x, u, v, w) }
+		}
 		l := obs.Labels{"exec": e.Name(), "kind": kind.String()}
 		kr.m[kind] = kindMetrics{
 			calls: reg.Counter("dpspark_kernel_calls_total", l),
@@ -446,9 +451,10 @@ type kindMetrics struct {
 
 // kernelRunner applies kernels for one driver run.
 type kernelRunner struct {
-	// exec runs real-tile invocations with the task node's shared
-	// kernel pool.
-	exec kernels.PoolExec
+	// call runs a real-tile invocation of each kind with the task node's
+	// shared kernel pool: the iterative exec's resolved call, the
+	// recursive exec's ApplyWith.
+	call [4]func(pool *kernels.Pool, x, u, v, w *matrix.Tile)
 	// price is the cost model's answer per kind (runner.prices).
 	price [4]rdd.Charge
 	m     [4]kindMetrics
@@ -630,7 +636,7 @@ func (kr *kernelRunner) apply(tc *rdd.TaskContext, gen uint32, kind semiring.Kin
 
 // run executes one kernel on real tiles.
 func (kr *kernelRunner) run(tc *rdd.TaskContext, kind semiring.Kind, x, u, v, w *matrix.Tile) {
-	kr.exec.ApplyWith(tc.KernelPool(), kind, x, u, v, w)
+	kr.call[kind](tc.KernelPool(), x, u, v, w)
 }
 
 // kernelSecondsBuckets spans sub-millisecond base cases to multi-minute

@@ -27,10 +27,12 @@ import "dpspark/internal/matrix"
 // exactly the AVX2 code they ran before the tier existed. fw_im_fine is
 // all 8-column calls; an early build without the gate lost it in 3 of 3
 // paired runs by about 2.7 %, though on this code an ungated build read
-// it flat (EXPERIMENTS.md, "An AVX-512 tier"). The split is done at the
-// call sites, not in a helper: one more call level per brick made a
-// b = 8 min-plus kind-D call 1.16× slower. Every lane computes the same
-// expression in both tiers, so the bits never depend on the host.
+// it flat (EXPERIMENTS.md, "An AVX-512 tier"). Every lane computes the
+// same expression in both tiers, so the bits never depend on the host.
+// Call levels count at b = 8 (one more per brick once cost 1.16×), so
+// min-plus has one brick sequence, minPlusBricks, whose bricks loop over
+// the row quads themselves, and a resolved kind-D call is that helper
+// alone (EXPERIMENTS.md, "One kind-D call resolved per run").
 //
 // The blocked paths read u and v in place only when x aliases neither.
 // For kinds A, B and C, Fig. 4 wires x into the operand list (u = v = w =
@@ -81,9 +83,10 @@ const (
 // sameView reports whether two views address the same region. Views
 // produced by the tile/quadrant decomposition are identical or disjoint,
 // never partially overlapping, so first-element identity is exact.
-func sameView(a, b matrix.View) bool {
-	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
-}
+func sameView(a, b matrix.View) bool { return sameData(a.Data, b.Data) }
+
+// sameData reports whether two slices start at the same element.
+func sameData(a, b []float64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // diagChunk is how many of w's diagonal entries gaussMultipliers copies
 // into its stack row at a time.
@@ -249,36 +252,53 @@ func minPlusBand(x, u, v matrix.View, i0, i1 int) {
 // kind D, captured rows for kinds A and B (loopMinPlusPivotRows).
 // Neither may alias the elements written.
 func minPlusKBlocks(x matrix.View, s []float64, sstride int, vb []float64, vstride, k0, k1, i0, i1, j0, j1 int) {
+	if i0 >= i1 {
+		return
+	}
 	for kb := k0; kb < k1; kb += kBlock {
-		kHi := min(kb+kBlock, k1)
-		v, sk := vb[(kb-k0)*vstride:], s[kb-k0:]
 		for jt := j0; jt < j1; jt += jBlock {
-			jHi := min(jt+jBlock, j1)
-			i := i0
-			if simd >= simdAVX2 && jHi-jt >= 8 {
-				jv := jt + (jHi-jt)&^7
-				jz := brickSplit(jt, jv)
-				for ; i+4 <= i1; i += 4 {
-					xi, si := x.Data[i*x.Stride:], sk[i*sstride:]
-					if jz > jt {
-						minplusBrickAVX512(xi[jt:], si, v[jt:], x.Stride, sstride, vstride, kHi-kb, jz-jt)
-					}
-					if jv > jz {
-						minplusBrickAVX2(xi[jz:], si, v[jz:], x.Stride, sstride, vstride, kHi-kb, jv-jz)
-					}
-					for k := kb; jv < jHi && k < kHi; k++ {
-						minPlusPanel(x.Data[i*x.Stride+jv:], si[k-kb:],
-							v[(k-kb)*vstride+jv:], x.Stride, sstride, 4, jHi-jv)
-					}
-				}
+			minPlusBricks(x.Data[i0*x.Stride+jt:], s[i0*sstride+kb-k0:], vb[(kb-k0)*vstride+jt:],
+				x.Stride, sstride, vstride, i1-i0, min(kBlock, k1-kb), min(jBlock, j1-jt))
+		}
+	}
+}
+
+// minPlusBricks is the package's one min-plus brick sequence, for one
+// k-block and column tile: x[r,j] = min(x[r,j], s[r*sstride+k] +
+// v[k*vstride+j]) for r < rows, j < jlen, k < klen ascending; x, s and v
+// point at the first element touched, and s and v must not alias x. The
+// whole row quads take one brick call per tier (brickSplit), a column
+// tail the panels a quad at a time, remainder rows (all rows without
+// AVX2) the panels a row at a time. Each element sees its k in order in
+// one of them, so their order changes no bit. A min-plus kind-D call on
+// at most kBlock is one call of it (loopMinPlus, Iterative.Resolve).
+func minPlusBricks(x, s, v []float64, xstride, sstride, vstride, rows, klen, jlen int) {
+	if rows <= 0 || klen <= 0 || jlen <= 0 {
+		return
+	}
+	// The assembly does no bounds checks; these are its last accesses.
+	_, _, _ = x[(rows-1)*xstride+jlen-1], s[(rows-1)*sstride+klen-1], v[(klen-1)*vstride+jlen-1]
+	i := 0
+	if simd >= simdAVX2 && jlen >= 8 && rows >= 4 {
+		jv := jlen &^ 7
+		jz := brickSplit(0, jv)
+		i = rows &^ 3
+		if jz > 0 {
+			minplusBrickAVX512(x, s, v, xstride, sstride, vstride, i, klen, jz)
+		}
+		if jv > jz {
+			minplusBrickAVX2(x[jz:], s, v[jz:], xstride, sstride, vstride, i, klen, jv-jz)
+		}
+		for q := 0; jv < jlen && q < i; q += 4 {
+			for k := 0; k < klen; k++ {
+				minPlusPanel(x[q*xstride+jv:], s[q*sstride+k:], v[k*vstride+jv:], xstride, sstride, 4, jlen-jv)
 			}
-			// Row-outer so a remainder row stays in L1 across the k block.
-			for ; i < i1; i++ {
-				for k := kb; k < kHi; k++ {
-					minPlusPanel(x.Data[i*x.Stride+jt:], sk[i*sstride+k-kb:],
-						v[(k-kb)*vstride+jt:], x.Stride, sstride, 1, jHi-jt)
-				}
-			}
+		}
+	}
+	// Row-outer so a remainder row stays in L1 across the k block.
+	for ; i < rows; i++ {
+		for k := 0; k < klen; k++ {
+			minPlusPanel(x[i*xstride:], s[i*sstride+k:], v[k*vstride:], xstride, sstride, 1, jlen)
 		}
 	}
 }

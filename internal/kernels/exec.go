@@ -104,6 +104,29 @@ func (e Iterative) ApplyWith(pool *Pool, kind semiring.Kind, x, u, v, w *matrix.
 	e.loop(pool, kind, x.View(), u.View(), v.View(), w.View())
 }
 
+// Resolve returns the kernel of one kind on b×b tiles as a direct call,
+// for a caller that makes many calls of one shape: the engine's kernel
+// runner resolves the four kinds once per run. Every call gives
+// ApplyWith's bits. Min-plus kind D with b ≤ kBlock is the brick
+// sequence itself (minPlusBricks, on every tier), reading the tiles'
+// data in place; an operand that is x itself, missing, or not b×b takes
+// ApplyWith instead. Every other rule, kind and size is ApplyWith with
+// the kind fixed.
+func (e Iterative) Resolve(kind semiring.Kind, b int) func(pool *Pool, x, u, v, w *matrix.Tile) {
+	apply := func(pool *Pool, x, u, v, w *matrix.Tile) { e.ApplyWith(pool, kind, x, u, v, w) }
+	if kind != semiring.KindD || b > kBlock || !isMinPlus(e.rule) {
+		return apply
+	}
+	return func(pool *Pool, x, u, v, w *matrix.Tile) {
+		if u == nil || v == nil || x.B != b || u.B != b || v.B != b || w != nil && w.B != b ||
+			sameData(x.Data, u.Data) || sameData(x.Data, v.Data) {
+			apply(pool, x, u, v, w)
+			return
+		}
+		minPlusBricks(x.Data, u.Data, v.Data, b, b, b, b, b, b)
+	}
+}
+
 // RecursiveExec runs the r_shared-way recursive R-DP kernels on a worker
 // pool of Threads goroutines (the OMP_NUM_THREADS analogue).
 type RecursiveExec struct {

@@ -35,17 +35,22 @@ type loopFunc func(pool *Pool, kind semiring.Kind, x, u, v, w matrix.View)
 // element update, which dominates real-mode runs. The fast paths are
 // semantically identical (TestLoopFastPathsMatchGeneric pins this).
 func resolveLoop(rule semiring.Rule) loopFunc {
-	switch r := rule.(type) {
-	case semiring.SemiringRule:
-		if r.S.Name() == "min-plus" {
-			return loopMinPlus
-		}
-	case semiring.GaussianRule:
+	if isMinPlus(rule) {
+		return loopMinPlus
+	}
+	if _, ok := rule.(semiring.GaussianRule); ok {
 		return loopGaussian
 	}
 	return func(pool *Pool, kind semiring.Kind, x, u, v, w matrix.View) {
 		loopGeneric(rule, pool, kind, x, u, v, w)
 	}
+}
+
+// isMinPlus reports whether rule is the min-plus semiring's, which runs
+// loopMinPlus.
+func isMinPlus(rule semiring.Rule) bool {
+	r, ok := rule.(semiring.SemiringRule)
+	return ok && r.S.Name() == "min-plus"
 }
 
 // loopGeneric is the per-element update through the rule's interface.
@@ -107,11 +112,14 @@ func loopMinPlus(pool *Pool, _ semiring.Kind, x, u, v, _ matrix.View) {
 	xu, xv := sameView(x, u), sameView(x, v)
 	n := x.N
 	if !xu && !xv {
-		if bands(pool, n) {
+		switch {
+		case n <= kBlock:
+			minPlusBricks(x.Data, u.Data, v.Data, x.Stride, u.Stride, v.Stride, n, n, n)
+		case bands(pool, n):
 			bandParallel(pool, n, func(i0, i1 int) {
 				minPlusBand(x, u, v, i0, i1)
 			})
-		} else {
+		default:
 			minPlusBand(x, u, v, 0, n)
 		}
 		return

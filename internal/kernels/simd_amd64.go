@@ -8,7 +8,9 @@ package kernels
 // blocked fast paths: they operate on a 4-row × jlen-column × klen-pivot
 // brick whose per-(row,k) scalar operands they read in place from b, row
 // r at b[r·bstride] — u for min-plus, the multiplier panel for GE (see
-// blocked.go). The panels serve the ordered (aliased) loops and the
+// blocked.go). The min-plus bricks take rows, a positive multiple of 4,
+// and run one such brick per row quad, so a call covers every whole quad
+// of a block. The panels serve the ordered (aliased) loops and the
 // bricks' column tails: one pivot, any number of rows, any number of
 // columns. All of them are bit-identical to the scalar bodies they
 // replace:
@@ -96,10 +98,11 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // minplusBrickAVX2 applies x[r,j] = min(x[r,j], b[r*bstride+k] + v[k,j])
-// for r in [0,4), j in [0,jlen), k in [0,klen), ascending k per element.
+// for r in [0,rows), j in [0,jlen), k in [0,klen), ascending k per
+// element, four rows at a time (rows a positive multiple of 4).
 //
 //go:noescape
-func minplusBrickAVX2(x, b, v []float64, xstride, bstride, vstride, klen, jlen int)
+func minplusBrickAVX2(x, b, v []float64, xstride, bstride, vstride, rows, klen, jlen int)
 
 // gaussBrickAVX2 applies x[r,j] -= b[r*bstride+k] * v[k,j] for r in
 // [0,4), j in [0,jlen), k in [0,klen), ascending k per element, unfused.
@@ -123,7 +126,7 @@ func gaussPanelAVX2(x, u, v []float64, w float64, xstride, ustride, rows, jlen i
 // positive multiple of 16).
 //
 //go:noescape
-func minplusBrickAVX512(x, b, v []float64, xstride, bstride, vstride, klen, jlen int)
+func minplusBrickAVX512(x, b, v []float64, xstride, bstride, vstride, rows, klen, jlen int)
 
 // gaussBrickAVX512 is gaussBrickAVX2 over 16-column tiles (jlen a
 // positive multiple of 16).

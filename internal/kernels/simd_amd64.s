@@ -37,6 +37,15 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 //	R9  vstride·8
 //	R12 remaining columns
 //
+// Each brick's k loop starts on a 64-byte boundary (PCALIGN), so where
+// the linker places a brick does not move its hot loop across a cache
+// line or decode window.
+//
+// The min-plus bricks run their row quads in turn: after a quad's last
+// column tile DI steps back to column 0 and down four rows, SI down four
+// rows, and the rows left are counted down in their argument slot, so
+// DX, CX and R12 restart from the arguments.
+//
 // Vector registers: Y0–Y7 hold the 4×8 x block across the whole k loop
 // (x is loaded and stored once per 8-column tile), Y8/Y9 the current v
 // row pair, Y10 the broadcast scalar, Y11 the product/sum temporary.
@@ -61,16 +70,15 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMOVUPD Y6, (DI)(BX*1) \
 	VMOVUPD Y7, 32(DI)(BX*1)
 
-// func minplusBrickAVX2(x, b, v []float64, xstride, bstride, vstride, klen, jlen int)
+// func minplusBrickAVX2(x, b, v []float64, xstride, bstride, vstride, rows, klen, jlen int)
 //
 // x[r,j] = min(x[r,j], b[r,k] + v[k,j]). The VMINPD operand order below is
 // Go syntax for Intel MINPD(src1 = t, src2 = x): on unordered or equal
 // operands the instruction returns src2, i.e. x survives ties and NaN sums
 // exactly like the scalar `if t := s + vj; t < x { x = t }`.
-TEXT ·minplusBrickAVX2(SB), NOSPLIT, $0-112
+TEXT ·minplusBrickAVX2(SB), NOSPLIT, $0-120
 	MOVQ x_base+0(FP), DI
 	MOVQ b_base+24(FP), SI
-	MOVQ v_base+48(FP), DX
 	MOVQ xstride+72(FP), R8
 	SHLQ $3, R8
 	LEAQ (R8)(R8*2), BX
@@ -79,15 +87,19 @@ TEXT ·minplusBrickAVX2(SB), NOSPLIT, $0-112
 	LEAQ (R10)(R10*2), R11
 	MOVQ vstride+88(FP), R9
 	SHLQ $3, R9
-	MOVQ klen+96(FP), CX
+
+mp_quad:
+	MOVQ v_base+48(FP), DX
+	MOVQ klen+104(FP), CX
 	LEAQ (SI)(CX*8), CX
-	MOVQ jlen+104(FP), R12
+	MOVQ jlen+112(FP), R12
 
 mp_jtile:
 	LOAD_X
 	MOVQ DX, R13
 	MOVQ SI, AX
 
+	PCALIGN $64
 mp_kloop:
 	VMOVUPD      (R13), Y8
 	VMOVUPD      32(R13), Y9
@@ -122,6 +134,14 @@ mp_kloop:
 	SUBQ $8, R12
 	JGT  mp_jtile
 
+	MOVQ jlen+112(FP), R13
+	SHLQ $3, R13
+	SUBQ R13, DI
+	LEAQ (DI)(R8*4), DI
+	LEAQ (SI)(R10*4), SI
+	SUBQ $4, rows+96(FP)
+	JGT  mp_quad
+
 	VZEROUPPER
 	RET
 
@@ -152,6 +172,7 @@ ge_jtile:
 	MOVQ DX, R13
 	MOVQ SI, AX
 
+	PCALIGN $64
 ge_kloop:
 	VMOVUPD      (R13), Y8
 	VMOVUPD      32(R13), Y9
@@ -419,14 +440,13 @@ gp_next:
 	ADDQ         R9, R13 \
 	ADDQ         $8, AX
 
-// func minplusBrickAVX512(x, b, v []float64, xstride, bstride, vstride, klen, jlen int)
+// func minplusBrickAVX512(x, b, v []float64, xstride, bstride, vstride, rows, klen, jlen int)
 //
 // minplusBrickAVX2's lane expression: VADDPD with the broadcast scalar
 // as the first source, then VMINPD(t, x), so x survives ties and NaN.
-TEXT ·minplusBrickAVX512(SB), NOSPLIT, $0-112
+TEXT ·minplusBrickAVX512(SB), NOSPLIT, $0-120
 	MOVQ x_base+0(FP), DI
 	MOVQ b_base+24(FP), SI
-	MOVQ v_base+48(FP), DX
 	MOVQ xstride+72(FP), R8
 	SHLQ $3, R8
 	LEAQ (R8)(R8*2), BX
@@ -435,15 +455,19 @@ TEXT ·minplusBrickAVX512(SB), NOSPLIT, $0-112
 	LEAQ (R10)(R10*2), R11
 	MOVQ vstride+88(FP), R9
 	SHLQ $3, R9
-	MOVQ klen+96(FP), CX
+
+mpz_quad:
+	MOVQ v_base+48(FP), DX
+	MOVQ klen+104(FP), CX
 	LEAQ (SI)(CX*8), CX
-	MOVQ jlen+104(FP), R12
+	MOVQ jlen+112(FP), R12
 
 mpz_jtile:
 	LOAD_XZ
 	MOVQ DX, R13
 	MOVQ SI, AX
 
+	PCALIGN $64
 mpz_kloop:
 	LOAD_KSTEP
 	VADDPD Z8, Z10, Z14
@@ -470,6 +494,14 @@ mpz_kloop:
 	ADDQ $128, DX
 	SUBQ $16, R12
 	JGT  mpz_jtile
+
+	MOVQ jlen+112(FP), R13
+	SHLQ $3, R13
+	SUBQ R13, DI
+	LEAQ (DI)(R8*4), DI
+	LEAQ (SI)(R10*4), SI
+	SUBQ $4, rows+96(FP)
+	JGT  mpz_quad
 
 	VZEROUPPER
 	RET
@@ -499,6 +531,7 @@ gez_jtile:
 	MOVQ DX, R13
 	MOVQ SI, AX
 
+	PCALIGN $64
 gez_kloop:
 	LOAD_KSTEP
 	VMULPD Z10, Z8, Z14

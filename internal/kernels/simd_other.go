@@ -7,7 +7,7 @@ package kernels
 // code unconditionally.
 const hostSIMD = simdScalar
 
-func minplusBrickAVX2(x, b, v []float64, xstride, bstride, vstride, klen, jlen int) {
+func minplusBrickAVX2(x, b, v []float64, xstride, bstride, vstride, rows, klen, jlen int) {
 	panic("kernels: SIMD brick in a build without assembly")
 }
 
@@ -23,7 +23,7 @@ func gaussPanelAVX2(x, u, v []float64, w float64, xstride, ustride, rows, jlen i
 	panic("kernels: SIMD panel in a build without assembly")
 }
 
-func minplusBrickAVX512(x, b, v []float64, xstride, bstride, vstride, klen, jlen int) {
+func minplusBrickAVX512(x, b, v []float64, xstride, bstride, vstride, rows, klen, jlen int) {
 	panic("kernels: SIMD brick in a build without assembly")
 }
 

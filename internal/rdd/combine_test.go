@@ -23,7 +23,7 @@ func gatherByMap[K comparable](chunks [][]Pair[K, int]) []Pair[K, []int] {
 	for _, ch := range chunks {
 		n += len(ch)
 	}
-	slots, keys := numberByMap(nil, chunks, n)
+	slots, keys := numberByMap(nil, chunks, n, make(map[K]int32, n))
 	return combineSlots(nil, chunks, slots, keys, func(v int) []int { return []int{v} },
 		func(c *[]int, v int) { *c = append(*c, v) })
 }

@@ -6,6 +6,7 @@ package rdd
 
 import (
 	"math"
+	"sync"
 
 	"dpspark/internal/matrix"
 )
@@ -187,14 +188,28 @@ func numberKeys[K comparable, V any](tc *TaskContext, chunks [][]Pair[K, V]) ([]
 		if slots, keys, ok := numberCoords(tc, cs, n); ok {
 			return slots, keys
 		}
+		index := coordIndex.Get().(map[matrix.Coord]int32)
+		slots, keys := numberByMap(tc, cs, n, index)
+		if keys <= coordIndexKeys {
+			clear(index)
+			coordIndex.Put(index)
+		}
+		return slots, keys
 	}
-	return numberByMap(tc, chunks, n)
+	return numberByMap(tc, chunks, n, make(map[K]int32, n))
 }
 
-// numberByMap numbers the n records' keys through a map.
-func numberByMap[K comparable, V any](tc *TaskContext, chunks [][]Pair[K, V], n int) ([]int32, int) {
+// coordIndex recycles, cleared, the maps numberByMap takes for coordinate
+// keys numberCoords declines. Clearing costs a map's capacity, which
+// never shrinks, so a map that held more than coordIndexKeys is dropped.
+var coordIndex = sync.Pool{New: func() any { return make(map[matrix.Coord]int32) }}
+
+const coordIndexKeys = 1 << 12
+
+// numberByMap numbers the n records' keys through index, which must be
+// empty.
+func numberByMap[K comparable, V any](tc *TaskContext, chunks [][]Pair[K, V], n int, index map[K]int32) ([]int32, int) {
 	slots := take[int32](tc, n)[:0]
-	index := make(map[K]int32, n)
 	for _, ch := range chunks {
 		for i := range ch {
 			s, seen := index[ch[i].Key]
